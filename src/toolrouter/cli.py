@@ -26,19 +26,26 @@ from .supervision import build_dataset, load_dataset
 from .synthesis import SynthesisConfig, load_trajectories, save_trajectories, synthesize_batch
 
 
-def _pipeline_config(config: str | None, seed: int | None, backend: str | None) -> PipelineConfig:
-    cfg = load_config(config)
-    if seed is not None:
-        cfg.seed = seed
-    if backend is not None:
-        cfg.backend.mode = backend
-    cfg.validate()
-    return cfg
-
-
 def _fail(exc: Exception) -> None:
     click.echo(f"error: {exc}", err=True)
     sys.exit(1)
+
+
+def _pipeline_config(
+    config: str | None, seed: int | None, backend: str | None, tau: float | None = None
+) -> PipelineConfig:
+    try:
+        cfg = load_config(config)
+        if seed is not None:
+            cfg.seed = seed
+        if backend is not None:
+            cfg.backend.mode = backend
+        if tau is not None:
+            cfg.tau = tau
+        cfg.validate()
+    except ToolRouterError as exc:
+        _fail(exc)
+    return cfg
 
 
 common_options = [
@@ -66,13 +73,10 @@ def main() -> None:
 @click.option("--out", "out_path", type=click.Path(), required=True)
 def build_graph_cmd(config_path, seed, backend, bank_path, tau, out_path) -> None:
     """Embed a candidate bank and build the similarity graph."""
-    cfg = _pipeline_config(config_path, seed, backend)
+    cfg = _pipeline_config(config_path, seed, backend, tau)
     try:
         bank = load_bank(bank_path)
-        graph_cfg = GraphConfig(
-            tau=tau if tau is not None else cfg.tau,
-            embedding_model_id=cfg.backend.embed_model,
-        )
+        graph_cfg = GraphConfig(tau=cfg.tau, embedding_model_id=cfg.backend.embed_model)
         graph = build_graph(bank, graph_cfg, make_gateway(cfg))
         save_graph(graph, out_path)
     except ToolRouterError as exc:

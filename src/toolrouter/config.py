@@ -2,14 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any
 
 import yaml
 
 from .backends import HTTPChatBackend, HTTPEmbeddingBackend, MockChatBackend, MockEmbeddingBackend
-from .errors import BadConfig, IoError
+from .errors import BadConfig, IoError, ParseError
 from .gateway import Gateway
 
 
@@ -38,10 +38,21 @@ class PipelineConfig:
     eval: dict[str, Any] = field(default_factory=dict)
 
     def validate(self) -> None:
+        if not 0 < self.tau < 1:
+            raise BadConfig(f"tau must be in (0, 1), got {self.tau}")
         if self.backend.mode not in ("mock", "live"):
             raise BadConfig(f"unknown backend mode: {self.backend.mode!r}")
         if self.backend.mode == "mock" and self.seed is None:
             raise BadConfig("mock mode requires an explicit seed")
+
+
+def _known_keys(cls: type, raw: Any, where: str) -> dict[str, Any]:
+    if not isinstance(raw, dict):
+        raise BadConfig(f"{where} must be a mapping")
+    unknown = sorted(set(map(str, raw)) - {f.name for f in fields(cls)})
+    if unknown:
+        raise BadConfig(f"unknown {where} key(s): {', '.join(unknown)}")
+    return raw
 
 
 def load_config(path: str | Path | None) -> PipelineConfig:
@@ -52,7 +63,10 @@ def load_config(path: str | Path | None) -> PipelineConfig:
         raw = yaml.safe_load(path.read_text(encoding="utf-8")) or {}
     except OSError as exc:
         raise IoError(f"cannot read config {path}: {exc}") from exc
-    backend = BackendConfig(**raw.pop("backend", {}))
+    except yaml.YAMLError as exc:
+        raise ParseError(str(path), "invalid YAML") from exc
+    raw = _known_keys(PipelineConfig, raw, f"config {path}")
+    backend = BackendConfig(**_known_keys(BackendConfig, raw.pop("backend", {}), f"config {path} backend"))
     cfg = PipelineConfig(backend=backend, **raw)
     cfg.validate()
     return cfg

@@ -2,6 +2,9 @@
 
 Graphs are immutable snapshots; insertion returns a new graph. Similarity
 edges use strict ``sim > tau`` (a tie at exactly tau produces no edge).
+A blocked float64 matrix product screens the pairs, and the scalar
+:func:`cosine_similarity` decides every pair that clears the screen, so the
+edges and their weights are those of an all-pairs scalar scan.
 """
 
 from __future__ import annotations
@@ -9,8 +12,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
-from typing import Iterable
+from typing import Sequence
+
+import numpy as np
 
 from .errors import (
     DimensionMismatch,
@@ -25,6 +31,10 @@ from .gateway import EmbeddingVector, Gateway
 from .registry import CandidateBank, CandidateSpec, serialize_phi, validate_spec
 
 DEFAULT_TAU = 0.82
+# The screen keeps pairs above tau - SCREEN_MARGIN; the float64 rounding gap
+# between the matrix and the scalar cosine is orders of magnitude smaller.
+SCREEN_MARGIN = 1e-9
+SCREEN_BLOCK_ROWS = 256  # rows per block of the screening product
 
 
 @dataclass(frozen=True)
@@ -83,10 +93,20 @@ class CandidateGraph:
     def names_of_kind(self, kind: str) -> list[str]:
         return sorted(name for name, node in self.nodes.items() if node.spec.kind == kind)
 
+    @cached_property
+    def _adjacency(self) -> dict[str, list[tuple[str, str]]]:
+        """name -> sorted (other, kind) pairs, derived once per snapshot."""
+        adjacency: dict[str, list[tuple[str, str]]] = {}
+        for edge in self.edges:
+            adjacency.setdefault(edge.a, []).append((edge.b, edge.kind))
+            adjacency.setdefault(edge.b, []).append((edge.a, edge.kind))
+        for pairs in adjacency.values():
+            pairs.sort()
+        return adjacency
+
     def neighbors(self, name: str) -> list[tuple[str, str]]:
         """(other name, edge kind) pairs, sorted for determinism."""
-        out = [(edge.other(name), edge.kind) for edge in self.edges if edge.touches(name)]
-        return sorted(out)
+        return list(self._adjacency.get(name, ()))
 
     def mutation_edges(self) -> list[Edge]:
         return sorted((e for e in self.edges if e.kind == "mutation"), key=lambda e: (e.a, e.b))
@@ -110,17 +130,37 @@ def cosine_similarity(h_i: EmbeddingVector, h_j: EmbeddingVector) -> float:
     return dot / (math.sqrt(norm_i) * math.sqrt(norm_j))
 
 
-def _similarity_edges_for(
-    name: str,
-    embedding: EmbeddingVector,
-    others: Iterable[tuple[str, EmbeddingVector]],
-    tau: float,
+def _unit_rows(vectors: Sequence[EmbeddingVector]) -> np.ndarray:
+    """Row-normalised float64 matrix; mixed dims and zero vectors raise as in the scalar cosine."""
+    dims = sorted({vector.dim for vector in vectors})
+    if len(dims) > 1:
+        raise DimensionMismatch(f"dims differ: {dims}")
+    matrix = np.array([vector.values for vector in vectors], dtype=np.float64)
+    norms = np.linalg.norm(matrix, axis=1, keepdims=True)
+    if not norms.all():
+        raise ZeroVector("cosine similarity of a zero vector is undefined")
+    return matrix / norms
+
+
+def _similarity_edges(
+    names: Sequence[str], vectors: Sequence[EmbeddingVector], tau: float, first: int = 0
 ) -> list[Edge]:
+    """Similarity edges of every pair (i, j) with j < i and i >= first.
+
+    The matrix product screens the pairs; the scalar cosine decides each one
+    the screen keeps and gives the edge its weight.
+    """
+    unit = _unit_rows(vectors)
+    cut = tau - SCREEN_MARGIN
     edges = []
-    for other_name, other_embedding in others:
-        sim = cosine_similarity(embedding, other_embedding)
-        if sim > tau:
-            edges.append(Edge.make(name, other_name, "similarity", weight=sim))
+    for start in range(first, len(names), SCREEN_BLOCK_ROWS):
+        stop = min(start + SCREEN_BLOCK_ROWS, len(names))
+        rows, cols = np.nonzero(unit[start:stop] @ unit[:stop].T > cut)
+        for i, j in zip((rows + start).tolist(), cols.tolist()):
+            if j < i:
+                sim = cosine_similarity(vectors[i], vectors[j])
+                if sim > tau:
+                    edges.append(Edge.make(names[i], names[j], "similarity", weight=sim))
     return edges
 
 
@@ -134,15 +174,7 @@ def build_graph(bank: CandidateBank, cfg: GraphConfig, gateway: Gateway) -> Cand
         spec.name: GraphNode(spec=spec, embedding=embedding)
         for spec, embedding in zip(bank, embeddings)
     }
-    names = list(bank.names())
-    edges: set[Edge] = set()
-    for i in range(len(names)):
-        node_i = nodes[names[i]]
-        for j in range(i + 1, len(names)):
-            node_j = nodes[names[j]]
-            sim = cosine_similarity(node_i.embedding, node_j.embedding)
-            if sim > cfg.tau:
-                edges.add(Edge.make(names[i], names[j], "similarity", weight=sim))
+    edges = _similarity_edges(bank.names(), embeddings, cfg.tau)
     return CandidateGraph(config=cfg, nodes=nodes, edges=frozenset(edges))
 
 
@@ -157,18 +189,13 @@ def add_mutant(
         raise UnknownParent(parent)
     if mutant.name in graph.nodes:
         raise DuplicateName(mutant.name)
-    new_edges = set(graph.edges)
-    new_edges.add(Edge.make(parent, mutant.name, "mutation"))
-    new_edges.update(
-        _similarity_edges_for(
-            mutant.name,
-            embedding,
-            ((name, node.embedding) for name, node in graph.nodes.items()),
-            graph.config.tau,
-        )
-    )
     nodes = dict(graph.nodes)
     nodes[mutant.name] = GraphNode(spec=mutant, embedding=embedding)
+    new_edges = set(graph.edges)
+    new_edges.add(Edge.make(parent, mutant.name, "mutation"))
+    new_edges.update(  # the mutant is the last row
+        _similarity_edges(list(nodes), [node.embedding for node in nodes.values()], graph.config.tau, len(graph))
+    )
     return CandidateGraph(config=graph.config, nodes=nodes, edges=frozenset(new_edges))
 
 
@@ -204,7 +231,7 @@ def save_graph(graph: CandidateGraph, path: str | Path) -> None:
 
 
 def load_graph(path: str | Path) -> CandidateGraph:
-    """Load a snapshot without re-embedding."""
+    """Load a snapshot without re-embedding, checking its invariants."""
     path = Path(path)
     try:
         lines = path.read_text(encoding="utf-8").splitlines()
@@ -213,31 +240,44 @@ def load_graph(path: str | Path) -> CandidateGraph:
 
     config: GraphConfig | None = None
     nodes: dict[str, GraphNode] = {}
-    edges: set[Edge] = set()
+    edges: dict[Edge, int] = {}  # edge -> line number, for the endpoint check
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         try:
             record = json.loads(line)
+            if "meta" in record:
+                config = GraphConfig(
+                    tau=record["meta"]["tau"],
+                    embedding_model_id=record["meta"]["embedding_model_id"],
+                )
+            elif "node" in record:
+                raw = record["node"]
+                if raw["name"] in nodes:
+                    raise ValueError(f"duplicate node {raw['name']!r}")
+                spec = validate_spec(raw["spec"], raw["kind"])
+                embedding = EmbeddingVector(
+                    values=tuple(map(float, raw["embedding"])), model_id=raw["embedding_model_id"]
+                )
+                nodes[raw["name"]] = GraphNode(spec=spec, embedding=embedding)
+            elif "edge" in record:
+                raw = record["edge"]
+                edges[Edge(a=raw["a"], b=raw["b"], kind=raw["kind"], weight=raw.get("weight"))] = lineno
+            else:
+                raise ParseError(f"{path}:{lineno}", "unknown record type")
         except json.JSONDecodeError as exc:
             raise ParseError(f"{path}:{lineno}", exc.msg) from exc
-        if "meta" in record:
-            config = GraphConfig(
-                tau=record["meta"]["tau"],
-                embedding_model_id=record["meta"]["embedding_model_id"],
-            )
-        elif "node" in record:
-            raw = record["node"]
-            spec = validate_spec(raw["spec"], raw["kind"])
-            embedding = EmbeddingVector(
-                values=tuple(raw["embedding"]), model_id=raw["embedding_model_id"]
-            )
-            nodes[raw["name"]] = GraphNode(spec=spec, embedding=embedding)
-        elif "edge" in record:
-            raw = record["edge"]
-            edges.add(Edge(a=raw["a"], b=raw["b"], kind=raw["kind"], weight=raw.get("weight")))
-        else:
-            raise ParseError(f"{path}:{lineno}", "unknown record type")
+        except KeyError as exc:
+            raise ParseError(f"{path}:{lineno}", f"missing field {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ParseError(f"{path}:{lineno}", str(exc)) from exc
     if config is None:
         raise ParseError(str(path), "missing meta record")
+    for edge, lineno in edges.items():
+        if edge.a not in nodes or edge.b not in nodes:
+            missing = edge.a if edge.a not in nodes else edge.b
+            raise ParseError(f"{path}:{lineno}", f"edge names a missing node {missing!r}")
+    dims = sorted({node.embedding.dim for node in nodes.values()})
+    if len(dims) > 1:
+        raise DimensionMismatch(f"{path}: node embeddings have dims {dims}")
     return CandidateGraph(config=config, nodes=nodes, edges=frozenset(edges))

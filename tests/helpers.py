@@ -2,8 +2,14 @@
 
 from __future__ import annotations
 
+import json
+import math
+import random
+
 from toolrouter.backends import MockChatBackend, MockEmbeddingBackend
-from toolrouter.gateway import Gateway
+from toolrouter.errors import DimensionMismatch, ParseError
+from toolrouter.gateway import EmbeddingVector, Gateway
+from toolrouter.graph import cosine_similarity
 from toolrouter.registry import CandidateBank, validate_spec
 
 DOMAINS = [
@@ -44,6 +50,79 @@ def make_tool_doc(index: int) -> dict:
 def make_tool_bank(size: int) -> CandidateBank:
     entries = tuple(validate_spec(make_tool_doc(i), "tool") for i in range(size))
     return CandidateBank(kind="tool", entries=entries)
+
+
+SYLLABLES = ("ka", "lo", "mi", "ner", "ta", "vos", "qui", "zer", "pa", "dun", "ri", "sel")
+
+
+def make_family_bank(size: int, seed: int = 0, family_size: int = 12) -> CandidateBank:
+    """Tools in families that share a verb, a domain, four core words and their
+    parameters; each member adds six words of its own. Under the mock embedder
+    most pairs inside a family clear tau = 0.82 and pairs across families do not.
+    """
+    rng = random.Random(seed)
+
+    def word(syllables: int = 3) -> str:
+        return "".join(rng.choice(SYLLABLES) for _ in range(syllables))
+
+    docs: list[dict] = []
+    while len(docs) < size:
+        verb, domain = word(2), word()
+        core = [word() for _ in range(4)]
+        params = [word(2) for _ in range(3)]
+        for _ in range(min(family_size, size - len(docs))):
+            own = [word() for _ in range(6)]
+            docs.append(
+                {
+                    "name": f"{verb}_{domain}_{len(docs):04d}",
+                    "description": f"{verb} {' '.join(core + own)}.",
+                    "inputSchema": {
+                        "type": "object",
+                        "properties": {p: {"type": "string", "description": f"{p} of the {domain} item"} for p in params},
+                        "required": [params[0]],
+                    },
+                    "tags": [domain],
+                }
+            )
+    return CandidateBank(kind="tool", entries=tuple(validate_spec(doc, "tool") for doc in docs))
+
+
+def planted_unit_vector(target_sim):
+    """2-d unit-ish vector whose float cosine against (1, 0) is exactly target_sim."""
+    anchor = EmbeddingVector(values=(1.0, 0.0), model_id="static-embed")
+    y = math.sqrt(1 - target_sim * target_sim)
+    for _ in range(1000):
+        candidate = EmbeddingVector(values=(target_sim, y), model_id="static-embed")
+        sim = cosine_similarity(anchor, candidate)
+        if sim == target_sim:
+            return (target_sim, y)
+        y = math.nextafter(y, math.inf if sim > target_sim else -math.inf)
+    raise AssertionError(f"could not plant an exact cosine of {target_sim}")
+
+
+def corrupt_snapshot(lines: list[str], case: str) -> list[str]:
+    """Break one invariant of a saved snapshot (meta, nodes, then edges)."""
+    records = [json.loads(line) for line in lines]
+    nodes = [r for r in records if "node" in r]
+    edges = [r for r in records if "edge" in r]
+    if case == "node without embedding":
+        del nodes[0]["node"]["embedding"]
+    elif case == "edge to a missing node":
+        edges[0]["edge"]["b"] = "zzz_missing"
+    elif case == "edge with a >= b":
+        edges[0]["edge"]["a"], edges[0]["edge"]["b"] = edges[0]["edge"]["b"], edges[0]["edge"]["a"]
+    elif case == "mixed embedding dims":
+        nodes[0]["node"]["embedding"] = nodes[0]["node"]["embedding"][:-1]
+    return [json.dumps(r) for r in records]
+
+
+# corrupt_snapshot case -> the typed error load_graph raises for it
+BROKEN_SNAPSHOTS = {
+    "node without embedding": ParseError,
+    "edge to a missing node": ParseError,
+    "edge with a >= b": ParseError,
+    "mixed embedding dims": DimensionMismatch,
+}
 
 
 def make_agent_doc(index: int) -> dict:

@@ -7,18 +7,17 @@ duplicate-name rejections because the mock mutant namer is deterministic).
 """
 
 import json
-import math
 import random
 import time
 
 import numpy as np
 import pytest
 
-from helpers import make_tool_bank, mock_gateway
+from helpers import make_tool_bank, mock_gateway, planted_unit_vector
 from toolrouter.backends import StaticEmbeddingBackend
 from toolrouter.evaluation import PoolSetting, SETTING_ORDER, Setting, evaluate
-from toolrouter.gateway import EmbeddingVector, Gateway
-from toolrouter.graph import GraphConfig, build_graph, cosine_similarity, save_graph
+from toolrouter.gateway import Gateway
+from toolrouter.graph import GraphConfig, build_graph, save_graph
 from toolrouter.lra import ExecutorBinding, ScriptedReasoner, run_episode
 from toolrouter.mutation import EvolveConfig, evolve
 from toolrouter.registry import (
@@ -122,19 +121,6 @@ def test_criterion_1_graph_oracle_equivalence():
 
 
 # --- criterion 2: strict threshold semantics ------------------------------------
-
-
-def planted_unit_vector(target_sim):
-    """2-d unit-ish vector whose float cosine against (1, 0) is exactly target_sim."""
-    anchor = EmbeddingVector(values=(1.0, 0.0), model_id="static-embed")
-    y = math.sqrt(1 - target_sim * target_sim)
-    for _ in range(1000):
-        candidate = EmbeddingVector(values=(target_sim, y), model_id="static-embed")
-        sim = cosine_similarity(anchor, candidate)
-        if sim == target_sim:
-            return (target_sim, y)
-        y = math.nextafter(y, math.inf if sim > target_sim else -math.inf)
-    raise AssertionError(f"could not plant an exact cosine of {target_sim}")
 
 
 def test_criterion_2_threshold_semantics():

@@ -1,11 +1,12 @@
 """CLI pipeline commands, exit codes, and mock determinism."""
 
+import hashlib
 import json
 
 import pytest
 from click.testing import CliRunner
 
-from helpers import make_tool_bank
+from helpers import BROKEN_SNAPSHOTS, corrupt_snapshot, make_family_bank, make_tool_bank
 from toolrouter.cli import main
 from toolrouter.registry import save_bank
 from toolrouter.supervision import load_dataset
@@ -146,3 +147,70 @@ def test_lra_run_command(workspace):
     assert "episode outcome: finished" in result.output
     log = json.loads(out.read_text().splitlines()[0])
     assert log["context_audit"]["tool_spec_count"] == 2
+
+
+def one_error_line(result):
+    assert result.exit_code == 1
+    lines = result.output.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), result.output
+
+
+@pytest.mark.parametrize("case", sorted(BROKEN_SNAPSHOTS))
+def test_broken_snapshot_exits_1(workspace, case):
+    tmp_path, bank_path, config_path = workspace
+    graph_path = tmp_path / "graph.jsonl"
+    run(["build-graph", "--config", config_path, "--bank", bank_path, "--out", str(graph_path)])
+    graph_path.write_text("\n".join(corrupt_snapshot(graph_path.read_text().splitlines(), case)) + "\n")
+    result = run(
+        ["synthesize", "--config", config_path, "--graph", str(graph_path), "--out", str(tmp_path / "t.jsonl")]
+    )
+    one_error_line(result)
+
+
+@pytest.mark.parametrize(
+    "config_text",
+    [
+        "seed: 1\nsurprise: 2\n",  # unknown top-level key
+        "seed: 1\nbackend:\n  surprise: 2\n",  # unknown backend key
+        "seed: 1\nbackend:\n  mode: bogus\n",  # typed BadConfig from validate()
+        "seed: [1\n",  # not YAML
+        "seed: 1\ntau: 2\n",  # tau outside (0, 1)
+    ],
+)
+def test_bad_config_exits_1(workspace, config_text):
+    tmp_path, bank_path, _ = workspace
+    config_path = tmp_path / "bad.yaml"
+    config_path.write_text(config_text, encoding="utf-8")
+    result = run(["build-graph", "--config", str(config_path), "--bank", bank_path, "--out", str(tmp_path / "g.jsonl")])
+    one_error_line(result)
+
+
+def test_tau_flag_outside_range_exits_1(workspace):
+    tmp_path, bank_path, config_path = workspace
+    result = run(
+        ["build-graph", "--config", config_path, "--bank", bank_path, "--tau", "1.5", "--out", str(tmp_path / "g.jsonl")]
+    )
+    one_error_line(result)
+
+
+# sha256 of the mock build-graph and mutate snapshots, edge weights included.
+# A change to them must be explained in CHANGES.md.
+PINNED_SNAPSHOTS = {
+    "graph.jsonl": "4d11d31b8db6e611c75df7cc6c8281bcd207b270b954cc5233d8b3bb83e1d2a0",
+    "mutated.jsonl": "a80f9f0a0d7d5289f29d988a333d8443e160f3b22d477f85a9de94fa4756cbc7",
+}
+
+
+def test_snapshots_byte_identical_to_pinned(tmp_path):
+    bank_path, config_path = tmp_path / "bank.jsonl", tmp_path / "config.yaml"
+    save_bank(make_family_bank(150, seed=3), bank_path)
+    config_path.write_text("seed: 5\n", encoding="utf-8")
+    graph_path, mutated_path = tmp_path / "graph.jsonl", tmp_path / "mutated.jsonl"
+    built = run(["build-graph", "--config", str(config_path), "--bank", str(bank_path), "--out", str(graph_path)])
+    assert "150 nodes, 804 edges" in built.output
+    mutated = run(
+        ["mutate", "--config", str(config_path), "--graph", str(graph_path), "--rounds", "10", "--out", str(mutated_path)]
+    )
+    assert "10/10 accepted" in mutated.output
+    digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in (graph_path, mutated_path)}
+    assert digests == PINNED_SNAPSHOTS

@@ -1,13 +1,25 @@
 """Cosine similarity, thresholded graph construction, insertion, snapshots."""
 
 import math
+import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from helpers import make_tool_bank, mock_gateway
+from helpers import (
+    BROKEN_SNAPSHOTS,
+    corrupt_snapshot,
+    make_family_bank,
+    make_tool_bank,
+    mock_gateway,
+    planted_unit_vector,
+)
+from toolrouter.backends import StaticEmbeddingBackend
 from toolrouter.errors import DimensionMismatch, DuplicateName, EmptyBank, UnknownParent, ZeroVector
 from toolrouter.gateway import EmbeddingVector, Gateway
 from toolrouter.graph import (
+    CandidateGraph,
     Edge,
     GraphConfig,
     build_graph,
@@ -16,7 +28,7 @@ from toolrouter.graph import (
     load_graph,
     save_graph,
 )
-from toolrouter.registry import as_mutant, serialize_phi, validate_spec
+from toolrouter.registry import CandidateBank, as_mutant, serialize_phi, validate_spec
 
 
 def vec(*values):
@@ -148,3 +160,118 @@ def test_snapshot_roundtrip_and_byte_stability(tmp_path):
     assert loaded.edges == graph.edges
     save_graph(loaded, second)
     assert first.read_bytes() == second.read_bytes()
+
+
+def scanned_neighbors(graph, name):
+    """Reference: scan every edge."""
+    return sorted((edge.other(name), edge.kind) for edge in graph.edges if edge.touches(name))
+
+
+def tool(name):
+    return validate_spec(
+        {"name": name, "description": f"Planted candidate {name}.", "inputSchema": {"type": "object", "properties": {}}},
+        "tool",
+    )
+
+
+def mutant_of(parent, name, description="A fresh variant."):
+    spec = validate_spec(
+        {"name": name, "description": description, "inputSchema": {"type": "object", "properties": {}}},
+        "tool",
+    )
+    return as_mutant(spec, parent=parent, operator="Usage Extension")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sets(
+        st.tuples(st.integers(0, 11), st.integers(0, 11), st.sampled_from(["similarity", "mutation"])),
+        max_size=40,
+    )
+)
+def test_neighbors_index_matches_edge_scan(triples):
+    edges = frozenset(Edge.make(f"n{x}", f"n{y}", kind) for x, y, kind in triples if x != y)
+    graph = CandidateGraph(config=GraphConfig(), edges=edges)
+    for name in [f"n{i}" for i in range(13)]:  # n12 has no edges
+        assert graph.neighbors(name) == scanned_neighbors(graph, name)
+
+
+def test_neighbors_index_after_add_mutant_chain():
+    gateway = mock_gateway(0)
+    rng = random.Random(4)
+    graph = build_graph(make_family_bank(40, seed=1), GraphConfig(), gateway)
+    for step in range(15):
+        parent = rng.choice(graph.names())
+        words = graph.nodes[parent].spec.description.rstrip(".").split()
+        mutant = mutant_of(parent, f"mutant_{step}", " ".join(words[:-1] + [f"step{step}"]) + ".")
+        before = graph
+        graph = add_mutant(graph, parent, mutant, gateway.embed_text(serialize_phi(mutant)))
+        assert before.neighbors(parent) == scanned_neighbors(before, parent)  # old snapshot untouched
+        for name in graph.names():
+            assert graph.neighbors(name) == scanned_neighbors(graph, name)
+    similarity = {(e.a, e.b) for e in graph.similarity_edges()}
+    assert any("mutant_" in a + b for a, b in similarity)  # mutants joined by similarity too
+
+
+def planted_graph(tau=0.82):
+    mapping = {serialize_phi(tool("anchor")): (1.0, 0.0), serialize_phi(tool("far")): (0.0, 1.0)}
+    gateway = Gateway(embedding_backend=StaticEmbeddingBackend(mapping, dim=2), backoff_s=0.0)
+    bank = CandidateBank(kind="tool", entries=(tool("anchor"), tool("far")))
+    return build_graph(bank, GraphConfig(tau=tau), gateway)
+
+
+def test_add_mutant_planted_tie_gives_no_edge():
+    graph = planted_graph()
+    for name, target in (("tie_82", 0.82), ("above_83", 0.83), ("below_81", 0.81)):
+        embedding = EmbeddingVector(values=planted_unit_vector(target), model_id="static-embed")
+        graph = add_mutant(graph, "far", mutant_of("far", name), embedding)
+    # 0.83 > tau, the tie at tau and 0.81 give no edge to the anchor
+    assert graph.neighbors("anchor") == [("above_83", "similarity")]
+    weights = {(e.a, e.b): e.weight for e in graph.similarity_edges()}
+    assert weights[("above_83", "anchor")] == 0.83
+
+
+def test_screen_keeps_pair_the_matrix_rounds_below_tau():
+    """A cosine one ulp above tau is an edge even where the float64 matrix
+    product of the normalised rows rounds below the scalar value."""
+    rng = random.Random(0)
+    while True:
+        a = tuple(rng.uniform(-1, 1) for _ in range(8))
+        b = tuple(x + rng.uniform(-0.3, 0.3) for x in a)
+        sim = cosine_similarity(vec(*a), vec(*b))
+        unit = np.array([a, b]) / np.linalg.norm(np.array([a, b]), axis=1, keepdims=True)
+        if 0 < sim < 1 and float(unit[0] @ unit[1]) < sim:
+            break
+    mapping = {serialize_phi(tool("first")): a, serialize_phi(tool("second")): b}
+    gateway = Gateway(embedding_backend=StaticEmbeddingBackend(mapping, dim=8), backoff_s=0.0)
+    bank = CandidateBank(kind="tool", entries=(tool("first"), tool("second")))
+    graph = build_graph(bank, GraphConfig(tau=math.nextafter(sim, 0.0)), gateway)
+    assert [(e.a, e.b, e.weight) for e in graph.similarity_edges()] == [("first", "second", sim)]
+
+
+def test_zero_and_mismatched_embeddings_raise():
+    zero = {serialize_phi(tool("anchor")): (1.0, 0.0), serialize_phi(tool("zero")): (0.0, 0.0)}
+    gateway = Gateway(embedding_backend=StaticEmbeddingBackend(zero, dim=2), backoff_s=0.0)
+    with pytest.raises(ZeroVector):
+        build_graph(CandidateBank(kind="tool", entries=(tool("anchor"), tool("zero"))), GraphConfig(), gateway)
+    mixed = {serialize_phi(tool("anchor")): (1.0, 0.0), serialize_phi(tool("wide")): (1.0, 0.0, 0.0)}
+    gateway = Gateway(embedding_backend=StaticEmbeddingBackend(mixed, dim=2), backoff_s=0.0)
+    with pytest.raises(DimensionMismatch):
+        build_graph(CandidateBank(kind="tool", entries=(tool("anchor"), tool("wide"))), GraphConfig(), gateway)
+
+    graph = planted_graph()
+    with pytest.raises(ZeroVector):
+        add_mutant(graph, "far", mutant_of("far", "m"), vec(0, 0))
+    with pytest.raises(DimensionMismatch):
+        add_mutant(graph, "far", mutant_of("far", "m"), vec(1, 0, 0))
+
+
+@pytest.mark.parametrize("case", sorted(BROKEN_SNAPSHOTS))
+def test_load_graph_rejects_broken_snapshots(tmp_path, case):
+    path = tmp_path / "graph.jsonl"
+    save_graph(build_graph(make_tool_bank(12), GraphConfig(tau=0.5), mock_gateway(0)), path)
+    path.write_text("\n".join(corrupt_snapshot(path.read_text().splitlines(), case)) + "\n")
+    with pytest.raises(BROKEN_SNAPSHOTS[case]) as info:
+        load_graph(path)
+    if case == "node without embedding":
+        assert f"{path}:2" in str(info.value)
