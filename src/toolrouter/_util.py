@@ -1,0 +1,72 @@
+"""Helpers the pipeline stages share: seed derivation, JSONL files and the
+field checks their readers apply."""
+
+from __future__ import annotations
+
+import hashlib
+import json
+from pathlib import Path
+from typing import Any, Callable, Iterable, TypeVar
+
+from .errors import IoError, ParseError
+
+T = TypeVar("T")
+
+
+def derive_seed(seed: int, *parts: object) -> int:
+    """A 64-bit seed from sha256 of ``seed:part:...``; stable across processes."""
+    digest = hashlib.sha256(":".join([str(seed), *map(str, parts)]).encode()).hexdigest()
+    return int(digest[:16], 16)
+
+
+def typed(value: Any, kind: type, what: str) -> Any:
+    """``value`` when it is a ``kind``; TypeError naming ``what`` otherwise."""
+    if not isinstance(value, kind):
+        raise TypeError(f"{what} must be {kind.__name__}, got {type(value).__name__}")
+    return value
+
+
+def strings(value: Any, what: str) -> tuple[str, ...]:
+    """A JSON list of strings as a tuple; TypeError naming ``what`` otherwise."""
+    if not isinstance(value, list) or not all(isinstance(item, str) for item in value):
+        raise TypeError(f"{what} must be a list of strings")
+    return tuple(value)
+
+
+def write_jsonl(path: str | Path, documents: Iterable[dict], what: str) -> int:
+    """Write one JSON object per line; returns the line count."""
+    path = Path(path)
+    count = 0
+    try:
+        with path.open("w", encoding="utf-8") as handle:
+            for document in documents:
+                handle.write(json.dumps(document, ensure_ascii=False) + "\n")
+                count += 1
+    except OSError as exc:
+        raise IoError(f"cannot write {what} {path}: {exc}") from exc
+    return count
+
+
+def read_jsonl(path: str | Path, what: str, parse: Callable[[dict], T]) -> list[T]:
+    """Parse each non-blank line, which must be a JSON object, with ``parse``.
+
+    Invalid JSON, a non-object line, or a record that ``parse`` rejects with
+    KeyError, TypeError or ValueError raises ParseError at ``file:line``.
+    """
+    path = Path(path)
+    try:
+        lines = path.read_text(encoding="utf-8").splitlines()
+    except OSError as exc:
+        raise IoError(f"cannot read {what} {path}: {exc}") from exc
+    out = []
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            document = json.loads(line)
+            if not isinstance(document, dict):
+                raise TypeError(f"expected a JSON object, got {type(document).__name__}")
+            out.append(parse(document))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ParseError(f"{path}:{lineno}", str(exc)) from exc
+    return out

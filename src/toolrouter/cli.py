@@ -7,23 +7,23 @@ data errors exit 1 with a diagnostic.
 
 from __future__ import annotations
 
-import json
 import sys
-from pathlib import Path
+from dataclasses import replace
 
 import click
 
+from ._util import write_jsonl
 from .config import PipelineConfig, load_config, make_gateway
-from .errors import ToolRouterError
+from .errors import ParseError, ToolRouterError
 from .evaluation import Metrics, PoolSetting, Setting, evaluate, save_results
 from .graph import GraphConfig, build_graph, load_graph, save_graph
 from .lra import ExecutorBinding, GatewayReasoner, run_episode, save_episode_logs
-from .mutation import EvolveConfig, evolve, write_mutation_log
-from .registry import CandidatePool, load_bank
-from .router import RouterConfig
-from .sampler import SamplerConfig, sample_subset
+from .mutation import evolve, write_mutation_log
+from .registry import CandidateBank, CandidatePool, load_bank
+from .router import VARIANTS, RouterConfig
+from .sampler import sample_subset
 from .supervision import build_dataset, load_dataset
-from .synthesis import SynthesisConfig, load_trajectories, save_trajectories, synthesize_batch
+from .synthesis import load_trajectories, save_trajectories, synthesize_batch
 
 
 def _fail(exc: Exception) -> None:
@@ -95,13 +95,7 @@ def mutate_cmd(config_path, seed, backend, graph_path, rounds, out_path, log_pat
     cfg = _pipeline_config(config_path, seed, backend)
     try:
         graph = load_graph(graph_path)
-        evolve_cfg = EvolveConfig(
-            rng_seed=cfg.seed if cfg.seed is not None else 0,
-            max_retries=cfg.mutation.get("max_retries", 2),
-            tool_fraction=cfg.mutation.get("tool_fraction", 1.0),
-            temperature=cfg.mutation.get("temperature", 0.8),
-            model_id=cfg.backend.chat_model,
-        )
+        evolve_cfg = replace(cfg.mutation, rng_seed=cfg.rng_seed, model_id=cfg.backend.chat_model)
         result = evolve(graph, rounds, evolve_cfg, make_gateway(cfg))
         save_graph(result.graph, out_path)
         if log_path:
@@ -127,25 +121,19 @@ def sample_cmd(config_path, seed, backend, graph_path, count, out_path) -> None:
     cfg = _pipeline_config(config_path, seed, backend)
     try:
         graph = load_graph(graph_path)
-        sampler = cfg.sampler
-        with Path(out_path).open("w", encoding="utf-8") as handle:
-            for index in range(count):
-                subset = sample_subset(
-                    graph,
-                    SamplerConfig(
-                        num_seeds=sampler.get("num_seeds", 1),
-                        target_size=sampler.get("target_size"),
-                        target_range=tuple(sampler.get("target_range", (4, 8))),
-                        restart_prob=sampler.get("restart_prob", 0.15),
-                        rng_seed=(cfg.seed or 0) * 100003 + index,
-                    ),
-                )
-                record = {
-                    "members": list(subset.members),
-                    "seed_nodes": list(subset.seed_nodes),
-                    "walk_trace": [list(t) for t in subset.walk_trace],
-                }
-                handle.write(json.dumps(record, ensure_ascii=False) + "\n")
+        subsets = (
+            sample_subset(graph, replace(cfg.sampler, rng_seed=cfg.rng_seed * 100003 + index))
+            for index in range(count)
+        )
+        records = (
+            {
+                "members": list(subset.members),
+                "seed_nodes": list(subset.seed_nodes),
+                "walk_trace": [list(t) for t in subset.walk_trace],
+            }
+            for subset in subsets
+        )
+        write_jsonl(out_path, records, "subset file")
     except ToolRouterError as exc:
         _fail(exc)
     click.echo(f"sampled {count} subsets -> {out_path}")
@@ -161,26 +149,11 @@ def synthesize_cmd(config_path, seed, backend, graph_path, count, out_path) -> N
     cfg = _pipeline_config(config_path, seed, backend)
     try:
         graph = load_graph(graph_path)
-        sampler = cfg.sampler
-        synthesis = cfg.synthesis
         trajectories = synthesize_batch(
             graph,
             count,
-            SamplerConfig(
-                num_seeds=sampler.get("num_seeds", 1),
-                target_size=sampler.get("target_size"),
-                target_range=tuple(sampler.get("target_range", (4, 8))),
-                restart_prob=sampler.get("restart_prob", 0.15),
-                rng_seed=cfg.seed or 0,
-            ),
-            SynthesisConfig(
-                rng_seed=cfg.seed or 0,
-                max_retries=synthesis.get("max_retries", 2),
-                max_turns=synthesis.get("max_turns", 12),
-                error_prob=synthesis.get("error_prob", 0.1),
-                temperature=synthesis.get("temperature", 0.8),
-                model_id=cfg.backend.chat_model,
-            ),
+            replace(cfg.sampler, rng_seed=cfg.rng_seed),
+            replace(cfg.synthesis, rng_seed=cfg.rng_seed, model_id=cfg.backend.chat_model),
             make_gateway(cfg),
         )
         save_trajectories(trajectories, out_path)
@@ -205,8 +178,6 @@ def extract_cmd(
     try:
         trajectories = load_trajectories(traj_path)
         graph = load_graph(graph_path)
-        from .registry import CandidateBank
-
         bank = CandidateBank(
             kind=kind,
             entries=tuple(
@@ -233,7 +204,7 @@ def extract_cmd(
 @click.option(
     "--router",
     "variants",
-    type=click.Choice(["embedding_q", "embedding_qh", "llm", "oracle", "random"]),
+    type=click.Choice(VARIANTS),
     multiple=True,
     required=True,
 )
@@ -244,18 +215,20 @@ def evaluate_cmd(config_path, seed, backend, dataset_path, variants, k, out_path
     cfg = _pipeline_config(config_path, seed, backend)
     try:
         records = load_dataset(dataset_path)
+        if not records:
+            raise ParseError(dataset_path, "empty dataset file")
         gateway = make_gateway(cfg)
         setting = PoolSetting(variant=Setting.CLEAN)
         results: dict[str, dict[str, Metrics]] = {}
         for variant in variants:
-            router_cfg = RouterConfig(
+            router_cfg = replace(
+                cfg.eval,
                 variant=variant,
                 kind=records[0].kind,
                 chat_model_id=cfg.backend.chat_model,
-                temperature=cfg.eval.get("temperature", 1.0),
-                rng_seed=cfg.seed or 0,
+                rng_seed=cfg.rng_seed,
             )
-            metrics = evaluate(router_cfg, records, setting, k=k, seed=cfg.seed or 0, gateway=gateway)
+            metrics = evaluate(router_cfg, records, setting, k=k, seed=cfg.rng_seed, gateway=gateway)
             results[variant] = {Setting.CLEAN.value: metrics}
             click.echo(f"{variant}: avg@{k} = {metrics.avg_at_k:.4f} over {metrics.n_instances} instances")
         if out_path:
@@ -271,7 +244,7 @@ def evaluate_cmd(config_path, seed, backend, dataset_path, variants, k, out_path
 @click.option(
     "--router",
     "variant",
-    type=click.Choice(["embedding_q", "embedding_qh", "llm", "oracle", "random"]),
+    type=click.Choice(VARIANTS),
     default="llm",
 )
 @click.option("--budget", type=int, default=8)

@@ -2,15 +2,19 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable, Iterable, get_type_hints
 
 import yaml
 
 from .backends import HTTPChatBackend, HTTPEmbeddingBackend, MockChatBackend, MockEmbeddingBackend
 from .errors import BadConfig, IoError, ParseError
 from .gateway import Gateway
+from .mutation import EvolveConfig
+from .router import RouterConfig
+from .sampler import SamplerConfig
+from .synthesis import SynthesisConfig
 
 
 @dataclass
@@ -32,10 +36,15 @@ class PipelineConfig:
     seed: int | None = 42
     tau: float = 0.82
     backend: BackendConfig = field(default_factory=BackendConfig)
-    mutation: dict[str, Any] = field(default_factory=dict)
-    sampler: dict[str, Any] = field(default_factory=dict)
-    synthesis: dict[str, Any] = field(default_factory=dict)
-    eval: dict[str, Any] = field(default_factory=dict)
+    mutation: EvolveConfig = field(default_factory=EvolveConfig)
+    sampler: SamplerConfig = field(default_factory=SamplerConfig)
+    synthesis: SynthesisConfig = field(default_factory=SynthesisConfig)
+    eval: RouterConfig = field(default_factory=RouterConfig)
+
+    @property
+    def rng_seed(self) -> int:
+        """The seed the stages derive theirs from; 0 when a live run sets none."""
+        return self.seed if self.seed is not None else 0
 
     def validate(self) -> None:
         if not 0 < self.tau < 1:
@@ -46,13 +55,53 @@ class PipelineConfig:
             raise BadConfig("mock mode requires an explicit seed")
 
 
-def _known_keys(cls: type, raw: Any, where: str) -> dict[str, Any]:
+# The YAML-settable keys of each stage section. The pipeline sets the other
+# fields of a stage config (seeds, model ids, the router variant and kind).
+STAGE_KEYS: dict[str, tuple[type, tuple[str, ...]]] = {
+    "mutation": (EvolveConfig, ("max_retries", "tool_fraction", "temperature")),
+    "sampler": (SamplerConfig, ("num_seeds", "target_size", "target_range", "restart_prob")),
+    "synthesis": (SynthesisConfig, ("max_retries", "max_turns", "error_prob", "temperature")),
+    "eval": (RouterConfig, ("temperature",)),
+}
+
+
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# Field type -> (what a value must be, its check).
+_VALUE_CHECKS: dict[Any, tuple[str, Callable[[Any], bool]]] = {
+    int: ("an integer", _is_int),
+    int | None: ("an integer or null", lambda v: v is None or _is_int(v)),
+    float: ("a number", lambda v: _is_int(v) or isinstance(v, float)),
+    str: ("a string", lambda v: isinstance(v, str)),
+    bool: ("a boolean", lambda v: isinstance(v, bool)),
+    tuple[int, int]: (
+        "a list of two integers",
+        lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_int, v)),
+    ),
+}
+
+
+def _typed(cls: type, raw: Any, where: str, settable: Iterable[str] | None = None) -> dict[str, Any]:
+    """The mapping's values, checked against the field types of dataclass ``cls``."""
     if not isinstance(raw, dict):
         raise BadConfig(f"{where} must be a mapping")
-    unknown = sorted(set(map(str, raw)) - {f.name for f in fields(cls)})
+    types = get_type_hints(cls)
+    unknown = sorted(set(map(str, raw)) - set(types))
     if unknown:
         raise BadConfig(f"unknown {where} key(s): {', '.join(unknown)}")
-    return raw
+    derived = sorted(set(raw) - set(types if settable is None else settable))
+    if derived:
+        raise BadConfig(f"{where} key(s) set by the pipeline, not by a config file: {', '.join(derived)}")
+    values = {}
+    for key, value in raw.items():
+        if types[key] in _VALUE_CHECKS:
+            must_be, check = _VALUE_CHECKS[types[key]]
+            if not check(value):
+                raise BadConfig(f"{where} {key} must be {must_be}, got {value!r}")
+        values[key] = tuple(value) if types[key] == tuple[int, int] else value  # from a YAML list
+    return values
 
 
 def load_config(path: str | Path | None) -> PipelineConfig:
@@ -65,9 +114,12 @@ def load_config(path: str | Path | None) -> PipelineConfig:
         raise IoError(f"cannot read config {path}: {exc}") from exc
     except yaml.YAMLError as exc:
         raise ParseError(str(path), "invalid YAML") from exc
-    raw = _known_keys(PipelineConfig, raw, f"config {path}")
-    backend = BackendConfig(**_known_keys(BackendConfig, raw.pop("backend", {}), f"config {path} backend"))
-    cfg = PipelineConfig(backend=backend, **raw)
+    where = f"config {path}"
+    raw = _typed(PipelineConfig, raw, where)
+    sections = {"backend": BackendConfig(**_typed(BackendConfig, raw.pop("backend", {}), f"{where} backend"))}
+    for name, (stage_cls, keys) in STAGE_KEYS.items():
+        sections[name] = stage_cls(**_typed(stage_cls, raw.pop(name, {}), f"{where} {name}", keys))
+    cfg = PipelineConfig(**raw, **sections)
     cfg.validate()
     return cfg
 
@@ -75,11 +127,10 @@ def load_config(path: str | Path | None) -> PipelineConfig:
 def make_gateway(cfg: PipelineConfig) -> Gateway:
     backend = cfg.backend
     if backend.mode == "mock":
-        seed = cfg.seed if cfg.seed is not None else 0
         return Gateway(
-            chat_backend=MockChatBackend(seed=seed, model_id=backend.chat_model),
+            chat_backend=MockChatBackend(seed=cfg.rng_seed, model_id=backend.chat_model),
             embedding_backend=MockEmbeddingBackend(
-                seed=seed, dim=backend.embed_dim, model_id=backend.embed_model
+                seed=cfg.rng_seed, dim=backend.embed_dim, model_id=backend.embed_model
             ),
             max_retries=backend.max_retries,
             backoff_s=0.0,

@@ -8,14 +8,13 @@ members under every setting.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import random
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import Sequence
 
+from ._util import derive_seed, write_jsonl
 from .errors import IoError, LabelEvicted, MissingParameter, ValidationError
 from .gateway import Gateway
 from .graph import CandidateGraph
@@ -121,10 +120,6 @@ def _record_pool(record: DatasetRecord) -> CandidatePool:
     return CandidatePool.whole_bank(bank)
 
 
-def _derived_seed(seed: int, run: int) -> int:
-    return int(hashlib.sha256(f"{seed}:run:{run}".encode()).hexdigest()[:16], 16)
-
-
 def evaluate(
     router: RouterConfig,
     dataset: Sequence[DatasetRecord],
@@ -145,7 +140,7 @@ def evaluate(
     per_run: list[float] = []
     group_totals: dict[str, float] = {}
     for run in range(k):
-        rng = random.Random(_derived_seed(seed, run))
+        rng = random.Random(derive_seed(seed, "run", run))
         correct = 0
         group_correct: dict[str, int] = {}
         group_count: dict[str, int] = {}
@@ -221,12 +216,13 @@ def save_results(
 ) -> None:
     """One JSONL record per (method, setting) plus the rendered table."""
     path = Path(path)
+    records = (
+        {"method": method, "setting": setting_name, **metric.to_dict()}
+        for method, row in metrics_by_method.items()
+        for setting_name, metric in row.items()
+    )
+    write_jsonl(path, records, "results")
     try:
-        with path.open("w", encoding="utf-8") as handle:
-            for method, row in metrics_by_method.items():
-                for setting_name, metric in row.items():
-                    record = {"method": method, "setting": setting_name, **metric.to_dict()}
-                    handle.write(json.dumps(record, ensure_ascii=False) + "\n")
         path.with_suffix(path.suffix + ".table.txt").write_text(
             report(metrics_by_method) + "\n", encoding="utf-8"
         )

@@ -12,9 +12,12 @@ import json
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Protocol, Sequence
+from typing import Callable, Protocol, Sequence, TypeVar
 
 from .errors import BudgetExceeded, DimensionMismatch, GatewayError, RetriesExhausted
+
+T = TypeVar("T")
+R = TypeVar("R")
 
 
 @dataclass(frozen=True)
@@ -118,6 +121,18 @@ class Gateway:
         self._lock = threading.Lock()
         self.usage = Usage()
 
+    def _call_with_retries(self, what: str, call: Callable[[T], R], argument: T) -> R:
+        """Retry transient backend failures with exponential backoff."""
+        last_error: Exception | None = None
+        for attempt in range(self._max_retries + 1):
+            try:
+                return call(argument)
+            except TransientBackendError as exc:
+                last_error = exc
+                if attempt < self._max_retries:
+                    time.sleep(self._backoff_s * (2**attempt))
+        raise RetriesExhausted(f"{what} failed after {self._max_retries + 1} attempts: {last_error}")
+
     def chat(self, request: ChatRequest) -> str:
         if self._chat is None:
             raise GatewayError("no chat backend configured")
@@ -132,18 +147,7 @@ class Gateway:
                 raise BudgetExceeded(f"chat call budget of {self._max_chat_calls} exhausted")
             self.usage.chat_calls += 1
 
-        last_error: Exception | None = None
-        for attempt in range(self._max_retries + 1):
-            try:
-                text = self._chat.complete(request)
-                break
-            except TransientBackendError as exc:
-                last_error = exc
-                if attempt < self._max_retries:
-                    time.sleep(self._backoff_s * (2**attempt))
-        else:
-            raise RetriesExhausted(f"chat failed after {self._max_retries + 1} attempts: {last_error}")
-
+        text = self._call_with_retries("chat", self._chat.complete, request)
         with self._lock:
             self.usage.approx_tokens += sum(len(m.content) for m in request.messages) // 4
             self.usage.approx_tokens += len(text) // 4
@@ -157,18 +161,7 @@ class Gateway:
         if not texts:
             raise ValueError("embed_texts requires at least one text")
 
-        last_error: Exception | None = None
-        for attempt in range(self._max_retries + 1):
-            try:
-                raw = self._embed.embed(list(texts))
-                break
-            except TransientBackendError as exc:
-                last_error = exc
-                if attempt < self._max_retries:
-                    time.sleep(self._backoff_s * (2**attempt))
-        else:
-            raise RetriesExhausted(f"embedding failed after {self._max_retries + 1} attempts: {last_error}")
-
+        raw = self._call_with_retries("embedding", self._embed.embed, list(texts))
         if len(raw) != len(texts):
             raise DimensionMismatch(f"backend returned {len(raw)} vectors for {len(texts)} texts")
         dim = len(raw[0])

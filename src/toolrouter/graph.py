@@ -14,10 +14,11 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
+from ._util import write_jsonl
 from .errors import (
     DimensionMismatch,
     DuplicateName,
@@ -201,33 +202,24 @@ def add_mutant(
 
 def save_graph(graph: CandidateGraph, path: str | Path) -> None:
     """Line-oriented snapshot: meta, sorted nodes, sorted edges."""
-    path = Path(path)
-    try:
-        with path.open("w", encoding="utf-8") as handle:
-            meta = {
-                "meta": {
-                    "tau": graph.config.tau,
-                    "embedding_model_id": graph.config.embedding_model_id,
-                }
+    write_jsonl(path, _snapshot_records(graph), "graph snapshot")
+
+
+def _snapshot_records(graph: CandidateGraph) -> Iterator[dict]:
+    yield {"meta": {"tau": graph.config.tau, "embedding_model_id": graph.config.embedding_model_id}}
+    for name in graph.names():
+        node = graph.nodes[name]
+        yield {
+            "node": {
+                "name": name,
+                "kind": node.spec.kind,
+                "spec": node.spec.to_dict(),
+                "embedding": list(node.embedding.values),
+                "embedding_model_id": node.embedding.model_id,
             }
-            handle.write(json.dumps(meta, ensure_ascii=False) + "\n")
-            for name in graph.names():
-                node = graph.nodes[name]
-                record = {
-                    "node": {
-                        "name": name,
-                        "kind": node.spec.kind,
-                        "spec": node.spec.to_dict(),
-                        "embedding": list(node.embedding.values),
-                        "embedding_model_id": node.embedding.model_id,
-                    }
-                }
-                handle.write(json.dumps(record, ensure_ascii=False) + "\n")
-            for edge in sorted(graph.edges, key=lambda e: (e.a, e.b, e.kind)):
-                record = {"edge": {"a": edge.a, "b": edge.b, "kind": edge.kind, "weight": edge.weight}}
-                handle.write(json.dumps(record, ensure_ascii=False) + "\n")
-    except OSError as exc:
-        raise IoError(f"cannot write graph snapshot {path}: {exc}") from exc
+        }
+    for edge in sorted(graph.edges, key=lambda e: (e.a, e.b, e.kind)):
+        yield {"edge": {"a": edge.a, "b": edge.b, "kind": edge.kind, "weight": edge.weight}}
 
 
 def load_graph(path: str | Path) -> CandidateGraph:

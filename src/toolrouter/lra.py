@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Iterable, Protocol
 
 from . import prompts
-from .errors import IoError
+from ._util import write_jsonl
 from .gateway import Gateway, user_request
 from .registry import CandidatePool
 from .router import RouterConfig, RouterDecision, route
@@ -255,10 +255,4 @@ def run_episode(
 
 
 def save_episode_logs(logs: Iterable[EpisodeLog], path: str | Path) -> None:
-    path = Path(path)
-    try:
-        with path.open("w", encoding="utf-8") as handle:
-            for log in logs:
-                handle.write(json.dumps(log.to_dict(), ensure_ascii=False) + "\n")
-    except OSError as exc:
-        raise IoError(f"cannot write episode log {path}: {exc}") from exc
+    write_jsonl(path, (log.to_dict() for log in logs), "episode log")

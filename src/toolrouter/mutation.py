@@ -7,7 +7,6 @@ the mutant joins the graph.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import random
 import re
@@ -17,11 +16,12 @@ from pathlib import Path
 from typing import Iterable
 
 from . import prompts
+from ._util import derive_seed, write_jsonl
 from .errors import (
+    BadConfig,
     DuplicateName,
     EmptyGraph,
     GatewayError,
-    IoError,
     MutationError,
     NameEqualsParent,
     NotParseable,
@@ -31,7 +31,7 @@ from .errors import (
 )
 from .gateway import ChatRequest, Gateway, user_request
 from .graph import CandidateGraph, add_mutant
-from .registry import AgentSpec, CandidateSpec, ToolSpec, as_mutant, serialize_phi, validate_spec
+from .registry import CandidateSpec, ToolSpec, as_mutant, public_spec, serialize_phi, validate_spec
 
 
 class MutationOperator(Enum):
@@ -130,11 +130,6 @@ class MutationRecord:
         }
 
 
-def _derive_seed(seed: int, *parts: object) -> int:
-    digest = hashlib.sha256(":".join([str(seed), *map(str, parts)]).encode()).hexdigest()
-    return int(digest[:16], 16)
-
-
 def _pick(graph: CandidateGraph, rng: random.Random, kind: str) -> tuple[str, MutationOperator]:
     names = graph.names_of_kind(kind)
     if not names:
@@ -162,16 +157,7 @@ def render_mutation_prompt(
     if op.family != base.kind:
         raise ValueError(f"operator {op.value!r} does not apply to {base.kind} candidates")
     if isinstance(base, ToolSpec):
-        base_json = json.dumps(
-            {
-                "name": base.name,
-                "description": base.description,
-                "inputSchema": base.input_schema,
-                "tags": list(base.tags),
-            },
-            ensure_ascii=False,
-            indent=2,
-        )
+        base_json = json.dumps(public_spec(base), ensure_ascii=False, indent=2)
         content = (
             prompts.TOOL_MUTATION_TEMPLATE.replace("<<BASE_JSON>>", base_json)
             .replace("<<MUTATION_TYPE>>", op.value)
@@ -232,6 +218,12 @@ class EvolveConfig:
     temperature: float = 0.8
     model_id: str = "default"
 
+    def __post_init__(self) -> None:
+        if self.max_retries < 0:
+            raise BadConfig("max_retries must be >= 0")
+        if self.temperature < 0:
+            raise BadConfig("temperature must be >= 0")
+
 
 @dataclass
 class EvolveResult:
@@ -255,7 +247,7 @@ def evolve(graph: CandidateGraph, rounds: int, cfg: EvolveConfig, gateway: Gatew
         raise ValueError("rounds must be >= 0")
     result = EvolveResult(graph=graph)
     for round_index in range(rounds):
-        rng = random.Random(_derive_seed(cfg.rng_seed, "round", round_index))
+        rng = random.Random(derive_seed(cfg.rng_seed, "round", round_index))
         have_tools = bool(graph.names_of_kind("tool"))
         have_agents = bool(graph.names_of_kind("agent"))
         if have_tools and have_agents:
@@ -318,10 +310,4 @@ def evolve(graph: CandidateGraph, rounds: int, cfg: EvolveConfig, gateway: Gatew
 
 
 def write_mutation_log(records: Iterable[MutationRecord], path: str | Path) -> None:
-    path = Path(path)
-    try:
-        with path.open("w", encoding="utf-8") as handle:
-            for record in records:
-                handle.write(json.dumps(record.to_dict(), ensure_ascii=False) + "\n")
-    except OSError as exc:
-        raise IoError(f"cannot write mutation log {path}: {exc}") from exc
+    write_jsonl(path, (record.to_dict() for record in records), "mutation log")

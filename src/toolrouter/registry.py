@@ -12,6 +12,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Union
 
+from ._util import write_jsonl
 from .errors import (
     BadAgentName,
     DuplicateToolEntry,
@@ -84,6 +85,13 @@ class AgentSpec:
 
 
 CandidateSpec = Union[ToolSpec, AgentSpec]
+
+
+def public_spec(spec: CandidateSpec) -> dict[str, Any]:
+    """The exchange-format document shown to models: the spec without provenance."""
+    doc = spec.to_dict()
+    del doc["provenance"]
+    return doc
 
 
 def _check_schema(schema: Any, *, require_property_descriptions: bool) -> dict[str, Any]:
@@ -249,11 +257,6 @@ class CandidateBank:
                 return spec
         return None
 
-    def with_entry(self, spec: CandidateSpec) -> "CandidateBank":
-        if self.get(spec.name) is not None:
-            raise ValidationError(spec.name, "duplicate name in bank")
-        return CandidateBank(kind=self.kind, entries=self.entries + (spec,))
-
     @staticmethod
     def merge(kind: str, banks: Iterable["CandidateBank"]) -> "CandidateBank":
         """Union of banks; later duplicates of an existing name are skipped."""
@@ -346,13 +349,7 @@ def load_bank(path: str | Path, kind: str | None = None) -> CandidateBank:
 
 def save_bank(bank: CandidateBank, path: str | Path) -> None:
     """Write a bank as JSONL, one spec object per line."""
-    path = Path(path)
-    try:
-        with path.open("w", encoding="utf-8") as handle:
-            for spec in bank:
-                handle.write(json.dumps(spec.to_dict(), ensure_ascii=False) + "\n")
-    except OSError as exc:
-        raise IoError(f"cannot write bank file {path}: {exc}") from exc
+    write_jsonl(path, (spec.to_dict() for spec in bank), "bank file")
 
 
 def as_mutant(spec: CandidateSpec, parent: str, operator: str) -> CandidateSpec:

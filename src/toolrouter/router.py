@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import GatewayError
+from .errors import BadConfig, GatewayError
 from .gateway import ChatMessage, ChatRequest, Gateway
 from .graph import cosine_similarity
 from .registry import CandidatePool, serialize_phi
@@ -39,12 +39,13 @@ class RouterConfig:
     chat_model_id: str = "default"
     temperature: float = 1.0
     max_history_chars: int = 8000
-    timeout_s: float = 30.0
     rng_seed: int = 0  # random variant only
 
     def __post_init__(self) -> None:
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown router variant: {self.variant!r}")
+        if self.temperature < 0:
+            raise BadConfig("temperature must be >= 0")
 
 
 def _abstain(reason: str) -> RouterDecision:
@@ -180,20 +181,11 @@ def route(
             return RouterDecision(chosen=chooser.choice(sorted(pool.membership)))
         if gateway is None:
             return _abstain("no gateway configured")
-        if cfg.variant == "embedding_q":
-            return embedding_route(
-                gateway, query, history, pool, "q", kind=cfg.kind, max_history_chars=cfg.max_history_chars
-            )
-        if cfg.variant == "embedding_qh":
-            return embedding_route(
-                gateway,
-                query,
-                history,
-                pool,
-                "q_plus_h",
-                kind=cfg.kind,
-                max_history_chars=cfg.max_history_chars,
-            )
-        return llm_route(gateway, query, history, pool, cfg)
+        if cfg.variant == "llm":
+            return llm_route(gateway, query, history, pool, cfg)
+        mode = "q" if cfg.variant == "embedding_q" else "q_plus_h"
+        return embedding_route(
+            gateway, query, history, pool, mode, kind=cfg.kind, max_history_chars=cfg.max_history_chars
+        )
     except GatewayError as exc:
         return _abstain(f"gateway error: {exc}")

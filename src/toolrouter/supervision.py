@@ -16,8 +16,9 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from . import prompts
-from .errors import IoError, ParseError, PoolMissingLabel
-from .registry import CandidatePool, CandidateSpec
+from ._util import read_jsonl, typed, write_jsonl
+from .errors import ParseError, PoolMissingLabel
+from .registry import CandidatePool, public_spec
 from .synthesis import (
     Action,
     Observation,
@@ -130,14 +131,8 @@ def parse_history_turn_count(user_text: str) -> int:
 # --- rendering -------------------------------------------------------------------
 
 
-def _public_spec(spec: CandidateSpec) -> dict:
-    doc = spec.to_dict()
-    doc.pop("provenance", None)
-    return doc
-
-
 def render_pool_block(pool: CandidatePool) -> str:
-    return json.dumps([_public_spec(spec) for spec in pool.specs()], ensure_ascii=False, indent=2)
+    return json.dumps([public_spec(spec) for spec in pool.specs()], ensure_ascii=False, indent=2)
 
 
 def render_sample(instance: RoutingInstance, kind: str) -> RenderedSample:
@@ -197,15 +192,17 @@ class DatasetRecord:
 
     @staticmethod
     def from_dict(document: dict) -> "DatasetRecord":
+        if document["kind"] not in ("tool", "agent"):
+            raise ValueError(f"unknown kind {document['kind']!r}")
         return DatasetRecord(
             kind=document["kind"],
-            system=document["system"],
-            user=document["user"],
-            query=document["query"],
-            history=tuple(turn_from_dict(t) for t in document.get("history", [])),
-            pool_specs=tuple(document["pool"]),
-            label=document["label"],
-            group=document.get("group", "all"),
+            system=typed(document["system"], str, "system"),
+            user=typed(document["user"], str, "user"),
+            query=typed(document["query"], str, "query"),
+            history=tuple(turn_from_dict(t) for t in typed(document.get("history", []), list, "history")),
+            pool_specs=tuple(typed(entry, dict, "pool entry") for entry in typed(document["pool"], list, "pool")),
+            label=typed(document["label"], str, "label"),
+            group=typed(document.get("group", "all"), str, "group"),
             origin=document.get("origin"),
         )
 
@@ -218,7 +215,7 @@ def record_from_instance(instance: RoutingInstance, kind: str, group: str = "all
         user=rendered.user,
         query=instance.query,
         history=instance.history,
-        pool_specs=tuple(_public_spec(spec) for spec in instance.pool.specs()),
+        pool_specs=tuple(public_spec(spec) for spec in instance.pool.specs()),
         label=instance.label,
         group=group,
         origin={
@@ -251,57 +248,22 @@ def build_dataset(
         if len(pool_list) != len(trajectories):
             raise ValueError("pools must be a single pool or one per trajectory")
 
-    twin_path = path.with_name(path.name + ".nohistory") if ablation else None
-    counts = {str(path): 0}
-    if twin_path is not None:
-        counts[str(twin_path)] = 0
-    try:
-        main = path.open("w", encoding="utf-8")
-        twin = twin_path.open("w", encoding="utf-8") if twin_path is not None else None
-        try:
-            for trajectory, pool in zip(trajectories, pool_list):
-                for instance in extract_instances(trajectory, pool):
-                    record = record_from_instance(instance, kind, group)
-                    main.write(json.dumps(record.to_dict(), ensure_ascii=False) + "\n")
-                    counts[str(path)] += 1
-                    if twin is not None:
-                        stripped = record_from_instance(strip_history(instance), kind, group)
-                        twin.write(json.dumps(stripped.to_dict(), ensure_ascii=False) + "\n")
-                        counts[str(twin_path)] += 1
-        finally:
-            main.close()
-            if twin is not None:
-                twin.close()
-    except OSError as exc:
-        raise IoError(f"cannot write dataset {path}: {exc}") from exc
+    instances = [
+        instance
+        for trajectory, pool in zip(trajectories, pool_list)
+        for instance in extract_instances(trajectory, pool)
+    ]
+    counts = {str(path): save_dataset((record_from_instance(i, kind, group) for i in instances), path)}
+    if ablation:
+        twin_path = path.with_name(path.name + ".nohistory")
+        twins = (record_from_instance(strip_history(i), kind, group) for i in instances)
+        counts[str(twin_path)] = save_dataset(twins, twin_path)
     return counts
 
 
 def load_dataset(path: str | Path) -> list[DatasetRecord]:
-    path = Path(path)
-    try:
-        lines = path.read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise IoError(f"cannot read dataset {path}: {exc}") from exc
-    records = []
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            records.append(DatasetRecord.from_dict(json.loads(line)))
-        except (json.JSONDecodeError, KeyError) as exc:
-            raise ParseError(f"{path}:{lineno}", str(exc)) from exc
-    return records
+    return read_jsonl(path, "dataset", DatasetRecord.from_dict)
 
 
 def save_dataset(records: Iterable[DatasetRecord], path: str | Path) -> int:
-    path = Path(path)
-    count = 0
-    try:
-        with path.open("w", encoding="utf-8") as handle:
-            for record in records:
-                handle.write(json.dumps(record.to_dict(), ensure_ascii=False) + "\n")
-                count += 1
-    except OSError as exc:
-        raise IoError(f"cannot write dataset {path}: {exc}") from exc
-    return count
+    return write_jsonl(path, (record.to_dict() for record in records), "dataset")

@@ -7,26 +7,25 @@ not repaired.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence, Union
 
 from . import prompts
+from ._util import derive_seed, read_jsonl, strings, typed, write_jsonl
 from .errors import (
+    BadConfig,
     Discarded,
-    IoError,
     NotParseable,
     OutOfSubsetReference,
-    ParseError,
     RetriesExhaustedSynthesis,
 )
 from .gateway import Gateway, user_request
 from .graph import CandidateGraph
 from .mutation import strip_code_fence
-from .registry import CandidateSpec
+from .registry import CandidateSpec, public_spec
 from .sampler import CandidateSubset, SamplerConfig, sample_subset
 
 # --- trajectory types ---------------------------------------------------------
@@ -88,14 +87,12 @@ class SynthesisConfig:
     temperature: float = 0.8
     model_id: str = "default"
 
+    def __post_init__(self) -> None:
+        if self.temperature < 0:
+            raise BadConfig("temperature must be >= 0")
+
 
 # --- helpers ----------------------------------------------------------------------
-
-
-def _public_spec(spec: CandidateSpec) -> dict:
-    doc = spec.to_dict()
-    doc.pop("provenance", None)
-    return doc
 
 
 def _parse_json_reply(reply: str) -> dict:
@@ -164,7 +161,7 @@ def propose_task(
     if not subset.members:
         raise ValueError("subset must be non-empty")
     candidates_json = json.dumps(
-        [_public_spec(specs[name]) for name in subset.members], ensure_ascii=False, indent=2
+        [public_spec(specs[name]) for name in subset.members], ensure_ascii=False, indent=2
     )
     content = prompts.TASK_PROPOSAL_TEMPLATE.replace("<<CANDIDATES_JSON>>", candidates_json)
     request = user_request(content, temperature=cfg.temperature, model_id=cfg.model_id)
@@ -203,9 +200,7 @@ def simulate_trajectory(
     Raises Discarded when the simulation violates any trajectory invariant;
     the caller drops the sample.
     """
-    rng = random.Random(
-        int(hashlib.sha256(f"{cfg.rng_seed}:{trajectory_id}".encode()).hexdigest()[:16], 16)
-    )
+    rng = random.Random(derive_seed(cfg.rng_seed, trajectory_id))
     turns: list[Turn] = [Observation(text=plan.task_text)]
     plan_json = json.dumps(
         {"task": plan.task_text, "steps": [{"goal": s.goal, "candidate": s.candidate} for s in plan.steps]},
@@ -219,7 +214,7 @@ def simulate_trajectory(
             step_doc = {
                 "goal": step.goal,
                 "candidate": step.candidate,
-                "spec": _public_spec(specs[step.candidate]),
+                "spec": public_spec(specs[step.candidate]),
             }
             step_section = f"{prompts.NEXT_STEP_HEADER}\n{json.dumps(step_doc, ensure_ascii=False)}"
         content = (
@@ -258,7 +253,7 @@ def simulate_trajectory(
         content = (
             prompts.RESULT_SIM_TEMPLATE.replace("<<NAME>>", name)
             .replace("<<ARGS_JSON>>", json.dumps(arguments, ensure_ascii=False))
-            .replace("<<SPEC_JSON>>", json.dumps(_public_spec(specs[name]), ensure_ascii=False))
+            .replace("<<SPEC_JSON>>", json.dumps(public_spec(specs[name]), ensure_ascii=False))
         )
         return gateway.chat(user_request(content, temperature=cfg.temperature, model_id=cfg.model_id))
 
@@ -339,18 +334,10 @@ def synthesize_batch(
     max_attempts = count * 3 if count else 0
     specs = {name: node.spec for name, node in graph.nodes.items()}
     while len(trajectories) < count and attempts < max_attempts:
-        digest = hashlib.sha256(f"{synth_cfg.rng_seed}:sample:{attempts}".encode()).hexdigest()
-        attempts += 1
         subset = sample_subset(
-            graph,
-            SamplerConfig(
-                num_seeds=sampler_cfg.num_seeds,
-                target_size=sampler_cfg.target_size,
-                target_range=sampler_cfg.target_range,
-                restart_prob=sampler_cfg.restart_prob,
-                rng_seed=int(digest[:16], 16),
-            ),
+            graph, replace(sampler_cfg, rng_seed=derive_seed(synth_cfg.rng_seed, "sample", attempts))
         )
+        attempts += 1
         trajectory_id = f"traj-{len(trajectories):05d}"
         try:
             plan = propose_task(subset, specs, gateway, synth_cfg)
@@ -376,13 +363,20 @@ def turn_to_dict(turn: Turn) -> dict:
 
 
 def turn_from_dict(raw: dict) -> Turn:
+    text = typed(raw["text"], str, "turn text")
     if raw["type"] == "observation":
-        return Observation(text=raw["text"])
+        return Observation(text=text)
+    if raw["type"] != "action":
+        raise ValueError(f"unknown turn type {raw['type']!r}")
     calls = tuple(
-        CandidateCall(name=c["name"], arguments=c["arguments"], simulated_result=c["result"])
-        for c in raw.get("calls", [])
+        CandidateCall(
+            name=typed(c["name"], str, "call name"),
+            arguments=typed(c["arguments"], dict, "call arguments"),
+            simulated_result=typed(c["result"], str, "call result"),
+        )
+        for c in typed(raw.get("calls", []), list, "turn calls")
     )
-    return Action(text=raw["text"], calls=calls)
+    return Action(text=text, calls=calls)
 
 
 def trajectory_to_dict(trajectory: Trajectory) -> dict:
@@ -403,45 +397,32 @@ def trajectory_to_dict(trajectory: Trajectory) -> dict:
 
 
 def trajectory_from_dict(document: dict) -> Trajectory:
-    turns: list[Turn] = [turn_from_dict(raw) for raw in document["turns"]]
-    subset_doc = document["subset"]
+    """Inverse of :func:`trajectory_to_dict`; ValueError for an invalid structure."""
+    subset_doc, plan_doc = document["subset"], document["plan"]
     subset = CandidateSubset(
-        members=tuple(subset_doc["members"]),
-        seed_nodes=tuple(subset_doc["seed_nodes"]),
-        walk_trace=tuple(tuple(t) for t in subset_doc["walk_trace"]),
+        members=strings(subset_doc["members"], "subset members"),
+        seed_nodes=strings(subset_doc["seed_nodes"], "subset seed_nodes"),
+        walk_trace=tuple(strings(t, "walk_trace step") for t in typed(subset_doc["walk_trace"], list, "walk_trace")),
     )
-    plan_doc = document["plan"]
-    plan = TaskPlan(
-        task_text=plan_doc["task"],
-        steps=tuple(PlanStep(goal=s["goal"], candidate=s["candidate"]) for s in plan_doc["steps"]),
+    steps = tuple(
+        PlanStep(goal=typed(s["goal"], str, "step goal"), candidate=typed(s["candidate"], str, "step candidate"))
+        for s in typed(plan_doc["steps"], list, "plan steps")
     )
-    return Trajectory(
-        trajectory_id=document["trajectory_id"], turns=tuple(turns), subset=subset, plan=plan
+    trajectory = Trajectory(
+        trajectory_id=typed(document["trajectory_id"], str, "trajectory_id"),
+        turns=tuple(turn_from_dict(raw) for raw in typed(document["turns"], list, "turns")),
+        subset=subset,
+        plan=TaskPlan(task_text=typed(plan_doc["task"], str, "plan task"), steps=steps),
     )
+    report = validate_trajectory(trajectory, subset)
+    if report.violations:
+        raise ValueError("; ".join(report.violations))
+    return trajectory
 
 
 def save_trajectories(trajectories: Iterable[Trajectory], path: str | Path) -> None:
-    path = Path(path)
-    try:
-        with path.open("w", encoding="utf-8") as handle:
-            for trajectory in trajectories:
-                handle.write(json.dumps(trajectory_to_dict(trajectory), ensure_ascii=False) + "\n")
-    except OSError as exc:
-        raise IoError(f"cannot write trajectory file {path}: {exc}") from exc
+    write_jsonl(path, map(trajectory_to_dict, trajectories), "trajectory file")
 
 
 def load_trajectories(path: str | Path) -> list[Trajectory]:
-    path = Path(path)
-    try:
-        lines = path.read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise IoError(f"cannot read trajectory file {path}: {exc}") from exc
-    out = []
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            out.append(trajectory_from_dict(json.loads(line)))
-        except (json.JSONDecodeError, KeyError) as exc:
-            raise ParseError(f"{path}:{lineno}", str(exc)) from exc
-    return out
+    return read_jsonl(path, "trajectory file", trajectory_from_dict)

@@ -175,6 +175,17 @@ def test_broken_snapshot_exits_1(workspace, case):
         "seed: 1\nbackend:\n  mode: bogus\n",  # typed BadConfig from validate()
         "seed: [1\n",  # not YAML
         "seed: 1\ntau: 2\n",  # tau outside (0, 1)
+        "seed: 1\ntau: x\n",  # mistyped top-level value
+        "seed: 1\nsampler: [1, 2]\n",  # section not a mapping
+        "seed: 1\nsampler:\n  target_range: 5\n",  # not a pair
+        "seed: 1\nsynthesis:\n  max_turns: \"12\"\n",  # string for an integer
+        "seed: 1\nsampler:\n  restart_probabilty: 0.3\n",  # misspelt key
+        "seed: 1\nmutation:\n  tool_fraction: x\n",  # string for a number
+        "seed: 1\nsampler:\n  rng_seed: 3\n",  # derived field
+        "seed: 1\nmutation:\n  max_retries: -1\n",  # evolve would make no attempt
+        "seed: 1\nmutation:\n  temperature: -1\n",  # chat requests need temperature >= 0
+        "seed: 1\nsynthesis:\n  temperature: -0.5\n",
+        "seed: 1\neval:\n  temperature: -1\n",
     ],
 )
 def test_bad_config_exits_1(workspace, config_text):
@@ -191,6 +202,52 @@ def test_tau_flag_outside_range_exits_1(workspace):
         ["build-graph", "--config", config_path, "--bank", bank_path, "--tau", "1.5", "--out", str(tmp_path / "g.jsonl")]
     )
     one_error_line(result)
+
+
+@pytest.fixture()
+def chain_files(workspace):
+    """A mock graph, trajectory file and dataset built from the workspace bank."""
+    tmp_path, bank_path, config_path = workspace
+    graph, trajs, dataset = tmp_path / "graph.jsonl", tmp_path / "trajs.jsonl", tmp_path / "dataset.jsonl"
+    config = ["--config", config_path]
+    run(["build-graph", *config, "--bank", bank_path, "--out", str(graph)])
+    run(["synthesize", *config, "--graph", str(graph), "--count", "3", "--out", str(trajs)])
+    run(["extract", *config, "--trajectories", str(trajs), "--graph", str(graph), "--out", str(dataset)])
+    return config, graph, trajs, dataset
+
+
+@pytest.mark.parametrize(
+    "target, edit",
+    [
+        ("trajectories", lambda doc: [1]),
+        ("trajectories", lambda doc: {**doc, "subset": {**doc["subset"], "members": 5}}),
+        ("trajectories", lambda doc: {**doc, "turns": doc["turns"][:1] + doc["turns"]}),  # two observations in a row
+        ("dataset", lambda doc: [1]),
+        ("dataset", lambda doc: {**doc, "pool": 5}),
+        ("dataset", lambda doc: {**doc, "query": 5}),
+    ],
+    ids=["traj-not-object", "traj-members-int", "traj-alternation", "dataset-not-object", "dataset-pool-int", "dataset-query-int"],
+)
+def test_malformed_jsonl_line_exits_1(chain_files, target, edit):
+    config, graph, trajs, dataset = chain_files
+    path = trajs if target == "trajectories" else dataset
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[1] = json.dumps(edit(json.loads(lines[1])))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    if target == "trajectories":
+        args = ["extract", *config, "--trajectories", str(trajs), "--graph", str(graph), "--out", str(dataset)]
+    else:
+        args = ["evaluate", *config, "--dataset", str(dataset), "--router", "embedding_q", "--router", "llm"]
+    result = run(args)
+    one_error_line(result)
+    assert f"{path}:2" in result.output
+
+
+def test_evaluate_empty_dataset_exits_1(workspace):
+    tmp_path, _, config_path = workspace
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("", encoding="utf-8")
+    one_error_line(run(["evaluate", "--config", config_path, "--dataset", str(empty), "--router", "oracle"]))
 
 
 # sha256 of the mock build-graph and mutate snapshots, edge weights included.
@@ -214,3 +271,56 @@ def test_snapshots_byte_identical_to_pinned(tmp_path):
     assert "10/10 accepted" in mutated.output
     digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in (graph_path, mutated_path)}
     assert digests == PINNED_SNAPSHOTS
+
+
+# Every settable section key at a non-default value.
+ALL_SECTION_KEYS_YAML = """\
+seed: 9
+mutation:
+  max_retries: 1
+  tool_fraction: 0.5
+  temperature: 0.6
+sampler:
+  num_seeds: 2
+  target_size: 5
+  target_range: [3, 6]
+  restart_prob: 0.6
+synthesis:
+  max_retries: 3
+  max_turns: 13
+  error_prob: 0.4
+  temperature: 0.5
+eval:
+  temperature: 0.7
+"""
+
+# sha256 of the downstream mock artifacts under ALL_SECTION_KEYS_YAML.
+# A change to them must be explained in CHANGES.md.
+PINNED_DOWNSTREAM = {
+    "trajs.jsonl": "bd95808af325cfb7c6ff75e54e4d5b293cb9ed31471f1638e11bb444f9796465",
+    "dataset.jsonl": "06499c0f8000208d7569eb9863076ded7f611652c0aa25b5e8a1790b1dbeb099",
+    "dataset.jsonl.nohistory": "e461ad9e2b727522b1120c57891b57bd54d7c53443f63c32db1cf2a9ad58a8bf",
+    "results.jsonl": "0b2894fd595990278be93fc013a6edf462de5503f271f42314760455aa785062",
+}
+
+
+def test_downstream_artifacts_byte_identical_to_pinned(tmp_path):
+    bank_path, config_path = tmp_path / "bank.jsonl", tmp_path / "config.yaml"
+    save_bank(make_family_bank(60, seed=3), bank_path)
+    config_path.write_text(ALL_SECTION_KEYS_YAML, encoding="utf-8")
+    config = ["--config", str(config_path)]
+    graph, mutated, trajs = tmp_path / "graph.jsonl", tmp_path / "mutated.jsonl", tmp_path / "trajs.jsonl"
+    dataset, results = tmp_path / "dataset.jsonl", tmp_path / "results.jsonl"
+    steps = [
+        ["build-graph", *config, "--bank", str(bank_path), "--out", str(graph)],
+        ["mutate", *config, "--graph", str(graph), "--rounds", "4", "--out", str(mutated)],
+        ["synthesize", *config, "--graph", str(mutated), "--count", "5", "--out", str(trajs)],
+        ["extract", *config, "--trajectories", str(trajs), "--graph", str(mutated), "--ablation", "--out", str(dataset)],
+        ["evaluate", *config, "--dataset", str(dataset), "--router", "llm", "--router", "embedding_qh",
+         "--router", "random", "--k", "2", "--out", str(results)],
+    ]
+    for args in steps:
+        assert run(args).exit_code == 0, args[0]
+    paths = (trajs, dataset, tmp_path / "dataset.jsonl.nohistory", results)
+    digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in paths}
+    assert digests == PINNED_DOWNSTREAM

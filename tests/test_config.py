@@ -1,0 +1,37 @@
+"""Typed config loading: the documented example and the stage sections."""
+
+import re
+from pathlib import Path
+
+from toolrouter.config import STAGE_KEYS, load_config
+from toolrouter.mutation import EvolveConfig
+from toolrouter.router import RouterConfig
+from toolrouter.sampler import SamplerConfig
+from toolrouter.synthesis import SynthesisConfig
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_example_config_loads(tmp_path):
+    block = re.search(r"Example config:\n\n```yaml\n(.*?)```", README.read_text(encoding="utf-8"), re.DOTALL)
+    assert block is not None, "README has no example config block"
+    path = tmp_path / "config.yaml"
+    path.write_text(block.group(1), encoding="utf-8")
+    cfg = load_config(path)
+    assert cfg.seed == 7
+    assert cfg.sampler == SamplerConfig(target_range=(4, 8), restart_prob=0.15)
+    assert cfg.synthesis == SynthesisConfig(max_turns=12, error_prob=0.1)
+    assert cfg.eval == RouterConfig(temperature=1.0)
+
+
+def test_every_section_key_reaches_its_dataclass(tmp_path):
+    from test_cli import ALL_SECTION_KEYS_YAML
+
+    path = tmp_path / "config.yaml"
+    path.write_text(ALL_SECTION_KEYS_YAML, encoding="utf-8")
+    cfg = load_config(path)
+    assert cfg.mutation == EvolveConfig(max_retries=1, tool_fraction=0.5, temperature=0.6)
+    assert cfg.sampler == SamplerConfig(num_seeds=2, target_size=5, target_range=(3, 6), restart_prob=0.6)
+    assert cfg.synthesis == SynthesisConfig(max_retries=3, max_turns=13, error_prob=0.4, temperature=0.5)
+    assert cfg.eval == RouterConfig(temperature=0.7)
+    assert sum(len(keys) for _cls, keys in STAGE_KEYS.values()) == 12

@@ -67,6 +67,15 @@ def test_chat_retries_exhausted_is_backend_unavailable():
     with pytest.raises(RetriesExhausted) as excinfo:
         gateway.chat(user_request("hello"))
     assert isinstance(excinfo.value, BackendUnavailable)
+    assert str(excinfo.value) == "chat failed after 3 attempts: boom"
+
+
+def test_embedding_retries_exhausted_names_the_call():
+    backend = FlakyEmbed(fail_times=99)
+    gateway = Gateway(embedding_backend=backend, max_retries=1, backoff_s=0.0)
+    with pytest.raises(RetriesExhausted, match=r"^embedding failed after 2 attempts: boom$"):
+        gateway.embed_texts(["a"])
+    assert backend.calls == 2
 
 
 def test_chat_budget_enforced():
