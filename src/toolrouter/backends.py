@@ -11,11 +11,12 @@ import hashlib
 import json
 import os
 import re
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
 from . import prompts
+from .errors import BackendUnavailable
 from .gateway import ChatRequest, TransientBackendError
 
 _TOKEN_RE = re.compile(r"[a-z0-9_]+")
@@ -292,43 +293,51 @@ class MockChatBackend:
 # ---------------------------------------------------------------------------
 
 
-class HTTPChatBackend:
-    def __init__(
-        self,
-        base_url: str,
-        model_id: str,
-        api_key_env: str = "TOOLROUTER_API_KEY",
-        timeout_s: float = 60.0,
-    ) -> None:
-        self.base_url = base_url.rstrip("/")
-        self.model_id = model_id
-        self.api_key = os.environ.get(api_key_env, "")
-        self.timeout_s = timeout_s
+class _HTTPBackend:
+    """One ``requests.Session`` per backend, carrying the bearer header."""
 
-    def complete(self, request: ChatRequest) -> str:
+    def __init__(
+        self, base_url: str, model_id: str, api_key_env: str = "TOOLROUTER_API_KEY", timeout_s: float = 60.0
+    ) -> None:
         import requests
 
+        self.base_url = base_url.rstrip("/")
+        self.model_id = model_id
+        self.timeout_s = timeout_s
+        self._session = requests.Session()
+        self._session.headers["Authorization"] = f"Bearer {os.environ.get(api_key_env, '')}"
+
+    def _post(self, path: str, payload: dict[str, Any], what: str, extract: Callable[[Any], Any]) -> Any:
+        """POST ``payload`` and ``extract`` the JSON reply.
+
+        A 4xx other than 408 (timeout) and 429 (rate limit) raises
+        BackendUnavailable, which the gateway does not retry; connection
+        errors, other HTTP errors and a reply of the wrong shape raise
+        TransientBackendError.
+        """
+        try:
+            response = self._session.post(f"{self.base_url}/{path}", json=payload, timeout=self.timeout_s)
+            status = response.status_code
+            if not 400 <= status < 500 or status in (408, 429):
+                response.raise_for_status()
+                return extract(response.json())
+        except Exception as exc:  # connection, HTTP status, or payload shape
+            raise TransientBackendError(f"{what} backend failure: {exc}") from exc
+        raise BackendUnavailable(f"{what} backend rejected the request: HTTP {status}")
+
+
+class HTTPChatBackend(_HTTPBackend):
+    def complete(self, request: ChatRequest) -> str:
         payload = {
             "model": request.model_id if request.model_id != "default" else self.model_id,
             "messages": [{"role": m.role, "content": m.content} for m in request.messages],
             "temperature": request.temperature,
             "max_tokens": request.max_tokens,
         }
-        try:
-            response = requests.post(
-                f"{self.base_url}/chat/completions",
-                json=payload,
-                headers={"Authorization": f"Bearer {self.api_key}"},
-                timeout=self.timeout_s,
-            )
-            response.raise_for_status()
-            body = response.json()
-            return body["choices"][0]["message"]["content"]
-        except Exception as exc:  # connection, HTTP status, or payload shape
-            raise TransientBackendError(f"chat backend failure: {exc}") from exc
+        return self._post("chat/completions", payload, "chat", lambda body: body["choices"][0]["message"]["content"])
 
 
-class HTTPEmbeddingBackend:
+class HTTPEmbeddingBackend(_HTTPBackend):
     def __init__(
         self,
         base_url: str,
@@ -337,24 +346,9 @@ class HTTPEmbeddingBackend:
         api_key_env: str = "TOOLROUTER_API_KEY",
         timeout_s: float = 60.0,
     ) -> None:
-        self.base_url = base_url.rstrip("/")
-        self.model_id = model_id
+        super().__init__(base_url, model_id, api_key_env, timeout_s)
         self.dim = dim
-        self.api_key = os.environ.get(api_key_env, "")
-        self.timeout_s = timeout_s
 
     def embed(self, texts: Sequence[str]) -> list[list[float]]:
-        import requests
-
-        try:
-            response = requests.post(
-                f"{self.base_url}/embeddings",
-                json={"model": self.model_id, "input": list(texts)},
-                headers={"Authorization": f"Bearer {self.api_key}"},
-                timeout=self.timeout_s,
-            )
-            response.raise_for_status()
-            body = response.json()
-            return [entry["embedding"] for entry in body["data"]]
-        except Exception as exc:
-            raise TransientBackendError(f"embedding backend failure: {exc}") from exc
+        payload = {"model": self.model_id, "input": list(texts)}
+        return self._post("embeddings", payload, "embedding", lambda body: [e["embedding"] for e in body["data"]])

@@ -171,12 +171,6 @@ class UnresolvedPoolMember(ToolRouterError):
         self.name = name
 
 
-class LabelEvicted(ToolRouterError):
-    def __init__(self, label: str) -> None:
-        super().__init__(f"pool setting evicted the ground-truth label: {label!r}")
-        self.label = label
-
-
 class MissingParameter(ToolRouterError):
     def __init__(self, parameter: str) -> None:
         super().__init__(f"pool setting requires parameter: {parameter}")

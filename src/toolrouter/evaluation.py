@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Sequence
 
 from ._util import derive_seed, write_jsonl
-from .errors import IoError, LabelEvicted, MissingParameter, ValidationError
+from .errors import IoError, MissingParameter, SpecError, ValidationError
 from .gateway import Gateway
 from .graph import CandidateGraph
 from .registry import CandidateBank, CandidatePool, validate_spec
@@ -81,21 +81,14 @@ def build_pool(base: CandidatePool, setting: PoolSetting) -> CandidatePool:
         banks.append(setting.external_bank)
 
     merged = CandidateBank.merge(kind, banks)
-    membership: list[str] = list(base.membership)
-    seen = set(membership)
-    for name in merged.names():
-        if name not in seen:
-            membership.append(name)
-            seen.add(name)
-    pool = CandidatePool(
+    # The merged bank holds every base member, so the membership is the base
+    # order followed by the rest of the merged names.
+    membership = tuple(dict.fromkeys(base.membership + merged.names()))
+    return CandidatePool(
         bank=merged,
-        membership=tuple(membership),
-        non_callable=frozenset(n for n in non_callable if n in seen),
+        membership=membership,
+        non_callable=frozenset(non_callable).intersection(membership),
     )
-    for name in base.membership:
-        if name not in pool.membership:
-            raise LabelEvicted(name)
-    return pool
 
 
 @dataclass(frozen=True)
@@ -137,6 +130,13 @@ def evaluate(
     if not dataset:
         raise ValueError("dataset is empty")
 
+    pools: list[CandidatePool] = []
+    for record in dataset:
+        try:
+            pools.append(build_pool(_record_pool(record), setting))
+        except (SpecError, ValidationError) as exc:
+            raise ValidationError(record.label, f"dataset record unusable: {exc}") from exc
+
     per_run: list[float] = []
     group_totals: dict[str, float] = {}
     for run in range(k):
@@ -144,12 +144,7 @@ def evaluate(
         correct = 0
         group_correct: dict[str, int] = {}
         group_count: dict[str, int] = {}
-        for record in dataset:
-            try:
-                base_pool = _record_pool(record)
-                pool = build_pool(base_pool, setting)
-            except (ValidationError, LabelEvicted) as exc:
-                raise ValidationError(record.label, f"dataset record unusable: {exc}") from exc
+        for record, pool in zip(dataset, pools):
             decision = route(
                 router,
                 record.query,

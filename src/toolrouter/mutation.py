@@ -190,17 +190,23 @@ def strip_code_fence(text: str) -> str:
     return match.group(1) if match else text
 
 
+def parse_json_reply(reply: str, what: str = "reply") -> dict:
+    """The JSON object in a model reply, code fence optional; NotParseable otherwise."""
+    body = strip_code_fence(reply).strip()
+    try:
+        value = json.loads(body)
+    except json.JSONDecodeError as exc:
+        raise NotParseable(f"{what} is not valid JSON: {exc.msg}") from exc
+    if not isinstance(value, dict):
+        raise NotParseable(f"{what} must be a JSON object")
+    return value
+
+
 def parse_mutant(
     response: str, kind: str, base: CandidateSpec, operator: MutationOperator
 ) -> CandidateSpec:
     """Parse and validate an LLM mutation reply; stamps mutation provenance."""
-    body = strip_code_fence(response).strip()
-    try:
-        document = json.loads(body)
-    except json.JSONDecodeError as exc:
-        raise NotParseable(f"mutant reply is not valid JSON: {exc.msg}") from exc
-    if not isinstance(document, dict):
-        raise NotParseable("mutant reply must be a JSON object")
+    document = parse_json_reply(response, "mutant reply")
     document.pop("provenance", None)
     spec = validate_spec(document, kind)
     if spec.name == base.name:

@@ -20,6 +20,8 @@ from .errors import (
     MissingField,
     ParseError,
     SchemaMalformed,
+    SpecError,
+    UnresolvedPoolMember,
     ValidationError,
 )
 
@@ -111,6 +113,8 @@ def _check_schema(schema: Any, *, require_property_descriptions: bool) -> dict[s
     if not isinstance(required, list):
         raise SchemaMalformed("$.required", "not a list")
     for entry in required:
+        if not isinstance(entry, str):
+            raise SchemaMalformed("$.required", "entries must be strings")
         if entry not in properties:
             raise SchemaMalformed(f"$.required.{entry}", "names a non-existent property")
     normalized: dict[str, Any] = {"type": "object", "properties": properties}
@@ -123,6 +127,8 @@ def _parse_provenance(document: dict[str, Any]) -> Provenance:
     raw = document.get("provenance")
     if raw is None:
         return Provenance()
+    if not isinstance(raw, dict):
+        raise ValidationError(document.get("name", "?"), "provenance must be an object")
     origin = raw.get("origin", "seed")
     if origin not in ("seed", "mutant"):
         raise ValidationError(document.get("name", "?"), f"bad provenance origin {origin!r}")
@@ -140,6 +146,13 @@ def _parse_provenance(document: dict[str, Any]) -> Provenance:
     return Provenance(origin=origin, parent_name=parent, operator=operator)
 
 
+def _string_list(document: dict[str, Any], key: str) -> tuple[str, ...]:
+    value = document.get(key) or []
+    if not isinstance(value, list) or not all(isinstance(item, str) for item in value):
+        raise SpecError(f"candidate {document['name']!r}: {key} must be a list of strings")
+    return tuple(value)
+
+
 def validate_spec(document: dict[str, Any], kind: str) -> CandidateSpec:
     """Validate a parsed exchange-format document into a spec.
 
@@ -148,13 +161,17 @@ def validate_spec(document: dict[str, Any], kind: str) -> CandidateSpec:
     """
     if kind not in ("tool", "agent"):
         raise ValueError(f"unknown candidate kind: {kind!r}")
+    if not isinstance(document, dict):
+        raise SpecError(f"a candidate must be a JSON object, got {type(document).__name__}")
     for required_field in ("name", "description", "inputSchema"):
         if not document.get(required_field):
             raise MissingField(required_field)
     name = document["name"]
     if not isinstance(name, str) or not name.strip():
         raise MissingField("name")
-    tags = tuple(document.get("tags") or ())
+    if not isinstance(document["description"], str):
+        raise SpecError(f"candidate {name!r}: description must be a string")
+    tags = _string_list(document, "tags")
     provenance = _parse_provenance(document)
 
     if kind == "tool":
@@ -169,7 +186,7 @@ def validate_spec(document: dict[str, Any], kind: str) -> CandidateSpec:
 
     if not name.endswith(AGENT_SUFFIX):
         raise BadAgentName(name)
-    tools = document.get("tools")
+    tools = _string_list(document, "tools")
     if not tools:
         raise MissingField("tools")
     if not 1 <= len(tools) <= MAX_AGENT_TOOLS:
@@ -185,7 +202,7 @@ def validate_spec(document: dict[str, Any], kind: str) -> CandidateSpec:
     return AgentSpec(
         name=name,
         description=document["description"],
-        tools=tuple(tools),
+        tools=tools,
         input_schema=schema,
         tags=tags,
         provenance=provenance,
@@ -228,19 +245,25 @@ def serialize_phi(spec: CandidateSpec) -> str:
 
 @dataclass(frozen=True)
 class CandidateBank:
-    """Immutable ordered collection of same-kind candidates with unique names."""
+    """Immutable ordered collection of same-kind candidates with unique names.
+
+    ``_index`` maps each name to its spec in entry order; every name lookup,
+    merge and pool check reads it.
+    """
 
     kind: str
     entries: tuple[CandidateSpec, ...] = ()
+    _index: dict[str, CandidateSpec] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        seen: set[str] = set()
+        index: dict[str, CandidateSpec] = {}
         for spec in self.entries:
             if spec.kind != self.kind:
                 raise ValidationError(spec.name, f"kind {spec.kind!r} in a {self.kind!r} bank")
-            if spec.name in seen:
+            if spec.name in index:
                 raise ValidationError(spec.name, "duplicate name in bank")
-            seen.add(spec.name)
+            index[spec.name] = spec
+        object.__setattr__(self, "_index", index)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -249,25 +272,19 @@ class CandidateBank:
         return iter(self.entries)
 
     def names(self) -> tuple[str, ...]:
-        return tuple(spec.name for spec in self.entries)
+        return tuple(self._index)
 
     def get(self, name: str) -> CandidateSpec | None:
-        for spec in self.entries:
-            if spec.name == name:
-                return spec
-        return None
+        return self._index.get(name)
 
     @staticmethod
     def merge(kind: str, banks: Iterable["CandidateBank"]) -> "CandidateBank":
         """Union of banks; later duplicates of an existing name are skipped."""
-        entries: list[CandidateSpec] = []
-        seen: set[str] = set()
+        index: dict[str, CandidateSpec] = {}
         for bank in banks:
-            for spec in bank:
-                if spec.name not in seen:
-                    entries.append(spec)
-                    seen.add(spec.name)
-        return CandidateBank(kind=kind, entries=tuple(entries))
+            for name, spec in bank._index.items():
+                index.setdefault(name, spec)
+        return CandidateBank(kind=kind, entries=tuple(index.values()))
 
 
 @dataclass(frozen=True)
@@ -281,9 +298,8 @@ class CandidatePool:
     def __post_init__(self) -> None:
         if not self.membership:
             raise ValidationError("<pool>", "pool membership must be non-empty")
-        known = set(self.bank.names())
         for name in self.membership:
-            if name not in known:
+            if name not in self.bank._index:
                 raise ValidationError(name, "pool member not in bank")
 
     def __len__(self) -> int:
@@ -292,13 +308,13 @@ class CandidatePool:
     def resolve(self, name: str) -> CandidateSpec:
         spec = self.bank.get(name)
         if spec is None or name not in self.membership:
-            from .errors import UnresolvedPoolMember
-
             raise UnresolvedPoolMember(name)
         return spec
 
     def specs(self) -> list[CandidateSpec]:
-        return [self.resolve(name) for name in self.membership]
+        # Every member is in the bank (checked at construction).
+        index = self.bank._index
+        return [index[name] for name in self.membership]
 
     @staticmethod
     def whole_bank(bank: CandidateBank) -> "CandidatePool":
@@ -334,7 +350,8 @@ def load_bank(path: str | Path, kind: str | None = None) -> CandidateBank:
         raise ParseError(str(path), "empty bank file")
 
     if kind is None:
-        kind = "agent" if "tools" in documents[0][1] else "tool"
+        first = documents[0][1]
+        kind = "agent" if isinstance(first, dict) and "tools" in first else "tool"
 
     entries: list[CandidateSpec] = []
     seen: set[str] = set()

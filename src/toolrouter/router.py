@@ -18,7 +18,7 @@ from .errors import BadConfig, GatewayError
 from .gateway import ChatMessage, ChatRequest, Gateway
 from .graph import cosine_similarity
 from .registry import CandidatePool, serialize_phi
-from .supervision import InstanceOrigin, RoutingInstance, render_sample, serialize_history
+from .supervision import render_prompt, serialize_history
 from .synthesis import Turn
 
 VARIANTS = ("embedding_q", "embedding_qh", "llm", "oracle", "random")
@@ -129,16 +129,9 @@ def llm_route(
     cfg: RouterConfig,
 ) -> RouterDecision:
     """Prompt an LLM with the benchmark sample format and parse its reply."""
-    instance = RoutingInstance(
-        query=query,
-        history=tuple(history),
-        pool=pool,
-        label=pool.membership[0],  # placeholder; rendering only uses the pool
-        origin=InstanceOrigin(trajectory_id="live", step=0),
-    )
-    rendered = render_sample(instance, cfg.kind)
+    system, user = render_prompt(query, history, pool, cfg.kind)
     request = ChatRequest(
-        messages=(ChatMessage("system", rendered.system), ChatMessage("user", rendered.user)),
+        messages=(ChatMessage("system", system), ChatMessage("user", user)),
         temperature=cfg.temperature,
         model_id=cfg.chat_model_id,
     )

@@ -135,23 +135,29 @@ def render_pool_block(pool: CandidatePool) -> str:
     return json.dumps([public_spec(spec) for spec in pool.specs()], ensure_ascii=False, indent=2)
 
 
-def render_sample(instance: RoutingInstance, kind: str) -> RenderedSample:
-    """Render one instance into the (system, user, expected) exchange format."""
+def render_prompt(query: str, history: Sequence[Turn], pool: CandidatePool, kind: str) -> tuple[str, str]:
+    """The (system, user) router messages for a query, its history and a pool."""
     if kind not in ("tool", "agent"):
         raise ValueError(f"unknown kind: {kind!r}")
-    if instance.label not in instance.pool.membership:
-        raise PoolMissingLabel(instance.label)
     system = prompts.ROUTER_SYSTEM_AGENT if kind == "agent" else prompts.ROUTER_SYSTEM_TOOL
-    history_text = serialize_history(instance.history, kind)
+    history_text = serialize_history(history, kind)
     history_slot = f"\n{history_text}\n" if history_text else ""
     plural = "agents" if kind == "agent" else "tools"
     user = (
         prompts.ROUTER_USER_TEMPLATE.replace("<<HISTORY>>", history_slot)
-        .replace("<<QUERY>>", instance.query)
-        .replace("<<POOL_JSON>>", render_pool_block(instance.pool))
+        .replace("<<QUERY>>", query)
+        .replace("<<POOL_JSON>>", render_pool_block(pool))
         .replace("<<PLURAL>>", plural)
         .replace("<<SINGULAR>>", kind)
     )
+    return system, user
+
+
+def render_sample(instance: RoutingInstance, kind: str) -> RenderedSample:
+    """Render one instance into the (system, user, expected) exchange format."""
+    if instance.label not in instance.pool.membership:
+        raise PoolMissingLabel(instance.label)
+    system, user = render_prompt(instance.query, instance.history, instance.pool, kind)
     return RenderedSample(system=system, user=user, expected=(instance.label,))
 
 

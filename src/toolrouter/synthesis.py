@@ -24,7 +24,7 @@ from .errors import (
 )
 from .gateway import Gateway, user_request
 from .graph import CandidateGraph
-from .mutation import strip_code_fence
+from .mutation import parse_json_reply
 from .registry import CandidateSpec, public_spec
 from .sampler import CandidateSubset, SamplerConfig, sample_subset
 
@@ -95,17 +95,6 @@ class SynthesisConfig:
 # --- helpers ----------------------------------------------------------------------
 
 
-def _parse_json_reply(reply: str) -> dict:
-    body = strip_code_fence(reply).strip()
-    try:
-        value = json.loads(body)
-    except json.JSONDecodeError as exc:
-        raise NotParseable(f"reply is not valid JSON: {exc.msg}") from exc
-    if not isinstance(value, dict):
-        raise NotParseable("reply must be a JSON object")
-    return value
-
-
 _JSON_TYPE_CHECKS = {
     "string": lambda v: isinstance(v, str),
     "integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
@@ -170,7 +159,7 @@ def propose_task(
     for _attempt in range(cfg.max_retries + 1):
         reply = gateway.chat(request)
         try:
-            document = _parse_json_reply(reply)
+            document = parse_json_reply(reply)
             task_text = document.get("task")
             raw_steps = document.get("steps")
             if not task_text or not raw_steps:
@@ -225,7 +214,7 @@ def simulate_trajectory(
         )
         reply = gateway.chat(user_request(content, temperature=cfg.temperature, model_id=cfg.model_id))
         try:
-            document = _parse_json_reply(reply)
+            document = parse_json_reply(reply)
         except NotParseable as exc:
             raise Discarded(f"unparseable assistant turn: {exc}") from exc
         raw_calls = document.get("calls", [])

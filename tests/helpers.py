@@ -156,3 +156,19 @@ def mock_gateway(seed: int = 0, **kwargs) -> Gateway:
         backoff_s=0.0,
         **kwargs,
     )
+
+
+# Wrongly typed spec fields: case -> (kind, the field edit, the field the
+# SpecError names). validate_spec rejects each, in banks and dataset pools.
+MALFORMED_SPEC_FIELDS = {
+    "tags-int": ("tool", lambda doc: {**doc, "tags": 5}, "tags"),
+    "tags-not-strings": ("tool", lambda doc: {**doc, "tags": [1, 2]}, "tags"),
+    "description-int": ("tool", lambda doc: {**doc, "description": 5}, "description"),
+    "required-entry-list": (
+        "tool",
+        lambda doc: {**doc, "inputSchema": {**doc["inputSchema"], "required": [["target"]]}},
+        "required",
+    ),
+    "agent-tools-not-strings": ("agent", lambda doc: {**doc, "tools": [1, 2]}, "tools"),
+    "agent-tools-int": ("agent", lambda doc: {**doc, "tools": 5}, "tools"),
+}

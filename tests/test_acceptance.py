@@ -538,7 +538,7 @@ def test_criterion_8_robustness_mechanics(pipeline):
             mutation_graph=graph,
             external_bank=external,
         )
-        pool = build_pool(base, setting)  # zero LabelEvicted over 1,000 cases
+        pool = build_pool(base, setting)  # no label leaves over 1,000 cases
         assert set(members) <= set(pool.membership)
 
     # nesting Clean <= Multi <= +Mutation <= +External on a fixed base

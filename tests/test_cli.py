@@ -6,7 +6,14 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from helpers import BROKEN_SNAPSHOTS, corrupt_snapshot, make_family_bank, make_tool_bank
+from helpers import (
+    BROKEN_SNAPSHOTS,
+    MALFORMED_SPEC_FIELDS,
+    corrupt_snapshot,
+    make_agent_bank,
+    make_family_bank,
+    make_tool_bank,
+)
 from toolrouter.cli import main
 from toolrouter.registry import save_bank
 from toolrouter.supervision import load_dataset
@@ -216,19 +223,33 @@ def chain_files(workspace):
     return config, graph, trajs, dataset
 
 
+def _edit_first_pool_entry(case):
+    edit = MALFORMED_SPEC_FIELDS[case][1]
+    return lambda doc: {**doc, "pool": [edit(doc["pool"][0]), *doc["pool"][1:]]}
+
+
+TOOL_FIELD_CASES = sorted(case for case, (kind, _, _) in MALFORMED_SPEC_FIELDS.items() if kind == "tool")
+
+
 @pytest.mark.parametrize(
-    "target, edit",
+    "target, edit, where",
     [
-        ("trajectories", lambda doc: [1]),
-        ("trajectories", lambda doc: {**doc, "subset": {**doc["subset"], "members": 5}}),
-        ("trajectories", lambda doc: {**doc, "turns": doc["turns"][:1] + doc["turns"]}),  # two observations in a row
-        ("dataset", lambda doc: [1]),
-        ("dataset", lambda doc: {**doc, "pool": 5}),
-        ("dataset", lambda doc: {**doc, "query": 5}),
+        ("trajectories", lambda doc: [1], "{path}:2"),
+        ("trajectories", lambda doc: {**doc, "subset": {**doc["subset"], "members": 5}}, "{path}:2"),
+        # two observations in a row
+        ("trajectories", lambda doc: {**doc, "turns": doc["turns"][:1] + doc["turns"]}, "{path}:2"),
+        ("dataset", lambda doc: [1], "{path}:2"),
+        ("dataset", lambda doc: {**doc, "pool": 5}, "{path}:2"),
+        ("dataset", lambda doc: {**doc, "query": 5}, "{path}:2"),
+        # a pool entry with a mistyped field fails in evaluate, which names the field
+        *(("dataset", _edit_first_pool_entry(case), MALFORMED_SPEC_FIELDS[case][2]) for case in TOOL_FIELD_CASES),
     ],
-    ids=["traj-not-object", "traj-members-int", "traj-alternation", "dataset-not-object", "dataset-pool-int", "dataset-query-int"],
+    ids=[
+        "traj-not-object", "traj-members-int", "traj-alternation", "dataset-not-object", "dataset-pool-int",
+        "dataset-query-int", *(f"dataset-pool-{case}" for case in TOOL_FIELD_CASES),
+    ],
 )
-def test_malformed_jsonl_line_exits_1(chain_files, target, edit):
+def test_malformed_jsonl_line_exits_1(chain_files, target, edit, where):
     config, graph, trajs, dataset = chain_files
     path = trajs if target == "trajectories" else dataset
     lines = path.read_text(encoding="utf-8").splitlines()
@@ -240,7 +261,27 @@ def test_malformed_jsonl_line_exits_1(chain_files, target, edit):
         args = ["evaluate", *config, "--dataset", str(dataset), "--router", "embedding_q", "--router", "llm"]
     result = run(args)
     one_error_line(result)
-    assert f"{path}:2" in result.output
+    assert where.format(path=path) in result.output
+
+
+MALFORMED_BANK_ENTRIES = {
+    **MALFORMED_SPEC_FIELDS,
+    "entry-not-object": ("tool", lambda doc: [doc], None),
+    "provenance-not-object": ("tool", lambda doc: {**doc, "provenance": 5}, None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_BANK_ENTRIES))
+def test_malformed_bank_entry_exits_1(workspace, case):
+    tmp_path, _, config_path = workspace
+    kind, edit, _ = MALFORMED_BANK_ENTRIES[case]
+    bank_path = tmp_path / f"{kind}_bank.jsonl"
+    save_bank(make_agent_bank(6) if kind == "agent" else make_tool_bank(6), bank_path)
+    lines = bank_path.read_text(encoding="utf-8").splitlines()
+    lines[1] = json.dumps(edit(json.loads(lines[1])))
+    bank_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    result = run(["build-graph", "--config", config_path, "--bank", str(bank_path), "--out", str(tmp_path / "g.jsonl")])
+    one_error_line(result)
 
 
 def test_evaluate_empty_dataset_exits_1(workspace):

@@ -6,7 +6,8 @@ import random
 import pytest
 
 from helpers import make_tool_bank, make_tool_doc, mock_gateway
-from toolrouter.errors import LabelEvicted, MissingParameter
+from toolrouter import evaluation
+from toolrouter.errors import MissingParameter
 from toolrouter.evaluation import (
     Metrics,
     PoolSetting,
@@ -160,6 +161,20 @@ def test_evaluate_input_validation():
         evaluate(RouterConfig(variant="oracle"), records, PoolSetting(), k=0)
     with pytest.raises(ValueError):
         evaluate(RouterConfig(variant="oracle"), [], PoolSetting())
+
+
+def test_evaluate_builds_each_record_pool_once(monkeypatch, mutation_graph):
+    calls = []
+
+    def counting_build_pool(base, setting):
+        calls.append(base)
+        return build_pool(base, setting)
+
+    monkeypatch.setattr(evaluation, "build_pool", counting_build_pool)
+    records = make_records(6)
+    setting = PoolSetting(variant=Setting.PLUS_MUTATION, mutation_graph=mutation_graph)
+    evaluate(RouterConfig(variant="random"), records, setting, k=3, seed=0)
+    assert len(calls) == len(records)
 
 
 def test_evaluate_under_expanded_settings(mutation_graph):

@@ -1,11 +1,19 @@
 """Gateway retry/budget/cache behavior and the deterministic mock backends."""
 
+import json
 import math
 
 import pytest
+import requests
 
 from helpers import mock_gateway
-from toolrouter.backends import MockChatBackend, MockEmbeddingBackend, StaticEmbeddingBackend
+from toolrouter.backends import (
+    HTTPChatBackend,
+    HTTPEmbeddingBackend,
+    MockChatBackend,
+    MockEmbeddingBackend,
+    StaticEmbeddingBackend,
+)
 from toolrouter.errors import BackendUnavailable, BudgetExceeded, DimensionMismatch, RetriesExhausted
 from toolrouter.gateway import ChatMessage, ChatRequest, Gateway, TransientBackendError, user_request
 from toolrouter import prompts
@@ -76,6 +84,87 @@ def test_embedding_retries_exhausted_names_the_call():
     with pytest.raises(RetriesExhausted, match=r"^embedding failed after 2 attempts: boom$"):
         gateway.embed_texts(["a"])
     assert backend.calls == 2
+
+
+class FakeSession:
+    """Stands in for requests.Session: records each POST and answers one status."""
+
+    status = 200
+    body: dict = {}
+    instances: list = []
+
+    def __init__(self) -> None:
+        self.headers: dict[str, str] = {}
+        self.posts: list[tuple] = []
+        FakeSession.instances.append(self)
+
+    def post(self, url, **kwargs):
+        self.posts.append((url, kwargs["json"], kwargs["timeout"]))
+        response = requests.Response()
+        response.status_code = self.status
+        response._content = json.dumps(self.body).encode()
+        return response
+
+
+HTTP_CALLS = {
+    "chat": (
+        lambda: HTTPChatBackend("http://127.0.0.1:9/v1/", "chat-model", timeout_s=5.0),
+        lambda gateway: gateway.chat(user_request("hello")),
+        {"choices": [{"message": {"content": "hi there"}}]},
+        "hi there",
+    ),
+    "embedding": (
+        lambda: HTTPEmbeddingBackend("http://127.0.0.1:9/v1/", "embed-model", dim=2, timeout_s=5.0),
+        lambda gateway: [vector.values for vector in gateway.embed_texts(["hello"])],
+        {"data": [{"embedding": [0.6, 0.8]}]},
+        [(0.6, 0.8)],
+    ),
+}
+
+
+@pytest.fixture()
+def fake_session(monkeypatch):
+    monkeypatch.setattr(requests, "Session", FakeSession)
+    monkeypatch.setattr(requests, "post", None)  # every POST goes through the session
+    monkeypatch.setattr(FakeSession, "instances", [])
+    monkeypatch.setenv("TOOLROUTER_API_KEY", "sekrit")
+    return FakeSession
+
+
+def _http_gateway(what, max_retries=2):
+    make_backend = HTTP_CALLS[what][0]
+    backend = make_backend()
+    if what == "chat":
+        return Gateway(chat_backend=backend, max_retries=max_retries, backoff_s=0.0)
+    return Gateway(embedding_backend=backend, max_retries=max_retries, backoff_s=0.0)
+
+
+@pytest.mark.parametrize("what", sorted(HTTP_CALLS))
+def test_http_backend_posts_through_one_session(fake_session, monkeypatch, what):
+    _, call, body, expected = HTTP_CALLS[what]
+    monkeypatch.setattr(fake_session, "body", body)
+    gateway = _http_gateway(what)
+    assert call(gateway) == expected
+    assert call(gateway) == expected
+    (session,) = fake_session.instances
+    assert session.headers["Authorization"] == "Bearer sekrit"
+    assert len(session.posts) == 2
+    url, _, timeout = session.posts[0]
+    assert url.startswith("http://127.0.0.1:9/v1/") and "//" not in url[len("http://"):]
+    assert timeout == 5.0
+
+
+@pytest.mark.parametrize("what", sorted(HTTP_CALLS))
+@pytest.mark.parametrize("status, attempts", [(400, 1), (404, 1), (408, 3), (429, 3), (503, 3)])
+def test_http_4xx_is_not_retried(fake_session, monkeypatch, what, status, attempts):
+    monkeypatch.setattr(fake_session, "status", status)
+    gateway = _http_gateway(what, max_retries=2)
+    with pytest.raises(BackendUnavailable) as excinfo:
+        HTTP_CALLS[what][1](gateway)
+    assert isinstance(excinfo.value, RetriesExhausted) == (attempts > 1)
+    assert str(status) in str(excinfo.value)
+    (session,) = fake_session.instances
+    assert len(session.posts) == attempts
 
 
 def test_chat_budget_enforced():

@@ -3,14 +3,16 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from helpers import make_agent_bank, make_agent_doc, make_tool_bank, make_tool_doc
+from helpers import MALFORMED_SPEC_FIELDS, make_agent_bank, make_agent_doc, make_tool_bank, make_tool_doc
 from toolrouter.errors import (
     BadAgentName,
     DuplicateToolEntry,
     MissingField,
     ParseError,
     SchemaMalformed,
+    SpecError,
     UnresolvedPoolMember,
     ValidationError,
 )
@@ -98,6 +100,14 @@ def test_schema_must_be_object():
         validate_spec(doc, "tool")
 
 
+@pytest.mark.parametrize("case", sorted(MALFORMED_SPEC_FIELDS))
+def test_mistyped_fields_are_spec_errors(case):
+    kind, edit, field_name = MALFORMED_SPEC_FIELDS[case]
+    doc = edit(make_agent_doc(0) if kind == "agent" else make_tool_doc(0))
+    with pytest.raises(SpecError, match=field_name):
+        validate_spec(doc, kind)
+
+
 def test_serialize_phi_shape_and_determinism():
     spec = validate_spec(make_tool_doc(1), "tool")
     text = serialize_phi(spec)
@@ -153,6 +163,47 @@ def test_bank_merge_skips_later_duplicates():
     assert merged.names() == b.names()
     # the first occurrence wins
     assert merged.get(a.names()[0]) is a.entries[0]
+
+
+def _scan_get(bank, name):
+    for spec in bank.entries:
+        if spec.name == name:
+            return spec
+    return None
+
+
+@st.composite
+def overlapping_banks(draw):
+    """Tool banks over a small shared name space; each bank's specs are its own objects."""
+    names = draw(st.lists(st.sampled_from([f"tool_{i}" for i in range(10)]), unique=True, max_size=7))
+    schema = {"type": "object", "properties": {}}
+    entries = tuple(ToolSpec(name=name, description=f"{name} variant", input_schema=schema) for name in names)
+    return CandidateBank(kind="tool", entries=entries)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(overlapping_banks(), min_size=1, max_size=4), st.data())
+def test_name_index_matches_linear_scan(banks, data):
+    probes = [f"tool_{i}" for i in range(12)]
+    for bank in banks:
+        assert bank.names() == tuple(spec.name for spec in bank.entries)
+        assert all(bank.get(name) is _scan_get(bank, name) for name in probes)
+    merged = CandidateBank.merge("tool", banks)
+    expected = []
+    for bank in banks:
+        expected += [spec for spec in bank.entries if all(kept.name != spec.name for kept in expected)]
+    assert len(merged.entries) == len(expected)
+    assert all(a is b for a, b in zip(merged.entries, expected))
+    assert all(merged.get(name) is _scan_get(merged, name) for name in probes)
+    # the index is no part of equality or the repr
+    assert merged == CandidateBank(kind="tool", entries=tuple(expected))
+    assert "_index" not in repr(merged)
+    if merged.entries:
+        members = data.draw(st.lists(st.sampled_from(merged.names()), min_size=1, unique=True))
+        pool = CandidatePool(bank=merged, membership=tuple(members))
+        specs = pool.specs()
+        assert len(specs) == len(members)
+        assert all(spec is _scan_get(merged, name) for spec, name in zip(specs, members))
 
 
 def test_pool_membership_and_resolution():
