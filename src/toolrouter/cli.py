@@ -26,25 +26,28 @@ from .supervision import build_dataset, load_dataset
 from .synthesis import load_trajectories, save_trajectories, synthesize_batch
 
 
-def _fail(exc: Exception) -> None:
-    click.echo(f"error: {exc}", err=True)
-    sys.exit(1)
+class _Pipeline(click.Group):
+    """Ends any command that raises a ToolRouterError with one ``error:`` line and exit 1."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except ToolRouterError as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(1)
 
 
 def _pipeline_config(
     config: str | None, seed: int | None, backend: str | None, tau: float | None = None
 ) -> PipelineConfig:
-    try:
-        cfg = load_config(config)
-        if seed is not None:
-            cfg.seed = seed
-        if backend is not None:
-            cfg.backend.mode = backend
-        if tau is not None:
-            cfg.tau = tau
-        cfg.validate()
-    except ToolRouterError as exc:
-        _fail(exc)
+    cfg = load_config(config)
+    if seed is not None:
+        cfg.seed = seed
+    if backend is not None:
+        cfg.backend.mode = backend
+    if tau is not None:
+        cfg.tau = tau
+    cfg.validate()
     return cfg
 
 
@@ -61,7 +64,7 @@ def with_common(func):
     return func
 
 
-@click.group()
+@click.group(cls=_Pipeline)
 def main() -> None:
     """History-aware routing supervision pipeline."""
 
@@ -74,34 +77,28 @@ def main() -> None:
 def build_graph_cmd(config_path, seed, backend, bank_path, tau, out_path) -> None:
     """Embed a candidate bank and build the similarity graph."""
     cfg = _pipeline_config(config_path, seed, backend, tau)
-    try:
-        bank = load_bank(bank_path)
-        graph_cfg = GraphConfig(tau=cfg.tau, embedding_model_id=cfg.backend.embed_model)
-        graph = build_graph(bank, graph_cfg, make_gateway(cfg))
-        save_graph(graph, out_path)
-    except ToolRouterError as exc:
-        _fail(exc)
+    bank = load_bank(bank_path)
+    graph_cfg = GraphConfig(tau=cfg.tau, embedding_model_id=cfg.backend.embed_model)
+    graph = build_graph(bank, graph_cfg, make_gateway(cfg))
+    save_graph(graph, out_path)
     click.echo(f"graph: {len(graph)} nodes, {len(graph.edges)} edges -> {out_path}")
 
 
 @main.command("mutate")
 @with_common
 @click.option("--graph", "graph_path", type=click.Path(exists=True), required=True)
-@click.option("--rounds", type=int, required=True)
+@click.option("--rounds", type=click.IntRange(min=0), required=True)
 @click.option("--out", "out_path", type=click.Path(), required=True)
 @click.option("--log", "log_path", type=click.Path(), default=None)
 def mutate_cmd(config_path, seed, backend, graph_path, rounds, out_path, log_path) -> None:
     """Expand a graph with self-evolutionary mutations."""
     cfg = _pipeline_config(config_path, seed, backend)
-    try:
-        graph = load_graph(graph_path)
-        evolve_cfg = replace(cfg.mutation, rng_seed=cfg.rng_seed, model_id=cfg.backend.chat_model)
-        result = evolve(graph, rounds, evolve_cfg, make_gateway(cfg))
-        save_graph(result.graph, out_path)
-        if log_path:
-            write_mutation_log(result.records, log_path)
-    except ToolRouterError as exc:
-        _fail(exc)
+    graph = load_graph(graph_path)
+    evolve_cfg = replace(cfg.mutation, rng_seed=cfg.rng_seed, model_id=cfg.backend.chat_model)
+    result = evolve(graph, rounds, evolve_cfg, make_gateway(cfg))
+    save_graph(result.graph, out_path)
+    if log_path:
+        write_mutation_log(result.records, log_path)
     if result.aborted_error:
         click.echo(f"aborted after partial progress: {result.aborted_error}", err=True)
         sys.exit(1)
@@ -114,51 +111,45 @@ def mutate_cmd(config_path, seed, backend, graph_path, rounds, out_path, log_pat
 @main.command("sample")
 @with_common
 @click.option("--graph", "graph_path", type=click.Path(exists=True), required=True)
-@click.option("--count", type=int, default=1)
+@click.option("--count", type=click.IntRange(min=0), default=1)
 @click.option("--out", "out_path", type=click.Path(), required=True)
 def sample_cmd(config_path, seed, backend, graph_path, count, out_path) -> None:
     """Draw candidate subsets via DFS-with-restart walks."""
     cfg = _pipeline_config(config_path, seed, backend)
-    try:
-        graph = load_graph(graph_path)
-        subsets = (
-            sample_subset(graph, replace(cfg.sampler, rng_seed=cfg.rng_seed * 100003 + index))
-            for index in range(count)
-        )
-        records = (
-            {
-                "members": list(subset.members),
-                "seed_nodes": list(subset.seed_nodes),
-                "walk_trace": [list(t) for t in subset.walk_trace],
-            }
-            for subset in subsets
-        )
-        write_jsonl(out_path, records, "subset file")
-    except ToolRouterError as exc:
-        _fail(exc)
+    graph = load_graph(graph_path)
+    subsets = (
+        sample_subset(graph, replace(cfg.sampler, rng_seed=cfg.rng_seed * 100003 + index))
+        for index in range(count)
+    )
+    records = (
+        {
+            "members": list(subset.members),
+            "seed_nodes": list(subset.seed_nodes),
+            "walk_trace": [list(t) for t in subset.walk_trace],
+        }
+        for subset in subsets
+    )
+    write_jsonl(out_path, records, "subset file")
     click.echo(f"sampled {count} subsets -> {out_path}")
 
 
 @main.command("synthesize")
 @with_common
 @click.option("--graph", "graph_path", type=click.Path(exists=True), required=True)
-@click.option("--count", type=int, default=10)
+@click.option("--count", type=click.IntRange(min=0), default=10)
 @click.option("--out", "out_path", type=click.Path(), required=True)
 def synthesize_cmd(config_path, seed, backend, graph_path, count, out_path) -> None:
     """Sample subsets, propose tasks, and simulate trajectories."""
     cfg = _pipeline_config(config_path, seed, backend)
-    try:
-        graph = load_graph(graph_path)
-        trajectories = synthesize_batch(
-            graph,
-            count,
-            replace(cfg.sampler, rng_seed=cfg.rng_seed),
-            replace(cfg.synthesis, rng_seed=cfg.rng_seed, model_id=cfg.backend.chat_model),
-            make_gateway(cfg),
-        )
-        save_trajectories(trajectories, out_path)
-    except ToolRouterError as exc:
-        _fail(exc)
+    graph = load_graph(graph_path)
+    trajectories = synthesize_batch(
+        graph,
+        count,
+        replace(cfg.sampler, rng_seed=cfg.rng_seed),
+        replace(cfg.synthesis, rng_seed=cfg.rng_seed, model_id=cfg.backend.chat_model),
+        make_gateway(cfg),
+    )
+    save_trajectories(trajectories, out_path)
     click.echo(f"synthesized {len(trajectories)} trajectories -> {out_path}")
 
 
@@ -175,25 +166,22 @@ def extract_cmd(
 ) -> None:
     """Extract history-aware routing instances into a dataset file."""
     _pipeline_config(config_path, seed, backend)
-    try:
-        trajectories = load_trajectories(traj_path)
-        graph = load_graph(graph_path)
-        bank = CandidateBank(
-            kind=kind,
-            entries=tuple(
-                graph.nodes[name].spec for name in graph.names() if graph.nodes[name].spec.kind == kind
-            ),
-        )
-        if pool_scope == "graph":
-            pools: list[CandidatePool] | CandidatePool = CandidatePool.whole_bank(bank)
-        else:
-            pools = [
-                CandidatePool(bank=bank, membership=trajectory.subset.members)
-                for trajectory in trajectories
-            ]
-        counts = build_dataset(trajectories, pools, out_path, kind=kind, ablation=ablation)
-    except ToolRouterError as exc:
-        _fail(exc)
+    trajectories = load_trajectories(traj_path)
+    graph = load_graph(graph_path)
+    bank = CandidateBank(
+        kind=kind,
+        entries=tuple(
+            graph.nodes[name].spec for name in graph.names() if graph.nodes[name].spec.kind == kind
+        ),
+    )
+    if pool_scope == "graph":
+        pools: list[CandidatePool] | CandidatePool = CandidatePool.whole_bank(bank)
+    else:
+        pools = [
+            CandidatePool(bank=bank, membership=trajectory.subset.members)
+            for trajectory in trajectories
+        ]
+    counts = build_dataset(trajectories, pools, out_path, kind=kind, ablation=ablation)
     for file_path, count in counts.items():
         click.echo(f"dataset: {count} samples -> {file_path}")
 
@@ -208,33 +196,30 @@ def extract_cmd(
     multiple=True,
     required=True,
 )
-@click.option("--k", type=int, default=5)
+@click.option("--k", type=click.IntRange(min=1), default=5)
 @click.option("--out", "out_path", type=click.Path(), default=None)
 def evaluate_cmd(config_path, seed, backend, dataset_path, variants, k, out_path) -> None:
     """Routing-accuracy evaluation (avg@k) on a rendered dataset."""
     cfg = _pipeline_config(config_path, seed, backend)
-    try:
-        records = load_dataset(dataset_path)
-        if not records:
-            raise ParseError(dataset_path, "empty dataset file")
-        gateway = make_gateway(cfg)
-        setting = PoolSetting(variant=Setting.CLEAN)
-        results: dict[str, dict[str, Metrics]] = {}
-        for variant in variants:
-            router_cfg = replace(
-                cfg.eval,
-                variant=variant,
-                kind=records[0].kind,
-                chat_model_id=cfg.backend.chat_model,
-                rng_seed=cfg.rng_seed,
-            )
-            metrics = evaluate(router_cfg, records, setting, k=k, seed=cfg.rng_seed, gateway=gateway)
-            results[variant] = {Setting.CLEAN.value: metrics}
-            click.echo(f"{variant}: avg@{k} = {metrics.avg_at_k:.4f} over {metrics.n_instances} instances")
-        if out_path:
-            save_results(results, out_path)
-    except ToolRouterError as exc:
-        _fail(exc)
+    records = load_dataset(dataset_path)
+    if not records:
+        raise ParseError(dataset_path, "empty dataset file")
+    gateway = make_gateway(cfg)
+    setting = PoolSetting(variant=Setting.CLEAN)
+    results: dict[str, dict[str, Metrics]] = {}
+    for variant in variants:
+        router_cfg = replace(
+            cfg.eval,
+            variant=variant,
+            kind=records[0].kind,
+            chat_model_id=cfg.backend.chat_model,
+            rng_seed=cfg.rng_seed,
+        )
+        metrics = evaluate(router_cfg, records, setting, k=k, seed=cfg.rng_seed, gateway=gateway)
+        results[variant] = {Setting.CLEAN.value: metrics}
+        click.echo(f"{variant}: avg@{k} = {metrics.avg_at_k:.4f} over {metrics.n_instances} instances")
+    if out_path:
+        save_results(results, out_path)
 
 
 @main.command("lra-run")
@@ -247,29 +232,26 @@ def evaluate_cmd(config_path, seed, backend, dataset_path, variants, k, out_path
     type=click.Choice(VARIANTS),
     default="llm",
 )
-@click.option("--budget", type=int, default=8)
+@click.option("--budget", type=click.IntRange(min=1), default=8)
 @click.option("--out", "out_path", type=click.Path(), default=None)
 def lra_run_cmd(config_path, seed, backend, bank_path, task, variant, budget, out_path) -> None:
     """Run one Light Routing Agent episode against a candidate bank."""
     cfg = _pipeline_config(config_path, seed, backend)
-    try:
-        bank = load_bank(bank_path)
-        pool = CandidatePool.whole_bank(bank)
-        gateway = make_gateway(cfg)
-        router_cfg = RouterConfig(variant=variant, kind=bank.kind, chat_model_id=cfg.backend.chat_model)
-        log = run_episode(
-            task,
-            pool,
-            router_cfg,
-            ExecutorBinding.mock_for(pool),
-            GatewayReasoner(gateway, model_id=cfg.backend.chat_model),
-            gateway=gateway,
-            budget=budget,
-        )
-        if out_path:
-            save_episode_logs([log], out_path)
-    except ToolRouterError as exc:
-        _fail(exc)
+    bank = load_bank(bank_path)
+    pool = CandidatePool.whole_bank(bank)
+    gateway = make_gateway(cfg)
+    router_cfg = RouterConfig(variant=variant, kind=bank.kind, chat_model_id=cfg.backend.chat_model)
+    log = run_episode(
+        task,
+        pool,
+        router_cfg,
+        ExecutorBinding.mock_for(pool),
+        GatewayReasoner(gateway, model_id=cfg.backend.chat_model),
+        gateway=gateway,
+        budget=budget,
+    )
+    if out_path:
+        save_episode_logs([log], out_path)
     click.echo(f"episode outcome: {log.outcome} in {len(log.steps)} steps")
 
 

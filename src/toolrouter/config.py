@@ -28,7 +28,6 @@ class BackendConfig:
     embed_dim: int = 64
     max_retries: int = 3
     max_chat_calls: int | None = None
-    cache: bool = False
 
 
 @dataclass
@@ -135,7 +134,6 @@ def make_gateway(cfg: PipelineConfig) -> Gateway:
             max_retries=backend.max_retries,
             backoff_s=0.0,
             max_chat_calls=backend.max_chat_calls,
-            cache=backend.cache,
         )
     return Gateway(
         chat_backend=HTTPChatBackend(
@@ -151,5 +149,4 @@ def make_gateway(cfg: PipelineConfig) -> Gateway:
         ),
         max_retries=backend.max_retries,
         max_chat_calls=backend.max_chat_calls,
-        cache=backend.cache,
     )

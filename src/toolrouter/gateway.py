@@ -1,17 +1,18 @@
 """Single choke point for chat-completion and text-embedding backends.
 
 All LLM traffic in the pipeline flows through :class:`Gateway`, which adds
-retries with exponential backoff, call budgets, usage accounting, and an
-optional response cache. Concrete backends live in :mod:`toolrouter.backends`.
+retries with exponential backoff, a chat call budget, usage accounting, and a
+per-text embedding memo. Chat replies are never cached: every pipeline chat
+call is sampled, and a retry must get a fresh draw. An embedding is a fixed
+function of the model and the text, so memoising it cannot change an answer.
+Concrete backends live in :mod:`toolrouter.backends`.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Protocol, Sequence, TypeVar
 
 from .errors import BudgetExceeded, DimensionMismatch, GatewayError, RetriesExhausted
@@ -42,19 +43,6 @@ class ChatRequest:
             raise ValueError("temperature must be >= 0")
         if self.max_tokens <= 0:
             raise ValueError("max_tokens must be positive")
-
-    def cache_key(self) -> str:
-        payload = json.dumps(
-            {
-                "messages": [[m.role, m.content] for m in self.messages],
-                "temperature": self.temperature,
-                "max_tokens": self.max_tokens,
-                "model_id": self.model_id,
-            },
-            sort_keys=True,
-            ensure_ascii=False,
-        )
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
 def user_request(content: str, *, system: str | None = None, **kwargs) -> ChatRequest:
@@ -110,14 +98,13 @@ class Gateway:
         max_retries: int = 3,
         backoff_s: float = 0.1,
         max_chat_calls: int | None = None,
-        cache: bool = False,
     ) -> None:
         self._chat = chat_backend
         self._embed = embedding_backend
         self._max_retries = max_retries
         self._backoff_s = backoff_s
         self._max_chat_calls = max_chat_calls
-        self._cache: dict[str, str] | None = {} if cache else None
+        self._embeddings: dict[str, EmbeddingVector] = {}  # one backend, so the text is the key
         self._lock = threading.Lock()
         self.usage = Usage()
 
@@ -136,12 +123,6 @@ class Gateway:
     def chat(self, request: ChatRequest) -> str:
         if self._chat is None:
             raise GatewayError("no chat backend configured")
-        if self._cache is not None:
-            key = request.cache_key()
-            with self._lock:
-                cached = self._cache.get(key)
-            if cached is not None:
-                return cached
         with self._lock:
             if self._max_chat_calls is not None and self.usage.chat_calls >= self._max_chat_calls:
                 raise BudgetExceeded(f"chat call budget of {self._max_chat_calls} exhausted")
@@ -151,28 +132,35 @@ class Gateway:
         with self._lock:
             self.usage.approx_tokens += sum(len(m.content) for m in request.messages) // 4
             self.usage.approx_tokens += len(text) // 4
-            if self._cache is not None:
-                self._cache[request.cache_key()] = text
         return text
 
     def embed_texts(self, texts: Sequence[str]) -> list[EmbeddingVector]:
+        """Embed ``texts`` in order, sending only texts not embedded before.
+
+        The distinct new texts go to the backend in one call; they are
+        memoised only once every returned vector has the backend's dim.
+        """
         if self._embed is None:
             raise GatewayError("no embedding backend configured")
         if not texts:
             raise ValueError("embed_texts requires at least one text")
-
-        raw = self._call_with_retries("embedding", self._embed.embed, list(texts))
-        if len(raw) != len(texts):
-            raise DimensionMismatch(f"backend returned {len(raw)} vectors for {len(texts)} texts")
-        dim = len(raw[0])
-        vectors: list[EmbeddingVector] = []
-        for values in raw:
-            if len(values) != dim:
-                raise DimensionMismatch(f"inconsistent embedding dims: {len(values)} vs {dim}")
-            vectors.append(EmbeddingVector(values=tuple(float(v) for v in values), model_id=self._embed.model_id))
         with self._lock:
-            self.usage.embed_calls += 1
-        return vectors
+            missing = list(dict.fromkeys(text for text in texts if text not in self._embeddings))
+        if missing:
+            raw = self._call_with_retries("embedding", self._embed.embed, missing)
+            if len(raw) != len(missing):
+                raise DimensionMismatch(f"backend returned {len(raw)} vectors for {len(missing)} texts")
+            dim, model_id = self._embed.dim, self._embed.model_id
+            vectors: list[EmbeddingVector] = []
+            for values in raw:
+                if len(values) != dim:
+                    raise DimensionMismatch(f"backend returned a {len(values)}-d embedding, expected {dim}")
+                vectors.append(EmbeddingVector(values=tuple(float(v) for v in values), model_id=model_id))
+            with self._lock:
+                self._embeddings.update(zip(missing, vectors))
+                self.usage.embed_calls += 1
+        with self._lock:
+            return [self._embeddings[text] for text in texts]
 
     def embed_text(self, text: str) -> EmbeddingVector:
         return self.embed_texts([text])[0]

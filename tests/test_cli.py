@@ -128,6 +128,19 @@ def test_usage_errors_exit_2(workspace):
         main, ["evaluate", "--dataset", bank_path, "--router", "not_a_router"]
     )
     assert bad_choice.exit_code == 2
+    out = str(tmp_path / "out.jsonl")
+    out_of_range = [
+        ["mutate", "--graph", bank_path, "--rounds", "-1", "--out", out],
+        ["sample", "--graph", bank_path, "--count", "-1", "--out", out],
+        ["synthesize", "--graph", bank_path, "--count", "-1", "--out", out],
+        ["evaluate", "--dataset", bank_path, "--router", "oracle", "--k", "0"],
+        ["lra-run", "--bank", bank_path, "--task", "t", "--budget", "0"],
+    ]
+    for args in out_of_range:
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, (args, result.output)
+        assert "Invalid value" in result.output
+    assert not (tmp_path / "out.jsonl").exists()
 
 
 def test_data_errors_exit_1(workspace, tmp_path):

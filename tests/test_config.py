@@ -1,9 +1,10 @@
 """Typed config loading: the documented example and the stage sections."""
 
 import re
+from dataclasses import fields
 from pathlib import Path
 
-from toolrouter.config import STAGE_KEYS, load_config
+from toolrouter.config import STAGE_KEYS, BackendConfig, PipelineConfig, load_config
 from toolrouter.mutation import EvolveConfig
 from toolrouter.router import RouterConfig
 from toolrouter.sampler import SamplerConfig
@@ -35,3 +36,21 @@ def test_every_section_key_reaches_its_dataclass(tmp_path):
     assert cfg.synthesis == SynthesisConfig(max_retries=3, max_turns=13, error_prob=0.4, temperature=0.5)
     assert cfg.eval == RouterConfig(temperature=0.7)
     assert sum(len(keys) for _cls, keys in STAGE_KEYS.values()) == 12
+
+
+def test_readme_config_table_lists_exactly_the_settable_keys():
+    settable = {
+        "top level": {f.name for f in fields(PipelineConfig)} - {"backend", *STAGE_KEYS},
+        "backend": {f.name for f in fields(BackendConfig)},
+        **{name: set(keys) for name, (_cls, keys) in STAGE_KEYS.items()},
+    }
+    table = re.search(r"\| section \| keys \|\n\|---\|---\|\n((?:\|.*\|\n)+)", README.read_text(encoding="utf-8"))
+    assert table is not None, "README has no config key table"
+    listed = {}
+    for row in table.group(1).splitlines():
+        section, keys = (cell.strip() for cell in row.strip("|").split("|"))
+        # each key opens a comma-separated entry; its default follows in parentheses
+        entries = re.sub(r"\([^)]*\)", "", keys).split(",")
+        listed[section.strip("`")] = {m.group(1) for m in (re.match(r"\s*`(\w+)`", e) for e in entries) if m}
+    assert listed == settable
+    assert sum(map(len, settable.values())) == 23

@@ -1,4 +1,4 @@
-"""Gateway retry/budget/cache behavior and the deterministic mock backends."""
+"""Gateway retries, budget and embedding memo, and the deterministic mock backends."""
 
 import json
 import math
@@ -109,13 +109,13 @@ class FakeSession:
 HTTP_CALLS = {
     "chat": (
         lambda: HTTPChatBackend("http://127.0.0.1:9/v1/", "chat-model", timeout_s=5.0),
-        lambda gateway: gateway.chat(user_request("hello")),
+        lambda gateway, text="hello": gateway.chat(user_request(text)),
         {"choices": [{"message": {"content": "hi there"}}]},
         "hi there",
     ),
     "embedding": (
         lambda: HTTPEmbeddingBackend("http://127.0.0.1:9/v1/", "embed-model", dim=2, timeout_s=5.0),
-        lambda gateway: [vector.values for vector in gateway.embed_texts(["hello"])],
+        lambda gateway, text="hello": [vector.values for vector in gateway.embed_texts([text])],
         {"data": [{"embedding": [0.6, 0.8]}]},
         [(0.6, 0.8)],
     ),
@@ -145,7 +145,7 @@ def test_http_backend_posts_through_one_session(fake_session, monkeypatch, what)
     monkeypatch.setattr(fake_session, "body", body)
     gateway = _http_gateway(what)
     assert call(gateway) == expected
-    assert call(gateway) == expected
+    assert call(gateway, "hello again") == expected  # a new text, so the memo does not answer it
     (session,) = fake_session.instances
     assert session.headers["Authorization"] == "Bearer sekrit"
     assert len(session.posts) == 2
@@ -174,15 +174,14 @@ def test_chat_budget_enforced():
         gateway.chat(user_request("two"))
 
 
-def test_chat_cache_hits_do_not_consume_budget():
+def test_chat_is_never_cached():
     backend = FlakyChat(fail_times=0)
-    gateway = Gateway(chat_backend=backend, max_chat_calls=1, cache=True, backoff_s=0.0)
-    request = user_request("same text")
-    first = gateway.chat(request)
-    second = gateway.chat(request)
-    assert first == second == "ok"
-    assert backend.calls == 1
-    assert gateway.usage.chat_calls == 1
+    gateway = Gateway(chat_backend=backend, backoff_s=0.0)
+    request = user_request("same text", temperature=0.8)
+    gateway.chat(request)
+    gateway.chat(request)
+    assert backend.calls == 2
+    assert gateway.usage.chat_calls == 2
 
 
 def test_usage_tracks_approx_tokens():
@@ -206,6 +205,73 @@ def test_embed_retries_and_all_or_error():
     gateway = Gateway(embedding_backend=ragged, backoff_s=0.0)
     with pytest.raises(DimensionMismatch):
         gateway.embed_texts(["a", "b"])
+
+
+class CountingEmbed:
+    """Embeds a text as (len(text), 1.0) and records every batch it is sent."""
+
+    model_id = "counting-embed"
+    dim = 2
+
+    def __init__(self) -> None:
+        self.batches: list[list[str]] = []
+
+    def embed(self, texts):
+        self.batches.append(list(texts))
+        return [[float(len(text)), 1.0] for text in texts]
+
+
+def test_embed_memo_sends_each_distinct_text_once():
+    backend = CountingEmbed()
+    gateway = Gateway(embedding_backend=backend, backoff_s=0.0)
+    gateway.embed_texts(["bb", "a", "bb", "ccc", "a"])
+    gateway.embed_texts(["ccc", "dddd", "a", "dddd"])
+    gateway.embed_texts(["bb"])
+    assert backend.batches == [["bb", "a", "ccc"], ["dddd"]]
+    assert gateway.usage.embed_calls == 2
+
+
+def test_embed_memo_returns_vectors_in_input_order():
+    gateway = Gateway(embedding_backend=CountingEmbed(), backoff_s=0.0)
+    gateway.embed_texts(["ccc", "a"])
+    texts = ["a", "dddd", "ccc", "a", "bb"]
+    vectors = gateway.embed_texts(texts)
+    assert [vector.values for vector in vectors] == [(float(len(text)), 1.0) for text in texts]
+    assert {vector.model_id for vector in vectors} == {"counting-embed"}
+
+
+@pytest.mark.parametrize(
+    "backend, error",
+    [
+        (FlakyEmbed(fail_times=99), RetriesExhausted),
+        (FlakyEmbed(fail_times=0, rows=[[0.0, 1.0]]), DimensionMismatch),
+        (FlakyEmbed(fail_times=0, rows=[[1.0, 0.0], [1.0]]), DimensionMismatch),
+    ],
+    ids=["retries-exhausted", "short-reply", "ragged-reply"],
+)
+def test_failed_embed_call_memoises_nothing(backend, error):
+    gateway = Gateway(embedding_backend=backend, max_retries=1, backoff_s=0.0)
+    with pytest.raises(error):
+        gateway.embed_texts(["a", "b"])
+    backend.fail_times, backend.rows = 0, None
+    calls = backend.calls
+    assert [vector.values for vector in gateway.embed_texts(["a", "b"])] == [(1.0, 0.0), (1.0, 0.0)]
+    assert backend.calls == calls + 1  # both texts went to the backend again
+    gateway.embed_texts(["b", "a"])
+    assert backend.calls == calls + 1  # the successful call memoised them
+
+
+def test_embedding_of_the_wrong_dim_raises():
+    class ShortRows:
+        model_id = "short-rows"
+        dim = 3
+
+        def embed(self, texts):
+            return [[1.0, 0.0] for _ in texts]
+
+    gateway = Gateway(embedding_backend=ShortRows(), backoff_s=0.0)
+    with pytest.raises(DimensionMismatch, match="2-d embedding, expected 3"):
+        gateway.embed_texts(["a"])
 
 
 def test_mock_embedder_unit_norm_and_determinism():

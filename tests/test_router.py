@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import make_tool_bank, mock_gateway
 from toolrouter.gateway import Gateway, TransientBackendError
-from toolrouter.registry import CandidateBank, CandidatePool, validate_spec
+from toolrouter.backends import MockEmbeddingBackend
+from toolrouter.registry import CandidateBank, CandidatePool, serialize_phi, validate_spec
 from toolrouter.router import RouterConfig, embedding_route, llm_route, parse_decision, route
 from toolrouter.synthesis import Action, Observation
 
@@ -80,6 +81,26 @@ def test_embedding_route_scale_invariance():
     first = embedding_route(gateway, "archive the email threads", (), POOL, "q")
     second = embedding_route(mock_gateway(0), "archive the email threads", (), POOL, "q")
     assert first == second
+
+
+def test_embedding_route_embeds_each_pool_text_once():
+    class CountingMock(MockEmbeddingBackend):
+        def __init__(self) -> None:
+            super().__init__(seed=0)
+            self.sent: list[str] = []
+
+        def embed(self, texts):
+            self.sent.extend(texts)
+            return super().embed(texts)
+
+    backend = CountingMock()
+    gateway = Gateway(embedding_backend=backend, backoff_s=0.0)
+    first = embedding_route(gateway, "archive the email threads", (), POOL, "q")
+    second = embedding_route(gateway, "summarize the support tickets", (), POOL, "q")
+    phi_texts = [serialize_phi(spec) for spec in POOL.specs()]
+    assert sorted(backend.sent) == sorted(phi_texts + ["archive the email threads", "summarize the support tickets"])
+    assert first == embedding_route(mock_gateway(0), "archive the email threads", (), POOL, "q")
+    assert second == embedding_route(mock_gateway(0), "summarize the support tickets", (), POOL, "q")
 
 
 def divergence_fixture():
