@@ -15,6 +15,8 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Protocol, Sequence, TypeVar
 
+import numpy as np
+
 from .errors import BudgetExceeded, DimensionMismatch, GatewayError, RetriesExhausted
 
 T = TypeVar("T")
@@ -53,10 +55,19 @@ def user_request(content: str, *, system: str | None = None, **kwargs) -> ChatRe
     return ChatRequest(messages=tuple(messages), **kwargs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EmbeddingVector:
-    values: tuple[float, ...]
+    """One embedding: a read-only 1-D float64 row built from any flat float sequence."""
+
+    values: np.ndarray
     model_id: str
+
+    def __post_init__(self) -> None:
+        values = np.array(self.values, dtype=np.float64)
+        if values.ndim != 1 or not np.isfinite(values).all():
+            raise ValueError(f"an embedding must be a flat sequence of finite floats, got shape {values.shape}")
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
 
     @property
     def dim(self) -> int:
@@ -151,11 +162,10 @@ class Gateway:
             if len(raw) != len(missing):
                 raise DimensionMismatch(f"backend returned {len(raw)} vectors for {len(missing)} texts")
             dim, model_id = self._embed.dim, self._embed.model_id
-            vectors: list[EmbeddingVector] = []
             for values in raw:
                 if len(values) != dim:
                     raise DimensionMismatch(f"backend returned a {len(values)}-d embedding, expected {dim}")
-                vectors.append(EmbeddingVector(values=tuple(float(v) for v in values), model_id=model_id))
+            vectors = [EmbeddingVector(values=row, model_id=model_id) for row in np.array(raw, dtype=np.float64)]
             with self._lock:
                 self._embeddings.update(zip(missing, vectors))
                 self.usage.embed_calls += 1

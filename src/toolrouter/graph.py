@@ -29,7 +29,7 @@ from .errors import (
     ZeroVector,
 )
 from .gateway import EmbeddingVector, Gateway
-from .registry import CandidateBank, CandidateSpec, serialize_phi, validate_spec
+from .registry import CandidateBank, CandidateSpec, validate_spec
 
 DEFAULT_TAU = 0.82
 # The screen keeps pairs above tau - SCREEN_MARGIN; the float64 rounding gap
@@ -65,12 +65,6 @@ class Edge:
             raise ValueError("self-edges are not allowed")
         a, b = (x, y) if x < y else (y, x)
         return Edge(a=a, b=b, kind=kind, weight=weight)
-
-    def touches(self, name: str) -> bool:
-        return self.a == name or self.b == name
-
-    def other(self, name: str) -> str:
-        return self.b if self.a == name else self.a
 
 
 @dataclass(frozen=True)
@@ -122,7 +116,7 @@ def cosine_similarity(h_i: EmbeddingVector, h_j: EmbeddingVector) -> float:
     dot = 0.0
     norm_i = 0.0
     norm_j = 0.0
-    for x, y in zip(h_i.values, h_j.values):
+    for x, y in zip(h_i.values.tolist(), h_j.values.tolist()):
         dot += x * y
         norm_i += x * x
         norm_j += y * y
@@ -169,8 +163,7 @@ def build_graph(bank: CandidateBank, cfg: GraphConfig, gateway: Gateway) -> Cand
     """Embed every candidate's canonical text and connect pairs above tau."""
     if len(bank) == 0:
         raise EmptyBank("cannot build a graph from an empty bank")
-    texts = [serialize_phi(spec) for spec in bank]
-    embeddings = gateway.embed_texts(texts)
+    embeddings = gateway.embed_texts([spec.phi for spec in bank])
     nodes = {
         spec.name: GraphNode(spec=spec, embedding=embedding)
         for spec, embedding in zip(bank, embeddings)
@@ -214,7 +207,7 @@ def _snapshot_records(graph: CandidateGraph) -> Iterator[dict]:
                 "name": name,
                 "kind": node.spec.kind,
                 "spec": node.spec.to_dict(),
-                "embedding": list(node.embedding.values),
+                "embedding": node.embedding.values.tolist(),
                 "embedding_model_id": node.embedding.model_id,
             }
         }
@@ -248,9 +241,7 @@ def load_graph(path: str | Path) -> CandidateGraph:
                 if raw["name"] in nodes:
                     raise ValueError(f"duplicate node {raw['name']!r}")
                 spec = validate_spec(raw["spec"], raw["kind"])
-                embedding = EmbeddingVector(
-                    values=tuple(map(float, raw["embedding"])), model_id=raw["embedding_model_id"]
-                )
+                embedding = EmbeddingVector(values=raw["embedding"], model_id=raw["embedding_model_id"])
                 nodes[raw["name"]] = GraphNode(spec=spec, embedding=embedding)
             elif "edge" in record:
                 raw = record["edge"]
@@ -269,6 +260,13 @@ def load_graph(path: str | Path) -> CandidateGraph:
         if edge.a not in nodes or edge.b not in nodes:
             missing = edge.a if edge.a not in nodes else edge.b
             raise ParseError(f"{path}:{lineno}", f"edge names a missing node {missing!r}")
+    for name, node in nodes.items():
+        parent = node.spec.provenance.parent_name
+        if parent is not None and parent not in nodes:
+            raise ParseError(str(path), f"mutant {name!r} names a missing parent {parent!r}")
+    model_ids = sorted({node.embedding.model_id for node in nodes.values()})
+    if len(model_ids) > 1:
+        raise ParseError(str(path), f"node embeddings come from more than one model: {model_ids}")
     dims = sorted({node.embedding.dim for node in nodes.values()})
     if len(dims) > 1:
         raise DimensionMismatch(f"{path}: node embeddings have dims {dims}")

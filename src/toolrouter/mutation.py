@@ -31,7 +31,7 @@ from .errors import (
 )
 from .gateway import ChatRequest, Gateway, user_request
 from .graph import CandidateGraph, add_mutant
-from .registry import CandidateSpec, ToolSpec, as_mutant, public_spec, serialize_phi, validate_spec
+from .registry import CandidateSpec, ToolSpec, as_mutant, public_spec, validate_spec
 
 
 class MutationOperator(Enum):
@@ -291,7 +291,7 @@ def evolve(graph: CandidateGraph, rounds: int, cfg: EvolveConfig, gateway: Gatew
                 return result
             try:
                 mutant = parse_mutant(raw_response, kind, parent_spec, op)
-                embedding = gateway.embed_text(serialize_phi(mutant))
+                embedding = gateway.embed_text(mutant.phi)
                 graph = add_mutant(graph, parent_name, mutant, embedding)
                 record = MutationRecord(
                     parent=parent_name,

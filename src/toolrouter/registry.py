@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Union
 
@@ -54,6 +55,10 @@ class ToolSpec:
 
     kind = "tool"
 
+    @cached_property
+    def phi(self) -> str:
+        return serialize_phi(self)
+
     def to_dict(self) -> dict[str, Any]:
         return {
             "name": self.name,
@@ -74,6 +79,10 @@ class AgentSpec:
     provenance: Provenance = field(default_factory=Provenance)
 
     kind = "agent"
+
+    @cached_property
+    def phi(self) -> str:
+        return serialize_phi(self)
 
     def to_dict(self) -> dict[str, Any]:
         return {

@@ -16,8 +16,8 @@ from typing import Sequence
 
 from .errors import BadConfig, GatewayError
 from .gateway import ChatMessage, ChatRequest, Gateway
-from .graph import cosine_similarity
-from .registry import CandidatePool, serialize_phi
+from .graph import SCREEN_MARGIN, _unit_rows, cosine_similarity
+from .registry import CandidatePool
 from .supervision import render_prompt, serialize_history
 from .synthesis import Turn
 
@@ -27,7 +27,6 @@ VARIANTS = ("embedding_q", "embedding_qh", "llm", "oracle", "random")
 @dataclass(frozen=True)
 class RouterDecision:
     chosen: str | None
-    ranking: tuple[tuple[str, float], ...] = ()
     rationale: str | None = None
     abstained: bool = False
 
@@ -97,7 +96,8 @@ def embedding_route(
 
     mode "q" embeds the query alone; "q_plus_h" prefixes the serialized
     history (truncated from the oldest turn when over the input limit).
-    Ties break toward the lexicographically smallest name.
+    One mat-vec screens the pool, the scalar cosine decides the candidates
+    within SCREEN_MARGIN of the best, and ties go to the smallest name.
     """
     if mode not in ("q", "q_plus_h"):
         raise ValueError(f"unknown embedding mode: {mode!r}")
@@ -109,16 +109,14 @@ def embedding_route(
     else:
         request_text = query
     try:
-        vectors = gateway.embed_texts([request_text] + [serialize_phi(s) for s in pool.specs()])
+        vectors = gateway.embed_texts([request_text] + [spec.phi for spec in pool.specs()])
     except GatewayError as exc:
         return _abstain(f"gateway error: {exc}")
-    query_vec = vectors[0]
-    scores = [
-        (name, cosine_similarity(query_vec, vec))
-        for name, vec in zip(pool.membership, vectors[1:])
-    ]
-    ranking = tuple(sorted(scores, key=lambda item: (-item[1], item[0])))
-    return RouterDecision(chosen=ranking[0][0], ranking=ranking)
+    unit = _unit_rows(vectors)
+    screen = unit[1:] @ unit[0]
+    band = (screen >= screen.max() - SCREEN_MARGIN).nonzero()[0].tolist()
+    best = min(band, key=lambda i: (-cosine_similarity(vectors[0], vectors[i + 1]), pool.membership[i]))
+    return RouterDecision(chosen=pool.membership[best])
 
 
 def llm_route(
@@ -140,9 +138,7 @@ def llm_route(
     except GatewayError as exc:
         return _abstain(f"gateway error: {exc}")
     chosen = parse_decision(reply, pool)
-    if chosen is None:
-        return RouterDecision(chosen=None, rationale=reply, abstained=True)
-    return RouterDecision(chosen=chosen, ranking=((chosen, 1.0),), rationale=reply)
+    return RouterDecision(chosen=chosen, rationale=reply, abstained=chosen is None)
 
 
 def route(
@@ -162,13 +158,7 @@ def route(
         if cfg.variant == "oracle":
             if oracle_label is None or oracle_label not in pool.membership:
                 return _abstain("oracle has no planted label for this instance")
-            ranking = tuple(
-                sorted(
-                    ((name, 1.0 if name == oracle_label else 0.0) for name in pool.membership),
-                    key=lambda item: (-item[1], item[0]),
-                )
-            )
-            return RouterDecision(chosen=oracle_label, ranking=ranking)
+            return RouterDecision(chosen=oracle_label)
         if cfg.variant == "random":
             chooser = rng if rng is not None else random.Random(cfg.rng_seed)
             return RouterDecision(chosen=chooser.choice(sorted(pool.membership)))

@@ -189,6 +189,8 @@ def simulate_trajectory(
     Raises Discarded when the simulation violates any trajectory invariant;
     the caller drops the sample.
     """
+    if 2 * len(plan.steps) + 2 > cfg.max_turns:  # the finished trajectory could never fit
+        raise Discarded("over length")
     rng = random.Random(derive_seed(cfg.rng_seed, trajectory_id))
     turns: list[Turn] = [Observation(text=plan.task_text)]
     plan_json = json.dumps(
@@ -257,8 +259,6 @@ def simulate_trajectory(
     for step in plan.steps:
         turns.append(assistant_action(step))
         turns.append(user_feedback())
-        if len(turns) + 1 > cfg.max_turns:
-            raise Discarded("over length")
     turns.append(assistant_action(None))
 
     trajectory = Trajectory(

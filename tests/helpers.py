@@ -113,15 +113,25 @@ def corrupt_snapshot(lines: list[str], case: str) -> list[str]:
         edges[0]["edge"]["a"], edges[0]["edge"]["b"] = edges[0]["edge"]["b"], edges[0]["edge"]["a"]
     elif case == "mixed embedding dims":
         nodes[0]["node"]["embedding"] = nodes[0]["node"]["embedding"][:-1]
+    elif case == "mutant with a missing parent":
+        provenance = {"origin": "mutant", "parent_name": "zzz_missing", "operator": "paraphrase"}
+        nodes[0]["node"]["spec"]["provenance"] = provenance
+    elif case == "mixed embedding models":
+        nodes[0]["node"]["embedding_model_id"] = "other-embed"
+    elif case == "nested embedding":
+        nodes[0]["node"]["embedding"] = [nodes[0]["node"]["embedding"]]
     return [json.dumps(r) for r in records]
 
 
-# corrupt_snapshot case -> the typed error load_graph raises for it
+# corrupt_snapshot case -> (the typed error load_graph raises for it, a phrase of its message)
 BROKEN_SNAPSHOTS = {
-    "node without embedding": ParseError,
-    "edge to a missing node": ParseError,
-    "edge with a >= b": ParseError,
-    "mixed embedding dims": DimensionMismatch,
+    "node without embedding": (ParseError, "missing field"),
+    "edge to a missing node": (ParseError, "missing node"),
+    "edge with a >= b": (ParseError, "a < b"),
+    "mixed embedding dims": (DimensionMismatch, "dims"),
+    "mutant with a missing parent": (ParseError, "missing parent"),
+    "mixed embedding models": (ParseError, "more than one model"),
+    "nested embedding": (ParseError, "flat sequence"),
 }
 
 

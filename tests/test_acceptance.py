@@ -191,7 +191,7 @@ def test_criterion_3_mutation_forest(tmp_path):
         # exactly one parent edge per mutant
         parent_edges = [
             e for e in mutation_edges
-            if e.touches(name) and graph.nodes[e.other(name)].spec.provenance.parent_name != name
+            if name in (e.a, e.b) and graph.nodes[e.b if e.a == name else e.a].spec.provenance.parent_name != name
         ]
         assert len(parent_edges) == 1
         # reachable from a seed by walking provenance up the mutation forest

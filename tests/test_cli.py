@@ -185,6 +185,7 @@ def test_broken_snapshot_exits_1(workspace, case):
         ["synthesize", "--config", config_path, "--graph", str(graph_path), "--out", str(tmp_path / "t.jsonl")]
     )
     one_error_line(result)
+    assert BROKEN_SNAPSHOTS[case][1] in result.output
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 import requests
 
@@ -15,7 +16,7 @@ from toolrouter.backends import (
     StaticEmbeddingBackend,
 )
 from toolrouter.errors import BackendUnavailable, BudgetExceeded, DimensionMismatch, RetriesExhausted
-from toolrouter.gateway import ChatMessage, ChatRequest, Gateway, TransientBackendError, user_request
+from toolrouter.gateway import ChatMessage, ChatRequest, EmbeddingVector, Gateway, TransientBackendError, user_request
 from toolrouter import prompts
 
 
@@ -115,7 +116,7 @@ HTTP_CALLS = {
     ),
     "embedding": (
         lambda: HTTPEmbeddingBackend("http://127.0.0.1:9/v1/", "embed-model", dim=2, timeout_s=5.0),
-        lambda gateway, text="hello": [vector.values for vector in gateway.embed_texts([text])],
+        lambda gateway, text="hello": [tuple(vector.values.tolist()) for vector in gateway.embed_texts([text])],
         {"data": [{"embedding": [0.6, 0.8]}]},
         [(0.6, 0.8)],
     ),
@@ -236,7 +237,7 @@ def test_embed_memo_returns_vectors_in_input_order():
     gateway.embed_texts(["ccc", "a"])
     texts = ["a", "dddd", "ccc", "a", "bb"]
     vectors = gateway.embed_texts(texts)
-    assert [vector.values for vector in vectors] == [(float(len(text)), 1.0) for text in texts]
+    assert [tuple(vector.values.tolist()) for vector in vectors] == [(float(len(text)), 1.0) for text in texts]
     assert {vector.model_id for vector in vectors} == {"counting-embed"}
 
 
@@ -255,7 +256,7 @@ def test_failed_embed_call_memoises_nothing(backend, error):
         gateway.embed_texts(["a", "b"])
     backend.fail_times, backend.rows = 0, None
     calls = backend.calls
-    assert [vector.values for vector in gateway.embed_texts(["a", "b"])] == [(1.0, 0.0), (1.0, 0.0)]
+    assert [tuple(vector.values.tolist()) for vector in gateway.embed_texts(["a", "b"])] == [(1.0, 0.0), (1.0, 0.0)]
     assert backend.calls == calls + 1  # both texts went to the backend again
     gateway.embed_texts(["b", "a"])
     assert backend.calls == calls + 1  # the successful call memoised them
@@ -329,4 +330,24 @@ def test_mock_chat_rejects_unknown_prompt_kind():
 
 def test_mock_gateway_helper_is_deterministic():
     text = "the same embedding text"
-    assert mock_gateway(3).embed_text(text) == mock_gateway(3).embed_text(text)
+    first, second = mock_gateway(3).embed_text(text), mock_gateway(3).embed_text(text)
+    assert first.values.tolist() == second.values.tolist() and first.model_id == second.model_id
+
+
+def test_embedding_vector_is_a_read_only_float64_row():
+    vector = EmbeddingVector((1, 2.5, -3), "m")
+    assert vector.values.dtype == np.float64 and vector.values.shape == (3,) and vector.dim == 3
+    assert vector.values.tolist() == [1.0, 2.5, -3.0]
+    with pytest.raises(ValueError):
+        vector.values[0] = 9.0
+    assert vector.values.tolist() == [1.0, 2.5, -3.0]
+
+
+@pytest.mark.parametrize(
+    "values",
+    [[[0.6, 0.8]], [[0.6], [0.8]], 0.6, [0.6, None], [0.6, float("nan")]],
+    ids=["nested-row", "column", "scalar", "null", "nan"],
+)
+def test_embedding_vector_rejects_non_flat_or_non_finite_values(values):
+    with pytest.raises(ValueError):
+        EmbeddingVector(values, "m")

@@ -58,7 +58,6 @@ def test_cosine_error_cases():
 def test_edge_canonical_storage():
     edge = Edge.make("zz", "aa", "similarity", weight=0.9)
     assert (edge.a, edge.b) == ("aa", "zz")
-    assert edge.other("aa") == "zz" and edge.touches("zz")
     with pytest.raises(ValueError):
         Edge(a="b", b="a", kind="similarity")
     with pytest.raises(ValueError):
@@ -164,7 +163,9 @@ def test_snapshot_roundtrip_and_byte_stability(tmp_path):
 
 def scanned_neighbors(graph, name):
     """Reference: scan every edge."""
-    return sorted((edge.other(name), edge.kind) for edge in graph.edges if edge.touches(name))
+    return sorted(
+        (edge.b if edge.a == name else edge.a, edge.kind) for edge in graph.edges if name in (edge.a, edge.b)
+    )
 
 
 def tool(name):
@@ -271,7 +272,8 @@ def test_load_graph_rejects_broken_snapshots(tmp_path, case):
     path = tmp_path / "graph.jsonl"
     save_graph(build_graph(make_tool_bank(12), GraphConfig(tau=0.5), mock_gateway(0)), path)
     path.write_text("\n".join(corrupt_snapshot(path.read_text().splitlines(), case)) + "\n")
-    with pytest.raises(BROKEN_SNAPSHOTS[case]) as info:
+    error, phrase = BROKEN_SNAPSHOTS[case]
+    with pytest.raises(error, match=phrase) as info:
         load_graph(path)
     if case == "node without embedding":
         assert f"{path}:2" in str(info.value)

@@ -5,9 +5,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import make_tool_bank, mock_gateway
+from helpers import make_tool_bank, make_tool_doc, mock_gateway
+from toolrouter import registry
 from toolrouter.gateway import Gateway, TransientBackendError
-from toolrouter.backends import MockEmbeddingBackend
+from toolrouter.backends import MockEmbeddingBackend, StaticEmbeddingBackend
+from toolrouter.graph import cosine_similarity
 from toolrouter.registry import CandidateBank, CandidatePool, serialize_phi, validate_spec
 from toolrouter.router import RouterConfig, embedding_route, llm_route, parse_decision, route
 from toolrouter.synthesis import Action, Observation
@@ -61,17 +63,50 @@ def test_parse_decision_total_and_pool_closed(text):
     assert result is None or result in POOL.membership
 
 
-def test_embedding_route_ranking_and_tie_break():
+def scalar_reference(gateway, query, pool):
+    """The smallest name among the maximal scalar cosines."""
+    query_vec = gateway.embed_text(query)
+    scores = {
+        spec.name: cosine_similarity(query_vec, gateway.embed_text(serialize_phi(spec))) for spec in pool.specs()
+    }
+    best = max(scores.values())
+    return min(name for name, score in scores.items() if score == best)
+
+
+def test_embedding_route_matches_scalar_reference():
+    bank = make_tool_bank(40)
+    pools = [CandidatePool.whole_bank(bank), CandidatePool(bank=bank, membership=tuple(reversed(bank.names())))]
+    for query in ["summarize the support tickets", "archive the email threads", "diff code"]:
+        for pool in pools:
+            decision = embedding_route(mock_gateway(0), query, (), pool, "q")
+            assert decision.chosen == scalar_reference(mock_gateway(0), query, pool)
+
+
+def test_embedding_route_exact_tie_goes_to_smallest_name():
+    names = ["b_tie", "a_tie", "c_far"]
+    specs = {name: validate_spec({**make_tool_doc(i), "name": name}, "tool") for i, name in enumerate(names)}
+    vectors = {"b_tie": (0.6, 0.8), "a_tie": (0.6, 0.8), "c_far": (0.8, 0.6)}
+    mapping = {serialize_phi(spec): vectors[name] for name, spec in specs.items()}
+    mapping["query"] = (0.0, 1.0)
+    bank = CandidateBank(kind="tool", entries=tuple(specs.values()))
+    pool = CandidatePool(bank=bank, membership=("c_far", "b_tie", "a_tie"))  # the smaller name comes last
+    gateway = Gateway(embedding_backend=StaticEmbeddingBackend(mapping, dim=2), backoff_s=0.0)
+    assert embedding_route(gateway, "query", (), pool, "q").chosen == "a_tie"
+
+
+def test_embedding_route_renders_each_phi_text_once(monkeypatch):
+    calls = []
+
+    def counting_serialize_phi(spec):
+        calls.append(spec.name)
+        return serialize_phi(spec)
+
+    monkeypatch.setattr(registry, "serialize_phi", counting_serialize_phi)
+    pool = CandidatePool.whole_bank(make_tool_bank(6))  # fresh specs, nothing rendered yet
     gateway = mock_gateway(0)
-    decision = embedding_route(gateway, "summarize the support tickets", (), POOL, "q")
-    assert decision.chosen == decision.ranking[0][0]
-    assert len(decision.ranking) == len(POOL)
-    scores = [score for _, score in decision.ranking]
-    assert scores == sorted(scores, reverse=True)
-    # exact ties order by name
-    for (name_a, score_a), (name_b, score_b) in zip(decision.ranking, decision.ranking[1:]):
-        if score_a == score_b:
-            assert name_a < name_b
+    for query in ["archive the email threads", "summarize the support tickets", "archive the email threads"]:
+        embedding_route(gateway, query, (), pool, "q")
+    assert sorted(calls) == sorted(pool.membership)
 
 
 def test_embedding_route_scale_invariance():
@@ -182,7 +217,6 @@ def test_route_oracle():
     cfg = RouterConfig(variant="oracle")
     decision = route(cfg, "q", (), POOL, oracle_label=NAMES[3])
     assert decision.chosen == NAMES[3]
-    assert decision.ranking[0] == (NAMES[3], 1.0)
     assert route(cfg, "q", (), POOL, oracle_label=None).abstained
     assert route(cfg, "q", (), POOL, oracle_label="missing").abstained
 

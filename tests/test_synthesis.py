@@ -106,6 +106,18 @@ def test_simulation_discards_over_length(env):
         simulate_trajectory(plan, subset, specs, gateway, SynthesisConfig(max_turns=12))
 
 
+def test_over_length_plan_is_discarded_before_any_chat_call(env):
+    _, graph, specs = env
+    subset = subset_of(graph.names()[:2])
+    plan = propose_task(subset, specs, mock_gateway(0))
+    fits = 2 * len(plan.steps) + 2
+    gateway = mock_gateway(0)
+    with pytest.raises(Discarded, match="over length"):
+        simulate_trajectory(plan, subset, specs, gateway, SynthesisConfig(rng_seed=1, max_turns=fits - 1))
+    assert gateway.usage.chat_calls == 0
+    trajectory = simulate_trajectory(plan, subset, specs, gateway, SynthesisConfig(rng_seed=1, max_turns=fits))
+    assert len(trajectory.turns) == fits and gateway.usage.chat_calls > 0
+
 def test_validate_trajectory_violations(env):
     _, graph, specs = env
     names = graph.names()
