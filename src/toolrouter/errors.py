@@ -81,6 +81,10 @@ class DimensionMismatch(GatewayError):
     pass
 
 
+class MalformedEmbedding(GatewayError):
+    """A backend returned something other than a list of flat, finite numeric rows."""
+
+
 # --- graph ----------------------------------------------------------------------
 
 

@@ -8,6 +8,7 @@ members under every setting.
 
 from __future__ import annotations
 
+import json
 import random
 from dataclasses import dataclass, field
 from enum import Enum
@@ -113,6 +114,15 @@ def _record_pool(record: DatasetRecord) -> CandidatePool:
     return CandidatePool.whole_bank(bank)
 
 
+def _pool_key(record: DatasetRecord) -> str:
+    """The record's kind and inline pool as JSON text: two keys are equal only
+    for the same documents with the same key order."""
+    try:
+        return json.dumps([record.kind, record.pool_specs])
+    except (TypeError, ValueError) as exc:
+        raise SpecError(f"pool is not JSON: {exc}") from exc
+
+
 def evaluate(
     router: RouterConfig,
     dataset: Sequence[DatasetRecord],
@@ -131,11 +141,15 @@ def evaluate(
         raise ValueError("dataset is empty")
 
     pools: list[CandidatePool] = []
+    built: dict[str, CandidatePool] = {}  # one build per distinct inline pool
     for record in dataset:
         try:
-            pools.append(build_pool(_record_pool(record), setting))
+            key = _pool_key(record)
+            if key not in built:
+                built[key] = build_pool(_record_pool(record), setting)
         except (SpecError, ValidationError) as exc:
             raise ValidationError(record.label, f"dataset record unusable: {exc}") from exc
+        pools.append(built[key])
 
     per_run: list[float] = []
     group_totals: dict[str, float] = {}

@@ -17,7 +17,7 @@ from typing import Callable, Protocol, Sequence, TypeVar
 
 import numpy as np
 
-from .errors import BudgetExceeded, DimensionMismatch, GatewayError, RetriesExhausted
+from .errors import BudgetExceeded, DimensionMismatch, GatewayError, MalformedEmbedding, RetriesExhausted
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -149,7 +149,8 @@ class Gateway:
         """Embed ``texts`` in order, sending only texts not embedded before.
 
         The distinct new texts go to the backend in one call; they are
-        memoised only once every returned vector has the backend's dim.
+        memoised only once every returned row is a flat, finite vector of the
+        backend's dim. A reply that is not is a MalformedEmbedding.
         """
         if self._embed is None:
             raise GatewayError("no embedding backend configured")
@@ -159,13 +160,17 @@ class Gateway:
             missing = list(dict.fromkeys(text for text in texts if text not in self._embeddings))
         if missing:
             raw = self._call_with_retries("embedding", self._embed.embed, missing)
-            if len(raw) != len(missing):
-                raise DimensionMismatch(f"backend returned {len(raw)} vectors for {len(missing)} texts")
             dim, model_id = self._embed.dim, self._embed.model_id
-            for values in raw:
-                if len(values) != dim:
-                    raise DimensionMismatch(f"backend returned a {len(values)}-d embedding, expected {dim}")
-            vectors = [EmbeddingVector(values=row, model_id=model_id) for row in np.array(raw, dtype=np.float64)]
+            try:
+                if len(raw) != len(missing):
+                    raise DimensionMismatch(f"backend returned {len(raw)} vectors for {len(missing)} texts")
+                for values in raw:
+                    if len(values) != dim:
+                        raise DimensionMismatch(f"backend returned a {len(values)}-d embedding, expected {dim}")
+                rows = np.array(raw, dtype=np.float64)
+                vectors = [EmbeddingVector(values=row, model_id=model_id) for row in rows]
+            except (TypeError, ValueError) as exc:
+                raise MalformedEmbedding("backend embedding rows must be flat lists of finite numbers") from exc
             with self._lock:
                 self._embeddings.update(zip(missing, vectors))
                 self.usage.embed_calls += 1

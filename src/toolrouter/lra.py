@@ -163,11 +163,7 @@ class EpisodeLog:
 
 def _reasoner_prompt(task: str, transcript_lines: list[str]) -> str:
     transcript = "\n".join(transcript_lines) if transcript_lines else "(empty)"
-    return (
-        prompts.LRA_REASONER_TEMPLATE.replace("<<TOOLS_JSON>>", REASONER_TOOLS_JSON)
-        .replace("<<TASK>>", task)
-        .replace("<<TRANSCRIPT>>", transcript)
-    )
+    return prompts.fill(prompts.LRA_REASONER_TEMPLATE, TOOLS_JSON=REASONER_TOOLS_JSON, TASK=task, TRANSCRIPT=transcript)
 
 
 def run_episode(

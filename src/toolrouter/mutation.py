@@ -157,27 +157,22 @@ def render_mutation_prompt(
     if op.family != base.kind:
         raise ValueError(f"operator {op.value!r} does not apply to {base.kind} candidates")
     if isinstance(base, ToolSpec):
-        base_json = json.dumps(public_spec(base), ensure_ascii=False, indent=2)
-        content = (
-            prompts.TOOL_MUTATION_TEMPLATE.replace("<<BASE_JSON>>", base_json)
-            .replace("<<MUTATION_TYPE>>", op.value)
-            .replace("<<MUTATION_DESCRIPTION>>", OPERATOR_DESCRIPTIONS[op])
-            .replace("<<TAGS_JSON>>", json.dumps(list(base.tags), ensure_ascii=False))
+        content = prompts.fill(
+            prompts.TOOL_MUTATION_TEMPLATE,
+            BASE_JSON=json.dumps(public_spec(base), ensure_ascii=False, indent=2),
+            MUTATION_TYPE=op.value,
+            MUTATION_DESCRIPTION=OPERATOR_DESCRIPTIONS[op],
+            TAGS_JSON=json.dumps(list(base.tags), ensure_ascii=False),
         )
     else:
-        content = (
-            prompts.AGENT_MUTATION_TEMPLATE.replace("<<AGENT_NAME>>", base.name)
-            .replace("<<AGENT_DESCRIPTION>>", base.description)
-            .replace(
-                "<<AGENT_TOOLS_JSON>>",
-                json.dumps(list(base.tools), ensure_ascii=False, indent=2),
-            )
-            .replace(
-                "<<AGENT_SCHEMA_JSON>>",
-                json.dumps(base.input_schema, ensure_ascii=False, indent=2),
-            )
-            .replace("<<MUTATION_TYPE>>", op.value)
-            .replace("<<MUTATION_DESCRIPTION>>", OPERATOR_DESCRIPTIONS[op])
+        content = prompts.fill(
+            prompts.AGENT_MUTATION_TEMPLATE,
+            AGENT_NAME=base.name,
+            AGENT_DESCRIPTION=base.description,
+            AGENT_TOOLS_JSON=json.dumps(list(base.tools), ensure_ascii=False, indent=2),
+            AGENT_SCHEMA_JSON=json.dumps(base.input_schema, ensure_ascii=False, indent=2),
+            MUTATION_TYPE=op.value,
+            MUTATION_DESCRIPTION=OPERATOR_DESCRIPTIONS[op],
         )
     return user_request(content, temperature=temperature, model_id=model_id)
 

@@ -1,12 +1,28 @@
 """Prompt templates for every LLM-facing stage.
 
-Templates use ``<<SLOT>>`` placeholders (filled with ``str.replace``) because
+Templates use ``<<SLOT>>`` placeholders (filled by :func:`fill`) because
 several templates contain literal JSON braces. The offline mock backend
 dispatches on the marker lines defined here, so renderers and the mock stay
 in sync.
 """
 
 from __future__ import annotations
+
+import re
+
+_SLOT_RE = re.compile(r"<<([A-Z_]+)>>")
+
+
+def fill(template: str, **values: str) -> str:
+    """Replace every ``<<NAME>>`` slot of ``template`` with ``values[NAME]`` in one pass.
+
+    Only the template is scanned, so slot text inside an inserted value stays
+    as it is. The slots and the value names must be the same set (ValueError).
+    """
+    slots = set(_SLOT_RE.findall(template))
+    if slots != values.keys():
+        raise ValueError(f"template slots {sorted(slots)} do not match the values {sorted(values)}")
+    return _SLOT_RE.sub(lambda match: values[match.group(1)], template)
 
 # --- mutation (tool) ---------------------------------------------------------
 

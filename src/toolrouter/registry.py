@@ -45,8 +45,21 @@ class Provenance:
         return out
 
 
+class _RenderedTexts:
+    """Texts derived from a spec, each rendered once per spec object."""
+
+    @cached_property
+    def phi(self) -> str:
+        return serialize_phi(self)
+
+    @cached_property
+    def pool_entry(self) -> str:
+        """The public document as one entry of an indent-2 JSON array (see ``pool_json``)."""
+        return json.dumps(public_spec(self), ensure_ascii=False, indent=2).replace("\n", "\n  ")
+
+
 @dataclass(frozen=True)
-class ToolSpec:
+class ToolSpec(_RenderedTexts):
     name: str
     description: str
     input_schema: dict[str, Any]
@@ -54,10 +67,6 @@ class ToolSpec:
     provenance: Provenance = field(default_factory=Provenance)
 
     kind = "tool"
-
-    @cached_property
-    def phi(self) -> str:
-        return serialize_phi(self)
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -70,7 +79,7 @@ class ToolSpec:
 
 
 @dataclass(frozen=True)
-class AgentSpec:
+class AgentSpec(_RenderedTexts):
     name: str
     description: str
     tools: tuple[str, ...]
@@ -79,10 +88,6 @@ class AgentSpec:
     provenance: Provenance = field(default_factory=Provenance)
 
     kind = "agent"
-
-    @cached_property
-    def phi(self) -> str:
-        return serialize_phi(self)
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -103,6 +108,16 @@ def public_spec(spec: CandidateSpec) -> dict[str, Any]:
     doc = spec.to_dict()
     del doc["provenance"]
     return doc
+
+
+def pool_json(specs: Iterable[CandidateSpec]) -> str:
+    """The public documents of ``specs`` as an indent-2 JSON array.
+
+    Joined from each spec's cached ``pool_entry``; the bytes equal
+    ``json.dumps([public_spec(s) for s in specs], ensure_ascii=False, indent=2)``.
+    """
+    entries = [spec.pool_entry for spec in specs]
+    return "[\n  " + ",\n  ".join(entries) + "\n]" if entries else "[]"
 
 
 def _check_schema(schema: Any, *, require_property_descriptions: bool) -> dict[str, Any]:

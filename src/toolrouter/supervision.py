@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 from . import prompts
 from ._util import read_jsonl, typed, write_jsonl
 from .errors import ParseError, PoolMissingLabel
-from .registry import CandidatePool, public_spec
+from .registry import CandidatePool, pool_json, public_spec
 from .synthesis import (
     Action,
     Observation,
@@ -132,7 +132,7 @@ def parse_history_turn_count(user_text: str) -> int:
 
 
 def render_pool_block(pool: CandidatePool) -> str:
-    return json.dumps([public_spec(spec) for spec in pool.specs()], ensure_ascii=False, indent=2)
+    return pool_json(pool.specs())
 
 
 def render_prompt(query: str, history: Sequence[Turn], pool: CandidatePool, kind: str) -> tuple[str, str]:
@@ -143,12 +143,13 @@ def render_prompt(query: str, history: Sequence[Turn], pool: CandidatePool, kind
     history_text = serialize_history(history, kind)
     history_slot = f"\n{history_text}\n" if history_text else ""
     plural = "agents" if kind == "agent" else "tools"
-    user = (
-        prompts.ROUTER_USER_TEMPLATE.replace("<<HISTORY>>", history_slot)
-        .replace("<<QUERY>>", query)
-        .replace("<<POOL_JSON>>", render_pool_block(pool))
-        .replace("<<PLURAL>>", plural)
-        .replace("<<SINGULAR>>", kind)
+    user = prompts.fill(
+        prompts.ROUTER_USER_TEMPLATE,
+        HISTORY=history_slot,
+        QUERY=query,
+        POOL_JSON=render_pool_block(pool),
+        PLURAL=plural,
+        SINGULAR=kind,
     )
     return system, user
 

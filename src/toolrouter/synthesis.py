@@ -25,7 +25,7 @@ from .errors import (
 from .gateway import Gateway, user_request
 from .graph import CandidateGraph
 from .mutation import parse_json_reply
-from .registry import CandidateSpec, public_spec
+from .registry import CandidateSpec, pool_json, public_spec
 from .sampler import CandidateSubset, SamplerConfig, sample_subset
 
 # --- trajectory types ---------------------------------------------------------
@@ -149,10 +149,9 @@ def propose_task(
     """
     if not subset.members:
         raise ValueError("subset must be non-empty")
-    candidates_json = json.dumps(
-        [public_spec(specs[name]) for name in subset.members], ensure_ascii=False, indent=2
+    content = prompts.fill(
+        prompts.TASK_PROPOSAL_TEMPLATE, CANDIDATES_JSON=pool_json(specs[name] for name in subset.members)
     )
-    content = prompts.TASK_PROPOSAL_TEMPLATE.replace("<<CANDIDATES_JSON>>", candidates_json)
     request = user_request(content, temperature=cfg.temperature, model_id=cfg.model_id)
 
     last_error: Exception | None = None
@@ -208,11 +207,12 @@ def simulate_trajectory(
                 "spec": public_spec(specs[step.candidate]),
             }
             step_section = f"{prompts.NEXT_STEP_HEADER}\n{json.dumps(step_doc, ensure_ascii=False)}"
-        content = (
-            prompts.ASSISTANT_TURN_TEMPLATE.replace("<<TASK>>", plan.task_text)
-            .replace("<<PLAN_JSON>>", plan_json)
-            .replace("<<TRANSCRIPT>>", _transcript_text(turns))
-            .replace("<<STEP_SECTION>>", step_section)
+        content = prompts.fill(
+            prompts.ASSISTANT_TURN_TEMPLATE,
+            TASK=plan.task_text,
+            PLAN_JSON=plan_json,
+            TRANSCRIPT=_transcript_text(turns),
+            STEP_SECTION=step_section,
         )
         reply = gateway.chat(user_request(content, temperature=cfg.temperature, model_id=cfg.model_id))
         try:
@@ -241,18 +241,17 @@ def simulate_trajectory(
         return Action(text=document.get("assistant", ""), calls=tuple(calls))
 
     def simulate_result(name: str, arguments: dict) -> str:
-        content = (
-            prompts.RESULT_SIM_TEMPLATE.replace("<<NAME>>", name)
-            .replace("<<ARGS_JSON>>", json.dumps(arguments, ensure_ascii=False))
-            .replace("<<SPEC_JSON>>", json.dumps(public_spec(specs[name]), ensure_ascii=False))
+        content = prompts.fill(
+            prompts.RESULT_SIM_TEMPLATE,
+            NAME=name,
+            ARGS_JSON=json.dumps(arguments, ensure_ascii=False),
+            SPEC_JSON=json.dumps(public_spec(specs[name]), ensure_ascii=False),
         )
         return gateway.chat(user_request(content, temperature=cfg.temperature, model_id=cfg.model_id))
 
     def user_feedback() -> Observation:
         hint = prompts.ERROR_HINT_SENTENCE if rng.random() < cfg.error_prob else ""
-        content = prompts.USER_TURN_TEMPLATE.replace("<<ERROR_HINT>>", hint).replace(
-            "<<TRANSCRIPT>>", _transcript_text(turns)
-        )
+        content = prompts.fill(prompts.USER_TURN_TEMPLATE, ERROR_HINT=hint, TRANSCRIPT=_transcript_text(turns))
         reply = gateway.chat(user_request(content, temperature=cfg.temperature, model_id=cfg.model_id))
         return Observation(text=reply.strip())
 

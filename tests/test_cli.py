@@ -5,6 +5,7 @@ import json
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from helpers import (
     BROKEN_SNAPSHOTS,
@@ -276,6 +277,44 @@ def test_malformed_jsonl_line_exits_1(chain_files, target, edit, where):
     result = run(args)
     one_error_line(result)
     assert where.format(path=path) in result.output
+
+
+# One-field edits of a dataset pool entry that no spec accepts: wrong types,
+# an unhashable name, a missing key, or an entry that is not an object.
+_NOT_A_STRING = st.sampled_from([5, 1.5, True, None, [], ["a"], {}, {"a": 1}])
+_POOL_ENTRY_EDITS = st.one_of(
+    st.tuples(st.just("name"), st.one_of(_NOT_A_STRING, st.just(""))),
+    st.tuples(st.just("description"), _NOT_A_STRING),
+    st.tuples(
+        st.just("inputSchema"),
+        st.one_of(_NOT_A_STRING, st.just({"type": "array"}), st.just({"type": "object", "properties": 5})),
+    ),
+    st.tuples(st.just("tags"), st.sampled_from([5, 1.5, True, "tag", [1], [None], [["a"]], {"a": 1}])),
+    st.tuples(st.just("missing"), st.sampled_from(["name", "description", "inputSchema"])),
+    st.tuples(st.just("entry"), st.sampled_from([5, "x", [], None, True])),
+)
+
+
+def _apply_pool_entry_edit(entry, edit):
+    target, value = edit
+    if target == "entry":
+        return value
+    if target == "missing":
+        return {key: item for key, item in entry.items() if key != value}
+    return {**entry, target: value}
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(edit=_POOL_ENTRY_EDITS, position=st.integers(min_value=0, max_value=10**6))
+def test_fuzzed_dataset_pool_entry_exits_1(chain_files, edit, position):
+    config, _, _, dataset = chain_files
+    lines = dataset.read_text(encoding="utf-8").splitlines()
+    record = json.loads(lines[1])
+    index = position % len(record["pool"])
+    record["pool"][index] = _apply_pool_entry_edit(record["pool"][index], edit)
+    fuzzed = dataset.with_name("fuzzed.jsonl")
+    fuzzed.write_text("\n".join([lines[0], json.dumps(record), *lines[2:]]) + "\n", encoding="utf-8")
+    one_error_line(run(["evaluate", *config, "--dataset", str(fuzzed), "--router", "oracle"]))
 
 
 MALFORMED_BANK_ENTRIES = {

@@ -1,13 +1,15 @@
 """Pool settings, avg@k evaluation mechanics, and report rendering."""
 
+import copy
 import json
 import random
+from dataclasses import replace
 
 import pytest
 
 from helpers import make_tool_bank, make_tool_doc, mock_gateway
 from toolrouter import evaluation
-from toolrouter.errors import MissingParameter
+from toolrouter.errors import MissingParameter, ValidationError
 from toolrouter.evaluation import (
     Metrics,
     PoolSetting,
@@ -174,7 +176,73 @@ def test_evaluate_builds_each_record_pool_once(monkeypatch, mutation_graph):
     records = make_records(6)
     setting = PoolSetting(variant=Setting.PLUS_MUTATION, mutation_graph=mutation_graph)
     evaluate(RouterConfig(variant="random"), records, setting, k=3, seed=0)
-    assert len(calls) == len(records)
+    assert len(calls) == 1  # the 6 records share one inline pool
+
+
+def _touch_first_description(docs):
+    docs[0]["inputSchema"]["properties"]["target"]["description"] += "!"
+    return docs
+
+
+def _reorder_first_keys(docs):
+    docs[0] = dict(reversed(docs[0].items()))
+    return docs
+
+
+@pytest.mark.parametrize(
+    "second_pool",
+    [
+        lambda docs: [make_tool_doc(i) for i in range(4, 8)],
+        _touch_first_description,
+        _reorder_first_keys,
+    ],
+    ids=["other-tools", "one-property-description", "key-order"],
+)
+def test_evaluate_builds_each_distinct_inline_pool_once(monkeypatch, mutation_graph, second_pool):
+    first = [make_tool_doc(i) for i in range(4)]
+    pools = [first, second_pool(copy.deepcopy(first))]
+    records = [
+        DatasetRecord(
+            kind="tool",
+            system="sys",
+            user="user",
+            query=f"query {i}",
+            history=(),
+            pool_specs=tuple(copy.deepcopy(pools[i % 2])),  # equal documents, never the same objects
+            label=pools[i % 2][i % 4]["name"],
+            group="even" if i % 2 == 0 else "odd",
+        )
+        for i in range(8)
+    ]
+    setting = PoolSetting(variant=Setting.PLUS_MUTATION, mutation_graph=mutation_graph)
+    builds, validated = [], []
+
+    def counting_build_pool(base, setting):
+        builds.append(base)
+        return build_pool(base, setting)
+
+    def counting_validate_spec(document, kind):
+        validated.append(document["name"])
+        return validate_spec(document, kind)
+
+    def run():
+        return evaluate(RouterConfig(variant="random"), records, setting, k=3, seed=0)
+
+    monkeypatch.setattr(evaluation, "validate_spec", counting_validate_spec)
+    monkeypatch.setattr(evaluation, "build_pool", counting_build_pool)
+    shared = run()
+    assert len(builds) == 2
+    assert sorted(validated) == sorted(doc["name"] for docs in pools for doc in docs)
+    monkeypatch.setattr(evaluation, "_pool_key", lambda record: str(id(record)))  # every record built alone
+    assert run() == shared
+    assert len(builds) == 2 + len(records)
+
+
+def test_evaluate_rejects_a_pool_that_is_not_json():
+    record = make_records(1)[0]
+    pool_specs = ({**record.pool_specs[0], "tags": {"not", "json"}}, *record.pool_specs[1:])
+    with pytest.raises(ValidationError, match="dataset record unusable: pool is not JSON"):
+        evaluate(RouterConfig(variant="oracle"), [replace(record, pool_specs=pool_specs)], PoolSetting())
 
 
 def test_evaluate_under_expanded_settings(mutation_graph):

@@ -15,7 +15,13 @@ from toolrouter.backends import (
     MockEmbeddingBackend,
     StaticEmbeddingBackend,
 )
-from toolrouter.errors import BackendUnavailable, BudgetExceeded, DimensionMismatch, RetriesExhausted
+from toolrouter.errors import (
+    BackendUnavailable,
+    BudgetExceeded,
+    DimensionMismatch,
+    MalformedEmbedding,
+    RetriesExhausted,
+)
 from toolrouter.gateway import ChatMessage, ChatRequest, EmbeddingVector, Gateway, TransientBackendError, user_request
 from toolrouter import prompts
 
@@ -247,8 +253,17 @@ def test_embed_memo_returns_vectors_in_input_order():
         (FlakyEmbed(fail_times=99), RetriesExhausted),
         (FlakyEmbed(fail_times=0, rows=[[0.0, 1.0]]), DimensionMismatch),
         (FlakyEmbed(fail_times=0, rows=[[1.0, 0.0], [1.0]]), DimensionMismatch),
+        (FlakyEmbed(fail_times=0, rows=[[1.0, 0.0], ["x", 1.0]]), MalformedEmbedding),
+        (FlakyEmbed(fail_times=0, rows=[[1.0, 0.0], [None, 1.0]]), MalformedEmbedding),
+        (FlakyEmbed(fail_times=0, rows=[[1.0, 0.0], [float("nan"), 1.0]]), MalformedEmbedding),
+        (FlakyEmbed(fail_times=0, rows=[[1.0, 0.0], [float("inf"), 1.0]]), MalformedEmbedding),
+        (FlakyEmbed(fail_times=0, rows=[[1.0, 0.0], 1.0]), MalformedEmbedding),
+        (FlakyEmbed(fail_times=0, rows=1.0), MalformedEmbedding),
     ],
-    ids=["retries-exhausted", "short-reply", "ragged-reply"],
+    ids=[
+        "retries-exhausted", "short-reply", "ragged-reply",
+        "string", "none", "nan", "inf", "non-list-row", "bare-number",
+    ],
 )
 def test_failed_embed_call_memoises_nothing(backend, error):
     gateway = Gateway(embedding_backend=backend, max_retries=1, backoff_s=0.0)

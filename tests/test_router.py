@@ -10,8 +10,9 @@ from toolrouter import registry
 from toolrouter.gateway import Gateway, TransientBackendError
 from toolrouter.backends import MockEmbeddingBackend, StaticEmbeddingBackend
 from toolrouter.graph import cosine_similarity
-from toolrouter.registry import CandidateBank, CandidatePool, serialize_phi, validate_spec
+from toolrouter.registry import CandidateBank, CandidatePool, public_spec, serialize_phi, validate_spec
 from toolrouter.router import RouterConfig, embedding_route, llm_route, parse_decision, route
+from toolrouter.supervision import InstanceOrigin, RoutingInstance, render_sample
 from toolrouter.synthesis import Action, Observation
 
 BANK = make_tool_bank(6)
@@ -106,6 +107,23 @@ def test_embedding_route_renders_each_phi_text_once(monkeypatch):
     gateway = mock_gateway(0)
     for query in ["archive the email threads", "summarize the support tickets", "archive the email threads"]:
         embedding_route(gateway, query, (), pool, "q")
+    assert sorted(calls) == sorted(pool.membership)
+
+
+def test_pool_block_renders_each_public_document_once(monkeypatch):
+    calls = []
+
+    def counting_public_spec(spec):
+        calls.append(spec.name)
+        return public_spec(spec)
+
+    monkeypatch.setattr(registry, "public_spec", counting_public_spec)
+    pool = CandidatePool.whole_bank(make_tool_bank(6))  # fresh specs, nothing rendered yet
+    gateway, cfg = mock_gateway(0), RouterConfig(variant="llm", kind="tool")
+    for step, query in enumerate(["archive the email threads", "summarize the support tickets"] * 2):
+        llm_route(gateway, query, (), pool, cfg)
+        instance = RoutingInstance(query, (), pool, pool.membership[step], InstanceOrigin("t", step))
+        render_sample(instance, "tool")
     assert sorted(calls) == sorted(pool.membership)
 
 
@@ -243,6 +261,17 @@ def test_route_gateway_failure_becomes_abstention():
     gateway = Gateway(embedding_backend=DeadEmbed(), max_retries=0, backoff_s=0.0)
     decision = route(RouterConfig(variant="embedding_q"), "q", (), POOL, gateway)
     assert decision.abstained and decision.chosen is None
+
+
+@pytest.mark.parametrize("row", [["x", 1.0], [None, 1.0], [float("nan"), 1.0]])
+def test_route_abstains_on_malformed_embedding_row(row):
+    mapping = {spec.phi: (1.0, 0.0) for spec in POOL.specs()}
+    mapping[POOL.specs()[0].phi] = row
+    mapping["q"] = (0.0, 1.0)
+    gateway = Gateway(embedding_backend=StaticEmbeddingBackend(mapping, dim=2), backoff_s=0.0)
+    decision = route(RouterConfig(variant="embedding_q"), "q", (), POOL, gateway)
+    assert decision.abstained and decision.chosen is None
+    assert decision.rationale == "gateway error: backend embedding rows must be flat lists of finite numbers"
 
 
 def test_route_no_gateway_abstains():

@@ -5,9 +5,10 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import make_tool_bank
+from helpers import make_tool_bank, make_tool_doc
+from toolrouter import prompts
 from toolrouter.errors import ParseError, PoolMissingLabel
-from toolrouter.registry import CandidateBank, CandidatePool
+from toolrouter.registry import CandidateBank, CandidatePool, pool_json, public_spec, validate_spec
 from toolrouter.sampler import CandidateSubset
 from toolrouter.supervision import (
     DatasetRecord,
@@ -18,6 +19,8 @@ from toolrouter.supervision import (
     load_dataset,
     parse_history_turn_count,
     record_from_instance,
+    render_pool_block,
+    render_prompt,
     render_sample,
     save_dataset,
     serialize_history,
@@ -166,6 +169,78 @@ def test_render_sample_rejects_missing_label():
     )
     with pytest.raises(PoolMissingLabel):
         render_sample(instance, "tool")
+
+
+def test_render_prompt_fills_only_template_slots():
+    doc = {**make_tool_doc(0), "description": "Pick the <<SINGULAR>> from <<POOL_JSON>>."}
+    pool = CandidatePool.whole_bank(CandidateBank(kind="tool", entries=(validate_spec(doc, "tool"),)))
+    _, user = render_prompt("show <<POOL_JSON>> please", (), pool, "tool")
+    assert '<current query>"show <<POOL_JSON>> please"</current query>' in user
+    assert user.count(render_pool_block(pool)) == 1
+    assert "Pick the <<SINGULAR>> from <<POOL_JSON>>." in user
+
+
+def test_fill_rejects_unknown_and_unused_slots():
+    assert prompts.fill("<<<A>>>/<<B>><<A>>", A="<<B>>", B="x") == "<<<B>>>/x<<B>>"
+    with pytest.raises(ValueError, match=r"slots \['A', 'B'\] do not match the values \['A'\]"):
+        prompts.fill("<<A>> <<B>>", A="a")
+    with pytest.raises(ValueError, match=r"slots \['A'\] do not match the values \['A', 'C'\]"):
+        prompts.fill("<<A>>", A="a", C="c")
+
+
+# Text that exercises JSON escaping: quotes, backslashes, newlines, control
+# characters, non-ASCII and a line separator.
+_JSON_TEXT = st.text(
+    alphabet=st.one_of(
+        st.sampled_from('"\\\n\t\x00\x1f\x7fé漢😀\u2028'),
+        st.characters(blacklist_categories=("Cs",)),
+    ),
+    max_size=12,
+)
+_NESTED_SCHEMA = st.recursive(
+    st.fixed_dictionaries({"type": st.sampled_from(["string", "integer"]), "description": _JSON_TEXT}),
+    lambda inner: st.fixed_dictionaries(
+        {"type": st.just("object"), "description": _JSON_TEXT, "properties": st.dictionaries(_JSON_TEXT, inner, max_size=2)}
+    ),
+    max_leaves=4,
+)
+
+
+@st.composite
+def _pool_docs(draw, kind):
+    docs = []
+    for index in range(draw(st.integers(min_value=1, max_value=4))):
+        properties = draw(st.dictionaries(_JSON_TEXT, _NESTED_SCHEMA, max_size=3))
+        if kind == "agent":
+            properties = {key: {**prop, "description": prop["description"] or "d"} for key, prop in properties.items()}
+        schema = {"type": "object", "properties": properties}
+        required = draw(st.lists(st.sampled_from(sorted(properties)), unique=True)) if properties else []
+        if required:
+            schema["required"] = required
+        doc = {
+            "name": f"c{index}_{draw(_JSON_TEXT)}" + ("_agent" if kind == "agent" else ""),
+            "description": "d" + draw(_JSON_TEXT),
+            "inputSchema": schema,
+            "tags": draw(st.lists(_JSON_TEXT, min_size=1 if kind == "agent" else 0, max_size=2)),
+        }
+        if kind == "agent":
+            doc["tools"] = draw(st.lists(_JSON_TEXT, min_size=1, max_size=3, unique=True))
+        docs.append(doc)
+    return kind, docs
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(["tool", "agent"]).flatmap(_pool_docs))
+def test_render_pool_block_equals_indented_json_reference(kind_docs):
+    kind, docs = kind_docs
+    specs = tuple(validate_spec(doc, kind) for doc in docs)
+    pool = CandidatePool.whole_bank(CandidateBank(kind=kind, entries=specs))
+    reference = json.dumps([public_spec(spec) for spec in specs], ensure_ascii=False, indent=2)
+    assert render_pool_block(pool) == reference
+
+
+def test_pool_json_of_no_specs():
+    assert pool_json([]) == json.dumps([], ensure_ascii=False, indent=2)
 
 
 def test_parse_history_turn_count_requires_block():
