@@ -33,18 +33,28 @@ def strings(value: Any, what: str) -> tuple[str, ...]:
     return tuple(value)
 
 
-def write_jsonl(path: str | Path, documents: Iterable[dict], what: str) -> int:
-    """Write one JSON object per line; returns the line count."""
+# The encoder of every JSONL line: json.dumps(document, ensure_ascii=False)
+# without building a fresh encoder for each line.
+JSON_LINE = json.JSONEncoder(ensure_ascii=False)
+
+
+def write_lines(path: str | Path, lines: Iterable[str], what: str) -> int:
+    """Write each line with a trailing newline; returns the line count."""
     path = Path(path)
     count = 0
     try:
         with path.open("w", encoding="utf-8") as handle:
-            for document in documents:
-                handle.write(json.dumps(document, ensure_ascii=False) + "\n")
+            for line in lines:
+                handle.write(line + "\n")
                 count += 1
     except OSError as exc:
         raise IoError(f"cannot write {what} {path}: {exc}") from exc
     return count
+
+
+def write_jsonl(path: str | Path, documents: Iterable[dict], what: str) -> int:
+    """Write one JSON object per line; returns the line count."""
+    return write_lines(path, map(JSON_LINE.encode, documents), what)
 
 
 def read_jsonl(path: str | Path, what: str, parse: Callable[[dict], T]) -> list[T]:

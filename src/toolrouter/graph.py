@@ -2,9 +2,10 @@
 
 Graphs are immutable snapshots; insertion returns a new graph. Similarity
 edges use strict ``sim > tau`` (a tie at exactly tau produces no edge).
-A blocked float64 matrix product screens the pairs, and the scalar
-:func:`cosine_similarity` decides every pair that clears the screen, so the
-edges and their weights are those of an all-pairs scalar scan.
+A blocked float64 matrix product screens the pairs, and the arithmetic of
+the scalar :func:`cosine_similarity`, vectorised over the pairs that clear
+the screen, decides them, so the edges and their weights are bit for bit
+those of an all-pairs scalar scan.
 """
 
 from __future__ import annotations
@@ -13,12 +14,13 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from ._util import write_jsonl
+from ._util import JSON_LINE, write_lines
 from .errors import (
     DimensionMismatch,
     DuplicateName,
@@ -125,37 +127,60 @@ def cosine_similarity(h_i: EmbeddingVector, h_j: EmbeddingVector) -> float:
     return dot / (math.sqrt(norm_i) * math.sqrt(norm_j))
 
 
-def _unit_rows(vectors: Sequence[EmbeddingVector]) -> np.ndarray:
-    """Row-normalised float64 matrix; mixed dims and zero vectors raise as in the scalar cosine."""
+def _stacked_rows(vectors: Sequence[EmbeddingVector]) -> np.ndarray:
+    """The vectors as the rows of one float64 matrix; mixed dims raise as in the scalar cosine."""
     dims = sorted({vector.dim for vector in vectors})
     if len(dims) > 1:
         raise DimensionMismatch(f"dims differ: {dims}")
-    matrix = np.array([vector.values for vector in vectors], dtype=np.float64)
+    return np.array([vector.values for vector in vectors], dtype=np.float64)
+
+
+def _unit_rows(vectors: Sequence[EmbeddingVector]) -> np.ndarray:
+    """Row-normalised float64 matrix; mixed dims and zero vectors raise as in the scalar cosine."""
+    matrix = _stacked_rows(vectors)
     norms = np.linalg.norm(matrix, axis=1, keepdims=True)
     if not norms.all():
         raise ZeroVector("cosine similarity of a zero vector is undefined")
     return matrix / norms
 
 
-def _similarity_edges(
-    names: Sequence[str], vectors: Sequence[EmbeddingVector], tau: float, first: int = 0
-) -> list[Edge]:
-    """Similarity edges of every pair (i, j) with j < i and i >= first.
-
-    The matrix product screens the pairs; the scalar cosine decides each one
-    the screen keeps and gives the edge its weight.
+def _ordered_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products with the scalar cosine's arithmetic: each product
+    rounded once, then added column by column to 0.0. ``np.dot``, ``@``,
+    ``einsum`` and ``sum`` reorder the additions (or fuse them with the
+    products), so they would not give the scalar loop's value bit for bit.
     """
-    unit = _unit_rows(vectors)
+    dots = np.zeros(len(a))
+    for column in (a * b).T:
+        dots += column
+    return dots
+
+
+def _similarity_edges(names: Sequence[str], rows: np.ndarray, tau: float, first: int = 0) -> list[Edge]:
+    """Similarity edges of every pair (i, j) of embedding rows with j < i and i >= first.
+
+    The matrix product of the unit rows screens the pairs; the scalar
+    cosine's operations, run in its order over all the pairs the screen
+    keeps at once, decide each one and give the edge its weight.
+    """
+    norms = np.sqrt(_ordered_dots(rows, rows))
+    if not norms.all():
+        raise ZeroVector("cosine similarity of a zero vector is undefined")
+    unit = rows / norms[:, None]
     cut = tau - SCREEN_MARGIN
     edges = []
     for start in range(first, len(names), SCREEN_BLOCK_ROWS):
         stop = min(start + SCREEN_BLOCK_ROWS, len(names))
-        rows, cols = np.nonzero(unit[start:stop] @ unit[:stop].T > cut)
-        for i, j in zip((rows + start).tolist(), cols.tolist()):
-            if j < i:
-                sim = cosine_similarity(vectors[i], vectors[j])
-                if sim > tau:
-                    edges.append(Edge.make(names[i], names[j], "similarity", weight=sim))
+        i, j = np.nonzero(unit[start:stop] @ unit[:stop].T > cut)
+        i += start
+        below = j < i
+        i, j = i[below], j[below]
+        sims = _ordered_dots(rows[i], rows[j]) / (norms[i] * norms[j])
+        above = sims > tau
+        edges.extend(
+            Edge.make(names[x], names[y], "similarity", weight=sim)
+            for x, y, sim in zip(i[above].tolist(), j[above].tolist(), sims[above].tolist())
+        )
     return edges
 
 
@@ -168,7 +193,7 @@ def build_graph(bank: CandidateBank, cfg: GraphConfig, gateway: Gateway) -> Cand
         spec.name: GraphNode(spec=spec, embedding=embedding)
         for spec, embedding in zip(bank, embeddings)
     }
-    edges = _similarity_edges(bank.names(), embeddings, cfg.tau)
+    edges = _similarity_edges(bank.names(), _stacked_rows(embeddings), cfg.tau)
     return CandidateGraph(config=cfg, nodes=nodes, edges=frozenset(edges))
 
 
@@ -187,32 +212,64 @@ def add_mutant(
     nodes[mutant.name] = GraphNode(spec=mutant, embedding=embedding)
     new_edges = set(graph.edges)
     new_edges.add(Edge.make(parent, mutant.name, "mutation"))
-    new_edges.update(  # the mutant is the last row
-        _similarity_edges(list(nodes), [node.embedding for node in nodes.values()], graph.config.tau, len(graph))
-    )
+    rows = _stacked_rows([node.embedding for node in nodes.values()])
+    new_edges.update(_similarity_edges(list(nodes), rows, graph.config.tau, len(graph)))  # the mutant is the last row
     return CandidateGraph(config=graph.config, nodes=nodes, edges=frozenset(new_edges))
 
 
 def save_graph(graph: CandidateGraph, path: str | Path) -> None:
-    """Line-oriented snapshot: meta, sorted nodes, sorted edges."""
-    write_jsonl(path, _snapshot_records(graph), "graph snapshot")
+    """Line-oriented snapshot: meta, sorted nodes, sorted edges.
+
+    Each line has the bytes of ``json.dumps(record, ensure_ascii=False)``.
+    """
+    write_lines(path, _snapshot_lines(graph), "graph snapshot")
 
 
-def _snapshot_records(graph: CandidateGraph) -> Iterator[dict]:
-    yield {"meta": {"tau": graph.config.tau, "embedding_model_id": graph.config.embedding_model_id}}
+def _snapshot_lines(graph: CandidateGraph) -> Iterator[str]:
+    encode = JSON_LINE.encode
+    yield encode({"meta": {"tau": graph.config.tau, "embedding_model_id": graph.config.embedding_model_id}})
     for name in graph.names():
         node = graph.nodes[name]
-        yield {
-            "node": {
-                "name": name,
-                "kind": node.spec.kind,
-                "spec": node.spec.to_dict(),
-                "embedding": node.embedding.values.tolist(),
-                "embedding_model_id": node.embedding.model_id,
+        yield encode(
+            {
+                "node": {
+                    "name": name,
+                    "kind": node.spec.kind,
+                    "spec": node.spec.to_dict(),
+                    "embedding": node.embedding.values.tolist(),
+                    "embedding_model_id": node.embedding.model_id,
+                }
             }
-        }
-    for edge in sorted(graph.edges, key=lambda e: (e.a, e.b, e.kind)):
-        yield {"edge": {"a": edge.a, "b": edge.b, "kind": edge.kind, "weight": edge.weight}}
+        )
+    edges = sorted(graph.edges, key=attrgetter("a", "b", "kind"))
+    if not edges:
+        return
+    # Every string is encoded once, and all weights in one list, which splits
+    # back into one piece per edge: a JSON number or null holds no ", ".
+    weights = encode([edge.weight for edge in edges])[1:-1].split(", ")
+    if len(weights) != len(edges):
+        raise TypeError("edge weights must be numbers or None")
+    quoted = {text: encode(text) for text in {text for edge in edges for text in (edge.a, edge.b, edge.kind)}}
+    for edge, weight in zip(edges, weights):
+        yield (
+            f'{{"edge": {{"a": {quoted[edge.a]}, "b": {quoted[edge.b]}, '
+            f'"kind": {quoted[edge.kind]}, "weight": {weight}}}}}'
+        )
+
+
+def _edge_record(raw: dict) -> Edge:
+    """The edge of a snapshot record; ValueError names what is wrong with it."""
+    kind, weight = raw["kind"], raw.get("weight")
+    if kind == "mutation":
+        if weight is not None:
+            raise ValueError(f"mutation edge carries a weight {weight!r}")
+    elif kind != "similarity":
+        raise ValueError(f"unknown edge kind {kind!r}")
+    elif weight is None:
+        raise ValueError("similarity edge has no weight")
+    elif isinstance(weight, bool) or not isinstance(weight, (int, float)) or not math.isfinite(weight):
+        raise ValueError(f"similarity edge weight {weight!r} is not a finite number")
+    return Edge(a=raw["a"], b=raw["b"], kind=kind, weight=weight)
 
 
 def load_graph(path: str | Path) -> CandidateGraph:
@@ -225,7 +282,7 @@ def load_graph(path: str | Path) -> CandidateGraph:
 
     config: GraphConfig | None = None
     nodes: dict[str, GraphNode] = {}
-    edges: dict[Edge, int] = {}  # edge -> line number, for the endpoint check
+    edges: dict[Edge, int] = {}  # edge -> line number, for the checks that need every node and tau
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
@@ -244,8 +301,7 @@ def load_graph(path: str | Path) -> CandidateGraph:
                 embedding = EmbeddingVector(values=raw["embedding"], model_id=raw["embedding_model_id"])
                 nodes[raw["name"]] = GraphNode(spec=spec, embedding=embedding)
             elif "edge" in record:
-                raw = record["edge"]
-                edges[Edge(a=raw["a"], b=raw["b"], kind=raw["kind"], weight=raw.get("weight"))] = lineno
+                edges[_edge_record(record["edge"])] = lineno
             else:
                 raise ParseError(f"{path}:{lineno}", "unknown record type")
         except json.JSONDecodeError as exc:
@@ -260,6 +316,8 @@ def load_graph(path: str | Path) -> CandidateGraph:
         if edge.a not in nodes or edge.b not in nodes:
             missing = edge.a if edge.a not in nodes else edge.b
             raise ParseError(f"{path}:{lineno}", f"edge names a missing node {missing!r}")
+        if edge.kind == "similarity" and not edge.weight > config.tau:
+            raise ParseError(f"{path}:{lineno}", f"similarity weight {edge.weight!r} is not above tau {config.tau!r}")
     for name, node in nodes.items():
         parent = node.spec.provenance.parent_name
         if parent is not None and parent not in nodes:

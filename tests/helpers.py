@@ -120,6 +120,18 @@ def corrupt_snapshot(lines: list[str], case: str) -> list[str]:
         nodes[0]["node"]["embedding_model_id"] = "other-embed"
     elif case == "nested embedding":
         nodes[0]["node"]["embedding"] = [nodes[0]["node"]["embedding"]]
+    elif case == "edge of an unknown kind":
+        edges[0]["edge"]["kind"] = "friendship"
+    elif case == "edge weight a string":
+        edges[0]["edge"]["weight"] = "high, very"
+    elif case == "edge weight a bool":
+        edges[0]["edge"]["weight"] = True
+    elif case == "edge weight not above tau":
+        edges[0]["edge"]["weight"] = 0.1
+    elif case == "edge without its similarity weight":
+        del edges[0]["edge"]["weight"]
+    elif case == "edge of mutation kind with a weight":
+        edges[0]["edge"]["kind"] = "mutation"
     return [json.dumps(r) for r in records]
 
 
@@ -132,6 +144,12 @@ BROKEN_SNAPSHOTS = {
     "mutant with a missing parent": (ParseError, "missing parent"),
     "mixed embedding models": (ParseError, "more than one model"),
     "nested embedding": (ParseError, "flat sequence"),
+    "edge of an unknown kind": (ParseError, "unknown edge kind"),
+    "edge weight a string": (ParseError, "not a finite number"),
+    "edge weight a bool": (ParseError, "not a finite number"),
+    "edge weight not above tau": (ParseError, "not above tau"),
+    "edge without its similarity weight": (ParseError, "has no weight"),
+    "edge of mutation kind with a weight": (ParseError, "carries a weight"),
 }
 
 

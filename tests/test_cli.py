@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 
 import pytest
 from click.testing import CliRunner
@@ -315,6 +316,46 @@ def test_fuzzed_dataset_pool_entry_exits_1(chain_files, edit, position):
     fuzzed = dataset.with_name("fuzzed.jsonl")
     fuzzed.write_text("\n".join([lines[0], json.dumps(record), *lines[2:]]) + "\n", encoding="utf-8")
     one_error_line(run(["evaluate", *config, "--dataset", str(fuzzed), "--router", "oracle"]))
+
+
+# One-field edits of a similarity edge record that no snapshot accepts: an
+# endpoint that is no node or breaks the a < b order, an unknown or swapped
+# kind, a weight that is not a finite number above tau (0.82), a missing key,
+# or an edge that is not an object.
+_EDGE_RECORD_EDITS = st.one_of(
+    st.tuples(st.sampled_from(["a", "b"]), st.sampled_from([5, 1.5, True, None, [], ["a"], {}, "", "zzz_missing"])),
+    st.tuples(st.just("kind"), st.sampled_from([5, True, None, [], {}, "", "friendship", "Similarity", "mutation"])),
+    st.tuples(
+        st.just("weight"),
+        st.sampled_from(
+            [None, True, False, "0.9", "high, very", [], [0.9], {}, math.nan, math.inf, -math.inf, 0, -1, 0.1, 0.82]
+        ),
+    ),
+    st.tuples(st.just("missing"), st.sampled_from(["a", "b", "kind", "weight"])),
+    st.tuples(st.just("edge"), st.sampled_from([5, "x", [], None, True, {}])),
+)
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(edit=_EDGE_RECORD_EDITS, position=st.integers(min_value=0, max_value=10**6))
+def test_fuzzed_snapshot_edge_record_exits_1(chain_files, edit, position):
+    config, graph, _, _ = chain_files
+    lines = graph.read_text(encoding="utf-8").splitlines()
+    edge_lines = [lineno for lineno, line in enumerate(lines) if line.startswith('{"edge": ')]
+    lineno = edge_lines[position % len(edge_lines)]
+    record = json.loads(lines[lineno])
+    target, value = edit
+    if target == "edge":
+        record["edge"] = value
+    elif target == "missing":
+        del record["edge"][value]
+    else:
+        record["edge"][target] = value
+    fuzzed = graph.with_name("fuzzed.jsonl")
+    fuzzed.write_text("\n".join([*lines[:lineno], json.dumps(record), *lines[lineno + 1 :]]) + "\n", encoding="utf-8")
+    result = run(["synthesize", *config, "--graph", str(fuzzed), "--out", str(graph.with_name("t.jsonl"))])
+    one_error_line(result)
+    assert f"{fuzzed}:{lineno + 1}" in result.output
 
 
 MALFORMED_BANK_ENTRIES = {

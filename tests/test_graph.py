@@ -1,5 +1,6 @@
 """Cosine similarity, thresholded graph construction, insertion, snapshots."""
 
+import json
 import math
 import random
 
@@ -22,6 +23,7 @@ from toolrouter.graph import (
     CandidateGraph,
     Edge,
     GraphConfig,
+    GraphNode,
     build_graph,
     add_mutant,
     cosine_similarity,
@@ -277,3 +279,126 @@ def test_load_graph_rejects_broken_snapshots(tmp_path, case):
         load_graph(path)
     if case == "node without embedding":
         assert f"{path}:2" in str(info.value)
+    if case.startswith("edge "):  # meta and 12 nodes come first
+        assert f"{path}:14" in str(info.value)
+
+
+def scalar_scan(graph):
+    """Reference: every pair of nodes decided by the scalar cosine."""
+    names = graph.names()
+    edges = {}
+    for i, a in enumerate(names):
+        for b in names[i + 1 :]:
+            sim = cosine_similarity(graph.nodes[a].embedding, graph.nodes[b].embedding)
+            if sim > graph.config.tau:
+                edges[(a, b)] = sim
+    return edges
+
+
+def similarity_weights(graph):
+    return {(e.a, e.b): e.weight for e in graph.similarity_edges()}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dim=st.sampled_from([1, 2, 7, 64, 65]),
+    seed=st.integers(0, 2**32 - 1),
+    spread=st.floats(0.05, 1.0),
+    tie=st.integers(0, 10**6),
+)
+def test_edges_and_weights_equal_scalar_scan_bit_for_bit(dim, seed, spread, tie):
+    """build_graph and 10 add_mutant inserts give the scalar scan's edges,
+    with weights equal by ==; tau is planted at one pair's exact cosine."""
+    rng = np.random.default_rng(seed)
+    centre = rng.normal(size=dim)
+    vectors = [tuple((centre + spread * rng.normal(size=dim)).tolist()) for _ in range(22)]
+    sims = {
+        (x, y): cosine_similarity(vec(*vectors[x]), vec(*vectors[y])) for x in range(22) for y in range(x)
+    }
+    ties = sorted(pair for pair, sim in sims.items() if 0 < sim < 1)
+    tied = ties[tie % len(ties)] if ties else None
+    tau = sims[tied] if tied else 0.82
+
+    names = [f"t{i:02d}" for i in range(12)]
+    mapping = {serialize_phi(tool(name)): vector for name, vector in zip(names, vectors)}
+    gateway = Gateway(embedding_backend=StaticEmbeddingBackend(mapping, dim=dim), backoff_s=0.0)
+    graph = build_graph(CandidateBank(kind="tool", entries=tuple(map(tool, names))), GraphConfig(tau=tau), gateway)
+    assert similarity_weights(graph) == scalar_scan(graph)
+    for step, vector in enumerate(vectors[12:]):
+        name = f"m{step:02d}"
+        parent = names[rng.integers(len(names))]
+        graph = add_mutant(graph, parent, mutant_of(parent, name), EmbeddingVector(values=vector, model_id="static-embed"))
+        names.append(name)
+    expected = scalar_scan(graph)
+    assert similarity_weights(graph) == expected
+    if tied:
+        assert tuple(sorted((names[tied[0]], names[tied[1]]))) not in expected
+
+
+def reference_snapshot(graph):
+    """Reference writer: one json.dumps per record."""
+    records = [{"meta": {"tau": graph.config.tau, "embedding_model_id": graph.config.embedding_model_id}}]
+    for name in graph.names():
+        node = graph.nodes[name]
+        records.append(
+            {
+                "node": {
+                    "name": name,
+                    "kind": node.spec.kind,
+                    "spec": node.spec.to_dict(),
+                    "embedding": node.embedding.values.tolist(),
+                    "embedding_model_id": node.embedding.model_id,
+                }
+            }
+        )
+    for edge in sorted(graph.edges, key=lambda e: (e.a, e.b, e.kind)):
+        records.append({"edge": {"a": edge.a, "b": edge.b, "kind": edge.kind, "weight": edge.weight}})
+    return "".join(json.dumps(record, ensure_ascii=False) + "\n" for record in records).encode("utf-8")
+
+
+# Name pieces that would break a writer joining JSON text: quotes, escapes,
+# the list separator, a fragment of an edge record, non-ASCII and control characters.
+_ADVERSARIAL = st.lists(
+    st.sampled_from(['"', "\\", ", ", '}}, {"edge": ', "é", "名", "\x00", "\n", "\x1f", "\u2028", "a", " "]),
+    max_size=4,
+).map("".join)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    names=st.lists(_ADVERSARIAL.map(lambda text: "n" + text), min_size=1, max_size=6, unique=True),
+    model_id=_ADVERSARIAL,
+    links=st.lists(
+        st.tuples(
+            st.integers(0, 5),
+            st.integers(0, 5),
+            st.sampled_from(["similarity", "mutation"]),
+            st.one_of(st.none(), st.floats(), st.integers(-3, 3)),
+        ),
+        max_size=12,
+    ),
+    embedding=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=3),
+)
+def test_save_graph_bytes_equal_per_record_json_dumps(tmp_path_factory, names, model_id, links, embedding):
+    nodes = {
+        name: GraphNode(spec=tool(name), embedding=EmbeddingVector(values=embedding, model_id=model_id))
+        for name in names
+    }
+    edges = frozenset(
+        Edge.make(names[x % len(names)], names[y % len(names)], kind, weight)
+        for x, y, kind, weight in links
+        if x % len(names) != y % len(names)
+    )
+    path = tmp_path_factory.mktemp("snapshot") / "graph.jsonl"
+    for graph in (
+        CandidateGraph(config=GraphConfig(tau=0.5, embedding_model_id=model_id), nodes=nodes, edges=edges),
+        CandidateGraph(config=GraphConfig(tau=0.5, embedding_model_id=model_id), nodes=nodes),  # edge-free
+    ):
+        save_graph(graph, path)
+        assert path.read_bytes() == reference_snapshot(graph)
+
+
+def test_save_graph_refuses_a_weight_that_splits(tmp_path):
+    edges = frozenset({Edge.make("a", "b", "similarity", "high, very"), Edge.make("a", "c", "similarity", 0.9)})
+    with pytest.raises(TypeError, match="numbers or None"):
+        save_graph(CandidateGraph(config=GraphConfig(), edges=edges), tmp_path / "graph.jsonl")
