@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from pathlib import Path
 from typing import Any, Callable, Iterable, TypeVar
 
@@ -39,16 +40,24 @@ JSON_LINE = json.JSONEncoder(ensure_ascii=False)
 
 
 def write_lines(path: str | Path, lines: Iterable[str], what: str) -> int:
-    """Write each line with a trailing newline; returns the line count."""
+    """Write each line with a trailing newline; returns the line count.
+
+    The lines go to a temporary file beside ``path`` that replaces it only
+    once all of them are written, so a failure leaves any old file intact.
+    """
     path = Path(path)
+    partial = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     count = 0
     try:
-        with path.open("w", encoding="utf-8") as handle:
+        with partial.open("w", encoding="utf-8") as handle:
             for line in lines:
                 handle.write(line + "\n")
                 count += 1
+        os.replace(partial, path)
     except OSError as exc:
         raise IoError(f"cannot write {what} {path}: {exc}") from exc
+    finally:
+        partial.unlink(missing_ok=True)
     return count
 
 
@@ -61,7 +70,8 @@ def read_jsonl(path: str | Path, what: str, parse: Callable[[dict], T]) -> list[
     """Parse each non-blank line, which must be a JSON object, with ``parse``.
 
     Invalid JSON, a non-object line, or a record that ``parse`` rejects with
-    KeyError, TypeError or ValueError raises ParseError at ``file:line``.
+    KeyError (a missing field), TypeError or ValueError raises ParseError at
+    ``file:line``.
     """
     path = Path(path)
     try:
@@ -77,6 +87,8 @@ def read_jsonl(path: str | Path, what: str, parse: Callable[[dict], T]) -> list[
             if not isinstance(document, dict):
                 raise TypeError(f"expected a JSON object, got {type(document).__name__}")
             out.append(parse(document))
-        except (KeyError, TypeError, ValueError) as exc:
+        except KeyError as exc:
+            raise ParseError(f"{path}:{lineno}", f"missing field {exc}") from exc
+        except (TypeError, ValueError) as exc:
             raise ParseError(f"{path}:{lineno}", str(exc)) from exc
     return out

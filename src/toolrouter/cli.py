@@ -121,15 +121,7 @@ def sample_cmd(config_path, seed, backend, graph_path, count, out_path) -> None:
         sample_subset(graph, replace(cfg.sampler, rng_seed=cfg.rng_seed * 100003 + index))
         for index in range(count)
     )
-    records = (
-        {
-            "members": list(subset.members),
-            "seed_nodes": list(subset.seed_nodes),
-            "walk_trace": [list(t) for t in subset.walk_trace],
-        }
-        for subset in subsets
-    )
-    write_jsonl(out_path, records, "subset file")
+    write_jsonl(out_path, (subset.to_dict() for subset in subsets), "subset file")
     click.echo(f"sampled {count} subsets -> {out_path}")
 
 
@@ -168,12 +160,7 @@ def extract_cmd(
     _pipeline_config(config_path, seed, backend)
     trajectories = load_trajectories(traj_path)
     graph = load_graph(graph_path)
-    bank = CandidateBank(
-        kind=kind,
-        entries=tuple(
-            graph.nodes[name].spec for name in graph.names() if graph.nodes[name].spec.kind == kind
-        ),
-    )
+    bank = CandidateBank(kind=kind, entries=tuple(graph.nodes[name].spec for name in graph.names_of_kind(kind)))
     if pool_scope == "graph":
         pools: list[CandidatePool] | CandidatePool = CandidatePool.whole_bank(bank)
     else:

@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Sequence
 
-from ._util import derive_seed, write_jsonl
-from .errors import IoError, MissingParameter, SpecError, ValidationError
+from ._util import derive_seed, write_jsonl, write_lines
+from .errors import MissingParameter, SpecError, ValidationError
 from .gateway import Gateway
 from .graph import CandidateGraph
 from .registry import CandidateBank, CandidatePool, validate_spec
@@ -231,9 +231,4 @@ def save_results(
         for setting_name, metric in row.items()
     )
     write_jsonl(path, records, "results")
-    try:
-        path.with_suffix(path.suffix + ".table.txt").write_text(
-            report(metrics_by_method) + "\n", encoding="utf-8"
-        )
-    except OSError as exc:
-        raise IoError(f"cannot write results {path}: {exc}") from exc
+    write_lines(path.with_suffix(path.suffix + ".table.txt"), [report(metrics_by_method)], "results table")

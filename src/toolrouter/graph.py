@@ -10,7 +10,6 @@ those of an all-pairs scalar scan.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -20,12 +19,11 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from ._util import JSON_LINE, write_lines
+from ._util import JSON_LINE, read_jsonl, typed, write_lines
 from .errors import (
     DimensionMismatch,
     DuplicateName,
     EmptyBank,
-    IoError,
     ParseError,
     UnknownParent,
     ZeroVector,
@@ -257,7 +255,7 @@ def _snapshot_lines(graph: CandidateGraph) -> Iterator[str]:
         )
 
 
-def _edge_record(raw: dict) -> Edge:
+def _edge_record(raw: dict, tau: float) -> Edge:
     """The edge of a snapshot record; ValueError names what is wrong with it."""
     kind, weight = raw["kind"], raw.get("weight")
     if kind == "mutation":
@@ -269,55 +267,59 @@ def _edge_record(raw: dict) -> Edge:
         raise ValueError("similarity edge has no weight")
     elif isinstance(weight, bool) or not isinstance(weight, (int, float)) or not math.isfinite(weight):
         raise ValueError(f"similarity edge weight {weight!r} is not a finite number")
+    elif not weight > tau:
+        raise ValueError(f"similarity weight {weight!r} is not above tau {tau!r}")
     return Edge(a=raw["a"], b=raw["b"], kind=kind, weight=weight)
 
 
-def load_graph(path: str | Path) -> CandidateGraph:
-    """Load a snapshot without re-embedding, checking its invariants."""
-    path = Path(path)
-    try:
-        lines = path.read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise IoError(f"cannot read graph snapshot {path}: {exc}") from exc
+# Each record kind and the kinds the record before it may have: the order save_graph writes.
+_PREVIOUS_KINDS = {"meta": (None,), "node": ("meta",), "edge": ("meta", "node")}
 
+
+def load_graph(path: str | Path) -> CandidateGraph:
+    """Load a snapshot without re-embedding, checking its invariants.
+
+    Each record is checked at its own line against the records before it,
+    so they must come in the order ``save_graph`` writes them.
+    """
     config: GraphConfig | None = None
     nodes: dict[str, GraphNode] = {}
-    edges: dict[Edge, int] = {}  # edge -> line number, for the checks that need every node and tau
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-            if "meta" in record:
-                config = GraphConfig(
-                    tau=record["meta"]["tau"],
-                    embedding_model_id=record["meta"]["embedding_model_id"],
-                )
-            elif "node" in record:
-                raw = record["node"]
-                if raw["name"] in nodes:
-                    raise ValueError(f"duplicate node {raw['name']!r}")
-                spec = validate_spec(raw["spec"], raw["kind"])
-                embedding = EmbeddingVector(values=raw["embedding"], model_id=raw["embedding_model_id"])
-                nodes[raw["name"]] = GraphNode(spec=spec, embedding=embedding)
-            elif "edge" in record:
-                edges[_edge_record(record["edge"])] = lineno
-            else:
-                raise ParseError(f"{path}:{lineno}", "unknown record type")
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}:{lineno}", exc.msg) from exc
-        except KeyError as exc:
-            raise ParseError(f"{path}:{lineno}", f"missing field {exc}") from exc
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"{path}:{lineno}", str(exc)) from exc
+    edges: dict[tuple[str, str, str], Edge] = {}
+    previous: str | None = None  # the kind of the last record read
+
+    def read(record: dict) -> None:
+        nonlocal config, previous
+        kind = next(iter(record), "")
+        if kind != previous or kind == "meta":
+            if kind not in _PREVIOUS_KINDS:
+                raise ValueError("unknown record type")
+            if previous not in _PREVIOUS_KINDS[kind]:
+                raise ValueError(f"{kind} record out of order: a snapshot holds one meta record, nodes, then edges")
+            previous = kind
+        raw = record[kind]
+        if kind == "edge":
+            edge = _edge_record(raw, config.tau)
+            for end in (edge.a, edge.b):
+                if end not in nodes:
+                    raise ValueError(f"edge names a missing node {end!r}")
+            if edges.setdefault((edge.a, edge.b, edge.kind), edge) is not edge:
+                raise ValueError(f"repeated {edge.kind} edge {edge.a!r} - {edge.b!r}")
+        elif kind == "node":
+            name = raw["name"]
+            if name in nodes:
+                raise ValueError(f"duplicate node {name!r}")
+            spec = validate_spec(raw["spec"], raw["kind"])
+            if spec.name != name:
+                raise ValueError(f"node {name!r} holds the spec of {spec.name!r}")
+            model_id = typed(raw["embedding_model_id"], str, "node embedding_model_id")
+            nodes[name] = GraphNode(spec=spec, embedding=EmbeddingVector(values=raw["embedding"], model_id=model_id))
+        else:
+            model_id = typed(raw["embedding_model_id"], str, "meta embedding_model_id")
+            config = GraphConfig(tau=raw["tau"], embedding_model_id=model_id)
+
+    read_jsonl(path, "graph snapshot", read)
     if config is None:
         raise ParseError(str(path), "missing meta record")
-    for edge, lineno in edges.items():
-        if edge.a not in nodes or edge.b not in nodes:
-            missing = edge.a if edge.a not in nodes else edge.b
-            raise ParseError(f"{path}:{lineno}", f"edge names a missing node {missing!r}")
-        if edge.kind == "similarity" and not edge.weight > config.tau:
-            raise ParseError(f"{path}:{lineno}", f"similarity weight {edge.weight!r} is not above tau {config.tau!r}")
     for name, node in nodes.items():
         parent = node.spec.provenance.parent_name
         if parent is not None and parent not in nodes:
@@ -328,4 +330,4 @@ def load_graph(path: str | Path) -> CandidateGraph:
     dims = sorted({node.embedding.dim for node in nodes.values()})
     if len(dims) > 1:
         raise DimensionMismatch(f"{path}: node embeddings have dims {dims}")
-    return CandidateGraph(config=config, nodes=nodes, edges=frozenset(edges))
+    return CandidateGraph(config=config, nodes=nodes, edges=frozenset(edges.values()))

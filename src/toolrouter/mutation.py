@@ -31,7 +31,7 @@ from .errors import (
 )
 from .gateway import ChatRequest, Gateway, user_request
 from .graph import CandidateGraph, add_mutant
-from .registry import CandidateSpec, ToolSpec, as_mutant, public_spec, validate_spec
+from .registry import CandidateSpec, as_mutant, public_spec, validate_spec
 
 
 class MutationOperator(Enum):
@@ -156,7 +156,7 @@ def render_mutation_prompt(
 ) -> ChatRequest:
     if op.family != base.kind:
         raise ValueError(f"operator {op.value!r} does not apply to {base.kind} candidates")
-    if isinstance(base, ToolSpec):
+    if base.kind == "tool":
         content = prompts.fill(
             prompts.TOOL_MUTATION_TEMPLATE,
             BASE_JSON=json.dumps(public_spec(base), ensure_ascii=False, indent=2),
@@ -206,7 +206,7 @@ def parse_mutant(
     spec = validate_spec(document, kind)
     if spec.name == base.name:
         raise NameEqualsParent(f"mutant name equals parent name: {spec.name!r}")
-    if isinstance(base, ToolSpec) and tuple(spec.tags) != tuple(base.tags):
+    if base.kind == "tool" and spec.tags != base.tags:
         raise TagMismatch(f"tool mutant changed tags: {spec.tags} != {base.tags}")
     return as_mutant(spec, parent=base.name, operator=operator.value)
 

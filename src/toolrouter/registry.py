@@ -11,7 +11,7 @@ import json
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Union
+from typing import Any, Iterable, Iterator
 
 from ._util import write_jsonl
 from .errors import (
@@ -45,62 +45,40 @@ class Provenance:
         return out
 
 
-class _RenderedTexts:
-    """Texts derived from a spec, each rendered once per spec object."""
+@dataclass(frozen=True)
+class CandidateSpec:
+    """One tool or agent. An agent is a candidate that also lists its tools."""
+
+    kind: str  # "tool" | "agent"
+    name: str
+    description: str
+    input_schema: dict[str, Any]
+    tools: tuple[str, ...] = ()  # agents only
+    tags: tuple[str, ...] = ()
+    provenance: Provenance = field(default_factory=Provenance)
+
+    def __post_init__(self) -> None:
+        if self.kind not in ("tool", "agent") or bool(self.tools) != (self.kind == "agent"):
+            raise ValueError(f"{self.kind} candidate {self.name!r}: agents, and only agents, list tools")
+
+    def to_dict(self) -> dict[str, Any]:
+        doc: dict[str, Any] = {"name": self.name, "description": self.description}
+        if self.kind == "agent":
+            doc["tools"] = list(self.tools)
+        doc["inputSchema"] = self.input_schema
+        doc["tags"] = list(self.tags)
+        doc["provenance"] = self.provenance.to_dict()
+        return doc
 
     @cached_property
     def phi(self) -> str:
+        """The canonical text, rendered once per spec object (see ``serialize_phi``)."""
         return serialize_phi(self)
 
     @cached_property
     def pool_entry(self) -> str:
         """The public document as one entry of an indent-2 JSON array (see ``pool_json``)."""
         return json.dumps(public_spec(self), ensure_ascii=False, indent=2).replace("\n", "\n  ")
-
-
-@dataclass(frozen=True)
-class ToolSpec(_RenderedTexts):
-    name: str
-    description: str
-    input_schema: dict[str, Any]
-    tags: tuple[str, ...] = ()
-    provenance: Provenance = field(default_factory=Provenance)
-
-    kind = "tool"
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "name": self.name,
-            "description": self.description,
-            "inputSchema": self.input_schema,
-            "tags": list(self.tags),
-            "provenance": self.provenance.to_dict(),
-        }
-
-
-@dataclass(frozen=True)
-class AgentSpec(_RenderedTexts):
-    name: str
-    description: str
-    tools: tuple[str, ...]
-    input_schema: dict[str, Any]
-    tags: tuple[str, ...] = ()
-    provenance: Provenance = field(default_factory=Provenance)
-
-    kind = "agent"
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "name": self.name,
-            "description": self.description,
-            "tools": list(self.tools),
-            "inputSchema": self.input_schema,
-            "tags": list(self.tags),
-            "provenance": self.provenance.to_dict(),
-        }
-
-
-CandidateSpec = Union[ToolSpec, AgentSpec]
 
 
 def public_spec(spec: CandidateSpec) -> dict[str, Any]:
@@ -197,37 +175,27 @@ def validate_spec(document: dict[str, Any], kind: str) -> CandidateSpec:
         raise SpecError(f"candidate {name!r}: description must be a string")
     tags = _string_list(document, "tags")
     provenance = _parse_provenance(document)
-
-    if kind == "tool":
-        schema = _check_schema(document["inputSchema"], require_property_descriptions=False)
-        return ToolSpec(
-            name=name,
-            description=document["description"],
-            input_schema=schema,
-            tags=tags,
-            provenance=provenance,
-        )
-
-    if not name.endswith(AGENT_SUFFIX):
-        raise BadAgentName(name)
-    tools = _string_list(document, "tools")
-    if not tools:
-        raise MissingField("tools")
-    if not 1 <= len(tools) <= MAX_AGENT_TOOLS:
-        raise ValidationError(name, f"agents need 1-{MAX_AGENT_TOOLS} tools, got {len(tools)}")
-    seen: set[str] = set()
-    for tool in tools:
-        if tool in seen:
-            raise DuplicateToolEntry(tool)
-        seen.add(tool)
-    if not tags:
-        raise MissingField("tags")
-    schema = _check_schema(document["inputSchema"], require_property_descriptions=True)
-    return AgentSpec(
+    tools: tuple[str, ...] = ()
+    if kind == "agent":
+        if not name.endswith(AGENT_SUFFIX):
+            raise BadAgentName(name)
+        tools = _string_list(document, "tools")
+        if not tools:
+            raise MissingField("tools")
+        if len(tools) > MAX_AGENT_TOOLS:
+            raise ValidationError(name, f"agents need 1-{MAX_AGENT_TOOLS} tools, got {len(tools)}")
+        for index, tool in enumerate(tools):
+            if tool in tools[:index]:
+                raise DuplicateToolEntry(tool)
+        if not tags:
+            raise MissingField("tags")
+    schema = _check_schema(document["inputSchema"], require_property_descriptions=kind == "agent")
+    return CandidateSpec(
+        kind=kind,
         name=name,
         description=document["description"],
-        tools=tools,
         input_schema=schema,
+        tools=tools,
         tags=tags,
         provenance=provenance,
     )
@@ -256,7 +224,7 @@ def serialize_phi(spec: CandidateSpec) -> str:
     elided. Agents additionally list their tools.
     """
     lines = [f"{spec.kind}: {spec.name}", f"description: {spec.description}"]
-    if isinstance(spec, AgentSpec):
+    if spec.kind == "agent":
         lines.append(f"tools: {', '.join(spec.tools)}")
     schema_lines = _flatten_schema_lines(spec.input_schema)
     if schema_lines:

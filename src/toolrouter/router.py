@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import BadConfig, GatewayError
-from .gateway import ChatMessage, ChatRequest, Gateway
+from .gateway import Gateway, user_request
 from .graph import SCREEN_MARGIN, _unit_rows, cosine_similarity
 from .registry import CandidatePool
 from .supervision import render_prompt, serialize_history
@@ -128,11 +128,7 @@ def llm_route(
 ) -> RouterDecision:
     """Prompt an LLM with the benchmark sample format and parse its reply."""
     system, user = render_prompt(query, history, pool, cfg.kind)
-    request = ChatRequest(
-        messages=(ChatMessage("system", system), ChatMessage("user", user)),
-        temperature=cfg.temperature,
-        model_id=cfg.chat_model_id,
-    )
+    request = user_request(user, system=system, temperature=cfg.temperature, model_id=cfg.chat_model_id)
     try:
         reply = gateway.chat(request)
     except GatewayError as exc:

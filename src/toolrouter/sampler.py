@@ -41,6 +41,13 @@ class CandidateSubset:
     def __contains__(self, name: str) -> bool:
         return name in self.members
 
+    def to_dict(self) -> dict:
+        return {
+            "members": list(self.members),
+            "seed_nodes": list(self.seed_nodes),
+            "walk_trace": [list(step) for step in self.walk_trace],
+        }
+
 
 def sample_subset(graph: CandidateGraph, cfg: SamplerConfig) -> CandidateSubset:
     """Grow a DFS from uniform seed nodes over both edge kinds.

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -41,6 +41,9 @@ class PlanStep:
 class TaskPlan:
     task_text: str
     steps: tuple[PlanStep, ...]
+
+    def to_dict(self) -> dict:
+        return {"task": self.task_text, "steps": [{"goal": s.goal, "candidate": s.candidate} for s in self.steps]}
 
 
 @dataclass(frozen=True)
@@ -192,10 +195,7 @@ def simulate_trajectory(
         raise Discarded("over length")
     rng = random.Random(derive_seed(cfg.rng_seed, trajectory_id))
     turns: list[Turn] = [Observation(text=plan.task_text)]
-    plan_json = json.dumps(
-        {"task": plan.task_text, "steps": [{"goal": s.goal, "candidate": s.candidate} for s in plan.steps]},
-        ensure_ascii=False,
-    )
+    plan_json = json.dumps(plan.to_dict(), ensure_ascii=False)
 
     def assistant_action(step: PlanStep | None) -> Action:
         if step is None:
@@ -263,47 +263,38 @@ def simulate_trajectory(
     trajectory = Trajectory(
         trajectory_id=trajectory_id, turns=tuple(turns), subset=subset, plan=plan
     )
-    report = validate_trajectory(trajectory, subset, specs)
-    if report.violations:
-        raise Discarded("; ".join(report.violations))
+    violations = validate_trajectory(trajectory, subset, specs)
+    if violations:
+        raise Discarded("; ".join(violations))
     return trajectory
-
-
-@dataclass
-class ValidationReport:
-    violations: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
 
 
 def validate_trajectory(
     trajectory: Trajectory,
     subset: CandidateSubset,
     specs: Mapping[str, CandidateSpec] | None = None,
-) -> ValidationReport:
-    """Pure structural check: alternation, membership, argument conformance."""
-    report = ValidationReport()
+) -> list[str]:
+    """Pure structural check (alternation, membership, argument conformance); the violations found."""
+    violations = []
     turns = trajectory.turns
     if len(turns) < 2:
-        report.violations.append("trajectory has fewer than 2 turns")
+        violations.append("trajectory has fewer than 2 turns")
     for index, turn in enumerate(turns):
         expected = Observation if index % 2 == 0 else Action
         if not isinstance(turn, expected):
-            report.violations.append(f"alternation violation at turn {index}")
+            violations.append(f"alternation violation at turn {index}")
     if turns and not isinstance(turns[-1], Action):
-        report.violations.append("trajectory must end with an action")
+        violations.append("trajectory must end with an action")
     for index, turn in enumerate(turns):
         if not isinstance(turn, Action):
             continue
         for call in turn.calls:
             if call.name not in subset:
-                report.violations.append(f"out-of-subset call {call.name!r} at turn {index}")
+                violations.append(f"out-of-subset call {call.name!r} at turn {index}")
             elif specs is not None:
                 for violation in check_arguments(call.arguments, specs[call.name].input_schema):
-                    report.violations.append(f"turn {index} call {call.name}: {violation}")
-    return report
+                    violations.append(f"turn {index} call {call.name}: {violation}")
+    return violations
 
 
 # --- batch pipeline + dataset file -------------------------------------------------------
@@ -368,19 +359,11 @@ def turn_from_dict(raw: dict) -> Turn:
 
 
 def trajectory_to_dict(trajectory: Trajectory) -> dict:
-    turns = [turn_to_dict(turn) for turn in trajectory.turns]
     return {
         "trajectory_id": trajectory.trajectory_id,
-        "subset": {
-            "members": list(trajectory.subset.members),
-            "seed_nodes": list(trajectory.subset.seed_nodes),
-            "walk_trace": [list(t) for t in trajectory.subset.walk_trace],
-        },
-        "plan": {
-            "task": trajectory.plan.task_text,
-            "steps": [{"goal": s.goal, "candidate": s.candidate} for s in trajectory.plan.steps],
-        },
-        "turns": turns,
+        "subset": trajectory.subset.to_dict(),
+        "plan": trajectory.plan.to_dict(),
+        "turns": [turn_to_dict(turn) for turn in trajectory.turns],
     }
 
 
@@ -402,9 +385,9 @@ def trajectory_from_dict(document: dict) -> Trajectory:
         subset=subset,
         plan=TaskPlan(task_text=typed(plan_doc["task"], str, "plan task"), steps=steps),
     )
-    report = validate_trajectory(trajectory, subset)
-    if report.violations:
-        raise ValueError("; ".join(report.violations))
+    violations = validate_trajectory(trajectory, subset)
+    if violations:
+        raise ValueError("; ".join(violations))
     return trajectory
 
 

@@ -132,6 +132,18 @@ def corrupt_snapshot(lines: list[str], case: str) -> list[str]:
         del edges[0]["edge"]["weight"]
     elif case == "edge of mutation kind with a weight":
         edges[0]["edge"]["kind"] = "mutation"
+    elif case == "node name unlike its spec's":
+        nodes[0]["node"]["name"] = "zzz_other"
+    elif case == "node embedding model not a string":
+        nodes[0]["node"]["embedding_model_id"] = [1]
+    elif case == "meta embedding model not a string":
+        records[0]["meta"]["embedding_model_id"] = [1]
+    elif case == "appended edge repeated with another weight":
+        records.append({"edge": {**edges[-1]["edge"], "weight": 0.99}})
+    elif case == "appended node record after the edges":
+        records.append(nodes[0])
+    elif case == "meta record after the nodes":
+        records.insert(len(nodes), records.pop(0))
     return [json.dumps(r) for r in records]
 
 
@@ -150,6 +162,12 @@ BROKEN_SNAPSHOTS = {
     "edge weight not above tau": (ParseError, "not above tau"),
     "edge without its similarity weight": (ParseError, "has no weight"),
     "edge of mutation kind with a weight": (ParseError, "carries a weight"),
+    "node name unlike its spec's": (ParseError, "holds the spec of"),
+    "node embedding model not a string": (ParseError, "must be str"),
+    "meta embedding model not a string": (ParseError, "must be str"),
+    "appended edge repeated with another weight": (ParseError, "repeated similarity edge"),
+    "appended node record after the edges": (ParseError, "out of order"),
+    "meta record after the nodes": (ParseError, "out of order"),
 }
 
 

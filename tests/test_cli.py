@@ -358,6 +358,54 @@ def test_fuzzed_snapshot_edge_record_exits_1(chain_files, edit, position):
     assert f"{fuzzed}:{lineno + 1}" in result.output
 
 
+# One-field edits of a node record that no snapshot accepts: a name unlike
+# its spec's, an unknown or wrong kind, a spec that is no valid spec, an
+# embedding that is not a flat list of finite floats of the snapshot's
+# length, a model id that is not the snapshot's string, a missing key, or a
+# node that is not an object.
+_EMBEDDING_EDITS = {
+    "nested": lambda values: [values],
+    "shorter": lambda values: values[:-1],
+    "longer": lambda values: [*values, 0.5],
+    "nan": lambda values: [math.nan, *values[1:]],
+    "inf": lambda values: [*values[:-1], math.inf],
+    "-inf": lambda values: [-math.inf, *values[1:]],
+    "string entry": lambda values: ["x", *values[1:]],
+}
+_NODE_RECORD_EDITS = st.one_of(
+    st.tuples(st.just("name"), st.sampled_from([5, 1.5, True, None, [], {}, "", "zzz_other"])),
+    st.tuples(st.just("kind"), st.sampled_from([5, True, None, [], {}, "", "agent", "Tool"])),
+    st.tuples(st.just("spec"), st.sampled_from([5, "x", None, True, [], {}])),
+    st.tuples(st.just("embedding"), st.sampled_from([5, "x", "0.5", None, True, [], {}])),
+    st.tuples(st.just("embedding edit"), st.sampled_from(sorted(_EMBEDDING_EDITS))),
+    st.tuples(st.just("embedding_model_id"), st.sampled_from([5, True, None, [1], {}, "", "other-embed"])),
+    st.tuples(st.just("missing"), st.sampled_from(["name", "kind", "spec", "embedding", "embedding_model_id"])),
+    st.tuples(st.just("node"), st.sampled_from([5, "x", [], None, True, {}])),
+)
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(edit=_NODE_RECORD_EDITS, position=st.integers(min_value=0, max_value=10**6))
+def test_fuzzed_snapshot_node_record_exits_1(chain_files, edit, position):
+    config, graph, _, _ = chain_files
+    lines = graph.read_text(encoding="utf-8").splitlines()
+    node_lines = [lineno for lineno, line in enumerate(lines) if line.startswith('{"node": ')]
+    lineno = node_lines[position % len(node_lines)]
+    record = json.loads(lines[lineno])
+    target, value = edit
+    if target == "node":
+        record["node"] = value
+    elif target == "missing":
+        del record["node"][value]
+    elif target == "embedding edit":
+        record["node"]["embedding"] = _EMBEDDING_EDITS[value](record["node"]["embedding"])
+    else:
+        record["node"][target] = value
+    fuzzed = graph.with_name("fuzzed.jsonl")
+    fuzzed.write_text("\n".join([*lines[:lineno], json.dumps(record), *lines[lineno + 1 :]]) + "\n", encoding="utf-8")
+    one_error_line(run(["synthesize", *config, "--graph", str(fuzzed), "--out", str(graph.with_name("t.jsonl"))]))
+
+
 MALFORMED_BANK_ENTRIES = {
     **MALFORMED_SPEC_FIELDS,
     "entry-not-object": ("tool", lambda doc: [doc], None),

@@ -277,10 +277,10 @@ def test_load_graph_rejects_broken_snapshots(tmp_path, case):
     error, phrase = BROKEN_SNAPSHOTS[case]
     with pytest.raises(error, match=phrase) as info:
         load_graph(path)
-    if case == "node without embedding":
-        assert f"{path}:2" in str(info.value)
-    if case.startswith("edge "):  # meta and 12 nodes come first
-        assert f"{path}:14" in str(info.value)
+    # meta first, then 12 nodes; an appended record is the last line
+    line = {"meta": 1, "node": 2, "edge": 14, "appended": len(path.read_text().splitlines())}.get(case.split()[0])
+    if line is not None:
+        assert f"{path}:{line}:" in str(info.value)
 
 
 def scalar_scan(graph):
@@ -402,3 +402,14 @@ def test_save_graph_refuses_a_weight_that_splits(tmp_path):
     edges = frozenset({Edge.make("a", "b", "similarity", "high, very"), Edge.make("a", "c", "similarity", 0.9)})
     with pytest.raises(TypeError, match="numbers or None"):
         save_graph(CandidateGraph(config=GraphConfig(), edges=edges), tmp_path / "graph.jsonl")
+
+
+def test_failed_save_keeps_the_old_file(tmp_path):
+    path = tmp_path / "graph.jsonl"
+    save_graph(build_graph(make_tool_bank(6), GraphConfig(tau=0.5), mock_gateway(0)), path)
+    old = path.read_bytes()
+    edges = frozenset({Edge.make("a", "b", "similarity", "high, very"), Edge.make("a", "c", "similarity", 0.9)})
+    with pytest.raises(TypeError):
+        save_graph(CandidateGraph(config=GraphConfig(), edges=edges), path)
+    assert path.read_bytes() == old
+    assert [entry.name for entry in tmp_path.iterdir()] == ["graph.jsonl"]

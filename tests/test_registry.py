@@ -17,10 +17,9 @@ from toolrouter.errors import (
     ValidationError,
 )
 from toolrouter.registry import (
-    AgentSpec,
     CandidateBank,
     CandidatePool,
-    ToolSpec,
+    CandidateSpec,
     as_mutant,
     load_bank,
     save_bank,
@@ -32,18 +31,25 @@ from toolrouter.registry import (
 def test_validate_tool_roundtrip():
     doc = make_tool_doc(0)
     spec = validate_spec(doc, "tool")
-    assert isinstance(spec, ToolSpec)
+    assert spec.kind == "tool" and spec.tools == ()
     assert spec.name == doc["name"]
-    assert spec.kind == "tool"
     assert spec.provenance.origin == "seed"
     assert spec.to_dict()["inputSchema"]["required"] == ["target"]
+    assert list(spec.to_dict()) == ["name", "description", "inputSchema", "tags", "provenance"]
 
 
 def test_validate_agent_roundtrip():
     spec = validate_spec(make_agent_doc(3), "agent")
-    assert isinstance(spec, AgentSpec)
+    assert spec.kind == "agent"
     assert spec.name.endswith("_agent")
     assert len(spec.tools) == 5
+    assert list(spec.to_dict()) == ["name", "description", "tools", "inputSchema", "tags", "provenance"]
+
+
+@pytest.mark.parametrize("kind, tools", [("tool", ("search_files",)), ("agent", ()), ("team", ())])
+def test_only_agents_list_tools(kind, tools):
+    with pytest.raises(ValueError, match="only agents"):
+        CandidateSpec(kind=kind, name="x_agent", description="d", input_schema={"type": "object"}, tools=tools)
 
 
 @pytest.mark.parametrize("missing", ["name", "description", "inputSchema"])
@@ -177,7 +183,7 @@ def overlapping_banks(draw):
     """Tool banks over a small shared name space; each bank's specs are its own objects."""
     names = draw(st.lists(st.sampled_from([f"tool_{i}" for i in range(10)]), unique=True, max_size=7))
     schema = {"type": "object", "properties": {}}
-    entries = tuple(ToolSpec(name=name, description=f"{name} variant", input_schema=schema) for name in names)
+    entries = tuple(CandidateSpec(kind="tool", name=name, description=f"{name} variant", input_schema=schema) for name in names)
     return CandidateBank(kind="tool", entries=entries)
 
 

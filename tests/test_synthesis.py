@@ -95,7 +95,7 @@ def test_simulated_trajectory_shape(env):
         for call in action.calls:
             assert call.name in subset
             assert call.simulated_result
-    assert validate_trajectory(trajectory, subset, specs).ok
+    assert validate_trajectory(trajectory, subset, specs) == []
 
 
 def test_simulation_discards_over_length(env):
@@ -131,17 +131,17 @@ def test_validate_trajectory_violations(env):
         subset=subset,
         plan=TaskPlan(task_text="task", steps=(PlanStep("g", names[0]),)),
     )
-    assert validate_trajectory(good, subset, specs).ok
+    assert validate_trajectory(good, subset, specs) == []
 
     too_short = Trajectory("t", (Observation(text="task"),), subset, good.plan)
-    report = validate_trajectory(too_short, subset)
-    assert not report.ok and any("fewer than 2" in v for v in report.violations)
-    assert any("end with an action" in v for v in report.violations)
+    violations = validate_trajectory(too_short, subset)
+    assert any("fewer than 2" in v for v in violations)
+    assert any("end with an action" in v for v in violations)
 
     bad_alternation = Trajectory(
         "t", (Observation(text="a"), Observation(text="b")), subset, good.plan
     )
-    assert any("alternation" in v for v in validate_trajectory(bad_alternation, subset).violations)
+    assert any("alternation" in v for v in validate_trajectory(bad_alternation, subset))
 
     out_of_subset = Trajectory(
         "t",
@@ -149,7 +149,7 @@ def test_validate_trajectory_violations(env):
         subset,
         good.plan,
     )
-    assert any("out-of-subset" in v for v in validate_trajectory(out_of_subset, subset).violations)
+    assert any("out-of-subset" in v for v in validate_trajectory(out_of_subset, subset))
 
     bad_args = Trajectory(
         "t",
@@ -157,7 +157,7 @@ def test_validate_trajectory_violations(env):
         subset,
         good.plan,
     )
-    assert any("required" in v for v in validate_trajectory(bad_args, subset, specs).violations)
+    assert any("required" in v for v in validate_trajectory(bad_args, subset, specs))
 
 
 def test_synthesize_batch_deterministic(env):
@@ -169,7 +169,7 @@ def test_synthesize_batch_deterministic(env):
     assert len(batch) == 10
     assert batch == again
     for trajectory in batch:
-        assert validate_trajectory(trajectory, trajectory.subset).ok
+        assert validate_trajectory(trajectory, trajectory.subset) == []
         assert 2 * len(trajectory.plan.steps) + 2 <= cfg.max_turns + 2
 
 
