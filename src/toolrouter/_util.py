@@ -9,7 +9,7 @@ import os
 from pathlib import Path
 from typing import Any, Callable, Iterable, TypeVar
 
-from .errors import IoError, ParseError
+from .errors import IoError, ParseError, SpecError, ValidationError
 
 T = TypeVar("T")
 
@@ -66,12 +66,20 @@ def write_jsonl(path: str | Path, documents: Iterable[dict], what: str) -> int:
     return write_lines(path, map(JSON_LINE.encode, documents), what)
 
 
+# What a record parser raises for a record it rejects; see ``record_error``.
+RECORD_ERRORS = (KeyError, TypeError, ValueError, SpecError, ValidationError)
+
+
+def record_error(location: str, exc: Exception) -> ParseError:
+    """The ParseError at ``location`` for one of RECORD_ERRORS (a KeyError is a missing field)."""
+    return ParseError(location, f"missing field {exc}" if isinstance(exc, KeyError) else str(exc))
+
+
 def read_jsonl(path: str | Path, what: str, parse: Callable[[dict], T]) -> list[T]:
     """Parse each non-blank line, which must be a JSON object, with ``parse``.
 
     Invalid JSON, a non-object line, or a record that ``parse`` rejects with
-    KeyError (a missing field), TypeError or ValueError raises ParseError at
-    ``file:line``.
+    one of RECORD_ERRORS raises ParseError at ``file:line``.
     """
     path = Path(path)
     try:
@@ -79,16 +87,14 @@ def read_jsonl(path: str | Path, what: str, parse: Callable[[dict], T]) -> list[
     except OSError as exc:
         raise IoError(f"cannot read {what} {path}: {exc}") from exc
     out = []
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            document = json.loads(line)
-            if not isinstance(document, dict):
-                raise TypeError(f"expected a JSON object, got {type(document).__name__}")
-            out.append(parse(document))
-        except KeyError as exc:
-            raise ParseError(f"{path}:{lineno}", f"missing field {exc}") from exc
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"{path}:{lineno}", str(exc)) from exc
+    lineno = 0
+    try:
+        for lineno, line in enumerate(lines, start=1):
+            if line.strip():
+                document = json.loads(line)
+                if not isinstance(document, dict):
+                    raise TypeError(f"expected a JSON object, got {type(document).__name__}")
+                out.append(parse(document))
+    except RECORD_ERRORS as exc:
+        raise record_error(f"{path}:{lineno}", exc) from exc
     return out

@@ -12,7 +12,7 @@ from dataclasses import replace
 
 import click
 
-from ._util import write_jsonl
+from ._util import derive_seed, write_jsonl
 from .config import PipelineConfig, load_config, make_gateway
 from .errors import ParseError, ToolRouterError
 from .evaluation import Metrics, PoolSetting, Setting, evaluate, save_results
@@ -114,11 +114,11 @@ def mutate_cmd(config_path, seed, backend, graph_path, rounds, out_path, log_pat
 @click.option("--count", type=click.IntRange(min=0), default=1)
 @click.option("--out", "out_path", type=click.Path(), required=True)
 def sample_cmd(config_path, seed, backend, graph_path, count, out_path) -> None:
-    """Draw candidate subsets via DFS-with-restart walks."""
+    """Draw candidate subsets via DFS-with-restart walks: subset i is synthesize's attempt i."""
     cfg = _pipeline_config(config_path, seed, backend)
     graph = load_graph(graph_path)
     subsets = (
-        sample_subset(graph, replace(cfg.sampler, rng_seed=cfg.rng_seed * 100003 + index))
+        sample_subset(graph, replace(cfg.sampler, rng_seed=derive_seed(cfg.rng_seed, "sample", index)))
         for index in range(count)
     )
     write_jsonl(out_path, (subset.to_dict() for subset in subsets), "subset file")

@@ -55,6 +55,14 @@ def user_request(content: str, *, system: str | None = None, **kwargs) -> ChatRe
     return ChatRequest(messages=tuple(messages), **kwargs)
 
 
+def json_numbers(values: Sequence) -> Sequence:
+    """``values`` when each is a JSON number (an int or a float, not a bool):
+    ``np.array`` would turn numeric strings and booleans into floats."""
+    if not all(issubclass(t, (int, float)) and t is not bool for t in set(map(type, values))):
+        raise TypeError("an embedding must be a flat sequence of JSON numbers")
+    return values
+
+
 @dataclass(frozen=True, eq=False)
 class EmbeddingVector:
     """One embedding: a read-only 1-D float64 row built from any flat float sequence."""
@@ -165,7 +173,7 @@ class Gateway:
                 if len(raw) != len(missing):
                     raise DimensionMismatch(f"backend returned {len(raw)} vectors for {len(missing)} texts")
                 for values in raw:
-                    if len(values) != dim:
+                    if len(json_numbers(values)) != dim:
                         raise DimensionMismatch(f"backend returned a {len(values)}-d embedding, expected {dim}")
                 rows = np.array(raw, dtype=np.float64)
                 vectors = [EmbeddingVector(values=row, model_id=model_id) for row in rows]

@@ -28,7 +28,7 @@ from .errors import (
     UnknownParent,
     ZeroVector,
 )
-from .gateway import EmbeddingVector, Gateway
+from .gateway import EmbeddingVector, Gateway, json_numbers
 from .registry import CandidateBank, CandidateSpec, validate_spec
 
 DEFAULT_TAU = 0.82
@@ -312,7 +312,8 @@ def load_graph(path: str | Path) -> CandidateGraph:
             if spec.name != name:
                 raise ValueError(f"node {name!r} holds the spec of {spec.name!r}")
             model_id = typed(raw["embedding_model_id"], str, "node embedding_model_id")
-            nodes[name] = GraphNode(spec=spec, embedding=EmbeddingVector(values=raw["embedding"], model_id=model_id))
+            embedding = EmbeddingVector(values=json_numbers(raw["embedding"]), model_id=model_id)
+            nodes[name] = GraphNode(spec=spec, embedding=embedding)
         else:
             model_id = typed(raw["embedding_model_id"], str, "meta embedding_model_id")
             config = GraphConfig(tau=raw["tau"], embedding_model_id=model_id)

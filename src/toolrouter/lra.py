@@ -12,14 +12,14 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Protocol
+from typing import Iterable, Protocol, Sequence
 
 from . import prompts
 from ._util import write_jsonl
 from .gateway import Gateway, user_request
 from .registry import CandidatePool
 from .router import RouterConfig, RouterDecision, route
-from .synthesis import Action, Observation, Turn
+from .synthesis import Action, Observation, Turn, serialize_history
 
 ROUTER_INVOKE_TOOL = {
     "name": "router_invoke",
@@ -161,8 +161,9 @@ class EpisodeLog:
         }
 
 
-def _reasoner_prompt(task: str, transcript_lines: list[str]) -> str:
-    transcript = "\n".join(transcript_lines) if transcript_lines else "(empty)"
+def _reasoner_prompt(task: str, turns: Sequence[Turn]) -> str:
+    """The reasoner's prompt; ``turns`` are the episode's turns after the task."""
+    transcript = serialize_history(turns) or "(empty)"
     return prompts.fill(prompts.LRA_REASONER_TEMPLATE, TOOLS_JSON=REASONER_TOOLS_JSON, TASK=task, TRANSCRIPT=transcript)
 
 
@@ -179,20 +180,21 @@ def run_episode(
 ) -> EpisodeLog:
     """Reasoner loop: route / execute / final answer, within a step budget.
 
-    The router receives the full episode transcript as history. Tool 2
-    executes the last routed candidate; calling it with no fresh decision is
-    recorded as ExecuteBeforeRoute and surfaced to the reasoner.
+    Each route and execute step appends one turn to the episode. The router
+    gets every turn so far as its history; the reasoner reads the turns after
+    the task as its transcript. Tool 2 executes the last routed candidate;
+    calling it with no fresh decision is recorded as ExecuteBeforeRoute and
+    surfaced to the reasoner.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
     log = EpisodeLog(task=task)
-    transcript_lines: list[str] = []
-    history_turns: list[Turn] = [Observation(text=task)]
+    turns: list[Turn] = [Observation(text=task)]
     pending: RouterDecision | None = None
     max_prompt_chars = 0
 
     for _step in range(budget):
-        prompt = _reasoner_prompt(task, transcript_lines)
+        prompt = _reasoner_prompt(task, turns[1:])
         max_prompt_chars = max(max_prompt_chars, len(prompt))
         raw = reasoner.decide(prompt)
         try:
@@ -205,16 +207,11 @@ def run_episode(
         kind = action.get("action")
         if kind == "route":
             need = action.get("need", task)
-            decision = route(
-                router, need, tuple(history_turns), pool, gateway, oracle_label=oracle_label
-            )
+            decision = route(router, need, tuple(turns), pool, gateway, oracle_label=oracle_label)
             step.route_query = need
             step.decision = decision
             pending = decision if not decision.abstained else None
-            line = f"[router decision] {decision.chosen if decision.chosen else 'abstained'}"
-            transcript_lines.append(f"route(need={need!r})")
-            transcript_lines.append(line)
-            history_turns.append(Action(text=line))
+            turns.append(Action(text=f"route(need={need!r}) -> [router decision] {decision.chosen or 'abstained'}"))
         elif kind == "execute":
             arguments = action.get("arguments", {}) or {}
             if pending is None or pending.chosen is None:
@@ -224,10 +221,7 @@ def run_episode(
                 step.execution_arguments = arguments
             step.execution_result = result
             pending = None
-            line = f"[execution result] {result}"
-            transcript_lines.append("execute()")
-            transcript_lines.append(line)
-            history_turns.append(Action(text=line))
+            turns.append(Action(text=f"execute() -> [execution result] {result}"))
         else:
             log.final_answer = action.get("answer", "")
             log.outcome = "finished"
@@ -236,7 +230,7 @@ def run_episode(
         log.outcome = "budget_exhausted"
 
     # audit measured on the prompt actually shown to the reasoner
-    base_prompt = _reasoner_prompt(task, [])
+    base_prompt = _reasoner_prompt(task, ())
     tools_block = base_prompt.split("Available tools:", 1)[1]
     tool_specs = json.JSONDecoder().raw_decode(tools_block[tools_block.index("[") :])[0]
     spec_names = {spec["name"] for spec in tool_specs}

@@ -13,7 +13,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Any, Iterable, Iterator
 
-from ._util import write_jsonl
+from ._util import RECORD_ERRORS, read_jsonl, record_error, write_jsonl
 from .errors import (
     BadAgentName,
     DuplicateToolEntry,
@@ -314,45 +314,38 @@ class CandidatePool:
 
 
 def load_bank(path: str | Path, kind: str | None = None) -> CandidateBank:
-    """Load a bank from a JSON array or JSONL file, validating every entry."""
+    """Load a bank from a JSON array or JSONL file, validating every entry.
+
+    Without ``kind``, an agent bank if the first entry lists tools. An invalid
+    entry is a ParseError at its ``file[i]`` (array) or ``file:line`` (JSONL).
+    """
     path = Path(path)
     try:
         raw = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise IoError(f"cannot read bank file {path}: {exc}") from exc
 
-    documents: list[tuple[str, dict[str, Any]]] = []
-    stripped = raw.lstrip()
-    if stripped.startswith("["):
+    def parse(document: Any) -> CandidateSpec:
+        nonlocal kind
+        if kind is None:
+            kind = "agent" if isinstance(document, dict) and "tools" in document else "tool"
+        return validate_spec(document, kind)
+
+    if raw.lstrip().startswith("["):
         try:
             array = json.loads(raw)
         except json.JSONDecodeError as exc:
             raise ParseError(f"{path}:{exc.lineno}", exc.msg) from exc
-        documents = [(f"{path}[{i}]", doc) for i, doc in enumerate(array)]
+        entries = []
+        try:
+            for document in array:
+                entries.append(parse(document))
+        except RECORD_ERRORS as exc:
+            raise record_error(f"{path}[{len(entries)}]", exc) from exc
     else:
-        for lineno, line in enumerate(raw.splitlines(), start=1):
-            if not line.strip():
-                continue
-            try:
-                documents.append((f"{path}:{lineno}", json.loads(line)))
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"{path}:{lineno}", exc.msg) from exc
-
-    if not documents:
+        entries = read_jsonl(path, "bank file", parse)
+    if not entries:
         raise ParseError(str(path), "empty bank file")
-
-    if kind is None:
-        first = documents[0][1]
-        kind = "agent" if isinstance(first, dict) and "tools" in first else "tool"
-
-    entries: list[CandidateSpec] = []
-    seen: set[str] = set()
-    for location, document in documents:
-        spec = validate_spec(document, kind)
-        if spec.name in seen:
-            raise ValidationError(spec.name, f"duplicate name at {location}")
-        seen.add(spec.name)
-        entries.append(spec)
     return CandidateBank(kind=kind, entries=tuple(entries))
 
 

@@ -18,8 +18,8 @@ from .errors import BadConfig, GatewayError
 from .gateway import Gateway, user_request
 from .graph import SCREEN_MARGIN, _unit_rows, cosine_similarity
 from .registry import CandidatePool
-from .supervision import render_prompt, serialize_history
-from .synthesis import Turn
+from .supervision import render_prompt
+from .synthesis import Turn, serialize_history
 
 VARIANTS = ("embedding_q", "embedding_qh", "llm", "oracle", "random")
 
@@ -95,7 +95,8 @@ def embedding_route(
     """Cosine scoring of the request text against each candidate's phi text.
 
     mode "q" embeds the query alone; "q_plus_h" prefixes the serialized
-    history (truncated from the oldest turn when over the input limit).
+    history, keeping its last ``max_history_chars`` characters less the
+    query and a newline; the cut need not fall on a turn boundary.
     One mat-vec screens the pool, the scalar cosine decides the candidates
     within SCREEN_MARGIN of the best, and ties go to the smallest name.
     """

@@ -9,7 +9,6 @@ strictly before that observation.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -24,6 +23,7 @@ from .synthesis import (
     Observation,
     Trajectory,
     Turn,
+    serialize_history,
     turn_from_dict,
     turn_to_dict,
 )
@@ -91,29 +91,6 @@ def extract_instances(trajectory: Trajectory, pool: CandidatePool) -> list[Routi
 def strip_history(instance: RoutingInstance) -> RoutingInstance:
     """History-stripped ablation twin; idempotent."""
     return replace(instance, history=())
-
-
-# --- history serialization (transcript style shared with Q+H routing) --------------
-
-
-def serialize_history(turns: Sequence[Turn], kind: str = "agent") -> str:
-    """Render turns in the benchmark transcript style.
-
-    Each turn starts a line with ``User:`` or ``Assistant:``; candidate calls
-    appear as <agent_call>/<tool_call> tags followed by ``Tool results:``.
-    """
-    tag = f"{kind}_call"
-    lines: list[str] = []
-    for turn in turns:
-        if isinstance(turn, Observation):
-            lines.append(f"User: {turn.text}")
-        else:
-            lines.append(f"Assistant: {turn.text}")
-            for call in turn.calls:
-                arguments = json.dumps(call.arguments, ensure_ascii=False)
-                lines.append(f"<{tag}>{call.name}{arguments}</{tag}>")
-                lines.append(f"Tool results: {call.simulated_result}")
-    return "\n".join(lines)
 
 
 _HISTORY_BLOCK_RE = re.compile(r"<history>(.*?)</history>", re.DOTALL)

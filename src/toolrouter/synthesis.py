@@ -67,6 +67,28 @@ class Action:
 Turn = Union[Observation, Action]
 
 
+def serialize_history(turns: Sequence[Turn], kind: str = "agent") -> str:
+    """Render turns as the one dialogue transcript of the pipeline.
+
+    Each turn starts a line with ``User:`` or ``Assistant:``; candidate calls
+    appear as <agent_call>/<tool_call> tags followed by ``Tool results:``.
+    Simulation prompts, dataset histories, the q+h router and the LRA
+    reasoner all read this text.
+    """
+    tag = f"{kind}_call"
+    lines: list[str] = []
+    for turn in turns:
+        if isinstance(turn, Observation):
+            lines.append(f"User: {turn.text}")
+        else:
+            lines.append(f"Assistant: {turn.text}")
+            for call in turn.calls:
+                arguments = json.dumps(call.arguments, ensure_ascii=False)
+                lines.append(f"<{tag}>{call.name}{arguments}</{tag}>")
+                lines.append(f"Tool results: {call.simulated_result}")
+    return "\n".join(lines)
+
+
 @dataclass(frozen=True)
 class Trajectory:
     trajectory_id: str
@@ -121,19 +143,6 @@ def check_arguments(arguments: dict, schema: Mapping) -> list[str]:
         if check is not None and not check(value):
             violations.append(f"argument {key!r} is not of type {expected!r}")
     return violations
-
-
-def _transcript_text(turns: Sequence[Turn]) -> str:
-    lines = []
-    for turn in turns:
-        if isinstance(turn, Observation):
-            lines.append(f"User: {turn.text}")
-        else:
-            lines.append(f"Assistant: {turn.text}")
-            for call in turn.calls:
-                lines.append(f"  call {call.name}({json.dumps(call.arguments, ensure_ascii=False)})")
-                lines.append(f"  result: {call.simulated_result}")
-    return "\n".join(lines) if lines else "(empty)"
 
 
 # --- operations -----------------------------------------------------------------------
@@ -194,6 +203,7 @@ def simulate_trajectory(
     if 2 * len(plan.steps) + 2 > cfg.max_turns:  # the finished trajectory could never fit
         raise Discarded("over length")
     rng = random.Random(derive_seed(cfg.rng_seed, trajectory_id))
+    kind = specs[subset.members[0]].kind
     turns: list[Turn] = [Observation(text=plan.task_text)]
     plan_json = json.dumps(plan.to_dict(), ensure_ascii=False)
 
@@ -211,7 +221,7 @@ def simulate_trajectory(
             prompts.ASSISTANT_TURN_TEMPLATE,
             TASK=plan.task_text,
             PLAN_JSON=plan_json,
-            TRANSCRIPT=_transcript_text(turns),
+            TRANSCRIPT=serialize_history(turns, kind),
             STEP_SECTION=step_section,
         )
         reply = gateway.chat(user_request(content, temperature=cfg.temperature, model_id=cfg.model_id))
@@ -251,7 +261,7 @@ def simulate_trajectory(
 
     def user_feedback() -> Observation:
         hint = prompts.ERROR_HINT_SENTENCE if rng.random() < cfg.error_prob else ""
-        content = prompts.fill(prompts.USER_TURN_TEMPLATE, ERROR_HINT=hint, TRANSCRIPT=_transcript_text(turns))
+        content = prompts.fill(prompts.USER_TURN_TEMPLATE, ERROR_HINT=hint, TRANSCRIPT=serialize_history(turns, kind))
         reply = gateway.chat(user_request(content, temperature=cfg.temperature, model_id=cfg.model_id))
         return Observation(text=reply.strip())
 

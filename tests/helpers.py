@@ -134,6 +134,14 @@ def corrupt_snapshot(lines: list[str], case: str) -> list[str]:
         edges[0]["edge"]["kind"] = "mutation"
     elif case == "node name unlike its spec's":
         nodes[0]["node"]["name"] = "zzz_other"
+    elif case == "node embedding of numeric strings":
+        nodes[0]["node"]["embedding"] = [str(value) for value in nodes[0]["node"]["embedding"]]
+    elif case == "node embedding with a bool":
+        nodes[0]["node"]["embedding"][0] = True
+    elif case == "node of the other kind":
+        nodes[0]["node"]["kind"] = "agent"
+    elif case == "node spec not an object":
+        nodes[0]["node"]["spec"] = 5
     elif case == "node embedding model not a string":
         nodes[0]["node"]["embedding_model_id"] = [1]
     elif case == "meta embedding model not a string":
@@ -163,6 +171,10 @@ BROKEN_SNAPSHOTS = {
     "edge without its similarity weight": (ParseError, "has no weight"),
     "edge of mutation kind with a weight": (ParseError, "carries a weight"),
     "node name unlike its spec's": (ParseError, "holds the spec of"),
+    "node embedding of numeric strings": (ParseError, "JSON numbers"),
+    "node embedding with a bool": (ParseError, "JSON numbers"),
+    "node of the other kind": (ParseError, 'must end with "_agent"'),
+    "node spec not an object": (ParseError, "must be a JSON object"),
     "node embedding model not a string": (ParseError, "must be str"),
     "meta embedding model not a string": (ParseError, "must be str"),
     "appended edge repeated with another weight": (ParseError, "repeated similarity edge"),

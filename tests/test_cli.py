@@ -16,6 +16,7 @@ from helpers import (
     make_family_bank,
     make_tool_bank,
 )
+from toolrouter import synthesis
 from toolrouter.cli import main
 from toolrouter.registry import save_bank
 from toolrouter.supervision import load_dataset
@@ -38,6 +39,24 @@ def workspace(tmp_path):
 
 def run(args):
     return CliRunner().invoke(main, args, catch_exceptions=False)
+
+
+def test_sample_writes_the_subsets_synthesize_draws(workspace, monkeypatch):
+    tmp_path, bank_path, config_path = workspace
+    graph, subsets = tmp_path / "graph.jsonl", tmp_path / "subsets.jsonl"
+    run(["build-graph", "--config", config_path, "--bank", bank_path, "--out", str(graph)])
+    drawn = []
+    real_sample_subset = synthesis.sample_subset
+
+    def recording_sample_subset(*args):
+        drawn.append(real_sample_subset(*args))
+        return drawn[-1]
+
+    monkeypatch.setattr(synthesis, "sample_subset", recording_sample_subset)
+    run(["synthesize", "--config", config_path, "--graph", str(graph), "--count", "3", "--out", str(tmp_path / "t.jsonl")])
+    assert len(drawn) >= 3
+    run(["sample", "--config", config_path, "--graph", str(graph), "--count", str(len(drawn)), "--out", str(subsets)])
+    assert [json.loads(line) for line in subsets.read_text().splitlines()] == [s.to_dict() for s in drawn]
 
 
 def test_build_graph_command(workspace):
@@ -360,7 +379,7 @@ def test_fuzzed_snapshot_edge_record_exits_1(chain_files, edit, position):
 
 # One-field edits of a node record that no snapshot accepts: a name unlike
 # its spec's, an unknown or wrong kind, a spec that is no valid spec, an
-# embedding that is not a flat list of finite floats of the snapshot's
+# embedding that is not a flat list of finite JSON numbers of the snapshot's
 # length, a model id that is not the snapshot's string, a missing key, or a
 # node that is not an object.
 _EMBEDDING_EDITS = {
@@ -371,6 +390,8 @@ _EMBEDDING_EDITS = {
     "inf": lambda values: [*values[:-1], math.inf],
     "-inf": lambda values: [-math.inf, *values[1:]],
     "string entry": lambda values: ["x", *values[1:]],
+    "numeric string entry": lambda values: [str(values[0]), *values[1:]],
+    "bool entry": lambda values: [True, *values[1:]],
 }
 _NODE_RECORD_EDITS = st.one_of(
     st.tuples(st.just("name"), st.sampled_from([5, 1.5, True, None, [], {}, "", "zzz_other"])),
@@ -480,7 +501,7 @@ eval:
 # sha256 of the downstream mock artifacts under ALL_SECTION_KEYS_YAML.
 # A change to them must be explained in CHANGES.md.
 PINNED_DOWNSTREAM = {
-    "trajs.jsonl": "bd95808af325cfb7c6ff75e54e4d5b293cb9ed31471f1638e11bb444f9796465",
+    "trajs.jsonl": "5cccf7da99efe87cfae0b1d954dc7f50e01c1e4db6d3ad5266007bf84048ac56",
     "dataset.jsonl": "06499c0f8000208d7569eb9863076ded7f611652c0aa25b5e8a1790b1dbeb099",
     "dataset.jsonl.nohistory": "e461ad9e2b727522b1120c57891b57bd54d7c53443f63c32db1cf2a9ad58a8bf",
     "results.jsonl": "0b2894fd595990278be93fc013a6edf462de5503f271f42314760455aa785062",

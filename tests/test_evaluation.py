@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import pytest
 
-from helpers import make_tool_bank, make_tool_doc, mock_gateway
+from helpers import make_agent_bank, make_tool_bank, make_tool_doc, mock_gateway
 from toolrouter import evaluation
 from toolrouter.errors import MissingParameter, ValidationError
 from toolrouter.evaluation import (
@@ -115,6 +115,17 @@ def test_build_pool_cumulative_nesting(mutation_graph):
     # external names only appear at the last rank
     assert set(EXTERNAL_BANK.names()) <= set(plus_ext.membership)
     assert not set(EXTERNAL_BANK.names()) & set(plus_mut.membership)
+
+
+def test_multi_merges_only_group_banks_of_the_base_kind():
+    agents = make_agent_bank(5)
+    agent_base = CandidateBank(kind="agent", entries=agents.entries[:2])
+    agent_group = CandidateBank(kind="agent", entries=agents.entries[2:])
+    setting = PoolSetting(variant=Setting.MULTI, group_banks=(GROUP_BANK, agent_group))
+    tool_pool = build_pool(base_pool(), setting)
+    assert set(tool_pool.membership) == set(BASE_BANK.names()) | set(GROUP_BANK.names())
+    agent_pool = build_pool(CandidatePool.whole_bank(agent_base), setting)
+    assert set(agent_pool.membership) == set(agents.names())
 
 
 def test_build_pool_label_containment_fuzz(mutation_graph):

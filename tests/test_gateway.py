@@ -255,6 +255,8 @@ def test_embed_memo_returns_vectors_in_input_order():
         (FlakyEmbed(fail_times=0, rows=[[1.0, 0.0], [1.0]]), DimensionMismatch),
         (FlakyEmbed(fail_times=0, rows=[[1.0, 0.0], ["x", 1.0]]), MalformedEmbedding),
         (FlakyEmbed(fail_times=0, rows=[[1.0, 0.0], [None, 1.0]]), MalformedEmbedding),
+        (FlakyEmbed(fail_times=0, rows=[[1.0, 0.0], ["0.5", "1.0"]]), MalformedEmbedding),
+        (FlakyEmbed(fail_times=0, rows=[[1.0, 0.0], [True, 0.0]]), MalformedEmbedding),
         (FlakyEmbed(fail_times=0, rows=[[1.0, 0.0], [float("nan"), 1.0]]), MalformedEmbedding),
         (FlakyEmbed(fail_times=0, rows=[[1.0, 0.0], [float("inf"), 1.0]]), MalformedEmbedding),
         (FlakyEmbed(fail_times=0, rows=[[1.0, 0.0], 1.0]), MalformedEmbedding),
@@ -262,7 +264,7 @@ def test_embed_memo_returns_vectors_in_input_order():
     ],
     ids=[
         "retries-exhausted", "short-reply", "ragged-reply",
-        "string", "none", "nan", "inf", "non-list-row", "bare-number",
+        "string", "none", "numeric-strings", "bool", "nan", "inf", "non-list-row", "bare-number",
     ],
 )
 def test_failed_embed_call_memoises_nothing(backend, error):

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from helpers import make_tool_bank, mock_gateway
+from toolrouter import lra
 from toolrouter.lra import (
     EXECUTE_CANDIDATE_TOOL,
     ROUTER_INVOKE_TOOL,
@@ -16,6 +17,7 @@ from toolrouter.lra import (
 )
 from toolrouter.registry import CandidatePool
 from toolrouter.router import RouterConfig
+from toolrouter.synthesis import Observation, serialize_history
 
 BANK = make_tool_bank(10)
 POOL = CandidatePool.whole_bank(BANK)
@@ -50,6 +52,47 @@ def test_route_execute_final_episode():
     assert log.context_audit["tool_spec_count"] == 2
     assert log.context_audit["pool_size"] == len(POOL)
     assert log.context_audit["catalog_entries_in_prompt"] == 0
+
+
+class RecordingReasoner(ScriptedReasoner):
+    def __init__(self, actions):
+        super().__init__(actions)
+        self.prompts = []
+
+    def decide(self, prompt):
+        self.prompts.append(prompt)
+        return super().decide(prompt)
+
+
+def test_router_history_and_reasoner_transcript_are_the_same_turns(monkeypatch):
+    histories = []
+    real_route = lra.route
+
+    def recording_route(cfg, query, history, *args, **kwargs):
+        histories.append(history)
+        return real_route(cfg, query, history, *args, **kwargs)
+
+    monkeypatch.setattr(lra, "route", recording_route)
+    reasoner = RecordingReasoner(
+        [
+            {"action": "route", "need": "first need"},
+            {"action": "execute", "arguments": {"target": "x"}},
+            {"action": "route", "need": "second need"},
+            {"action": "final", "answer": "done"},
+        ]
+    )
+    log = run_episode("two routes", POOL, ORACLE, ExecutorBinding.mock_for(POOL), reasoner, oracle_label=LABEL)
+    assert log.outcome == "finished"
+    first, second = histories
+    assert first == (Observation(text="two routes"),)  # the first route sees only the task
+    assert len(second) == 3 and second[0] == first[0]
+    transcript = serialize_history(second[1:])
+    assert f"Transcript so far:\n{transcript}\n\n" in reasoner.prompts[2]
+    assert transcript.splitlines() == [
+        f"Assistant: route(need='first need') -> [router decision] {LABEL}",
+        f"Assistant: execute() -> [execution result] {log.steps[1].execution_result}",
+    ]
+    assert "Transcript so far:\n(empty)\n" in reasoner.prompts[0]
 
 
 def test_execute_before_route_is_recorded_not_fatal():

@@ -256,6 +256,24 @@ def test_bank_file_errors(tmp_path):
     dup.write_text(doc + "\n" + doc + "\n", encoding="utf-8")
     with pytest.raises(ValidationError):
         load_bank(dup)
+    # a line that is no valid entry is reported at file:line, an array entry at file[i]
+    nameless = json.dumps({**make_tool_doc(1), "name": ""})
+    for bad_line, phrase in (("[1]", "JSON object"), ("5", "JSON object"), (nameless, "missing required field")):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(doc + "\n\n" + bad_line + "\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=phrase) as info:
+            load_bank(bad)
+        assert f"{bad}:3:" in str(info.value)
+    agent = tmp_path / "agent.jsonl"
+    agent.write_text(json.dumps(make_agent_doc(0)) + "\n" + doc + "\n", encoding="utf-8")
+    with pytest.raises(ParseError, match='must end with "_agent"') as info:
+        load_bank(agent)
+    assert f"{agent}:2:" in str(info.value)
+    array = tmp_path / "bank.json"
+    array.write_text(json.dumps([make_tool_doc(0), 5]), encoding="utf-8")
+    with pytest.raises(ParseError, match="JSON object") as info:
+        load_bank(array)
+    assert f"{array}[1]:" in str(info.value)
 
 
 def test_as_mutant_stamps_provenance():

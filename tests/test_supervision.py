@@ -23,10 +23,17 @@ from toolrouter.supervision import (
     render_prompt,
     render_sample,
     save_dataset,
-    serialize_history,
     strip_history,
 )
-from toolrouter.synthesis import Action, CandidateCall, Observation, PlanStep, TaskPlan, Trajectory
+from toolrouter.synthesis import (
+    Action,
+    CandidateCall,
+    Observation,
+    PlanStep,
+    TaskPlan,
+    Trajectory,
+    serialize_history,
+)
 
 BANK = make_tool_bank(6)
 POOL = CandidatePool.whole_bank(BANK)

@@ -5,6 +5,8 @@ import json
 import pytest
 
 from helpers import make_tool_bank, mock_gateway
+from toolrouter import prompts
+from toolrouter.backends import MockChatBackend
 from toolrouter.errors import Discarded, RetriesExhaustedSynthesis
 from toolrouter.gateway import Gateway
 from toolrouter.graph import GraphConfig, build_graph
@@ -21,6 +23,7 @@ from toolrouter.synthesis import (
     load_trajectories,
     propose_task,
     save_trajectories,
+    serialize_history,
     simulate_trajectory,
     synthesize_batch,
     validate_trajectory,
@@ -33,6 +36,18 @@ def env():
     graph = build_graph(make_tool_bank(10), GraphConfig(), gateway)
     specs = {name: node.spec for name, node in graph.nodes.items()}
     return gateway, graph, specs
+
+
+class RecordingChat(MockChatBackend):
+    """The mock chat backend, keeping every prompt it answers."""
+
+    def __init__(self):
+        super().__init__(seed=0)
+        self.prompts = []
+
+    def complete(self, request):
+        self.prompts.append(request.messages[-1].content)
+        return super().complete(request)
 
 
 def subset_of(names):
@@ -96,6 +111,22 @@ def test_simulated_trajectory_shape(env):
             assert call.name in subset
             assert call.simulated_result
     assert validate_trajectory(trajectory, subset, specs) == []
+
+
+def test_simulation_prompts_render_the_turns_so_far(env):
+    _, graph, specs = env
+    subset = subset_of(graph.names()[:3])
+    backend = RecordingChat()
+    gateway = Gateway(chat_backend=backend, backoff_s=0.0)
+    plan = propose_task(subset, specs, gateway)
+    trajectory = simulate_trajectory(plan, subset, specs, gateway, SynthesisConfig(rng_seed=1))
+    markers = (prompts.ASSISTANT_TURN_MARKER, prompts.USER_TURN_MARKER)
+    role_prompts = [prompt for prompt in backend.prompts if prompt.startswith(markers)]
+    # the prompt for turn i shows turns[:i], calls tagged with the subset's kind
+    assert len(role_prompts) == len(trajectory.turns) - 1
+    for index, prompt in enumerate(role_prompts, start=1):
+        assert f"Transcript so far:\n{serialize_history(trajectory.turns[:index], 'tool')}\n\n" in prompt
+    assert "<tool_call>" in role_prompts[-1]
 
 
 def test_simulation_discards_over_length(env):

@@ -32,3 +32,33 @@ def test_unused_import_check_flags_only_unreferenced_names():
 @pytest.mark.parametrize("path", SOURCES, ids=[path.name for path in SOURCES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def unreferenced_private_functions(sources: dict[str, str]) -> list[str]:
+    """Module-level ``_name`` functions that no module references by name."""
+    defined: dict[str, str] = {}
+    referenced: set[str] = set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("_") and not node.name.startswith("__"):
+                defined[node.name] = module
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                referenced.update(alias.name for alias in node.names)
+    return sorted(f"{module}: {name}" for name, module in defined.items() if name not in referenced)
+
+
+def test_private_function_check_flags_only_unreferenced_functions():
+    sources = {"a.py": "def _used():\n    pass\ndef _dead():\n    _used()\n", "b.py": "from a import _imported\n"}
+    sources["a.py"] += "def _imported():\n    pass\n"
+    assert unreferenced_private_functions(sources) == ["a.py: _dead"]
+
+
+def test_every_private_function_is_referenced():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in SOURCES}
+    assert unreferenced_private_functions(sources) == []
