@@ -51,6 +51,11 @@ def _pipeline_config(
     return cfg
 
 
+def _router_config(cfg: PipelineConfig, variant: str, kind: str) -> RouterConfig:
+    """The config's ``eval`` router settings for one variant over candidates of ``kind``."""
+    return replace(cfg.eval, variant=variant, kind=kind, chat_model_id=cfg.backend.chat_model, rng_seed=cfg.rng_seed)
+
+
 common_options = [
     click.option("--config", "config_path", type=click.Path(exists=True), default=None),
     click.option("--seed", type=int, default=None, help="Overrides the config seed."),
@@ -195,13 +200,7 @@ def evaluate_cmd(config_path, seed, backend, dataset_path, variants, k, out_path
     setting = PoolSetting(variant=Setting.CLEAN)
     results: dict[str, dict[str, Metrics]] = {}
     for variant in variants:
-        router_cfg = replace(
-            cfg.eval,
-            variant=variant,
-            kind=records[0].kind,
-            chat_model_id=cfg.backend.chat_model,
-            rng_seed=cfg.rng_seed,
-        )
+        router_cfg = _router_config(cfg, variant, records[0].kind)
         metrics = evaluate(router_cfg, records, setting, k=k, seed=cfg.rng_seed, gateway=gateway)
         results[variant] = {Setting.CLEAN.value: metrics}
         click.echo(f"{variant}: avg@{k} = {metrics.avg_at_k:.4f} over {metrics.n_instances} instances")
@@ -227,11 +226,10 @@ def lra_run_cmd(config_path, seed, backend, bank_path, task, variant, budget, ou
     bank = load_bank(bank_path)
     pool = CandidatePool.whole_bank(bank)
     gateway = make_gateway(cfg)
-    router_cfg = RouterConfig(variant=variant, kind=bank.kind, chat_model_id=cfg.backend.chat_model)
     log = run_episode(
         task,
         pool,
-        router_cfg,
+        _router_config(cfg, variant, bank.kind),
         ExecutorBinding.mock_for(pool),
         GatewayReasoner(gateway, model_id=cfg.backend.chat_model),
         gateway=gateway,

@@ -10,7 +10,6 @@ Concrete backends live in :mod:`toolrouter.backends`.
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass
 from typing import Callable, Protocol, Sequence, TypeVar
@@ -107,7 +106,8 @@ class Usage:
 
 
 class Gateway:
-    """Thread-safe front door for chat and embedding calls."""
+    """Front door for chat and embedding calls. It takes no lock: the budget,
+    the usage counters and the embedding memo assume one calling thread."""
 
     def __init__(
         self,
@@ -124,7 +124,6 @@ class Gateway:
         self._backoff_s = backoff_s
         self._max_chat_calls = max_chat_calls
         self._embeddings: dict[str, EmbeddingVector] = {}  # one backend, so the text is the key
-        self._lock = threading.Lock()
         self.usage = Usage()
 
     def _call_with_retries(self, what: str, call: Callable[[T], R], argument: T) -> R:
@@ -142,15 +141,12 @@ class Gateway:
     def chat(self, request: ChatRequest) -> str:
         if self._chat is None:
             raise GatewayError("no chat backend configured")
-        with self._lock:
-            if self._max_chat_calls is not None and self.usage.chat_calls >= self._max_chat_calls:
-                raise BudgetExceeded(f"chat call budget of {self._max_chat_calls} exhausted")
-            self.usage.chat_calls += 1
-
+        if self._max_chat_calls is not None and self.usage.chat_calls >= self._max_chat_calls:
+            raise BudgetExceeded(f"chat call budget of {self._max_chat_calls} exhausted")
+        self.usage.chat_calls += 1
         text = self._call_with_retries("chat", self._chat.complete, request)
-        with self._lock:
-            self.usage.approx_tokens += sum(len(m.content) for m in request.messages) // 4
-            self.usage.approx_tokens += len(text) // 4
+        self.usage.approx_tokens += sum(len(m.content) for m in request.messages) // 4
+        self.usage.approx_tokens += len(text) // 4
         return text
 
     def embed_texts(self, texts: Sequence[str]) -> list[EmbeddingVector]:
@@ -164,8 +160,7 @@ class Gateway:
             raise GatewayError("no embedding backend configured")
         if not texts:
             raise ValueError("embed_texts requires at least one text")
-        with self._lock:
-            missing = list(dict.fromkeys(text for text in texts if text not in self._embeddings))
+        missing = list(dict.fromkeys(text for text in texts if text not in self._embeddings))
         if missing:
             raw = self._call_with_retries("embedding", self._embed.embed, missing)
             dim, model_id = self._embed.dim, self._embed.model_id
@@ -179,11 +174,9 @@ class Gateway:
                 vectors = [EmbeddingVector(values=row, model_id=model_id) for row in rows]
             except (TypeError, ValueError) as exc:
                 raise MalformedEmbedding("backend embedding rows must be flat lists of finite numbers") from exc
-            with self._lock:
-                self._embeddings.update(zip(missing, vectors))
-                self.usage.embed_calls += 1
-        with self._lock:
-            return [self._embeddings[text] for text in texts]
+            self._embeddings.update(zip(missing, vectors))
+            self.usage.embed_calls += 1
+        return [self._embeddings[text] for text in texts]
 
     def embed_text(self, text: str) -> EmbeddingVector:
         return self.embed_texts([text])[0]

@@ -36,6 +36,7 @@ DEFAULT_TAU = 0.82
 # between the matrix and the scalar cosine is orders of magnitude smaller.
 SCREEN_MARGIN = 1e-9
 SCREEN_BLOCK_ROWS = 256  # rows per block of the screening product
+ORDERED_LOOP_ROWS = 256  # from here a loop over 64 columns beats a running sum per row
 
 
 @dataclass(frozen=True)
@@ -127,31 +128,33 @@ def cosine_similarity(h_i: EmbeddingVector, h_j: EmbeddingVector) -> float:
 
 def _stacked_rows(vectors: Sequence[EmbeddingVector]) -> np.ndarray:
     """The vectors as the rows of one float64 matrix; mixed dims raise as in the scalar cosine."""
-    dims = sorted({vector.dim for vector in vectors})
-    if len(dims) > 1:
-        raise DimensionMismatch(f"dims differ: {dims}")
-    return np.array([vector.values for vector in vectors], dtype=np.float64)
-
-
-def _unit_rows(vectors: Sequence[EmbeddingVector]) -> np.ndarray:
-    """Row-normalised float64 matrix; mixed dims and zero vectors raise as in the scalar cosine."""
-    matrix = _stacked_rows(vectors)
-    norms = np.linalg.norm(matrix, axis=1, keepdims=True)
-    if not norms.all():
-        raise ZeroVector("cosine similarity of a zero vector is undefined")
-    return matrix / norms
+    try:
+        return np.array([vector.values for vector in vectors], dtype=np.float64)
+    except ValueError:  # numpy refuses rows of different lengths
+        raise DimensionMismatch(f"dims differ: {sorted({vector.dim for vector in vectors})}") from None
 
 
 def _ordered_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise dot products with the scalar cosine's arithmetic: each product
-    rounded once, then added column by column to 0.0. ``np.dot``, ``@``,
-    ``einsum`` and ``sum`` reorder the additions (or fuse them with the
-    products), so they would not give the scalar loop's value bit for bit.
+    rounded once, then added in column order to 0.0 (by ``cumsum`` for few rows,
+    a loop over the columns for many). ``np.dot``, ``@``, ``einsum`` and ``sum``
+    reorder the additions or fuse them with the products: not bit for bit.
     """
-    dots = np.zeros(len(a))
-    for column in (a * b).T:
+    products = a * b
+    if len(products) < ORDERED_LOOP_ROWS:
+        return np.cumsum(np.hstack([np.zeros((len(products), 1)), products]), axis=1)[:, -1]
+    dots = np.zeros(len(products))
+    for column in products.T:
         dots += column
     return dots
+
+
+def _ordered_norms(rows: np.ndarray) -> np.ndarray:
+    """Row norms with the scalar cosine's arithmetic; a zero row raises as there."""
+    norms = np.sqrt(_ordered_dots(rows, rows))
+    if not norms.all():
+        raise ZeroVector("cosine similarity of a zero vector is undefined")
+    return norms
 
 
 def _similarity_edges(names: Sequence[str], rows: np.ndarray, tau: float, first: int = 0) -> list[Edge]:
@@ -161,9 +164,7 @@ def _similarity_edges(names: Sequence[str], rows: np.ndarray, tau: float, first:
     cosine's operations, run in its order over all the pairs the screen
     keeps at once, decide each one and give the edge its weight.
     """
-    norms = np.sqrt(_ordered_dots(rows, rows))
-    if not norms.all():
-        raise ZeroVector("cosine similarity of a zero vector is undefined")
+    norms = _ordered_norms(rows)
     unit = rows / norms[:, None]
     cut = tau - SCREEN_MARGIN
     edges = []

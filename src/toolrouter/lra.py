@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Protocol, Sequence
@@ -161,6 +162,16 @@ class EpisodeLog:
         }
 
 
+_WORD_RE = re.compile(r"\w+")
+
+
+def _names_in(text: str, names: Iterable[str]) -> set[str]:
+    """The names that occur in ``text`` as whole words, so ``tool_1`` does not occur
+    in ``tool_15``. A name that is no ASCII identifier is looked up as a substring."""
+    words = set(_WORD_RE.findall(text))
+    return {name for name in names if name in words or not (name.isascii() and name.isidentifier()) and name in text}
+
+
 def _reasoner_prompt(task: str, turns: Sequence[Turn]) -> str:
     """The reasoner's prompt; ``turns`` are the episode's turns after the task."""
     transcript = serialize_history(turns) or "(empty)"
@@ -184,18 +195,19 @@ def run_episode(
     gets every turn so far as its history; the reasoner reads the turns after
     the task as its transcript. Tool 2 executes the last routed candidate;
     calling it with no fresh decision is recorded as ExecuteBeforeRoute and
-    surfaced to the reasoner.
+    surfaced to the reasoner. The context audit counts the pool names in any
+    prompt shown, less the two tool names and the names routed to.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
     log = EpisodeLog(task=task)
     turns: list[Turn] = [Observation(text=task)]
     pending: RouterDecision | None = None
-    max_prompt_chars = 0
+    prompts_shown: list[str] = []
 
     for _step in range(budget):
         prompt = _reasoner_prompt(task, turns[1:])
-        max_prompt_chars = max(max_prompt_chars, len(prompt))
+        prompts_shown.append(prompt)
         raw = reasoner.decide(prompt)
         try:
             action = json.loads(raw)
@@ -229,14 +241,14 @@ def run_episode(
     else:
         log.outcome = "budget_exhausted"
 
-    # audit measured on the prompt actually shown to the reasoner
-    base_prompt = _reasoner_prompt(task, ())
-    tools_block = base_prompt.split("Available tools:", 1)[1]
+    # the tool specs as shown in the first prompt, whose transcript is empty
+    tools_block = prompts_shown[0].split("Available tools:", 1)[1]
     tool_specs = json.JSONDecoder().raw_decode(tools_block[tools_block.index("[") :])[0]
-    spec_names = {spec["name"] for spec in tool_specs}
-    catalog_hits = sum(1 for name in pool.membership if name in base_prompt and name not in spec_names)
+    allowed = {spec["name"] for spec in tool_specs}
+    allowed.update(step.decision.chosen for step in log.steps if step.decision is not None)
+    catalog_hits = len(_names_in("\n".join(prompts_shown), pool.membership) - allowed)
     log.context_audit = {
-        "max_prompt_chars": max_prompt_chars,
+        "max_prompt_chars": max(map(len, prompts_shown)),
         "tool_spec_count": len(tool_specs),
         "pool_size": len(pool),
         "catalog_entries_in_prompt": catalog_hits,

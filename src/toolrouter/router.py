@@ -14,9 +14,9 @@ import re
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import BadConfig, GatewayError
+from .errors import BadConfig, GatewayError, ZeroVector
 from .gateway import Gateway, user_request
-from .graph import SCREEN_MARGIN, _unit_rows, cosine_similarity
+from .graph import _ordered_dots, _ordered_norms, _stacked_rows
 from .registry import CandidatePool
 from .supervision import render_prompt
 from .synthesis import Turn, serialize_history
@@ -97,8 +97,8 @@ def embedding_route(
     mode "q" embeds the query alone; "q_plus_h" prefixes the serialized
     history, keeping its last ``max_history_chars`` characters less the
     query and a newline; the cut need not fall on a turn boundary.
-    One mat-vec screens the pool, the scalar cosine decides the candidates
-    within SCREEN_MARGIN of the best, and ties go to the smallest name.
+    Every member gets the scalar cosine's value bit for bit, ties go to the
+    smallest name, and gateway errors and zero embedding rows raise.
     """
     if mode not in ("q", "q_plus_h"):
         raise ValueError(f"unknown embedding mode: {mode!r}")
@@ -109,15 +109,10 @@ def embedding_route(
         request_text = f"{history_text}\n{query}"
     else:
         request_text = query
-    try:
-        vectors = gateway.embed_texts([request_text] + [spec.phi for spec in pool.specs()])
-    except GatewayError as exc:
-        return _abstain(f"gateway error: {exc}")
-    unit = _unit_rows(vectors)
-    screen = unit[1:] @ unit[0]
-    band = (screen >= screen.max() - SCREEN_MARGIN).nonzero()[0].tolist()
-    best = min(band, key=lambda i: (-cosine_similarity(vectors[0], vectors[i + 1]), pool.membership[i]))
-    return RouterDecision(chosen=pool.membership[best])
+    rows = _stacked_rows(gateway.embed_texts([request_text] + [spec.phi for spec in pool.specs()]))
+    norms = _ordered_norms(rows)
+    scores = _ordered_dots(rows[1:], rows[0]) / (norms[0] * norms[1:])
+    return RouterDecision(chosen=min(pool.membership[i] for i in (scores == scores.max()).nonzero()[0]))
 
 
 def llm_route(
@@ -127,13 +122,10 @@ def llm_route(
     pool: CandidatePool,
     cfg: RouterConfig,
 ) -> RouterDecision:
-    """Prompt an LLM with the benchmark sample format and parse its reply."""
+    """Prompt an LLM with the benchmark sample format and parse its reply; gateway errors raise."""
     system, user = render_prompt(query, history, pool, cfg.kind)
     request = user_request(user, system=system, temperature=cfg.temperature, model_id=cfg.chat_model_id)
-    try:
-        reply = gateway.chat(request)
-    except GatewayError as exc:
-        return _abstain(f"gateway error: {exc}")
+    reply = gateway.chat(request)
     chosen = parse_decision(reply, pool)
     return RouterDecision(chosen=chosen, rationale=reply, abstained=chosen is None)
 
@@ -148,7 +140,7 @@ def route(
     oracle_label: str | None = None,
     rng: random.Random | None = None,
 ) -> RouterDecision:
-    """Dispatch to the configured variant. Gateway failures become abstentions."""
+    """Dispatch to the configured variant. Gateway failures and zero embedding rows become abstentions."""
     if len(pool) == 0:
         return _abstain("empty pool")
     try:
@@ -169,3 +161,5 @@ def route(
         )
     except GatewayError as exc:
         return _abstain(f"gateway error: {exc}")
+    except ZeroVector as exc:
+        return _abstain(f"zero embedding row: {exc}")

@@ -3,8 +3,11 @@
 import hashlib
 import json
 import math
+from pathlib import Path
+from typing import get_type_hints
 
 import pytest
+import yaml
 from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -16,8 +19,9 @@ from helpers import (
     make_family_bank,
     make_tool_bank,
 )
-from toolrouter import synthesis
+from toolrouter import cli, synthesis
 from toolrouter.cli import main
+from toolrouter.config import STAGE_KEYS, BackendConfig, PipelineConfig
 from toolrouter.registry import save_bank
 from toolrouter.supervision import load_dataset
 
@@ -188,6 +192,30 @@ def test_lra_run_command(workspace):
     assert "episode outcome: finished" in result.output
     log = json.loads(out.read_text().splitlines()[0])
     assert log["context_audit"]["tool_spec_count"] == 2
+
+
+def test_lra_run_takes_the_eval_section_and_seed(workspace, monkeypatch):
+    tmp_path, bank_path, _ = workspace
+    config_path = tmp_path / "eval.yaml"
+    config_path.write_text("seed: 11\neval:\n  temperature: 0.0\n", encoding="utf-8")
+    received = []
+    real_run_episode = cli.run_episode
+
+    def recording_run_episode(task, pool, router, *args, **kwargs):
+        received.append(router)
+        return real_run_episode(task, pool, router, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_episode", recording_run_episode)
+    for seed in ("1", "2"):
+        result = run(
+            ["lra-run", "--config", str(config_path), "--seed", seed, "--bank", bank_path, "--task", "t",
+             "--router", "random"]
+        )
+        assert result.exit_code == 0
+    assert [(r.variant, r.kind, r.temperature, r.rng_seed) for r in received] == [
+        ("random", "tool", 0.0, 1),
+        ("random", "tool", 0.0, 2),
+    ]
 
 
 def one_error_line(result):
@@ -425,6 +453,120 @@ def test_fuzzed_snapshot_node_record_exits_1(chain_files, edit, position):
     fuzzed = graph.with_name("fuzzed.jsonl")
     fuzzed.write_text("\n".join([*lines[:lineno], json.dumps(record), *lines[lineno + 1 :]]) + "\n", encoding="utf-8")
     one_error_line(run(["synthesize", *config, "--graph", str(fuzzed), "--out", str(graph.with_name("t.jsonl"))]))
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(edit=_POOL_ENTRY_EDITS, position=st.integers(min_value=0, max_value=10**6))
+def test_fuzzed_bank_line_exits_1(workspace, edit, position):
+    tmp_path, bank_path, config_path = workspace
+    lines = Path(bank_path).read_text(encoding="utf-8").splitlines()
+    index = position % len(lines)
+    lines[index] = json.dumps(_apply_pool_entry_edit(json.loads(lines[index]), edit))
+    fuzzed = tmp_path / "fuzzed_bank.jsonl"
+    fuzzed.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    result = run(["build-graph", "--config", config_path, "--bank", str(fuzzed), "--out", str(tmp_path / "g.jsonl")])
+    one_error_line(result)
+
+
+# One-field edits of a trajectory line that no trajectory file accepts: a
+# turn, call or plan step that is no object, a field of the wrong type, a call
+# outside the subset, an unknown turn type, or a missing key. An edit names
+# the elements it may hit ("turns", "actions": the action turns, "calls",
+# "steps", "plan"), the key it sets ("whole": the element itself, "missing":
+# the key it deletes) and the value.
+_TRAJECTORY_EDITS = st.one_of(
+    st.tuples(st.sampled_from(["turns", "calls", "steps"]), st.just("whole"), st.sampled_from([5, "x", [], None, True])),
+    st.tuples(st.just("turns"), st.just("text"), _NOT_A_STRING),
+    st.tuples(st.just("turns"), st.just("type"), st.sampled_from([5, True, None, [], {}, "", "tool", "Action"])),
+    st.tuples(st.just("actions"), st.just("calls"), st.sampled_from([5, "x", {}, None, True, [5], [None], ["x"]])),
+    st.tuples(st.just("calls"), st.sampled_from(["name", "result"]), _NOT_A_STRING),
+    st.tuples(st.just("calls"), st.just("name"), st.just("zzz_missing")),
+    st.tuples(st.just("calls"), st.just("arguments"), st.sampled_from([5, 1.5, True, None, "x", [], ["a"]])),
+    st.tuples(st.just("steps"), st.sampled_from(["goal", "candidate"]), _NOT_A_STRING),
+    st.tuples(st.just("plan"), st.just("task"), _NOT_A_STRING),
+    st.tuples(st.just("plan"), st.just("steps"), st.sampled_from([5, "x", None, True, {}, [5], [None]])),
+    st.tuples(st.just("turns"), st.just("missing"), st.sampled_from(["text", "type"])),
+    st.tuples(st.just("calls"), st.just("missing"), st.sampled_from(["name", "arguments", "result"])),
+    st.tuples(st.just("steps"), st.just("missing"), st.sampled_from(["goal", "candidate"])),
+    st.tuples(st.just("plan"), st.just("missing"), st.sampled_from(["task", "steps"])),
+)
+
+
+def _trajectory_slots(record, target):
+    """(container, key) of each element of a trajectory record that ``target`` names."""
+    turns = record["turns"]
+    if target == "turns":
+        return [(turns, index) for index in range(len(turns))]
+    if target == "actions":
+        return [(turns, index) for index, turn in enumerate(turns) if turn["type"] == "action"]
+    if target == "calls":
+        actions = [turn for turn in turns if turn["type"] == "action"]
+        return [(turn["calls"], index) for turn in actions for index in range(len(turn["calls"]))]
+    if target == "steps":
+        return [(record["plan"]["steps"], index) for index in range(len(record["plan"]["steps"]))]
+    return [(record, "plan")]
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(edit=_TRAJECTORY_EDITS, position=st.integers(min_value=0, max_value=10**6))
+def test_fuzzed_trajectory_line_exits_1(chain_files, edit, position):
+    config, graph, trajs, dataset = chain_files
+    lines = trajs.read_text(encoding="utf-8").splitlines()
+    record = json.loads(lines[1])
+    target, key, value = edit
+    slots = _trajectory_slots(record, target)
+    container, index = slots[position % len(slots)]
+    if key == "whole":
+        container[index] = value
+    elif key == "missing":
+        del container[index][value]
+    else:
+        container[index][key] = value
+    fuzzed = trajs.with_name("fuzzed.jsonl")
+    fuzzed.write_text("\n".join([lines[0], json.dumps(record), *lines[2:]]) + "\n", encoding="utf-8")
+    result = run(["extract", *config, "--trajectories", str(fuzzed), "--graph", str(graph), "--out", str(dataset)])
+    one_error_line(result)
+    assert f"{fuzzed}:2" in result.output
+
+
+# Values of a type that a YAML-settable config key does not take, by the
+# key's type, and values that no config section takes.
+_WRONG_CONFIG_VALUES = {
+    int: ["12", 1.5, True, None, [1], {"a": 1}],
+    int | None: ["12", 1.5, True, [1], {"a": 1}],
+    float: ["0.5", True, None, [0.5], {"a": 1}],
+    str: [5, 1.5, True, None, ["a"], {"a": 1}],
+    tuple[int, int]: [5, "2, 4", None, [2], [2, 3, 4], [2.5, 4], {"a": 1}],
+}
+_WRONG_SECTIONS = [5, "x", [1, 2], {"surprise": 1}]
+
+
+def _config_edits():
+    """(key path, value) for every wrong value of every YAML-settable config key."""
+    top = get_type_hints(PipelineConfig)
+    edits = [((key,), value) for key in ("seed", "tau") for value in _WRONG_CONFIG_VALUES[top[key]]]
+    sections = {"backend": (BackendConfig, tuple(get_type_hints(BackendConfig))), **STAGE_KEYS}
+    for section, (cls, keys) in sections.items():
+        types = get_type_hints(cls)
+        edits += [((section,), value) for value in _WRONG_SECTIONS]
+        edits += [((section, key), value) for key in keys for value in _WRONG_CONFIG_VALUES[types[key]]]
+    return edits
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(edit=st.sampled_from(_config_edits()))
+def test_fuzzed_config_value_exits_1(workspace, edit):
+    tmp_path, bank_path, _ = workspace
+    (*sections, key), value = edit
+    document = {"seed": 11, "sampler": {"target_range": [2, 4]}}
+    target = document
+    for section in sections:
+        target = target.setdefault(section, {})
+    target[key] = value
+    config_path = tmp_path / "fuzzed.yaml"
+    config_path.write_text(yaml.safe_dump(document), encoding="utf-8")
+    result = run(["build-graph", "--config", str(config_path), "--bank", bank_path, "--out", str(tmp_path / "g.jsonl")])
+    one_error_line(result)
 
 
 MALFORMED_BANK_ENTRIES = {

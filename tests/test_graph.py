@@ -20,12 +20,14 @@ from toolrouter.backends import StaticEmbeddingBackend
 from toolrouter.errors import DimensionMismatch, DuplicateName, EmptyBank, UnknownParent, ZeroVector
 from toolrouter.gateway import EmbeddingVector, Gateway
 from toolrouter.graph import (
+    ORDERED_LOOP_ROWS,
     CandidateGraph,
     Edge,
     GraphConfig,
     GraphNode,
     build_graph,
     add_mutant,
+    _ordered_dots,
     cosine_similarity,
     load_graph,
     save_graph,
@@ -333,6 +335,22 @@ def test_edges_and_weights_equal_scalar_scan_bit_for_bit(dim, seed, spread, tie)
     assert similarity_weights(graph) == expected
     if tied:
         assert tuple(sorted((names[tied[0]], names[tied[1]]))) not in expected
+
+
+@pytest.mark.parametrize("rows", [1, ORDERED_LOOP_ROWS - 1, ORDERED_LOOP_ROWS])
+def test_ordered_dots_equal_the_scalar_loop_bit_for_bit(rows):
+    rng = np.random.default_rng(rows)
+    a = rng.normal(size=(rows, 65)) * 10.0 ** rng.integers(-8, 8, size=(rows, 1))
+    b = rng.normal(size=(rows, 65))
+    a[0], b[0] = -0.0, np.abs(b[0])  # every product is -0.0; the loop's sum from 0.0 is +0.0
+    expected = []
+    for x, y in zip(a.tolist(), b.tolist()):
+        dot = 0.0
+        for u, v in zip(x, y):
+            dot += u * v
+        expected.append(dot)
+    assert _ordered_dots(a, b).tobytes() == np.array(expected).tobytes()
+    assert _ordered_dots(a[:, :0], b[:, :0]).tolist() == [0.0] * rows
 
 
 def reference_snapshot(graph):

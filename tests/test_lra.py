@@ -54,6 +54,28 @@ def test_route_execute_final_episode():
     assert log.context_audit["catalog_entries_in_prompt"] == 0
 
 
+def test_context_audit_reads_every_prompt_shown():
+    executor = ExecutorBinding.mock_for(POOL)
+    executor.scripted[(LABEL, lra._args_key({"target": "x"}))] = "listing: " + ", ".join(POOL.membership)
+    reasoner = scripted(
+        {"action": "route", "need": "something capable"},
+        {"action": "execute", "arguments": {"target": "x"}},
+        {"action": "final", "answer": "done"},
+    )
+    log = run_episode("do the thing", POOL, ORACLE, executor, reasoner, oracle_label=LABEL)
+    # every pool name reached the last prompt; the one routed to is no catalog entry
+    assert log.context_audit["catalog_entries_in_prompt"] == len(POOL) - 1
+
+
+def test_audit_names_are_whole_words():
+    text = "ran tool_15 then web-search (web_fetch)"
+    assert lra._names_in(text, ["tool_1", "tool_15", "web-search", "web_fetch", "fetch"]) == {
+        "tool_15",
+        "web-search",
+        "web_fetch",
+    }
+
+
 class RecordingReasoner(ScriptedReasoner):
     def __init__(self, actions):
         super().__init__(actions)

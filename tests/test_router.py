@@ -95,6 +95,29 @@ def test_embedding_route_exact_tie_goes_to_smallest_name():
     assert embedding_route(gateway, "query", (), pool, "q").chosen == "a_tie"
 
 
+NEAR_TIE_BANK = make_tool_bank(12)
+_SMALL_ROWS = st.lists(st.integers(-3, 3), min_size=3, max_size=3).filter(any)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    query=_SMALL_ROWS,
+    rows=st.lists(_SMALL_ROWS, min_size=1, max_size=6),
+    planted=st.lists(st.tuples(st.integers(0, 5), st.integers(1, 4)), max_size=6),
+    order=st.randoms(use_true_random=False),
+)
+def test_embedding_route_matches_scalar_reference_on_near_ties(query, rows, planted, order):
+    # duplicates (scale 1) tie exactly; scaled copies tie up to the last bit of their norms
+    rows = rows + [[scale * x for x in rows[index % len(rows)]] for index, scale in planted]
+    membership = list(NEAR_TIE_BANK.names()[: len(rows)])
+    mapping = {NEAR_TIE_BANK.get(name).phi: row for name, row in zip(membership, rows)}
+    mapping["query"] = query
+    order.shuffle(membership)
+    pool = CandidatePool(bank=NEAR_TIE_BANK, membership=tuple(membership))
+    gateway = Gateway(embedding_backend=StaticEmbeddingBackend(mapping, dim=3), backoff_s=0.0)
+    assert embedding_route(gateway, "query", (), pool, "q").chosen == scalar_reference(gateway, "query", pool)
+
+
 def test_embedding_route_renders_each_phi_text_once(monkeypatch):
     calls = []
 
@@ -272,6 +295,17 @@ def test_route_abstains_on_malformed_embedding_row(row):
     decision = route(RouterConfig(variant="embedding_q"), "q", (), POOL, gateway)
     assert decision.abstained and decision.chosen is None
     assert decision.rationale == "gateway error: backend embedding rows must be flat lists of finite numbers"
+
+
+@pytest.mark.parametrize("zero", ["query", "candidate"])
+def test_route_abstains_on_zero_embedding_row(zero):
+    mapping = {spec.phi: (1.0, 0.0) for spec in POOL.specs()}
+    mapping["q"] = (0.0, 1.0)
+    mapping["q" if zero == "query" else POOL.specs()[0].phi] = (0.0, 0.0)
+    gateway = Gateway(embedding_backend=StaticEmbeddingBackend(mapping, dim=2), backoff_s=0.0)
+    decision = route(RouterConfig(variant="embedding_q"), "q", (), POOL, gateway)
+    assert decision.abstained and decision.chosen is None
+    assert decision.rationale == "zero embedding row: cosine similarity of a zero vector is undefined"
 
 
 def test_route_no_gateway_abstains():
