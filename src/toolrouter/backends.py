@@ -329,7 +329,7 @@ class _HTTPBackend:
 class HTTPChatBackend(_HTTPBackend):
     def complete(self, request: ChatRequest) -> str:
         payload = {
-            "model": request.model_id if request.model_id != "default" else self.model_id,
+            "model": self.model_id,
             "messages": [{"role": m.role, "content": m.content} for m in request.messages],
             "temperature": request.temperature,
             "max_tokens": request.max_tokens,

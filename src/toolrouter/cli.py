@@ -53,7 +53,7 @@ def _pipeline_config(
 
 def _router_config(cfg: PipelineConfig, variant: str, kind: str) -> RouterConfig:
     """The config's ``eval`` router settings for one variant over candidates of ``kind``."""
-    return replace(cfg.eval, variant=variant, kind=kind, chat_model_id=cfg.backend.chat_model, rng_seed=cfg.rng_seed)
+    return replace(cfg.eval, variant=variant, kind=kind, rng_seed=cfg.rng_seed)
 
 
 common_options = [
@@ -99,8 +99,7 @@ def mutate_cmd(config_path, seed, backend, graph_path, rounds, out_path, log_pat
     """Expand a graph with self-evolutionary mutations."""
     cfg = _pipeline_config(config_path, seed, backend)
     graph = load_graph(graph_path)
-    evolve_cfg = replace(cfg.mutation, rng_seed=cfg.rng_seed, model_id=cfg.backend.chat_model)
-    result = evolve(graph, rounds, evolve_cfg, make_gateway(cfg))
+    result = evolve(graph, rounds, replace(cfg.mutation, rng_seed=cfg.rng_seed), make_gateway(cfg))
     save_graph(result.graph, out_path)
     if log_path:
         write_mutation_log(result.records, log_path)
@@ -143,7 +142,7 @@ def synthesize_cmd(config_path, seed, backend, graph_path, count, out_path) -> N
         graph,
         count,
         replace(cfg.sampler, rng_seed=cfg.rng_seed),
-        replace(cfg.synthesis, rng_seed=cfg.rng_seed, model_id=cfg.backend.chat_model),
+        replace(cfg.synthesis, rng_seed=cfg.rng_seed),
         make_gateway(cfg),
     )
     save_trajectories(trajectories, out_path)
@@ -167,7 +166,7 @@ def extract_cmd(
     graph = load_graph(graph_path)
     bank = CandidateBank(kind=kind, entries=tuple(graph.nodes[name].spec for name in graph.names_of_kind(kind)))
     if pool_scope == "graph":
-        pools: list[CandidatePool] | CandidatePool = CandidatePool.whole_bank(bank)
+        pools = [CandidatePool.whole_bank(bank)] * len(trajectories)
     else:
         pools = [
             CandidatePool(bank=bank, membership=trajectory.subset.members)
@@ -231,7 +230,7 @@ def lra_run_cmd(config_path, seed, backend, bank_path, task, variant, budget, ou
         pool,
         _router_config(cfg, variant, bank.kind),
         ExecutorBinding.mock_for(pool),
-        GatewayReasoner(gateway, model_id=cfg.backend.chat_model),
+        GatewayReasoner(gateway),
         gateway=gateway,
         budget=budget,
     )

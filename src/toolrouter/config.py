@@ -52,6 +52,10 @@ class PipelineConfig:
             raise BadConfig(f"unknown backend mode: {self.backend.mode!r}")
         if self.backend.mode == "mock" and self.seed is None:
             raise BadConfig("mock mode requires an explicit seed")
+        if self.backend.max_retries < 0:
+            raise BadConfig(f"backend max_retries must be >= 0, got {self.backend.max_retries}")
+        if self.backend.embed_dim < 1:
+            raise BadConfig(f"backend embed_dim must be >= 1, got {self.backend.embed_dim}")
 
 
 # The YAML-settable keys of each stage section. The pipeline sets the other

@@ -169,12 +169,6 @@ class PoolMissingLabel(ToolRouterError):
         self.label = label
 
 
-class UnresolvedPoolMember(ToolRouterError):
-    def __init__(self, name: str) -> None:
-        super().__init__(f"pool member cannot be resolved to a spec: {name!r}")
-        self.name = name
-
-
 class MissingParameter(ToolRouterError):
     def __init__(self, parameter: str) -> None:
         super().__init__(f"pool setting requires parameter: {parameter}")

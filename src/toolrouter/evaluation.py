@@ -133,7 +133,8 @@ def evaluate(
 ) -> Metrics:
     """avg@k routing accuracy: k independent passes with derived seeds.
 
-    Abstentions count as incorrect. Per-group accuracies average over runs.
+    Each record's label must be a member of its inline pool. Abstentions
+    count as incorrect. Per-group accuracies average over runs.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -141,15 +142,19 @@ def evaluate(
         raise ValueError("dataset is empty")
 
     pools: list[CandidatePool] = []
-    built: dict[str, CandidatePool] = {}  # one build per distinct inline pool
+    built: dict[str, tuple[CandidateBank, CandidatePool]] = {}  # one build per distinct inline pool
     for record in dataset:
         try:
             key = _pool_key(record)
             if key not in built:
-                built[key] = build_pool(_record_pool(record), setting)
+                inline = _record_pool(record)
+                built[key] = (inline.bank, build_pool(inline, setting))
         except (SpecError, ValidationError) as exc:
             raise ValidationError(record.label, f"dataset record unusable: {exc}") from exc
-        pools.append(built[key])
+        inline_bank, pool = built[key]
+        if inline_bank.get(record.label) is None:
+            raise ValidationError(record.label, "dataset record unusable: label not in its pool")
+        pools.append(pool)
 
     per_run: list[float] = []
     group_totals: dict[str, float] = {}
@@ -185,7 +190,7 @@ def evaluate(
     )
 
 
-def report(metrics_by_method: dict[str, dict[str, Metrics]], fmt: str = "text") -> str:
+def report(metrics_by_method: dict[str, dict[str, Metrics]]) -> str:
     """Aligned table: methods as rows, settings/groups as columns.
 
     Column order follows SETTING_ORDER for known setting names; missing cells
@@ -206,11 +211,6 @@ def report(metrics_by_method: dict[str, dict[str, Metrics]], fmt: str = "text") 
             metric = metrics_by_method[method].get(column)
             cells.append("—" if metric is None else f"{metric.avg_at_k:.4f}")
         rows.append(cells)
-
-    if fmt == "csv":
-        lines = [",".join(header)]
-        lines += [",".join(cells) for cells in rows]
-        return "\n".join(lines)
 
     widths = [max(len(header[i]), *(len(r[i]) for r in rows)) if rows else len(header[i]) for i in range(len(header))]
     lines = ["  ".join(h.ljust(widths[i]) for i, h in enumerate(header))]

@@ -33,7 +33,6 @@ class ChatRequest:
     messages: tuple[ChatMessage, ...]
     temperature: float = 0.0
     max_tokens: int = 2048
-    model_id: str = "default"
 
     def __post_init__(self) -> None:
         if not self.messages:

@@ -74,15 +74,12 @@ class ScriptedReasoner:
 
 
 class GatewayReasoner:
-    def __init__(self, gateway: Gateway, model_id: str = "default", temperature: float = 0.2) -> None:
+    def __init__(self, gateway: Gateway, temperature: float = 0.2) -> None:
         self.gateway = gateway
-        self.model_id = model_id
         self.temperature = temperature
 
     def decide(self, prompt: str) -> str:
-        return self.gateway.chat(
-            user_request(prompt, temperature=self.temperature, model_id=self.model_id)
-        )
+        return self.gateway.chat(user_request(prompt, temperature=self.temperature))
 
 
 def _args_key(arguments: dict) -> str:
@@ -91,34 +88,26 @@ def _args_key(arguments: dict) -> str:
 
 @dataclass
 class ExecutorBinding:
-    """Maps candidate names to execution descriptors; mock/scripted only here."""
+    """The candidate names bound to the mock executor, with scripted results for some calls."""
 
-    descriptors: dict[str, str] = field(default_factory=dict)  # name -> "mock" | "scripted"
+    bound: frozenset[str] = frozenset()
     scripted: dict[tuple[str, str], str] = field(default_factory=dict)  # (name, args key) -> result
     non_callable: frozenset[str] = frozenset()
 
     def covers(self, pool: CandidatePool) -> bool:
-        return all(name in self.descriptors for name in pool.membership)
+        return self.bound.issuperset(pool.membership)
 
     @staticmethod
     def mock_for(pool: CandidatePool) -> "ExecutorBinding":
-        return ExecutorBinding(
-            descriptors={name: "mock" for name in pool.membership},
-            non_callable=frozenset(pool.non_callable),
-        )
+        return ExecutorBinding(bound=frozenset(pool.membership), non_callable=frozenset(pool.non_callable))
 
     def execute(self, name: str, arguments: dict) -> str:
         if name in self.non_callable:
             return f"error: candidate {name} is a non-callable distractor"
-        descriptor = self.descriptors.get(name)
-        if descriptor is None:
+        if name not in self.bound:
             return f"error: no executor bound for {name}"
-        key = (name, _args_key(arguments))
-        if key in self.scripted:
-            return self.scripted[key]
-        if descriptor == "mock":
-            return f"[executed] {name} ok ({_args_key(arguments)})"
-        return f"error: unsupported executor descriptor {descriptor!r}"
+        key = _args_key(arguments)
+        return self.scripted.get((name, key), f"[executed] {name} ok ({key})")
 
 
 @dataclass

@@ -152,7 +152,6 @@ def render_mutation_prompt(
     op: MutationOperator,
     *,
     temperature: float = 0.8,
-    model_id: str = "default",
 ) -> ChatRequest:
     if op.family != base.kind:
         raise ValueError(f"operator {op.value!r} does not apply to {base.kind} candidates")
@@ -174,7 +173,7 @@ def render_mutation_prompt(
             MUTATION_TYPE=op.value,
             MUTATION_DESCRIPTION=OPERATOR_DESCRIPTIONS[op],
         )
-    return user_request(content, temperature=temperature, model_id=model_id)
+    return user_request(content, temperature=temperature)
 
 
 _FENCE_RE = re.compile(r"^```[a-zA-Z0-9]*\s*\n(.*)\n```\s*$", re.DOTALL)
@@ -217,7 +216,6 @@ class EvolveConfig:
     max_retries: int = 2
     tool_fraction: float = 1.0  # probability a round mutates a tool when both kinds exist
     temperature: float = 0.8
-    model_id: str = "default"
 
     def __post_init__(self) -> None:
         if self.max_retries < 0:
@@ -262,9 +260,7 @@ def evolve(graph: CandidateGraph, rounds: int, cfg: EvolveConfig, gateway: Gatew
 
         parent_name, op = _pick(graph, rng, kind)
         parent_spec = graph.nodes[parent_name].spec
-        request = render_mutation_prompt(
-            parent_spec, op, temperature=cfg.temperature, model_id=cfg.model_id
-        )
+        request = render_mutation_prompt(parent_spec, op, temperature=cfg.temperature)
 
         raw_response = ""
         record: MutationRecord | None = None

@@ -22,7 +22,6 @@ from .errors import (
     ParseError,
     SchemaMalformed,
     SpecError,
-    UnresolvedPoolMember,
     ValidationError,
 )
 
@@ -296,12 +295,6 @@ class CandidatePool:
 
     def __len__(self) -> int:
         return len(self.membership)
-
-    def resolve(self, name: str) -> CandidateSpec:
-        spec = self.bank.get(name)
-        if spec is None or name not in self.membership:
-            raise UnresolvedPoolMember(name)
-        return spec
 
     def specs(self) -> list[CandidateSpec]:
         # Every member is in the bank (checked at construction).

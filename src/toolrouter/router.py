@@ -35,9 +35,7 @@ class RouterDecision:
 class RouterConfig:
     variant: str = "embedding_q"
     kind: str = "tool"  # prompt wording for the llm variant
-    chat_model_id: str = "default"
     temperature: float = 1.0
-    max_history_chars: int = 8000
     rng_seed: int = 0  # random variant only
 
     def __post_init__(self) -> None:
@@ -124,7 +122,7 @@ def llm_route(
 ) -> RouterDecision:
     """Prompt an LLM with the benchmark sample format and parse its reply; gateway errors raise."""
     system, user = render_prompt(query, history, pool, cfg.kind)
-    request = user_request(user, system=system, temperature=cfg.temperature, model_id=cfg.chat_model_id)
+    request = user_request(user, system=system, temperature=cfg.temperature)
     reply = gateway.chat(request)
     chosen = parse_decision(reply, pool)
     return RouterDecision(chosen=chosen, rationale=reply, abstained=chosen is None)
@@ -156,9 +154,7 @@ def route(
         if cfg.variant == "llm":
             return llm_route(gateway, query, history, pool, cfg)
         mode = "q" if cfg.variant == "embedding_q" else "q_plus_h"
-        return embedding_route(
-            gateway, query, history, pool, mode, kind=cfg.kind, max_history_chars=cfg.max_history_chars
-        )
+        return embedding_route(gateway, query, history, pool, mode, kind=cfg.kind)
     except GatewayError as exc:
         return _abstain(f"gateway error: {exc}")
     except ZeroVector as exc:

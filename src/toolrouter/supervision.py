@@ -191,7 +191,7 @@ class DatasetRecord:
         )
 
 
-def record_from_instance(instance: RoutingInstance, kind: str, group: str = "all") -> DatasetRecord:
+def record_from_instance(instance: RoutingInstance, kind: str) -> DatasetRecord:
     rendered = render_sample(instance, kind)
     return DatasetRecord(
         kind=kind,
@@ -201,7 +201,6 @@ def record_from_instance(instance: RoutingInstance, kind: str, group: str = "all
         history=instance.history,
         pool_specs=tuple(public_spec(spec) for spec in instance.pool.specs()),
         label=instance.label,
-        group=group,
         origin={
             "trajectory_id": instance.origin.trajectory_id,
             "step": instance.origin.step,
@@ -212,35 +211,30 @@ def record_from_instance(instance: RoutingInstance, kind: str, group: str = "all
 
 def build_dataset(
     trajectories: Sequence[Trajectory],
-    pools: CandidatePool | Sequence[CandidatePool],
+    pools: Sequence[CandidatePool],
     path: str | Path,
     *,
     kind: str = "tool",
-    group: str = "all",
     ablation: bool = False,
 ) -> dict[str, int]:
-    """Stream rendered samples to a JSONL file.
+    """Stream rendered samples to a JSONL file; ``pools`` holds one pool per trajectory.
 
     With ablation=True a history-stripped twin set is written alongside, to
     ``<path>.nohistory``. Returns sample counts per emitted file.
     """
     path = Path(path)
-    if isinstance(pools, CandidatePool):
-        pool_list: list[CandidatePool] = [pools] * len(trajectories)
-    else:
-        pool_list = list(pools)
-        if len(pool_list) != len(trajectories):
-            raise ValueError("pools must be a single pool or one per trajectory")
+    if len(pools) != len(trajectories):
+        raise ValueError("pools must hold one pool per trajectory")
 
     instances = [
         instance
-        for trajectory, pool in zip(trajectories, pool_list)
+        for trajectory, pool in zip(trajectories, pools)
         for instance in extract_instances(trajectory, pool)
     ]
-    counts = {str(path): save_dataset((record_from_instance(i, kind, group) for i in instances), path)}
+    counts = {str(path): save_dataset((record_from_instance(i, kind) for i in instances), path)}
     if ablation:
         twin_path = path.with_name(path.name + ".nohistory")
-        twins = (record_from_instance(strip_history(i), kind, group) for i in instances)
+        twins = (record_from_instance(strip_history(i), kind) for i in instances)
         counts[str(twin_path)] = save_dataset(twins, twin_path)
     return counts
 

@@ -110,9 +110,10 @@ class SynthesisConfig:
     max_turns: int = 12
     error_prob: float = 0.1  # chance a simulated user reports the last result as wrong
     temperature: float = 0.8
-    model_id: str = "default"
 
     def __post_init__(self) -> None:
+        if self.max_retries < 0:
+            raise BadConfig("max_retries must be >= 0")
         if self.temperature < 0:
             raise BadConfig("temperature must be >= 0")
 
@@ -164,7 +165,7 @@ def propose_task(
     content = prompts.fill(
         prompts.TASK_PROPOSAL_TEMPLATE, CANDIDATES_JSON=pool_json(specs[name] for name in subset.members)
     )
-    request = user_request(content, temperature=cfg.temperature, model_id=cfg.model_id)
+    request = user_request(content, temperature=cfg.temperature)
 
     last_error: Exception | None = None
     for _attempt in range(cfg.max_retries + 1):
@@ -224,7 +225,7 @@ def simulate_trajectory(
             TRANSCRIPT=serialize_history(turns, kind),
             STEP_SECTION=step_section,
         )
-        reply = gateway.chat(user_request(content, temperature=cfg.temperature, model_id=cfg.model_id))
+        reply = gateway.chat(user_request(content, temperature=cfg.temperature))
         try:
             document = parse_json_reply(reply)
         except NotParseable as exc:
@@ -257,12 +258,12 @@ def simulate_trajectory(
             ARGS_JSON=json.dumps(arguments, ensure_ascii=False),
             SPEC_JSON=json.dumps(public_spec(specs[name]), ensure_ascii=False),
         )
-        return gateway.chat(user_request(content, temperature=cfg.temperature, model_id=cfg.model_id))
+        return gateway.chat(user_request(content, temperature=cfg.temperature))
 
     def user_feedback() -> Observation:
         hint = prompts.ERROR_HINT_SENTENCE if rng.random() < cfg.error_prob else ""
         content = prompts.fill(prompts.USER_TURN_TEMPLATE, ERROR_HINT=hint, TRANSCRIPT=serialize_history(turns, kind))
-        reply = gateway.chat(user_request(content, temperature=cfg.temperature, model_id=cfg.model_id))
+        reply = gateway.chat(user_request(content, temperature=cfg.temperature))
         return Observation(text=reply.strip())
 
     for step in plan.steps:

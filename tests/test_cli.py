@@ -256,6 +256,10 @@ def test_broken_snapshot_exits_1(workspace, case):
         "seed: 1\nmutation:\n  temperature: -1\n",  # chat requests need temperature >= 0
         "seed: 1\nsynthesis:\n  temperature: -0.5\n",
         "seed: 1\neval:\n  temperature: -1\n",
+        "seed: 1\nsynthesis:\n  max_retries: -1\n",  # synthesize would make no attempt
+        "seed: 1\nbackend:\n  max_retries: -1\n",  # the gateway would make no attempt
+        "seed: 1\nbackend:\n  embed_dim: 0\n",  # no embedding row to score
+        "seed: 1\nbackend:\n  embed_dim: -3\n",
     ],
 )
 def test_bad_config_exits_1(workspace, config_text):
@@ -304,12 +308,13 @@ TOOL_FIELD_CASES = sorted(case for case, (kind, _, _) in MALFORMED_SPEC_FIELDS.i
         ("dataset", lambda doc: [1], "{path}:2"),
         ("dataset", lambda doc: {**doc, "pool": 5}, "{path}:2"),
         ("dataset", lambda doc: {**doc, "query": 5}, "{path}:2"),
+        ("dataset", lambda doc: {**doc, "label": "not_in_the_pool"}, "label not in its pool"),
         # a pool entry with a mistyped field fails in evaluate, which names the field
         *(("dataset", _edit_first_pool_entry(case), MALFORMED_SPEC_FIELDS[case][2]) for case in TOOL_FIELD_CASES),
     ],
     ids=[
         "traj-not-object", "traj-members-int", "traj-alternation", "dataset-not-object", "dataset-pool-int",
-        "dataset-query-int", *(f"dataset-pool-{case}" for case in TOOL_FIELD_CASES),
+        "dataset-query-int", "dataset-label-outside-pool", *(f"dataset-pool-{case}" for case in TOOL_FIELD_CASES),
     ],
 )
 def test_malformed_jsonl_line_exits_1(chain_files, target, edit, where):

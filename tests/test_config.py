@@ -1,11 +1,13 @@
-"""Typed config loading: the documented example and the stage sections."""
+"""Typed config loading, the stage sections, and the README's config and library examples."""
 
 import re
 from dataclasses import fields
 from pathlib import Path
 
+from helpers import make_family_bank
 from toolrouter.config import STAGE_KEYS, BackendConfig, PipelineConfig, load_config
 from toolrouter.mutation import EvolveConfig
+from toolrouter.registry import save_bank
 from toolrouter.router import RouterConfig
 from toolrouter.sampler import SamplerConfig
 from toolrouter.synthesis import SynthesisConfig
@@ -36,6 +38,15 @@ def test_every_section_key_reaches_its_dataclass(tmp_path):
     assert cfg.synthesis == SynthesisConfig(max_retries=3, max_turns=13, error_prob=0.4, temperature=0.5)
     assert cfg.eval == RouterConfig(temperature=0.7)
     assert sum(len(keys) for _cls, keys in STAGE_KEYS.values()) == 12
+
+
+def test_readme_library_usage_runs(tmp_path, monkeypatch, capsys):
+    block = re.search(r"## Library usage\n\n```python\n(.*?)```", README.read_text(encoding="utf-8"), re.DOTALL)
+    assert block is not None, "README has no library usage block"
+    save_bank(make_family_bank(50), tmp_path / "bank.jsonl")
+    monkeypatch.chdir(tmp_path)
+    exec(block.group(1), {})
+    assert 0.0 <= float(capsys.readouterr().out) <= 1.0
 
 
 def test_readme_config_table_lists_exactly_the_settable_keys():

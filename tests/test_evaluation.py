@@ -256,6 +256,15 @@ def test_evaluate_rejects_a_pool_that_is_not_json():
         evaluate(RouterConfig(variant="oracle"), [replace(record, pool_specs=pool_specs)], PoolSetting())
 
 
+@pytest.mark.parametrize("variant", [Setting.CLEAN, Setting.PLUS_EXTERNAL])
+def test_evaluate_rejects_a_label_outside_its_inline_pool(mutation_graph, variant):
+    # under +External the expanded pool holds the label, but the record's own pool does not
+    record = replace(make_records(1)[0], label=EXTERNAL_BANK.names()[0])
+    setting = PoolSetting(variant=variant, mutation_graph=mutation_graph, external_bank=EXTERNAL_BANK)
+    with pytest.raises(ValidationError, match="dataset record unusable: label not in its pool"):
+        evaluate(RouterConfig(variant="oracle"), [record], setting)
+
+
 def test_evaluate_under_expanded_settings(mutation_graph):
     records = make_records(50)
     for setting in SETTING_ORDER:
@@ -286,9 +295,6 @@ def test_report_table_order_and_missing_cells():
     header = lines[0].split()
     assert header == ["Method", "Clean", "+Mutation", "custom"]
     assert "—" in table  # missing cells
-    csv = report({"m": {"Clean": metric}}, fmt="csv")
-    assert csv.splitlines()[0] == "Method,Clean"
-    assert "0.5000" in csv
 
 
 def test_save_results(tmp_path):

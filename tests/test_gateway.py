@@ -159,6 +159,9 @@ def test_http_backend_posts_through_one_session(fake_session, monkeypatch, what)
     url, _, timeout = session.posts[0]
     assert url.startswith("http://127.0.0.1:9/v1/") and "//" not in url[len("http://"):]
     assert timeout == 5.0
+    # the backend names its own model in every payload
+    model = {"chat": "chat-model", "embedding": "embed-model"}[what]
+    assert [payload["model"] for _, payload, _ in session.posts] == [model, model]
 
 
 @pytest.mark.parametrize("what", sorted(HTTP_CALLS))

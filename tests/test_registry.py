@@ -13,7 +13,6 @@ from toolrouter.errors import (
     ParseError,
     SchemaMalformed,
     SpecError,
-    UnresolvedPoolMember,
     ValidationError,
 )
 from toolrouter.registry import (
@@ -216,9 +215,6 @@ def test_pool_membership_and_resolution():
     bank = make_tool_bank(4)
     pool = CandidatePool(bank=bank, membership=bank.names()[:2])
     assert len(pool) == 2
-    assert pool.resolve(bank.names()[0]).name == bank.names()[0]
-    with pytest.raises(UnresolvedPoolMember):
-        pool.resolve(bank.names()[3])
     with pytest.raises(ValidationError):
         CandidatePool(bank=bank, membership=("not_in_bank",))
     with pytest.raises(ValidationError):

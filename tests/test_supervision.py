@@ -267,7 +267,7 @@ def test_dataset_record_roundtrip():
 def test_build_dataset_counts_and_ablation(tmp_path):
     trajectories = [make_trajectory(f"b{i}", [[NAMES[0]], [NAMES[1], NAMES[2]]]) for i in range(4)]
     path = tmp_path / "data.jsonl"
-    counts = build_dataset(trajectories, POOL, path, kind="tool", ablation=True)
+    counts = build_dataset(trajectories, [POOL] * len(trajectories), path, kind="tool", ablation=True)
     expected = sum(t.call_count() for t in trajectories)
     assert counts == {str(path): expected, str(path) + ".nohistory": expected}
 
