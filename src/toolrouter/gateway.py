@@ -1,10 +1,11 @@
 """Single choke point for chat-completion and text-embedding backends.
 
 All LLM traffic in the pipeline flows through :class:`Gateway`, which adds
-retries with exponential backoff, a chat call budget, usage accounting, and a
-per-text embedding memo. Chat replies are never cached: every pipeline chat
-call is sampled, and a retry must get a fresh draw. An embedding is a fixed
-function of the model and the text, so memoising it cannot change an answer.
+retries with exponential backoff, a chat call budget, usage accounting, and an
+embedding row store that holds each distinct text's embedding once. Chat
+replies are never cached: every pipeline chat call is sampled, and a retry
+must get a fresh draw. An embedding is a fixed function of the model and the
+text, so memoising it cannot change an answer.
 Concrete backends live in :mod:`toolrouter.backends`.
 """
 
@@ -20,6 +21,8 @@ from .errors import BudgetExceeded, DimensionMismatch, GatewayError, MalformedEm
 
 T = TypeVar("T")
 R = TypeVar("R")
+
+ORDERED_LOOP_ROWS = 256  # from here a loop over 64 columns beats a running sum per row
 
 
 @dataclass(frozen=True)
@@ -80,6 +83,26 @@ class EmbeddingVector:
         return len(self.values)
 
 
+def _ordered_sums(products: np.ndarray) -> np.ndarray:
+    """Row sums with the scalar cosine's arithmetic: added in column order to
+    0.0 (by ``cumsum`` for few rows, a loop over the columns for many).
+    ``np.dot``, ``@``, ``einsum`` and ``sum`` reorder the additions or fuse
+    them with the products: not bit for bit.
+    """
+    if len(products) < ORDERED_LOOP_ROWS:
+        return np.cumsum(np.hstack([np.zeros((len(products), 1)), products]), axis=1)[:, -1]
+    sums = np.zeros(len(products))
+    for column in products.T:
+        sums += column
+    return sums
+
+
+def _ordered_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products with the scalar cosine's arithmetic: each product
+    rounded once, then summed by :func:`_ordered_sums`."""
+    return _ordered_sums(a * b)
+
+
 class TransientBackendError(GatewayError):
     """Raised by backends for failures worth retrying."""
 
@@ -106,7 +129,13 @@ class Usage:
 
 class Gateway:
     """Front door for chat and embedding calls. It takes no lock: the budget,
-    the usage counters and the embedding memo assume one calling thread."""
+    the usage counters and the embedding row store assume one calling thread.
+
+    The row store keeps each embedded text once (one backend, so the text is
+    the key): ``_rows`` maps it to a row of ``_matrix``, which grows by
+    doubling, and ``_norms`` holds that row's norm, computed once in the
+    scalar cosine's arithmetic.
+    """
 
     def __init__(
         self,
@@ -122,7 +151,9 @@ class Gateway:
         self._max_retries = max_retries
         self._backoff_s = backoff_s
         self._max_chat_calls = max_chat_calls
-        self._embeddings: dict[str, EmbeddingVector] = {}  # one backend, so the text is the key
+        self._rows: dict[str, int] = {}
+        self._matrix = np.empty((0, embedding_backend.dim if embedding_backend is not None else 0))
+        self._norms = np.empty(0)
         self.usage = Usage()
 
     def _call_with_retries(self, what: str, call: Callable[[T], R], argument: T) -> R:
@@ -152,17 +183,18 @@ class Gateway:
         """Embed ``texts`` in order, sending only texts not embedded before.
 
         The distinct new texts go to the backend in one call; they are
-        memoised only once every returned row is a flat, finite vector of the
+        stored only once every returned row is a flat, finite vector of the
         backend's dim. A reply that is not is a MalformedEmbedding.
         """
         if self._embed is None:
             raise GatewayError("no embedding backend configured")
         if not texts:
             raise ValueError("embed_texts requires at least one text")
-        missing = list(dict.fromkeys(text for text in texts if text not in self._embeddings))
+        index = self._rows
+        missing = list(dict.fromkeys(text for text in texts if text not in index))
         if missing:
             raw = self._call_with_retries("embedding", self._embed.embed, missing)
-            dim, model_id = self._embed.dim, self._embed.model_id
+            dim = self._embed.dim
             try:
                 if len(raw) != len(missing):
                     raise DimensionMismatch(f"backend returned {len(raw)} vectors for {len(missing)} texts")
@@ -170,12 +202,37 @@ class Gateway:
                     if len(json_numbers(values)) != dim:
                         raise DimensionMismatch(f"backend returned a {len(values)}-d embedding, expected {dim}")
                 rows = np.array(raw, dtype=np.float64)
-                vectors = [EmbeddingVector(values=row, model_id=model_id) for row in rows]
+                if not np.isfinite(rows).all():
+                    raise ValueError("non-finite embedding value")
             except (TypeError, ValueError) as exc:
                 raise MalformedEmbedding("backend embedding rows must be flat lists of finite numbers") from exc
-            self._embeddings.update(zip(missing, vectors))
+            self._store(missing, rows)
             self.usage.embed_calls += 1
-        return [self._embeddings[text] for text in texts]
+        model_id = self._embed.model_id
+        return [EmbeddingVector(values=self._matrix[index[text]], model_id=model_id) for text in texts]
+
+    def _store(self, texts: list[str], rows: np.ndarray) -> None:
+        start, end = len(self._rows), len(self._rows) + len(rows)
+        if end > len(self._matrix):
+            capacity = max(end, 2 * len(self._matrix))
+            matrix, norms = np.empty((capacity, self._matrix.shape[1])), np.empty(capacity)
+            matrix[:start], norms[:start] = self._matrix[:start], self._norms[:start]
+            self._matrix, self._norms = matrix, norms
+        self._matrix[start:end] = rows
+        self._norms[start:end] = np.sqrt(_ordered_dots(rows, rows))
+        self._rows.update(zip(texts, range(start, end)))
+
+    def embedding_rows(self, texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+        """The stored rows of ``texts``, in order, as one new float64 matrix
+        (the caller's to modify), and their norms. Texts not stored yet are
+        embedded through :meth:`embed_texts`."""
+        index = self._rows
+        try:
+            at = np.fromiter(map(index.__getitem__, texts), np.intp, len(texts))
+        except KeyError:
+            self.embed_texts([text for text in texts if text not in index])
+            at = np.fromiter(map(index.__getitem__, texts), np.intp, len(texts))
+        return self._matrix[at], self._norms[at]
 
     def embed_text(self, text: str) -> EmbeddingVector:
         return self.embed_texts([text])[0]

@@ -28,7 +28,7 @@ from .errors import (
     UnknownParent,
     ZeroVector,
 )
-from .gateway import EmbeddingVector, Gateway, json_numbers
+from .gateway import EmbeddingVector, Gateway, _ordered_dots, json_numbers
 from .registry import CandidateBank, CandidateSpec, validate_spec
 
 DEFAULT_TAU = 0.82
@@ -36,7 +36,6 @@ DEFAULT_TAU = 0.82
 # between the matrix and the scalar cosine is orders of magnitude smaller.
 SCREEN_MARGIN = 1e-9
 SCREEN_BLOCK_ROWS = 256  # rows per block of the screening product
-ORDERED_LOOP_ROWS = 256  # from here a loop over 64 columns beats a running sum per row
 
 
 @dataclass(frozen=True)
@@ -132,21 +131,6 @@ def _stacked_rows(vectors: Sequence[EmbeddingVector]) -> np.ndarray:
         return np.array([vector.values for vector in vectors], dtype=np.float64)
     except ValueError:  # numpy refuses rows of different lengths
         raise DimensionMismatch(f"dims differ: {sorted({vector.dim for vector in vectors})}") from None
-
-
-def _ordered_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise dot products with the scalar cosine's arithmetic: each product
-    rounded once, then added in column order to 0.0 (by ``cumsum`` for few rows,
-    a loop over the columns for many). ``np.dot``, ``@``, ``einsum`` and ``sum``
-    reorder the additions or fuse them with the products: not bit for bit.
-    """
-    products = a * b
-    if len(products) < ORDERED_LOOP_ROWS:
-        return np.cumsum(np.hstack([np.zeros((len(products), 1)), products]), axis=1)[:, -1]
-    dots = np.zeros(len(products))
-    for column in products.T:
-        dots += column
-    return dots
 
 
 def _ordered_norms(rows: np.ndarray) -> np.ndarray:

@@ -12,6 +12,7 @@ import hashlib
 import json
 import re
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Protocol, Sequence
 
@@ -154,11 +155,16 @@ class EpisodeLog:
 _WORD_RE = re.compile(r"\w+")
 
 
-def _names_in(text: str, names: Iterable[str]) -> set[str]:
+@lru_cache(maxsize=8)
+def _non_identifiers(names: frozenset[str]) -> tuple[str, ...]:
+    """The names that are no ASCII identifier, classified once per name set."""
+    return tuple(name for name in names if not (name.isascii() and name.isidentifier()))
+
+
+def _names_in(text: str, names: frozenset[str]) -> set[str]:
     """The names that occur in ``text`` as whole words, so ``tool_1`` does not occur
     in ``tool_15``. A name that is no ASCII identifier is looked up as a substring."""
-    words = set(_WORD_RE.findall(text))
-    return {name for name in names if name in words or not (name.isascii() and name.isidentifier()) and name in text}
+    return set(_WORD_RE.findall(text)) & names | {name for name in _non_identifiers(names) if name in text}
 
 
 def _reasoner_prompt(task: str, turns: Sequence[Turn]) -> str:
@@ -235,7 +241,7 @@ def run_episode(
     tool_specs = json.JSONDecoder().raw_decode(tools_block[tools_block.index("[") :])[0]
     allowed = {spec["name"] for spec in tool_specs}
     allowed.update(step.decision.chosen for step in log.steps if step.decision is not None)
-    catalog_hits = len(_names_in("\n".join(prompts_shown), pool.membership) - allowed)
+    catalog_hits = len(_names_in("\n".join(prompts_shown), pool.member_set) - allowed)
     log.context_audit = {
         "max_prompt_chars": max(map(len, prompts_shown)),
         "tool_spec_count": len(tool_specs),

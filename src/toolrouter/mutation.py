@@ -220,6 +220,8 @@ class EvolveConfig:
     def __post_init__(self) -> None:
         if self.max_retries < 0:
             raise BadConfig("max_retries must be >= 0")
+        if not 0 <= self.tool_fraction <= 1:
+            raise BadConfig("tool_fraction must be in [0, 1]")
         if self.temperature < 0:
             raise BadConfig("temperature must be >= 0")
 

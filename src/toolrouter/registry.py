@@ -301,6 +301,16 @@ class CandidatePool:
         index = self.bank._index
         return [index[name] for name in self.membership]
 
+    @cached_property
+    def phi_texts(self) -> tuple[str, ...]:
+        """The members' phi texts in membership order, gathered once per pool object."""
+        return tuple(spec.phi for spec in self.specs())
+
+    @cached_property
+    def member_set(self) -> frozenset[str]:
+        """The members as a set, for membership tests."""
+        return frozenset(self.membership)
+
     @staticmethod
     def whole_bank(bank: CandidateBank) -> "CandidatePool":
         return CandidatePool(bank=bank, membership=bank.names())

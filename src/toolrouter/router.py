@@ -15,8 +15,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import BadConfig, GatewayError, ZeroVector
-from .gateway import Gateway, user_request
-from .graph import _ordered_dots, _ordered_norms, _stacked_rows
+from .gateway import Gateway, _ordered_sums, user_request
 from .registry import CandidatePool
 from .supervision import render_prompt
 from .synthesis import Turn, serialize_history
@@ -71,7 +70,7 @@ def parse_decision(text: str, pool: CandidatePool) -> str | None:
                 chosen = value
         if chosen is None or len(chosen) != 1:
             return None
-        return chosen[0] if chosen[0] in pool.membership else None
+        return chosen[0] if chosen[0] in pool.member_set else None
     except Exception:
         return None
 
@@ -95,8 +94,9 @@ def embedding_route(
     mode "q" embeds the query alone; "q_plus_h" prefixes the serialized
     history, keeping its last ``max_history_chars`` characters less the
     query and a newline; the cut need not fall on a turn boundary.
-    Every member gets the scalar cosine's value bit for bit, ties go to the
-    smallest name, and gateway errors and zero embedding rows raise.
+    Every member gets the scalar cosine's value bit for bit, computed from the
+    gateway's stored rows and norms; ties go to the smallest name, and gateway
+    errors and zero embedding rows raise.
     """
     if mode not in ("q", "q_plus_h"):
         raise ValueError(f"unknown embedding mode: {mode!r}")
@@ -107,9 +107,12 @@ def embedding_route(
         request_text = f"{history_text}\n{query}"
     else:
         request_text = query
-    rows = _stacked_rows(gateway.embed_texts([request_text] + [spec.phi for spec in pool.specs()]))
-    norms = _ordered_norms(rows)
-    scores = _ordered_dots(rows[1:], rows[0]) / (norms[0] * norms[1:])
+    rows, norms = gateway.embedding_rows((request_text, *pool.phi_texts))
+    if not norms.all():
+        raise ZeroVector("cosine similarity of a zero vector is undefined")
+    products = rows[1:]
+    products *= rows[0]  # in place: the rows are a copy, and one fewer pool-sized temporary per decision
+    scores = _ordered_sums(products) / (norms[0] * norms[1:])
     return RouterDecision(chosen=min(pool.membership[i] for i in (scores == scores.max()).nonzero()[0]))
 
 
@@ -143,7 +146,7 @@ def route(
         return _abstain("empty pool")
     try:
         if cfg.variant == "oracle":
-            if oracle_label is None or oracle_label not in pool.membership:
+            if oracle_label is None or oracle_label not in pool.member_set:
                 return _abstain("oracle has no planted label for this instance")
             return RouterDecision(chosen=oracle_label)
         if cfg.variant == "random":

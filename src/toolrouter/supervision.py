@@ -69,7 +69,7 @@ def extract_instances(trajectory: Trajectory, pool: CandidatePool) -> list[Routi
         query = preceding.text
         history = tuple(turns[: turn_index - 1])
         for call_index, call in enumerate(turn.calls):
-            if call.name not in pool.membership:
+            if call.name not in pool.member_set:
                 raise PoolMissingLabel(call.name)
             instances.append(
                 RoutingInstance(
@@ -133,7 +133,7 @@ def render_prompt(query: str, history: Sequence[Turn], pool: CandidatePool, kind
 
 def render_sample(instance: RoutingInstance, kind: str) -> RenderedSample:
     """Render one instance into the (system, user, expected) exchange format."""
-    if instance.label not in instance.pool.membership:
+    if instance.label not in instance.pool.member_set:
         raise PoolMissingLabel(instance.label)
     system, user = render_prompt(instance.query, instance.history, instance.pool, kind)
     return RenderedSample(system=system, user=user, expected=(instance.label,))

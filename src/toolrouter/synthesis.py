@@ -114,6 +114,10 @@ class SynthesisConfig:
     def __post_init__(self) -> None:
         if self.max_retries < 0:
             raise BadConfig("max_retries must be >= 0")
+        if self.max_turns < 4:
+            raise BadConfig("max_turns must be >= 4: a one-step plan already takes 4 turns")
+        if not 0 <= self.error_prob <= 1:
+            raise BadConfig("error_prob must be in [0, 1]")
         if self.temperature < 0:
             raise BadConfig("temperature must be >= 0")
 

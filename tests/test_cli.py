@@ -260,6 +260,10 @@ def test_broken_snapshot_exits_1(workspace, case):
         "seed: 1\nbackend:\n  max_retries: -1\n",  # the gateway would make no attempt
         "seed: 1\nbackend:\n  embed_dim: 0\n",  # no embedding row to score
         "seed: 1\nbackend:\n  embed_dim: -3\n",
+        "seed: 1\nsynthesis:\n  max_turns: 3\n",  # no plan could ever fit: 0 trajectories
+        "seed: 1\nsynthesis:\n  error_prob: -1\n",  # a probability
+        "seed: 1\nsynthesis:\n  error_prob: 7\n",
+        "seed: 1\nmutation:\n  tool_fraction: -2\n",  # a probability
     ],
 )
 def test_bad_config_exits_1(workspace, config_text):

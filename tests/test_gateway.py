@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import requests
 
-from helpers import mock_gateway
+from helpers import make_tool_bank, mock_gateway
 from toolrouter.backends import (
     HTTPChatBackend,
     HTTPEmbeddingBackend,
@@ -24,6 +24,8 @@ from toolrouter.errors import (
 )
 from toolrouter.gateway import ChatMessage, ChatRequest, EmbeddingVector, Gateway, TransientBackendError, user_request
 from toolrouter import prompts
+from toolrouter.registry import CandidatePool
+from toolrouter.router import RouterConfig, embedding_route, route
 
 
 class FlakyChat:
@@ -280,6 +282,68 @@ def test_failed_embed_call_memoises_nothing(backend, error):
     assert backend.calls == calls + 1  # both texts went to the backend again
     gateway.embed_texts(["b", "a"])
     assert backend.calls == calls + 1  # the successful call memoised them
+
+
+def scalar_norm(row) -> float:
+    total = 0.0
+    for x in row:
+        total += x * x
+    return math.sqrt(total)
+
+
+def test_row_store_grows_and_keeps_each_row_and_norm_bit_for_bit():
+    backend = MockEmbeddingBackend(seed=3)
+    gateway = Gateway(embedding_backend=backend, backoff_s=0.0)
+    texts: list[str] = []
+    capacities = []
+    for size in (1, 63, 64, 130):
+        batch = [f"text {len(texts) + i} of a batch of {size}" for i in range(size)]
+        texts += batch
+        gateway.embed_texts(batch)
+        capacities.append(len(gateway._matrix))
+    assert len(set(capacities)) == 4  # the matrix grew at each batch, keeping the earlier rows
+    rows, norms = gateway.embedding_rows(texts[::-1] + texts[:5])
+    expected = backend.embed(texts[::-1] + texts[:5])
+    assert rows.tobytes() == np.array(expected).tobytes()
+    assert norms.tobytes() == np.array([scalar_norm(row) for row in expected]).tobytes()
+    assert gateway.usage.embed_calls == 4
+
+
+class SwitchableEmbed(CountingEmbed):
+    """A CountingEmbed whose replies are malformed while ``broken`` is set."""
+
+    broken = False
+
+    def embed(self, texts):
+        rows = super().embed(texts)
+        return [[float("nan"), 1.0] for _ in rows] if self.broken else rows
+
+
+def test_failed_fill_leaves_the_row_store_unchanged():
+    backend = SwitchableEmbed()
+    gateway = Gateway(embedding_backend=backend, backoff_s=0.0)
+    before = gateway.embedding_rows(["a", "bb"])
+    backend.broken = True
+    with pytest.raises(MalformedEmbedding):
+        gateway.embedding_rows(["a", "ccc", "bb", "dddd"])
+    assert len(gateway._rows) == 2
+    after = gateway.embedding_rows(["a", "bb"])
+    assert [array.tobytes() for array in after] == [array.tobytes() for array in before]
+    backend.broken = False
+    rows, _ = gateway.embedding_rows(["a", "ccc", "bb", "dddd"])
+    assert rows.tolist() == [[1.0, 1.0], [3.0, 1.0], [2.0, 1.0], [4.0, 1.0]]
+    assert backend.batches == [["a", "bb"], ["ccc", "dddd"], ["ccc", "dddd"]]  # the retry sent the same texts
+
+
+def test_texts_first_seen_through_embed_texts_reach_the_backend_once():
+    backend = CountingEmbed()
+    gateway = Gateway(embedding_backend=backend, backoff_s=0.0)
+    pool = CandidatePool.whole_bank(make_tool_bank(6))
+    gateway.embed_texts(["a query", *pool.phi_texts])
+    first = embedding_route(gateway, "a query", (), pool, "q")
+    assert route(RouterConfig(variant="embedding_q"), "a query", (), pool, gateway) == first
+    embedding_route(gateway, "a query", (), pool, "q")
+    assert backend.batches == [["a query", *pool.phi_texts]]
 
 
 def test_embedding_of_the_wrong_dim_raises():

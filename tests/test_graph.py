@@ -18,16 +18,14 @@ from helpers import (
 )
 from toolrouter.backends import StaticEmbeddingBackend
 from toolrouter.errors import DimensionMismatch, DuplicateName, EmptyBank, UnknownParent, ZeroVector
-from toolrouter.gateway import EmbeddingVector, Gateway
+from toolrouter.gateway import ORDERED_LOOP_ROWS, EmbeddingVector, Gateway, _ordered_dots
 from toolrouter.graph import (
-    ORDERED_LOOP_ROWS,
     CandidateGraph,
     Edge,
     GraphConfig,
     GraphNode,
     build_graph,
     add_mutant,
-    _ordered_dots,
     cosine_similarity,
     load_graph,
     save_graph,

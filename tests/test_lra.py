@@ -1,10 +1,11 @@
 """Light Routing Agent episode loop, execution legality, and context audit."""
 
 import json
+import re
 
 import pytest
 
-from helpers import make_tool_bank, mock_gateway
+from helpers import make_tool_bank, make_tool_doc, mock_gateway
 from toolrouter import lra
 from toolrouter.lra import (
     EXECUTE_CANDIDATE_TOOL,
@@ -15,7 +16,7 @@ from toolrouter.lra import (
     run_episode,
     save_episode_logs,
 )
-from toolrouter.registry import CandidatePool
+from toolrouter.registry import CandidateBank, CandidatePool, validate_spec
 from toolrouter.router import RouterConfig
 from toolrouter.synthesis import Observation, serialize_history
 
@@ -69,11 +70,41 @@ def test_context_audit_reads_every_prompt_shown():
 
 def test_audit_names_are_whole_words():
     text = "ran tool_15 then web-search (web_fetch)"
-    assert lra._names_in(text, ["tool_1", "tool_15", "web-search", "web_fetch", "fetch"]) == {
+    assert lra._names_in(text, frozenset(["tool_1", "tool_15", "web-search", "web_fetch", "fetch"])) == {
         "tool_15",
         "web-search",
         "web_fetch",
     }
+
+
+def test_audit_of_a_2005_member_pool_matches_the_per_name_search():
+    docs = [make_tool_doc(i) for i in range(2005)]
+    for i, name in {7: "web-search-7", 8: "9lives_8", 9: "café_9", 10: "tag-files"}.items():
+        docs[i]["name"] = name  # no ASCII identifiers: looked up as substrings
+    bank = CandidateBank(kind="tool", entries=tuple(validate_spec(doc, "tool") for doc in docs))
+    pool = CandidatePool.whole_bank(bank)
+    label = pool.membership[0]
+    listed = pool.membership[1::7]  # among them names that are prefixes of others, such as summarize_tickets_1
+    executor = ExecutorBinding.mock_for(pool)
+    result = "listing: " + ", ".join(listed) + "; see xweb-search-7y and café_9z"
+    executor.scripted[(label, lra._args_key({"target": "x"}))] = result
+    reasoner = RecordingReasoner(
+        [
+            {"action": "route", "need": "something capable"},
+            {"action": "execute", "arguments": {"target": "x"}},
+            {"action": "final", "answer": "done"},
+        ]
+    )
+    log = run_episode("do the thing", pool, ORACLE, executor, reasoner, oracle_label=label)
+    text = "\n".join(reasoner.prompts)
+    words = set(re.findall(r"\w+", text))
+    reference = {
+        name
+        for name in pool.membership
+        if name in words or not (name.isascii() and name.isidentifier()) and name in text
+    }
+    assert reference - set(listed) == {label, "web-search-7", "café_9"}  # the two found inside longer words
+    assert log.context_audit["catalog_entries_in_prompt"] == len(reference - {label})
 
 
 class RecordingReasoner(ScriptedReasoner):

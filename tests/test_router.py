@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import make_tool_bank, make_tool_doc, mock_gateway
 from toolrouter import registry
-from toolrouter.gateway import Gateway, TransientBackendError
+from toolrouter.gateway import ORDERED_LOOP_ROWS, EmbeddingVector, Gateway, TransientBackendError
 from toolrouter.backends import MockEmbeddingBackend, StaticEmbeddingBackend
 from toolrouter.graph import cosine_similarity
 from toolrouter.registry import CandidateBank, CandidatePool, public_spec, serialize_phi, validate_spec
@@ -116,6 +116,50 @@ def test_embedding_route_matches_scalar_reference_on_near_ties(query, rows, plan
     pool = CandidatePool(bank=NEAR_TIE_BANK, membership=tuple(membership))
     gateway = Gateway(embedding_backend=StaticEmbeddingBackend(mapping, dim=3), backoff_s=0.0)
     assert embedding_route(gateway, "query", (), pool, "q").chosen == scalar_reference(gateway, "query", pool)
+
+
+LOOP_BANK = make_tool_bank(ORDERED_LOOP_ROWS + 40)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_embedding_route_matches_scalar_reference_on_the_column_loop(seed):
+    # a pool long enough that scoring adds the columns in a loop, with rows whose
+    # sums depend on the order of the additions; the query's own row is planted
+    # as exact duplicates and as scaled copies, which tie up to the last bit
+    rng = random.Random(seed)
+    rows = [[rng.uniform(-1, 1) for _ in range(16)] for _ in range(len(LOOP_BANK) - 6)]
+    query = rows[0]
+    rows += [[scale * x for x in query] for scale in (1, 1, 3, 5, 7, 0.1)]
+    membership = list(LOOP_BANK.names())
+    mapping = {LOOP_BANK.get(name).phi: row for name, row in zip(membership, rows)}
+    mapping["query"] = query
+    rng.shuffle(membership)
+    pool = CandidatePool(bank=LOOP_BANK, membership=tuple(membership))
+    gateway = Gateway(embedding_backend=StaticEmbeddingBackend(mapping, dim=16), backoff_s=0.0)
+    assert len(pool) >= ORDERED_LOOP_ROWS
+    assert embedding_route(gateway, "query", (), pool, "q").chosen == scalar_reference(gateway, "query", pool)
+
+
+def test_warm_embedding_route_builds_no_vector_and_calls_no_backend(monkeypatch):
+    pool = CandidatePool.whole_bank(make_tool_bank(2005))
+    gateway = mock_gateway(0)
+    cfg = RouterConfig(variant="embedding_q")
+    first = route(cfg, "archive the email threads", (), pool, gateway)
+    counts = {"vectors": 0, "backend": 0, "specs": 0}
+    post_init, embed, specs = EmbeddingVector.__post_init__, MockEmbeddingBackend.embed, CandidatePool.specs
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(EmbeddingVector, "__post_init__", counted("vectors", post_init))
+    monkeypatch.setattr(MockEmbeddingBackend, "embed", counted("backend", embed))
+    monkeypatch.setattr(CandidatePool, "specs", counted("specs", specs))
+    assert route(cfg, "archive the email threads", (), pool, gateway) == first
+    assert counts == {"vectors": 0, "backend": 0, "specs": 0}
 
 
 def test_embedding_route_renders_each_phi_text_once(monkeypatch):
