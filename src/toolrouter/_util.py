@@ -66,8 +66,9 @@ def write_jsonl(path: str | Path, documents: Iterable[dict], what: str) -> int:
     return write_lines(path, map(JSON_LINE.encode, documents), what)
 
 
-# What a record parser raises for a record it rejects; see ``record_error``.
-RECORD_ERRORS = (KeyError, TypeError, ValueError, SpecError, ValidationError)
+# What a record parser raises for a record it rejects; see ``record_error``. An
+# OverflowError is a JSON integer too large for a float.
+RECORD_ERRORS = (KeyError, OverflowError, TypeError, ValueError, SpecError, ValidationError)
 
 
 def record_error(location: str, exc: Exception) -> ParseError:
@@ -75,21 +76,25 @@ def record_error(location: str, exc: Exception) -> ParseError:
     return ParseError(location, f"missing field {exc}" if isinstance(exc, KeyError) else str(exc))
 
 
-def read_jsonl(path: str | Path, what: str, parse: Callable[[dict], T]) -> list[T]:
-    """Parse each non-blank line, which must be a JSON object, with ``parse``.
-
-    Invalid JSON, a non-object line, or a record that ``parse`` rejects with
-    one of RECORD_ERRORS raises ParseError at ``file:line``.
-    """
-    path = Path(path)
+def read_lines(path: Path, what: str) -> list[str]:
+    """The lines of a UTF-8 text file; IoError names ``what`` when it cannot be read."""
     try:
-        lines = path.read_text(encoding="utf-8").splitlines()
+        return path.read_text(encoding="utf-8").splitlines()
     except OSError as exc:
         raise IoError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def parse_lines(path: Path, lines: list[str], parse: Callable[[dict], T], start: int = 1) -> list[T]:
+    """Parse each non-blank line, which must be a JSON object, with ``parse``.
+
+    ``lines`` are the lines of ``path`` from line ``start`` on. Invalid JSON,
+    a non-object line, or a record that ``parse`` rejects with one of
+    RECORD_ERRORS raises ParseError at ``file:line``.
+    """
     out = []
-    lineno = 0
+    lineno = start
     try:
-        for lineno, line in enumerate(lines, start=1):
+        for lineno, line in enumerate(lines, start=start):
             if line.strip():
                 document = json.loads(line)
                 if not isinstance(document, dict):
@@ -98,3 +103,9 @@ def read_jsonl(path: str | Path, what: str, parse: Callable[[dict], T]) -> list[
     except RECORD_ERRORS as exc:
         raise record_error(f"{path}:{lineno}", exc) from exc
     return out
+
+
+def read_jsonl(path: str | Path, what: str, parse: Callable[[dict], T]) -> list[T]:
+    """Parse each non-blank line of a JSONL file with ``parse`` (see ``parse_lines``)."""
+    path = Path(path)
+    return parse_lines(path, read_lines(path, what), parse)

@@ -147,6 +147,8 @@ def synthesize_cmd(config_path, seed, backend, graph_path, count, out_path) -> N
     )
     save_trajectories(trajectories, out_path)
     click.echo(f"synthesized {len(trajectories)} trajectories -> {out_path}")
+    if len(trajectories) < count:
+        click.echo(f"synthesize: kept {len(trajectories)} of {count} requested trajectories", err=True)
 
 
 @main.command("extract")

@@ -234,5 +234,12 @@ class Gateway:
             at = np.fromiter(map(index.__getitem__, texts), np.intp, len(texts))
         return self._matrix[at], self._norms[at]
 
+    @property
+    def embed_model_id(self) -> str:
+        """The model id the embedding backend stamps on each row it returns."""
+        if self._embed is None:
+            raise GatewayError("no embedding backend configured")
+        return self._embed.model_id
+
     def embed_text(self, text: str) -> EmbeddingVector:
         return self.embed_texts([text])[0]

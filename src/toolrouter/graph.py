@@ -6,20 +6,33 @@ A blocked float64 matrix product screens the pairs, and the arithmetic of
 the scalar :func:`cosine_similarity`, vectorised over the pairs that clear
 the screen, decides them, so the edges and their weights are bit for bit
 those of an all-pairs scalar scan.
+
+The snapshots of one chain of insertions share a store of arrays that only
+grows: the nodes' names, specs and model ids, a ``name -> row`` index, one
+float64 embedding matrix with its norms (grown by amortised doubling), and
+an edge table of endpoint names, kinds and weights, one list each. A
+snapshot reads the first ``len(graph)`` rows and the first edges of the
+store, so a parent never sees a child's node or edges; inserting into a
+snapshot whose store a sibling insertion has already extended copies the
+snapshot's part of the store first. ``Edge`` and ``GraphNode`` objects are
+built only for a caller that reads ``edges`` or ``nodes``.
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
-from dataclasses import dataclass, field
+import operator
+import re
+from collections.abc import Iterable, Iterator, Mapping, Sequence, Set
+from dataclasses import dataclass
 from functools import cached_property
-from operator import attrgetter
 from pathlib import Path
-from typing import Iterator, Sequence
 
 import numpy as np
 
-from ._util import JSON_LINE, read_jsonl, typed, write_lines
+from ._util import JSON_LINE, parse_lines, read_lines, typed, write_lines
 from .errors import (
     DimensionMismatch,
     DuplicateName,
@@ -32,9 +45,10 @@ from .gateway import EmbeddingVector, Gateway, _ordered_dots, json_numbers
 from .registry import CandidateBank, CandidateSpec, validate_spec
 
 DEFAULT_TAU = 0.82
-# The screen keeps pairs above tau - SCREEN_MARGIN; the float64 rounding gap
-# between the matrix and the scalar cosine is orders of magnitude smaller.
-SCREEN_MARGIN = 1e-9
+# The screen multiplies the unit rows in float32. Rounding them to float32
+# and summing dim products moves a cosine by at most (dim + 2) * 2**-24, so
+# the screen keeps every pair above tau - SCREEN_MARGIN * (dim + 2).
+SCREEN_MARGIN = 2 * 2.0**-24
 SCREEN_BLOCK_ROWS = 256  # rows per block of the screening product
 
 
@@ -73,41 +87,305 @@ class GraphNode:
     embedding: EmbeddingVector
 
 
-@dataclass(frozen=True)
-class CandidateGraph:
-    config: GraphConfig
-    nodes: dict[str, GraphNode] = field(default_factory=dict)
-    edges: frozenset[Edge] = frozenset()
+def _stack(rows: Sequence[Sequence[float]]) -> np.ndarray:
+    """The rows as one float64 matrix; rows of different lengths raise as in the scalar cosine."""
+    if not rows:
+        return np.empty((0, 0))
+    try:
+        return np.array(rows, dtype=np.float64)
+    except ValueError:  # numpy refuses rows of different lengths
+        raise DimensionMismatch(f"dims differ: {sorted({len(row) for row in rows})}") from None
+
+
+def _norms(matrix: np.ndarray) -> np.ndarray:
+    """Row norms with the scalar cosine's arithmetic."""
+    return np.sqrt(_ordered_dots(matrix, matrix))
+
+
+def _check_nonzero(norms: np.ndarray) -> None:
+    if not norms.all():
+        raise ZeroVector("cosine similarity of a zero vector is undefined")
+
+
+class _Store:
+    """The nodes and edges of a chain of snapshots; rows and edges are only appended.
+
+    Node row r is ``names[r]``, ``specs[r]``, ``model_ids[r]`` and the
+    embedding ``matrix[r]``, with its norm ``norms[r]`` and the float32 unit
+    row ``unit[r]`` that the similarity screen reads (both derived on first
+    use); ``nodes[r]`` caches its GraphNode once a caller asks for it. The
+    arrays have spare rows past ``len(self)``. Edge e is ``(edge_a[e],
+    edge_b[e], edge_kind[e], edge_weight[e])`` with ``edge_a[e] < edge_b[e]``.
+    """
+
+    def __init__(
+        self,
+        names: list[str],
+        specs: list[CandidateSpec],
+        model_ids: list[str],
+        matrix: np.ndarray,
+        norms: np.ndarray | None = None,
+        nodes: list[GraphNode | None] | None = None,
+        edges: tuple[list, list, list, list] | None = None,
+        unit: np.ndarray | None = None,
+    ) -> None:
+        self.names, self.specs, self.model_ids = names, specs, model_ids
+        self.index = dict(zip(names, range(len(names))))
+        self.matrix, self._norms, self._unit = matrix, norms, unit
+        self.nodes = nodes if nodes is not None else [None] * len(names)
+        self.edge_a, self.edge_b, self.edge_kind, self.edge_weight = edges if edges is not None else ([], [], [], [])
 
     def __len__(self) -> int:
-        return len(self.nodes)
+        return len(self.names)
 
-    def names(self) -> list[str]:
-        return sorted(self.nodes)
+    @property
+    def norms(self) -> np.ndarray:
+        if self._norms is None:
+            self._norms = _norms(self.matrix)
+        return self._norms
 
-    def names_of_kind(self, kind: str) -> list[str]:
-        return sorted(name for name, node in self.nodes.items() if node.spec.kind == kind)
+    @property
+    def unit(self) -> np.ndarray:
+        if self._unit is None:
+            norms = self.norms[:, None]
+            unit = np.divide(self.matrix, norms, out=np.zeros_like(self.matrix), where=norms != 0)
+            self._unit = unit.astype(np.float32)
+        return self._unit
+
+    def copy(self, n: int, m: int) -> "_Store":
+        """A store of its own that holds the first n rows and first m edges."""
+        edges = (self.edge_a[:m], self.edge_b[:m], self.edge_kind[:m], self.edge_weight[:m])
+        return _Store(
+            self.names[:n], self.specs[:n], self.model_ids[:n],
+            self.matrix[:n].copy(), self.norms[:n].copy(), self.nodes[:n], edges, self.unit[:n].copy(),
+        )  # fmt: skip
+
+    def append_node(self, node: GraphNode, norm: float) -> None:
+        row, arrays = len(self.names), (self.matrix, self.norms, self.unit)
+        if row == len(self.matrix):
+            grown = [np.empty((max(1, 2 * row), *array.shape[1:]), array.dtype) for array in arrays]
+            for new, old in zip(grown, arrays):
+                new[:row] = old[:row]
+            self.matrix, self._norms, self._unit = arrays = grown
+        values = node.embedding.values
+        for array, value in zip(arrays, (values, norm, values / norm)):
+            array[row] = value
+        self.index[node.spec.name] = row
+        self.names.append(node.spec.name)
+        self.specs.append(node.spec)
+        self.model_ids.append(node.embedding.model_id)
+        self.nodes.append(node)
+
+    def append_edges(self, x: list[str], y: list[str], kind: str, weights: list) -> None:
+        """Edges between x[e] and y[e] != x[e], stored with the smaller name first."""
+        self.edge_a.extend(map(min, x, y))
+        self.edge_b.extend(map(max, x, y))
+        self.edge_kind.extend([kind] * len(x))
+        self.edge_weight.extend(weights)
+
+    def node(self, row: int) -> GraphNode:
+        node = self.nodes[row]
+        if node is None:
+            embedding = EmbeddingVector(values=self.matrix[row], model_id=self.model_ids[row])
+            node = self.nodes[row] = GraphNode(spec=self.specs[row], embedding=embedding)
+        return node
+
+
+class _Nodes(Mapping):
+    """name -> GraphNode over the first n rows of a store."""
+
+    def __init__(self, store: _Store, n: int) -> None:
+        self._store, self._n = store, n
+
+    def __getitem__(self, name: str) -> GraphNode:
+        row = self._store.index.get(name, self._n)
+        if row >= self._n:
+            raise KeyError(name)
+        return self._store.node(row)
+
+    def __contains__(self, name: object) -> bool:
+        return self._store.index.get(name, self._n) < self._n
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._store.names[: self._n])
+
+    def items(self):
+        return self._dict.items()
+
+    def values(self):
+        return self._dict.values()
 
     @cached_property
-    def _adjacency(self) -> dict[str, list[tuple[str, str]]]:
-        """name -> sorted (other, kind) pairs, derived once per snapshot."""
-        adjacency: dict[str, list[tuple[str, str]]] = {}
-        for edge in self.edges:
-            adjacency.setdefault(edge.a, []).append((edge.b, edge.kind))
-            adjacency.setdefault(edge.b, []).append((edge.a, edge.kind))
-        for pairs in adjacency.values():
-            pairs.sort()
-        return adjacency
+    def _dict(self) -> dict[str, GraphNode]:
+        return dict(zip(self._store.names[: self._n], map(self._store.node, range(self._n))))
+
+
+class _RowNames(Sequence):
+    """The names of a store's rows, in the order of an array of rows."""
+
+    def __init__(self, names: list[str], rows: np.ndarray) -> None:
+        self._names, self._rows = names, rows
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, at):
+        if isinstance(at, slice):
+            return list(map(self._names.__getitem__, self._rows[at].tolist()))
+        return self._names[self._rows[at]]
+
+    def __iter__(self) -> Iterator[str]:
+        return map(self._names.__getitem__, self._rows.tolist())
+
+
+class _Edges(Set):
+    """A snapshot's edges as Edge objects in (a, b, kind) order, built as they are read."""
+
+    def __init__(self, graph: "CandidateGraph") -> None:
+        self._graph = graph
+
+    def __len__(self) -> int:
+        return self._graph._m
+
+    def __iter__(self) -> Iterator[Edge]:
+        return map(Edge, *self._graph._edge_columns())
+
+    def __contains__(self, edge: object) -> bool:
+        return edge in self._set
+
+    @cached_property
+    def _set(self) -> frozenset[Edge]:
+        return frozenset(self)
+
+
+_EDGE_KEY = operator.attrgetter("a", "b", "kind")
+
+
+class CandidateGraph:
+    """One snapshot: the first ``len(self)`` nodes and first ``len(self.edges)`` edges of a store."""
+
+    def __init__(
+        self,
+        config: GraphConfig,
+        nodes: Mapping[str, GraphNode] | None = None,
+        edges: Iterable[Edge] = (),
+    ) -> None:
+        given = dict(nodes or {})
+        table = sorted(edges, key=_EDGE_KEY)
+        store = _Store(
+            list(given),
+            [node.spec for node in given.values()],
+            [node.embedding.model_id for node in given.values()],
+            _stack([node.embedding.values for node in given.values()]),
+            nodes=list(given.values()),
+            edges=tuple(list(map(operator.attrgetter(field), table)) for field in ("a", "b", "kind", "weight")),
+        )
+        self._bind(config, store, len(given), len(table), ordered=True)
+
+    @classmethod
+    def _view(
+        cls, config: GraphConfig, store: _Store, ordered: bool, kinds: dict[str, np.ndarray] | None = None
+    ) -> "CandidateGraph":
+        """The snapshot of all of ``store``; ``ordered`` when its edges are in (a, b, kind) order."""
+        graph = cls.__new__(cls)
+        graph._bind(config, store, len(store), len(store.edge_a), ordered, kinds)
+        return graph
+
+    def _bind(
+        self,
+        config: GraphConfig,
+        store: _Store,
+        n: int,
+        m: int,
+        ordered: bool,
+        kinds: dict[str, np.ndarray] | None = None,
+    ) -> None:
+        self.config = config
+        self._store, self._n, self._m, self._ordered = store, n, m, ordered
+        self._kinds = kinds
+        self.nodes: Mapping[str, GraphNode] = _Nodes(store, n)
+
+    @property
+    def edges(self) -> Set[Edge]:
+        return _Edges(self)  # made per read: a view held by the graph would make a reference cycle
+
+    def __len__(self) -> int:
+        return self._n
+
+    @cached_property
+    def _names(self) -> list[str]:
+        return sorted(self._store.names[: self._n])
+
+    def names(self) -> list[str]:
+        return list(self._names)
+
+    def _kind_rows(self) -> dict[str, np.ndarray]:
+        """kind -> the rows of that kind in name order, derived once per snapshot."""
+        if self._kinds is None:
+            store, kinds = self._store, {}
+            for row in sorted(range(self._n), key=store.names.__getitem__):
+                kinds.setdefault(store.specs[row].kind, []).append(row)
+            self._kinds = {kind: np.array(rows, dtype=np.intp) for kind, rows in kinds.items()}
+        return self._kinds
+
+    def names_of_kind(self, kind: str) -> Sequence[str]:
+        """The sorted names of one kind."""
+        return _RowNames(self._store.names, self._kind_rows().get(kind, np.empty(0, np.intp)))
+
+    @cached_property
+    def _edge_codes(self) -> tuple[list[str], list[str], dict[str, int], np.ndarray, np.ndarray, np.ndarray]:
+        """(the endpoint names in order, the edge kinds in order, name -> its
+        place among them, and each edge's a, b and kind as those places)."""
+        store, m = self._store, self._m
+        a, b, kind = store.edge_a[:m], store.edge_b[:m], store.edge_kind[:m]
+        names, kinds = sorted({*a, *b}), sorted(set(kind))
+        rank, kind_rank = dict(zip(names, range(len(names)))), dict(zip(kinds, range(len(kinds))))
+        codes = [np.fromiter(map(ranks.__getitem__, column), np.intp, m) for ranks, column in
+                 ((rank, a), (rank, b), (kind_rank, kind))]  # fmt: skip
+        return names, kinds, rank, *codes
+
+    def _edge_columns(self) -> tuple[list, list, list, list]:
+        """The snapshot's edges as (a, b, kind, weight) columns in (a, b, kind) order."""
+        store, m = self._store, self._m
+        columns = (store.edge_a, store.edge_b, store.edge_kind, store.edge_weight)
+        if self._ordered:
+            return tuple(column[:m] for column in columns)
+        _, _, _, a, b, kind = self._edge_codes
+        order = np.lexsort((kind, b, a)).tolist()  # stable: ties keep their table order
+        return tuple(list(map(column.__getitem__, order)) for column in columns)
+
+    @cached_property
+    def _adjacency(self) -> tuple[dict[str, int], list[int], list[str], list[str]]:
+        """(endpoint -> its place p, and the (other, kind) pairs of endpoint p at
+        [bounds[p], bounds[p + 1]) of the two lists, sorted), derived once per snapshot."""
+        names, kinds, rank, a, b, kind = self._edge_codes
+        ends, others, pair_kinds = np.concatenate([a, b]), np.concatenate([b, a]), np.concatenate([kind, kind])
+        order = np.lexsort((pair_kinds, others, ends))
+        bounds = np.searchsorted(ends[order], np.arange(len(names) + 1)).tolist()
+        return (
+            rank,
+            bounds,
+            list(map(names.__getitem__, others[order].tolist())),
+            list(map(kinds.__getitem__, pair_kinds[order].tolist())),
+        )
 
     def neighbors(self, name: str) -> list[tuple[str, str]]:
         """(other name, edge kind) pairs, sorted for determinism."""
-        return list(self._adjacency.get(name, ()))
+        rank, bounds, others, kinds = self._adjacency
+        place = rank.get(name)
+        if place is None:
+            return []
+        start, stop = bounds[place], bounds[place + 1]
+        return list(zip(others[start:stop], kinds[start:stop]))
 
     def mutation_edges(self) -> list[Edge]:
-        return sorted((e for e in self.edges if e.kind == "mutation"), key=lambda e: (e.a, e.b))
+        return [edge for edge in self.edges if edge.kind == "mutation"]
 
     def similarity_edges(self) -> list[Edge]:
-        return sorted((e for e in self.edges if e.kind == "similarity"), key=lambda e: (e.a, e.b))
+        return [edge for edge in self.edges if edge.kind == "similarity"]
 
 
 def cosine_similarity(h_i: EmbeddingVector, h_j: EmbeddingVector) -> float:
@@ -125,59 +403,42 @@ def cosine_similarity(h_i: EmbeddingVector, h_j: EmbeddingVector) -> float:
     return dot / (math.sqrt(norm_i) * math.sqrt(norm_j))
 
 
-def _stacked_rows(vectors: Sequence[EmbeddingVector]) -> np.ndarray:
-    """The vectors as the rows of one float64 matrix; mixed dims raise as in the scalar cosine."""
-    try:
-        return np.array([vector.values for vector in vectors], dtype=np.float64)
-    except ValueError:  # numpy refuses rows of different lengths
-        raise DimensionMismatch(f"dims differ: {sorted({vector.dim for vector in vectors})}") from None
+def _link_similar(store: _Store, tau: float, first: int) -> None:
+    """Append the similarity edges of every row i >= first to each row j < i.
 
-
-def _ordered_norms(rows: np.ndarray) -> np.ndarray:
-    """Row norms with the scalar cosine's arithmetic; a zero row raises as there."""
-    norms = np.sqrt(_ordered_dots(rows, rows))
-    if not norms.all():
-        raise ZeroVector("cosine similarity of a zero vector is undefined")
-    return norms
-
-
-def _similarity_edges(names: Sequence[str], rows: np.ndarray, tau: float, first: int = 0) -> list[Edge]:
-    """Similarity edges of every pair (i, j) of embedding rows with j < i and i >= first.
-
-    The matrix product of the unit rows screens the pairs; the scalar
-    cosine's operations, run in its order over all the pairs the screen
-    keeps at once, decide each one and give the edge its weight.
+    The matrix product of the float32 unit rows screens the pairs; the
+    scalar cosine's operations, run in its order over all the pairs the
+    screen keeps at once, decide each one and give the edge its weight.
     """
-    norms = _ordered_norms(rows)
-    unit = rows / norms[:, None]
-    cut = tau - SCREEN_MARGIN
-    edges = []
-    for start in range(first, len(names), SCREEN_BLOCK_ROWS):
-        stop = min(start + SCREEN_BLOCK_ROWS, len(names))
+    count, names = len(store), store.names
+    rows, norms, unit = store.matrix[:count], store.norms[:count], store.unit[:count]
+    cut = tau - SCREEN_MARGIN * (rows.shape[1] + 2)
+    for start in range(first, count, SCREEN_BLOCK_ROWS):
+        stop = min(start + SCREEN_BLOCK_ROWS, count)
         i, j = np.nonzero(unit[start:stop] @ unit[:stop].T > cut)
         i += start
         below = j < i
         i, j = i[below], j[below]
         sims = _ordered_dots(rows[i], rows[j]) / (norms[i] * norms[j])
         above = sims > tau
-        edges.extend(
-            Edge.make(names[x], names[y], "similarity", weight=sim)
-            for x, y, sim in zip(i[above].tolist(), j[above].tolist(), sims[above].tolist())
+        store.append_edges(
+            list(map(names.__getitem__, i[above].tolist())),
+            list(map(names.__getitem__, j[above].tolist())),
+            "similarity",
+            sims[above].tolist(),
         )
-    return edges
 
 
 def build_graph(bank: CandidateBank, cfg: GraphConfig, gateway: Gateway) -> CandidateGraph:
     """Embed every candidate's canonical text and connect pairs above tau."""
     if len(bank) == 0:
         raise EmptyBank("cannot build a graph from an empty bank")
-    embeddings = gateway.embed_texts([spec.phi for spec in bank])
-    nodes = {
-        spec.name: GraphNode(spec=spec, embedding=embedding)
-        for spec, embedding in zip(bank, embeddings)
-    }
-    edges = _similarity_edges(bank.names(), _stacked_rows(embeddings), cfg.tau)
-    return CandidateGraph(config=cfg, nodes=nodes, edges=frozenset(edges))
+    matrix, norms = gateway.embedding_rows([spec.phi for spec in bank])
+    names = list(bank.names())
+    _check_nonzero(norms)
+    store = _Store(names, list(bank), [gateway.embed_model_id] * len(names), matrix, norms)
+    _link_similar(store, cfg.tau, 0)
+    return CandidateGraph._view(cfg, store, ordered=False)
 
 
 def add_mutant(
@@ -186,18 +447,32 @@ def add_mutant(
     mutant: CandidateSpec,
     embedding: EmbeddingVector,
 ) -> CandidateGraph:
-    """Insert a mutant node with its mutation edge plus fresh similarity edges."""
+    """Insert a mutant node with its mutation edge plus fresh similarity edges.
+
+    The new graph appends to the parent's store; the parent's snapshot does
+    not see what was appended.
+    """
     if parent not in graph.nodes:
         raise UnknownParent(parent)
     if mutant.name in graph.nodes:
         raise DuplicateName(mutant.name)
-    nodes = dict(graph.nodes)
-    nodes[mutant.name] = GraphNode(spec=mutant, embedding=embedding)
-    new_edges = set(graph.edges)
-    new_edges.add(Edge.make(parent, mutant.name, "mutation"))
-    rows = _stacked_rows([node.embedding for node in nodes.values()])
-    new_edges.update(_similarity_edges(list(nodes), rows, graph.config.tau, len(graph)))  # the mutant is the last row
-    return CandidateGraph(config=graph.config, nodes=nodes, edges=frozenset(new_edges))
+    store, n = graph._store, len(graph)
+    if embedding.values.shape != store.matrix.shape[1:]:
+        raise DimensionMismatch(f"dims differ: {sorted({store.matrix.shape[1], embedding.dim})}")
+    norm = _norms(embedding.values[None, :])
+    _check_nonzero(norm)
+    _check_nonzero(store.norms[:n])
+    if len(store) != n or len(store.edge_a) != graph._m:
+        store = store.copy(n, graph._m)  # a sibling insertion extended the store
+    store.append_node(GraphNode(spec=mutant, embedding=embedding), norm[0])
+    store.append_edges([parent], [mutant.name], "mutation", [None])
+    _link_similar(store, graph.config.tau, n)
+    kinds = None
+    if graph._kinds is not None:  # the parent's rows by kind, with the mutant's row in its place
+        kinds = dict(graph._kinds)
+        rows = kinds.get(mutant.kind, np.empty(0, np.intp))
+        kinds[mutant.kind] = np.insert(rows, bisect.bisect(rows, mutant.name, key=store.names.__getitem__), n)
+    return CandidateGraph._view(graph.config, store, ordered=False, kinds=kinds)
 
 
 def save_graph(graph: CandidateGraph, path: str | Path) -> None:
@@ -211,109 +486,185 @@ def save_graph(graph: CandidateGraph, path: str | Path) -> None:
 def _snapshot_lines(graph: CandidateGraph) -> Iterator[str]:
     encode = JSON_LINE.encode
     yield encode({"meta": {"tau": graph.config.tau, "embedding_model_id": graph.config.embedding_model_id}})
-    for name in graph.names():
-        node = graph.nodes[name]
+    store = graph._store
+    for name in graph._names:
+        row = store.index[name]
+        spec = store.specs[row]
         yield encode(
             {
                 "node": {
                     "name": name,
-                    "kind": node.spec.kind,
-                    "spec": node.spec.to_dict(),
-                    "embedding": node.embedding.values.tolist(),
-                    "embedding_model_id": node.embedding.model_id,
+                    "kind": spec.kind,
+                    "spec": spec.to_dict(),
+                    "embedding": store.matrix[row].tolist(),
+                    "embedding_model_id": store.model_ids[row],
                 }
             }
         )
-    edges = sorted(graph.edges, key=attrgetter("a", "b", "kind"))
-    if not edges:
+    a, b, kind, weight = graph._edge_columns()
+    if not a:
         return
     # Every string is encoded once, and all weights in one list, which splits
     # back into one piece per edge: a JSON number or null holds no ", ".
-    weights = encode([edge.weight for edge in edges])[1:-1].split(", ")
-    if len(weights) != len(edges):
+    weights = encode(weight)[1:-1].split(", ")
+    if len(weights) != len(a):
         raise TypeError("edge weights must be numbers or None")
-    quoted = {text: encode(text) for text in {text for edge in edges for text in (edge.a, edge.b, edge.kind)}}
-    for edge, weight in zip(edges, weights):
-        yield (
-            f'{{"edge": {{"a": {quoted[edge.a]}, "b": {quoted[edge.b]}, '
-            f'"kind": {quoted[edge.kind]}, "weight": {weight}}}}}'
-        )
+    quoted = {text: encode(text) for text in {*a, *b, *kind}}
+    for a_text, b_text, kind_text, weight_text in zip(
+        map(quoted.__getitem__, a), map(quoted.__getitem__, b), map(quoted.__getitem__, kind), weights
+    ):
+        yield f'{{"edge": {{"a": {a_text}, "b": {b_text}, "kind": {kind_text}, "weight": {weight_text}}}}}'
 
 
-def _edge_record(raw: dict, tau: float) -> Edge:
-    """The edge of a snapshot record; ValueError names what is wrong with it."""
-    kind, weight = raw["kind"], raw.get("weight")
-    if kind == "mutation":
-        if weight is not None:
-            raise ValueError(f"mutation edge carries a weight {weight!r}")
-    elif kind != "similarity":
-        raise ValueError(f"unknown edge kind {kind!r}")
-    elif weight is None:
-        raise ValueError("similarity edge has no weight")
-    elif isinstance(weight, bool) or not isinstance(weight, (int, float)) or not math.isfinite(weight):
-        raise ValueError(f"similarity edge weight {weight!r} is not a finite number")
-    elif not weight > tau:
-        raise ValueError(f"similarity weight {weight!r} is not above tau {tau!r}")
-    return Edge(a=raw["a"], b=raw["b"], kind=kind, weight=weight)
-
+# An edge line exactly as save_graph writes it, when its names need no JSON
+# escape and its weight is a JSON float: a, b, "null" for a mutation edge, the
+# weight's text for a similarity edge. A match spans one whole line.
+_NAME = r'"([^"\\\x00-\x1f]*)"'
+_EDGE_LINE = re.compile(
+    rf'^\{{"edge": \{{"a": {_NAME}, "b": {_NAME}, "kind": (?:"mutation", "weight": (null)|"similarity", '
+    r'"weight": (-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+)))\}\}$',
+    re.MULTILINE,
+)
 
 # Each record kind and the kinds the record before it may have: the order save_graph writes.
 _PREVIOUS_KINDS = {"meta": (None,), "node": ("meta",), "edge": ("meta", "node")}
+
+
+class _SnapshotReader:
+    """Checks a snapshot's records in order and collects them for the store."""
+
+    def __init__(self) -> None:
+        self.config: GraphConfig | None = None
+        self.previous: str | None = None  # the kind of the last record read
+        self.names: list[str] = []
+        self.index: dict[str, int] = {}
+        self.specs: list[CandidateSpec] = []
+        self.model_ids: list[str] = []
+        self.embeddings: list[np.ndarray] = []
+        self.edges: tuple[list, list, list, list] = ([], [], [], [])
+        self.edge_keys: set[tuple[str, str, str]] = set()
+        self.ordered = False  # whether the edges came in (a, b, kind) order
+
+    def record(self, record: dict) -> None:
+        kind = next(iter(record), "")
+        if kind != self.previous or kind == "meta":
+            if kind not in _PREVIOUS_KINDS:
+                raise ValueError("unknown record type")
+            if self.previous not in _PREVIOUS_KINDS[kind]:
+                raise ValueError(f"{kind} record out of order: a snapshot holds one meta record, nodes, then edges")
+            self.previous = kind
+        raw = record[kind]
+        if kind == "edge":
+            self._edge(raw)
+        elif kind == "node":
+            self._node(raw)
+        else:
+            model_id = typed(raw["embedding_model_id"], str, "meta embedding_model_id")
+            self.config = GraphConfig(tau=raw["tau"], embedding_model_id=model_id)
+
+    def _node(self, raw: dict) -> None:
+        name = raw["name"]
+        if name in self.index:
+            raise ValueError(f"duplicate node {name!r}")
+        spec = validate_spec(raw["spec"], raw["kind"])
+        if spec.name != name:
+            raise ValueError(f"node {name!r} holds the spec of {spec.name!r}")
+        model_id = typed(raw["embedding_model_id"], str, "node embedding_model_id")
+        values = raw["embedding"]
+        if not isinstance(values, list):
+            raise TypeError("an embedding must be a flat sequence of JSON numbers")
+        json_numbers(values)
+        # a sum is finite when every value is, and overflows only for huge ones
+        if not math.isfinite(sum(values)) and not all(map(math.isfinite, values)):
+            raise ValueError("an embedding must be a flat sequence of finite floats")
+        self.index[name] = len(self.names)
+        self.names.append(name)
+        self.specs.append(spec)
+        self.model_ids.append(model_id)
+        self.embeddings.append(np.array(values, dtype=np.float64))
+
+    def _edge(self, raw: dict) -> None:
+        kind, weight = raw["kind"], raw.get("weight")
+        if kind == "mutation":
+            if weight is not None:
+                raise ValueError(f"mutation edge carries a weight {weight!r}")
+        elif kind != "similarity":
+            raise ValueError(f"unknown edge kind {kind!r}")
+        elif weight is None:
+            raise ValueError("similarity edge has no weight")
+        elif isinstance(weight, bool) or not isinstance(weight, (int, float)) or not math.isfinite(weight):
+            raise ValueError(f"similarity weight {weight!r} is not a finite number")
+        elif not weight > self.config.tau:
+            raise ValueError(f"similarity weight {weight!r} is not above tau {self.config.tau!r}")
+        a, b = raw["a"], raw["b"]
+        if not a < b:
+            raise ValueError("edges must be stored canonically with a < b")
+        for end in (a, b):
+            if end not in self.index:
+                raise ValueError(f"edge names a missing node {end!r}")
+        if (a, b, kind) in self.edge_keys:
+            raise ValueError(f"repeated {kind} edge {a!r} - {b!r}")
+        self.edge_keys.add((a, b, kind))
+        for column, value in zip(self.edges, (a, b, kind, weight)):
+            column.append(value)
+
+    def edge_block(self, lines: list[str]) -> bool:
+        """Take every line of the edge block at once when each is an edge
+        line as save_graph writes it, the edges are in strict (a, b, kind)
+        order, and every check passes; False leaves them to :meth:`record`,
+        which finds the line at fault."""
+        if self.previous not in _PREVIOUS_KINDS["edge"]:
+            return False
+        found = _EDGE_LINE.findall("\n".join(lines))
+        if len(found) != len(lines):  # a line no match covers
+            return False
+        a, b, nulls, numbers = zip(*found)
+        del found
+        kind = ["mutation" if null else "similarity" for null in nulls]
+        weight = [float(number) if number else None for number in numbers]
+        weights = np.array(weight, dtype=np.float64)  # None -> nan
+        if not (
+            all(map(operator.lt, a, b))
+            and all(map(operator.lt, zip(a, b, kind), itertools.islice(zip(a, b, kind), 1, None)))
+            and self.index.keys() >= {*a, *b}
+            and (np.isnan(weights) | ((weights > self.config.tau) & np.isfinite(weights))).all()
+        ):
+            return False
+        # the node names' own string objects, so that the edge texts are freed
+        name = dict(zip(self.names, self.names)).__getitem__
+        self.edges, self.ordered = (list(map(name, a)), list(map(name, b)), kind, weight), True
+        return True
+
+    def graph(self, path: Path) -> CandidateGraph:
+        """The snapshot, once the invariants across records hold."""
+        if self.config is None:
+            raise ParseError(str(path), "missing meta record")
+        for name, spec in zip(self.names, self.specs):
+            parent = spec.provenance.parent_name
+            if parent is not None and parent not in self.index:
+                raise ParseError(str(path), f"mutant {name!r} names a missing parent {parent!r}")
+        model_ids = sorted(set(self.model_ids))
+        if len(model_ids) > 1:
+            raise ParseError(str(path), f"node embeddings come from more than one model: {model_ids}")
+        dims = sorted(set(map(len, self.embeddings)))
+        if len(dims) > 1:
+            raise DimensionMismatch(f"{path}: node embeddings have dims {dims}")
+        store = _Store(self.names, self.specs, self.model_ids, _stack(self.embeddings), edges=self.edges)
+        return CandidateGraph._view(self.config, store, self.ordered)
 
 
 def load_graph(path: str | Path) -> CandidateGraph:
     """Load a snapshot without re-embedding, checking its invariants.
 
     Each record is checked at its own line against the records before it,
-    so they must come in the order ``save_graph`` writes them.
+    so they must come in the order ``save_graph`` writes them. The edge
+    block is read in one pass when it is as ``save_graph`` writes it.
     """
-    config: GraphConfig | None = None
-    nodes: dict[str, GraphNode] = {}
-    edges: dict[tuple[str, str, str], Edge] = {}
-    previous: str | None = None  # the kind of the last record read
-
-    def read(record: dict) -> None:
-        nonlocal config, previous
-        kind = next(iter(record), "")
-        if kind != previous or kind == "meta":
-            if kind not in _PREVIOUS_KINDS:
-                raise ValueError("unknown record type")
-            if previous not in _PREVIOUS_KINDS[kind]:
-                raise ValueError(f"{kind} record out of order: a snapshot holds one meta record, nodes, then edges")
-            previous = kind
-        raw = record[kind]
-        if kind == "edge":
-            edge = _edge_record(raw, config.tau)
-            for end in (edge.a, edge.b):
-                if end not in nodes:
-                    raise ValueError(f"edge names a missing node {end!r}")
-            if edges.setdefault((edge.a, edge.b, edge.kind), edge) is not edge:
-                raise ValueError(f"repeated {edge.kind} edge {edge.a!r} - {edge.b!r}")
-        elif kind == "node":
-            name = raw["name"]
-            if name in nodes:
-                raise ValueError(f"duplicate node {name!r}")
-            spec = validate_spec(raw["spec"], raw["kind"])
-            if spec.name != name:
-                raise ValueError(f"node {name!r} holds the spec of {spec.name!r}")
-            model_id = typed(raw["embedding_model_id"], str, "node embedding_model_id")
-            embedding = EmbeddingVector(values=json_numbers(raw["embedding"]), model_id=model_id)
-            nodes[name] = GraphNode(spec=spec, embedding=embedding)
-        else:
-            model_id = typed(raw["embedding_model_id"], str, "meta embedding_model_id")
-            config = GraphConfig(tau=raw["tau"], embedding_model_id=model_id)
-
-    read_jsonl(path, "graph snapshot", read)
-    if config is None:
-        raise ParseError(str(path), "missing meta record")
-    for name, node in nodes.items():
-        parent = node.spec.provenance.parent_name
-        if parent is not None and parent not in nodes:
-            raise ParseError(str(path), f"mutant {name!r} names a missing parent {parent!r}")
-    model_ids = sorted({node.embedding.model_id for node in nodes.values()})
-    if len(model_ids) > 1:
-        raise ParseError(str(path), f"node embeddings come from more than one model: {model_ids}")
-    dims = sorted({node.embedding.dim for node in nodes.values()})
-    if len(dims) > 1:
-        raise DimensionMismatch(f"{path}: node embeddings have dims {dims}")
-    return CandidateGraph(config=config, nodes=nodes, edges=frozenset(edges.values()))
+    path = Path(path)
+    lines = read_lines(path, "graph snapshot")
+    reader = _SnapshotReader()
+    edges_from = next((at for at, line in enumerate(lines) if line.startswith('{"edge": ')), len(lines))
+    parse_lines(path, lines[:edges_from], reader.record)
+    if edges_from < len(lines) and not reader.edge_block(lines[edges_from:]):
+        parse_lines(path, lines[edges_from:], reader.record, start=edges_from + 1)
+    return reader.graph(path)

@@ -74,13 +74,15 @@ class ScriptedReasoner:
         return json.dumps(action)
 
 
+REASONER_TEMPERATURE = 0.2  # of the LRA's own chat calls
+
+
 class GatewayReasoner:
-    def __init__(self, gateway: Gateway, temperature: float = 0.2) -> None:
+    def __init__(self, gateway: Gateway) -> None:
         self.gateway = gateway
-        self.temperature = temperature
 
     def decide(self, prompt: str) -> str:
-        return self.gateway.chat(user_request(prompt, temperature=self.temperature))
+        return self.gateway.chat(user_request(prompt, temperature=REASONER_TEMPERATURE))
 
 
 def _args_key(arguments: dict) -> str:
@@ -94,9 +96,6 @@ class ExecutorBinding:
     bound: frozenset[str] = frozenset()
     scripted: dict[tuple[str, str], str] = field(default_factory=dict)  # (name, args key) -> result
     non_callable: frozenset[str] = frozenset()
-
-    def covers(self, pool: CandidatePool) -> bool:
-        return self.bound.issuperset(pool.membership)
 
     @staticmethod
     def mock_for(pool: CandidatePool) -> "ExecutorBinding":

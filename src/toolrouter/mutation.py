@@ -131,20 +131,12 @@ class MutationRecord:
 
 
 def _pick(graph: CandidateGraph, rng: random.Random, kind: str) -> tuple[str, MutationOperator]:
+    """Uniform (candidate, operator) draw over the nodes of a kind."""
     names = graph.names_of_kind(kind)
     if not names:
         raise EmptyGraph(f"graph has no {kind} nodes to mutate")
     operators = TOOL_OPERATORS if kind == "tool" else AGENT_OPERATORS
     return rng.choice(names), rng.choice(operators)
-
-
-def pick_mutation(
-    graph: CandidateGraph, rng_seed: int, kind: str = "tool"
-) -> tuple[str, MutationOperator]:
-    """Uniform (candidate, operator) draw over nodes of a kind; seeded."""
-    if len(graph) == 0:
-        raise EmptyGraph("cannot pick a mutation from an empty graph")
-    return _pick(graph, random.Random(rng_seed), kind)
 
 
 def render_mutation_prompt(

@@ -100,11 +100,22 @@ def planted_unit_vector(target_sim):
     raise AssertionError(f"could not plant an exact cosine of {target_sim}")
 
 
-def corrupt_snapshot(lines: list[str], case: str) -> list[str]:
-    """Break one invariant of a saved snapshot (meta, nodes, then edges)."""
+# Where corrupt_snapshot breaks a node or edge record: the index of the record in its block.
+SNAPSHOT_POSITIONS = {"first": lambda count: 0, "middle": lambda count: count // 2, "last": lambda count: count - 1}
+
+
+def corrupt_snapshot(lines: list[str], case: str, position: str = "first") -> list[str]:
+    """Break one invariant of a saved snapshot (meta, nodes, then edges).
+
+    A case that edits one node or edge record edits the record at
+    ``position`` (see SNAPSHOT_POSITIONS) of its block.
+    """
     records = [json.loads(line) for line in lines]
-    nodes = [r for r in records if "node" in r]
-    edges = [r for r in records if "edge" in r]
+    all_nodes = [r for r in records if "node" in r]
+    all_edges = [r for r in records if "edge" in r]
+    # nodes[0] and edges[0] are the records at the position
+    nodes = all_nodes[SNAPSHOT_POSITIONS[position](len(all_nodes)) :]
+    edges = all_edges[SNAPSHOT_POSITIONS[position](len(all_edges)) :]
     if case == "node without embedding":
         del nodes[0]["node"]["embedding"]
     elif case == "edge to a missing node":
@@ -138,6 +149,8 @@ def corrupt_snapshot(lines: list[str], case: str) -> list[str]:
         nodes[0]["node"]["embedding"] = [str(value) for value in nodes[0]["node"]["embedding"]]
     elif case == "node embedding with a bool":
         nodes[0]["node"]["embedding"][0] = True
+    elif case == "node embedding with an int too large for a float":
+        nodes[0]["node"]["embedding"][0] = 10**400
     elif case == "node of the other kind":
         nodes[0]["node"]["kind"] = "agent"
     elif case == "node spec not an object":
@@ -147,11 +160,11 @@ def corrupt_snapshot(lines: list[str], case: str) -> list[str]:
     elif case == "meta embedding model not a string":
         records[0]["meta"]["embedding_model_id"] = [1]
     elif case == "appended edge repeated with another weight":
-        records.append({"edge": {**edges[-1]["edge"], "weight": 0.99}})
+        records.append({"edge": {**edges[0]["edge"], "weight": 0.99}})
     elif case == "appended node record after the edges":
         records.append(nodes[0])
     elif case == "meta record after the nodes":
-        records.insert(len(nodes), records.pop(0))
+        records.insert(len(all_nodes), records.pop(0))
     return [json.dumps(r) for r in records]
 
 
@@ -173,6 +186,7 @@ BROKEN_SNAPSHOTS = {
     "node name unlike its spec's": (ParseError, "holds the spec of"),
     "node embedding of numeric strings": (ParseError, "JSON numbers"),
     "node embedding with a bool": (ParseError, "JSON numbers"),
+    "node embedding with an int too large for a float": (ParseError, "too large"),
     "node of the other kind": (ParseError, 'must end with "_agent"'),
     "node spec not an object": (ParseError, "must be a JSON object"),
     "node embedding model not a string": (ParseError, "must be str"),

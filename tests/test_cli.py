@@ -72,6 +72,21 @@ def test_build_graph_command(workspace):
     assert out.exists()
 
 
+
+def test_synthesize_reports_a_shortfall_on_stderr(workspace):
+    tmp_path, bank_path, config_path = workspace
+    graph, out = tmp_path / "graph.jsonl", tmp_path / "t.jsonl"
+    run(["build-graph", "--config", config_path, "--bank", bank_path, "--out", str(graph)])
+    kept = run(["synthesize", "--config", config_path, "--graph", str(graph), "--count", "2", "--out", str(out)])
+    assert (kept.exit_code, kept.stdout, kept.stderr) == (0, f"synthesized 2 trajectories -> {out}\n", "")
+    # the default sampler's plans need more turns than 6: every sample is discarded
+    short = tmp_path / "short.yaml"
+    short.write_text("seed: 11\nsynthesis:\n  max_turns: 6\n", encoding="utf-8")
+    result = run(["synthesize", "--config", str(short), "--graph", str(graph), "--count", "10", "--out", str(out)])
+    assert result.exit_code == 0
+    assert result.stdout == f"synthesized 0 trajectories -> {out}\n"
+    assert result.stderr == "synthesize: kept 0 of 10 requested trajectories\n"
+
 def test_mutate_zero_rounds_identity(workspace):
     tmp_path, bank_path, config_path = workspace
     graph_path = tmp_path / "graph.jsonl"

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import (
     BROKEN_SNAPSHOTS,
+    SNAPSHOT_POSITIONS,
     corrupt_snapshot,
     make_family_bank,
     make_tool_bank,
@@ -216,6 +217,44 @@ def test_neighbors_index_after_add_mutant_chain():
     assert any("mutant_" in a + b for a, b in similarity)  # mutants joined by similarity too
 
 
+def graph_state(graph, path):
+    """What a snapshot shows: each node's neighbors, the edges, and its saved bytes."""
+    save_graph(graph, path)
+    return {name: graph.neighbors(name) for name in graph.names()}, list(graph.edges), path.read_bytes()
+
+
+def test_branching_inserts_from_one_snapshot(tmp_path):
+    """Two inserts into one snapshot share its store: neither the snapshot
+    nor the first insert's graph may see the second insert."""
+    gateway = mock_gateway(0)
+    g0 = build_graph(make_family_bank(30, seed=2), GraphConfig(), gateway)
+    parent = g0.names()[0]
+    doc = {key: value for key, value in g0.nodes[parent].spec.to_dict().items() if key != "provenance"}
+    m1, m2 = (  # the parent's spec under a new name: similar to the parent's family
+        as_mutant(validate_spec({**doc, "name": name}, "tool"), parent=parent, operator="Usage Extension")
+        for name in ("mutant_one", "mutant_two")
+    )
+    before = graph_state(g0, tmp_path / "g0.jsonl")
+    g1 = add_mutant(g0, parent, m1, gateway.embed_text(serialize_phi(m1)))
+    g1_state = graph_state(g1, tmp_path / "g1.jsonl")
+    assert ("mutant_one", "mutation") in g1.neighbors(parent)
+    g2 = add_mutant(g0, parent, m2, gateway.embed_text(serialize_phi(m2)))
+    g3 = add_mutant(g1, parent, m2, gateway.embed_text(serialize_phi(m2)))  # extends g1's store in place
+
+    assert graph_state(g0, tmp_path / "g0.jsonl") == before
+    assert graph_state(g1, tmp_path / "g1.jsonl") == g1_state
+    assert "mutant_two" in g2.nodes and "mutant_one" not in g2.nodes
+    assert g2.names() == sorted([*g0.names(), "mutant_two"])
+    assert all("mutant_one" not in (edge.a, edge.b) for edge in g2.edges)
+    assert any(kind == "similarity" for _, kind in g2.neighbors("mutant_two"))
+    assert list(g2.names_of_kind("tool")) == g2.names()
+    assert g3.names() == sorted([*g1.names(), "mutant_two"])
+    for graph in (g0, g1, g2, g3):
+        assert similarity_weights(graph) == scalar_scan(graph)
+        for name in graph.names():
+            assert graph.neighbors(name) == scanned_neighbors(graph, name)
+
+
 def planted_graph(tau=0.82):
     mapping = {serialize_phi(tool("anchor")): (1.0, 0.0), serialize_phi(tool("far")): (0.0, 1.0)}
     gateway = Gateway(embedding_backend=StaticEmbeddingBackend(mapping, dim=2), backoff_s=0.0)
@@ -273,14 +312,18 @@ def test_zero_and_mismatched_embeddings_raise():
 def test_load_graph_rejects_broken_snapshots(tmp_path, case):
     path = tmp_path / "graph.jsonl"
     save_graph(build_graph(make_tool_bank(12), GraphConfig(tau=0.5), mock_gateway(0)), path)
-    path.write_text("\n".join(corrupt_snapshot(path.read_text().splitlines(), case)) + "\n")
+    saved = path.read_text().splitlines()
+    edges = sum(line.startswith('{"edge": ') for line in saved)
+    assert edges >= 3  # the first, middle and last edge lines differ
     error, phrase = BROKEN_SNAPSHOTS[case]
-    with pytest.raises(error, match=phrase) as info:
-        load_graph(path)
-    # meta first, then 12 nodes; an appended record is the last line
-    line = {"meta": 1, "node": 2, "edge": 14, "appended": len(path.read_text().splitlines())}.get(case.split()[0])
-    if line is not None:
-        assert f"{path}:{line}:" in str(info.value)
+    for position, at in SNAPSHOT_POSITIONS.items():
+        path.write_text("\n".join(corrupt_snapshot(saved, case, position)) + "\n")
+        with pytest.raises(error, match=phrase) as info:
+            load_graph(path)
+        # meta first, then 12 nodes, then the edges; an appended record is the last line
+        line = {"meta": 1, "node": 2 + at(12), "edge": 14 + at(edges), "appended": len(saved) + 1}.get(case.split()[0])
+        if line is not None:
+            assert f"{path}:{line}:" in str(info.value), position
 
 
 def scalar_scan(graph):

@@ -210,7 +210,7 @@ def test_scripted_executor_results():
     binding.scripted[(LABEL, key)] = "scripted result"
     assert binding.execute(LABEL, {"target": "x"}) == "scripted result"
     assert binding.execute("unbound_name", {}) == "error: no executor bound for unbound_name"
-    assert binding.covers(POOL)
+    assert binding.bound >= set(POOL.membership)
 
 
 def test_gateway_reasoner_runs_full_episode():

@@ -2,6 +2,7 @@
 
 import json
 import math
+import random
 
 import pytest
 
@@ -16,7 +17,7 @@ from toolrouter.mutation import (
     MutationOperator,
     evolve,
     parse_mutant,
-    pick_mutation,
+    _pick,
     render_mutation_prompt,
     strip_code_fence,
     write_mutation_log,
@@ -46,8 +47,8 @@ def test_operator_taxonomy():
 
 def test_pick_mutation_deterministic():
     graph = build_graph(make_tool_bank(5), GraphConfig(), mock_gateway(0))
-    assert pick_mutation(graph, 7) == pick_mutation(graph, 7)
-    draws = {pick_mutation(graph, seed) for seed in range(50)}
+    assert _pick(graph, random.Random(7), "tool") == _pick(graph, random.Random(7), "tool")
+    draws = {_pick(graph, random.Random(seed), "tool") for seed in range(50)}
     assert len(draws) > 10  # seeds actually vary the draw
 
 
@@ -56,7 +57,7 @@ def test_pick_mutation_approximately_uniform():
     counts: dict = {}
     n = 10_000
     for seed in range(n):
-        key = pick_mutation(graph, seed)
+        key = _pick(graph, random.Random(seed), "tool")
         counts[key] = counts.get(key, 0) + 1
     cells = 5 * 5
     expected = n / cells

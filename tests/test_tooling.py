@@ -62,3 +62,30 @@ def test_private_function_check_flags_only_unreferenced_functions():
 def test_every_private_function_is_referenced():
     sources = {path.name: path.read_text(encoding="utf-8") for path in SOURCES}
     assert unreferenced_private_functions(sources) == []
+
+
+ROOT = Path(__file__).resolve().parent.parent
+PROJECT_FILES = sorted(path for folder in ("src", "bench", "tests") for path in (ROOT / folder).rglob("*.py"))
+
+
+def python_3_10_syntax_errors(paths: list[Path]) -> list[str]:
+    """The files that do not parse with the grammar of Python 3.10, the oldest version CI runs."""
+    errors = []
+    for path in paths:
+        try:
+            ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
+        except SyntaxError as exc:
+            errors.append(f"{path}:{exc.lineno}: {exc.msg}")
+    return errors
+
+
+def test_python_3_10_check_flags_only_newer_syntax(tmp_path):
+    newer, older = tmp_path / "newer.py", tmp_path / "older.py"
+    newer.write_text("try:\n    pass\nexcept* ValueError:\n    pass\n", encoding="utf-8")
+    older.write_text("match 1:\n    case 1:\n        pass\n", encoding="utf-8")
+    assert [error.split(":")[0] for error in python_3_10_syntax_errors([newer, older])] == [str(newer)]
+
+
+def test_every_project_file_parses_as_python_3_10():
+    assert len(PROJECT_FILES) > len(SOURCES)  # src, bench and tests were all found
+    assert python_3_10_syntax_errors(PROJECT_FILES) == []
