@@ -180,7 +180,15 @@ class Gateway:
         return text
 
     def embed_texts(self, texts: Sequence[str]) -> list[EmbeddingVector]:
-        """Embed ``texts`` in order, sending only texts not embedded before.
+        """Embed ``texts`` in order, sending only texts not embedded before (see :meth:`_fill`)."""
+        self._fill(texts)
+        if not texts:
+            raise ValueError("embed_texts requires at least one text")
+        index, model_id = self._rows, self._embed.model_id
+        return [EmbeddingVector(values=self._matrix[index[text]], model_id=model_id) for text in texts]
+
+    def _fill(self, texts: Sequence[str]) -> None:
+        """Store the rows of the texts not embedded before.
 
         The distinct new texts go to the backend in one call; they are
         stored only once every returned row is a flat, finite vector of the
@@ -188,10 +196,7 @@ class Gateway:
         """
         if self._embed is None:
             raise GatewayError("no embedding backend configured")
-        if not texts:
-            raise ValueError("embed_texts requires at least one text")
-        index = self._rows
-        missing = list(dict.fromkeys(text for text in texts if text not in index))
+        missing = list(dict.fromkeys(text for text in texts if text not in self._rows))
         if missing:
             raw = self._call_with_retries("embedding", self._embed.embed, missing)
             dim = self._embed.dim
@@ -208,8 +213,6 @@ class Gateway:
                 raise MalformedEmbedding("backend embedding rows must be flat lists of finite numbers") from exc
             self._store(missing, rows)
             self.usage.embed_calls += 1
-        model_id = self._embed.model_id
-        return [EmbeddingVector(values=self._matrix[index[text]], model_id=model_id) for text in texts]
 
     def _store(self, texts: list[str], rows: np.ndarray) -> None:
         start, end = len(self._rows), len(self._rows) + len(rows)
@@ -225,12 +228,12 @@ class Gateway:
     def embedding_rows(self, texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
         """The stored rows of ``texts``, in order, as one new float64 matrix
         (the caller's to modify), and their norms. Texts not stored yet are
-        embedded through :meth:`embed_texts`."""
+        embedded through :meth:`_fill`."""
         index = self._rows
         try:
             at = np.fromiter(map(index.__getitem__, texts), np.intp, len(texts))
         except KeyError:
-            self.embed_texts([text for text in texts if text not in index])
+            self._fill(texts)
             at = np.fromiter(map(index.__getitem__, texts), np.intp, len(texts))
         return self._matrix[at], self._norms[at]
 

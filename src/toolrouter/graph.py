@@ -8,11 +8,11 @@ the screen, decides them, so the edges and their weights are bit for bit
 those of an all-pairs scalar scan.
 
 The snapshots of one chain of insertions share a store of arrays that only
-grows: the nodes' names, specs and model ids, a ``name -> row`` index, one
-float64 embedding matrix with its norms (grown by amortised doubling), and
-an edge table of endpoint names, kinds and weights, one list each. A
-snapshot reads the first ``len(graph)`` rows and the first edges of the
-store, so a parent never sees a child's node or edges; inserting into a
+grows: the nodes' names and specs, a ``name -> row`` index, one float64
+embedding matrix of one embedding model with its norms (grown by amortised
+doubling), and an edge table of endpoint names, kinds and weights, one list
+each. A snapshot reads the first ``len(graph)`` rows and the first edges of
+the store, so a parent never sees a child's node or edges; inserting into a
 snapshot whose store a sibling insertion has already extended copies the
 snapshot's part of the store first. ``Edge`` and ``GraphNode`` objects are
 built only for a caller that reads ``edges`` or ``nodes``.
@@ -37,6 +37,7 @@ from .errors import (
     DimensionMismatch,
     DuplicateName,
     EmptyBank,
+    GraphError,
     ParseError,
     UnknownParent,
     ZeroVector,
@@ -110,11 +111,11 @@ def _check_nonzero(norms: np.ndarray) -> None:
 class _Store:
     """The nodes and edges of a chain of snapshots; rows and edges are only appended.
 
-    Node row r is ``names[r]``, ``specs[r]``, ``model_ids[r]`` and the
-    embedding ``matrix[r]``, with its norm ``norms[r]`` and the float32 unit
-    row ``unit[r]`` that the similarity screen reads (both derived on first
-    use); ``nodes[r]`` caches its GraphNode once a caller asks for it. The
-    arrays have spare rows past ``len(self)``. Edge e is ``(edge_a[e],
+    Node row r is ``names[r]``, ``specs[r]`` and the embedding ``matrix[r]``
+    of the model ``model_id``, with its norm ``norms[r]`` and the float32
+    unit row ``unit[r]`` that the similarity screen reads (both derived on
+    first use); ``nodes[r]`` caches its GraphNode once a caller asks for it.
+    The arrays have spare rows past ``len(self)``. Edge e is ``(edge_a[e],
     edge_b[e], edge_kind[e], edge_weight[e])`` with ``edge_a[e] < edge_b[e]``.
     """
 
@@ -122,14 +123,14 @@ class _Store:
         self,
         names: list[str],
         specs: list[CandidateSpec],
-        model_ids: list[str],
+        model_id: str,
         matrix: np.ndarray,
         norms: np.ndarray | None = None,
         nodes: list[GraphNode | None] | None = None,
         edges: tuple[list, list, list, list] | None = None,
         unit: np.ndarray | None = None,
     ) -> None:
-        self.names, self.specs, self.model_ids = names, specs, model_ids
+        self.names, self.specs, self.model_id = names, specs, model_id
         self.index = dict(zip(names, range(len(names))))
         self.matrix, self._norms, self._unit = matrix, norms, unit
         self.nodes = nodes if nodes is not None else [None] * len(names)
@@ -155,10 +156,8 @@ class _Store:
     def copy(self, n: int, m: int) -> "_Store":
         """A store of its own that holds the first n rows and first m edges."""
         edges = (self.edge_a[:m], self.edge_b[:m], self.edge_kind[:m], self.edge_weight[:m])
-        return _Store(
-            self.names[:n], self.specs[:n], self.model_ids[:n],
-            self.matrix[:n].copy(), self.norms[:n].copy(), self.nodes[:n], edges, self.unit[:n].copy(),
-        )  # fmt: skip
+        rows = (self.matrix[:n].copy(), self.norms[:n].copy(), self.nodes[:n], edges, self.unit[:n].copy())
+        return _Store(self.names[:n], self.specs[:n], self.model_id, *rows)
 
     def append_node(self, node: GraphNode, norm: float) -> None:
         row, arrays = len(self.names), (self.matrix, self.norms, self.unit)
@@ -173,7 +172,6 @@ class _Store:
         self.index[node.spec.name] = row
         self.names.append(node.spec.name)
         self.specs.append(node.spec)
-        self.model_ids.append(node.embedding.model_id)
         self.nodes.append(node)
 
     def append_edges(self, x: list[str], y: list[str], kind: str, weights: list) -> None:
@@ -186,7 +184,7 @@ class _Store:
     def node(self, row: int) -> GraphNode:
         node = self.nodes[row]
         if node is None:
-            embedding = EmbeddingVector(values=self.matrix[row], model_id=self.model_ids[row])
+            embedding = EmbeddingVector(values=self.matrix[row], model_id=self.model_id)
             node = self.nodes[row] = GraphNode(spec=self.specs[row], embedding=embedding)
         return node
 
@@ -212,34 +210,6 @@ class _Nodes(Mapping):
     def __iter__(self) -> Iterator[str]:
         return iter(self._store.names[: self._n])
 
-    def items(self):
-        return self._dict.items()
-
-    def values(self):
-        return self._dict.values()
-
-    @cached_property
-    def _dict(self) -> dict[str, GraphNode]:
-        return dict(zip(self._store.names[: self._n], map(self._store.node, range(self._n))))
-
-
-class _RowNames(Sequence):
-    """The names of a store's rows, in the order of an array of rows."""
-
-    def __init__(self, names: list[str], rows: np.ndarray) -> None:
-        self._names, self._rows = names, rows
-
-    def __len__(self) -> int:
-        return len(self._rows)
-
-    def __getitem__(self, at):
-        if isinstance(at, slice):
-            return list(map(self._names.__getitem__, self._rows[at].tolist()))
-        return self._names[self._rows[at]]
-
-    def __iter__(self) -> Iterator[str]:
-        return map(self._names.__getitem__, self._rows.tolist())
-
 
 class _Edges(Set):
     """A snapshot's edges as Edge objects in (a, b, kind) order, built as they are read."""
@@ -261,9 +231,6 @@ class _Edges(Set):
         return frozenset(self)
 
 
-_EDGE_KEY = operator.attrgetter("a", "b", "kind")
-
-
 class CandidateGraph:
     """One snapshot: the first ``len(self)`` nodes and first ``len(self.edges)`` edges of a store."""
 
@@ -274,38 +241,34 @@ class CandidateGraph:
         edges: Iterable[Edge] = (),
     ) -> None:
         given = dict(nodes or {})
-        table = sorted(edges, key=_EDGE_KEY)
+        model_ids = sorted({node.embedding.model_id for node in given.values()} or {config.embedding_model_id})
+        if len(model_ids) > 1:
+            raise GraphError(f"node embeddings come from more than one model: {model_ids}")
+        table = list(edges)
         store = _Store(
             list(given),
             [node.spec for node in given.values()],
-            [node.embedding.model_id for node in given.values()],
+            model_ids[0],
             _stack([node.embedding.values for node in given.values()]),
             nodes=list(given.values()),
             edges=tuple(list(map(operator.attrgetter(field), table)) for field in ("a", "b", "kind", "weight")),
         )
-        self._bind(config, store, len(given), len(table), ordered=True)
+        self._bind(config, store, len(given), len(table))
 
     @classmethod
     def _view(
-        cls, config: GraphConfig, store: _Store, ordered: bool, kinds: dict[str, np.ndarray] | None = None
+        cls, config: GraphConfig, store: _Store, kinds: dict[str, tuple[str, ...]] | None = None
     ) -> "CandidateGraph":
-        """The snapshot of all of ``store``; ``ordered`` when its edges are in (a, b, kind) order."""
+        """The snapshot of all of ``store``."""
         graph = cls.__new__(cls)
-        graph._bind(config, store, len(store), len(store.edge_a), ordered, kinds)
+        graph._bind(config, store, len(store), len(store.edge_a), kinds)
         return graph
 
     def _bind(
-        self,
-        config: GraphConfig,
-        store: _Store,
-        n: int,
-        m: int,
-        ordered: bool,
-        kinds: dict[str, np.ndarray] | None = None,
+        self, config: GraphConfig, store: _Store, n: int, m: int, kinds: dict[str, tuple[str, ...]] | None = None
     ) -> None:
         self.config = config
-        self._store, self._n, self._m, self._ordered = store, n, m, ordered
-        self._kinds = kinds
+        self._store, self._n, self._m, self._kinds = store, n, m, kinds
         self.nodes: Mapping[str, GraphNode] = _Nodes(store, n)
 
     @property
@@ -322,18 +285,18 @@ class CandidateGraph:
     def names(self) -> list[str]:
         return list(self._names)
 
-    def _kind_rows(self) -> dict[str, np.ndarray]:
-        """kind -> the rows of that kind in name order, derived once per snapshot."""
+    def _kind_names(self) -> dict[str, tuple[str, ...]]:
+        """kind -> the sorted names of that kind, derived once per snapshot."""
         if self._kinds is None:
             store, kinds = self._store, {}
-            for row in sorted(range(self._n), key=store.names.__getitem__):
-                kinds.setdefault(store.specs[row].kind, []).append(row)
-            self._kinds = {kind: np.array(rows, dtype=np.intp) for kind, rows in kinds.items()}
+            for name in self._names:
+                kinds.setdefault(store.specs[store.index[name]].kind, []).append(name)
+            self._kinds = {kind: tuple(names) for kind, names in kinds.items()}
         return self._kinds
 
-    def names_of_kind(self, kind: str) -> Sequence[str]:
+    def names_of_kind(self, kind: str) -> tuple[str, ...]:
         """The sorted names of one kind."""
-        return _RowNames(self._store.names, self._kind_rows().get(kind, np.empty(0, np.intp)))
+        return self._kind_names().get(kind, ())
 
     @cached_property
     def _edge_codes(self) -> tuple[list[str], list[str], dict[str, int], np.ndarray, np.ndarray, np.ndarray]:
@@ -349,12 +312,10 @@ class CandidateGraph:
 
     def _edge_columns(self) -> tuple[list, list, list, list]:
         """The snapshot's edges as (a, b, kind, weight) columns in (a, b, kind) order."""
-        store, m = self._store, self._m
-        columns = (store.edge_a, store.edge_b, store.edge_kind, store.edge_weight)
-        if self._ordered:
-            return tuple(column[:m] for column in columns)
         _, _, _, a, b, kind = self._edge_codes
         order = np.lexsort((kind, b, a)).tolist()  # stable: ties keep their table order
+        store = self._store
+        columns = (store.edge_a, store.edge_b, store.edge_kind, store.edge_weight)
         return tuple(list(map(column.__getitem__, order)) for column in columns)
 
     @cached_property
@@ -436,9 +397,9 @@ def build_graph(bank: CandidateBank, cfg: GraphConfig, gateway: Gateway) -> Cand
     matrix, norms = gateway.embedding_rows([spec.phi for spec in bank])
     names = list(bank.names())
     _check_nonzero(norms)
-    store = _Store(names, list(bank), [gateway.embed_model_id] * len(names), matrix, norms)
+    store = _Store(names, list(bank), gateway.embed_model_id, matrix, norms)
     _link_similar(store, cfg.tau, 0)
-    return CandidateGraph._view(cfg, store, ordered=False)
+    return CandidateGraph._view(cfg, store)
 
 
 def add_mutant(
@@ -462,17 +423,18 @@ def add_mutant(
     norm = _norms(embedding.values[None, :])
     _check_nonzero(norm)
     _check_nonzero(store.norms[:n])
+    if embedding.model_id != store.model_id:
+        raise GraphError(f"mutant embedded by {embedding.model_id!r}, the graph's nodes by {store.model_id!r}")
     if len(store) != n or len(store.edge_a) != graph._m:
         store = store.copy(n, graph._m)  # a sibling insertion extended the store
     store.append_node(GraphNode(spec=mutant, embedding=embedding), norm[0])
     store.append_edges([parent], [mutant.name], "mutation", [None])
     _link_similar(store, graph.config.tau, n)
-    kinds = None
-    if graph._kinds is not None:  # the parent's rows by kind, with the mutant's row in its place
-        kinds = dict(graph._kinds)
-        rows = kinds.get(mutant.kind, np.empty(0, np.intp))
-        kinds[mutant.kind] = np.insert(rows, bisect.bisect(rows, mutant.name, key=store.names.__getitem__), n)
-    return CandidateGraph._view(graph.config, store, ordered=False, kinds=kinds)
+    kinds = dict(graph._kind_names())  # the parent's names by kind, with the mutant's name in its place
+    names = kinds.get(mutant.kind, ())
+    at = bisect.bisect(names, mutant.name)
+    kinds[mutant.kind] = names[:at] + (mutant.name,) + names[at:]
+    return CandidateGraph._view(graph.config, store, kinds)
 
 
 def save_graph(graph: CandidateGraph, path: str | Path) -> None:
@@ -497,7 +459,7 @@ def _snapshot_lines(graph: CandidateGraph) -> Iterator[str]:
                     "kind": spec.kind,
                     "spec": spec.to_dict(),
                     "embedding": store.matrix[row].tolist(),
-                    "embedding_model_id": store.model_ids[row],
+                    "embedding_model_id": store.model_id,
                 }
             }
         )
@@ -539,11 +501,10 @@ class _SnapshotReader:
         self.names: list[str] = []
         self.index: dict[str, int] = {}
         self.specs: list[CandidateSpec] = []
-        self.model_ids: list[str] = []
+        self.model_ids: set[str] = set()
         self.embeddings: list[np.ndarray] = []
         self.edges: tuple[list, list, list, list] = ([], [], [], [])
         self.edge_keys: set[tuple[str, str, str]] = set()
-        self.ordered = False  # whether the edges came in (a, b, kind) order
 
     def record(self, record: dict) -> None:
         kind = next(iter(record), "")
@@ -580,7 +541,7 @@ class _SnapshotReader:
         self.index[name] = len(self.names)
         self.names.append(name)
         self.specs.append(spec)
-        self.model_ids.append(model_id)
+        self.model_ids.add(model_id)
         self.embeddings.append(np.array(values, dtype=np.float64))
 
     def _edge(self, raw: dict) -> None:
@@ -632,7 +593,7 @@ class _SnapshotReader:
             return False
         # the node names' own string objects, so that the edge texts are freed
         name = dict(zip(self.names, self.names)).__getitem__
-        self.edges, self.ordered = (list(map(name, a)), list(map(name, b)), kind, weight), True
+        self.edges = (list(map(name, a)), list(map(name, b)), kind, weight)
         return True
 
     def graph(self, path: Path) -> CandidateGraph:
@@ -643,14 +604,14 @@ class _SnapshotReader:
             parent = spec.provenance.parent_name
             if parent is not None and parent not in self.index:
                 raise ParseError(str(path), f"mutant {name!r} names a missing parent {parent!r}")
-        model_ids = sorted(set(self.model_ids))
+        model_ids = sorted(self.model_ids or {self.config.embedding_model_id})
         if len(model_ids) > 1:
             raise ParseError(str(path), f"node embeddings come from more than one model: {model_ids}")
         dims = sorted(set(map(len, self.embeddings)))
         if len(dims) > 1:
             raise DimensionMismatch(f"{path}: node embeddings have dims {dims}")
-        store = _Store(self.names, self.specs, self.model_ids, _stack(self.embeddings), edges=self.edges)
-        return CandidateGraph._view(self.config, store, self.ordered)
+        store = _Store(self.names, self.specs, model_ids[0], _stack(self.embeddings), edges=self.edges)
+        return CandidateGraph._view(self.config, store)
 
 
 def load_graph(path: str | Path) -> CandidateGraph:

@@ -316,17 +316,18 @@ class CandidatePool:
         return CandidatePool(bank=bank, membership=bank.names())
 
 
-def load_bank(path: str | Path, kind: str | None = None) -> CandidateBank:
+def load_bank(path: str | Path) -> CandidateBank:
     """Load a bank from a JSON array or JSONL file, validating every entry.
 
-    Without ``kind``, an agent bank if the first entry lists tools. An invalid
-    entry is a ParseError at its ``file[i]`` (array) or ``file:line`` (JSONL).
+    An agent bank if the first entry lists tools. An invalid entry is a
+    ParseError at its ``file[i]`` (array) or ``file:line`` (JSONL).
     """
     path = Path(path)
     try:
         raw = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise IoError(f"cannot read bank file {path}: {exc}") from exc
+    kind: str | None = None  # set from the first entry
 
     def parse(document: Any) -> CandidateSpec:
         nonlocal kind

@@ -100,6 +100,23 @@ def test_mutate_zero_rounds_identity(workspace):
     assert out.read_bytes() == graph_path.read_bytes()
 
 
+def test_mutate_with_another_embedding_model_exits_1_and_writes_nothing(workspace):
+    tmp_path, bank_path, _ = workspace
+    graph_path, out = tmp_path / "graph.jsonl", tmp_path / "mutated.jsonl"
+    configs = {}
+    for model in ("model-a", "model-b"):
+        configs[model] = tmp_path / f"{model}.yaml"
+        configs[model].write_text(f"seed: 11\nbackend:\n  embed_model: {model}\n", encoding="utf-8")
+    built = run(["build-graph", "--config", str(configs["model-a"]), "--bank", bank_path, "--out", str(graph_path)])
+    assert built.exit_code == 0
+    result = run(
+        ["mutate", "--config", str(configs["model-b"]), "--graph", str(graph_path), "--rounds", "3", "--out", str(out)]
+    )
+    one_error_line(result)
+    assert "model-b" in result.output
+    assert not out.exists()
+
+
 def test_full_mock_pipeline_with_recount(workspace):
     tmp_path, bank_path, config_path = workspace
     graph_path = tmp_path / "graph.jsonl"

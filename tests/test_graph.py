@@ -12,13 +12,16 @@ from helpers import (
     BROKEN_SNAPSHOTS,
     SNAPSHOT_POSITIONS,
     corrupt_snapshot,
+    make_agent_bank,
+    make_agent_doc,
     make_family_bank,
     make_tool_bank,
+    make_tool_doc,
     mock_gateway,
     planted_unit_vector,
 )
 from toolrouter.backends import StaticEmbeddingBackend
-from toolrouter.errors import DimensionMismatch, DuplicateName, EmptyBank, UnknownParent, ZeroVector
+from toolrouter.errors import DimensionMismatch, DuplicateName, EmptyBank, GraphError, UnknownParent, ZeroVector
 from toolrouter.gateway import ORDERED_LOOP_ROWS, EmbeddingVector, Gateway, _ordered_dots
 from toolrouter.graph import (
     CandidateGraph,
@@ -255,6 +258,34 @@ def test_branching_inserts_from_one_snapshot(tmp_path):
             assert graph.neighbors(name) == scanned_neighbors(graph, name)
 
 
+def test_names_of_kind_on_a_graph_with_tools_and_agents(tmp_path):
+    """Inserts of both kinds, and a sibling branch, keep each snapshot's
+    names of each kind equal to a sorted scan of its nodes."""
+    gateway = mock_gateway(0)
+    specs = [*make_tool_bank(8), *make_agent_bank(6)]
+    vectors = gateway.embed_texts([spec.phi for spec in specs])
+    g0 = CandidateGraph(GraphConfig(), nodes={s.name: GraphNode(s, v) for s, v in zip(specs, vectors)})
+    tool_parent, agent_parent = specs[0].name, specs[-1].name
+
+    def insert(graph, parent, kind, name):
+        doc = {**(make_tool_doc(0) if kind == "tool" else make_agent_doc(0)), "name": name}
+        mutant = as_mutant(validate_spec(doc, kind), parent=parent, operator="Usage Extension")
+        return add_mutant(graph, parent, mutant, gateway.embed_text(mutant.phi))
+
+    g1 = insert(g0, tool_parent, "tool", "aaa_first_tool")
+    g2 = insert(g1, agent_parent, "agent", "zzz_last_agent")
+    g3 = insert(g2, tool_parent, "tool", "monitor_middle_tool")
+    sibling = insert(g1, agent_parent, "agent", "aaa_first_agent")  # g2 already extended g1's store
+    save_graph(g3, tmp_path / "g3.jsonl")
+    loaded = load_graph(tmp_path / "g3.jsonl")
+    for graph in (g0, g1, g2, g3, sibling, loaded):
+        for kind in ("tool", "agent"):
+            scanned = sorted(name for name, node in graph.nodes.items() if node.spec.kind == kind)
+            assert list(graph.names_of_kind(kind)) == scanned
+    assert "aaa_first_agent" not in g2.names_of_kind("agent") and "zzz_last_agent" not in sibling.names_of_kind("agent")
+    assert g0.names_of_kind("mcp") == ()
+
+
 def planted_graph(tau=0.82):
     mapping = {serialize_phi(tool("anchor")): (1.0, 0.0), serialize_phi(tool("far")): (0.0, 1.0)}
     gateway = Gateway(embedding_backend=StaticEmbeddingBackend(mapping, dim=2), backoff_s=0.0)
@@ -306,6 +337,12 @@ def test_zero_and_mismatched_embeddings_raise():
         add_mutant(graph, "far", mutant_of("far", "m"), vec(0, 0))
     with pytest.raises(DimensionMismatch):
         add_mutant(graph, "far", mutant_of("far", "m"), vec(1, 0, 0))
+    with pytest.raises(GraphError, match="'test'.*'static-embed'"):  # one embedding model per graph
+        add_mutant(graph, "far", mutant_of("far", "m"), vec(0, 1))
+    assert graph.names() == ["anchor", "far"]
+    nodes = {"a": GraphNode(tool("a"), vec(1, 0)), "b": GraphNode(tool("b"), graph.nodes["far"].embedding)}
+    with pytest.raises(GraphError, match="more than one model"):
+        CandidateGraph(GraphConfig(), nodes=nodes)
 
 
 @pytest.mark.parametrize("case", sorted(BROKEN_SNAPSHOTS))

@@ -140,13 +140,9 @@ def test_embedding_route_matches_scalar_reference_on_the_column_loop(seed):
     assert embedding_route(gateway, "query", (), pool, "q").chosen == scalar_reference(gateway, "query", pool)
 
 
-def test_warm_embedding_route_builds_no_vector_and_calls_no_backend(monkeypatch):
-    pool = CandidatePool.whole_bank(make_tool_bank(2005))
-    gateway = mock_gateway(0)
-    cfg = RouterConfig(variant="embedding_q")
-    first = route(cfg, "archive the email threads", (), pool, gateway)
-    counts = {"vectors": 0, "backend": 0, "specs": 0}
-    post_init, embed, specs = EmbeddingVector.__post_init__, MockEmbeddingBackend.embed, CandidatePool.specs
+def count_calls(monkeypatch, **targets):
+    """Patch each ``name=(owner, attribute)`` to count its calls; the counts by name."""
+    counts = dict.fromkeys(targets, 0)
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -155,11 +151,35 @@ def test_warm_embedding_route_builds_no_vector_and_calls_no_backend(monkeypatch)
 
         return wrapper
 
-    monkeypatch.setattr(EmbeddingVector, "__post_init__", counted("vectors", post_init))
-    monkeypatch.setattr(MockEmbeddingBackend, "embed", counted("backend", embed))
-    monkeypatch.setattr(CandidatePool, "specs", counted("specs", specs))
+    for name, (owner, attribute) in targets.items():
+        monkeypatch.setattr(owner, attribute, counted(name, getattr(owner, attribute)))
+    return counts
+
+
+def test_warm_embedding_route_builds_no_vector_and_calls_no_backend(monkeypatch):
+    pool = CandidatePool.whole_bank(make_tool_bank(2005))
+    gateway = mock_gateway(0)
+    cfg = RouterConfig(variant="embedding_q")
+    first = route(cfg, "archive the email threads", (), pool, gateway)
+    counts = count_calls(
+        monkeypatch,
+        vectors=(EmbeddingVector, "__post_init__"),
+        backend=(MockEmbeddingBackend, "embed"),
+        specs=(CandidatePool, "specs"),
+    )
     assert route(cfg, "archive the email threads", (), pool, gateway) == first
     assert counts == {"vectors": 0, "backend": 0, "specs": 0}
+
+
+def test_cold_embedding_route_builds_no_vector_and_calls_the_backend_once(monkeypatch):
+    pool = CandidatePool.whole_bank(make_tool_bank(2005))
+    cfg = RouterConfig(variant="embedding_q")
+    warm_gateway = mock_gateway(0)
+    warm_gateway.embed_texts(["archive the email threads", *pool.phi_texts])
+    counts = count_calls(monkeypatch, vectors=(EmbeddingVector, "__post_init__"), backend=(MockEmbeddingBackend, "embed"))
+    cold = route(cfg, "archive the email threads", (), pool, mock_gateway(0))
+    assert counts == {"vectors": 0, "backend": 1}
+    assert cold == route(cfg, "archive the email threads", (), pool, warm_gateway)
 
 
 def test_embedding_route_renders_each_phi_text_once(monkeypatch):

@@ -1,6 +1,8 @@
-"""Source hygiene checks that need no linter: stdlib ``ast`` only."""
+"""Source and test-setting hygiene checks that need no linter: stdlib ``ast`` and a pytest subprocess."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -89,3 +91,29 @@ def test_python_3_10_check_flags_only_newer_syntax(tmp_path):
 def test_every_project_file_parses_as_python_3_10():
     assert len(PROJECT_FILES) > len(SOURCES)  # src, bench and tests were all found
     assert python_3_10_syntax_errors(PROJECT_FILES) == []
+
+
+FAILING_PROPERTY_FILE = """\
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_fails(x):
+    assert x < 0
+
+
+def test_passes():
+    pass
+"""
+
+
+def test_a_failing_property_test_leaves_the_session_running(tmp_path):
+    """With the project's warning filters, hypothesis's explain phase (which
+    imports libcst) must not turn a failing example into an INTERNALERROR."""
+    (tmp_path / "test_two.py").write_text(FAILING_PROPERTY_FILE, encoding="utf-8")
+    command = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-c", str(ROOT / "pyproject.toml")]
+    result = subprocess.run(
+        [*command, "--rootdir", str(tmp_path), "test_two.py"], cwd=tmp_path, capture_output=True, text=True, timeout=300
+    )
+    assert "INTERNALERROR" not in result.stdout + result.stderr
+    assert "1 failed, 1 passed" in result.stdout
