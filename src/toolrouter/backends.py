@@ -71,23 +71,6 @@ class MockEmbeddingBackend:
         return out
 
 
-class StaticEmbeddingBackend:
-    """Returns prescribed vectors per exact text; for planted-similarity tests."""
-
-    def __init__(self, mapping: dict[str, Sequence[float]], dim: int, model_id: str = "static-embed") -> None:
-        self.mapping = {text: list(vec) for text, vec in mapping.items()}
-        self.dim = dim
-        self.model_id = model_id
-
-    def embed(self, texts: Sequence[str]) -> list[list[float]]:
-        out = []
-        for text in texts:
-            if text not in self.mapping:
-                raise TransientBackendError(f"no static embedding for text: {text[:60]!r}")
-            out.append(list(self.mapping[text]))
-        return out
-
-
 # ---------------------------------------------------------------------------
 # Mock chat backend
 # ---------------------------------------------------------------------------

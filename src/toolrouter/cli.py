@@ -83,8 +83,7 @@ def build_graph_cmd(config_path, seed, backend, bank_path, tau, out_path) -> Non
     """Embed a candidate bank and build the similarity graph."""
     cfg = _pipeline_config(config_path, seed, backend, tau)
     bank = load_bank(bank_path)
-    graph_cfg = GraphConfig(tau=cfg.tau, embedding_model_id=cfg.backend.embed_model)
-    graph = build_graph(bank, graph_cfg, make_gateway(cfg))
+    graph = build_graph(bank, GraphConfig(tau=cfg.tau), make_gateway(cfg))
     save_graph(graph, out_path)
     click.echo(f"graph: {len(graph)} nodes, {len(graph.edges)} edges -> {out_path}")
 
@@ -166,7 +165,7 @@ def extract_cmd(
     _pipeline_config(config_path, seed, backend)
     trajectories = load_trajectories(traj_path)
     graph = load_graph(graph_path)
-    bank = CandidateBank(kind=kind, entries=tuple(graph.nodes[name].spec for name in graph.names_of_kind(kind)))
+    bank = CandidateBank(kind=kind, entries=tuple(map(graph.specs.__getitem__, graph.names_of_kind(kind))))
     if pool_scope == "graph":
         pools = [CandidatePool.whole_bank(bank)] * len(trajectories)
     else:

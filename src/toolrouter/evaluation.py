@@ -55,11 +55,8 @@ class PoolSetting:
 
 
 def _mutant_bank(graph: CandidateGraph, kind: str) -> CandidateBank:
-    entries = tuple(
-        node.spec
-        for name, node in sorted(graph.nodes.items())
-        if node.spec.provenance.origin == "mutant" and node.spec.kind == kind
-    )
+    specs = map(graph.specs.__getitem__, graph.names_of_kind(kind))
+    entries = tuple(spec for spec in specs if spec.provenance.origin == "mutant")
     return CandidateBank(kind=kind, entries=entries)
 
 

@@ -14,8 +14,8 @@ doubling), and an edge table of endpoint names, kinds and weights, one list
 each. A snapshot reads the first ``len(graph)`` rows and the first edges of
 the store, so a parent never sees a child's node or edges; inserting into a
 snapshot whose store a sibling insertion has already extended copies the
-snapshot's part of the store first. ``Edge`` and ``GraphNode`` objects are
-built only for a caller that reads ``edges`` or ``nodes``.
+snapshot's part of the store first. ``graph.specs`` reads the specs from the
+store, and ``Edge`` objects are built only for a caller that reads ``edges``.
 """
 
 from __future__ import annotations
@@ -56,7 +56,6 @@ SCREEN_BLOCK_ROWS = 256  # rows per block of the screening product
 @dataclass(frozen=True)
 class GraphConfig:
     tau: float = DEFAULT_TAU
-    embedding_model_id: str = "mock-embed-64"
 
     def __post_init__(self) -> None:
         if not 0 < self.tau < 1:
@@ -114,9 +113,9 @@ class _Store:
     Node row r is ``names[r]``, ``specs[r]`` and the embedding ``matrix[r]``
     of the model ``model_id``, with its norm ``norms[r]`` and the float32
     unit row ``unit[r]`` that the similarity screen reads (both derived on
-    first use); ``nodes[r]`` caches its GraphNode once a caller asks for it.
-    The arrays have spare rows past ``len(self)``. Edge e is ``(edge_a[e],
-    edge_b[e], edge_kind[e], edge_weight[e])`` with ``edge_a[e] < edge_b[e]``.
+    first use). The arrays have spare rows past ``len(self)``. Edge e is
+    ``(edge_a[e], edge_b[e], edge_kind[e], edge_weight[e])`` with
+    ``edge_a[e] < edge_b[e]``.
     """
 
     def __init__(
@@ -126,14 +125,12 @@ class _Store:
         model_id: str,
         matrix: np.ndarray,
         norms: np.ndarray | None = None,
-        nodes: list[GraphNode | None] | None = None,
         edges: tuple[list, list, list, list] | None = None,
         unit: np.ndarray | None = None,
     ) -> None:
         self.names, self.specs, self.model_id = names, specs, model_id
         self.index = dict(zip(names, range(len(names))))
         self.matrix, self._norms, self._unit = matrix, norms, unit
-        self.nodes = nodes if nodes is not None else [None] * len(names)
         self.edge_a, self.edge_b, self.edge_kind, self.edge_weight = edges if edges is not None else ([], [], [], [])
 
     def __len__(self) -> int:
@@ -156,23 +153,21 @@ class _Store:
     def copy(self, n: int, m: int) -> "_Store":
         """A store of its own that holds the first n rows and first m edges."""
         edges = (self.edge_a[:m], self.edge_b[:m], self.edge_kind[:m], self.edge_weight[:m])
-        rows = (self.matrix[:n].copy(), self.norms[:n].copy(), self.nodes[:n], edges, self.unit[:n].copy())
+        rows = (self.matrix[:n].copy(), self.norms[:n].copy(), edges, self.unit[:n].copy())
         return _Store(self.names[:n], self.specs[:n], self.model_id, *rows)
 
-    def append_node(self, node: GraphNode, norm: float) -> None:
+    def append_node(self, spec: CandidateSpec, values: np.ndarray, norm: float) -> None:
         row, arrays = len(self.names), (self.matrix, self.norms, self.unit)
         if row == len(self.matrix):
             grown = [np.empty((max(1, 2 * row), *array.shape[1:]), array.dtype) for array in arrays]
             for new, old in zip(grown, arrays):
                 new[:row] = old[:row]
             self.matrix, self._norms, self._unit = arrays = grown
-        values = node.embedding.values
         for array, value in zip(arrays, (values, norm, values / norm)):
             array[row] = value
-        self.index[node.spec.name] = row
-        self.names.append(node.spec.name)
-        self.specs.append(node.spec)
-        self.nodes.append(node)
+        self.index[spec.name] = row
+        self.names.append(spec.name)
+        self.specs.append(spec)
 
     def append_edges(self, x: list[str], y: list[str], kind: str, weights: list) -> None:
         """Edges between x[e] and y[e] != x[e], stored with the smaller name first."""
@@ -181,25 +176,18 @@ class _Store:
         self.edge_kind.extend([kind] * len(x))
         self.edge_weight.extend(weights)
 
-    def node(self, row: int) -> GraphNode:
-        node = self.nodes[row]
-        if node is None:
-            embedding = EmbeddingVector(values=self.matrix[row], model_id=self.model_id)
-            node = self.nodes[row] = GraphNode(spec=self.specs[row], embedding=embedding)
-        return node
 
-
-class _Nodes(Mapping):
-    """name -> GraphNode over the first n rows of a store."""
+class _Specs(Mapping):
+    """name -> CandidateSpec over the first n rows of a store."""
 
     def __init__(self, store: _Store, n: int) -> None:
         self._store, self._n = store, n
 
-    def __getitem__(self, name: str) -> GraphNode:
+    def __getitem__(self, name: str) -> CandidateSpec:
         row = self._store.index.get(name, self._n)
         if row >= self._n:
             raise KeyError(name)
-        return self._store.node(row)
+        return self._store.specs[row]
 
     def __contains__(self, name: object) -> bool:
         return self._store.index.get(name, self._n) < self._n
@@ -241,7 +229,7 @@ class CandidateGraph:
         edges: Iterable[Edge] = (),
     ) -> None:
         given = dict(nodes or {})
-        model_ids = sorted({node.embedding.model_id for node in given.values()} or {config.embedding_model_id})
+        model_ids = sorted({node.embedding.model_id for node in given.values()}) or [""]
         if len(model_ids) > 1:
             raise GraphError(f"node embeddings come from more than one model: {model_ids}")
         table = list(edges)
@@ -250,7 +238,6 @@ class CandidateGraph:
             [node.spec for node in given.values()],
             model_ids[0],
             _stack([node.embedding.values for node in given.values()]),
-            nodes=list(given.values()),
             edges=tuple(list(map(operator.attrgetter(field), table)) for field in ("a", "b", "kind", "weight")),
         )
         self._bind(config, store, len(given), len(table))
@@ -269,7 +256,7 @@ class CandidateGraph:
     ) -> None:
         self.config = config
         self._store, self._n, self._m, self._kinds = store, n, m, kinds
-        self.nodes: Mapping[str, GraphNode] = _Nodes(store, n)
+        self.specs: Mapping[str, CandidateSpec] = _Specs(store, n)
 
     @property
     def edges(self) -> Set[Edge]:
@@ -342,12 +329,6 @@ class CandidateGraph:
         start, stop = bounds[place], bounds[place + 1]
         return list(zip(others[start:stop], kinds[start:stop]))
 
-    def mutation_edges(self) -> list[Edge]:
-        return [edge for edge in self.edges if edge.kind == "mutation"]
-
-    def similarity_edges(self) -> list[Edge]:
-        return [edge for edge in self.edges if edge.kind == "similarity"]
-
 
 def cosine_similarity(h_i: EmbeddingVector, h_j: EmbeddingVector) -> float:
     if h_i.dim != h_j.dim:
@@ -413,9 +394,9 @@ def add_mutant(
     The new graph appends to the parent's store; the parent's snapshot does
     not see what was appended.
     """
-    if parent not in graph.nodes:
+    if parent not in graph.specs:
         raise UnknownParent(parent)
-    if mutant.name in graph.nodes:
+    if mutant.name in graph.specs:
         raise DuplicateName(mutant.name)
     store, n = graph._store, len(graph)
     if embedding.values.shape != store.matrix.shape[1:]:
@@ -427,7 +408,7 @@ def add_mutant(
         raise GraphError(f"mutant embedded by {embedding.model_id!r}, the graph's nodes by {store.model_id!r}")
     if len(store) != n or len(store.edge_a) != graph._m:
         store = store.copy(n, graph._m)  # a sibling insertion extended the store
-    store.append_node(GraphNode(spec=mutant, embedding=embedding), norm[0])
+    store.append_node(mutant, embedding.values, norm[0])
     store.append_edges([parent], [mutant.name], "mutation", [None])
     _link_similar(store, graph.config.tau, n)
     kinds = dict(graph._kind_names())  # the parent's names by kind, with the mutant's name in its place
@@ -447,8 +428,8 @@ def save_graph(graph: CandidateGraph, path: str | Path) -> None:
 
 def _snapshot_lines(graph: CandidateGraph) -> Iterator[str]:
     encode = JSON_LINE.encode
-    yield encode({"meta": {"tau": graph.config.tau, "embedding_model_id": graph.config.embedding_model_id}})
     store = graph._store
+    yield encode({"meta": {"tau": graph.config.tau, "embedding_model_id": store.model_id}})
     for name in graph._names:
         row = store.index[name]
         spec = store.specs[row]
@@ -497,11 +478,11 @@ class _SnapshotReader:
 
     def __init__(self) -> None:
         self.config: GraphConfig | None = None
+        self.model_id = ""  # the meta record's: every node's embeddings must come from this model
         self.previous: str | None = None  # the kind of the last record read
         self.names: list[str] = []
         self.index: dict[str, int] = {}
         self.specs: list[CandidateSpec] = []
-        self.model_ids: set[str] = set()
         self.embeddings: list[np.ndarray] = []
         self.edges: tuple[list, list, list, list] = ([], [], [], [])
         self.edge_keys: set[tuple[str, str, str]] = set()
@@ -520,8 +501,8 @@ class _SnapshotReader:
         elif kind == "node":
             self._node(raw)
         else:
-            model_id = typed(raw["embedding_model_id"], str, "meta embedding_model_id")
-            self.config = GraphConfig(tau=raw["tau"], embedding_model_id=model_id)
+            self.model_id = typed(raw["embedding_model_id"], str, "meta embedding_model_id")
+            self.config = GraphConfig(tau=raw["tau"])
 
     def _node(self, raw: dict) -> None:
         name = raw["name"]
@@ -531,6 +512,8 @@ class _SnapshotReader:
         if spec.name != name:
             raise ValueError(f"node {name!r} holds the spec of {spec.name!r}")
         model_id = typed(raw["embedding_model_id"], str, "node embedding_model_id")
+        if model_id != self.model_id:
+            raise ValueError(f"node embeddings come from more than one model: {model_id!r}, meta {self.model_id!r}")
         values = raw["embedding"]
         if not isinstance(values, list):
             raise TypeError("an embedding must be a flat sequence of JSON numbers")
@@ -541,7 +524,6 @@ class _SnapshotReader:
         self.index[name] = len(self.names)
         self.names.append(name)
         self.specs.append(spec)
-        self.model_ids.add(model_id)
         self.embeddings.append(np.array(values, dtype=np.float64))
 
     def _edge(self, raw: dict) -> None:
@@ -604,13 +586,10 @@ class _SnapshotReader:
             parent = spec.provenance.parent_name
             if parent is not None and parent not in self.index:
                 raise ParseError(str(path), f"mutant {name!r} names a missing parent {parent!r}")
-        model_ids = sorted(self.model_ids or {self.config.embedding_model_id})
-        if len(model_ids) > 1:
-            raise ParseError(str(path), f"node embeddings come from more than one model: {model_ids}")
         dims = sorted(set(map(len, self.embeddings)))
         if len(dims) > 1:
             raise DimensionMismatch(f"{path}: node embeddings have dims {dims}")
-        store = _Store(self.names, self.specs, model_ids[0], _stack(self.embeddings), edges=self.edges)
+        store = _Store(self.names, self.specs, self.model_id, _stack(self.embeddings), edges=self.edges)
         return CandidateGraph._view(self.config, store)
 
 

@@ -59,21 +59,6 @@ class Reasoner(Protocol):
     def decide(self, prompt: str) -> str: ...
 
 
-class ScriptedReasoner:
-    """Replays a fixed list of actions; each action is a JSON-able dict."""
-
-    def __init__(self, actions: Iterable[dict]) -> None:
-        self._actions = list(actions)
-        self._index = 0
-
-    def decide(self, prompt: str) -> str:
-        if self._index >= len(self._actions):
-            return json.dumps({"action": "final", "answer": "out of scripted actions"})
-        action = self._actions[self._index]
-        self._index += 1
-        return json.dumps(action)
-
-
 REASONER_TEMPERATURE = 0.2  # of the LRA's own chat calls
 
 
@@ -190,7 +175,9 @@ def run_episode(
     the task as its transcript. Tool 2 executes the last routed candidate;
     calling it with no fresh decision is recorded as ExecuteBeforeRoute and
     surfaced to the reasoner. The context audit counts the pool names in any
-    prompt shown, less the two tool names and the names routed to.
+    prompt shown, less the two tool names and the names routed to. A reply
+    that is no JSON object, or whose ``need`` is no string, is the final
+    answer as it stands.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -206,7 +193,9 @@ def run_episode(
         try:
             action = json.loads(raw)
         except json.JSONDecodeError:
-            action = {"action": "final", "answer": raw}
+            action = None
+        if not isinstance(action, dict) or not isinstance(action.get("need", task), str):
+            action = {"action": "final", "answer": raw}  # a reply the loop cannot act on ends the episode
         step = EpisodeStep(reasoner_text=raw)
         log.steps.append(step)
 

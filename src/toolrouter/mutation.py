@@ -253,7 +253,7 @@ def evolve(graph: CandidateGraph, rounds: int, cfg: EvolveConfig, gateway: Gatew
             raise EmptyGraph("cannot evolve an empty graph")
 
         parent_name, op = _pick(graph, rng, kind)
-        parent_spec = graph.nodes[parent_name].spec
+        parent_spec = graph.specs[parent_name]
         request = render_mutation_prompt(parent_spec, op, temperature=cfg.temperature)
 
         raw_response = ""

@@ -21,6 +21,7 @@ from .supervision import render_prompt
 from .synthesis import Turn, serialize_history
 
 VARIANTS = ("embedding_q", "embedding_qh", "llm", "oracle", "random")
+MAX_HISTORY_CHARS = 8000  # of the request text the q_plus_h embedding router embeds
 
 
 @dataclass(frozen=True)
@@ -87,12 +88,11 @@ def embedding_route(
     mode: str = "q",
     *,
     kind: str = "tool",
-    max_history_chars: int = 8000,
 ) -> RouterDecision:
     """Cosine scoring of the request text against each candidate's phi text.
 
     mode "q" embeds the query alone; "q_plus_h" prefixes the serialized
-    history, keeping its last ``max_history_chars`` characters less the
+    history, keeping its last ``MAX_HISTORY_CHARS`` characters less the
     query and a newline; the cut need not fall on a turn boundary.
     Every member gets the scalar cosine's value bit for bit, computed from the
     gateway's stored rows and norms; ties go to the smallest name, and gateway
@@ -102,7 +102,7 @@ def embedding_route(
         raise ValueError(f"unknown embedding mode: {mode!r}")
     if mode == "q_plus_h" and history:
         history_text = _truncate_oldest(
-            serialize_history(history, kind), max(0, max_history_chars - len(query) - 1)
+            serialize_history(history, kind), max(0, MAX_HISTORY_CHARS - len(query) - 1)
         )
         request_text = f"{history_text}\n{query}"
     else:

@@ -9,14 +9,13 @@ strictly before that observation.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from . import prompts
 from ._util import read_jsonl, typed, write_jsonl
-from .errors import ParseError, PoolMissingLabel
+from .errors import PoolMissingLabel
 from .registry import CandidatePool, pool_json, public_spec
 from .synthesis import (
     Action,
@@ -91,18 +90,6 @@ def extract_instances(trajectory: Trajectory, pool: CandidatePool) -> list[Routi
 def strip_history(instance: RoutingInstance) -> RoutingInstance:
     """History-stripped ablation twin; idempotent."""
     return replace(instance, history=())
-
-
-_HISTORY_BLOCK_RE = re.compile(r"<history>(.*?)</history>", re.DOTALL)
-_TURN_LINE_RE = re.compile(r"^(?:User|Assistant): ", re.MULTILINE)
-
-
-def parse_history_turn_count(user_text: str) -> int:
-    """Recover the serialized turn count from a rendered sample's history block."""
-    match = _HISTORY_BLOCK_RE.search(user_text)
-    if match is None:
-        raise ParseError("<user text>", "no <history> block found")
-    return len(_TURN_LINE_RE.findall(match.group(1)))
 
 
 # --- rendering -------------------------------------------------------------------

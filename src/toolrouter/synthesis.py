@@ -96,12 +96,6 @@ class Trajectory:
     subset: CandidateSubset
     plan: TaskPlan
 
-    def actions(self) -> list[Action]:
-        return [turn for turn in self.turns if isinstance(turn, Action)]
-
-    def call_count(self) -> int:
-        return sum(len(action.calls) for action in self.actions())
-
 
 @dataclass(frozen=True)
 class SynthesisConfig:
@@ -326,7 +320,6 @@ def synthesize_batch(
     trajectories: list[Trajectory] = []
     attempts = 0
     max_attempts = count * 3 if count else 0
-    specs = {name: node.spec for name, node in graph.nodes.items()}
     while len(trajectories) < count and attempts < max_attempts:
         subset = sample_subset(
             graph, replace(sampler_cfg, rng_seed=derive_seed(synth_cfg.rng_seed, "sample", attempts))
@@ -334,9 +327,9 @@ def synthesize_batch(
         attempts += 1
         trajectory_id = f"traj-{len(trajectories):05d}"
         try:
-            plan = propose_task(subset, specs, gateway, synth_cfg)
+            plan = propose_task(subset, graph.specs, gateway, synth_cfg)
             trajectories.append(
-                simulate_trajectory(plan, subset, specs, gateway, synth_cfg, trajectory_id)
+                simulate_trajectory(plan, subset, graph.specs, gateway, synth_cfg, trajectory_id)
             )
         except (Discarded, RetriesExhaustedSynthesis):
             continue

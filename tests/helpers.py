@@ -5,12 +5,15 @@ from __future__ import annotations
 import json
 import math
 import random
+import re
+from typing import Iterable, Sequence
 
 from toolrouter.backends import MockChatBackend, MockEmbeddingBackend
 from toolrouter.errors import DimensionMismatch, ParseError
-from toolrouter.gateway import EmbeddingVector, Gateway
+from toolrouter.gateway import EmbeddingVector, Gateway, TransientBackendError
 from toolrouter.graph import cosine_similarity
 from toolrouter.registry import CandidateBank, validate_spec
+from toolrouter.synthesis import Action, Trajectory
 
 DOMAINS = [
     ("files", "filesystem trees"),
@@ -244,3 +247,73 @@ MALFORMED_SPEC_FIELDS = {
     "agent-tools-not-strings": ("agent", lambda doc: {**doc, "tools": [1, 2]}, "tools"),
     "agent-tools-int": ("agent", lambda doc: {**doc, "tools": 5}, "tools"),
 }
+
+
+class StaticEmbeddingBackend:
+    """Returns prescribed vectors per exact text; for planted-similarity tests."""
+
+    def __init__(self, mapping: dict[str, Sequence[float]], dim: int, model_id: str = "static-embed") -> None:
+        self.mapping = {text: list(vec) for text, vec in mapping.items()}
+        self.dim = dim
+        self.model_id = model_id
+
+    def embed(self, texts: Sequence[str]) -> list[list[float]]:
+        out = []
+        for text in texts:
+            if text not in self.mapping:
+                raise TransientBackendError(f"no static embedding for text: {text[:60]!r}")
+            out.append(list(self.mapping[text]))
+        return out
+
+
+class ScriptedReasoner:
+    """Replays a fixed list of actions; each action is a JSON-able dict."""
+
+    def __init__(self, actions: Iterable[dict]) -> None:
+        self._actions = list(actions)
+        self._index = 0
+
+    def decide(self, prompt: str) -> str:
+        if self._index >= len(self._actions):
+            return json.dumps({"action": "final", "answer": "out of scripted actions"})
+        action = self._actions[self._index]
+        self._index += 1
+        return json.dumps(action)
+
+
+_HISTORY_BLOCK_RE = re.compile(r"<history>(.*?)</history>", re.DOTALL)
+_TURN_LINE_RE = re.compile(r"^(?:User|Assistant): ", re.MULTILINE)
+
+
+def parse_history_turn_count(user_text: str) -> int:
+    """Recover the serialized turn count from a rendered sample's history block."""
+    match = _HISTORY_BLOCK_RE.search(user_text)
+    if match is None:
+        raise ParseError("<user text>", "no <history> block found")
+    return len(_TURN_LINE_RE.findall(match.group(1)))
+
+
+def candidate_calls(trajectory: Trajectory) -> int:
+    """The candidate calls of a trajectory's actions."""
+    return sum(len(turn.calls) for turn in trajectory.turns if isinstance(turn, Action))
+
+
+def count_calls(monkeypatch, **targets):
+    """Patch each ``name=(owner, attribute)`` to count its calls; the counts by name."""
+    counts = dict.fromkeys(targets, 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name, (owner, attribute) in targets.items():
+        monkeypatch.setattr(owner, attribute, counted(name, getattr(owner, attribute)))
+    return counts
+
+
+def edges_of_kind(graph, kind: str) -> list:
+    """A graph's edges of one kind, in the graph's edge order."""
+    return [edge for edge in graph.edges if edge.kind == kind]

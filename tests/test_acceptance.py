@@ -13,12 +13,18 @@ import time
 import numpy as np
 import pytest
 
-from helpers import make_tool_bank, mock_gateway, planted_unit_vector
-from toolrouter.backends import StaticEmbeddingBackend
+from helpers import (
+    ScriptedReasoner,
+    StaticEmbeddingBackend,
+    edges_of_kind,
+    make_tool_bank,
+    mock_gateway,
+    planted_unit_vector,
+)
 from toolrouter.evaluation import PoolSetting, SETTING_ORDER, Setting, evaluate
 from toolrouter.gateway import Gateway
 from toolrouter.graph import GraphConfig, build_graph, save_graph
-from toolrouter.lra import ExecutorBinding, ScriptedReasoner, run_episode
+from toolrouter.lra import ExecutorBinding, run_episode
 from toolrouter.mutation import EvolveConfig, evolve
 from toolrouter.registry import (
     CandidateBank,
@@ -70,7 +76,7 @@ def run_pipeline(trajectory_count=100):
         gateway,
     )
     full_bank = CandidateBank(
-        kind="tool", entries=tuple(evolved.nodes[name].spec for name in evolved.names())
+        kind="tool", entries=tuple(map(evolved.specs.__getitem__, evolved.names()))
     )
     pools = [CandidatePool(bank=full_bank, membership=t.subset.members) for t in trajectories]
     return gateway, evolved, trajectories, pools, result
@@ -114,9 +120,9 @@ def test_criterion_1_graph_oracle_equivalence():
             if float(sims[i, j]) > cfg.tau:
                 a, b = sorted((names[i], names[j]))
                 expected.add((a, b))
-    got = {(e.a, e.b) for e in graph.similarity_edges()}
+    got = {(e.a, e.b) for e in edges_of_kind(graph, "similarity")}
     assert got == expected
-    assert not graph.mutation_edges()
+    assert not edges_of_kind(graph, "mutation")
     assert time.monotonic() - started < 10.0
 
 
@@ -144,7 +150,7 @@ def test_criterion_2_threshold_semantics():
     gateway = Gateway(embedding_backend=StaticEmbeddingBackend(mapping, dim=2), backoff_s=0.0)
     bank = CandidateBank(kind="tool", entries=tuple(specs.values()))
     graph = build_graph(bank, GraphConfig(tau=0.82), gateway)
-    pairs = {(e.a, e.b) for e in graph.similarity_edges()}
+    pairs = {(e.a, e.b) for e in edges_of_kind(graph, "similarity")}
     assert ("anchor", "sim_83") in pairs  # 0.83 > 0.82
     assert ("anchor", "sim_81") not in pairs  # 0.81 < 0.82
     assert ("anchor", "sim_82") not in pairs  # tie at tau: strictly greater required
@@ -156,8 +162,8 @@ def test_criterion_2_threshold_semantics():
         gw = mock_gateway(case)
         low_tau = rng.uniform(0.05, 0.5)
         high_tau = low_tau + rng.uniform(0.05, 0.4)
-        low = {(e.a, e.b) for e in build_graph(bank, GraphConfig(tau=low_tau), gw).similarity_edges()}
-        high = {(e.a, e.b) for e in build_graph(bank, GraphConfig(tau=high_tau), gw).similarity_edges()}
+        low = {(e.a, e.b) for e in edges_of_kind(build_graph(bank, GraphConfig(tau=low_tau), gw), "similarity")}
+        high = {(e.a, e.b) for e in edges_of_kind(build_graph(bank, GraphConfig(tau=high_tau), gw), "similarity")}
         assert high <= low
 
 
@@ -176,28 +182,28 @@ def test_criterion_3_mutation_forest(tmp_path):
     graph = result.graph
     assert result.accepted == EVOLVE_ROUNDS  # frozen seed: every round accepted
     assert len(graph) == BANK_SIZE + EVOLVE_ROUNDS == 60
-    mutation_edges = graph.mutation_edges()
+    mutation_edges = edges_of_kind(graph, "mutation")
     assert len(mutation_edges) == EVOLVE_ROUNDS == 40
 
-    seeds = {n for n, node in graph.nodes.items() if node.spec.provenance.origin == "seed"}
-    mutants = {n for n, node in graph.nodes.items() if node.spec.provenance.origin == "mutant"}
+    seeds = {n for n, spec in graph.specs.items() if spec.provenance.origin == "seed"}
+    mutants = {n for n, spec in graph.specs.items() if spec.provenance.origin == "mutant"}
     assert len(seeds) == BANK_SIZE and len(mutants) == EVOLVE_ROUNDS
 
     pair_set = {(e.a, e.b) for e in mutation_edges}
     for name in mutants:
-        parent = graph.nodes[name].spec.provenance.parent_name
-        assert parent in graph.nodes
+        parent = graph.specs[name].provenance.parent_name
+        assert parent in graph.specs
         assert tuple(sorted((parent, name))) in pair_set
         # exactly one parent edge per mutant
         parent_edges = [
             e for e in mutation_edges
-            if name in (e.a, e.b) and graph.nodes[e.b if e.a == name else e.a].spec.provenance.parent_name != name
+            if name in (e.a, e.b) and graph.specs[e.b if e.a == name else e.a].provenance.parent_name != name
         ]
         assert len(parent_edges) == 1
         # reachable from a seed by walking provenance up the mutation forest
         cursor, hops = name, 0
         while cursor not in seeds:
-            cursor = graph.nodes[cursor].spec.provenance.parent_name
+            cursor = graph.specs[cursor].provenance.parent_name
             hops += 1
             assert hops <= len(graph)
         assert cursor in seeds

@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import pytest
 
-from helpers import make_agent_bank, make_tool_bank, make_tool_doc, mock_gateway
+from helpers import count_calls, make_agent_bank, make_tool_bank, make_tool_doc, mock_gateway
 from toolrouter import evaluation
 from toolrouter.errors import MissingParameter, ValidationError
 from toolrouter.evaluation import (
@@ -20,6 +20,7 @@ from toolrouter.evaluation import (
     report,
     save_results,
 )
+from toolrouter.gateway import EmbeddingVector
 from toolrouter.graph import GraphConfig, build_graph
 from toolrouter.mutation import EvolveConfig, evolve
 from toolrouter.registry import CandidateBank, CandidatePool, validate_spec
@@ -83,6 +84,14 @@ def test_setting_parameter_requirements(mutation_graph):
     )
 
 
+def test_plus_mutation_pool_builds_no_embedding_vector(monkeypatch):
+    gateway = mock_gateway(7)  # a graph of its own: no earlier read of it may have run
+    graph = evolve(build_graph(make_tool_bank(10), GraphConfig(), gateway), 8, EvolveConfig(rng_seed=3), gateway).graph
+    counts = count_calls(monkeypatch, vectors=(EmbeddingVector, "__post_init__"))
+    pool = build_pool(base_pool(), PoolSetting(variant=Setting.PLUS_MUTATION, mutation_graph=graph))
+    assert pool.non_callable and counts == {"vectors": 0}
+
+
 def test_build_pool_cumulative_nesting(mutation_graph):
     base = base_pool()
     pools = {}
@@ -104,11 +113,7 @@ def test_build_pool_cumulative_nesting(mutation_graph):
     for pool in pools.values():
         assert pool.membership[: len(base.membership)] == base.membership
     # mutants are present and flagged non-callable from +Mutation on
-    mutants = {
-        name
-        for name, node in mutation_graph.nodes.items()
-        if node.spec.provenance.origin == "mutant"
-    }
+    mutants = {name for name, spec in mutation_graph.specs.items() if spec.provenance.origin == "mutant"}
     assert mutants and mutants <= set(plus_mut.membership)
     assert mutants <= plus_mut.non_callable
     assert not clean.non_callable

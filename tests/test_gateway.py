@@ -7,13 +7,12 @@ import numpy as np
 import pytest
 import requests
 
-from helpers import make_tool_bank, mock_gateway
+from helpers import StaticEmbeddingBackend, make_tool_bank, mock_gateway
 from toolrouter.backends import (
     HTTPChatBackend,
     HTTPEmbeddingBackend,
     MockChatBackend,
     MockEmbeddingBackend,
-    StaticEmbeddingBackend,
 )
 from toolrouter.errors import (
     BackendUnavailable,

@@ -11,7 +11,9 @@ from hypothesis import given, settings, strategies as st
 from helpers import (
     BROKEN_SNAPSHOTS,
     SNAPSHOT_POSITIONS,
+    StaticEmbeddingBackend,
     corrupt_snapshot,
+    edges_of_kind,
     make_agent_bank,
     make_agent_doc,
     make_family_bank,
@@ -20,8 +22,15 @@ from helpers import (
     mock_gateway,
     planted_unit_vector,
 )
-from toolrouter.backends import StaticEmbeddingBackend
-from toolrouter.errors import DimensionMismatch, DuplicateName, EmptyBank, GraphError, UnknownParent, ZeroVector
+from toolrouter.errors import (
+    DimensionMismatch,
+    DuplicateName,
+    EmptyBank,
+    GraphError,
+    ParseError,
+    UnknownParent,
+    ZeroVector,
+)
 from toolrouter.gateway import ORDERED_LOOP_ROWS, EmbeddingVector, Gateway, _ordered_dots
 from toolrouter.graph import (
     CandidateGraph,
@@ -39,6 +48,11 @@ from toolrouter.registry import CandidateBank, as_mutant, serialize_phi, validat
 
 def vec(*values):
     return EmbeddingVector(values=tuple(float(v) for v in values), model_id="test")
+
+
+def planted_vector(values):
+    """An embedding of the static backend's model."""
+    return EmbeddingVector(values=values, model_id="static-embed")
 
 
 def test_cosine_hand_value():
@@ -100,9 +114,9 @@ def test_build_graph_matches_brute_force_oracle():
         for b in names[i + 1 :]:
             if cosine_similarity(vectors[a], vectors[b]) > cfg.tau:
                 expected.add((a, b))
-    got = {(e.a, e.b) for e in graph.similarity_edges()}
+    got = {(e.a, e.b) for e in edges_of_kind(graph, "similarity")}
     assert got == expected
-    assert not graph.mutation_edges()
+    assert not edges_of_kind(graph, "mutation")
 
 
 def test_strict_threshold_and_monotonicity():
@@ -110,10 +124,10 @@ def test_strict_threshold_and_monotonicity():
     gateway = mock_gateway(0)
     low = build_graph(bank, GraphConfig(tau=0.30), gateway)
     high = build_graph(bank, GraphConfig(tau=0.60), gateway)
-    low_pairs = {(e.a, e.b) for e in low.similarity_edges()}
-    high_pairs = {(e.a, e.b) for e in high.similarity_edges()}
+    low_pairs = {(e.a, e.b) for e in edges_of_kind(low, "similarity")}
+    high_pairs = {(e.a, e.b) for e in edges_of_kind(high, "similarity")}
     assert high_pairs <= low_pairs
-    for edge in low.similarity_edges():
+    for edge in edges_of_kind(low, "similarity"):
         assert edge.weight > 0.30
 
 
@@ -138,14 +152,14 @@ def test_add_mutant_edges_and_immutability():
     expanded = add_mutant(graph, parent, mutant, embedding)
     assert len(graph) == 5  # original untouched
     assert len(expanded) == 6
-    mutation = expanded.mutation_edges()
+    mutation = edges_of_kind(expanded, "mutation")
     assert len(mutation) == 1
     assert {mutation[0].a, mutation[0].b} == {parent, "brand_new_tool"}
     assert mutation[0].weight is None
     # similarity edges of the mutant all clear tau
     for other, kind in expanded.neighbors("brand_new_tool"):
         if kind == "similarity":
-            sim = cosine_similarity(embedding, expanded.nodes[other].embedding)
+            sim = cosine_similarity(embedding, gateway.embed_text(serialize_phi(expanded.specs[other])))
             assert sim > expanded.config.tau
 
     with pytest.raises(UnknownParent):
@@ -209,14 +223,14 @@ def test_neighbors_index_after_add_mutant_chain():
     graph = build_graph(make_family_bank(40, seed=1), GraphConfig(), gateway)
     for step in range(15):
         parent = rng.choice(graph.names())
-        words = graph.nodes[parent].spec.description.rstrip(".").split()
+        words = graph.specs[parent].description.rstrip(".").split()
         mutant = mutant_of(parent, f"mutant_{step}", " ".join(words[:-1] + [f"step{step}"]) + ".")
         before = graph
         graph = add_mutant(graph, parent, mutant, gateway.embed_text(serialize_phi(mutant)))
         assert before.neighbors(parent) == scanned_neighbors(before, parent)  # old snapshot untouched
         for name in graph.names():
             assert graph.neighbors(name) == scanned_neighbors(graph, name)
-    similarity = {(e.a, e.b) for e in graph.similarity_edges()}
+    similarity = {(e.a, e.b) for e in edges_of_kind(graph, "similarity")}
     assert any("mutant_" in a + b for a, b in similarity)  # mutants joined by similarity too
 
 
@@ -230,9 +244,10 @@ def test_branching_inserts_from_one_snapshot(tmp_path):
     """Two inserts into one snapshot share its store: neither the snapshot
     nor the first insert's graph may see the second insert."""
     gateway = mock_gateway(0)
-    g0 = build_graph(make_family_bank(30, seed=2), GraphConfig(), gateway)
+    bank = make_family_bank(30, seed=2)
+    g0 = build_graph(bank, GraphConfig(), gateway)
     parent = g0.names()[0]
-    doc = {key: value for key, value in g0.nodes[parent].spec.to_dict().items() if key != "provenance"}
+    doc = {key: value for key, value in g0.specs[parent].to_dict().items() if key != "provenance"}
     m1, m2 = (  # the parent's spec under a new name: similar to the parent's family
         as_mutant(validate_spec({**doc, "name": name}, "tool"), parent=parent, operator="Usage Extension")
         for name in ("mutant_one", "mutant_two")
@@ -246,14 +261,15 @@ def test_branching_inserts_from_one_snapshot(tmp_path):
 
     assert graph_state(g0, tmp_path / "g0.jsonl") == before
     assert graph_state(g1, tmp_path / "g1.jsonl") == g1_state
-    assert "mutant_two" in g2.nodes and "mutant_one" not in g2.nodes
+    assert "mutant_two" in g2.specs and "mutant_one" not in g2.specs
     assert g2.names() == sorted([*g0.names(), "mutant_two"])
     assert all("mutant_one" not in (edge.a, edge.b) for edge in g2.edges)
     assert any(kind == "similarity" for _, kind in g2.neighbors("mutant_two"))
     assert list(g2.names_of_kind("tool")) == g2.names()
     assert g3.names() == sorted([*g1.names(), "mutant_two"])
+    embeddings = {spec.name: gateway.embed_text(spec.phi) for spec in (*bank, m1, m2)}
     for graph in (g0, g1, g2, g3):
-        assert similarity_weights(graph) == scalar_scan(graph)
+        assert similarity_weights(graph) == scalar_scan(graph, embeddings)
         for name in graph.names():
             assert graph.neighbors(name) == scanned_neighbors(graph, name)
 
@@ -280,7 +296,7 @@ def test_names_of_kind_on_a_graph_with_tools_and_agents(tmp_path):
     loaded = load_graph(tmp_path / "g3.jsonl")
     for graph in (g0, g1, g2, g3, sibling, loaded):
         for kind in ("tool", "agent"):
-            scanned = sorted(name for name, node in graph.nodes.items() if node.spec.kind == kind)
+            scanned = sorted(name for name, spec in graph.specs.items() if spec.kind == kind)
             assert list(graph.names_of_kind(kind)) == scanned
     assert "aaa_first_agent" not in g2.names_of_kind("agent") and "zzz_last_agent" not in sibling.names_of_kind("agent")
     assert g0.names_of_kind("mcp") == ()
@@ -300,7 +316,7 @@ def test_add_mutant_planted_tie_gives_no_edge():
         graph = add_mutant(graph, "far", mutant_of("far", name), embedding)
     # 0.83 > tau, the tie at tau and 0.81 give no edge to the anchor
     assert graph.neighbors("anchor") == [("above_83", "similarity")]
-    weights = {(e.a, e.b): e.weight for e in graph.similarity_edges()}
+    weights = similarity_weights(graph)
     assert weights[("above_83", "anchor")] == 0.83
 
 
@@ -319,7 +335,7 @@ def test_screen_keeps_pair_the_matrix_rounds_below_tau():
     gateway = Gateway(embedding_backend=StaticEmbeddingBackend(mapping, dim=8), backoff_s=0.0)
     bank = CandidateBank(kind="tool", entries=(tool("first"), tool("second")))
     graph = build_graph(bank, GraphConfig(tau=math.nextafter(sim, 0.0)), gateway)
-    assert [(e.a, e.b, e.weight) for e in graph.similarity_edges()] == [("first", "second", sim)]
+    assert [(e.a, e.b, e.weight) for e in edges_of_kind(graph, "similarity")] == [("first", "second", sim)]
 
 
 def test_zero_and_mismatched_embeddings_raise():
@@ -340,9 +356,27 @@ def test_zero_and_mismatched_embeddings_raise():
     with pytest.raises(GraphError, match="'test'.*'static-embed'"):  # one embedding model per graph
         add_mutant(graph, "far", mutant_of("far", "m"), vec(0, 1))
     assert graph.names() == ["anchor", "far"]
-    nodes = {"a": GraphNode(tool("a"), vec(1, 0)), "b": GraphNode(tool("b"), graph.nodes["far"].embedding)}
+    nodes = {"a": GraphNode(tool("a"), vec(1, 0)), "b": GraphNode(tool("b"), planted_vector((0.0, 1.0)))}
     with pytest.raises(GraphError, match="more than one model"):
         CandidateGraph(GraphConfig(), nodes=nodes)
+
+
+def test_snapshot_names_the_model_of_its_nodes(tmp_path):
+    """The meta record names the model that embedded the nodes, and a meta
+    naming another model is refused at the first node's line."""
+    path = tmp_path / "graph.jsonl"
+    save_graph(planted_graph(), path)  # embedded by the static backend under GraphConfig(tau=0.82)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert json.loads(lines[0])["meta"]["embedding_model_id"] == "static-embed"
+    assert {json.loads(line)["node"]["embedding_model_id"] for line in lines[1:3]} == {"static-embed"}
+    save_graph(load_graph(path), tmp_path / "again.jsonl")
+    assert (tmp_path / "again.jsonl").read_text(encoding="utf-8").splitlines() == lines
+    meta = json.loads(lines[0])
+    meta["meta"]["embedding_model_id"] = "other-embed"
+    path.write_text("\n".join([json.dumps(meta), *lines[1:]]) + "\n", encoding="utf-8")
+    with pytest.raises(ParseError, match="more than one model") as info:
+        load_graph(path)
+    assert f"{path}:2:" in str(info.value)
 
 
 @pytest.mark.parametrize("case", sorted(BROKEN_SNAPSHOTS))
@@ -363,20 +397,21 @@ def test_load_graph_rejects_broken_snapshots(tmp_path, case):
             assert f"{path}:{line}:" in str(info.value), position
 
 
-def scalar_scan(graph):
-    """Reference: every pair of nodes decided by the scalar cosine."""
+def scalar_scan(graph, embeddings):
+    """Reference: every pair of the graph's nodes decided by the scalar cosine
+    of their embeddings as the test made them (name -> EmbeddingVector)."""
     names = graph.names()
     edges = {}
     for i, a in enumerate(names):
         for b in names[i + 1 :]:
-            sim = cosine_similarity(graph.nodes[a].embedding, graph.nodes[b].embedding)
+            sim = cosine_similarity(embeddings[a], embeddings[b])
             if sim > graph.config.tau:
                 edges[(a, b)] = sim
     return edges
 
 
 def similarity_weights(graph):
-    return {(e.a, e.b): e.weight for e in graph.similarity_edges()}
+    return {(e.a, e.b): e.weight for e in edges_of_kind(graph, "similarity")}
 
 
 @settings(max_examples=60, deadline=None)
@@ -403,13 +438,15 @@ def test_edges_and_weights_equal_scalar_scan_bit_for_bit(dim, seed, spread, tie)
     mapping = {serialize_phi(tool(name)): vector for name, vector in zip(names, vectors)}
     gateway = Gateway(embedding_backend=StaticEmbeddingBackend(mapping, dim=dim), backoff_s=0.0)
     graph = build_graph(CandidateBank(kind="tool", entries=tuple(map(tool, names))), GraphConfig(tau=tau), gateway)
-    assert similarity_weights(graph) == scalar_scan(graph)
+    embeddings = {name: planted_vector(vector) for name, vector in zip(names, vectors)}
+    assert similarity_weights(graph) == scalar_scan(graph, embeddings)
     for step, vector in enumerate(vectors[12:]):
         name = f"m{step:02d}"
         parent = names[rng.integers(len(names))]
-        graph = add_mutant(graph, parent, mutant_of(parent, name), EmbeddingVector(values=vector, model_id="static-embed"))
+        embeddings[name] = planted_vector(vector)
+        graph = add_mutant(graph, parent, mutant_of(parent, name), embeddings[name])
         names.append(name)
-    expected = scalar_scan(graph)
+    expected = scalar_scan(graph, embeddings)
     assert similarity_weights(graph) == expected
     if tied:
         assert tuple(sorted((names[tied[0]], names[tied[1]]))) not in expected
@@ -431,11 +468,12 @@ def test_ordered_dots_equal_the_scalar_loop_bit_for_bit(rows):
     assert _ordered_dots(a[:, :0], b[:, :0]).tolist() == [0.0] * rows
 
 
-def reference_snapshot(graph):
-    """Reference writer: one json.dumps per record."""
-    records = [{"meta": {"tau": graph.config.tau, "embedding_model_id": graph.config.embedding_model_id}}]
-    for name in graph.names():
-        node = graph.nodes[name]
+def reference_snapshot(tau, nodes, edges):
+    """Reference writer: one json.dumps per record of the nodes and edges a graph was built from."""
+    (model_id,) = {node.embedding.model_id for node in nodes.values()}
+    records = [{"meta": {"tau": tau, "embedding_model_id": model_id}}]
+    for name in sorted(nodes):
+        node = nodes[name]
         records.append(
             {
                 "node": {
@@ -447,7 +485,7 @@ def reference_snapshot(graph):
                 }
             }
         )
-    for edge in sorted(graph.edges, key=lambda e: (e.a, e.b, e.kind)):
+    for edge in sorted(edges, key=lambda e: (e.a, e.b, e.kind)):
         records.append({"edge": {"a": edge.a, "b": edge.b, "kind": edge.kind, "weight": edge.weight}})
     return "".join(json.dumps(record, ensure_ascii=False) + "\n" for record in records).encode("utf-8")
 
@@ -486,12 +524,9 @@ def test_save_graph_bytes_equal_per_record_json_dumps(tmp_path_factory, names, m
         if x % len(names) != y % len(names)
     )
     path = tmp_path_factory.mktemp("snapshot") / "graph.jsonl"
-    for graph in (
-        CandidateGraph(config=GraphConfig(tau=0.5, embedding_model_id=model_id), nodes=nodes, edges=edges),
-        CandidateGraph(config=GraphConfig(tau=0.5, embedding_model_id=model_id), nodes=nodes),  # edge-free
-    ):
-        save_graph(graph, path)
-        assert path.read_bytes() == reference_snapshot(graph)
+    for graph_edges in (edges, frozenset()):  # and edge-free
+        save_graph(CandidateGraph(config=GraphConfig(tau=0.5), nodes=nodes, edges=graph_edges), path)
+        assert path.read_bytes() == reference_snapshot(0.5, nodes, graph_edges)
 
 
 def test_save_graph_refuses_a_weight_that_splits(tmp_path):

@@ -5,14 +5,13 @@ import re
 
 import pytest
 
-from helpers import make_tool_bank, make_tool_doc, mock_gateway
+from helpers import ScriptedReasoner, make_tool_bank, make_tool_doc, mock_gateway
 from toolrouter import lra
 from toolrouter.lra import (
     EXECUTE_CANDIDATE_TOOL,
     ROUTER_INVOKE_TOOL,
     ExecutorBinding,
     GatewayReasoner,
-    ScriptedReasoner,
     run_episode,
     save_episode_logs,
 )
@@ -146,6 +145,27 @@ def test_router_history_and_reasoner_transcript_are_the_same_turns(monkeypatch):
         f"Assistant: execute() -> [execution result] {log.steps[1].execution_result}",
     ]
     assert "Transcript so far:\n(empty)\n" in reasoner.prompts[0]
+
+
+class FixedReasoner:
+    """Gives the same raw reply to every prompt."""
+
+    def __init__(self, reply):
+        self.reply = reply
+
+    def decide(self, prompt):
+        return self.reply
+
+
+@pytest.mark.parametrize("reply", ["42", "null", '["route"]', '{"action": "route", "need": 5}'])
+def test_reply_the_loop_cannot_act_on_is_the_final_answer(reply):
+    """Like non-JSON text: a reply that is no JSON object, or a route whose
+    need is no string, finishes the episode with the raw reply."""
+    gateway = mock_gateway(0)
+    router = RouterConfig(variant="embedding_q")
+    log = run_episode("task", POOL, router, ExecutorBinding.mock_for(POOL), FixedReasoner(reply), gateway=gateway)
+    assert (log.outcome, log.final_answer) == ("finished", reply)
+    assert len(log.steps) == 1 and log.steps[0].decision is None
 
 
 def test_execute_before_route_is_recorded_not_fatal():

@@ -152,9 +152,9 @@ def test_evolve_accepts_mock_mutants():
     assert result.accepted >= 1
     for record in result.records:
         if record.accepted:
-            node = result.graph.nodes[record.mutant_name]
-            assert node.spec.provenance.origin == "mutant"
-            assert node.spec.provenance.parent_name == record.parent
+            spec = result.graph.specs[record.mutant_name]
+            assert spec.provenance.origin == "mutant"
+            assert spec.provenance.parent_name == record.parent
     assert len(result.graph) == 10 + result.accepted
 
 

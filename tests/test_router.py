@@ -5,10 +5,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import make_tool_bank, make_tool_doc, mock_gateway
-from toolrouter import registry
+from helpers import StaticEmbeddingBackend, count_calls, make_tool_bank, make_tool_doc, mock_gateway
+from toolrouter import registry, router
 from toolrouter.gateway import ORDERED_LOOP_ROWS, EmbeddingVector, Gateway, TransientBackendError
-from toolrouter.backends import MockEmbeddingBackend, StaticEmbeddingBackend
+from toolrouter.backends import MockEmbeddingBackend
 from toolrouter.graph import cosine_similarity
 from toolrouter.registry import CandidateBank, CandidatePool, public_spec, serialize_phi, validate_spec
 from toolrouter.router import RouterConfig, embedding_route, llm_route, parse_decision, route
@@ -138,22 +138,6 @@ def test_embedding_route_matches_scalar_reference_on_the_column_loop(seed):
     gateway = Gateway(embedding_backend=StaticEmbeddingBackend(mapping, dim=16), backoff_s=0.0)
     assert len(pool) >= ORDERED_LOOP_ROWS
     assert embedding_route(gateway, "query", (), pool, "q").chosen == scalar_reference(gateway, "query", pool)
-
-
-def count_calls(monkeypatch, **targets):
-    """Patch each ``name=(owner, attribute)`` to count its calls; the counts by name."""
-    counts = dict.fromkeys(targets, 0)
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            counts[name] += 1
-            return fn(*args, **kwargs)
-
-        return wrapper
-
-    for name, (owner, attribute) in targets.items():
-        monkeypatch.setattr(owner, attribute, counted(name, getattr(owner, attribute)))
-    return counts
 
 
 def test_warm_embedding_route_builds_no_vector_and_calls_no_backend(monkeypatch):
@@ -286,11 +270,12 @@ def test_q_vs_q_plus_h_divergence():
     assert qh_decision.chosen == "flux_analyzer"
 
 
-def test_q_plus_h_truncates_oldest_history():
+def test_q_plus_h_truncates_oldest_history(monkeypatch):
     pool, query, history = divergence_fixture()
     gateway = mock_gateway(0)
     # limit so small only the query survives: behaves like the q variant
-    tiny = embedding_route(gateway, query, history, pool, "q_plus_h", max_history_chars=len(query) + 1)
+    monkeypatch.setattr(router, "MAX_HISTORY_CHARS", len(query) + 1)
+    tiny = embedding_route(gateway, query, history, pool, "q_plus_h")
     plain = embedding_route(gateway, query, history, pool, "q")
     assert tiny.chosen == plain.chosen
 

@@ -5,7 +5,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import make_tool_bank, make_tool_doc
+from helpers import candidate_calls, make_tool_bank, make_tool_doc, parse_history_turn_count
 from toolrouter import prompts
 from toolrouter.errors import ParseError, PoolMissingLabel
 from toolrouter.registry import CandidateBank, CandidatePool, pool_json, public_spec, validate_spec
@@ -17,7 +17,6 @@ from toolrouter.supervision import (
     build_dataset,
     extract_instances,
     load_dataset,
-    parse_history_turn_count,
     record_from_instance,
     render_pool_block,
     render_prompt,
@@ -96,7 +95,7 @@ def test_extraction_count_matches_call_count():
         for i in range(10)
     ]
     total = sum(len(extract_instances(t, POOL)) for t in trajectories)
-    assert total == sum(t.call_count() for t in trajectories)
+    assert total == sum(map(candidate_calls, trajectories))
 
 
 def test_extraction_requires_label_in_pool():
@@ -268,7 +267,7 @@ def test_build_dataset_counts_and_ablation(tmp_path):
     trajectories = [make_trajectory(f"b{i}", [[NAMES[0]], [NAMES[1], NAMES[2]]]) for i in range(4)]
     path = tmp_path / "data.jsonl"
     counts = build_dataset(trajectories, [POOL] * len(trajectories), path, kind="tool", ablation=True)
-    expected = sum(t.call_count() for t in trajectories)
+    expected = sum(map(candidate_calls, trajectories))
     assert counts == {str(path): expected, str(path) + ".nohistory": expected}
 
     records = load_dataset(path)

@@ -4,12 +4,13 @@ import json
 
 import pytest
 
-from helpers import make_tool_bank, mock_gateway
+from helpers import count_calls, make_tool_bank, mock_gateway
 from toolrouter import prompts
 from toolrouter.backends import MockChatBackend
 from toolrouter.errors import Discarded, RetriesExhaustedSynthesis
-from toolrouter.gateway import Gateway
+from toolrouter.gateway import EmbeddingVector, Gateway
 from toolrouter.graph import GraphConfig, build_graph
+from toolrouter.mutation import EvolveConfig, evolve
 from toolrouter.sampler import CandidateSubset, SamplerConfig
 from toolrouter.synthesis import (
     Action,
@@ -34,7 +35,7 @@ from toolrouter.synthesis import (
 def env():
     gateway = mock_gateway(0)
     graph = build_graph(make_tool_bank(10), GraphConfig(), gateway)
-    specs = {name: node.spec for name, node in graph.nodes.items()}
+    specs = dict(graph.specs)
     return gateway, graph, specs
 
 
@@ -106,7 +107,7 @@ def test_simulated_trajectory_shape(env):
     assert isinstance(trajectory.turns[-1], Action)
     assert trajectory.turns[-1].calls == ()
     # every call carries a simulated result and stays in the subset
-    for action in trajectory.actions():
+    for action in trajectory.turns[1::2]:
         for call in action.calls:
             assert call.name in subset
             assert call.simulated_result
@@ -202,6 +203,15 @@ def test_synthesize_batch_deterministic(env):
     for trajectory in batch:
         assert validate_trajectory(trajectory, trajectory.subset) == []
         assert 2 * len(trajectory.plan.steps) + 2 <= cfg.max_turns + 2
+
+
+def test_synthesize_batch_on_an_evolved_graph_builds_no_embedding_vector(monkeypatch):
+    gateway = mock_gateway(0)
+    graph = evolve(build_graph(make_tool_bank(10), GraphConfig(), gateway), 4, EvolveConfig(rng_seed=3), gateway).graph
+    assert len(graph) > 10
+    counts = count_calls(monkeypatch, vectors=(EmbeddingVector, "__post_init__"))
+    batch = synthesize_batch(graph, 3, SamplerConfig(target_range=(2, 4)), SynthesisConfig(rng_seed=9), gateway)
+    assert batch and counts == {"vectors": 0}
 
 
 def test_trajectory_file_roundtrip(env, tmp_path):

@@ -1,6 +1,7 @@
 """Source and test-setting hygiene checks that need no linter: stdlib ``ast`` and a pytest subprocess."""
 
 import ast
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,8 @@ import pytest
 import toolrouter
 
 SOURCES = sorted(Path(toolrouter.__file__).parent.glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+PROJECT_FILES = sorted(path for folder in ("src", "bench", "tests") for path in (ROOT / folder).rglob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -66,8 +69,60 @@ def test_every_private_function_is_referenced():
     assert unreferenced_private_functions(sources) == []
 
 
-ROOT = Path(__file__).resolve().parent.parent
-PROJECT_FILES = sorted(path for folder in ("src", "bench", "tests") for path in (ROOT / folder).rglob("*.py"))
+def _is_click_command(node: ast.FunctionDef | ast.ClassDef) -> bool:
+    for decorator in node.decorator_list:
+        func = decorator.func if isinstance(decorator, ast.Call) else decorator
+        if (func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")) in ("command", "group"):
+            return True
+    return False
+
+
+def unreferenced_public_names(sources: dict[str, str], readers: dict[str, str], text: str) -> list[str]:
+    """Public module-level functions and classes of ``sources``, and the public
+    methods of those classes, that no module of ``sources`` or ``readers``
+    references by name and no word of ``text`` names; click commands aside."""
+    defined: list[tuple[str, str, str]] = []  # (module, name, where)
+    referenced = set(re.findall(r"\w+", text))
+    for module, source in [*sources.items(), *readers.items()]:
+        tree = ast.parse(source)
+        for node in tree.body if module in sources else ():
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                if not _is_click_command(node):
+                    defined.append((module, node.name, node.name))
+            for item in node.body if isinstance(node, ast.ClassDef) else ():
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    defined.append((module, item.name, f"{node.name}.{item.name}"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                referenced.update(alias.name for alias in node.names)
+    return sorted(f"{module}: {where}" for module, name, where in defined if name not in referenced)
+
+
+def test_public_name_check_flags_only_unreferenced_names():
+    sources = {
+        "a.py": "class Used:\n    def called(self):\n        pass\n    def dead_method(self):\n        pass\n"
+        "def dead():\n    Used().called()\n@main.command('run')\ndef run_cmd():\n    pass\n"
+        "def documented():\n    pass\n",
+        "b.py": "from a import imported\ndef imported():\n    pass\n",
+    }
+    readers = {"reader.py": "import b\nb.read_by_a_reader()\n", "unread.py": "def not_a_source():\n    pass\n"}
+    sources["b.py"] += "def read_by_a_reader():\n    pass\n"
+    assert unreferenced_public_names(sources, readers, "Call `documented()`.") == [
+        "a.py: Used.dead_method",
+        "a.py: dead",
+    ]
+
+
+def test_every_public_name_is_referenced():
+    """Each public name in src/ is used by src/ or bench/, or documented in the README."""
+    sources = {path.name: path.read_text(encoding="utf-8") for path in SOURCES}
+    readers = {str(path): path.read_text(encoding="utf-8") for path in sorted((ROOT / "bench").glob("*.py"))}
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    assert unreferenced_public_names(sources, readers, readme) == []
 
 
 def python_3_10_syntax_errors(paths: list[Path]) -> list[str]:
