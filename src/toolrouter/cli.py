@@ -196,11 +196,15 @@ def evaluate_cmd(config_path, seed, backend, dataset_path, variants, k, out_path
     records = load_dataset(dataset_path)
     if not records:
         raise ParseError(dataset_path, "empty dataset file")
+    kind = records[0].kind
+    other = next((index for index, record in enumerate(records) if record.kind != kind), None)
+    if other is not None:
+        raise ParseError(f"{dataset_path}[{other}]", f"{records[other].kind} record in a dataset of {kind} records")
     gateway = make_gateway(cfg)
-    setting = PoolSetting(variant=Setting.CLEAN)
+    setting = PoolSetting(variant=Setting.CLEAN)  # one setting for every router: each pool is built once
     results: dict[str, dict[str, Metrics]] = {}
     for variant in variants:
-        router_cfg = _router_config(cfg, variant, records[0].kind)
+        router_cfg = _router_config(cfg, variant, kind)
         metrics = evaluate(router_cfg, records, setting, k=k, seed=cfg.rng_seed, gateway=gateway)
         results[variant] = {Setting.CLEAN.value: metrics}
         click.echo(f"{variant}: avg@{k} = {metrics.avg_at_k:.4f} over {metrics.n_instances} instances")

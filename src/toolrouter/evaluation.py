@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import Sequence
@@ -41,10 +41,27 @@ SETTING_ORDER: tuple[Setting, ...] = (
 
 @dataclass(frozen=True)
 class PoolSetting:
+    """A pool setting and its memo of expanded pools.
+
+    A setting keeps one expanded pool per distinct inline pool for as long
+    as it lives, and derives the banks it adds once per kind. Reusing one
+    setting across routers and ``evaluate()`` calls is the intended use, as
+    in the methods x settings table. Its inputs must not change after
+    construction, and the memo assumes one calling thread, as the gateway.
+    """
+
     variant: Setting = Setting.CLEAN
     group_banks: tuple[CandidateBank, ...] = ()
     mutation_graph: CandidateGraph | None = None
     external_bank: CandidateBank | None = None
+    # kind -> (the banks merged after a base bank, the names among them that are not callable)
+    _expansions: dict[str, tuple[tuple[CandidateBank, ...], frozenset[str]]] = field(
+        default_factory=dict, init=False, compare=False, hash=False, repr=False
+    )
+    # _pool_key -> (the record's inline bank, its expanded pool)
+    _pools: dict[str, tuple[CandidateBank, CandidatePool]] = field(
+        default_factory=dict, init=False, compare=False, hash=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         rank = SETTING_ORDER.index(self.variant)
@@ -52,6 +69,22 @@ class PoolSetting:
             raise MissingParameter("mutation_graph")
         if self.variant is Setting.PLUS_EXTERNAL and self.external_bank is None:
             raise MissingParameter("external_bank")
+
+    def _expansion(self, kind: str) -> tuple[tuple[CandidateBank, ...], frozenset[str]]:
+        if kind not in self._expansions:
+            rank = SETTING_ORDER.index(self.variant)
+            banks: list[CandidateBank] = []
+            if rank >= SETTING_ORDER.index(Setting.MULTI):
+                banks.extend(bank for bank in self.group_banks if bank.kind == kind)
+            non_callable: frozenset[str] = frozenset()
+            if rank >= SETTING_ORDER.index(Setting.PLUS_MUTATION):
+                mutants = _mutant_bank(self.mutation_graph, kind)
+                banks.append(mutants)
+                non_callable = frozenset(mutants.names())
+            if rank >= SETTING_ORDER.index(Setting.PLUS_EXTERNAL):
+                banks.append(self.external_bank)
+            self._expansions[kind] = (tuple(banks), non_callable)
+        return self._expansions[kind]
 
 
 def _mutant_bank(graph: CandidateGraph, kind: str) -> CandidateBank:
@@ -62,30 +95,15 @@ def _mutant_bank(graph: CandidateGraph, kind: str) -> CandidateBank:
 
 def build_pool(base: CandidatePool, setting: PoolSetting) -> CandidatePool:
     """Expand a base pool per the setting; labels (base members) never leave."""
-    kind = base.bank.kind
-    banks: list[CandidateBank] = [base.bank]
-    non_callable: set[str] = set(base.non_callable)
-    rank = SETTING_ORDER.index(setting.variant)
-
-    if rank >= SETTING_ORDER.index(Setting.MULTI):
-        banks.extend(bank for bank in setting.group_banks if bank.kind == kind)
-    if rank >= SETTING_ORDER.index(Setting.PLUS_MUTATION):
-        assert setting.mutation_graph is not None
-        mutants = _mutant_bank(setting.mutation_graph, kind)
-        banks.append(mutants)
-        non_callable.update(mutants.names())
-    if rank >= SETTING_ORDER.index(Setting.PLUS_EXTERNAL):
-        assert setting.external_bank is not None
-        banks.append(setting.external_bank)
-
-    merged = CandidateBank.merge(kind, banks)
+    banks, non_callable = setting._expansion(base.bank.kind)
+    merged = CandidateBank.merge(base.bank.kind, [base.bank, *banks])
     # The merged bank holds every base member, so the membership is the base
     # order followed by the rest of the merged names.
     membership = tuple(dict.fromkeys(base.membership + merged.names()))
     return CandidatePool(
         bank=merged,
         membership=membership,
-        non_callable=frozenset(non_callable).intersection(membership),
+        non_callable=(base.non_callable | non_callable).intersection(membership),
     )
 
 
@@ -131,7 +149,10 @@ def evaluate(
     """avg@k routing accuracy: k independent passes with derived seeds.
 
     Each record's label must be a member of its inline pool. Abstentions
-    count as incorrect. Per-group accuracies average over runs.
+    count as incorrect. Per-group accuracies average over runs. The setting
+    keeps one expanded pool per distinct inline pool for as long as it
+    lives, so reuse one setting across routers and calls (one calling
+    thread, as the gateway).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -139,16 +160,15 @@ def evaluate(
         raise ValueError("dataset is empty")
 
     pools: list[CandidatePool] = []
-    built: dict[str, tuple[CandidateBank, CandidatePool]] = {}  # one build per distinct inline pool
     for record in dataset:
         try:
             key = _pool_key(record)
-            if key not in built:
+            if key not in setting._pools:
                 inline = _record_pool(record)
-                built[key] = (inline.bank, build_pool(inline, setting))
+                setting._pools[key] = (inline.bank, build_pool(inline, setting))
         except (SpecError, ValidationError) as exc:
             raise ValidationError(record.label, f"dataset record unusable: {exc}") from exc
-        inline_bank, pool = built[key]
+        inline_bank, pool = setting._pools[key]
         if inline_bank.get(record.label) is None:
             raise ValidationError(record.label, "dataset record unusable: label not in its pool")
         pools.append(pool)

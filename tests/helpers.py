@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 import random
@@ -13,6 +14,7 @@ from toolrouter.errors import DimensionMismatch, ParseError
 from toolrouter.gateway import EmbeddingVector, Gateway, TransientBackendError
 from toolrouter.graph import cosine_similarity
 from toolrouter.registry import CandidateBank, validate_spec
+from toolrouter.supervision import DatasetRecord
 from toolrouter.synthesis import Action, Trajectory
 
 DOMAINS = [
@@ -222,6 +224,28 @@ def make_agent_doc(index: int) -> dict:
 def make_agent_bank(size: int) -> CandidateBank:
     entries = tuple(validate_spec(make_agent_doc(i), "agent") for i in range(size))
     return CandidateBank(kind="agent", entries=entries)
+
+
+def distinct_pool_records(pools: int = 3, per_pool: int = 3, kind: str = "tool") -> list[DatasetRecord]:
+    """Records over ``pools`` distinct inline pools of four candidates, ``per_pool`` records each."""
+    make_doc = make_agent_doc if kind == "agent" else make_tool_doc
+    records = []
+    for p in range(pools):
+        docs = [make_doc(4 * p + i) for i in range(4)]
+        for i in range(per_pool):
+            records.append(
+                DatasetRecord(
+                    kind=kind,
+                    system="sys",
+                    user="user",
+                    query=f"query {p} {i}",
+                    history=(),
+                    pool_specs=tuple(copy.deepcopy(docs)),  # equal documents, never the same objects
+                    label=docs[i % 4]["name"],
+                    group=f"pool{p}",
+                )
+            )
+    return records
 
 
 def mock_gateway(seed: int = 0, **kwargs) -> Gateway:

@@ -15,15 +15,17 @@ from helpers import (
     BROKEN_SNAPSHOTS,
     MALFORMED_SPEC_FIELDS,
     corrupt_snapshot,
+    count_calls,
+    distinct_pool_records,
     make_agent_bank,
     make_family_bank,
     make_tool_bank,
 )
-from toolrouter import cli, synthesis
+from toolrouter import cli, evaluation, synthesis
 from toolrouter.cli import main
 from toolrouter.config import STAGE_KEYS, BackendConfig, PipelineConfig
 from toolrouter.registry import save_bank
-from toolrouter.supervision import load_dataset
+from toolrouter.supervision import load_dataset, save_dataset
 
 CONFIG_YAML = """\
 seed: 11
@@ -635,6 +637,31 @@ def test_evaluate_empty_dataset_exits_1(workspace):
     empty = tmp_path / "empty.jsonl"
     empty.write_text("", encoding="utf-8")
     one_error_line(run(["evaluate", "--config", config_path, "--dataset", str(empty), "--router", "oracle"]))
+
+
+def test_evaluate_builds_each_distinct_pool_once_for_every_router(workspace, monkeypatch):
+    tmp_path, _, config_path = workspace
+    records = distinct_pool_records(pools=3, per_pool=4)
+    distinct = len({json.dumps(record.pool_specs) for record in records})
+    dataset = tmp_path / "dataset.jsonl"
+    save_dataset(records, dataset)
+    counts = count_calls(
+        monkeypatch, build_pool=(evaluation, "build_pool"), record_pool=(evaluation, "_record_pool")
+    )
+    routers = ["--router", "oracle", "--router", "embedding_qh"]
+    result = run(["evaluate", "--config", config_path, "--dataset", str(dataset), *routers])
+    assert result.exit_code == 0 and "oracle: avg@5 = 1.0000 over 12 instances" in result.output
+    assert counts == {"build_pool": distinct, "record_pool": distinct} and distinct == 3
+
+
+def test_evaluate_refuses_a_dataset_of_tool_and_agent_records(workspace):
+    tmp_path, _, config_path = workspace
+    records = distinct_pool_records(pools=1, per_pool=2) + distinct_pool_records(pools=1, per_pool=2, kind="agent")
+    dataset = tmp_path / "mixed.jsonl"
+    save_dataset(records, dataset)
+    result = run(["evaluate", "--config", config_path, "--dataset", str(dataset), "--router", "oracle"])
+    one_error_line(result)
+    assert f"{dataset}[2]: agent record in a dataset of tool records" in result.output
 
 
 # sha256 of the mock build-graph and mutate snapshots, edge weights included.

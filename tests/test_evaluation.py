@@ -7,7 +7,14 @@ from dataclasses import replace
 
 import pytest
 
-from helpers import count_calls, make_agent_bank, make_tool_bank, make_tool_doc, mock_gateway
+from helpers import (
+    count_calls,
+    distinct_pool_records,
+    make_agent_bank,
+    make_tool_bank,
+    make_tool_doc,
+    mock_gateway,
+)
 from toolrouter import evaluation
 from toolrouter.errors import MissingParameter, ValidationError
 from toolrouter.evaluation import (
@@ -24,7 +31,7 @@ from toolrouter.gateway import EmbeddingVector
 from toolrouter.graph import GraphConfig, build_graph
 from toolrouter.mutation import EvolveConfig, evolve
 from toolrouter.registry import CandidateBank, CandidatePool, validate_spec
-from toolrouter.router import RouterConfig
+from toolrouter.router import RouterConfig, route
 from toolrouter.supervision import DatasetRecord
 
 
@@ -252,6 +259,73 @@ def test_evaluate_builds_each_distinct_inline_pool_once(monkeypatch, mutation_gr
     monkeypatch.setattr(evaluation, "_pool_key", lambda record: str(id(record)))  # every record built alone
     assert run() == shared
     assert len(builds) == 2 + len(records)
+
+
+@pytest.mark.parametrize("variant", SETTING_ORDER, ids=[s.name for s in SETTING_ORDER])
+def test_one_setting_across_routers_and_calls_scores_as_fresh_settings(mutation_graph, variant):
+    records = distinct_pool_records()
+    inputs = dict(group_banks=(GROUP_BANK,), mutation_graph=mutation_graph, external_bank=EXTERNAL_BANK)
+    shared = PoolSetting(variant=variant, **inputs)
+    for _ in range(2):
+        for router in ("oracle", "random", "embedding_q", "embedding_qh", "llm"):
+            cfg = RouterConfig(variant=router)
+            reused = evaluate(cfg, records, shared, k=2, seed=3, gateway=mock_gateway(1))
+            fresh = evaluate(cfg, records, PoolSetting(variant=variant, **inputs), k=2, seed=3, gateway=mock_gateway(1))
+            assert reused == fresh, router
+
+
+def test_repeated_evaluate_calls_build_nothing_more(monkeypatch, mutation_graph):
+    counts = count_calls(
+        monkeypatch,
+        build_pool=(evaluation, "build_pool"),
+        record_pool=(evaluation, "_record_pool"),
+        mutant_bank=(evaluation, "_mutant_bank"),
+    )
+    tools, agents = distinct_pool_records(3), distinct_pool_records(2, kind="agent")
+    setting = PoolSetting(variant=Setting.PLUS_EXTERNAL, mutation_graph=mutation_graph, external_bank=EXTERNAL_BANK)
+    for router in ("oracle", "random", "oracle"):
+        evaluate(RouterConfig(variant=router), tools, setting, k=2, seed=0)
+    assert counts == {"build_pool": 3, "record_pool": 3, "mutant_bank": 1}
+    # an agent pool adds its own expansion once; a second setting builds its own
+    agent_setting = PoolSetting(variant=Setting.PLUS_MUTATION, mutation_graph=mutation_graph)
+    for _ in range(2):
+        evaluate(RouterConfig(variant="oracle", kind="agent"), agents, agent_setting, k=1, seed=0)
+        evaluate(RouterConfig(variant="oracle"), tools, agent_setting, k=1, seed=0)
+    assert counts == {"build_pool": 3 + 5, "record_pool": 3 + 5, "mutant_bank": 1 + 2}
+
+
+def test_a_pool_edited_between_calls_is_rebuilt(monkeypatch, mutation_graph):
+    records = distinct_pool_records(2)
+    inputs = dict(variant=Setting.PLUS_MUTATION, mutation_graph=mutation_graph)
+    setting = PoolSetting(**inputs)
+    seen = []
+
+    def recording_route(cfg, query, history, pool, *args, **kwargs):
+        seen.append(pool)
+        return route(cfg, query, history, pool, *args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "route", recording_route)
+    cfg = RouterConfig(variant="random")
+    evaluate(cfg, records, setting, k=1, seed=0)
+    # rename a candidate that no record's label names, in place, in the first record only
+    edited = records[0].pool_specs[3]
+    old_name = edited["name"]
+    edited["name"] = "renamed_tool"
+    seen.clear()
+    again = evaluate(cfg, records, setting, k=1, seed=0)
+    assert "renamed_tool" in seen[0].membership and old_name not in seen[0].membership
+    assert old_name in seen[1].membership  # the other records keep their own pool
+    assert again == evaluate(cfg, records, PoolSetting(**inputs), k=1, seed=0)
+
+
+def test_a_label_outside_a_cached_pool_raises_on_every_call(mutation_graph):
+    good = distinct_pool_records(1, per_pool=1)[0]
+    stray = replace(good, label=EXTERNAL_BANK.names()[0])  # the same pool, a label outside it
+    setting = PoolSetting(variant=Setting.PLUS_EXTERNAL, mutation_graph=mutation_graph, external_bank=EXTERNAL_BANK)
+    evaluate(RouterConfig(variant="oracle"), [good], setting)
+    for _ in range(2):
+        with pytest.raises(ValidationError, match="dataset record unusable: label not in its pool"):
+            evaluate(RouterConfig(variant="oracle"), [good, stray], setting)
 
 
 def test_evaluate_rejects_a_pool_that_is_not_json():
