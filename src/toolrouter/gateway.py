@@ -5,19 +5,23 @@ retries with exponential backoff, a chat call budget, usage accounting, and an
 embedding row store that holds each distinct text's embedding once. Chat
 replies are never cached: every pipeline chat call is sampled, and a retry
 must get a fresh draw. An embedding is a fixed function of the model and the
-text, so memoising it cannot change an answer.
+text, so memoising it cannot change an answer. Replies are read here too:
+:func:`parse_json_reply` takes the JSON object of a reply, code fence
+optional, and :meth:`Gateway.ask` is the pipeline's one re-ask loop.
 Concrete backends live in :mod:`toolrouter.backends`.
 """
 
 from __future__ import annotations
 
+import json
+import re
 import time
 from dataclasses import dataclass
 from typing import Callable, Protocol, Sequence, TypeVar
 
 import numpy as np
 
-from .errors import BudgetExceeded, DimensionMismatch, GatewayError, MalformedEmbedding, RetriesExhausted
+from .errors import BudgetExceeded, DimensionMismatch, GatewayError, MalformedEmbedding, NotParseable, RetriesExhausted
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -54,6 +58,26 @@ def user_request(content: str, *, system: str | None = None, **kwargs) -> ChatRe
         messages.append(ChatMessage("system", system))
     messages.append(ChatMessage("user", content))
     return ChatRequest(messages=tuple(messages), **kwargs)
+
+
+_FENCE_RE = re.compile(r"^```[a-zA-Z0-9]*\s*\n(.*)\n```\s*$", re.DOTALL)
+
+
+def strip_code_fence(text: str) -> str:
+    match = _FENCE_RE.match(text.strip())
+    return match.group(1) if match else text
+
+
+def parse_json_reply(reply: str, what: str = "reply") -> dict:
+    """The JSON object in a model reply, code fence optional; NotParseable otherwise."""
+    body = strip_code_fence(reply).strip()
+    try:
+        value = json.loads(body)
+    except json.JSONDecodeError as exc:
+        raise NotParseable(f"{what} is not valid JSON: {exc.msg}") from exc
+    if not isinstance(value, dict):
+        raise NotParseable(f"{what} must be a JSON object")
+    return value
 
 
 def json_numbers(values: Sequence) -> Sequence:
@@ -178,6 +202,24 @@ class Gateway:
         self.usage.approx_tokens += sum(len(m.content) for m in request.messages) // 4
         self.usage.approx_tokens += len(text) // 4
         return text
+
+    def ask(
+        self, request: ChatRequest, read: Callable[[str], R], retries: int, rejects: tuple[type[Exception], ...]
+    ) -> tuple[R | None, str, Exception | None]:
+        """Chat until ``read(reply)``, which never returns None, takes a reply
+        instead of raising one of ``rejects``; at most ``retries + 1`` times.
+
+        Returns what ``read`` returned (None after the last rejection), the
+        last reply and its rejection (None if taken). Gateway errors propagate.
+        """
+        reply, rejection = "", None
+        for _attempt in range(retries + 1):
+            reply = self.chat(request)
+            try:
+                return read(reply), reply, None
+            except rejects as exc:
+                rejection = exc
+        return None, reply, rejection
 
     def embed_texts(self, texts: Sequence[str]) -> list[EmbeddingVector]:
         """Embed ``texts`` in order, sending only texts not embedded before (see :meth:`_fill`)."""

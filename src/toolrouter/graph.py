@@ -228,19 +228,18 @@ class CandidateGraph:
         nodes: Mapping[str, GraphNode] | None = None,
         edges: Iterable[Edge] = (),
     ) -> None:
+        """A graph of ``nodes`` and ``edges``: GraphError for any that ``load_graph`` would refuse."""
         given = dict(nodes or {})
-        model_ids = sorted({node.embedding.model_id for node in given.values()}) or [""]
-        if len(model_ids) > 1:
-            raise GraphError(f"node embeddings come from more than one model: {model_ids}")
-        table = list(edges)
-        store = _Store(
-            list(given),
-            [node.spec for node in given.values()],
-            model_ids[0],
-            _stack([node.embedding.values for node in given.values()]),
-            edges=tuple(list(map(operator.attrgetter(field), table)) for field in ("a", "b", "kind", "weight")),
-        )
-        self._bind(config, store, len(given), len(table))
+        checks = _SnapshotReader(config, next((node.embedding.model_id for node in given.values()), ""))
+        try:
+            for name, node in given.items():
+                checks.node(name, node.spec, node.embedding.model_id, node.embedding.values)
+            for edge in edges:
+                checks.edge(edge.a, edge.b, edge.kind, edge.weight)
+            store = checks.store()
+        except ValueError as exc:
+            raise GraphError(str(exc)) from exc
+        self._bind(config, store, len(store), len(store.edge_a))
 
     @classmethod
     def _view(
@@ -450,8 +449,6 @@ def _snapshot_lines(graph: CandidateGraph) -> Iterator[str]:
     # Every string is encoded once, and all weights in one list, which splits
     # back into one piece per edge: a JSON number or null holds no ", ".
     weights = encode(weight)[1:-1].split(", ")
-    if len(weights) != len(a):
-        raise TypeError("edge weights must be numbers or None")
     quoted = {text: encode(text) for text in {*a, *b, *kind}}
     for a_text, b_text, kind_text, weight_text in zip(
         map(quoted.__getitem__, a), map(quoted.__getitem__, b), map(quoted.__getitem__, kind), weights
@@ -474,11 +471,12 @@ _PREVIOUS_KINDS = {"meta": (None,), "node": ("meta",), "edge": ("meta", "node")}
 
 
 class _SnapshotReader:
-    """Checks a snapshot's records in order and collects them for the store."""
+    """Checks a snapshot's records in order and collects them for the store. The
+    ``CandidateGraph`` constructor runs the checks of :meth:`node`, :meth:`edge` and :meth:`store` too."""
 
-    def __init__(self) -> None:
-        self.config: GraphConfig | None = None
-        self.model_id = ""  # the meta record's: every node's embeddings must come from this model
+    def __init__(self, config: GraphConfig | None = None, model_id: str = "") -> None:
+        self.config = config
+        self.model_id = model_id  # the meta record's: every node's embeddings must come from this model
         self.previous: str | None = None  # the kind of the last record read
         self.names: list[str] = []
         self.index: dict[str, int] = {}
@@ -497,7 +495,7 @@ class _SnapshotReader:
             self.previous = kind
         raw = record[kind]
         if kind == "edge":
-            self._edge(raw)
+            self.edge(raw["a"], raw["b"], raw["kind"], raw.get("weight"))
         elif kind == "node":
             self._node(raw)
         else:
@@ -505,15 +503,8 @@ class _SnapshotReader:
             self.config = GraphConfig(tau=raw["tau"])
 
     def _node(self, raw: dict) -> None:
-        name = raw["name"]
-        if name in self.index:
-            raise ValueError(f"duplicate node {name!r}")
         spec = validate_spec(raw["spec"], raw["kind"])
-        if spec.name != name:
-            raise ValueError(f"node {name!r} holds the spec of {spec.name!r}")
         model_id = typed(raw["embedding_model_id"], str, "node embedding_model_id")
-        if model_id != self.model_id:
-            raise ValueError(f"node embeddings come from more than one model: {model_id!r}, meta {self.model_id!r}")
         values = raw["embedding"]
         if not isinstance(values, list):
             raise TypeError("an embedding must be a flat sequence of JSON numbers")
@@ -521,13 +512,21 @@ class _SnapshotReader:
         # a sum is finite when every value is, and overflows only for huge ones
         if not math.isfinite(sum(values)) and not all(map(math.isfinite, values)):
             raise ValueError("an embedding must be a flat sequence of finite floats")
+        self.node(raw["name"], spec, model_id, np.array(values, dtype=np.float64))
+
+    def node(self, name: str, spec: CandidateSpec, model_id: str, values: np.ndarray) -> None:
+        if name in self.index:
+            raise ValueError(f"duplicate node {name!r}")
+        if spec.name != name:
+            raise ValueError(f"node {name!r} holds the spec of {spec.name!r}")
+        if model_id != self.model_id:
+            raise ValueError(f"node embeddings come from more than one model: {model_id!r}, not {self.model_id!r}")
         self.index[name] = len(self.names)
         self.names.append(name)
         self.specs.append(spec)
-        self.embeddings.append(np.array(values, dtype=np.float64))
+        self.embeddings.append(values)
 
-    def _edge(self, raw: dict) -> None:
-        kind, weight = raw["kind"], raw.get("weight")
+    def edge(self, a: str, b: str, kind: str, weight: float | None) -> None:
         if kind == "mutation":
             if weight is not None:
                 raise ValueError(f"mutation edge carries a weight {weight!r}")
@@ -539,7 +538,6 @@ class _SnapshotReader:
             raise ValueError(f"similarity weight {weight!r} is not a finite number")
         elif not weight > self.config.tau:
             raise ValueError(f"similarity weight {weight!r} is not above tau {self.config.tau!r}")
-        a, b = raw["a"], raw["b"]
         if not a < b:
             raise ValueError("edges must be stored canonically with a < b")
         for end in (a, b):
@@ -578,19 +576,25 @@ class _SnapshotReader:
         self.edges = (list(map(name, a)), list(map(name, b)), kind, weight)
         return True
 
+    def store(self) -> _Store:
+        """The store of the nodes and edges read, once every mutant's parent is a node."""
+        for name, spec in zip(self.names, self.specs):
+            parent = spec.provenance.parent_name
+            if parent is not None and parent not in self.index:
+                raise ValueError(f"mutant {name!r} names a missing parent {parent!r}")
+        return _Store(self.names, self.specs, self.model_id, _stack(self.embeddings), edges=self.edges)
+
     def graph(self, path: Path) -> CandidateGraph:
         """The snapshot, once the invariants across records hold."""
         if self.config is None:
             raise ParseError(str(path), "missing meta record")
-        for name, spec in zip(self.names, self.specs):
-            parent = spec.provenance.parent_name
-            if parent is not None and parent not in self.index:
-                raise ParseError(str(path), f"mutant {name!r} names a missing parent {parent!r}")
         dims = sorted(set(map(len, self.embeddings)))
         if len(dims) > 1:
             raise DimensionMismatch(f"{path}: node embeddings have dims {dims}")
-        store = _Store(self.names, self.specs, self.model_id, _stack(self.embeddings), edges=self.edges)
-        return CandidateGraph._view(self.config, store)
+        try:
+            return CandidateGraph._view(self.config, self.store())
+        except ValueError as exc:
+            raise ParseError(str(path), str(exc)) from exc
 
 
 def load_graph(path: str | Path) -> CandidateGraph:

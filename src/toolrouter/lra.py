@@ -18,7 +18,8 @@ from typing import Iterable, Protocol, Sequence
 
 from . import prompts
 from ._util import write_jsonl
-from .gateway import Gateway, user_request
+from .errors import NotParseable
+from .gateway import Gateway, parse_json_reply, user_request
 from .registry import CandidatePool
 from .router import RouterConfig, RouterDecision, route
 from .synthesis import Action, Observation, Turn, serialize_history
@@ -176,8 +177,8 @@ def run_episode(
     calling it with no fresh decision is recorded as ExecuteBeforeRoute and
     surfaced to the reasoner. The context audit counts the pool names in any
     prompt shown, less the two tool names and the names routed to. A reply
-    that is no JSON object, or whose ``need`` is no string, is the final
-    answer as it stands.
+    that is no JSON object (code fence optional), or whose ``need`` is no
+    string, is the final answer as it stands.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -191,10 +192,10 @@ def run_episode(
         prompts_shown.append(prompt)
         raw = reasoner.decide(prompt)
         try:
-            action = json.loads(raw)
-        except json.JSONDecodeError:
+            action = parse_json_reply(raw, "reasoner reply")
+        except NotParseable:
             action = None
-        if not isinstance(action, dict) or not isinstance(action.get("need", task), str):
+        if action is None or not isinstance(action.get("need", task), str):
             action = {"action": "final", "answer": raw}  # a reply the loop cannot act on ends the episode
         step = EpisodeStep(reasoner_text=raw)
         log.steps.append(step)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import random
-import re
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -24,12 +23,11 @@ from .errors import (
     GatewayError,
     MutationError,
     NameEqualsParent,
-    NotParseable,
     SpecError,
     TagMismatch,
     ValidationError,
 )
-from .gateway import ChatRequest, Gateway, user_request
+from .gateway import ChatRequest, Gateway, parse_json_reply, user_request
 from .graph import CandidateGraph, add_mutant
 from .registry import CandidateSpec, as_mutant, public_spec, validate_spec
 
@@ -168,26 +166,6 @@ def render_mutation_prompt(
     return user_request(content, temperature=temperature)
 
 
-_FENCE_RE = re.compile(r"^```[a-zA-Z0-9]*\s*\n(.*)\n```\s*$", re.DOTALL)
-
-
-def strip_code_fence(text: str) -> str:
-    match = _FENCE_RE.match(text.strip())
-    return match.group(1) if match else text
-
-
-def parse_json_reply(reply: str, what: str = "reply") -> dict:
-    """The JSON object in a model reply, code fence optional; NotParseable otherwise."""
-    body = strip_code_fence(reply).strip()
-    try:
-        value = json.loads(body)
-    except json.JSONDecodeError as exc:
-        raise NotParseable(f"{what} is not valid JSON: {exc.msg}") from exc
-    if not isinstance(value, dict):
-        raise NotParseable(f"{what} must be a JSON object")
-    return value
-
-
 def parse_mutant(
     response: str, kind: str, base: CandidateSpec, operator: MutationOperator
 ) -> CandidateSpec:
@@ -232,17 +210,19 @@ class EvolveResult:
 def evolve(graph: CandidateGraph, rounds: int, cfg: EvolveConfig, gateway: Gateway) -> EvolveResult:
     """Run pick -> prompt -> parse -> insert for a number of rounds.
 
-    Parse/validation failures retry the same (parent, operator) up to
-    cfg.max_retries, then the round is recorded as rejected. Gateway errors
-    abort, returning the partial result with the error noted.
+    A reply that does not parse, validate or insert is re-asked for the
+    same (parent, operator) up to cfg.max_retries times, then the round is
+    recorded as rejected. A gateway error, from the chat or from embedding
+    the mutant, aborts, returning the partial result with the error noted.
     """
     if rounds < 0:
         raise ValueError("rounds must be >= 0")
     result = EvolveResult(graph=graph)
+    rejects = (MutationError, SpecError, ValidationError, DuplicateName)
     for round_index in range(rounds):
         rng = random.Random(derive_seed(cfg.rng_seed, "round", round_index))
-        have_tools = bool(graph.names_of_kind("tool"))
-        have_agents = bool(graph.names_of_kind("agent"))
+        have_tools = bool(result.graph.names_of_kind("tool"))
+        have_agents = bool(result.graph.names_of_kind("agent"))
         if have_tools and have_agents:
             kind = "tool" if rng.random() < cfg.tool_fraction else "agent"
         elif have_tools:
@@ -252,51 +232,30 @@ def evolve(graph: CandidateGraph, rounds: int, cfg: EvolveConfig, gateway: Gatew
         else:
             raise EmptyGraph("cannot evolve an empty graph")
 
-        parent_name, op = _pick(graph, rng, kind)
-        parent_spec = graph.specs[parent_name]
+        parent_name, op = _pick(result.graph, rng, kind)
+        parent_spec = result.graph.specs[parent_name]
         request = render_mutation_prompt(parent_spec, op, temperature=cfg.temperature)
 
-        raw_response = ""
-        record: MutationRecord | None = None
-        for _attempt in range(cfg.max_retries + 1):
-            try:
-                raw_response = gateway.chat(request)
-            except GatewayError as exc:
-                result.graph = graph
-                result.aborted_error = str(exc)
-                result.records.append(
-                    MutationRecord(
-                        parent=parent_name,
-                        operator=op,
-                        raw_response=raw_response,
-                        accepted=False,
-                        reject_reason=f"gateway: {exc}",
-                    )
-                )
-                return result
-            try:
-                mutant = parse_mutant(raw_response, kind, parent_spec, op)
-                embedding = gateway.embed_text(mutant.phi)
-                graph = add_mutant(graph, parent_name, mutant, embedding)
-                record = MutationRecord(
-                    parent=parent_name,
-                    operator=op,
-                    raw_response=raw_response,
-                    accepted=True,
-                    mutant_name=mutant.name,
-                )
-                break
-            except (MutationError, SpecError, ValidationError, DuplicateName) as exc:
-                record = MutationRecord(
-                    parent=parent_name,
-                    operator=op,
-                    raw_response=raw_response,
-                    accepted=False,
-                    reject_reason=str(exc),
-                )
-        assert record is not None
+        raw_response = ""  # the reply being read: the record's, should a gateway error abort the round
+
+        def read(reply: str) -> tuple[CandidateGraph, str]:
+            nonlocal raw_response
+            raw_response = reply
+            mutant = parse_mutant(reply, kind, parent_spec, op)
+            return add_mutant(result.graph, parent_name, mutant, gateway.embed_text(mutant.phi)), mutant.name
+
+        try:
+            accepted, raw_response, rejection = gateway.ask(request, read, cfg.max_retries, rejects)
+        except GatewayError as exc:
+            result.aborted_error = str(exc)
+            result.records.append(MutationRecord(parent_name, op, raw_response, False, reject_reason=f"gateway: {exc}"))
+            return result
+        if accepted is None:
+            record = MutationRecord(parent_name, op, raw_response, False, reject_reason=str(rejection))
+        else:
+            result.graph, mutant_name = accepted
+            record = MutationRecord(parent_name, op, raw_response, True, mutant_name)
         result.records.append(record)
-    result.graph = graph
     return result
 
 

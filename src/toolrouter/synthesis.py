@@ -22,9 +22,8 @@ from .errors import (
     OutOfSubsetReference,
     RetriesExhaustedSynthesis,
 )
-from .gateway import Gateway, user_request
+from .gateway import Gateway, parse_json_reply, user_request
 from .graph import CandidateGraph
-from .mutation import parse_json_reply
 from .registry import CandidateSpec, pool_json, public_spec
 from .sampler import CandidateSubset, SamplerConfig, sample_subset
 
@@ -44,6 +43,15 @@ class TaskPlan:
 
     def to_dict(self) -> dict:
         return {"task": self.task_text, "steps": [{"goal": s.goal, "candidate": s.candidate} for s in self.steps]}
+
+    @staticmethod
+    def from_dict(document: dict) -> "TaskPlan":
+        """Inverse of :meth:`to_dict` (a trajectory file's plan, a plan reply); KeyError or TypeError otherwise."""
+        steps = tuple(
+            PlanStep(goal=typed(s["goal"], str, "step goal"), candidate=typed(s["candidate"], str, "step candidate"))
+            for s in typed(document["steps"], list, "plan steps")
+        )
+        return TaskPlan(task_text=typed(document["task"], str, "plan task"), steps=steps)
 
 
 @dataclass(frozen=True)
@@ -155,8 +163,9 @@ def propose_task(
 ) -> TaskPlan:
     """LLM-generate a task and coarse plan conditioned on the subset.
 
-    Plans referencing names outside the subset are rejected and retried up to
-    cfg.max_retries.
+    A reply that is no plan as a trajectory file holds it, has no task or
+    no steps, or names a candidate outside the subset is re-asked up to
+    cfg.max_retries times.
     """
     if not subset.members:
         raise ValueError("subset must be non-empty")
@@ -165,25 +174,21 @@ def propose_task(
     )
     request = user_request(content, temperature=cfg.temperature)
 
-    last_error: Exception | None = None
-    for _attempt in range(cfg.max_retries + 1):
-        reply = gateway.chat(request)
-        try:
-            document = parse_json_reply(reply)
-            task_text = document.get("task")
-            raw_steps = document.get("steps")
-            if not task_text or not raw_steps:
-                raise NotParseable("plan reply missing task or steps")
-            steps = []
-            for raw in raw_steps:
-                candidate = raw.get("candidate")
-                if candidate not in subset:
-                    raise OutOfSubsetReference(str(candidate))
-                steps.append(PlanStep(goal=raw.get("goal", ""), candidate=candidate))
-            return TaskPlan(task_text=task_text, steps=tuple(steps))
-        except (NotParseable, OutOfSubsetReference) as exc:
-            last_error = exc
-    raise RetriesExhaustedSynthesis(f"could not obtain a valid plan: {last_error}")
+    def read(reply: str) -> TaskPlan:
+        document = parse_json_reply(reply, "plan reply")
+        if not document.get("task") or not document.get("steps"):
+            raise NotParseable("plan reply missing task or steps")
+        plan = TaskPlan.from_dict(document)
+        for step in plan.steps:
+            if step.candidate not in subset:
+                raise OutOfSubsetReference(step.candidate)
+        return plan
+
+    rejects = (KeyError, TypeError, NotParseable, OutOfSubsetReference)
+    plan, _, rejection = gateway.ask(request, read, cfg.max_retries, rejects)
+    if plan is None:
+        raise RetriesExhaustedSynthesis(f"could not obtain a valid plan: {rejection}")
+    return plan
 
 
 def simulate_trajectory(
@@ -196,8 +201,9 @@ def simulate_trajectory(
 ) -> Trajectory:
     """Role-based simulation of one multi-turn trajectory.
 
-    Raises Discarded when the simulation violates any trajectory invariant;
-    the caller drops the sample.
+    Each assistant reply gets the checks of an action turn in a trajectory
+    file as it is read; the turns alternate by construction. Raises Discarded
+    for a reply that fails them; the caller drops the sample.
     """
     if 2 * len(plan.steps) + 2 > cfg.max_turns:  # the finished trajectory could never fit
         raise Discarded("over length")
@@ -224,11 +230,14 @@ def simulate_trajectory(
             STEP_SECTION=step_section,
         )
         reply = gateway.chat(user_request(content, temperature=cfg.temperature))
-        try:
-            document = parse_json_reply(reply)
-        except NotParseable as exc:
+        try:  # the checks of an action turn in a trajectory file
+            document = parse_json_reply(reply, "assistant turn")
+            text = typed(document.get("assistant", ""), str, "assistant text")
+            raw_calls = [typed(raw, dict, "call") for raw in typed(document.get("calls", []), list, "assistant calls")]
+            for raw in raw_calls:
+                typed(raw.get("arguments", {}), dict, "call arguments")
+        except (NotParseable, TypeError) as exc:
             raise Discarded(f"unparseable assistant turn: {exc}") from exc
-        raw_calls = document.get("calls", [])
         if len(raw_calls) > 2:
             raise Discarded("assistant action carries more than 2 calls")
         calls = []
@@ -247,7 +256,7 @@ def simulate_trajectory(
                     simulated_result=simulate_result(name, arguments),
                 )
             )
-        return Action(text=document.get("assistant", ""), calls=tuple(calls))
+        return Action(text=text, calls=tuple(calls))
 
     def simulate_result(name: str, arguments: dict) -> str:
         content = prompts.fill(
@@ -268,22 +277,11 @@ def simulate_trajectory(
         turns.append(assistant_action(step))
         turns.append(user_feedback())
     turns.append(assistant_action(None))
-
-    trajectory = Trajectory(
-        trajectory_id=trajectory_id, turns=tuple(turns), subset=subset, plan=plan
-    )
-    violations = validate_trajectory(trajectory, subset, specs)
-    if violations:
-        raise Discarded("; ".join(violations))
-    return trajectory
+    return Trajectory(trajectory_id=trajectory_id, turns=tuple(turns), subset=subset, plan=plan)
 
 
-def validate_trajectory(
-    trajectory: Trajectory,
-    subset: CandidateSubset,
-    specs: Mapping[str, CandidateSpec] | None = None,
-) -> list[str]:
-    """Pure structural check (alternation, membership, argument conformance); the violations found."""
+def validate_trajectory(trajectory: Trajectory, subset: CandidateSubset) -> list[str]:
+    """Pure structural check (alternation, subset membership); the violations found."""
     violations = []
     turns = trajectory.turns
     if len(turns) < 2:
@@ -300,9 +298,6 @@ def validate_trajectory(
         for call in turn.calls:
             if call.name not in subset:
                 violations.append(f"out-of-subset call {call.name!r} at turn {index}")
-            elif specs is not None:
-                for violation in check_arguments(call.arguments, specs[call.name].input_schema):
-                    violations.append(f"turn {index} call {call.name}: {violation}")
     return violations
 
 
@@ -383,15 +378,12 @@ def trajectory_from_dict(document: dict) -> Trajectory:
         seed_nodes=strings(subset_doc["seed_nodes"], "subset seed_nodes"),
         walk_trace=tuple(strings(t, "walk_trace step") for t in typed(subset_doc["walk_trace"], list, "walk_trace")),
     )
-    steps = tuple(
-        PlanStep(goal=typed(s["goal"], str, "step goal"), candidate=typed(s["candidate"], str, "step candidate"))
-        for s in typed(plan_doc["steps"], list, "plan steps")
-    )
+    plan = TaskPlan.from_dict(plan_doc)
     trajectory = Trajectory(
         trajectory_id=typed(document["trajectory_id"], str, "trajectory_id"),
         turns=tuple(turn_from_dict(raw) for raw in typed(document["turns"], list, "turns")),
         subset=subset,
-        plan=TaskPlan(task_text=typed(plan_doc["task"], str, "plan task"), steps=steps),
+        plan=plan,
     )
     violations = validate_trajectory(trajectory, subset)
     if violations:

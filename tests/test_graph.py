@@ -3,6 +3,7 @@
 import json
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -195,6 +196,11 @@ def tool(name):
     )
 
 
+def tool_nodes(names):
+    """name -> GraphNode of a planted tool with a one-dimensional embedding."""
+    return {name: GraphNode(spec=tool(name), embedding=vec(1.0)) for name in names}
+
+
 def mutant_of(parent, name, description="A fresh variant."):
     spec = validate_spec(
         {"name": name, "description": description, "inputSchema": {"type": "object", "properties": {}}},
@@ -211,8 +217,10 @@ def mutant_of(parent, name, description="A fresh variant."):
     )
 )
 def test_neighbors_index_matches_edge_scan(triples):
-    edges = frozenset(Edge.make(f"n{x}", f"n{y}", kind) for x, y, kind in triples if x != y)
-    graph = CandidateGraph(config=GraphConfig(), edges=edges)
+    edges = frozenset(
+        Edge.make(f"n{x}", f"n{y}", kind, 0.9 if kind == "similarity" else None) for x, y, kind in triples if x != y
+    )
+    graph = CandidateGraph(config=GraphConfig(), nodes=tool_nodes(f"n{i}" for i in range(12)), edges=edges)
     for name in [f"n{i}" for i in range(13)]:  # n12 has no edges
         assert graph.neighbors(name) == scanned_neighbors(graph, name)
 
@@ -502,12 +510,11 @@ _ADVERSARIAL = st.lists(
 @given(
     names=st.lists(_ADVERSARIAL.map(lambda text: "n" + text), min_size=1, max_size=6, unique=True),
     model_id=_ADVERSARIAL,
-    links=st.lists(
+    links=st.lists(  # a weight makes a similarity edge, None a mutation edge
         st.tuples(
             st.integers(0, 5),
             st.integers(0, 5),
-            st.sampled_from(["similarity", "mutation"]),
-            st.one_of(st.none(), st.floats(), st.integers(-3, 3)),
+            st.one_of(st.none(), st.floats(0.5, exclude_min=True, allow_infinity=False), st.integers(1, 3)),
         ),
         max_size=12,
     ),
@@ -518,29 +525,53 @@ def test_save_graph_bytes_equal_per_record_json_dumps(tmp_path_factory, names, m
         name: GraphNode(spec=tool(name), embedding=EmbeddingVector(values=embedding, model_id=model_id))
         for name in names
     }
-    edges = frozenset(
-        Edge.make(names[x % len(names)], names[y % len(names)], kind, weight)
-        for x, y, kind, weight in links
-        if x % len(names) != y % len(names)
-    )
+    edges = {}  # one edge per (a, b, kind): the constructor refuses a repeated one
+    for x, y, weight in links:
+        a, b = names[x % len(names)], names[y % len(names)]
+        if a != b:
+            edge = Edge.make(a, b, "mutation" if weight is None else "similarity", weight)
+            edges[edge.a, edge.b, edge.kind] = edge
+    edges = frozenset(edges.values())
     path = tmp_path_factory.mktemp("snapshot") / "graph.jsonl"
     for graph_edges in (edges, frozenset()):  # and edge-free
         save_graph(CandidateGraph(config=GraphConfig(tau=0.5), nodes=nodes, edges=graph_edges), path)
         assert path.read_bytes() == reference_snapshot(0.5, nodes, graph_edges)
 
 
-def test_save_graph_refuses_a_weight_that_splits(tmp_path):
+def test_constructor_refuses_a_weight_that_is_no_number():
     edges = frozenset({Edge.make("a", "b", "similarity", "high, very"), Edge.make("a", "c", "similarity", 0.9)})
-    with pytest.raises(TypeError, match="numbers or None"):
-        save_graph(CandidateGraph(config=GraphConfig(), edges=edges), tmp_path / "graph.jsonl")
+    with pytest.raises(GraphError, match="not a finite number"):
+        CandidateGraph(config=GraphConfig(), nodes=tool_nodes("abc"), edges=edges)
+
+
+# Constructor inputs that load_graph refuses in a snapshot: case -> (nodes
+# added to the tools a and b, edges as Edge.make arguments, a phrase of the error).
+BROKEN_GRAPHS = {
+    "similarity edge without a weight": ({}, [("a", "b", "similarity")], "has no weight"),
+    "similarity weight not above tau": ({}, [("a", "b", "similarity", 0.82)], "not above tau"),
+    "mutation edge with a weight": ({}, [("a", "b", "mutation", 0.9)], "carries a weight"),
+    "edge of an unknown kind": ({}, [("a", "b", "friendship")], "unknown edge kind"),
+    "edge to a missing node": ({}, [("a", "zz", "similarity", 0.9)], "missing node 'zz'"),
+    "mutant with a missing parent": ({"m": mutant_of("zz", "m")}, [], "missing parent 'zz'"),
+    "node under another spec's name": ({"c": tool("d")}, [], "holds the spec of"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BROKEN_GRAPHS))
+def test_constructor_refuses_what_load_graph_refuses(case):
+    specs, links, phrase = BROKEN_GRAPHS[case]
+    nodes = {**tool_nodes("ab"), **{name: GraphNode(spec, vec(1.0)) for name, spec in specs.items()}}
+    with pytest.raises(GraphError, match=phrase):
+        CandidateGraph(GraphConfig(), nodes=nodes, edges=[Edge.make(*link) for link in links])
 
 
 def test_failed_save_keeps_the_old_file(tmp_path):
     path = tmp_path / "graph.jsonl"
     save_graph(build_graph(make_tool_bank(6), GraphConfig(tau=0.5), mock_gateway(0)), path)
     old = path.read_bytes()
-    edges = frozenset({Edge.make("a", "b", "similarity", "high, very"), Edge.make("a", "c", "similarity", 0.9)})
-    with pytest.raises(TypeError):
-        save_graph(CandidateGraph(config=GraphConfig(), edges=edges), path)
+    nodes = tool_nodes("ab")
+    nodes["b"] = GraphNode(replace(tool("b"), input_schema={"type": "object", "enum": {1, 2}}), nodes["b"].embedding)
+    with pytest.raises(TypeError):  # a set is no JSON value
+        save_graph(CandidateGraph(config=GraphConfig(), nodes=nodes), path)
     assert path.read_bytes() == old
     assert [entry.name for entry in tmp_path.iterdir()] == ["graph.jsonl"]

@@ -168,6 +168,21 @@ def test_reply_the_loop_cannot_act_on_is_the_final_answer(reply):
     assert len(log.steps) == 1 and log.steps[0].decision is None
 
 
+class FencedReasoner(ScriptedReasoner):
+    """Replays its actions, each inside a ```json code fence."""
+
+    def decide(self, prompt):
+        return f"```json\n{super().decide(prompt)}\n```"
+
+
+def test_reply_in_a_code_fence_is_acted_on():
+    reasoner = FencedReasoner([{"action": "route", "need": "something capable"}, {"action": "final", "answer": "done"}])
+    log = run_episode("task", POOL, ORACLE, ExecutorBinding.mock_for(POOL), reasoner, oracle_label=LABEL)
+    assert [step.decision is not None for step in log.steps] == [True, False]
+    assert log.steps[0].decision.chosen == LABEL
+    assert (log.outcome, log.final_answer) == ("finished", "done")
+
+
 def test_execute_before_route_is_recorded_not_fatal():
     reasoner = scripted(
         {"action": "execute", "arguments": {}},

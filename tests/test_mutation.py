@@ -7,8 +7,9 @@ import random
 import pytest
 
 from helpers import make_agent_doc, make_tool_bank, make_tool_doc, mock_gateway
+from toolrouter.backends import MockChatBackend, MockEmbeddingBackend
 from toolrouter.errors import NameEqualsParent, NotParseable, TagMismatch, BadAgentName
-from toolrouter.gateway import Gateway, TransientBackendError, user_request
+from toolrouter.gateway import Gateway, TransientBackendError, strip_code_fence, user_request
 from toolrouter.graph import GraphConfig, build_graph
 from toolrouter.mutation import (
     AGENT_OPERATORS,
@@ -19,7 +20,6 @@ from toolrouter.mutation import (
     parse_mutant,
     _pick,
     render_mutation_prompt,
-    strip_code_fence,
     write_mutation_log,
 )
 from toolrouter.registry import validate_spec
@@ -177,6 +177,31 @@ def test_evolve_gateway_error_aborts_with_partial_result():
     assert result.aborted_error is not None
     assert len(result.records) == 1 and not result.records[0].accepted
     assert result.graph is graph
+
+
+class NonFiniteOnCall(MockEmbeddingBackend):
+    """The mock embedder, except that its ``bad_call``-th call returns a non-finite row."""
+
+    def __init__(self, bad_call):
+        super().__init__(seed=7)
+        self.bad_call, self.calls = bad_call, 0
+
+    def embed(self, texts):
+        self.calls += 1
+        rows = super().embed(texts)
+        if self.calls == self.bad_call:
+            rows[0][0] = math.inf
+        return rows
+
+
+def test_evolve_embedding_error_aborts_with_partial_result():
+    graph = build_graph(make_tool_bank(10), GraphConfig(), mock_gateway(7))
+    gateway = Gateway(MockChatBackend(seed=7), NonFiniteOnCall(bad_call=3), backoff_s=0.0)
+    result = evolve(graph, 5, EvolveConfig(rng_seed=3), gateway)
+    assert [record.accepted for record in result.records] == [True, True, False]
+    assert result.accepted == 2 and len(result.graph) == 12
+    assert "finite" in result.aborted_error and result.records[-1].reject_reason.startswith("gateway: ")
+    assert result.records[-1].raw_response  # the reply whose mutant could not be embedded
 
 
 def test_mutation_log_roundtrip(tmp_path):

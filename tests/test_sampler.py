@@ -23,7 +23,7 @@ def tiny_graph(names, edges):
             "tool",
         )
         nodes[name] = GraphNode(spec=spec, embedding=EmbeddingVector(values=(1.0,), model_id="t"))
-    edge_set = frozenset(Edge.make(a, b, kind) for a, b, kind in edges)
+    edge_set = frozenset(Edge.make(a, b, kind, 0.9 if kind == "similarity" else None) for a, b, kind in edges)
     return CandidateGraph(config=GraphConfig(), nodes=nodes, edges=edge_set)
 
 

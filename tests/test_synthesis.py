@@ -111,7 +111,7 @@ def test_simulated_trajectory_shape(env):
         for call in action.calls:
             assert call.name in subset
             assert call.simulated_result
-    assert validate_trajectory(trajectory, subset, specs) == []
+    assert validate_trajectory(trajectory, subset) == []
 
 
 def test_simulation_prompts_render_the_turns_so_far(env):
@@ -151,7 +151,7 @@ def test_over_length_plan_is_discarded_before_any_chat_call(env):
     assert len(trajectory.turns) == fits and gateway.usage.chat_calls > 0
 
 def test_validate_trajectory_violations(env):
-    _, graph, specs = env
+    _, graph, _ = env
     names = graph.names()
     subset = subset_of(names[:2])
     good = Trajectory(
@@ -163,7 +163,7 @@ def test_validate_trajectory_violations(env):
         subset=subset,
         plan=TaskPlan(task_text="task", steps=(PlanStep("g", names[0]),)),
     )
-    assert validate_trajectory(good, subset, specs) == []
+    assert validate_trajectory(good, subset) == []
 
     too_short = Trajectory("t", (Observation(text="task"),), subset, good.plan)
     violations = validate_trajectory(too_short, subset)
@@ -183,13 +183,25 @@ def test_validate_trajectory_violations(env):
     )
     assert any("out-of-subset" in v for v in validate_trajectory(out_of_subset, subset))
 
-    bad_args = Trajectory(
-        "t",
-        (Observation(text="task"), Action(text="go", calls=(CandidateCall(names[0], {}, "r"),))),
-        subset,
-        good.plan,
-    )
-    assert any("required" in v for v in validate_trajectory(bad_args, subset, specs))
+
+class SchemaBreakingChat(MockChatBackend):
+    """The mock chat backend, with the arguments of every assistant call left out."""
+
+    def _assistant_turn(self, prompt):
+        document = json.loads(super()._assistant_turn(prompt))
+        for call in document["calls"]:
+            call["arguments"] = {}
+        return json.dumps(document)
+
+
+def test_assistant_call_that_breaks_its_schema_is_discarded(env):
+    _, graph, specs = env
+    subset = subset_of(graph.names()[:2])
+    gateway = Gateway(chat_backend=SchemaBreakingChat(seed=0), backoff_s=0.0)
+    plan = propose_task(subset, specs, gateway)
+    with pytest.raises(Discarded, match="missing required argument 'target'") as info:
+        simulate_trajectory(plan, subset, specs, gateway, SynthesisConfig(rng_seed=1))
+    assert info.value.reason.startswith(f"schema-violating arguments for {plan.steps[0].candidate}")
 
 
 def test_synthesize_batch_deterministic(env):

@@ -125,6 +125,54 @@ def test_every_public_name_is_referenced():
     assert unreferenced_public_names(sources, readers, readme) == []
 
 
+def unnamed_discard_reasons(source: str, prefixes: tuple[str, ...]) -> list[str]:
+    """The ``Discarded(...)`` calls of ``source`` whose message's literal
+    prefix (up to its first formatted value) starts with none of ``prefixes``."""
+    unnamed = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Discarded":
+            message = node.args[0]
+            literal = []
+            for part in message.values if isinstance(message, ast.JoinedStr) else [message]:
+                if not (isinstance(part, ast.Constant) and isinstance(part.value, str)):
+                    break
+                literal.append(part.value)
+            if not "".join(literal).startswith(prefixes):
+                unnamed.append(f"line {node.lineno}: {ast.unparse(message)}")
+    return unnamed
+
+
+def bench_discard_prefixes() -> tuple[str, ...]:
+    """The message prefixes by which the bench tracer counts ``synthesis.discarded.*``."""
+    tree = ast.parse((ROOT / "bench" / "tracing.py").read_text(encoding="utf-8"))
+    (reasons,) = (
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [getattr(target, "id", None) for target in node.targets] == ["_DISCARD_REASONS"]
+    )
+    return tuple(prefix for prefix, _ in ast.literal_eval(reasons))
+
+
+def test_discard_reason_check_flags_only_unnamed_messages():
+    source = (
+        'Discarded("over length")\nDiscarded(f"out-of-subset call: {name!r}")\n'
+        'Discarded(f"{name} over length")\nDiscarded("; ".join(violations))\nDiscarded("too long")\n'
+    )
+    assert unnamed_discard_reasons(source, ("over length", "out-of-subset call")) == [
+        "line 3: f'{name} over length'",
+        "line 4: '; '.join(violations)",
+        "line 5: 'too long'",
+    ]
+
+
+def test_every_discard_reason_is_one_the_bench_counts():
+    """A reworded ``Discarded`` message would move its count to the tracer's catch-all counter."""
+    prefixes = bench_discard_prefixes()
+    source = (Path(toolrouter.__file__).parent / "synthesis.py").read_text(encoding="utf-8")
+    assert "over length" in prefixes and source.count("Discarded(") >= len(prefixes)
+    assert unnamed_discard_reasons(source, prefixes) == []
+
+
 def python_3_10_syntax_errors(paths: list[Path]) -> list[str]:
     """The files that do not parse with the grammar of Python 3.10, the oldest version CI runs."""
     errors = []
