@@ -16,6 +16,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from . import prompts
+from ._util import typed
 from .errors import BackendUnavailable
 from .gateway import ChatRequest, TransientBackendError
 
@@ -317,7 +318,11 @@ class HTTPChatBackend(_HTTPBackend):
             "temperature": request.temperature,
             "max_tokens": request.max_tokens,
         }
-        return self._post("chat/completions", payload, "chat", lambda body: body["choices"][0]["message"]["content"])
+        return self._post("chat/completions", payload, "chat", self._content)
+
+    @staticmethod
+    def _content(body: Any) -> str:
+        return typed(body["choices"][0]["message"]["content"], str, "chat reply content")
 
 
 class HTTPEmbeddingBackend(_HTTPBackend):

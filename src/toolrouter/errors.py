@@ -82,7 +82,8 @@ class DimensionMismatch(GatewayError):
 
 
 class MalformedEmbedding(GatewayError):
-    """A backend returned something other than a list of flat, finite numeric rows."""
+    """A backend returned something other than a list of flat, finite numeric
+    rows of finite, nonzero norm."""
 
 
 # --- graph ----------------------------------------------------------------------

@@ -127,6 +127,21 @@ def _ordered_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _ordered_sums(a * b)
 
 
+def _usable_norms(rows: np.ndarray, names: Sequence[str], error: type[Exception] = ValueError) -> np.ndarray:
+    """The norms of rows of finite values, with the scalar cosine's arithmetic.
+
+    A row has a cosine only when its norm is finite and nonzero; ``error``
+    names (by ``names``) the first row whose norm is 0 or overflows.
+    """
+    with np.errstate(over="ignore"):
+        norms = np.sqrt(_ordered_dots(rows, rows))
+    usable = np.isfinite(norms) & (norms != 0)
+    if not usable.all():
+        at = int(usable.argmin())
+        raise error(f"embedding of {names[at]!r} has norm {norms[at]}; a cosine needs a finite, nonzero norm")
+    return norms
+
+
 class TransientBackendError(GatewayError):
     """Raised by backends for failures worth retrying."""
 
@@ -234,7 +249,8 @@ class Gateway:
 
         The distinct new texts go to the backend in one call; they are
         stored only once every returned row is a flat, finite vector of the
-        backend's dim. A reply that is not is a MalformedEmbedding.
+        backend's dim with a finite, nonzero norm. A reply that is not is a
+        MalformedEmbedding.
         """
         if self._embed is None:
             raise GatewayError("no embedding backend configured")
@@ -253,10 +269,10 @@ class Gateway:
                     raise ValueError("non-finite embedding value")
             except (TypeError, ValueError) as exc:
                 raise MalformedEmbedding("backend embedding rows must be flat lists of finite numbers") from exc
-            self._store(missing, rows)
+            self._store(missing, rows, _usable_norms(rows, missing, MalformedEmbedding))
             self.usage.embed_calls += 1
 
-    def _store(self, texts: list[str], rows: np.ndarray) -> None:
+    def _store(self, texts: list[str], rows: np.ndarray, row_norms: np.ndarray) -> None:
         start, end = len(self._rows), len(self._rows) + len(rows)
         if end > len(self._matrix):
             capacity = max(end, 2 * len(self._matrix))
@@ -264,7 +280,7 @@ class Gateway:
             matrix[:start], norms[:start] = self._matrix[:start], self._norms[:start]
             self._matrix, self._norms = matrix, norms
         self._matrix[start:end] = rows
-        self._norms[start:end] = np.sqrt(_ordered_dots(rows, rows))
+        self._norms[start:end] = row_norms
         self._rows.update(zip(texts, range(start, end)))
 
     def embedding_rows(self, texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:

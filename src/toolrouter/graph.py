@@ -42,7 +42,7 @@ from .errors import (
     UnknownParent,
     ZeroVector,
 )
-from .gateway import EmbeddingVector, Gateway, _ordered_dots, json_numbers
+from .gateway import EmbeddingVector, Gateway, _ordered_dots, _usable_norms, json_numbers
 from .registry import CandidateBank, CandidateSpec, validate_spec
 
 DEFAULT_TAU = 0.82
@@ -97,23 +97,13 @@ def _stack(rows: Sequence[Sequence[float]]) -> np.ndarray:
         raise DimensionMismatch(f"dims differ: {sorted({len(row) for row in rows})}") from None
 
 
-def _norms(matrix: np.ndarray) -> np.ndarray:
-    """Row norms with the scalar cosine's arithmetic."""
-    return np.sqrt(_ordered_dots(matrix, matrix))
-
-
-def _check_nonzero(norms: np.ndarray) -> None:
-    if not norms.all():
-        raise ZeroVector("cosine similarity of a zero vector is undefined")
-
-
 class _Store:
     """The nodes and edges of a chain of snapshots; rows and edges are only appended.
 
     Node row r is ``names[r]``, ``specs[r]`` and the embedding ``matrix[r]``
-    of the model ``model_id``, with its norm ``norms[r]`` and the float32
-    unit row ``unit[r]`` that the similarity screen reads (both derived on
-    first use). The arrays have spare rows past ``len(self)``. Edge e is
+    of the model ``model_id``, with its finite, nonzero norm ``norms[r]`` and
+    the float32 unit row ``unit[r]`` that the similarity screen reads (derived
+    on first use). The arrays have spare rows past ``len(self)``. Edge e is
     ``(edge_a[e], edge_b[e], edge_kind[e], edge_weight[e])`` with
     ``edge_a[e] < edge_b[e]``.
     """
@@ -124,30 +114,22 @@ class _Store:
         specs: list[CandidateSpec],
         model_id: str,
         matrix: np.ndarray,
-        norms: np.ndarray | None = None,
+        norms: np.ndarray,
         edges: tuple[list, list, list, list] | None = None,
         unit: np.ndarray | None = None,
     ) -> None:
         self.names, self.specs, self.model_id = names, specs, model_id
         self.index = dict(zip(names, range(len(names))))
-        self.matrix, self._norms, self._unit = matrix, norms, unit
+        self.matrix, self.norms, self._unit = matrix, norms, unit
         self.edge_a, self.edge_b, self.edge_kind, self.edge_weight = edges if edges is not None else ([], [], [], [])
 
     def __len__(self) -> int:
         return len(self.names)
 
     @property
-    def norms(self) -> np.ndarray:
-        if self._norms is None:
-            self._norms = _norms(self.matrix)
-        return self._norms
-
-    @property
     def unit(self) -> np.ndarray:
-        if self._unit is None:
-            norms = self.norms[:, None]
-            unit = np.divide(self.matrix, norms, out=np.zeros_like(self.matrix), where=norms != 0)
-            self._unit = unit.astype(np.float32)
+        if self._unit is None:  # before append_node first grows the arrays: no spare rows yet
+            self._unit = (self.matrix / self.norms[:, None]).astype(np.float32)
         return self._unit
 
     def copy(self, n: int, m: int) -> "_Store":
@@ -162,7 +144,7 @@ class _Store:
             grown = [np.empty((max(1, 2 * row), *array.shape[1:]), array.dtype) for array in arrays]
             for new, old in zip(grown, arrays):
                 new[:row] = old[:row]
-            self.matrix, self._norms, self._unit = arrays = grown
+            self.matrix, self.norms, self._unit = arrays = grown
         for array, value in zip(arrays, (values, norm, values / norm)):
             array[row] = value
         self.index[spec.name] = row
@@ -375,9 +357,7 @@ def build_graph(bank: CandidateBank, cfg: GraphConfig, gateway: Gateway) -> Cand
     if len(bank) == 0:
         raise EmptyBank("cannot build a graph from an empty bank")
     matrix, norms = gateway.embedding_rows([spec.phi for spec in bank])
-    names = list(bank.names())
-    _check_nonzero(norms)
-    store = _Store(names, list(bank), gateway.embed_model_id, matrix, norms)
+    store = _Store(list(bank.names()), list(bank), gateway.embed_model_id, matrix, norms)
     _link_similar(store, cfg.tau, 0)
     return CandidateGraph._view(cfg, store)
 
@@ -400,14 +380,12 @@ def add_mutant(
     store, n = graph._store, len(graph)
     if embedding.values.shape != store.matrix.shape[1:]:
         raise DimensionMismatch(f"dims differ: {sorted({store.matrix.shape[1], embedding.dim})}")
-    norm = _norms(embedding.values[None, :])
-    _check_nonzero(norm)
-    _check_nonzero(store.norms[:n])
+    (norm,) = _usable_norms(embedding.values[None, :], [mutant.name], ZeroVector)
     if embedding.model_id != store.model_id:
         raise GraphError(f"mutant embedded by {embedding.model_id!r}, the graph's nodes by {store.model_id!r}")
     if len(store) != n or len(store.edge_a) != graph._m:
         store = store.copy(n, graph._m)  # a sibling insertion extended the store
-    store.append_node(mutant, embedding.values, norm[0])
+    store.append_node(mutant, embedding.values, norm)
     store.append_edges([parent], [mutant.name], "mutation", [None])
     _link_similar(store, graph.config.tau, n)
     kinds = dict(graph._kind_names())  # the parent's names by kind, with the mutant's name in its place
@@ -577,12 +555,14 @@ class _SnapshotReader:
         return True
 
     def store(self) -> _Store:
-        """The store of the nodes and edges read, once every mutant's parent is a node."""
+        """The store of the nodes and edges read, once every mutant's parent
+        is a node and every embedding has a finite, nonzero norm."""
         for name, spec in zip(self.names, self.specs):
             parent = spec.provenance.parent_name
             if parent is not None and parent not in self.index:
                 raise ValueError(f"mutant {name!r} names a missing parent {parent!r}")
-        return _Store(self.names, self.specs, self.model_id, _stack(self.embeddings), edges=self.edges)
+        matrix = _stack(self.embeddings)
+        return _Store(self.names, self.specs, self.model_id, matrix, _usable_norms(matrix, self.names), self.edges)
 
     def graph(self, path: Path) -> CandidateGraph:
         """The snapshot, once the invariants across records hold."""

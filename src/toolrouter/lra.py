@@ -177,8 +177,9 @@ def run_episode(
     calling it with no fresh decision is recorded as ExecuteBeforeRoute and
     surfaced to the reasoner. The context audit counts the pool names in any
     prompt shown, less the two tool names and the names routed to. A reply
-    that is no JSON object (code fence optional), or whose ``need`` is no
-    string, is the final answer as it stands.
+    that is no JSON object (code fence optional), whose ``need`` or
+    ``answer`` is no string, or whose ``arguments`` is no object, is the
+    final answer as it stands.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -195,7 +196,12 @@ def run_episode(
             action = parse_json_reply(raw, "reasoner reply")
         except NotParseable:
             action = None
-        if action is None or not isinstance(action.get("need", task), str):
+        if (
+            action is None
+            or not isinstance(action.get("need", task), str)
+            or not isinstance(action.get("arguments", {}), dict)
+            or not isinstance(action.get("answer", ""), str)
+        ):
             action = {"action": "final", "answer": raw}  # a reply the loop cannot act on ends the episode
         step = EpisodeStep(reasoner_text=raw)
         log.steps.append(step)
@@ -209,8 +215,8 @@ def run_episode(
             pending = decision if not decision.abstained else None
             turns.append(Action(text=f"route(need={need!r}) -> [router decision] {decision.chosen or 'abstained'}"))
         elif kind == "execute":
-            arguments = action.get("arguments", {}) or {}
-            if pending is None or pending.chosen is None:
+            arguments = action.get("arguments", {})
+            if pending is None:
                 result = "error: ExecuteBeforeRoute (no routed candidate to execute)"
             else:
                 result = executor.execute(pending.chosen, arguments)

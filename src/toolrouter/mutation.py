@@ -129,12 +129,9 @@ class MutationRecord:
 
 
 def _pick(graph: CandidateGraph, rng: random.Random, kind: str) -> tuple[str, MutationOperator]:
-    """Uniform (candidate, operator) draw over the nodes of a kind."""
-    names = graph.names_of_kind(kind)
-    if not names:
-        raise EmptyGraph(f"graph has no {kind} nodes to mutate")
+    """Uniform (candidate, operator) draw over the nodes of a kind the graph has."""
     operators = TOOL_OPERATORS if kind == "tool" else AGENT_OPERATORS
-    return rng.choice(names), rng.choice(operators)
+    return rng.choice(graph.names_of_kind(kind)), rng.choice(operators)
 
 
 def render_mutation_prompt(

@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import BadConfig, GatewayError, ZeroVector
+from .errors import BadConfig, GatewayError
 from .gateway import Gateway, _ordered_sums, user_request
 from .registry import CandidatePool
 from .supervision import render_prompt
@@ -59,21 +59,18 @@ def parse_decision(text: str, pool: CandidatePool) -> str | None:
     Strips one optional <think> block, takes the last flat JSON array of
     strings, and requires exactly one pool member. Total: never raises.
     """
-    try:
-        body = _THINK_RE.sub("", text, count=1)
-        chosen = None
-        for match in _ARRAY_RE.finditer(body):
-            try:
-                value = json.loads(match.group(0))
-            except json.JSONDecodeError:
-                continue
-            if isinstance(value, list) and all(isinstance(v, str) for v in value):
-                chosen = value
-        if chosen is None or len(chosen) != 1:
-            return None
-        return chosen[0] if chosen[0] in pool.member_set else None
-    except Exception:
+    body = _THINK_RE.sub("", text, count=1)
+    chosen = None
+    for match in _ARRAY_RE.finditer(body):
+        try:
+            value = json.loads(match.group(0))
+        except ValueError:  # not JSON, or an integer past the interpreter's digit limit
+            continue
+        if isinstance(value, list) and all(isinstance(v, str) for v in value):
+            chosen = value
+    if chosen is None or len(chosen) != 1:
         return None
+    return chosen[0] if chosen[0] in pool.member_set else None
 
 
 def _truncate_oldest(text: str, limit: int) -> str:
@@ -95,8 +92,8 @@ def embedding_route(
     history, keeping its last ``MAX_HISTORY_CHARS`` characters less the
     query and a newline; the cut need not fall on a turn boundary.
     Every member gets the scalar cosine's value bit for bit, computed from the
-    gateway's stored rows and norms; ties go to the smallest name, and gateway
-    errors and zero embedding rows raise.
+    gateway's stored rows and their norms, which the gateway keeps finite and
+    nonzero; ties go to the smallest name, and gateway errors raise.
     """
     if mode not in ("q", "q_plus_h"):
         raise ValueError(f"unknown embedding mode: {mode!r}")
@@ -108,8 +105,6 @@ def embedding_route(
     else:
         request_text = query
     rows, norms = gateway.embedding_rows((request_text, *pool.phi_texts))
-    if not norms.all():
-        raise ZeroVector("cosine similarity of a zero vector is undefined")
     products = rows[1:]
     products *= rows[0]  # in place: the rows are a copy, and one fewer pool-sized temporary per decision
     scores = _ordered_sums(products) / (norms[0] * norms[1:])
@@ -141,9 +136,8 @@ def route(
     oracle_label: str | None = None,
     rng: random.Random | None = None,
 ) -> RouterDecision:
-    """Dispatch to the configured variant. Gateway failures and zero embedding rows become abstentions."""
-    if len(pool) == 0:
-        return _abstain("empty pool")
+    """Dispatch to the configured variant. A gateway error, such as an
+    embedding row without a finite, nonzero norm, becomes an abstention."""
     try:
         if cfg.variant == "oracle":
             if oracle_label is None or oracle_label not in pool.member_set:
@@ -160,5 +154,3 @@ def route(
         return embedding_route(gateway, query, history, pool, mode, kind=cfg.kind)
     except GatewayError as exc:
         return _abstain(f"gateway error: {exc}")
-    except ZeroVector as exc:
-        return _abstain(f"zero embedding row: {exc}")

@@ -87,9 +87,7 @@ def sample_subset(graph: CandidateGraph, cfg: SamplerConfig) -> CandidateSubset:
                 admit_seed(pending_seeds.pop(0))
                 continue
             unvisited = [name for name in all_names if name not in visited]
-            if not unvisited:
-                break
-            admit_seed(rng.choice(unvisited))
+            admit_seed(rng.choice(unvisited))  # target <= len(graph): never empty
             continue
         current = stack[-1]
         frontier = [(other, kind) for other, kind in graph.neighbors(current) if other not in visited]
@@ -103,14 +101,6 @@ def sample_subset(graph: CandidateGraph, cfg: SamplerConfig) -> CandidateSubset:
         visited[nxt] = None
         trace.append((current, nxt, kind))
         stack.append(nxt)
-
-    # remaining requested seeds that were never needed still count as seeds
-    for name in pending_seeds:
-        if len(visited) >= target:
-            break
-        if name not in visited:
-            visited[name] = None
-            seed_nodes.append(name)
 
     return CandidateSubset(
         members=tuple(visited),

@@ -314,8 +314,7 @@ def synthesize_batch(
     """Sample -> propose -> simulate, skipping discarded samples."""
     trajectories: list[Trajectory] = []
     attempts = 0
-    max_attempts = count * 3 if count else 0
-    while len(trajectories) < count and attempts < max_attempts:
+    while len(trajectories) < count and attempts < 3 * count:
         subset = sample_subset(
             graph, replace(sampler_cfg, rng_seed=derive_seed(synth_cfg.rng_seed, "sample", attempts))
         )

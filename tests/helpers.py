@@ -170,6 +170,18 @@ def corrupt_snapshot(lines: list[str], case: str, position: str = "first") -> li
         records.append(nodes[0])
     elif case == "meta record after the nodes":
         records.insert(len(all_nodes), records.pop(0))
+    elif case == "repeated node record":
+        records.insert(records.index(nodes[0]) + 1, nodes[0])
+    elif case == "record of an unknown type":
+        records.insert(1, {"vertex": nodes[0]["node"]})
+    elif case == "no records":
+        records.clear()
+    elif case == "first line an edge":
+        records.insert(0, records.pop(records.index(edges[0])))
+    elif case == "zero node embedding":
+        nodes[0]["node"]["embedding"] = [0.0] * len(nodes[0]["node"]["embedding"])
+    elif case == "overflowing node embedding norm":
+        nodes[0]["node"]["embedding"][0] = 1e200
     return [json.dumps(r) for r in records]
 
 
@@ -199,6 +211,12 @@ BROKEN_SNAPSHOTS = {
     "appended edge repeated with another weight": (ParseError, "repeated similarity edge"),
     "appended node record after the edges": (ParseError, "out of order"),
     "meta record after the nodes": (ParseError, "out of order"),
+    "repeated node record": (ParseError, "duplicate node"),
+    "record of an unknown type": (ParseError, "unknown record type"),
+    "no records": (ParseError, "missing meta record"),
+    "first line an edge": (ParseError, "edge record out of order"),
+    "zero node embedding": (ParseError, "has norm 0.0"),
+    "overflowing node embedding norm": (ParseError, "has norm inf"),
 }
 
 

@@ -24,6 +24,7 @@ from helpers import (
 from toolrouter import cli, evaluation, synthesis
 from toolrouter.cli import main
 from toolrouter.config import STAGE_KEYS, BackendConfig, PipelineConfig
+from toolrouter.graph import load_graph
 from toolrouter.registry import save_bank
 from toolrouter.supervision import load_dataset, save_dataset
 
@@ -100,6 +101,23 @@ def test_mutate_zero_rounds_identity(workspace):
     assert result.exit_code == 0
     assert "mutation: 0/0 accepted" in result.output
     assert out.read_bytes() == graph_path.read_bytes()
+
+
+def test_mutate_stopped_by_the_chat_budget_exits_1_and_writes_its_partial_result(workspace):
+    tmp_path, bank_path, _ = workspace
+    config = tmp_path / "budget.yaml"
+    config.write_text("seed: 11\nbackend:\n  max_chat_calls: 2\n", encoding="utf-8")
+    graph, out, log = tmp_path / "graph.jsonl", tmp_path / "mutated.jsonl", tmp_path / "log.jsonl"
+    run(["build-graph", "--config", str(config), "--bank", bank_path, "--out", str(graph)])
+    result = run(
+        ["mutate", "--config", str(config), "--graph", str(graph), "--rounds", "5", "--out", str(out), "--log", str(log)]
+    )
+    assert (result.exit_code, result.stdout) == (1, "")
+    assert result.stderr == "aborted after partial progress: chat call budget of 2 exhausted\n"
+    records = [json.loads(line) for line in log.read_text(encoding="utf-8").splitlines()]
+    assert [record["accepted"] for record in records] == [True, True, False]
+    accepted = [record["mutant_name"] for record in records[:2]]
+    assert load_graph(out).names() == sorted([*load_graph(graph).names(), *accepted])
 
 
 def test_mutate_with_another_embedding_model_exits_1_and_writes_nothing(workspace):
@@ -326,6 +344,16 @@ def chain_files(workspace):
     run(["synthesize", *config, "--graph", str(graph), "--count", "3", "--out", str(trajs)])
     run(["extract", *config, "--trajectories", str(trajs), "--graph", str(graph), "--out", str(dataset)])
     return config, graph, trajs, dataset
+
+
+def test_extract_with_graph_scope_pools_the_graph_bank_of_the_kind(chain_files):
+    config, graph, trajs, dataset = chain_files
+    args = ["extract", *config, "--trajectories", str(trajs), "--graph", str(graph), "--pool-scope", "graph"]
+    assert run([*args, "--out", str(dataset)]).exit_code == 0
+    records = load_dataset(dataset)
+    names = list(load_graph(graph).names_of_kind("tool"))
+    assert len(records) > 1 and len(names) == 12
+    assert all([spec["name"] for spec in record.pool_specs] == names for record in records)
 
 
 def _edit_first_pool_entry(case):

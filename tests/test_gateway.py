@@ -178,6 +178,16 @@ def test_http_4xx_is_not_retried(fake_session, monkeypatch, what, status, attemp
     assert len(session.posts) == attempts
 
 
+@pytest.mark.parametrize("content", [None, 5, ["hi"]])
+def test_http_chat_reply_without_string_content_is_retried(fake_session, monkeypatch, content):
+    monkeypatch.setattr(fake_session, "body", {"choices": [{"message": {"content": content}}]})
+    gateway = _http_gateway("chat", max_retries=2)
+    with pytest.raises(RetriesExhausted, match="chat reply content must be str"):
+        HTTP_CALLS["chat"][1](gateway)
+    (session,) = fake_session.instances
+    assert len(session.posts) == 3
+
+
 def test_chat_budget_enforced():
     gateway = Gateway(chat_backend=FlakyChat(fail_times=0), max_chat_calls=1, backoff_s=0.0)
     gateway.chat(user_request("one"))
@@ -265,10 +275,13 @@ def test_embed_memo_returns_vectors_in_input_order():
         (FlakyEmbed(fail_times=0, rows=[[1.0, 0.0], [float("inf"), 1.0]]), MalformedEmbedding),
         (FlakyEmbed(fail_times=0, rows=[[1.0, 0.0], 1.0]), MalformedEmbedding),
         (FlakyEmbed(fail_times=0, rows=1.0), MalformedEmbedding),
+        (FlakyEmbed(fail_times=0, rows=[[1.0, 0.0], [0.0, 0.0]]), MalformedEmbedding),
+        (FlakyEmbed(fail_times=0, rows=[[1.0, 0.0], [1e200, 1.0]]), MalformedEmbedding),
     ],
     ids=[
         "retries-exhausted", "short-reply", "ragged-reply",
         "string", "none", "numeric-strings", "bool", "nan", "inf", "non-list-row", "bare-number",
+        "zero-norm", "overflowing-norm",
     ],
 )
 def test_failed_embed_call_memoises_nothing(backend, error):

@@ -28,6 +28,7 @@ from toolrouter.errors import (
     DuplicateName,
     EmptyBank,
     GraphError,
+    MalformedEmbedding,
     ParseError,
     UnknownParent,
     ZeroVector,
@@ -349,7 +350,7 @@ def test_screen_keeps_pair_the_matrix_rounds_below_tau():
 def test_zero_and_mismatched_embeddings_raise():
     zero = {serialize_phi(tool("anchor")): (1.0, 0.0), serialize_phi(tool("zero")): (0.0, 0.0)}
     gateway = Gateway(embedding_backend=StaticEmbeddingBackend(zero, dim=2), backoff_s=0.0)
-    with pytest.raises(ZeroVector):
+    with pytest.raises(MalformedEmbedding, match="has norm 0.0"):
         build_graph(CandidateBank(kind="tool", entries=(tool("anchor"), tool("zero"))), GraphConfig(), gateway)
     mixed = {serialize_phi(tool("anchor")): (1.0, 0.0), serialize_phi(tool("wide")): (1.0, 0.0, 0.0)}
     gateway = Gateway(embedding_backend=StaticEmbeddingBackend(mixed, dim=2), backoff_s=0.0)
@@ -367,6 +368,8 @@ def test_zero_and_mismatched_embeddings_raise():
     nodes = {"a": GraphNode(tool("a"), vec(1, 0)), "b": GraphNode(tool("b"), planted_vector((0.0, 1.0)))}
     with pytest.raises(GraphError, match="more than one model"):
         CandidateGraph(GraphConfig(), nodes=nodes)
+    with pytest.raises(GraphError, match="embedding of 'b' has norm 0.0"):
+        CandidateGraph(GraphConfig(), nodes={**tool_nodes("a"), "b": GraphNode(tool("b"), vec(0.0))})
 
 
 def test_snapshot_names_the_model_of_its_nodes(tmp_path):
@@ -395,6 +398,7 @@ def test_load_graph_rejects_broken_snapshots(tmp_path, case):
     edges = sum(line.startswith('{"edge": ') for line in saved)
     assert edges >= 3  # the first, middle and last edge lines differ
     error, phrase = BROKEN_SNAPSHOTS[case]
+    names = [json.loads(line)["node"]["name"] for line in saved[1:13]]
     for position, at in SNAPSHOT_POSITIONS.items():
         path.write_text("\n".join(corrupt_snapshot(saved, case, position)) + "\n")
         with pytest.raises(error, match=phrase) as info:
@@ -403,6 +407,8 @@ def test_load_graph_rejects_broken_snapshots(tmp_path, case):
         line = {"meta": 1, "node": 2 + at(12), "edge": 14 + at(edges), "appended": len(saved) + 1}.get(case.split()[0])
         if line is not None:
             assert f"{path}:{line}:" in str(info.value), position
+        if "norm" in case:  # checked over all the rows at once: the error names the node
+            assert f"embedding of {names[at(12)]!r}" in str(info.value), position
 
 
 def scalar_scan(graph, embeddings):
@@ -518,7 +524,9 @@ _ADVERSARIAL = st.lists(
         ),
         max_size=12,
     ),
-    embedding=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=3),
+    embedding=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=3).filter(
+        lambda row: 0 < sum(x * x for x in row) < math.inf  # a graph's rows have a finite, nonzero norm
+    ),
 )
 def test_save_graph_bytes_equal_per_record_json_dumps(tmp_path_factory, names, model_id, links, embedding):
     nodes = {

@@ -157,10 +157,22 @@ class FixedReasoner:
         return self.reply
 
 
-@pytest.mark.parametrize("reply", ["42", "null", '["route"]', '{"action": "route", "need": 5}'])
+@pytest.mark.parametrize(
+    "reply",
+    [
+        "42",
+        "null",
+        '["route"]',
+        '{"action": "route", "need": 5}',
+        '{"action": "execute", "arguments": [1, 2]}',
+        '{"action": "execute", "arguments": null}',
+        '{"action": "final", "answer": 5}',
+    ],
+)
 def test_reply_the_loop_cannot_act_on_is_the_final_answer(reply):
-    """Like non-JSON text: a reply that is no JSON object, or a route whose
-    need is no string, finishes the episode with the raw reply."""
+    """Like non-JSON text: a reply that is no JSON object, whose need or
+    answer is no string, or whose arguments are no object, finishes the
+    episode with the raw reply."""
     gateway = mock_gateway(0)
     router = RouterConfig(variant="embedding_q")
     log = run_episode("task", POOL, router, ExecutorBinding.mock_for(POOL), FixedReasoner(reply), gateway=gateway)

@@ -6,11 +6,11 @@ import random
 
 import pytest
 
-from helpers import make_agent_doc, make_tool_bank, make_tool_doc, mock_gateway
+from helpers import make_agent_bank, make_agent_doc, make_tool_bank, make_tool_doc, mock_gateway
 from toolrouter.backends import MockChatBackend, MockEmbeddingBackend
 from toolrouter.errors import NameEqualsParent, NotParseable, TagMismatch, BadAgentName
 from toolrouter.gateway import Gateway, TransientBackendError, strip_code_fence, user_request
-from toolrouter.graph import GraphConfig, build_graph
+from toolrouter.graph import CandidateGraph, GraphConfig, GraphNode, build_graph
 from toolrouter.mutation import (
     AGENT_OPERATORS,
     TOOL_OPERATORS,
@@ -179,29 +179,50 @@ def test_evolve_gateway_error_aborts_with_partial_result():
     assert result.graph is graph
 
 
-class NonFiniteOnCall(MockEmbeddingBackend):
-    """The mock embedder, except that its ``bad_call``-th call returns a non-finite row."""
+class BadRowOnCall(MockEmbeddingBackend):
+    """The mock embedder, except that its ``bad_call``-th call returns a row of ``value`` first."""
 
-    def __init__(self, bad_call):
+    def __init__(self, bad_call, value):
         super().__init__(seed=7)
-        self.bad_call, self.calls = bad_call, 0
+        self.bad_call, self.value, self.calls = bad_call, value, 0
 
     def embed(self, texts):
         self.calls += 1
         rows = super().embed(texts)
         if self.calls == self.bad_call:
-            rows[0][0] = math.inf
+            rows[0] = [self.value] * self.dim
         return rows
 
 
 def test_evolve_embedding_error_aborts_with_partial_result():
     graph = build_graph(make_tool_bank(10), GraphConfig(), mock_gateway(7))
-    gateway = Gateway(MockChatBackend(seed=7), NonFiniteOnCall(bad_call=3), backoff_s=0.0)
-    result = evolve(graph, 5, EvolveConfig(rng_seed=3), gateway)
-    assert [record.accepted for record in result.records] == [True, True, False]
-    assert result.accepted == 2 and len(result.graph) == 12
-    assert "finite" in result.aborted_error and result.records[-1].reject_reason.startswith("gateway: ")
-    assert result.records[-1].raw_response  # the reply whose mutant could not be embedded
+    for value, phrase in ((math.inf, "finite"), (0.0, "has norm 0.0")):  # a row with no cosine
+        gateway = Gateway(MockChatBackend(seed=7), BadRowOnCall(bad_call=3, value=value), backoff_s=0.0)
+        result = evolve(graph, 5, EvolveConfig(rng_seed=3), gateway)
+        assert [record.accepted for record in result.records] == [True, True, False]
+        assert result.accepted == 2 and len(result.graph) == 12
+        assert phrase in result.aborted_error and result.records[-1].reject_reason.startswith("gateway: ")
+        assert result.records[-1].raw_response  # the reply whose mutant could not be embedded
+
+
+# bank -> (EvolveConfig.tool_fraction, the kinds its rounds mutate)
+KIND_MIXES = {"agents": (1.0, {"agent"}), "mixed": (0.5, {"tool", "agent"}), "mixed, no tools": (0.0, {"agent"})}
+
+
+@pytest.mark.parametrize("mix", sorted(KIND_MIXES))
+def test_evolve_mutates_the_kinds_the_graph_has(mix):
+    tool_fraction, kinds = KIND_MIXES[mix]
+    gateway = mock_gateway(7)
+    specs = [*make_agent_bank(6), *(make_tool_bank(6) if mix.startswith("mixed") else ())]
+    vectors = gateway.embed_texts([spec.phi for spec in specs])
+    graph = CandidateGraph(GraphConfig(), nodes={s.name: GraphNode(s, v) for s, v in zip(specs, vectors)})
+    result = evolve(graph, 8, EvolveConfig(rng_seed=3, tool_fraction=tool_fraction), gateway)
+    assert result.aborted_error is None
+    assert {result.graph.specs[record.parent].kind for record in result.records} == kinds
+    accepted = [result.graph.specs[record.mutant_name] for record in result.records if record.accepted]
+    assert {mutant.kind for mutant in accepted} == kinds
+    for mutant in accepted:
+        assert result.graph.specs[mutant.provenance.parent_name].kind == mutant.kind
 
 
 def test_mutation_log_roundtrip(tmp_path):

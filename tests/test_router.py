@@ -1,5 +1,6 @@
 """Decision parsing, embedding/LLM/oracle/random routing, abstention behavior."""
 
+import math
 import random
 
 import pytest
@@ -40,6 +41,7 @@ def test_parse_decision_appendix_format():
         "[1]",
         '["not_in_pool"]',
         '<think>["%s"]</think>' % "NAME",  # array only inside think block
+        pytest.param("[" + "1" * 5000 + "]", id="int-past-the-digit-limit"),  # json.loads raises a plain ValueError
     ],
 )
 def test_parse_decision_abstains(reply):
@@ -346,15 +348,20 @@ def test_route_abstains_on_malformed_embedding_row(row):
     assert decision.rationale == "gateway error: backend embedding rows must be flat lists of finite numbers"
 
 
-@pytest.mark.parametrize("zero", ["query", "candidate"])
-def test_route_abstains_on_zero_embedding_row(zero):
+@pytest.mark.parametrize("bad", ["query", "candidate", "overflow"])
+def test_route_abstains_on_zero_embedding_row(bad):
     mapping = {spec.phi: (1.0, 0.0) for spec in POOL.specs()}
     mapping["q"] = (0.0, 1.0)
-    mapping["q" if zero == "query" else POOL.specs()[0].phi] = (0.0, 0.0)
+    text, norm = ("q" if bad == "query" else POOL.specs()[0].phi), 0.0
+    mapping[text] = (0.0, 0.0)
+    if bad == "overflow":  # every row's norm overflows, so no score is a number
+        mapping, text, norm = dict.fromkeys(mapping, (1e200, 1e200)), "q", math.inf
     gateway = Gateway(embedding_backend=StaticEmbeddingBackend(mapping, dim=2), backoff_s=0.0)
     decision = route(RouterConfig(variant="embedding_q"), "q", (), POOL, gateway)
     assert decision.abstained and decision.chosen is None
-    assert decision.rationale == "zero embedding row: cosine similarity of a zero vector is undefined"
+    assert decision.rationale == (
+        f"gateway error: embedding of {text!r} has norm {norm}; a cosine needs a finite, nonzero norm"
+    )
 
 
 def test_route_no_gateway_abstains():

@@ -1,5 +1,7 @@
 """DFS-with-restart subset sampling over the candidate graph."""
 
+import random
+
 import pytest
 
 from helpers import make_tool_bank, mock_gateway
@@ -76,6 +78,18 @@ def test_component_exhaustion_draws_new_seed():
     subset = sample_subset(graph, SamplerConfig(target_size=4, rng_seed=0))
     assert set(subset.members) == {"a", "b", "x", "y"}
     assert len(subset.seed_nodes) >= 2  # one per component
+
+
+def test_requested_seeds_start_walks_before_random_ones():
+    graph = tiny_graph(list("abcdef"), [("a", "b", "similarity"), ("c", "d", "similarity"), ("e", "f", "mutation")])
+    pairs = {frozenset("ab"), frozenset("cd"), frozenset("ef")}
+    for seed in range(20):
+        subset = sample_subset(graph, SamplerConfig(num_seeds=2, target_size=4, restart_prob=0.0, rng_seed=seed))
+        requested = random.Random(seed).sample(graph.names(), 2)
+        assert subset.seed_nodes[:2] == tuple(requested)
+        assert len(subset) == 4 and set(requested) <= set(subset.members)
+        if frozenset(requested) not in pairs:  # the second seed walks its own pair: no random seed
+            assert subset.seed_nodes == tuple(requested)
 
 
 def test_target_capped_at_graph_size():

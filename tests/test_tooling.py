@@ -173,6 +173,43 @@ def test_every_discard_reason_is_one_the_bench_counts():
     assert unnamed_discard_reasons(source, prefixes) == []
 
 
+def catch_alls(source: str) -> list[str]:
+    """The handlers of ``source`` that catch everything (a bare ``except``, or
+    ``Exception`` or ``BaseException`` among the types caught), each named by
+    the classes and functions around it."""
+    found = []
+
+    def visit(node: ast.AST, where: list[str]) -> None:
+        for child in ast.iter_child_nodes(node):
+            inner = where
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = [*where, child.name]
+            elif isinstance(child, ast.ExceptHandler):
+                caught = child.type.elts if isinstance(child.type, ast.Tuple) else [child.type]
+                if any(kind is None or getattr(kind, "id", None) in ("Exception", "BaseException") for kind in caught):
+                    found.append(".".join(where) or "<module>")
+            visit(child, inner)
+
+    visit(ast.parse(source), [])
+    return found
+
+
+def test_catch_all_check_flags_only_handlers_that_catch_everything():
+    source = (
+        "try:\n    pass\nexcept:\n    pass\n"
+        "class A:\n    def f(self):\n        try:\n            pass\n"
+        "        except (KeyError, Exception):\n            pass\n        except ValueError:\n            pass\n"
+        "def g():\n    try:\n        pass\n    except BaseException:\n        raise\n"
+    )
+    assert catch_alls(source) == ["<module>", "A.f", "g"]
+
+
+def test_only_the_network_boundary_catches_everything():
+    """Past the HTTP call every error is a typed one, caught by its own type."""
+    found = [f"{path.name}: {where}" for path in SOURCES for where in catch_alls(path.read_text(encoding="utf-8"))]
+    assert found == ["backends.py: _HTTPBackend._post"]
+
+
 def python_3_10_syntax_errors(paths: list[Path]) -> list[str]:
     """The files that do not parse with the grammar of Python 3.10, the oldest version CI runs."""
     errors = []
