@@ -129,7 +129,7 @@ class MockChatBackend:
             return self._simulated_result(prompt)
         if prompts.USER_TURN_MARKER in prompt:
             return self._user_turn(prompt)
-        if prompt.startswith("You are an Agent Router.") or prompt.startswith("You are a Tool Router."):
+        if prompt.startswith((prompts.ROUTER_SYSTEM_AGENT, prompts.ROUTER_SYSTEM_TOOL)):
             return self._routing_reply(prompt)
         if prompts.LRA_REASONER_MARKER in prompt:
             return self._lra_action(prompt)

@@ -140,7 +140,7 @@ def synthesize_cmd(config_path, seed, backend, graph_path, count, out_path) -> N
     trajectories = synthesize_batch(
         graph,
         count,
-        replace(cfg.sampler, rng_seed=cfg.rng_seed),
+        cfg.sampler,
         replace(cfg.synthesis, rng_seed=cfg.rng_seed),
         make_gateway(cfg),
     )
@@ -154,18 +154,15 @@ def synthesize_cmd(config_path, seed, backend, graph_path, count, out_path) -> N
 @with_common
 @click.option("--trajectories", "traj_path", type=click.Path(exists=True), required=True)
 @click.option("--graph", "graph_path", type=click.Path(exists=True), required=True)
-@click.option("--kind", type=click.Choice(["tool", "agent"]), default="tool")
 @click.option("--pool-scope", type=click.Choice(["subset", "graph"]), default="subset")
 @click.option("--ablation", is_flag=True, default=False)
 @click.option("--out", "out_path", type=click.Path(), required=True)
-def extract_cmd(
-    config_path, seed, backend, traj_path, graph_path, kind, pool_scope, ablation, out_path
-) -> None:
-    """Extract history-aware routing instances into a dataset file."""
+def extract_cmd(config_path, seed, backend, traj_path, graph_path, pool_scope, ablation, out_path) -> None:
+    """Extract history-aware routing instances over the graph's candidates into a dataset file."""
     _pipeline_config(config_path, seed, backend)
     trajectories = load_trajectories(traj_path)
     graph = load_graph(graph_path)
-    bank = CandidateBank(kind=kind, entries=tuple(map(graph.specs.__getitem__, graph.names_of_kind(kind))))
+    bank = CandidateBank(kind=graph.kind, entries=tuple(map(graph.specs.__getitem__, graph.names())))
     if pool_scope == "graph":
         pools = [CandidatePool.whole_bank(bank)] * len(trajectories)
     else:
@@ -173,7 +170,7 @@ def extract_cmd(
             CandidatePool(bank=bank, membership=trajectory.subset.members)
             for trajectory in trajectories
         ]
-    counts = build_dataset(trajectories, pools, out_path, kind=kind, ablation=ablation)
+    counts = build_dataset(trajectories, pools, out_path, ablation=ablation)
     for file_path, count in counts.items():
         click.echo(f"dataset: {count} samples -> {file_path}")
 

@@ -11,6 +11,7 @@ import yaml
 from .backends import HTTPChatBackend, HTTPEmbeddingBackend, MockChatBackend, MockEmbeddingBackend
 from .errors import BadConfig, IoError, ParseError
 from .gateway import Gateway
+from .graph import DEFAULT_TAU
 from .mutation import EvolveConfig
 from .router import RouterConfig
 from .sampler import SamplerConfig
@@ -33,7 +34,7 @@ class BackendConfig:
 @dataclass
 class PipelineConfig:
     seed: int | None = 42
-    tau: float = 0.82
+    tau: float = DEFAULT_TAU
     backend: BackendConfig = field(default_factory=BackendConfig)
     mutation: EvolveConfig = field(default_factory=EvolveConfig)
     sampler: SamplerConfig = field(default_factory=SamplerConfig)
@@ -61,7 +62,7 @@ class PipelineConfig:
 # The YAML-settable keys of each stage section. The pipeline sets the other
 # fields of a stage config (seeds, model ids, the router variant and kind).
 STAGE_KEYS: dict[str, tuple[type, tuple[str, ...]]] = {
-    "mutation": (EvolveConfig, ("max_retries", "tool_fraction", "temperature")),
+    "mutation": (EvolveConfig, ("max_retries", "temperature")),
     "sampler": (SamplerConfig, ("num_seeds", "target_size", "target_range", "restart_prob")),
     "synthesis": (SynthesisConfig, ("max_retries", "max_turns", "error_prob", "temperature")),
     "eval": (RouterConfig, ("temperature",)),

@@ -31,12 +31,7 @@ class Setting(Enum):
     PLUS_EXTERNAL = "+External"
 
 
-SETTING_ORDER: tuple[Setting, ...] = (
-    Setting.CLEAN,
-    Setting.MULTI,
-    Setting.PLUS_MUTATION,
-    Setting.PLUS_EXTERNAL,
-)
+SETTING_ORDER: tuple[Setting, ...] = tuple(Setting)
 
 
 @dataclass(frozen=True)
@@ -88,7 +83,8 @@ class PoolSetting:
 
 
 def _mutant_bank(graph: CandidateGraph, kind: str) -> CandidateBank:
-    specs = map(graph.specs.__getitem__, graph.names_of_kind(kind))
+    """The graph's mutants in name order when its candidates are of ``kind``; no mutants otherwise."""
+    specs = map(graph.specs.__getitem__, graph.names() if graph.kind == kind else ())
     entries = tuple(spec for spec in specs if spec.provenance.origin == "mutant")
     return CandidateBank(kind=kind, entries=entries)
 

@@ -7,15 +7,16 @@ the scalar :func:`cosine_similarity`, vectorised over the pairs that clear
 the screen, decides them, so the edges and their weights are bit for bit
 those of an all-pairs scalar scan.
 
-The snapshots of one chain of insertions share a store of arrays that only
-grows: the nodes' names and specs, a ``name -> row`` index, one float64
-embedding matrix of one embedding model with its norms (grown by amortised
-doubling), and an edge table of endpoint names, kinds and weights, one list
-each. A snapshot reads the first ``len(graph)`` rows and the first edges of
-the store, so a parent never sees a child's node or edges; inserting into a
-snapshot whose store a sibling insertion has already extended copies the
-snapshot's part of the store first. ``graph.specs`` reads the specs from the
-store, and ``Edge`` objects are built only for a caller that reads ``edges``.
+A graph holds candidates of one kind, tools or agents. The snapshots of one
+chain of insertions share a store of arrays that only grows: the nodes'
+names and specs, a ``name -> row`` index, one float64 embedding matrix of
+one embedding model with its norms (grown by amortised doubling), and an
+edge table of endpoint names, kinds and weights, one list each. A snapshot
+reads the first ``len(graph)`` rows and the first edges of the store, so a
+parent never sees a child's node or edges; inserting into a snapshot whose
+store a sibling insertion has already extended copies the snapshot's part of
+the store first. ``graph.specs`` reads the specs from the store, and
+``Edge`` objects are built only for a caller that reads ``edges``.
 """
 
 from __future__ import annotations
@@ -224,19 +225,17 @@ class CandidateGraph:
         self._bind(config, store, len(store), len(store.edge_a))
 
     @classmethod
-    def _view(
-        cls, config: GraphConfig, store: _Store, kinds: dict[str, tuple[str, ...]] | None = None
-    ) -> "CandidateGraph":
-        """The snapshot of all of ``store``."""
+    def _view(cls, config: GraphConfig, store: _Store, names: tuple[str, ...] | None = None) -> "CandidateGraph":
+        """The snapshot of all of ``store``; ``names``, when given, are its node names sorted."""
         graph = cls.__new__(cls)
-        graph._bind(config, store, len(store), len(store.edge_a), kinds)
+        graph._bind(config, store, len(store), len(store.edge_a))
+        if names is not None:
+            graph._names = names
         return graph
 
-    def _bind(
-        self, config: GraphConfig, store: _Store, n: int, m: int, kinds: dict[str, tuple[str, ...]] | None = None
-    ) -> None:
+    def _bind(self, config: GraphConfig, store: _Store, n: int, m: int) -> None:
         self.config = config
-        self._store, self._n, self._m, self._kinds = store, n, m, kinds
+        self._store, self._n, self._m = store, n, m
         self.specs: Mapping[str, CandidateSpec] = _Specs(store, n)
 
     @property
@@ -246,25 +245,17 @@ class CandidateGraph:
     def __len__(self) -> int:
         return self._n
 
+    @property
+    def kind(self) -> str | None:
+        """The kind of every node; None for a graph without nodes."""
+        return self._store.specs[0].kind if self._n else None
+
     @cached_property
-    def _names(self) -> list[str]:
-        return sorted(self._store.names[: self._n])
+    def _names(self) -> tuple[str, ...]:
+        return tuple(sorted(self._store.names[: self._n]))
 
     def names(self) -> list[str]:
         return list(self._names)
-
-    def _kind_names(self) -> dict[str, tuple[str, ...]]:
-        """kind -> the sorted names of that kind, derived once per snapshot."""
-        if self._kinds is None:
-            store, kinds = self._store, {}
-            for name in self._names:
-                kinds.setdefault(store.specs[store.index[name]].kind, []).append(name)
-            self._kinds = {kind: tuple(names) for kind, names in kinds.items()}
-        return self._kinds
-
-    def names_of_kind(self, kind: str) -> tuple[str, ...]:
-        """The sorted names of one kind."""
-        return self._kind_names().get(kind, ())
 
     @cached_property
     def _edge_codes(self) -> tuple[list[str], list[str], dict[str, int], np.ndarray, np.ndarray, np.ndarray]:
@@ -377,6 +368,8 @@ def add_mutant(
         raise UnknownParent(parent)
     if mutant.name in graph.specs:
         raise DuplicateName(mutant.name)
+    if mutant.kind != graph.kind:
+        raise GraphError(f"{mutant.kind} mutant {mutant.name!r} in a graph of {graph.kind}s")
     store, n = graph._store, len(graph)
     if embedding.values.shape != store.matrix.shape[1:]:
         raise DimensionMismatch(f"dims differ: {sorted({store.matrix.shape[1], embedding.dim})}")
@@ -388,11 +381,9 @@ def add_mutant(
     store.append_node(mutant, embedding.values, norm)
     store.append_edges([parent], [mutant.name], "mutation", [None])
     _link_similar(store, graph.config.tau, n)
-    kinds = dict(graph._kind_names())  # the parent's names by kind, with the mutant's name in its place
-    names = kinds.get(mutant.kind, ())
+    names = graph._names  # the parent's sorted names, with the mutant's name in its place
     at = bisect.bisect(names, mutant.name)
-    kinds[mutant.kind] = names[:at] + (mutant.name,) + names[at:]
-    return CandidateGraph._view(graph.config, store, kinds)
+    return CandidateGraph._view(graph.config, store, names[:at] + (mutant.name,) + names[at:])
 
 
 def save_graph(graph: CandidateGraph, path: str | Path) -> None:
@@ -499,6 +490,8 @@ class _SnapshotReader:
             raise ValueError(f"node {name!r} holds the spec of {spec.name!r}")
         if model_id != self.model_id:
             raise ValueError(f"node embeddings come from more than one model: {model_id!r}, not {self.model_id!r}")
+        if self.specs and spec.kind != self.specs[0].kind:
+            raise ValueError(f"{spec.kind} node {name!r} in a graph of {self.specs[0].kind}s: a graph holds one kind")
         self.index[name] = len(self.names)
         self.names.append(name)
         self.specs.append(spec)

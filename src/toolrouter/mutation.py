@@ -128,10 +128,10 @@ class MutationRecord:
         }
 
 
-def _pick(graph: CandidateGraph, rng: random.Random, kind: str) -> tuple[str, MutationOperator]:
-    """Uniform (candidate, operator) draw over the nodes of a kind the graph has."""
-    operators = TOOL_OPERATORS if kind == "tool" else AGENT_OPERATORS
-    return rng.choice(graph.names_of_kind(kind)), rng.choice(operators)
+def _pick(graph: CandidateGraph, rng: random.Random) -> tuple[str, MutationOperator]:
+    """Uniform (candidate, operator) draw over the graph's nodes and the operators of their kind."""
+    operators = TOOL_OPERATORS if graph.kind == "tool" else AGENT_OPERATORS
+    return rng.choice(graph.names()), rng.choice(operators)
 
 
 def render_mutation_prompt(
@@ -163,13 +163,11 @@ def render_mutation_prompt(
     return user_request(content, temperature=temperature)
 
 
-def parse_mutant(
-    response: str, kind: str, base: CandidateSpec, operator: MutationOperator
-) -> CandidateSpec:
-    """Parse and validate an LLM mutation reply; stamps mutation provenance."""
+def parse_mutant(response: str, base: CandidateSpec, operator: MutationOperator) -> CandidateSpec:
+    """Parse and validate an LLM mutation reply as a candidate of the base's kind; stamps mutation provenance."""
     document = parse_json_reply(response, "mutant reply")
     document.pop("provenance", None)
-    spec = validate_spec(document, kind)
+    spec = validate_spec(document, base.kind)
     if spec.name == base.name:
         raise NameEqualsParent(f"mutant name equals parent name: {spec.name!r}")
     if base.kind == "tool" and spec.tags != base.tags:
@@ -181,14 +179,11 @@ def parse_mutant(
 class EvolveConfig:
     rng_seed: int = 0
     max_retries: int = 2
-    tool_fraction: float = 1.0  # probability a round mutates a tool when both kinds exist
     temperature: float = 0.8
 
     def __post_init__(self) -> None:
         if self.max_retries < 0:
             raise BadConfig("max_retries must be >= 0")
-        if not 0 <= self.tool_fraction <= 1:
-            raise BadConfig("tool_fraction must be in [0, 1]")
         if self.temperature < 0:
             raise BadConfig("temperature must be >= 0")
 
@@ -214,22 +209,13 @@ def evolve(graph: CandidateGraph, rounds: int, cfg: EvolveConfig, gateway: Gatew
     """
     if rounds < 0:
         raise ValueError("rounds must be >= 0")
+    if rounds and graph.kind is None:
+        raise EmptyGraph("cannot evolve an empty graph")
     result = EvolveResult(graph=graph)
     rejects = (MutationError, SpecError, ValidationError, DuplicateName)
     for round_index in range(rounds):
         rng = random.Random(derive_seed(cfg.rng_seed, "round", round_index))
-        have_tools = bool(result.graph.names_of_kind("tool"))
-        have_agents = bool(result.graph.names_of_kind("agent"))
-        if have_tools and have_agents:
-            kind = "tool" if rng.random() < cfg.tool_fraction else "agent"
-        elif have_tools:
-            kind = "tool"
-        elif have_agents:
-            kind = "agent"
-        else:
-            raise EmptyGraph("cannot evolve an empty graph")
-
-        parent_name, op = _pick(result.graph, rng, kind)
+        parent_name, op = _pick(result.graph, rng)
         parent_spec = result.graph.specs[parent_name]
         request = render_mutation_prompt(parent_spec, op, temperature=cfg.temperature)
 
@@ -238,7 +224,7 @@ def evolve(graph: CandidateGraph, rounds: int, cfg: EvolveConfig, gateway: Gatew
         def read(reply: str) -> tuple[CandidateGraph, str]:
             nonlocal raw_response
             raw_response = reply
-            mutant = parse_mutant(reply, kind, parent_spec, op)
+            mutant = parse_mutant(reply, parent_spec, op)
             return add_mutant(result.graph, parent_name, mutant, gateway.embed_text(mutant.phi)), mutant.name
 
         try:

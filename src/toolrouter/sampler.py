@@ -53,9 +53,10 @@ def sample_subset(graph: CandidateGraph, cfg: SamplerConfig) -> CandidateSubset:
     """Grow a DFS from uniform seed nodes over both edge kinds.
 
     With probability restart_prob a step backtracks to the previous branch
-    point instead of descending. If the walk exhausts its component before
-    reaching the target size, an extra uniform seed is drawn from the
-    unvisited nodes. Deterministic given (graph, cfg).
+    point instead of descending. When a walk ends before the target size,
+    the next walk starts at the next requested seed that no walk reached, or
+    else at an extra uniform seed drawn from the unvisited nodes.
+    Deterministic given (graph, cfg).
     """
     if len(graph) == 0:
         raise EmptyGraph("cannot sample from an empty graph")
@@ -72,22 +73,16 @@ def sample_subset(graph: CandidateGraph, cfg: SamplerConfig) -> CandidateSubset:
     seed_nodes: list[str] = []
     trace: list[tuple[str, str, str]] = []
     stack: list[str] = []
-
-    def admit_seed(name: str) -> None:
-        visited[name] = None
-        seed_nodes.append(name)
-        stack.append(name)
-
-    pending_seeds = list(seeds)
-    admit_seed(pending_seeds.pop(0))
+    pending_seeds = iter(seeds)
 
     while len(visited) < target:
-        if not stack:
-            if pending_seeds:
-                admit_seed(pending_seeds.pop(0))
-                continue
-            unvisited = [name for name in all_names if name not in visited]
-            admit_seed(rng.choice(unvisited))  # target <= len(graph): never empty
+        if not stack:  # a walk starts; a requested seed that an earlier walk reached is skipped
+            seed = next((name for name in pending_seeds if name not in visited), None)
+            if seed is None:
+                seed = rng.choice([name for name in all_names if name not in visited])  # target <= len(graph)
+            visited[seed] = None
+            seed_nodes.append(seed)
+            stack.append(seed)
             continue
         current = stack[-1]
         frontier = [(other, kind) for other, kind in graph.neighbors(current) if other not in visited]

@@ -9,7 +9,7 @@ strictly before that observation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -42,13 +42,6 @@ class RoutingInstance:
     pool: CandidatePool
     label: str
     origin: InstanceOrigin
-
-
-@dataclass(frozen=True)
-class RenderedSample:
-    system: str
-    user: str
-    expected: tuple[str, ...]
 
 
 def extract_instances(trajectory: Trajectory, pool: CandidatePool) -> list[RoutingInstance]:
@@ -95,10 +88,6 @@ def strip_history(instance: RoutingInstance) -> RoutingInstance:
 # --- rendering -------------------------------------------------------------------
 
 
-def render_pool_block(pool: CandidatePool) -> str:
-    return pool_json(pool.specs())
-
-
 def render_prompt(query: str, history: Sequence[Turn], pool: CandidatePool, kind: str) -> tuple[str, str]:
     """The (system, user) router messages for a query, its history and a pool."""
     if kind not in ("tool", "agent"):
@@ -111,19 +100,11 @@ def render_prompt(query: str, history: Sequence[Turn], pool: CandidatePool, kind
         prompts.ROUTER_USER_TEMPLATE,
         HISTORY=history_slot,
         QUERY=query,
-        POOL_JSON=render_pool_block(pool),
+        POOL_JSON=pool_json(pool.specs()),
         PLURAL=plural,
         SINGULAR=kind,
     )
     return system, user
-
-
-def render_sample(instance: RoutingInstance, kind: str) -> RenderedSample:
-    """Render one instance into the (system, user, expected) exchange format."""
-    if instance.label not in instance.pool.member_set:
-        raise PoolMissingLabel(instance.label)
-    system, user = render_prompt(instance.query, instance.history, instance.pool, kind)
-    return RenderedSample(system=system, user=user, expected=(instance.label,))
 
 
 # --- dataset file ------------------------------------------------------------------
@@ -165,7 +146,7 @@ class DatasetRecord:
     def from_dict(document: dict) -> "DatasetRecord":
         if document["kind"] not in ("tool", "agent"):
             raise ValueError(f"unknown kind {document['kind']!r}")
-        return DatasetRecord(
+        record = DatasetRecord(
             kind=document["kind"],
             system=typed(document["system"], str, "system"),
             user=typed(document["user"], str, "user"),
@@ -176,23 +157,27 @@ class DatasetRecord:
             group=typed(document.get("group", "all"), str, "group"),
             origin=document.get("origin"),
         )
+        expected = document[record.expected_key]
+        if expected != [record.label]:
+            raise ValueError(f"{record.expected_key} {expected!r} does not state the label {record.label!r} alone")
+        return record
 
 
-def record_from_instance(instance: RoutingInstance, kind: str) -> DatasetRecord:
-    rendered = render_sample(instance, kind)
+def render_sample(instance: RoutingInstance) -> DatasetRecord:
+    """Render one instance into a dataset record, in the kind of its pool's candidates."""
+    if instance.label not in instance.pool.member_set:
+        raise PoolMissingLabel(instance.label)
+    kind = instance.pool.bank.kind
+    system, user = render_prompt(instance.query, instance.history, instance.pool, kind)
     return DatasetRecord(
         kind=kind,
-        system=rendered.system,
-        user=rendered.user,
+        system=system,
+        user=user,
         query=instance.query,
         history=instance.history,
-        pool_specs=tuple(public_spec(spec) for spec in instance.pool.specs()),
+        pool_specs=tuple(map(public_spec, instance.pool.specs())),
         label=instance.label,
-        origin={
-            "trajectory_id": instance.origin.trajectory_id,
-            "step": instance.origin.step,
-            "call_index": instance.origin.call_index,
-        },
+        origin=asdict(instance.origin),
     )
 
 
@@ -201,7 +186,6 @@ def build_dataset(
     pools: Sequence[CandidatePool],
     path: str | Path,
     *,
-    kind: str = "tool",
     ablation: bool = False,
 ) -> dict[str, int]:
     """Stream rendered samples to a JSONL file; ``pools`` holds one pool per trajectory.
@@ -218,10 +202,10 @@ def build_dataset(
         for trajectory, pool in zip(trajectories, pools)
         for instance in extract_instances(trajectory, pool)
     ]
-    counts = {str(path): save_dataset((record_from_instance(i, kind) for i in instances), path)}
+    counts = {str(path): save_dataset(map(render_sample, instances), path)}
     if ablation:
         twin_path = path.with_name(path.name + ".nohistory")
-        twins = (record_from_instance(strip_history(i), kind) for i in instances)
+        twins = (render_sample(strip_history(i)) for i in instances)
         counts[str(twin_path)] = save_dataset(twins, twin_path)
     return counts
 

@@ -280,8 +280,8 @@ def simulate_trajectory(
     return Trajectory(trajectory_id=trajectory_id, turns=tuple(turns), subset=subset, plan=plan)
 
 
-def validate_trajectory(trajectory: Trajectory, subset: CandidateSubset) -> list[str]:
-    """Pure structural check (alternation, subset membership); the violations found."""
+def validate_trajectory(trajectory: Trajectory) -> list[str]:
+    """Pure structural check (alternation, membership of its subset); the violations found."""
     violations = []
     turns = trajectory.turns
     if len(turns) < 2:
@@ -296,7 +296,7 @@ def validate_trajectory(trajectory: Trajectory, subset: CandidateSubset) -> list
         if not isinstance(turn, Action):
             continue
         for call in turn.calls:
-            if call.name not in subset:
+            if call.name not in trajectory.subset:
                 violations.append(f"out-of-subset call {call.name!r} at turn {index}")
     return violations
 
@@ -384,7 +384,7 @@ def trajectory_from_dict(document: dict) -> Trajectory:
         subset=subset,
         plan=plan,
     )
-    violations = validate_trajectory(trajectory, subset)
+    violations = validate_trajectory(trajectory)
     if violations:
         raise ValueError("; ".join(violations))
     return trajectory

@@ -86,7 +86,7 @@ def run_pipeline(trajectory_count=100):
 def pipeline(tmp_path_factory):
     path = tmp_path_factory.mktemp("pipeline") / "dataset.jsonl"
     gateway, graph, trajectories, pools, result = run_pipeline()
-    build_dataset(trajectories, pools, path, kind="tool")
+    build_dataset(trajectories, pools, path)
     records = load_dataset(path)
     return {
         "gateway": gateway,
@@ -319,7 +319,7 @@ def test_criterion_5_rendered_format_fidelity():
         label="economy_forecasting_agent",
         origin=InstanceOrigin("appendix", 1),
     )
-    rendered = render_sample(instance, "agent")
+    rendered = render_sample(instance)
 
     assert rendered.system.startswith("You are an Agent Router.")
     assert "select the most relevant agents" in rendered.system
@@ -334,7 +334,7 @@ def test_criterion_5_rendered_format_fidelity():
     assert f'<current query>"{instance.query}"</current query>' in rendered.user
     assert "<agents>" in rendered.user
     assert '"name": "economy_forecasting_agent"' in rendered.user
-    assert rendered.expected == ("economy_forecasting_agent",)
+    assert rendered.kind == "agent" and rendered.to_dict()["expected_agent"] == ["economy_forecasting_agent"]
 
     reply = '<think>\nThe history shows an economics thread, so stay with it.\n</think>\n\n["economy_forecasting_agent"]'
     assert parse_decision(reply, pool) == "economy_forecasting_agent"
@@ -597,7 +597,7 @@ def test_criterion_9_end_to_end_pipeline(tmp_path):
         gateway, graph, trajectories, pools, result = run_pipeline(trajectory_count=100)
         assert len(trajectories) == 100
         path = tmp_path / f"dataset_{tag}.jsonl"
-        build_dataset(trajectories, pools, path, kind="tool")
+        build_dataset(trajectories, pools, path)
         records = load_dataset(path)
         oracle = evaluate(
             RouterConfig(variant="oracle"), records, PoolSetting(), k=5, seed=0, gateway=gateway

@@ -302,7 +302,7 @@ def test_broken_snapshot_exits_1(workspace, case):
         "seed: 1\nsampler:\n  target_range: 5\n",  # not a pair
         "seed: 1\nsynthesis:\n  max_turns: \"12\"\n",  # string for an integer
         "seed: 1\nsampler:\n  restart_probabilty: 0.3\n",  # misspelt key
-        "seed: 1\nmutation:\n  tool_fraction: x\n",  # string for a number
+        "seed: 1\nmutation:\n  tool_fraction: x\n",  # unknown key: a graph holds one kind, so none to choose
         "seed: 1\nsampler:\n  rng_seed: 3\n",  # derived field
         "seed: 1\nmutation:\n  max_retries: -1\n",  # evolve would make no attempt
         "seed: 1\nmutation:\n  temperature: -1\n",  # chat requests need temperature >= 0
@@ -315,7 +315,7 @@ def test_broken_snapshot_exits_1(workspace, case):
         "seed: 1\nsynthesis:\n  max_turns: 3\n",  # no plan could ever fit: 0 trajectories
         "seed: 1\nsynthesis:\n  error_prob: -1\n",  # a probability
         "seed: 1\nsynthesis:\n  error_prob: 7\n",
-        "seed: 1\nmutation:\n  tool_fraction: -2\n",  # a probability
+        "seed: 1\nmutation:\n  tool_fraction: -2\n",  # unknown key, whatever its value
     ],
 )
 def test_bad_config_exits_1(workspace, config_text):
@@ -324,6 +324,16 @@ def test_bad_config_exits_1(workspace, config_text):
     config_path.write_text(config_text, encoding="utf-8")
     result = run(["build-graph", "--config", str(config_path), "--bank", bank_path, "--out", str(tmp_path / "g.jsonl")])
     one_error_line(result)
+
+
+def test_a_share_of_tool_rounds_is_an_unknown_key(workspace):
+    """A graph holds one kind, so a config has no share of tool rounds to set."""
+    tmp_path, bank_path, _ = workspace
+    config_path = tmp_path / "old.yaml"
+    config_path.write_text("seed: 1\nmutation:\n  tool_fraction: 0.5\n", encoding="utf-8")
+    result = run(["build-graph", "--config", str(config_path), "--bank", bank_path, "--out", str(tmp_path / "g.jsonl")])
+    one_error_line(result)
+    assert f"unknown config {config_path} mutation key(s): tool_fraction" in result.output
 
 
 def test_tau_flag_outside_range_exits_1(workspace):
@@ -351,9 +361,38 @@ def test_extract_with_graph_scope_pools_the_graph_bank_of_the_kind(chain_files):
     args = ["extract", *config, "--trajectories", str(trajs), "--graph", str(graph), "--pool-scope", "graph"]
     assert run([*args, "--out", str(dataset)]).exit_code == 0
     records = load_dataset(dataset)
-    names = list(load_graph(graph).names_of_kind("tool"))
+    names = load_graph(graph).names()
     assert len(records) > 1 and len(names) == 12
     assert all([spec["name"] for spec in record.pool_specs] == names for record in records)
+
+
+@pytest.mark.parametrize("scope", ["subset", "graph"])
+def test_agent_bank_chain_writes_agent_records(workspace, scope):
+    """extract takes the kind from the graph's candidates, so an agent bank's chain needs no kind flag."""
+    tmp_path, _, config_path = workspace
+    bank, graph, evolved, trajs, dataset = (tmp_path / f"{name}.jsonl" for name in ("bank", "g", "e", "t", "d"))
+    save_bank(make_agent_bank(8), bank)
+    chain = [
+        ["build-graph", "--bank", str(bank), "--out", str(graph)],
+        ["mutate", "--graph", str(graph), "--rounds", "3", "--out", str(evolved)],
+        ["synthesize", "--graph", str(evolved), "--count", "3", "--out", str(trajs)],
+        ["extract", "--trajectories", str(trajs), "--graph", str(evolved), "--pool-scope", scope, "--out", str(dataset)],
+        ["evaluate", "--dataset", str(dataset), "--router", "oracle", "--router", "llm"],
+    ]
+    for args in chain:
+        result = run([*args, "--config", config_path])
+        assert result.exit_code == 0, result.output
+    records = load_dataset(dataset)
+    assert len(records) > 1 and {record.kind for record in records} == {"agent"}
+    assert all(record.system.startswith("You are an Agent Router.") for record in records)
+    assert "oracle: avg@5 = 1.0000" in result.output
+
+
+def test_extract_has_no_kind_flag(chain_files):
+    config, graph, trajs, dataset = chain_files
+    args = ["extract", *config, "--trajectories", str(trajs), "--graph", str(graph), "--kind", "tool"]
+    result = run([*args, "--out", str(dataset)])
+    assert result.exit_code == 2 and "No such option '--kind'" in result.output
 
 
 def _edit_first_pool_entry(case):
@@ -374,13 +413,18 @@ TOOL_FIELD_CASES = sorted(case for case, (kind, _, _) in MALFORMED_SPEC_FIELDS.i
         ("dataset", lambda doc: [1], "{path}:2"),
         ("dataset", lambda doc: {**doc, "pool": 5}, "{path}:2"),
         ("dataset", lambda doc: {**doc, "query": 5}, "{path}:2"),
-        ("dataset", lambda doc: {**doc, "label": "not_in_the_pool"}, "label not in its pool"),
+        ("dataset", lambda doc: {**doc, "label": "not_in_the_pool", "expected_tool": ["not_in_the_pool"]},
+         "label not in its pool"),
+        # a record states its label twice: both places must agree
+        ("dataset", lambda doc: {**doc, "expected_tool": [next(e["name"] for e in doc["pool"] if e["name"] != doc["label"])]},
+         "{path}:2: expected_tool"),
         # a pool entry with a mistyped field fails in evaluate, which names the field
         *(("dataset", _edit_first_pool_entry(case), MALFORMED_SPEC_FIELDS[case][2]) for case in TOOL_FIELD_CASES),
     ],
     ids=[
         "traj-not-object", "traj-members-int", "traj-alternation", "dataset-not-object", "dataset-pool-int",
-        "dataset-query-int", "dataset-label-outside-pool", *(f"dataset-pool-{case}" for case in TOOL_FIELD_CASES),
+        "dataset-query-int", "dataset-label-outside-pool", "dataset-expected-not-label",
+        *(f"dataset-pool-{case}" for case in TOOL_FIELD_CASES),
     ],
 )
 def test_malformed_jsonl_line_exits_1(chain_files, target, edit, where):
@@ -720,7 +764,6 @@ ALL_SECTION_KEYS_YAML = """\
 seed: 9
 mutation:
   max_retries: 1
-  tool_fraction: 0.5
   temperature: 0.6
 sampler:
   num_seeds: 2

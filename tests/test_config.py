@@ -33,11 +33,11 @@ def test_every_section_key_reaches_its_dataclass(tmp_path):
     path = tmp_path / "config.yaml"
     path.write_text(ALL_SECTION_KEYS_YAML, encoding="utf-8")
     cfg = load_config(path)
-    assert cfg.mutation == EvolveConfig(max_retries=1, tool_fraction=0.5, temperature=0.6)
+    assert cfg.mutation == EvolveConfig(max_retries=1, temperature=0.6)
     assert cfg.sampler == SamplerConfig(num_seeds=2, target_size=5, target_range=(3, 6), restart_prob=0.6)
     assert cfg.synthesis == SynthesisConfig(max_retries=3, max_turns=13, error_prob=0.4, temperature=0.5)
     assert cfg.eval == RouterConfig(temperature=0.7)
-    assert sum(len(keys) for _cls, keys in STAGE_KEYS.values()) == 12
+    assert sum(len(keys) for _cls, keys in STAGE_KEYS.values()) == 11
 
 
 def test_readme_library_usage_runs(tmp_path, monkeypatch, capsys):
@@ -64,4 +64,4 @@ def test_readme_config_table_lists_exactly_the_settable_keys():
         entries = re.sub(r"\([^)]*\)", "", keys).split(",")
         listed[section.strip("`")] = {m.group(1) for m in (re.match(r"\s*`(\w+)`", e) for e in entries) if m}
     assert listed == settable
-    assert sum(map(len, settable.values())) == 23
+    assert sum(map(len, settable.values())) == 22

@@ -19,7 +19,6 @@ from helpers import (
     make_agent_doc,
     make_family_bank,
     make_tool_bank,
-    make_tool_doc,
     mock_gateway,
     planted_unit_vector,
 )
@@ -274,7 +273,7 @@ def test_branching_inserts_from_one_snapshot(tmp_path):
     assert g2.names() == sorted([*g0.names(), "mutant_two"])
     assert all("mutant_one" not in (edge.a, edge.b) for edge in g2.edges)
     assert any(kind == "similarity" for _, kind in g2.neighbors("mutant_two"))
-    assert list(g2.names_of_kind("tool")) == g2.names()
+    assert g2.kind == "tool"
     assert g3.names() == sorted([*g1.names(), "mutant_two"])
     embeddings = {spec.name: gateway.embed_text(spec.phi) for spec in (*bank, m1, m2)}
     for graph in (g0, g1, g2, g3):
@@ -283,32 +282,52 @@ def test_branching_inserts_from_one_snapshot(tmp_path):
             assert graph.neighbors(name) == scanned_neighbors(graph, name)
 
 
-def test_names_of_kind_on_a_graph_with_tools_and_agents(tmp_path):
-    """Inserts of both kinds, and a sibling branch, keep each snapshot's
-    names of each kind equal to a sorted scan of its nodes."""
+def test_sorted_names_on_sibling_branches(tmp_path):
+    """Inserts, and a sibling branch from a snapshot whose store a later
+    insert extended, keep each snapshot's names equal to a sorted scan of its nodes."""
     gateway = mock_gateway(0)
-    specs = [*make_tool_bank(8), *make_agent_bank(6)]
-    vectors = gateway.embed_texts([spec.phi for spec in specs])
-    g0 = CandidateGraph(GraphConfig(), nodes={s.name: GraphNode(s, v) for s, v in zip(specs, vectors)})
-    tool_parent, agent_parent = specs[0].name, specs[-1].name
+    g0 = build_graph(make_agent_bank(6), GraphConfig(), gateway)
+    parent = g0.names()[-1]
 
-    def insert(graph, parent, kind, name):
-        doc = {**(make_tool_doc(0) if kind == "tool" else make_agent_doc(0)), "name": name}
-        mutant = as_mutant(validate_spec(doc, kind), parent=parent, operator="Usage Extension")
+    def insert(graph, name):
+        mutant = as_mutant(validate_spec({**make_agent_doc(0), "name": name}, "agent"), parent, "Domain Transfer")
         return add_mutant(graph, parent, mutant, gateway.embed_text(mutant.phi))
 
-    g1 = insert(g0, tool_parent, "tool", "aaa_first_tool")
-    g2 = insert(g1, agent_parent, "agent", "zzz_last_agent")
-    g3 = insert(g2, tool_parent, "tool", "monitor_middle_tool")
-    sibling = insert(g1, agent_parent, "agent", "aaa_first_agent")  # g2 already extended g1's store
+    g1 = insert(g0, "aaa_first_agent")
+    g2 = insert(g1, "zzz_last_agent")
+    g3 = insert(g2, "monitor_middle_agent")
+    sibling = insert(g1, "aab_sibling_agent")  # g2 already extended g1's store
     save_graph(g3, tmp_path / "g3.jsonl")
     loaded = load_graph(tmp_path / "g3.jsonl")
     for graph in (g0, g1, g2, g3, sibling, loaded):
-        for kind in ("tool", "agent"):
-            scanned = sorted(name for name, spec in graph.specs.items() if spec.kind == kind)
-            assert list(graph.names_of_kind(kind)) == scanned
-    assert "aaa_first_agent" not in g2.names_of_kind("agent") and "zzz_last_agent" not in sibling.names_of_kind("agent")
-    assert g0.names_of_kind("mcp") == ()
+        assert graph.names() == sorted(graph.specs) and graph.kind == "agent"
+    assert "aab_sibling_agent" not in g2.names() and "zzz_last_agent" not in sibling.names()
+    assert sibling.names() == sorted([*g1.names(), "aab_sibling_agent"])
+
+
+def test_a_graph_holds_one_kind(tmp_path):
+    """A node or mutant of another kind than the graph's is refused wherever it enters."""
+    gateway = mock_gateway(0)
+    graph = build_graph(make_tool_bank(12), GraphConfig(tau=0.5), gateway)
+    assert graph.kind == "tool" and CandidateGraph(GraphConfig()).kind is None
+    agent = validate_spec(make_agent_doc(0), "agent")
+    embedding = gateway.embed_text(agent.phi)
+    with pytest.raises(GraphError, match="agent mutant .* in a graph of tools"):
+        add_mutant(graph, graph.names()[0], as_mutant(agent, graph.names()[0], "Domain Transfer"), embedding)
+    nodes = {**{name: GraphNode(graph.specs[name], embedding) for name in graph.names()[:2]}, agent.name: GraphNode(agent, embedding)}
+    with pytest.raises(GraphError, match="a graph holds one kind"):
+        CandidateGraph(GraphConfig(), nodes=nodes)
+
+    path = tmp_path / "graph.jsonl"
+    save_graph(graph, path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    record = json.loads(lines[6])  # a node in the middle of the node block
+    record["node"].update(name=agent.name, kind="agent", spec=agent.to_dict())
+    lines[6] = json.dumps(record)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ParseError) as info:
+        load_graph(path)
+    assert f"{path}:7: agent node {agent.name!r} in a graph of tools" in str(info.value)
 
 
 def planted_graph(tau=0.82):

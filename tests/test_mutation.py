@@ -8,7 +8,7 @@ import pytest
 
 from helpers import make_agent_bank, make_agent_doc, make_tool_bank, make_tool_doc, mock_gateway
 from toolrouter.backends import MockChatBackend, MockEmbeddingBackend
-from toolrouter.errors import NameEqualsParent, NotParseable, TagMismatch, BadAgentName
+from toolrouter.errors import BadAgentName, EmptyGraph, NameEqualsParent, NotParseable, TagMismatch
 from toolrouter.gateway import Gateway, TransientBackendError, strip_code_fence, user_request
 from toolrouter.graph import CandidateGraph, GraphConfig, GraphNode, build_graph
 from toolrouter.mutation import (
@@ -47,8 +47,8 @@ def test_operator_taxonomy():
 
 def test_pick_mutation_deterministic():
     graph = build_graph(make_tool_bank(5), GraphConfig(), mock_gateway(0))
-    assert _pick(graph, random.Random(7), "tool") == _pick(graph, random.Random(7), "tool")
-    draws = {_pick(graph, random.Random(seed), "tool") for seed in range(50)}
+    assert _pick(graph, random.Random(7)) == _pick(graph, random.Random(7))
+    draws = {_pick(graph, random.Random(seed)) for seed in range(50)}
     assert len(draws) > 10  # seeds actually vary the draw
 
 
@@ -57,7 +57,7 @@ def test_pick_mutation_approximately_uniform():
     counts: dict = {}
     n = 10_000
     for seed in range(n):
-        key = _pick(graph, random.Random(seed), "tool")
+        key = _pick(graph, random.Random(seed))
         counts[key] = counts.get(key, 0) + 1
     cells = 5 * 5
     expected = n / cells
@@ -105,7 +105,7 @@ def test_parse_mutant_accepts_and_stamps():
     doc = make_tool_doc(0)
     doc["name"] = "different_name"
     reply = f"```json\n{json.dumps(doc)}\n```"
-    mutant = parse_mutant(reply, "tool", base, MutationOperator.USAGE_EXTENSION)
+    mutant = parse_mutant(reply, base, MutationOperator.USAGE_EXTENSION)
     assert mutant.name == "different_name"
     assert mutant.provenance.origin == "mutant"
     assert mutant.provenance.parent_name == base.name
@@ -116,22 +116,24 @@ def test_parse_mutant_rejections():
     base = validate_spec(make_tool_doc(0), "tool")
     op = MutationOperator.USAGE_EXTENSION
     with pytest.raises(NotParseable):
-        parse_mutant("not json at all", "tool", base, op)
+        parse_mutant("not json at all", base, op)
     with pytest.raises(NotParseable):
-        parse_mutant('["a list"]', "tool", base, op)
+        parse_mutant('["a list"]', base, op)
     with pytest.raises(NameEqualsParent):
-        parse_mutant(json.dumps(make_tool_doc(0)), "tool", base, op)
+        parse_mutant(json.dumps(make_tool_doc(0)), base, op)
     changed = make_tool_doc(0)
     changed["name"] = "other_name"
     changed["tags"] = ["swapped"]
     with pytest.raises(TagMismatch):
-        parse_mutant(json.dumps(changed), "tool", base, op)
+        parse_mutant(json.dumps(changed), base, op)
 
     agent_base = validate_spec(make_agent_doc(0), "agent")
     bad_agent = make_agent_doc(0)
     bad_agent["name"] = "missing_suffix"
     with pytest.raises(BadAgentName):
-        parse_mutant(json.dumps(bad_agent), "agent", agent_base, MutationOperator.DOMAIN_TRANSFER)
+        parse_mutant(json.dumps(bad_agent), agent_base, MutationOperator.DOMAIN_TRANSFER)
+    with pytest.raises(BadAgentName):  # a reply is validated in its base's kind
+        parse_mutant(json.dumps(make_tool_doc(1)), agent_base, MutationOperator.DOMAIN_TRANSFER)
 
 
 def test_evolve_zero_rounds_identity():
@@ -205,24 +207,31 @@ def test_evolve_embedding_error_aborts_with_partial_result():
         assert result.records[-1].raw_response  # the reply whose mutant could not be embedded
 
 
-# bank -> (EvolveConfig.tool_fraction, the kinds its rounds mutate)
-KIND_MIXES = {"agents": (1.0, {"agent"}), "mixed": (0.5, {"tool", "agent"}), "mixed, no tools": (0.0, {"agent"})}
+# bank -> (its candidates, the kind its rounds mutate, that kind's operators)
+KIND_MIXES = {"agents": (make_agent_bank, "agent", AGENT_OPERATORS), "tools": (make_tool_bank, "tool", TOOL_OPERATORS)}
 
 
 @pytest.mark.parametrize("mix", sorted(KIND_MIXES))
 def test_evolve_mutates_the_kinds_the_graph_has(mix):
-    tool_fraction, kinds = KIND_MIXES[mix]
+    make_bank, kind, operators = KIND_MIXES[mix]
     gateway = mock_gateway(7)
-    specs = [*make_agent_bank(6), *(make_tool_bank(6) if mix.startswith("mixed") else ())]
+    specs = list(make_bank(6))
     vectors = gateway.embed_texts([spec.phi for spec in specs])
     graph = CandidateGraph(GraphConfig(), nodes={s.name: GraphNode(s, v) for s, v in zip(specs, vectors)})
-    result = evolve(graph, 8, EvolveConfig(rng_seed=3, tool_fraction=tool_fraction), gateway)
-    assert result.aborted_error is None
-    assert {result.graph.specs[record.parent].kind for record in result.records} == kinds
+    result = evolve(graph, 8, EvolveConfig(rng_seed=3), gateway)
+    assert result.aborted_error is None and result.graph.kind == kind
+    assert {result.graph.specs[record.parent].kind for record in result.records} == {kind}
+    assert {record.operator for record in result.records} <= set(operators)
     accepted = [result.graph.specs[record.mutant_name] for record in result.records if record.accepted]
-    assert {mutant.kind for mutant in accepted} == kinds
-    for mutant in accepted:
-        assert result.graph.specs[mutant.provenance.parent_name].kind == mutant.kind
+    assert accepted and {mutant.kind for mutant in accepted} == {kind}
+
+
+def test_evolve_empty_graph_only_when_a_round_runs():
+    graph = CandidateGraph(GraphConfig())
+    assert graph.kind is None
+    assert evolve(graph, 0, EvolveConfig(), mock_gateway(0)).graph is graph
+    with pytest.raises(EmptyGraph):
+        evolve(graph, 1, EvolveConfig(), mock_gateway(0))
 
 
 def test_mutation_log_roundtrip(tmp_path):

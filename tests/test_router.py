@@ -196,7 +196,7 @@ def test_pool_block_renders_each_public_document_once(monkeypatch):
     for step, query in enumerate(["archive the email threads", "summarize the support tickets"] * 2):
         llm_route(gateway, query, (), pool, cfg)
         instance = RoutingInstance(query, (), pool, pool.membership[step], InstanceOrigin("t", step))
-        render_sample(instance, "tool")
+        render_sample(instance)
     assert sorted(calls) == sorted(pool.membership)
 
 

@@ -86,9 +86,12 @@ def test_requested_seeds_start_walks_before_random_ones():
     for seed in range(20):
         subset = sample_subset(graph, SamplerConfig(num_seeds=2, target_size=4, restart_prob=0.0, rng_seed=seed))
         requested = random.Random(seed).sample(graph.names(), 2)
-        assert subset.seed_nodes[:2] == tuple(requested)
         assert len(subset) == 4 and set(requested) <= set(subset.members)
-        if frozenset(requested) not in pairs:  # the second seed walks its own pair: no random seed
+        assert not set(subset.seed_nodes) & {step[1] for step in subset.walk_trace}  # a seed is never a walk step
+        if frozenset(requested) in pairs:  # the first walk reaches the second seed, so a random seed follows
+            assert subset.seed_nodes[0] == requested[0] and requested[1] not in subset.seed_nodes
+            assert len(subset.seed_nodes) == 2
+        else:  # the second seed walks its own pair: no random seed
             assert subset.seed_nodes == tuple(requested)
 
 

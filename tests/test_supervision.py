@@ -5,7 +5,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import candidate_calls, make_tool_bank, make_tool_doc, parse_history_turn_count
+from helpers import candidate_calls, make_agent_bank, make_tool_bank, make_tool_doc, parse_history_turn_count
 from toolrouter import prompts
 from toolrouter.errors import ParseError, PoolMissingLabel
 from toolrouter.registry import CandidateBank, CandidatePool, pool_json, public_spec, validate_spec
@@ -17,8 +17,6 @@ from toolrouter.supervision import (
     build_dataset,
     extract_instances,
     load_dataset,
-    record_from_instance,
-    render_pool_block,
     render_prompt,
     render_sample,
     save_dataset,
@@ -132,7 +130,8 @@ def test_serialize_history_transcript_style():
 def test_render_sample_format():
     trajectory = make_trajectory("t5", [[NAMES[0]], [NAMES[1]]])
     instance = extract_instances(trajectory, POOL)[1]
-    rendered = render_sample(instance, "tool")
+    rendered = render_sample(instance)
+    assert rendered.kind == "tool"
     assert rendered.system.startswith("You are a Tool Router.")
     assert 'Output strictly in the required format: ["tool_name"], no extra commentary.' in rendered.system
     assert "<history>" in rendered.user and "</history>" in rendered.user
@@ -140,7 +139,8 @@ def test_render_sample_format():
     assert "<tools>" in rendered.user and "</tools>" in rendered.user
     assert "<task>" in rendered.user
     assert "<think>" in rendered.user  # output-requirements section
-    assert rendered.expected == (instance.label,)
+    assert rendered.label == instance.label and rendered.to_dict()["expected_tool"] == [instance.label]
+    assert rendered.origin == {"trajectory_id": "t5", "step": 1, "call_index": 0}
     # the pool block lists every member, provenance elided
     for name in POOL.membership:
         assert f'"name": "{name}"' in rendered.user
@@ -151,15 +151,17 @@ def test_render_sample_format():
 def test_render_sample_empty_history_block():
     trajectory = make_trajectory("t6", [[NAMES[0]]])
     instance = extract_instances(trajectory, POOL)[0]
-    rendered = render_sample(instance, "tool")
+    rendered = render_sample(instance)
     assert "<history></history>" in rendered.user
     assert parse_history_turn_count(rendered.user) == 0
 
 
 def test_render_sample_agent_wording():
-    trajectory = make_trajectory("t7", [[NAMES[0]]])
-    instance = extract_instances(trajectory, POOL)[0]
-    rendered = render_sample(instance, "agent")
+    """An agent pool renders an agent record: the kind comes from the pool's candidates."""
+    pool = CandidatePool.whole_bank(make_agent_bank(3))
+    instance = RoutingInstance("q", (), pool, pool.membership[1], InstanceOrigin("t7", 0))
+    rendered = render_sample(instance)
+    assert rendered.kind == "agent" and rendered.to_dict()["expected_agent"] == [pool.membership[1]]
     assert rendered.system.startswith("You are an Agent Router.")
     assert "<agents>" in rendered.user
     assert '["agent_name"]' in rendered.user
@@ -174,7 +176,7 @@ def test_render_sample_rejects_missing_label():
         origin=InstanceOrigin("t", 0),
     )
     with pytest.raises(PoolMissingLabel):
-        render_sample(instance, "tool")
+        render_sample(instance)
 
 
 def test_render_prompt_fills_only_template_slots():
@@ -182,7 +184,7 @@ def test_render_prompt_fills_only_template_slots():
     pool = CandidatePool.whole_bank(CandidateBank(kind="tool", entries=(validate_spec(doc, "tool"),)))
     _, user = render_prompt("show <<POOL_JSON>> please", (), pool, "tool")
     assert '<current query>"show <<POOL_JSON>> please"</current query>' in user
-    assert user.count(render_pool_block(pool)) == 1
+    assert user.count(pool_json(pool.specs())) == 1
     assert "Pick the <<SINGULAR>> from <<POOL_JSON>>." in user
 
 
@@ -237,12 +239,14 @@ def _pool_docs(draw, kind):
 
 @settings(max_examples=80, deadline=None)
 @given(st.sampled_from(["tool", "agent"]).flatmap(_pool_docs))
-def test_render_pool_block_equals_indented_json_reference(kind_docs):
+def test_pool_block_equals_indented_json_reference(kind_docs):
     kind, docs = kind_docs
     specs = tuple(validate_spec(doc, kind) for doc in docs)
     pool = CandidatePool.whole_bank(CandidateBank(kind=kind, entries=specs))
     reference = json.dumps([public_spec(spec) for spec in specs], ensure_ascii=False, indent=2)
-    assert render_pool_block(pool) == reference
+    assert pool_json(pool.specs()) == reference
+    _, user = render_prompt("q", (), pool, kind)
+    assert user.count(reference) == 1
 
 
 def test_pool_json_of_no_specs():
@@ -257,16 +261,31 @@ def test_parse_history_turn_count_requires_block():
 def test_dataset_record_roundtrip():
     trajectory = make_trajectory("t8", [[NAMES[0]], [NAMES[1]]])
     instance = extract_instances(trajectory, POOL)[1]
-    record = record_from_instance(instance, "tool")
+    record = render_sample(instance)
     doc = record.to_dict()
     assert doc["expected_tool"] == [instance.label]
     assert DatasetRecord.from_dict(doc) == record
 
 
+@pytest.mark.parametrize(
+    "expected",
+    [{"expected_tool": [NAMES[0]]}, {"expected_tool": [NAMES[1], NAMES[1]]}, {"expected_tool": []}, {"expected_agent": None}],
+    ids=["another-name", "label-twice", "empty", "other-kind-key"],
+)
+def test_dataset_record_states_its_label_once(expected):
+    """A record whose expected list is not [label] is refused, not scored against its label."""
+    instance = extract_instances(make_trajectory("t9", [[NAMES[1]]]), POOL)[0]
+    doc = {**render_sample(instance).to_dict(), **expected}
+    if "expected_agent" in expected:
+        del doc["expected_tool"]
+    with pytest.raises((ValueError, KeyError)):
+        DatasetRecord.from_dict(doc)
+
+
 def test_build_dataset_counts_and_ablation(tmp_path):
     trajectories = [make_trajectory(f"b{i}", [[NAMES[0]], [NAMES[1], NAMES[2]]]) for i in range(4)]
     path = tmp_path / "data.jsonl"
-    counts = build_dataset(trajectories, [POOL] * len(trajectories), path, kind="tool", ablation=True)
+    counts = build_dataset(trajectories, [POOL] * len(trajectories), path, ablation=True)
     expected = sum(map(candidate_calls, trajectories))
     assert counts == {str(path): expected, str(path) + ".nohistory": expected}
 
@@ -283,12 +302,12 @@ def test_build_dataset_counts_and_ablation(tmp_path):
 def test_build_dataset_pool_list_length_checked(tmp_path):
     trajectories = [make_trajectory("p0", [[NAMES[0]]])]
     with pytest.raises(ValueError):
-        build_dataset(trajectories, [POOL, POOL], tmp_path / "x.jsonl", kind="tool")
+        build_dataset(trajectories, [POOL, POOL], tmp_path / "x.jsonl")
 
 
 def test_save_dataset(tmp_path):
     trajectory = make_trajectory("s0", [[NAMES[0]]])
-    records = [record_from_instance(i, "tool") for i in extract_instances(trajectory, POOL)]
+    records = [render_sample(i) for i in extract_instances(trajectory, POOL)]
     path = tmp_path / "saved.jsonl"
     assert save_dataset(records, path) == len(records)
     assert load_dataset(path) == records

@@ -111,7 +111,7 @@ def test_simulated_trajectory_shape(env):
         for call in action.calls:
             assert call.name in subset
             assert call.simulated_result
-    assert validate_trajectory(trajectory, subset) == []
+    assert validate_trajectory(trajectory) == []
 
 
 def test_simulation_prompts_render_the_turns_so_far(env):
@@ -163,17 +163,17 @@ def test_validate_trajectory_violations(env):
         subset=subset,
         plan=TaskPlan(task_text="task", steps=(PlanStep("g", names[0]),)),
     )
-    assert validate_trajectory(good, subset) == []
+    assert validate_trajectory(good) == []
 
     too_short = Trajectory("t", (Observation(text="task"),), subset, good.plan)
-    violations = validate_trajectory(too_short, subset)
+    violations = validate_trajectory(too_short)
     assert any("fewer than 2" in v for v in violations)
     assert any("end with an action" in v for v in violations)
 
     bad_alternation = Trajectory(
         "t", (Observation(text="a"), Observation(text="b")), subset, good.plan
     )
-    assert any("alternation" in v for v in validate_trajectory(bad_alternation, subset))
+    assert any("alternation" in v for v in validate_trajectory(bad_alternation))
 
     out_of_subset = Trajectory(
         "t",
@@ -181,7 +181,7 @@ def test_validate_trajectory_violations(env):
         subset,
         good.plan,
     )
-    assert any("out-of-subset" in v for v in validate_trajectory(out_of_subset, subset))
+    assert any("out-of-subset" in v for v in validate_trajectory(out_of_subset))
 
 
 class SchemaBreakingChat(MockChatBackend):
@@ -213,7 +213,7 @@ def test_synthesize_batch_deterministic(env):
     assert len(batch) == 10
     assert batch == again
     for trajectory in batch:
-        assert validate_trajectory(trajectory, trajectory.subset) == []
+        assert validate_trajectory(trajectory) == []
         assert 2 * len(trajectory.plan.steps) + 2 <= cfg.max_turns + 2
 
 

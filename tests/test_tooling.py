@@ -2,13 +2,16 @@
 
 import ast
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
+import click
 import pytest
 
 import toolrouter
+from toolrouter.cli import main
 
 SOURCES = sorted(Path(toolrouter.__file__).parent.glob("*.py"))
 ROOT = Path(__file__).resolve().parent.parent
@@ -123,6 +126,40 @@ def test_every_public_name_is_referenced():
     readers = {str(path): path.read_text(encoding="utf-8") for path in sorted((ROOT / "bench").glob("*.py"))}
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     assert unreferenced_public_names(sources, readers, readme) == []
+
+
+def unknown_cli_flags(block: str, group: click.Group) -> list[str]:
+    """Each ``--flag`` of a ``toolrouter <command>`` line of a shell block (``\\``
+    continuations joined) that is no option of that command, and each unknown command."""
+    problems = []
+    for line in re.sub(r"\\\n\s*", " ", block).splitlines():
+        words = shlex.split(line, comments=True)
+        if words[:1] != ["toolrouter"]:
+            continue
+        command = group.commands.get(words[1]) if len(words) > 1 else None
+        if command is None:
+            problems.append(f"no command: {line}")
+            continue
+        options = {opt for param in command.params for opt in param.opts}
+        problems.extend(f"{words[1]} {word}" for word in words[2:] if re.fullmatch(r"--[\w-]+", word) and word not in options)
+    return problems
+
+
+def test_cli_flag_check_flags_only_unknown_options():
+    group = click.Group(commands=[click.Command("run", params=[click.Option(["--out", "-o"]), click.Option(["--ok"])])])
+    block = (
+        "# toolrouter run --commented\ntoolrouter run --out x \\\n    --ok --gone 1 -o y\n"
+        'toolrouter walk --out x\necho --ignored\ntoolrouter run --ok "--quoted text"\n'
+    )
+    assert unknown_cli_flags(block, group) == ["run --gone", "no command: toolrouter walk --out x"]
+
+
+def test_every_readme_cli_flag_is_an_option_of_its_command():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## CLI\n\n```sh\n(.*?)```", readme, re.DOTALL)
+    assert block is not None, "README has no CLI block"
+    assert "toolrouter extract" in block.group(1)
+    assert unknown_cli_flags(block.group(1), main) == []
 
 
 def unnamed_discard_reasons(source: str, prefixes: tuple[str, ...]) -> list[str]:
