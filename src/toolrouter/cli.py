@@ -37,20 +37,6 @@ class _Pipeline(click.Group):
             sys.exit(1)
 
 
-def _pipeline_config(
-    config: str | None, seed: int | None, backend: str | None, tau: float | None = None
-) -> PipelineConfig:
-    cfg = load_config(config)
-    if seed is not None:
-        cfg.seed = seed
-    if backend is not None:
-        cfg.backend.mode = backend
-    if tau is not None:
-        cfg.tau = tau
-    cfg.validate()
-    return cfg
-
-
 def _router_config(cfg: PipelineConfig, variant: str, kind: str) -> RouterConfig:
     """The config's ``eval`` router settings for one variant over candidates of ``kind``."""
     return replace(cfg.eval, variant=variant, kind=kind, rng_seed=cfg.rng_seed)
@@ -81,7 +67,7 @@ def main() -> None:
 @click.option("--out", "out_path", type=click.Path(), required=True)
 def build_graph_cmd(config_path, seed, backend, bank_path, tau, out_path) -> None:
     """Embed a candidate bank and build the similarity graph."""
-    cfg = _pipeline_config(config_path, seed, backend, tau)
+    cfg = load_config(config_path, seed=seed, backend=backend, tau=tau)
     bank = load_bank(bank_path)
     graph = build_graph(bank, GraphConfig(tau=cfg.tau), make_gateway(cfg))
     save_graph(graph, out_path)
@@ -96,7 +82,7 @@ def build_graph_cmd(config_path, seed, backend, bank_path, tau, out_path) -> Non
 @click.option("--log", "log_path", type=click.Path(), default=None)
 def mutate_cmd(config_path, seed, backend, graph_path, rounds, out_path, log_path) -> None:
     """Expand a graph with self-evolutionary mutations."""
-    cfg = _pipeline_config(config_path, seed, backend)
+    cfg = load_config(config_path, seed=seed, backend=backend)
     graph = load_graph(graph_path)
     result = evolve(graph, rounds, replace(cfg.mutation, rng_seed=cfg.rng_seed), make_gateway(cfg))
     save_graph(result.graph, out_path)
@@ -118,7 +104,7 @@ def mutate_cmd(config_path, seed, backend, graph_path, rounds, out_path, log_pat
 @click.option("--out", "out_path", type=click.Path(), required=True)
 def sample_cmd(config_path, seed, backend, graph_path, count, out_path) -> None:
     """Draw candidate subsets via DFS-with-restart walks: subset i is synthesize's attempt i."""
-    cfg = _pipeline_config(config_path, seed, backend)
+    cfg = load_config(config_path, seed=seed, backend=backend)
     graph = load_graph(graph_path)
     subsets = (
         sample_subset(graph, replace(cfg.sampler, rng_seed=derive_seed(cfg.rng_seed, "sample", index)))
@@ -135,7 +121,7 @@ def sample_cmd(config_path, seed, backend, graph_path, count, out_path) -> None:
 @click.option("--out", "out_path", type=click.Path(), required=True)
 def synthesize_cmd(config_path, seed, backend, graph_path, count, out_path) -> None:
     """Sample subsets, propose tasks, and simulate trajectories."""
-    cfg = _pipeline_config(config_path, seed, backend)
+    cfg = load_config(config_path, seed=seed, backend=backend)
     graph = load_graph(graph_path)
     trajectories = synthesize_batch(
         graph,
@@ -159,7 +145,7 @@ def synthesize_cmd(config_path, seed, backend, graph_path, count, out_path) -> N
 @click.option("--out", "out_path", type=click.Path(), required=True)
 def extract_cmd(config_path, seed, backend, traj_path, graph_path, pool_scope, ablation, out_path) -> None:
     """Extract history-aware routing instances over the graph's candidates into a dataset file."""
-    _pipeline_config(config_path, seed, backend)
+    load_config(config_path, seed=seed, backend=backend)  # a bad config exits 1 here as in every command
     trajectories = load_trajectories(traj_path)
     graph = load_graph(graph_path)
     bank = CandidateBank(kind=graph.kind, entries=tuple(map(graph.specs.__getitem__, graph.names())))
@@ -189,7 +175,7 @@ def extract_cmd(config_path, seed, backend, traj_path, graph_path, pool_scope, a
 @click.option("--out", "out_path", type=click.Path(), default=None)
 def evaluate_cmd(config_path, seed, backend, dataset_path, variants, k, out_path) -> None:
     """Routing-accuracy evaluation (avg@k) on a rendered dataset."""
-    cfg = _pipeline_config(config_path, seed, backend)
+    cfg = load_config(config_path, seed=seed, backend=backend)
     records = load_dataset(dataset_path)
     if not records:
         raise ParseError(dataset_path, "empty dataset file")
@@ -223,7 +209,7 @@ def evaluate_cmd(config_path, seed, backend, dataset_path, variants, k, out_path
 @click.option("--out", "out_path", type=click.Path(), default=None)
 def lra_run_cmd(config_path, seed, backend, bank_path, task, variant, budget, out_path) -> None:
     """Run one Light Routing Agent episode against a candidate bank."""
-    cfg = _pipeline_config(config_path, seed, backend)
+    cfg = load_config(config_path, seed=seed, backend=backend)
     bank = load_bank(bank_path)
     pool = CandidatePool.whole_bank(bank)
     gateway = make_gateway(cfg)

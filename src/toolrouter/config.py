@@ -1,4 +1,5 @@
-"""Pipeline configuration: one file, flag overrides win."""
+"""Pipeline configuration: one YAML file whose values the flags replace before
+anything is checked. A loaded config is frozen; each dataclass checks itself."""
 
 from __future__ import annotations
 
@@ -11,14 +12,14 @@ import yaml
 from .backends import HTTPChatBackend, HTTPEmbeddingBackend, MockChatBackend, MockEmbeddingBackend
 from .errors import BadConfig, IoError, ParseError
 from .gateway import Gateway
-from .graph import DEFAULT_TAU
+from .graph import DEFAULT_TAU, GraphConfig
 from .mutation import EvolveConfig
 from .router import RouterConfig
 from .sampler import SamplerConfig
 from .synthesis import SynthesisConfig
 
 
-@dataclass
+@dataclass(frozen=True)
 class BackendConfig:
     mode: str = "mock"  # mock | live
     chat_base_url: str = ""
@@ -28,10 +29,20 @@ class BackendConfig:
     embed_model: str = "mock-embed-64"
     embed_dim: int = 64
     max_retries: int = 3
-    max_chat_calls: int | None = None
+    max_chat_calls: int | None = None  # 0 allows no chat call
+
+    def __post_init__(self) -> None:
+        if self.mode not in ("mock", "live"):
+            raise BadConfig(f"unknown backend mode: {self.mode!r}")
+        if self.max_retries < 0:
+            raise BadConfig(f"backend max_retries must be >= 0, got {self.max_retries}")
+        if self.embed_dim < 1:
+            raise BadConfig(f"backend embed_dim must be >= 1, got {self.embed_dim}")
+        if self.max_chat_calls is not None and self.max_chat_calls < 0:
+            raise BadConfig(f"backend max_chat_calls must be >= 0, got {self.max_chat_calls}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class PipelineConfig:
     seed: int | None = 42
     tau: float = DEFAULT_TAU
@@ -41,22 +52,15 @@ class PipelineConfig:
     synthesis: SynthesisConfig = field(default_factory=SynthesisConfig)
     eval: RouterConfig = field(default_factory=RouterConfig)
 
+    def __post_init__(self) -> None:
+        GraphConfig(tau=self.tau)  # the one check of the tau range
+        if self.backend.mode == "mock" and self.seed is None:
+            raise BadConfig("mock mode requires an explicit seed")
+
     @property
     def rng_seed(self) -> int:
         """The seed the stages derive theirs from; 0 when a live run sets none."""
         return self.seed if self.seed is not None else 0
-
-    def validate(self) -> None:
-        if not 0 < self.tau < 1:
-            raise BadConfig(f"tau must be in (0, 1), got {self.tau}")
-        if self.backend.mode not in ("mock", "live"):
-            raise BadConfig(f"unknown backend mode: {self.backend.mode!r}")
-        if self.backend.mode == "mock" and self.seed is None:
-            raise BadConfig("mock mode requires an explicit seed")
-        if self.backend.max_retries < 0:
-            raise BadConfig(f"backend max_retries must be >= 0, got {self.backend.max_retries}")
-        if self.backend.embed_dim < 1:
-            raise BadConfig(f"backend embed_dim must be >= 1, got {self.backend.embed_dim}")
 
 
 # The YAML-settable keys of each stage section. The pipeline sets the other
@@ -87,10 +91,12 @@ _VALUE_CHECKS: dict[Any, tuple[str, Callable[[Any], bool]]] = {
 }
 
 
-def _typed(cls: type, raw: Any, where: str, settable: Iterable[str] | None = None) -> dict[str, Any]:
-    """The mapping's values, checked against the field types of dataclass ``cls``."""
+def _typed(cls: type, raw: Any, where: str, settable: Iterable[str] | None = None, **flags: Any) -> dict[str, Any]:
+    """The mapping's values, each of ``flags`` that is not None in place of the
+    mapping's, checked against the field types of dataclass ``cls``."""
     if not isinstance(raw, dict):
         raise BadConfig(f"{where} must be a mapping")
+    raw = {**raw, **{key: value for key, value in flags.items() if value is not None}}
     types = get_type_hints(cls)
     unknown = sorted(set(map(str, raw)) - set(types))
     if unknown:
@@ -108,24 +114,27 @@ def _typed(cls: type, raw: Any, where: str, settable: Iterable[str] | None = Non
     return values
 
 
-def load_config(path: str | Path | None) -> PipelineConfig:
-    if path is None:
-        return PipelineConfig()
-    path = Path(path)
-    try:
-        raw = yaml.safe_load(path.read_text(encoding="utf-8")) or {}
-    except OSError as exc:
-        raise IoError(f"cannot read config {path}: {exc}") from exc
-    except yaml.YAMLError as exc:
-        raise ParseError(str(path), "invalid YAML") from exc
-    where = f"config {path}"
-    raw = _typed(PipelineConfig, raw, where)
-    sections = {"backend": BackendConfig(**_typed(BackendConfig, raw.pop("backend", {}), f"{where} backend"))}
+def load_config(
+    path: str | Path | None = None, *, seed: int | None = None, backend: str | None = None, tau: float | None = None
+) -> PipelineConfig:
+    """The config file at ``path`` (the defaults when None) with each flag that
+    is not None in place of the file's value, which is then never read."""
+    raw: Any = {}
+    if path is not None:
+        path = Path(path)
+        try:
+            raw = yaml.safe_load(path.read_text(encoding="utf-8")) or {}
+        except OSError as exc:
+            raise IoError(f"cannot read config {path}: {exc}") from exc
+        except yaml.YAMLError as exc:
+            raise ParseError(str(path), "invalid YAML") from exc
+    where = "config" if path is None else f"config {path}"
+    raw = _typed(PipelineConfig, raw, where, seed=seed, tau=tau)
+    backend_raw = _typed(BackendConfig, raw.pop("backend", {}), f"{where} backend", mode=backend)
+    sections = {"backend": BackendConfig(**backend_raw)}
     for name, (stage_cls, keys) in STAGE_KEYS.items():
         sections[name] = stage_cls(**_typed(stage_cls, raw.pop(name, {}), f"{where} {name}", keys))
-    cfg = PipelineConfig(**raw, **sections)
-    cfg.validate()
-    return cfg
+    return PipelineConfig(**raw, **sections)
 
 
 def make_gateway(cfg: PipelineConfig) -> Gateway:

@@ -35,6 +35,7 @@ import numpy as np
 
 from ._util import JSON_LINE, parse_lines, read_lines, typed, write_lines
 from .errors import (
+    BadConfig,
     DimensionMismatch,
     DuplicateName,
     EmptyBank,
@@ -60,7 +61,7 @@ class GraphConfig:
 
     def __post_init__(self) -> None:
         if not 0 < self.tau < 1:
-            raise ValueError(f"tau must be in (0, 1), got {self.tau}")
+            raise BadConfig(f"tau must be in (0, 1), got {self.tau}")
 
 
 @dataclass(frozen=True)

@@ -158,7 +158,7 @@ def validate_spec(document: dict[str, Any], kind: str) -> CandidateSpec:
     """Validate a parsed exchange-format document into a spec.
 
     Normalizes absent tags to an empty tuple (tools only; agents must carry
-    at least one tag).
+    at least one tag). A tool document has no ``tools`` field.
     """
     if kind not in ("tool", "agent"):
         raise ValueError(f"unknown candidate kind: {kind!r}")
@@ -175,6 +175,8 @@ def validate_spec(document: dict[str, Any], kind: str) -> CandidateSpec:
     tags = _string_list(document, "tags")
     provenance = _parse_provenance(document)
     tools: tuple[str, ...] = ()
+    if kind == "tool" and "tools" in document:
+        raise SpecError(f"tool {name!r} lists tools: only agents do, and a bank holds one kind")
     if kind == "agent":
         if not name.endswith(AGENT_SUFFIX):
             raise BadAgentName(name)

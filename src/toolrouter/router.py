@@ -34,13 +34,13 @@ class RouterDecision:
 @dataclass(frozen=True)
 class RouterConfig:
     variant: str = "embedding_q"
-    kind: str = "tool"  # prompt wording for the llm variant
+    kind: str = "tool"  # must be the kind of the pool routed over
     temperature: float = 1.0
     rng_seed: int = 0  # random variant only
 
     def __post_init__(self) -> None:
         if self.variant not in VARIANTS:
-            raise ValueError(f"unknown router variant: {self.variant!r}")
+            raise BadConfig(f"unknown router variant: {self.variant!r}")
         if self.temperature < 0:
             raise BadConfig("temperature must be >= 0")
 
@@ -83,13 +83,11 @@ def embedding_route(
     history: Sequence[Turn],
     pool: CandidatePool,
     mode: str = "q",
-    *,
-    kind: str = "tool",
 ) -> RouterDecision:
     """Cosine scoring of the request text against each candidate's phi text.
 
-    mode "q" embeds the query alone; "q_plus_h" prefixes the serialized
-    history, keeping its last ``MAX_HISTORY_CHARS`` characters less the
+    mode "q" embeds the query alone; "q_plus_h" prefixes the history in the
+    pool's kind, keeping its last ``MAX_HISTORY_CHARS`` characters less the
     query and a newline; the cut need not fall on a turn boundary.
     Every member gets the scalar cosine's value bit for bit, computed from the
     gateway's stored rows and their norms, which the gateway keeps finite and
@@ -99,7 +97,7 @@ def embedding_route(
         raise ValueError(f"unknown embedding mode: {mode!r}")
     if mode == "q_plus_h" and history:
         history_text = _truncate_oldest(
-            serialize_history(history, kind), max(0, MAX_HISTORY_CHARS - len(query) - 1)
+            serialize_history(history, pool.bank.kind), max(0, MAX_HISTORY_CHARS - len(query) - 1)
         )
         request_text = f"{history_text}\n{query}"
     else:
@@ -119,7 +117,7 @@ def llm_route(
     cfg: RouterConfig,
 ) -> RouterDecision:
     """Prompt an LLM with the benchmark sample format and parse its reply; gateway errors raise."""
-    system, user = render_prompt(query, history, pool, cfg.kind)
+    system, user = render_prompt(query, history, pool)
     request = user_request(user, system=system, temperature=cfg.temperature)
     reply = gateway.chat(request)
     chosen = parse_decision(reply, pool)
@@ -137,7 +135,10 @@ def route(
     rng: random.Random | None = None,
 ) -> RouterDecision:
     """Dispatch to the configured variant. A gateway error, such as an
-    embedding row without a finite, nonzero norm, becomes an abstention."""
+    embedding row without a finite, nonzero norm, becomes an abstention. A
+    config of another kind than the pool's is a BadConfig."""
+    if cfg.kind != pool.bank.kind:
+        raise BadConfig(f"a {cfg.kind} router config cannot route over a pool of {pool.bank.kind}s")
     try:
         if cfg.variant == "oracle":
             if oracle_label is None or oracle_label not in pool.member_set:
@@ -151,6 +152,6 @@ def route(
         if cfg.variant == "llm":
             return llm_route(gateway, query, history, pool, cfg)
         mode = "q" if cfg.variant == "embedding_q" else "q_plus_h"
-        return embedding_route(gateway, query, history, pool, mode, kind=cfg.kind)
+        return embedding_route(gateway, query, history, pool, mode)
     except GatewayError as exc:
         return _abstain(f"gateway error: {exc}")

@@ -88,10 +88,10 @@ def strip_history(instance: RoutingInstance) -> RoutingInstance:
 # --- rendering -------------------------------------------------------------------
 
 
-def render_prompt(query: str, history: Sequence[Turn], pool: CandidatePool, kind: str) -> tuple[str, str]:
-    """The (system, user) router messages for a query, its history and a pool."""
-    if kind not in ("tool", "agent"):
-        raise ValueError(f"unknown kind: {kind!r}")
+def render_prompt(query: str, history: Sequence[Turn], pool: CandidatePool) -> tuple[str, str]:
+    """The (system, user) router messages for a query, its history and a pool,
+    worded for the kind of the pool's candidates."""
+    kind = pool.bank.kind
     system = prompts.ROUTER_SYSTEM_AGENT if kind == "agent" else prompts.ROUTER_SYSTEM_TOOL
     history_text = serialize_history(history, kind)
     history_slot = f"\n{history_text}\n" if history_text else ""
@@ -168,7 +168,7 @@ def render_sample(instance: RoutingInstance) -> DatasetRecord:
     if instance.label not in instance.pool.member_set:
         raise PoolMissingLabel(instance.label)
     kind = instance.pool.bank.kind
-    system, user = render_prompt(instance.query, instance.history, instance.pool, kind)
+    system, user = render_prompt(instance.query, instance.history, instance.pool)
     return DatasetRecord(
         kind=kind,
         system=system,

@@ -7,6 +7,7 @@ import json
 import math
 import random
 import re
+import shlex
 from typing import Iterable, Sequence
 
 from toolrouter.backends import MockChatBackend, MockEmbeddingBackend
@@ -164,6 +165,8 @@ def corrupt_snapshot(lines: list[str], case: str, position: str = "first") -> li
         nodes[0]["node"]["embedding_model_id"] = [1]
     elif case == "meta embedding model not a string":
         records[0]["meta"]["embedding_model_id"] = [1]
+    elif case == "meta tau outside (0, 1)":
+        records[0]["meta"]["tau"] = 1.5
     elif case == "appended edge repeated with another weight":
         records.append({"edge": {**edges[0]["edge"], "weight": 0.99}})
     elif case == "appended node record after the edges":
@@ -208,6 +211,7 @@ BROKEN_SNAPSHOTS = {
     "node spec not an object": (ParseError, "must be a JSON object"),
     "node embedding model not a string": (ParseError, "must be str"),
     "meta embedding model not a string": (ParseError, "must be str"),
+    "meta tau outside (0, 1)": (ParseError, "tau must be in"),
     "appended edge repeated with another weight": (ParseError, "repeated similarity edge"),
     "appended node record after the edges": (ParseError, "out of order"),
     "meta record after the nodes": (ParseError, "out of order"),
@@ -359,3 +363,8 @@ def count_calls(monkeypatch, **targets):
 def edges_of_kind(graph, kind: str) -> list:
     """A graph's edges of one kind, in the graph's edge order."""
     return [edge for edge in graph.edges if edge.kind == kind]
+
+
+def shell_commands(block: str) -> list[list[str]]:
+    """The words of each line of a shell block, ``\\`` continuations joined and comments dropped."""
+    return [shlex.split(line, comments=True) for line in re.sub(r"\\\n\s*", " ", block).splitlines()]

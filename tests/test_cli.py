@@ -294,7 +294,7 @@ def test_broken_snapshot_exits_1(workspace, case):
     [
         "seed: 1\nsurprise: 2\n",  # unknown top-level key
         "seed: 1\nbackend:\n  surprise: 2\n",  # unknown backend key
-        "seed: 1\nbackend:\n  mode: bogus\n",  # typed BadConfig from validate()
+        "seed: 1\nbackend:\n  mode: bogus\n",  # typed BadConfig from BackendConfig
         "seed: [1\n",  # not YAML
         "seed: 1\ntau: 2\n",  # tau outside (0, 1)
         "seed: 1\ntau: x\n",  # mistyped top-level value
@@ -312,6 +312,7 @@ def test_broken_snapshot_exits_1(workspace, case):
         "seed: 1\nbackend:\n  max_retries: -1\n",  # the gateway would make no attempt
         "seed: 1\nbackend:\n  embed_dim: 0\n",  # no embedding row to score
         "seed: 1\nbackend:\n  embed_dim: -3\n",
+        "seed: 1\nbackend:\n  max_chat_calls: -1\n",  # a budget below 0; 0 allows no chat call
         "seed: 1\nsynthesis:\n  max_turns: 3\n",  # no plan could ever fit: 0 trajectories
         "seed: 1\nsynthesis:\n  error_prob: -1\n",  # a probability
         "seed: 1\nsynthesis:\n  error_prob: 7\n",
@@ -334,6 +335,26 @@ def test_a_share_of_tool_rounds_is_an_unknown_key(workspace):
     result = run(["build-graph", "--config", str(config_path), "--bank", bank_path, "--out", str(tmp_path / "g.jsonl")])
     one_error_line(result)
     assert f"unknown config {config_path} mutation key(s): tool_fraction" in result.output
+
+
+@pytest.mark.parametrize(
+    ("file_text", "flags", "same_as"),
+    [
+        ("seed: null\n", ["--seed", "7"], "seed: 7\n"),
+        ("seed: 7\ntau: 1.5\n", ["--tau", "0.5"], "seed: 7\ntau: 0.5\n"),
+        ("seed: 7\nbackend:\n  mode: bogus\n", ["--backend", "mock"], "seed: 7\nbackend:\n  mode: mock\n"),
+    ],
+)
+def test_a_flag_replaces_the_file_value_before_it_is_checked(workspace, file_text, flags, same_as):
+    tmp_path, bank_path, _ = workspace
+    outputs = []
+    for name, text, extra in (("flagged", file_text, flags), ("plain", same_as, [])):
+        config_path, out = tmp_path / f"{name}.yaml", tmp_path / f"{name}.jsonl"
+        config_path.write_text(text, encoding="utf-8")
+        result = run(["build-graph", "--config", str(config_path), "--bank", bank_path, *extra, "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def test_tau_flag_outside_range_exits_1(workspace):

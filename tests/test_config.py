@@ -1,10 +1,13 @@
-"""Typed config loading, the stage sections, and the README's config and library examples."""
+"""Typed config loading, the stage sections, and the README's config, library and CLI examples."""
 
 import re
 from dataclasses import fields
 from pathlib import Path
 
-from helpers import make_family_bank
+from click.testing import CliRunner
+
+from helpers import make_family_bank, shell_commands
+from toolrouter.cli import main
 from toolrouter.config import STAGE_KEYS, BackendConfig, PipelineConfig, load_config
 from toolrouter.mutation import EvolveConfig
 from toolrouter.registry import save_bank
@@ -47,6 +50,19 @@ def test_readme_library_usage_runs(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     exec(block.group(1), {})
     assert 0.0 <= float(capsys.readouterr().out) <= 1.0
+
+
+def test_readme_cli_block_runs(tmp_path, monkeypatch):
+    """Each command of the README's CLI block exits 0, in order, with mock backends."""
+    block = re.search(r"## CLI\n\n```sh\n(.*?)```", README.read_text(encoding="utf-8"), re.DOTALL)
+    assert block is not None, "README has no CLI block"
+    save_bank(make_family_bank(50), tmp_path / "bank.jsonl")
+    monkeypatch.chdir(tmp_path)
+    commands = [words[1:] for words in shell_commands(block.group(1)) if words[:1] == ["toolrouter"]]
+    assert len(commands) == 7
+    for args in commands:
+        result = CliRunner().invoke(main, args, catch_exceptions=False)
+        assert result.exit_code == 0, (args, result.output)
 
 
 def test_readme_config_table_lists_exactly_the_settable_keys():

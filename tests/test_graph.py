@@ -23,6 +23,7 @@ from helpers import (
     planted_unit_vector,
 )
 from toolrouter.errors import (
+    BadConfig,
     DimensionMismatch,
     DuplicateName,
     EmptyBank,
@@ -86,9 +87,9 @@ def test_edge_canonical_storage():
 
 
 def test_graph_config_tau_bounds():
-    with pytest.raises(ValueError):
+    with pytest.raises(BadConfig):
         GraphConfig(tau=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(BadConfig):
         GraphConfig(tau=1.0)
 
 

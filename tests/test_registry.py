@@ -265,6 +265,11 @@ def test_bank_file_errors(tmp_path):
     with pytest.raises(ParseError, match='must end with "_agent"') as info:
         load_bank(agent)
     assert f"{agent}:2:" in str(info.value)
+    mixed = tmp_path / "mixed.jsonl"  # a tool first, so the agent after it is read as a tool
+    mixed.write_text(doc + "\n" + json.dumps(make_agent_doc(0)) + "\n", encoding="utf-8")
+    with pytest.raises(ParseError, match="lists tools") as info:
+        load_bank(mixed)
+    assert f"{mixed}:2:" in str(info.value)
     array = tmp_path / "bank.json"
     array.write_text(json.dumps([make_tool_doc(0), 5]), encoding="utf-8")
     with pytest.raises(ParseError, match="JSON object") as info:

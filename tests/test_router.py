@@ -6,15 +6,17 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import StaticEmbeddingBackend, count_calls, make_tool_bank, make_tool_doc, mock_gateway
+from helpers import StaticEmbeddingBackend, count_calls, make_agent_bank, make_tool_bank, make_tool_doc, mock_gateway
 from toolrouter import registry, router
+from toolrouter.errors import BadConfig
 from toolrouter.gateway import ORDERED_LOOP_ROWS, EmbeddingVector, Gateway, TransientBackendError
 from toolrouter.backends import MockEmbeddingBackend
 from toolrouter.graph import cosine_similarity
 from toolrouter.registry import CandidateBank, CandidatePool, public_spec, serialize_phi, validate_spec
-from toolrouter.router import RouterConfig, embedding_route, llm_route, parse_decision, route
+from toolrouter.prompts import ROUTER_SYSTEM_AGENT
+from toolrouter.router import VARIANTS, RouterConfig, embedding_route, llm_route, parse_decision, route
 from toolrouter.supervision import InstanceOrigin, RoutingInstance, render_sample
-from toolrouter.synthesis import Action, Observation
+from toolrouter.synthesis import Action, CandidateCall, Observation
 
 BANK = make_tool_bank(6)
 POOL = CandidatePool.whole_bank(BANK)
@@ -22,7 +24,7 @@ NAMES = BANK.names()
 
 
 def test_router_config_rejects_unknown_variant():
-    with pytest.raises(ValueError):
+    with pytest.raises(BadConfig):
         RouterConfig(variant="nope")
 
 
@@ -290,6 +292,32 @@ def test_llm_route_parses_mock_reply():
     assert decision.chosen == label
     assert not decision.abstained
     assert "<think>" in decision.rationale
+
+
+def test_routes_over_agents_are_worded_for_agents(monkeypatch):
+    pool = CandidatePool.whole_bank(make_agent_bank(4))
+    call = CandidateCall(name=pool.membership[1], arguments={}, simulated_result="done")
+    history = (Observation(text="Plan the rollout."), Action(text="Delegating.", calls=(call,)))
+    gateway = mock_gateway(0)
+    requests, request_texts = [], []
+    chat, embedding_rows = gateway.chat, gateway.embedding_rows
+    monkeypatch.setattr(gateway, "chat", lambda request: requests.append(request) or chat(request))
+    monkeypatch.setattr(gateway, "embedding_rows", lambda texts: request_texts.append(texts[0]) or embedding_rows(texts))
+    for variant in ("llm", "embedding_qh"):
+        route(RouterConfig(variant=variant, kind="agent"), "roll it out", history, pool, gateway)
+    ((system, user),) = [[message.content for message in request.messages] for request in requests]
+    assert system == ROUTER_SYSTEM_AGENT
+    (request_text,) = request_texts
+    for text in (user, request_text):
+        assert f"<agent_call>{call.name}" in text and "<tool_call>" not in text
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_route_refuses_a_config_of_the_other_kind(variant):
+    agents = CandidatePool.whole_bank(make_agent_bank(3))
+    for cfg, pool in ((RouterConfig(variant=variant), agents), (RouterConfig(variant=variant, kind="agent"), POOL)):
+        with pytest.raises(BadConfig, match="cannot route"):
+            route(cfg, "q", (), pool, mock_gateway(0), oracle_label=pool.membership[0])
 
 
 def test_llm_route_abstains_on_unparseable_reply():

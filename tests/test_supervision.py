@@ -182,7 +182,7 @@ def test_render_sample_rejects_missing_label():
 def test_render_prompt_fills_only_template_slots():
     doc = {**make_tool_doc(0), "description": "Pick the <<SINGULAR>> from <<POOL_JSON>>."}
     pool = CandidatePool.whole_bank(CandidateBank(kind="tool", entries=(validate_spec(doc, "tool"),)))
-    _, user = render_prompt("show <<POOL_JSON>> please", (), pool, "tool")
+    _, user = render_prompt("show <<POOL_JSON>> please", (), pool)
     assert '<current query>"show <<POOL_JSON>> please"</current query>' in user
     assert user.count(pool_json(pool.specs())) == 1
     assert "Pick the <<SINGULAR>> from <<POOL_JSON>>." in user
@@ -245,7 +245,7 @@ def test_pool_block_equals_indented_json_reference(kind_docs):
     pool = CandidatePool.whole_bank(CandidateBank(kind=kind, entries=specs))
     reference = json.dumps([public_spec(spec) for spec in specs], ensure_ascii=False, indent=2)
     assert pool_json(pool.specs()) == reference
-    _, user = render_prompt("q", (), pool, kind)
+    _, user = render_prompt("q", (), pool)
     assert user.count(reference) == 1
 
 

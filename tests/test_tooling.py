@@ -10,6 +10,7 @@ from pathlib import Path
 import click
 import pytest
 
+from helpers import shell_commands
 import toolrouter
 from toolrouter.cli import main
 
@@ -132,13 +133,12 @@ def unknown_cli_flags(block: str, group: click.Group) -> list[str]:
     """Each ``--flag`` of a ``toolrouter <command>`` line of a shell block (``\\``
     continuations joined) that is no option of that command, and each unknown command."""
     problems = []
-    for line in re.sub(r"\\\n\s*", " ", block).splitlines():
-        words = shlex.split(line, comments=True)
+    for words in shell_commands(block):
         if words[:1] != ["toolrouter"]:
             continue
         command = group.commands.get(words[1]) if len(words) > 1 else None
         if command is None:
-            problems.append(f"no command: {line}")
+            problems.append(f"no command: {shlex.join(words)}")
             continue
         options = {opt for param in command.params for opt in param.opts}
         problems.extend(f"{words[1]} {word}" for word in words[2:] if re.fullmatch(r"--[\w-]+", word) and word not in options)
