@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import BadConfig, GatewayError
-from .gateway import Gateway, _ordered_sums, user_request
+from .gateway import Gateway, user_request
 from .registry import CandidatePool
 from .supervision import render_prompt
 from .synthesis import Turn, serialize_history
@@ -89,9 +89,9 @@ def embedding_route(
     mode "q" embeds the query alone; "q_plus_h" prefixes the history in the
     pool's kind, keeping its last ``MAX_HISTORY_CHARS`` characters less the
     query and a newline; the cut need not fall on a turn boundary.
-    Every member gets the scalar cosine's value bit for bit, computed from the
-    gateway's stored rows and their norms, which the gateway keeps finite and
-    nonzero; ties go to the smallest name, and gateway errors raise.
+    Every member gets the scalar cosine's value bit for bit from
+    :meth:`Gateway.cosines`, which keeps the pool's rows column-major across
+    decisions; ties go to the smallest name, and gateway errors raise.
     """
     if mode not in ("q", "q_plus_h"):
         raise ValueError(f"unknown embedding mode: {mode!r}")
@@ -102,10 +102,7 @@ def embedding_route(
         request_text = f"{history_text}\n{query}"
     else:
         request_text = query
-    rows, norms = gateway.embedding_rows((request_text, *pool.phi_texts))
-    products = rows[1:]
-    products *= rows[0]  # in place: the rows are a copy, and one fewer pool-sized temporary per decision
-    scores = _ordered_sums(products) / (norms[0] * norms[1:])
+    scores = gateway.cosines(request_text, pool.phi_texts)
     return RouterDecision(chosen=min(pool.membership[i] for i in (scores == scores.max()).nonzero()[0]))
 
 

@@ -300,9 +300,9 @@ def test_routes_over_agents_are_worded_for_agents(monkeypatch):
     history = (Observation(text="Plan the rollout."), Action(text="Delegating.", calls=(call,)))
     gateway = mock_gateway(0)
     requests, request_texts = [], []
-    chat, embedding_rows = gateway.chat, gateway.embedding_rows
+    chat, cosines = gateway.chat, gateway.cosines
     monkeypatch.setattr(gateway, "chat", lambda request: requests.append(request) or chat(request))
-    monkeypatch.setattr(gateway, "embedding_rows", lambda texts: request_texts.append(texts[0]) or embedding_rows(texts))
+    monkeypatch.setattr(gateway, "cosines", lambda text, texts: request_texts.append(text) or cosines(text, texts))
     for variant in ("llm", "embedding_qh"):
         route(RouterConfig(variant=variant, kind="agent"), "roll it out", history, pool, gateway)
     ((system, user),) = [[message.content for message in request.messages] for request in requests]
