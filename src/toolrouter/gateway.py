@@ -27,9 +27,9 @@ T = TypeVar("T")
 R = TypeVar("R")
 
 ORDERED_LOOP_ROWS = 256  # from here a loop over 64 columns beats a running sum per row
-SUM_BLOCK_ROWS = 2048  # rows per block of the column loop: 2048 rows of 64 floats (1 MB) stay in cache
-TRANSPOSE_BLOCK_ROWS = 512  # rows per block of a transposed copy, so each block stays in cache
-KEPT_POOLS = 8  # pools whose columns a gateway keeps, least recently used out first
+# Pools of ORDERED_LOOP_ROWS or more members whose columns a gateway keeps, least
+# recently used out first: the most such pools one gateway of the benchmark scores.
+KEPT_POOLS = 2
 
 
 @dataclass(frozen=True)
@@ -114,16 +114,13 @@ def _ordered_sums(products: np.ndarray) -> np.ndarray:
     """Row sums with the scalar cosine's arithmetic: added in column order to
     0.0 (by ``cumsum`` for few rows, a loop over the columns for many).
     ``np.dot``, ``@``, ``einsum`` and ``sum`` reorder the additions or fuse
-    them with the products: not bit for bit. The loop runs over one block of
-    rows at a time, so its strided column reads hit the cache.
+    them with the products: not bit for bit.
     """
     if len(products) < ORDERED_LOOP_ROWS:
         return np.cumsum(np.hstack([np.zeros((len(products), 1)), products]), axis=1)[:, -1]
     sums = np.zeros(len(products))
-    for start in range(0, len(products), SUM_BLOCK_ROWS):
-        block_sums = sums[start : start + SUM_BLOCK_ROWS]
-        for column in products[start : start + SUM_BLOCK_ROWS].T:
-            block_sums += column
+    for column in products.T:
+        sums += column
     return sums
 
 
@@ -148,24 +145,13 @@ def _usable_norms(rows: np.ndarray, names: Sequence[str], error: type[Exception]
     return norms
 
 
-def _columns(rows: np.ndarray) -> np.ndarray:
-    """A C-contiguous copy of ``rows.T``, copied one block of rows at a time:
-    numpy's one-pass transposed copy of many rows misses the cache on every
-    write (14 ms against 3.4 ms for 20000 rows of 64)."""
-    columns = np.empty(rows.shape[::-1])
-    for start in range(0, len(rows), TRANSPOSE_BLOCK_ROWS):
-        columns[:, start : start + TRANSPOSE_BLOCK_ROWS] = rows[start : start + TRANSPOSE_BLOCK_ROWS].T
-    return columns
-
-
 def _column_dots(columns: np.ndarray, row: np.ndarray) -> np.ndarray:
-    """``row``'s dot product with each column of ``columns``, a C-contiguous
-    copy by :func:`_columns`, in :func:`_ordered_dots`' arithmetic. For many
-    columns, each row of ``columns`` is multiplied by its value of ``row``
-    into one reused buffer and added to the running sums in order."""
+    """``row``'s dot product with each column of the C-contiguous
+    ``columns``, in :func:`_ordered_dots`' arithmetic for at least
+    ``ORDERED_LOOP_ROWS`` columns: each row of ``columns`` is multiplied by
+    its value of ``row`` into one reused buffer and added to the running sums
+    in order."""
     count = columns.shape[1]
-    if count < ORDERED_LOOP_ROWS:
-        return _ordered_sums(columns.T * row)
     sums, products = np.zeros(count), np.empty(count)
     for value, column in zip(row.tolist(), columns):
         sums += np.multiply(column, value, out=products)
@@ -206,11 +192,13 @@ class Gateway:
     doubling, and ``_norms`` holds that row's norm, computed once in the
     scalar cosine's arithmetic.
 
-    ``_pools`` keeps, for the last ``KEPT_POOLS`` texts tuples scored by
-    :meth:`cosines` (a pool's ``phi_texts``), their rows once more in
-    column-major order with their norms: n × dim × 8 bytes per kept pool of
-    n texts, 1 MB for 2005 texts of dim 64. A stored row never changes, so a
-    kept pool never goes stale.
+    ``_pools`` keeps, for the last ``KEPT_POOLS`` texts tuples of at least
+    ``ORDERED_LOOP_ROWS`` texts scored by :meth:`cosines` (a pool's
+    ``phi_texts``), their rows once more in column-major order with their
+    norms: n × dim × 8 bytes per kept pool of n texts (1 MB for 2005 texts of
+    dim 64), at most ``KEPT_POOLS`` × n × dim × 8 bytes for pools of up to n
+    texts (82 MB for two of 80000 texts of dim 64). A stored row never
+    changes, so a kept pool never goes stale.
     """
 
     def __init__(
@@ -339,13 +327,20 @@ class Gateway:
 
         A kept pool reads only ``text``'s row, and embeds it alone if it is
         new. Otherwise ``text`` and the missing ``texts`` go to the backend in
-        one call, ``text`` first, and the pool's columns are kept, evicting
-        the least recently scored pool beyond ``KEPT_POOLS``.
+        one call, ``text`` first. The columns of a pool of at least
+        ``ORDERED_LOOP_ROWS`` texts are then kept, evicting the least
+        recently scored pool beyond ``KEPT_POOLS``; a smaller pool is
+        gathered on each call.
         """
+        if len(texts) < ORDERED_LOOP_ROWS:
+            rows, norms = self.embedding_rows((text, *texts))
+            products = rows[1:]
+            products *= rows[0]  # in place: the rows are a copy, and one fewer temporary per call
+            return _ordered_sums(products) / (norms[0] * norms[1:])
         pool = self._pools.pop(texts, None)
         if pool is None:
             rows, norms = self.embedding_rows((text, *texts))
-            pool = _columns(rows[1:]), norms[1:]
+            pool = np.ascontiguousarray(rows[1:].T), norms[1:]
             if len(self._pools) == KEPT_POOLS:
                 del self._pools[next(iter(self._pools))]
         self._pools[texts] = pool

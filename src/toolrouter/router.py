@@ -90,8 +90,8 @@ def embedding_route(
     pool's kind, keeping its last ``MAX_HISTORY_CHARS`` characters less the
     query and a newline; the cut need not fall on a turn boundary.
     Every member gets the scalar cosine's value bit for bit from
-    :meth:`Gateway.cosines`, which keeps the pool's rows column-major across
-    decisions; ties go to the smallest name, and gateway errors raise.
+    :meth:`Gateway.cosines`, which keeps a large pool's rows column-major
+    across decisions; ties go to the smallest name, and gateway errors raise.
     """
     if mode not in ("q", "q_plus_h"):
         raise ValueError(f"unknown embedding mode: {mode!r}")

