@@ -9,7 +9,7 @@ import os
 from pathlib import Path
 from typing import Any, Callable, Iterable, TypeVar
 
-from .errors import BadConfig, IoError, ParseError, SpecError, ValidationError
+from .errors import IoError, ParseError, SpecError, ValidationError
 
 T = TypeVar("T")
 
@@ -67,8 +67,8 @@ def write_jsonl(path: str | Path, documents: Iterable[dict], what: str) -> int:
 
 
 # What a record parser raises for a record it rejects; see ``record_error``. An
-# OverflowError is a JSON integer too large for a float; a BadConfig, a bad tau.
-RECORD_ERRORS = (KeyError, OverflowError, TypeError, ValueError, BadConfig, SpecError, ValidationError)
+# OverflowError is a JSON integer too large for a float; a ValueError includes a BadConfig, a bad tau.
+RECORD_ERRORS = (KeyError, OverflowError, TypeError, ValueError, SpecError, ValidationError)
 
 
 def record_error(location: str, exc: Exception) -> ParseError:

@@ -139,8 +139,8 @@ class TagMismatch(MutationError):
 # --- sampling / synthesis ---------------------------------------------------------
 
 
-class BadConfig(ToolRouterError):
-    pass
+class BadConfig(ToolRouterError, ValueError):
+    """A configuration or argument value out of its range; a ValueError too, as Python's own checks raise."""
 
 
 class OutOfSubsetReference(ToolRouterError):

@@ -9,6 +9,7 @@ members under every setting.
 from __future__ import annotations
 
 import json
+import marshal
 import random
 from dataclasses import dataclass, field
 from enum import Enum
@@ -16,7 +17,7 @@ from pathlib import Path
 from typing import Sequence
 
 from ._util import derive_seed, write_jsonl, write_lines
-from .errors import MissingParameter, SpecError, ValidationError
+from .errors import BadConfig, MissingParameter, SpecError, ValidationError
 from .gateway import Gateway
 from .graph import CandidateGraph
 from .registry import CandidateBank, CandidatePool, validate_spec
@@ -41,8 +42,11 @@ class PoolSetting:
     A setting keeps one expanded pool per distinct inline pool for as long
     as it lives, and derives the banks it adds once per kind. Reusing one
     setting across routers and ``evaluate()`` calls is the intended use, as
-    in the methods x settings table. Its inputs must not change after
-    construction, and the memo assumes one calling thread, as the gateway.
+    in the methods x settings table. The memo is keyed by ``_pool_key``: the
+    marshal bytes of a pool of plain values, else its JSON text, so a pool
+    is checked for JSON and validated once, when it is first stored. Its
+    inputs must not change after construction, and the memo assumes one
+    calling thread, as the gateway.
     """
 
     variant: Setting = Setting.CLEAN
@@ -53,8 +57,8 @@ class PoolSetting:
     _expansions: dict[str, tuple[tuple[CandidateBank, ...], frozenset[str]]] = field(
         default_factory=dict, init=False, compare=False, hash=False, repr=False
     )
-    # _pool_key -> (the record's inline bank, its expanded pool)
-    _pools: dict[str, tuple[CandidateBank, CandidatePool]] = field(
+    # _pool_key (or, for a pool of other values, _pool_json) -> (the record's inline bank, its expanded pool)
+    _pools: dict[bytes | str, tuple[CandidateBank, CandidatePool]] = field(
         default_factory=dict, init=False, compare=False, hash=False, repr=False
     )
 
@@ -125,13 +129,50 @@ def _record_pool(record: DatasetRecord) -> CandidatePool:
     return CandidatePool.whole_bank(bank)
 
 
-def _pool_key(record: DatasetRecord) -> str:
-    """The record's kind and inline pool as JSON text: two keys are equal only
-    for the same documents with the same key order."""
+def _pool_json(record: DatasetRecord) -> str:
+    """The record's kind and inline pool as JSON text; SpecError if it is no JSON."""
     try:
         return json.dumps([record.kind, record.pool_specs])
     except (TypeError, ValueError) as exc:
         raise SpecError(f"pool is not JSON: {exc}") from exc
+
+
+def _pool_key(record: DatasetRecord) -> bytes | str:
+    """The record's kind and inline pool as marshal (version 2) bytes, else as JSON text.
+
+    Version 2 writes no interning or sharing marks, so the bytes depend only
+    on the values, their exact types and the key order: two pools that differ
+    in key order, in 1, 1.0 and True, or in a list and a tuple get two keys.
+    Marshal also writes any buffer (a numpy scalar, bytes) as bytes, so
+    ``evaluate()`` stores a pool under these bytes only when ``_plain`` holds.
+    A value marshal refuses (an OrderedDict, a str subclass) keys by JSON text.
+    """
+    try:
+        return marshal.dumps((record.kind, record.pool_specs), 2)
+    except ValueError:
+        return _pool_json(record)
+
+
+_PLAIN_SCALARS = (str, int, float, bool, type(None))
+
+
+def _plain(value: object) -> bool:
+    """Whether ``value`` holds only exact dicts with str keys, lists, tuples,
+    str, int, float, bool and None. Iterative, so any depth JSON takes is fine;
+    ``value`` must have no cycle, as any JSON-encoded value."""
+    stack = [value]
+    while stack:
+        item = stack.pop()
+        kind = type(item)
+        if kind is dict:
+            if not all(type(key) is str for key in item):
+                return False
+            stack.extend(item.values())
+        elif kind is list or kind is tuple:
+            stack.extend(item)
+        elif kind not in _PLAIN_SCALARS:
+            return False
+    return True
 
 
 def evaluate(
@@ -148,17 +189,24 @@ def evaluate(
     count as incorrect. Per-group accuracies average over runs. The setting
     keeps one expanded pool per distinct inline pool for as long as it
     lives, so reuse one setting across routers and calls (one calling
-    thread, as the gateway).
+    thread, as the gateway). A stored pool costs one marshal of the record's
+    pool per call; a new one is also checked for JSON, validated and built.
     """
     if k < 1:
-        raise ValueError("k must be >= 1")
+        raise BadConfig(f"k must be >= 1, got {k}")
     if not dataset:
-        raise ValueError("dataset is empty")
+        raise BadConfig("dataset is empty")
 
     pools: list[CandidatePool] = []
     for record in dataset:
         try:
             key = _pool_key(record)
+            if key not in setting._pools:
+                # A new pool: check it is JSON, once. Key it by that text unless every value is
+                # plain, so that only a plain pool, stored when it was JSON, matches these bytes.
+                text = _pool_json(record)
+                if not _plain((record.kind, record.pool_specs)):
+                    key = text
             if key not in setting._pools:
                 inline = _record_pool(record)
                 setting._pools[key] = (inline.bank, build_pool(inline, setting))

@@ -18,7 +18,7 @@ from typing import Iterable, Protocol, Sequence
 
 from . import prompts
 from ._util import write_jsonl
-from .errors import NotParseable
+from .errors import BadConfig, NotParseable
 from .gateway import Gateway, parse_json_reply, user_request
 from .registry import CandidatePool
 from .router import RouterConfig, RouterDecision, route
@@ -182,7 +182,7 @@ def run_episode(
     final answer as it stands.
     """
     if budget < 1:
-        raise ValueError("budget must be >= 1")
+        raise BadConfig(f"budget must be >= 1, got {budget}")
     log = EpisodeLog(task=task)
     turns: list[Turn] = [Observation(text=task)]
     pending: RouterDecision | None = None

@@ -208,7 +208,7 @@ def evolve(graph: CandidateGraph, rounds: int, cfg: EvolveConfig, gateway: Gatew
     the mutant, aborts, returning the partial result with the error noted.
     """
     if rounds < 0:
-        raise ValueError("rounds must be >= 0")
+        raise BadConfig(f"rounds must be >= 0, got {rounds}")
     if rounds and graph.kind is None:
         raise EmptyGraph("cannot evolve an empty graph")
     result = EvolveResult(graph=graph)

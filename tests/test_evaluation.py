@@ -2,9 +2,13 @@
 
 import copy
 import json
+import marshal
 import random
+import sys
+from collections import OrderedDict
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from helpers import (
@@ -16,7 +20,7 @@ from helpers import (
     mock_gateway,
 )
 from toolrouter import evaluation
-from toolrouter.errors import MissingParameter, ValidationError
+from toolrouter.errors import BadConfig, MissingParameter, ValidationError
 from toolrouter.evaluation import (
     Metrics,
     PoolSetting,
@@ -30,7 +34,7 @@ from toolrouter.evaluation import (
 from toolrouter.gateway import EmbeddingVector
 from toolrouter.graph import GraphConfig, build_graph
 from toolrouter.mutation import EvolveConfig, evolve
-from toolrouter.registry import CandidateBank, CandidatePool, validate_spec
+from toolrouter.registry import CandidateBank, CandidatePool, pool_json, validate_spec
 from toolrouter.router import RouterConfig, route
 from toolrouter.supervision import DatasetRecord
 
@@ -391,3 +395,146 @@ def test_save_results(tmp_path):
     }
     table = (tmp_path / "results.jsonl.table.txt").read_text()
     assert "oracle" in table and "0.7500" in table
+
+
+def test_evaluate_with_k_below_one_is_bad_config():
+    with pytest.raises(BadConfig, match="k must be >= 1, got 0"):
+        evaluate(RouterConfig(variant="oracle"), make_records(2), PoolSetting(), k=0)
+
+
+def test_evaluate_of_an_empty_dataset_is_bad_config():
+    with pytest.raises(BadConfig, match="dataset is empty"):
+        evaluate(RouterConfig(variant="oracle"), [], PoolSetting())
+
+
+# --- the pool memo's key: marshal bytes of plain values, else JSON text -------------
+
+
+def _records_over(pool_specs, n=3, group="g"):
+    """``n`` records over one inline pool, each label a member of it."""
+    return [
+        DatasetRecord(
+            kind="tool",
+            system="sys",
+            user="user",
+            query=f"query {group} {i}",
+            history=(),
+            pool_specs=tuple(pool_specs),
+            label=pool_specs[i % len(pool_specs)]["name"],
+            group=group,
+        )
+        for i in range(n)
+    ]
+
+
+def _with_target(docs, target):
+    """A deep copy of ``docs`` whose first document's ``target`` property is ``target``."""
+    docs = copy.deepcopy(docs)
+    docs[0]["inputSchema"]["properties"]["target"] = target
+    return docs
+
+
+def _interned(value):
+    """``value`` rebuilt with every string, keys included, interned."""
+    if isinstance(value, str):
+        return sys.intern(value)
+    if isinstance(value, dict):
+        return {sys.intern(key): _interned(item) for key, item in value.items()}
+    return [_interned(item) for item in value]
+
+
+@pytest.fixture
+def routed(monkeypatch):
+    """The public JSON of each pool ``evaluate()`` routes over, in call order."""
+    seen = []
+
+    def recording_route(cfg, query, history, pool, *args, **kwargs):
+        seen.append(pool_json(pool.specs()))
+        return route(cfg, query, history, pool, *args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "route", recording_route)
+    return seen
+
+
+def _scores(routed, cfg, records, setting):
+    """One ``evaluate()`` call's Metrics and the pools it routed over."""
+    routed.clear()
+    metrics = evaluate(cfg, records, setting, k=2, seed=5, gateway=mock_gateway(1))
+    return metrics, list(routed)
+
+
+def test_equal_pools_made_three_ways_build_once_per_setting(monkeypatch, routed, mutation_graph):
+    docs = [make_tool_doc(i) for i in range(4)]
+    line = json.dumps(docs)
+    records = [
+        *_records_over(json.loads(line), group="decoded"),
+        *_records_over(copy.deepcopy(docs), group="copied"),
+        *_records_over(_interned([make_tool_doc(i) for i in range(4)]), group="interned"),
+    ]
+    inputs = dict(variant=Setting.PLUS_MUTATION, mutation_graph=mutation_graph)
+    setting, cfg = PoolSetting(**inputs), RouterConfig(variant="embedding_qh")
+    counts = count_calls(monkeypatch, record_pool=(evaluation, "_record_pool"), build_pool=(evaluation, "build_pool"))
+    shared = [_scores(routed, cfg, records, setting) for _ in range(2)]
+    assert counts == {"record_pool": 1, "build_pool": 1}
+    assert shared[0] == shared[1] == _scores(routed, cfg, records, PoolSetting(**inputs))
+
+
+@pytest.mark.parametrize(
+    "targets",
+    [
+        [{"type": "string", "description": "d"}, {"description": "d", "type": "string"}],
+        [{"type": "integer", "description": "d", "default": value} for value in (1, 1.0, True)],
+        [{"type": "string", "description": "d", "examples": value} for value in (["a", "b"], ("a", "b"))],
+    ],
+    ids=["key-order", "one-float-true", "list-tuple"],
+)
+def test_pools_that_differ_only_in_key_order_or_type_score_like_fresh_settings(monkeypatch, routed, targets):
+    docs = [make_tool_doc(i) for i in range(4)]
+    pools = [_with_target(docs, target) for target in targets]
+    setting, cfg = PoolSetting(), RouterConfig(variant="llm")
+    counts = count_calls(monkeypatch, record_pool=(evaluation, "_record_pool"))
+    for _ in range(2):
+        for i, pool in enumerate(pools):
+            records = _records_over(pool, group=f"pool{i}")
+            assert _scores(routed, cfg, records, setting) == _scores(routed, cfg, records, PoolSetting())
+    assert counts == {"record_pool": 3 * len(pools)}  # each pool once in the shared setting, twice in fresh ones
+
+
+def test_a_bytes_pool_that_marshals_as_a_stored_numpy_pool_is_not_json(monkeypatch):
+    docs = [make_tool_doc(i) for i in range(4)]
+    numeric = _records_over(_with_target(docs, {"type": "number", "default": np.float64(0.5)}), n=2)
+    raw = _records_over(_with_target(docs, {"type": "number", "default": np.float64(0.5).tobytes()}), n=2)
+    as_bytes = [marshal.dumps((record.kind, record.pool_specs), 2) for record in (numeric[0], raw[0])]
+    assert as_bytes[0] == as_bytes[1]  # marshal writes the float64 as its buffer: a key alone cannot tell them apart
+    setting, cfg = PoolSetting(), RouterConfig(variant="oracle")
+    fresh = evaluate(cfg, numeric, PoolSetting())
+    counts = count_calls(monkeypatch, record_pool=(evaluation, "_record_pool"))
+    for _ in range(2):
+        assert evaluate(cfg, numeric, setting) == fresh
+        with pytest.raises(ValidationError, match="dataset record unusable: pool is not JSON"):
+            evaluate(cfg, raw, setting)
+    assert counts == {"record_pool": 1}
+
+
+class _Text(str):
+    pass
+
+
+@pytest.mark.parametrize(
+    "document",
+    [OrderedDict, lambda doc: {**doc, "description": _Text(doc["description"])}],
+    ids=["ordered-dict", "str-subclass"],
+)
+def test_pools_that_marshal_refuses_share_one_build_through_their_json_text(monkeypatch, routed, document):
+    records = [
+        record
+        for copies in range(3)
+        for record in _records_over([document(make_tool_doc(i)) for i in range(4)], n=2, group=f"copy{copies}")
+    ]
+    with pytest.raises(ValueError):
+        marshal.dumps(records[0].pool_specs, 2)
+    setting, cfg = PoolSetting(), RouterConfig(variant="embedding_q")
+    counts = count_calls(monkeypatch, record_pool=(evaluation, "_record_pool"))
+    shared = [_scores(routed, cfg, records, setting) for _ in range(2)]
+    assert counts == {"record_pool": 1}
+    assert shared[0] == shared[1] == _scores(routed, cfg, records, PoolSetting())

@@ -7,6 +7,7 @@ import pytest
 
 from helpers import ScriptedReasoner, make_tool_bank, make_tool_doc, mock_gateway
 from toolrouter import lra
+from toolrouter.errors import BadConfig
 from toolrouter.lra import (
     EXECUTE_CANDIDATE_TOOL,
     ROUTER_INVOKE_TOOL,
@@ -235,6 +236,13 @@ def test_budget_exhaustion():
     with pytest.raises(ValueError):
         run_episode("task", POOL, ORACLE, ExecutorBinding.mock_for(POOL), reasoner, budget=0)
 
+
+
+def test_a_budget_below_one_is_bad_config():
+    reasoner = scripted({"action": "route", "need": "loop"})
+    with pytest.raises(BadConfig, match="budget must be >= 1, got 0"):
+        run_episode("task", POOL, ORACLE, ExecutorBinding.mock_for(POOL), reasoner, budget=0)
+    assert reasoner._index == 0  # refused before the reasoner is asked
 
 def test_non_callable_candidates_refuse_execution():
     pool = CandidatePool(bank=BANK, membership=BANK.names(), non_callable=frozenset({LABEL}))

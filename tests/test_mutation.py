@@ -8,7 +8,7 @@ import pytest
 
 from helpers import make_agent_bank, make_agent_doc, make_tool_bank, make_tool_doc, mock_gateway
 from toolrouter.backends import MockChatBackend, MockEmbeddingBackend
-from toolrouter.errors import BadAgentName, EmptyGraph, NameEqualsParent, NotParseable, TagMismatch
+from toolrouter.errors import BadAgentName, BadConfig, EmptyGraph, NameEqualsParent, NotParseable, TagMismatch
 from toolrouter.gateway import Gateway, TransientBackendError, strip_code_fence, user_request
 from toolrouter.graph import CandidateGraph, GraphConfig, GraphNode, build_graph
 from toolrouter.mutation import (
@@ -142,6 +142,12 @@ def test_evolve_zero_rounds_identity():
     assert result.graph is graph
     assert result.records == [] and result.accepted == 0
     with pytest.raises(ValueError):
+        evolve(graph, -1, EvolveConfig(), mock_gateway(0))
+
+
+def test_negative_rounds_are_bad_config():
+    graph = build_graph(make_tool_bank(3), GraphConfig(), mock_gateway(0))
+    with pytest.raises(BadConfig, match="rounds must be >= 0, got -1"):
         evolve(graph, -1, EvolveConfig(), mock_gateway(0))
 
 
