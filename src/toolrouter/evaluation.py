@@ -8,6 +8,7 @@ members under every setting.
 
 from __future__ import annotations
 
+import copy
 import json
 import marshal
 import random
@@ -124,7 +125,9 @@ class Metrics:
 
 
 def _record_pool(record: DatasetRecord) -> CandidatePool:
-    entries = tuple(validate_spec(dict(doc), record.kind) for doc in record.pool_specs)
+    """The record's inline pool, validated from a copy of its documents, so
+    that the stored pool shares no dict with the record."""
+    entries = tuple(validate_spec(doc, record.kind) for doc in copy.deepcopy(record.pool_specs))
     bank = CandidateBank(kind=record.kind, entries=entries)
     return CandidatePool.whole_bank(bank)
 

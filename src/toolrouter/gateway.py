@@ -198,7 +198,9 @@ class Gateway:
     norms: n × dim × 8 bytes per kept pool of n texts (1 MB for 2005 texts of
     dim 64), at most ``KEPT_POOLS`` × n × dim × 8 bytes for pools of up to n
     texts (82 MB for two of 80000 texts of dim 64). A stored row never
-    changes, so a kept pool never goes stale.
+    changes, so a kept pool never goes stale. A pool is kept under the id of
+    its texts tuple, which it holds, so that a lookup hashes no text; an
+    equal tuple that is another object gathers its rows again.
     """
 
     def __init__(
@@ -218,7 +220,7 @@ class Gateway:
         self._rows: dict[str, int] = {}
         self._matrix = np.empty((0, embedding_backend.dim if embedding_backend is not None else 0))
         self._norms = np.empty(0)
-        self._pools: dict[tuple[str, ...], tuple[np.ndarray, np.ndarray]] = {}
+        self._pools: dict[int, tuple[tuple[str, ...], np.ndarray, np.ndarray]] = {}
         self.usage = Usage()
 
     def _call_with_retries(self, what: str, call: Callable[[T], R], argument: T) -> R:
@@ -337,17 +339,17 @@ class Gateway:
             products = rows[1:]
             products *= rows[0]  # in place: the rows are a copy, and one fewer temporary per call
             return _ordered_sums(products) / (norms[0] * norms[1:])
-        pool = self._pools.pop(texts, None)
-        if pool is None:
+        pool = self._pools.pop(id(texts), None)
+        if pool is None or pool[0] is not texts:
             rows, norms = self.embedding_rows((text, *texts))
-            pool = np.ascontiguousarray(rows[1:].T), norms[1:]
+            pool = texts, np.ascontiguousarray(rows[1:].T), norms[1:]
             if len(self._pools) == KEPT_POOLS:
                 del self._pools[next(iter(self._pools))]
-        self._pools[texts] = pool
+        self._pools[id(texts)] = pool
         if text not in self._rows:
             self._fill((text,))
         at = self._rows[text]
-        columns, norms = pool
+        _, columns, norms = pool
         return _column_dots(columns, self._matrix[at]) / (self._norms[at] * norms)
 
     @property

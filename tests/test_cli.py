@@ -830,3 +830,31 @@ def test_downstream_artifacts_byte_identical_to_pinned(tmp_path):
     paths = (trajs, dataset, tmp_path / "dataset.jsonl.nohistory", results)
     digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in paths}
     assert digests == PINNED_DOWNSTREAM
+
+
+# sha256 of the extract --pool-scope graph --ablation files over the same chain as
+# PINNED_DOWNSTREAM: every record inlines the whole graph as its pool.
+PINNED_GRAPH_SCOPE = {
+    "dataset.jsonl": "41b6c24e1297e43ded31edf2d2ef17469017848ac13e27d1d119891b86deb348",
+    "dataset.jsonl.nohistory": "7c617036825d233ba4058828a7ba7f3a9c166ab56539f9628dbcc3462b68cb20",
+}
+
+
+def test_graph_scope_dataset_byte_identical_to_pinned(tmp_path):
+    bank_path, config_path = tmp_path / "bank.jsonl", tmp_path / "config.yaml"
+    save_bank(make_family_bank(60, seed=3), bank_path)
+    config_path.write_text(ALL_SECTION_KEYS_YAML, encoding="utf-8")
+    config = ["--config", str(config_path)]
+    graph, mutated, trajs = tmp_path / "graph.jsonl", tmp_path / "mutated.jsonl", tmp_path / "trajs.jsonl"
+    dataset = tmp_path / "dataset.jsonl"
+    steps = [
+        ["build-graph", *config, "--bank", str(bank_path), "--out", str(graph)],
+        ["mutate", *config, "--graph", str(graph), "--rounds", "4", "--out", str(mutated)],
+        ["synthesize", *config, "--graph", str(mutated), "--count", "5", "--out", str(trajs)],
+        ["extract", *config, "--trajectories", str(trajs), "--graph", str(mutated), "--pool-scope", "graph",
+         "--ablation", "--out", str(dataset)],
+    ]
+    for args in steps:
+        assert run(args).exit_code == 0, args[0]
+    paths = (dataset, tmp_path / "dataset.jsonl.nohistory")
+    assert {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in paths} == PINNED_GRAPH_SCOPE

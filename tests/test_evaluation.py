@@ -322,6 +322,26 @@ def test_a_pool_edited_between_calls_is_rebuilt(monkeypatch, mutation_graph):
     assert again == evaluate(cfg, records, PoolSetting(**inputs), k=1, seed=0)
 
 
+def test_a_record_edited_below_the_top_level_leaves_the_stored_pool_unedited(monkeypatch):
+    records = distinct_pool_records(1, per_pool=2)
+    setting = PoolSetting()
+    seen = []
+
+    def recording_route(cfg, query, history, pool, *args, **kwargs):
+        seen.append(pool)
+        return route(cfg, query, history, pool, *args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "route", recording_route)
+    cfg = RouterConfig(variant="random")
+    evaluate(cfg, records, setting, k=1, seed=0)
+    records[0].pool_specs[0]["inputSchema"]["properties"]["target"]["description"] = "EDITED"
+    seen.clear()
+    evaluate(cfg, records, setting, k=1, seed=0)
+    target = seen[1].specs()[0].input_schema["properties"]["target"]
+    assert target["description"] == records[1].pool_specs[0]["inputSchema"]["properties"]["target"]["description"]
+    assert "EDITED" not in pool_json(seen[1].specs())
+
+
 def test_a_label_outside_a_cached_pool_raises_on_every_call(mutation_graph):
     good = distinct_pool_records(1, per_pool=1)[0]
     stray = replace(good, label=EXTERNAL_BANK.names()[0])  # the same pool, a label outside it

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import requests
 
-from helpers import StaticEmbeddingBackend, make_tool_bank, mock_gateway
+from helpers import StaticEmbeddingBackend, count_calls, make_tool_bank, mock_gateway
 from toolrouter.backends import (
     HTTPChatBackend,
     HTTPEmbeddingBackend,
@@ -21,7 +21,15 @@ from toolrouter.errors import (
     MalformedEmbedding,
     RetriesExhausted,
 )
-from toolrouter.gateway import ChatMessage, ChatRequest, EmbeddingVector, Gateway, TransientBackendError, user_request
+from toolrouter.gateway import (
+    ORDERED_LOOP_ROWS,
+    ChatMessage,
+    ChatRequest,
+    EmbeddingVector,
+    Gateway,
+    TransientBackendError,
+    user_request,
+)
 from toolrouter import prompts
 from toolrouter.registry import CandidatePool
 from toolrouter.router import RouterConfig, embedding_route, route
@@ -356,6 +364,21 @@ def test_texts_first_seen_through_embed_texts_reach_the_backend_once():
     assert route(RouterConfig(variant="embedding_q"), "a query", (), pool, gateway) == first
     embedding_route(gateway, "a query", (), pool, "q")
     assert backend.batches == [["a query", *pool.phi_texts]]
+
+
+def test_an_equal_texts_tuple_of_another_object_gathers_again_with_bit_identical_cosines(monkeypatch):
+    texts = CandidatePool.whole_bank(make_tool_bank(ORDERED_LOOP_ROWS)).phi_texts
+    twin = tuple(list(texts))
+    assert twin == texts and twin is not texts
+    gateway = mock_gateway(0)
+    kept = gateway.cosines("archive the email threads", texts)
+    counts = count_calls(monkeypatch, rows=(Gateway, "embedding_rows"))
+    assert gateway.cosines("archive the email threads", texts).tobytes() == kept.tobytes()
+    assert counts == {"rows": 0}
+    assert gateway.cosines("archive the email threads", twin).tobytes() == kept.tobytes()
+    assert counts == {"rows": 1}
+    assert gateway.cosines("archive the email threads", twin).tobytes() == kept.tobytes()
+    assert counts == {"rows": 1}
 
 
 def test_embedding_of_the_wrong_dim_raises():

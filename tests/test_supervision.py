@@ -1,12 +1,22 @@
 """Instance extraction (query/history convention), rendering, dataset files."""
 
 import json
+import re
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import candidate_calls, make_agent_bank, make_tool_bank, make_tool_doc, parse_history_turn_count
+from helpers import (
+    candidate_calls,
+    make_agent_bank,
+    make_agent_doc,
+    make_tool_bank,
+    make_tool_doc,
+    parse_history_turn_count,
+)
 from toolrouter import prompts
+from toolrouter._util import JSON_LINE
 from toolrouter.errors import ParseError, PoolMissingLabel
 from toolrouter.registry import CandidateBank, CandidatePool, pool_json, public_spec, validate_spec
 from toolrouter.sampler import CandidateSubset
@@ -322,3 +332,74 @@ def test_extraction_instance_count_property(labels):
     assert [i.label for i in instances] == labels
     for step, instance in enumerate(instances):
         assert len(instance.history) == 2 * step
+
+
+def _lines(path):
+    """The lines of a JSONL file split at "\\n" alone: a JSON line may hold a raw U+2028."""
+    return path.read_text(encoding="utf-8").split("\n")[:-1]
+
+
+# A text with nothing, the pool block or the block less its last character
+# between two short texts that need escaping, and call arguments whose None
+# values stand for the pool's documents.
+_SHORT_TEXT = st.text(alphabet=st.sampled_from('a"\\\n\x00\x1f\x7fé😀\u2028'), max_size=4)
+_TEXT_PARTS = st.tuples(_SHORT_TEXT, st.sampled_from([0, 1, -1]), _SHORT_TEXT)
+_ARGUMENTS = st.dictionaries(st.sampled_from(["pool", "target"]), st.one_of(_SHORT_TEXT, st.none()), max_size=2)
+
+
+@st.composite
+def _dataset_inputs(draw):
+    """Trajectories over one pool object (the last one maybe over an equal
+    second object), with texts that hold the pool block verbatim or all but
+    its end, and call arguments that hold a "pool" key."""
+    kind = draw(st.sampled_from(["tool", "agent"]))
+    make_doc = make_agent_doc if kind == "agent" else make_tool_doc
+    docs = [{**make_doc(i), "description": "d" + draw(_JSON_TEXT)} for i in range(draw(st.integers(1, 4)))]
+    bank = CandidateBank(kind=kind, entries=tuple(validate_spec(doc, kind) for doc in docs))
+    pool = CandidatePool.whole_bank(bank)
+    block = pool_json(pool.specs())
+
+    def text():
+        prefix, inner, suffix = draw(_TEXT_PARTS)
+        return prefix + {0: "", 1: block, -1: block[:-1]}[inner] + suffix
+
+    def call():
+        arguments = {key: docs if value is None else value for key, value in draw(_ARGUMENTS).items()}
+        return CandidateCall(draw(st.sampled_from(pool.membership)), arguments, text())
+
+    trajectories = []
+    for index in range(draw(st.integers(1, 3))):
+        turns = [Observation(text())]
+        for _ in range(draw(st.integers(1, 2))):
+            turns += [Action(text(), tuple(call() for _ in range(draw(st.integers(1, 2))))), Observation(text())]
+        subset = CandidateSubset(members=pool.membership, seed_nodes=pool.membership[:1], walk_trace=())
+        trajectories.append(Trajectory(f"t{index}", tuple(turns), subset, TaskPlan(turns[0].text, ())))
+    pools = [pool] * (len(trajectories) - 1) + [draw(st.sampled_from([pool, CandidatePool.whole_bank(bank)]))]
+    return trajectories, pools
+
+
+@settings(max_examples=60, deadline=None)
+@given(_dataset_inputs())
+def test_build_dataset_lines_equal_the_encoded_rendered_records(tmp_path_factory, inputs):
+    trajectories, pools = inputs
+    path = tmp_path_factory.mktemp("dataset") / "data.jsonl"
+    build_dataset(trajectories, pools, path, ablation=True)
+    instances = [i for trajectory, pool in zip(trajectories, pools) for i in extract_instances(trajectory, pool)]
+    expected = [JSON_LINE.encode(render_sample(i).to_dict()) for i in instances]
+    twins = [JSON_LINE.encode(render_sample(strip_history(i)).to_dict()) for i in instances]
+    assert _lines(path) == expected
+    assert _lines(path.with_name("data.jsonl.nohistory")) == twins
+    saved = path.with_name("saved.jsonl")
+    save_dataset(map(render_sample, instances), saved)
+    assert saved.read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("origin", ["x", 5, ["t", 0]], ids=["string", "number", "list"])
+def test_a_dataset_line_whose_origin_is_no_object_is_a_parse_error(tmp_path, origin):
+    record = render_sample(extract_instances(make_trajectory("o0", [[NAMES[0]]]), POOL)[0])
+    path = tmp_path / "data.jsonl"
+    save_dataset([record, replace(record, origin=origin)], path)
+    with pytest.raises(ParseError, match=re.escape(f"{path}:2: origin must be dict")):
+        load_dataset(path)
+    save_dataset([replace(record, origin=None)], path)
+    assert load_dataset(path)[0].origin is None
