@@ -77,11 +77,16 @@ def record_error(location: str, exc: Exception) -> ParseError:
 
 
 def read_lines(path: Path, what: str) -> list[str]:
-    """The lines of a UTF-8 text file; IoError names ``what`` when it cannot be read."""
+    """The lines of a UTF-8 text file, split at "\\n" alone: ``JSON_LINE`` writes
+    U+0085, U+2028 and U+2029 raw, and ``str.splitlines`` would split at them.
+    IoError names ``what`` when the file cannot be read."""
     try:
-        return path.read_text(encoding="utf-8").splitlines()
+        lines = path.read_text(encoding="utf-8").split("\n")
     except OSError as exc:
         raise IoError(f"cannot read {what} {path}: {exc}") from exc
+    if not lines[-1]:  # what follows the last newline, or an empty file
+        lines.pop()
+    return lines
 
 
 def parse_lines(path: Path, lines: list[str], parse: Callable[[dict], T], start: int = 1) -> list[T]:

@@ -27,7 +27,7 @@ T = TypeVar("T")
 R = TypeVar("R")
 
 ORDERED_LOOP_ROWS = 256  # from here a loop over 64 columns beats a running sum per row
-# Pools of ORDERED_LOOP_ROWS or more members whose columns a gateway keeps, least
+# Pools of ORDERED_LOOP_ROWS or more members whose unit rows a gateway keeps, least
 # recently used out first: the most such pools one gateway of the benchmark scores.
 KEPT_POOLS = 2
 
@@ -130,6 +130,21 @@ def _ordered_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _ordered_sums(a * b)
 
 
+# A screen multiplies unit rows rounded to float32. Rounding them and summing
+# dim products moves a cosine by at most (dim + 2) * 2**-24, so a screened
+# cosine lies within _screen_margin(dim), twice that, of the scalar cosine.
+SCREEN_MARGIN = 2 * 2.0**-24
+
+
+def _screen_margin(dim: int) -> float:
+    return SCREEN_MARGIN * (dim + 2)
+
+
+def _unit_rows(rows: np.ndarray, norms: np.ndarray | float) -> np.ndarray:
+    """The rows (or one row) divided by their norms, rounded to float32: what a screen multiplies."""
+    return (rows / np.expand_dims(norms, -1)).astype(np.float32)
+
+
 def _usable_norms(rows: np.ndarray, names: Sequence[str], error: type[Exception] = ValueError) -> np.ndarray:
     """The norms of rows of finite values, with the scalar cosine's arithmetic.
 
@@ -143,19 +158,6 @@ def _usable_norms(rows: np.ndarray, names: Sequence[str], error: type[Exception]
         at = int(usable.argmin())
         raise error(f"embedding of {names[at]!r} has norm {norms[at]}; a cosine needs a finite, nonzero norm")
     return norms
-
-
-def _column_dots(columns: np.ndarray, row: np.ndarray) -> np.ndarray:
-    """``row``'s dot product with each column of the C-contiguous
-    ``columns``, in :func:`_ordered_dots`' arithmetic for at least
-    ``ORDERED_LOOP_ROWS`` columns: each row of ``columns`` is multiplied by
-    its value of ``row`` into one reused buffer and added to the running sums
-    in order."""
-    count = columns.shape[1]
-    sums, products = np.zeros(count), np.empty(count)
-    for value, column in zip(row.tolist(), columns):
-        sums += np.multiply(column, value, out=products)
-    return sums
 
 
 class TransientBackendError(GatewayError):
@@ -193,14 +195,15 @@ class Gateway:
     scalar cosine's arithmetic.
 
     ``_pools`` keeps, for the last ``KEPT_POOLS`` texts tuples of at least
-    ``ORDERED_LOOP_ROWS`` texts scored by :meth:`cosines` (a pool's
-    ``phi_texts``), their rows once more in column-major order with their
-    norms: n × dim × 8 bytes per kept pool of n texts (1 MB for 2005 texts of
-    dim 64), at most ``KEPT_POOLS`` × n × dim × 8 bytes for pools of up to n
-    texts (82 MB for two of 80000 texts of dim 64). A stored row never
-    changes, so a kept pool never goes stale. A pool is kept under the id of
-    its texts tuple, which it holds, so that a lookup hashes no text; an
-    equal tuple that is another object gathers its rows again.
+    ``ORDERED_LOOP_ROWS`` texts scored by :meth:`most_similar` (a pool's
+    ``phi_texts``), their float32 unit rows, which its screen reads:
+    n × dim × 4 bytes per kept pool of n texts (0.5 MB for 2005 texts of
+    dim 64), at most ``KEPT_POOLS`` × n × dim × 4 bytes for pools of up to n
+    texts (41 MB for two of 80000 texts of dim 64). The exact scores read
+    the stored rows and norms. A stored row never changes, so a kept pool
+    never goes stale. A pool is kept under the id of its texts tuple, which
+    it holds, so that a lookup hashes no text; an equal tuple that is
+    another object gathers its rows again.
     """
 
     def __init__(
@@ -220,7 +223,7 @@ class Gateway:
         self._rows: dict[str, int] = {}
         self._matrix = np.empty((0, embedding_backend.dim if embedding_backend is not None else 0))
         self._norms = np.empty(0)
-        self._pools: dict[int, tuple[tuple[str, ...], np.ndarray, np.ndarray]] = {}
+        self._pools: dict[int, tuple[tuple[str, ...], np.ndarray]] = {}
         self.usage = Usage()
 
     def _call_with_retries(self, what: str, call: Callable[[T], R], argument: T) -> R:
@@ -323,34 +326,45 @@ class Gateway:
             at = np.fromiter(map(index.__getitem__, texts), np.intp, len(texts))
         return self._matrix[at], self._norms[at]
 
-    def cosines(self, text: str, texts: tuple[str, ...]) -> np.ndarray:
-        """The scalar cosine of ``text``'s row with the row of each of
-        ``texts``, bit for bit, from the stored rows and norms.
+    def most_similar(self, text: str, texts: tuple[str, ...]) -> np.ndarray:
+        """The indices of the ``texts`` whose rows have the maximal scalar
+        cosine with ``text``'s row, the cosines computed bit for bit from the
+        stored rows and norms.
 
         A kept pool reads only ``text``'s row, and embeds it alone if it is
         new. Otherwise ``text`` and the missing ``texts`` go to the backend in
-        one call, ``text`` first. The columns of a pool of at least
+        one call, ``text`` first. The float32 unit rows of a pool of at least
         ``ORDERED_LOOP_ROWS`` texts are then kept, evicting the least
         recently scored pool beyond ``KEPT_POOLS``; a smaller pool is
-        gathered on each call.
+        gathered and scored exactly on each call. Over a kept pool, one
+        float32 product screens the members: only those within twice the
+        screen's margin of its maximum can hold the maximal cosine, and only
+        they are scored exactly, unless one alone is left.
         """
         if len(texts) < ORDERED_LOOP_ROWS:
             rows, norms = self.embedding_rows((text, *texts))
             products = rows[1:]
             products *= rows[0]  # in place: the rows are a copy, and one fewer temporary per call
-            return _ordered_sums(products) / (norms[0] * norms[1:])
+            scores = _ordered_sums(products) / (norms[0] * norms[1:])
+            return (scores == scores.max()).nonzero()[0]
         pool = self._pools.pop(id(texts), None)
         if pool is None or pool[0] is not texts:
             rows, norms = self.embedding_rows((text, *texts))
-            pool = texts, np.ascontiguousarray(rows[1:].T), norms[1:]
+            pool = texts, _unit_rows(rows[1:], norms[1:])
             if len(self._pools) == KEPT_POOLS:
                 del self._pools[next(iter(self._pools))]
         self._pools[id(texts)] = pool
         if text not in self._rows:
             self._fill((text,))
-        at = self._rows[text]
-        _, columns, norms = pool
-        return _column_dots(columns, self._matrix[at]) / (self._norms[at] * norms)
+        row = self._rows[text]
+        request, norm = self._matrix[row], self._norms[row]
+        screen = pool[1] @ _unit_rows(request, norm)
+        (members,) = (screen >= screen.max() - 2 * _screen_margin(len(request))).nonzero()
+        if len(members) == 1:
+            return members
+        at = np.fromiter((self._rows[texts[member]] for member in members.tolist()), np.intp, len(members))
+        scores = _ordered_sums(self._matrix[at] * request) / (norm * self._norms[at])
+        return members[scores == scores.max()]
 
     @property
     def embed_model_id(self) -> str:

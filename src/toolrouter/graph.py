@@ -2,10 +2,10 @@
 
 Graphs are immutable snapshots; insertion returns a new graph. Similarity
 edges use strict ``sim > tau`` (a tie at exactly tau produces no edge).
-A blocked float64 matrix product screens the pairs, and the arithmetic of
-the scalar :func:`cosine_similarity`, vectorised over the pairs that clear
-the screen, decides them, so the edges and their weights are bit for bit
-those of an all-pairs scalar scan.
+A blocked float32 product of the unit rows screens the pairs, and the
+arithmetic of the scalar :func:`cosine_similarity`, vectorised over the
+pairs that clear the screen, decides them, so the edges and their weights
+are bit for bit those of an all-pairs scalar scan.
 
 A graph holds candidates of one kind, tools or agents. The snapshots of one
 chain of insertions share a store of arrays that only grows: the nodes'
@@ -44,14 +44,10 @@ from .errors import (
     UnknownParent,
     ZeroVector,
 )
-from .gateway import EmbeddingVector, Gateway, _ordered_dots, _usable_norms, json_numbers
+from .gateway import EmbeddingVector, Gateway, _ordered_dots, _screen_margin, _unit_rows, _usable_norms, json_numbers
 from .registry import CandidateBank, CandidateSpec, validate_spec
 
 DEFAULT_TAU = 0.82
-# The screen multiplies the unit rows in float32. Rounding them to float32
-# and summing dim products moves a cosine by at most (dim + 2) * 2**-24, so
-# the screen keeps every pair above tau - SCREEN_MARGIN * (dim + 2).
-SCREEN_MARGIN = 2 * 2.0**-24
 SCREEN_BLOCK_ROWS = 256  # rows per block of the screening product
 
 
@@ -131,7 +127,7 @@ class _Store:
     @property
     def unit(self) -> np.ndarray:
         if self._unit is None:  # before append_node first grows the arrays: no spare rows yet
-            self._unit = (self.matrix / self.norms[:, None]).astype(np.float32)
+            self._unit = _unit_rows(self.matrix, self.norms)
         return self._unit
 
     def copy(self, n: int, m: int) -> "_Store":
@@ -147,7 +143,7 @@ class _Store:
             for new, old in zip(grown, arrays):
                 new[:row] = old[:row]
             self.matrix, self.norms, self._unit = arrays = grown
-        for array, value in zip(arrays, (values, norm, values / norm)):
+        for array, value in zip(arrays, (values, norm, _unit_rows(values, norm))):
             array[row] = value
         self.index[spec.name] = row
         self.names.append(spec.name)
@@ -327,7 +323,7 @@ def _link_similar(store: _Store, tau: float, first: int) -> None:
     """
     count, names = len(store), store.names
     rows, norms, unit = store.matrix[:count], store.norms[:count], store.unit[:count]
-    cut = tau - SCREEN_MARGIN * (rows.shape[1] + 2)
+    cut = tau - _screen_margin(rows.shape[1])  # keeps every pair whose scalar cosine is above tau
     for start in range(first, count, SCREEN_BLOCK_ROWS):
         stop = min(start + SCREEN_BLOCK_ROWS, count)
         i, j = np.nonzero(unit[start:stop] @ unit[:stop].T > cut)

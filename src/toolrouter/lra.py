@@ -148,8 +148,11 @@ def _non_identifiers(names: frozenset[str]) -> tuple[str, ...]:
 
 def _names_in(text: str, names: frozenset[str]) -> set[str]:
     """The names that occur in ``text`` as whole words, so ``tool_1`` does not occur
-    in ``tool_15``. A name that is no ASCII identifier is looked up as a substring."""
-    return set(_WORD_RE.findall(text)) & names | {name for name in _non_identifiers(names) if name in text}
+    in ``tool_15``. A name that is no ASCII identifier is looked up as a substring.
+    No word spans a newline, so the words are read from each distinct line once:
+    the prompts of an episode repeat their template and transcript."""
+    words = _WORD_RE.findall("\n".join(dict.fromkeys(text.split("\n"))))
+    return set(words) & names | {name for name in _non_identifiers(names) if name in text}
 
 
 def _reasoner_prompt(task: str, turns: Sequence[Turn]) -> str:

@@ -89,9 +89,10 @@ def embedding_route(
     mode "q" embeds the query alone; "q_plus_h" prefixes the history in the
     pool's kind, keeping its last ``MAX_HISTORY_CHARS`` characters less the
     query and a newline; the cut need not fall on a turn boundary.
-    Every member gets the scalar cosine's value bit for bit from
-    :meth:`Gateway.cosines`, which keeps a large pool's rows column-major
-    across decisions; ties go to the smallest name, and gateway errors raise.
+    The pick is the smallest name among the members whose scalar cosine,
+    bit for bit, is maximal: :meth:`Gateway.most_similar` finds them, over a
+    large pool by scoring exactly only the members its float32 screen cannot
+    rule out. Gateway errors raise.
     """
     if mode not in ("q", "q_plus_h"):
         raise ValueError(f"unknown embedding mode: {mode!r}")
@@ -102,8 +103,8 @@ def embedding_route(
         request_text = f"{history_text}\n{query}"
     else:
         request_text = query
-    scores = gateway.cosines(request_text, pool.phi_texts)
-    return RouterDecision(chosen=min(pool.membership[i] for i in (scores == scores.max()).nonzero()[0]))
+    members = gateway.most_similar(request_text, pool.phi_texts)
+    return RouterDecision(chosen=min(map(pool.membership.__getitem__, members.tolist())))
 
 
 def llm_route(

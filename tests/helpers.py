@@ -58,6 +58,17 @@ def make_tool_bank(size: int) -> CandidateBank:
     return CandidateBank(kind="tool", entries=entries)
 
 
+# The characters ``str.splitlines`` breaks a line at that JSON_LINE writes raw.
+RAW_LINE_BREAKS = ("\x85", "\u2028", "\u2029")
+
+
+def tool_bank_describing(text: str, size: int = 4) -> CandidateBank:
+    """A tool bank whose first tool's description holds ``text``."""
+    docs = [make_tool_doc(i) for i in range(size)]
+    docs[0]["description"] += f" See{text}also."
+    return CandidateBank(kind="tool", entries=tuple(validate_spec(doc, "tool") for doc in docs))
+
+
 SYLLABLES = ("ka", "lo", "mi", "ner", "ta", "vos", "qui", "zer", "pa", "dun", "ri", "sel")
 
 

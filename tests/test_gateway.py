@@ -371,13 +371,13 @@ def test_an_equal_texts_tuple_of_another_object_gathers_again_with_bit_identical
     twin = tuple(list(texts))
     assert twin == texts and twin is not texts
     gateway = mock_gateway(0)
-    kept = gateway.cosines("archive the email threads", texts)
+    kept = gateway.most_similar("archive the email threads", texts)
     counts = count_calls(monkeypatch, rows=(Gateway, "embedding_rows"))
-    assert gateway.cosines("archive the email threads", texts).tobytes() == kept.tobytes()
+    assert gateway.most_similar("archive the email threads", texts).tobytes() == kept.tobytes()
     assert counts == {"rows": 0}
-    assert gateway.cosines("archive the email threads", twin).tobytes() == kept.tobytes()
+    assert gateway.most_similar("archive the email threads", twin).tobytes() == kept.tobytes()
     assert counts == {"rows": 1}
-    assert gateway.cosines("archive the email threads", twin).tobytes() == kept.tobytes()
+    assert gateway.most_similar("archive the email threads", twin).tobytes() == kept.tobytes()
     assert counts == {"rows": 1}
 
 

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import (
     BROKEN_SNAPSHOTS,
+    RAW_LINE_BREAKS,
     SNAPSHOT_POSITIONS,
     StaticEmbeddingBackend,
     corrupt_snapshot,
@@ -21,6 +22,7 @@ from helpers import (
     make_tool_bank,
     mock_gateway,
     planted_unit_vector,
+    tool_bank_describing,
 )
 from toolrouter.errors import (
     BadConfig,
@@ -181,6 +183,14 @@ def test_snapshot_roundtrip_and_byte_stability(tmp_path):
     assert loaded.edges == graph.edges
     save_graph(loaded, second)
     assert first.read_bytes() == second.read_bytes()
+
+
+@pytest.mark.parametrize("char", RAW_LINE_BREAKS)
+def test_a_snapshot_whose_spec_holds_a_raw_line_break_reads_back(tmp_path, char):
+    graph = build_graph(tool_bank_describing(char), GraphConfig(tau=0.5), mock_gateway(0))
+    save_graph(graph, tmp_path / "graph.jsonl")
+    loaded = load_graph(tmp_path / "graph.jsonl")
+    assert dict(loaded.specs) == dict(graph.specs) and loaded.edges == graph.edges
 
 
 def scanned_neighbors(graph, name):

@@ -4,6 +4,7 @@ import json
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import ScriptedReasoner, make_tool_bank, make_tool_doc, mock_gateway
 from toolrouter import lra
@@ -104,6 +105,44 @@ def test_audit_of_a_2005_member_pool_matches_the_per_name_search():
         if name in words or not (name.isascii() and name.isidentifier()) and name in text
     }
     assert reference - set(listed) == {label, "web-search-7", "café_9"}  # the two found inside longer words
+    assert log.context_audit["catalog_entries_in_prompt"] == len(reference - {label})
+
+
+# names the template shows, and names that are no ASCII identifier, one of them on two lines
+FIXED_AUDIT_NAMES = ("route", "Task", "empty", "web-search", "café", "split\nname")
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    identifiers=st.lists(st.text(alphabet="qz_9", min_size=1, max_size=4).filter(str.isidentifier), unique=True),
+    data=st.data(),
+)
+def test_audit_counts_the_names_a_search_of_the_joined_prompts_finds(identifiers, data):
+    prefixes = [name[:-1] for name in identifiers if name[:-1].isidentifier()]
+    names = list(dict.fromkeys([*identifiers, *prefixes, *FIXED_AUDIT_NAMES]))
+    docs = [{**make_tool_doc(i), "name": name} for i, name in enumerate(names)]
+    pool = CandidatePool.whole_bank(CandidateBank(kind="tool", entries=tuple(validate_spec(d, "tool") for d in docs)))
+    label = data.draw(st.sampled_from(names))
+    listed = data.draw(st.lists(st.sampled_from(names), max_size=8))
+    separator = data.draw(st.sampled_from([", ", "\n", "x"]))  # "x" glues names into longer words
+    executor = ExecutorBinding.mock_for(pool)
+    executor.scripted[(label, lra._args_key({"target": "x"}))] = "listing: " + separator.join(listed)
+    reasoner = RecordingReasoner(
+        [
+            {"action": "route", "need": "something capable"},
+            {"action": "execute", "arguments": {"target": "x"}},
+            {"action": "final", "answer": "done"},
+        ]
+    )
+    log = run_episode("do the thing", pool, ORACLE, executor, reasoner, oracle_label=label)
+    text = "\n".join(reasoner.prompts)
+    words = set(re.findall(r"\w+", text))
+    reference = {
+        name
+        for name in pool.membership
+        if name in words or not (name.isascii() and name.isidentifier()) and name in text
+    }
+    assert {"route", "Task", "empty"} <= reference
     assert log.context_audit["catalog_entries_in_prompt"] == len(reference - {label})
 
 

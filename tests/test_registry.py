@@ -5,7 +5,15 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import MALFORMED_SPEC_FIELDS, make_agent_bank, make_agent_doc, make_tool_bank, make_tool_doc
+from helpers import (
+    MALFORMED_SPEC_FIELDS,
+    RAW_LINE_BREAKS,
+    make_agent_bank,
+    make_agent_doc,
+    make_tool_bank,
+    make_tool_doc,
+    tool_bank_describing,
+)
 from toolrouter.errors import (
     BadAgentName,
     DuplicateToolEntry,
@@ -228,6 +236,13 @@ def test_bank_file_roundtrip_jsonl(tmp_path):
     loaded = load_bank(path)
     assert loaded.kind == "tool"
     assert loaded.names() == bank.names()
+
+
+@pytest.mark.parametrize("char", RAW_LINE_BREAKS)
+def test_a_bank_file_whose_spec_holds_a_raw_line_break_reads_back(tmp_path, char):
+    bank = tool_bank_describing(char)
+    save_bank(bank, tmp_path / "bank.jsonl")
+    assert load_bank(tmp_path / "bank.jsonl") == bank
 
 
 def test_bank_file_json_array_and_kind_detection(tmp_path):

@@ -1,15 +1,17 @@
 """Decision parsing, embedding/LLM/oracle/random routing, abstention behavior."""
 
+import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import StaticEmbeddingBackend, count_calls, make_agent_bank, make_tool_bank, make_tool_doc, mock_gateway
 from toolrouter import registry, router
 from toolrouter.errors import BadConfig
-from toolrouter.gateway import ORDERED_LOOP_ROWS, EmbeddingVector, Gateway, TransientBackendError
+from toolrouter.gateway import ORDERED_LOOP_ROWS, EmbeddingVector, Gateway, TransientBackendError, _unit_rows
 from toolrouter.backends import MockEmbeddingBackend
 from toolrouter.graph import cosine_similarity
 from toolrouter.registry import CandidateBank, CandidatePool, public_spec, serialize_phi, validate_spec
@@ -142,6 +144,57 @@ def test_embedding_route_matches_scalar_reference_on_the_column_loop(seed):
     gateway = Gateway(embedding_backend=StaticEmbeddingBackend(mapping, dim=16), backoff_s=0.0)
     assert len(pool) >= ORDERED_LOOP_ROWS
     assert embedding_route(gateway, "query", (), pool, "q").chosen == scalar_reference(gateway, "query", pool)
+
+
+SCREENED_BANKS = {n: make_tool_bank(n) for n in (ORDERED_LOOP_ROWS, 4000)}
+
+
+def vector(row) -> EmbeddingVector:
+    return EmbeddingVector(values=row, model_id="static-embed")
+
+
+def last_bit_twins(row: np.ndarray, query: np.ndarray) -> list[np.ndarray]:
+    """Copies of ``row`` with one value moved by one ulp whose float32 unit
+    row is ``row``'s but whose scalar cosine with ``query`` is not."""
+    unit, cosine = _unit_rows(row, np.linalg.norm(row)), cosine_similarity(vector(row), vector(query))
+    twins = []
+    for at, direction in itertools.product(range(len(row)), (-np.inf, np.inf)):
+        twin = row.copy()
+        twin[at] = np.nextafter(twin[at], direction)
+        if (_unit_rows(twin, np.linalg.norm(twin)) == unit).all():
+            if cosine_similarity(vector(twin), vector(query)) != cosine:
+                twins.append(twin)
+    return twins
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("n", list(SCREENED_BANKS))
+def test_embedding_route_over_a_kept_pool_matches_scalar_reference(n, reverse, seed):
+    # the float32 screen cannot rank the planted rows: exact duplicates of the
+    # best, twins equal to it in float32 but one bit off in float64, and copies
+    # moved by about float32's resolution; the exact scores must decide
+    rng = np.random.default_rng(seed)
+    query = rng.standard_normal(16)
+    near = query + 1e-3 * rng.standard_normal(16)
+    twins = last_bit_twins(near, query)
+    assert twins
+    planted = [near, *twins, *(near + 1e-7 * rng.standard_normal((40, 16)))]
+    best = max(planted, key=lambda row: cosine_similarity(vector(row), vector(query)))
+    rows = [*rng.standard_normal((n - len(planted) - 2, 16)), *planted, best.copy(), best.copy()]
+    rng.shuffle(rows)
+    bank = SCREENED_BANKS[n]
+    mapping = {spec.phi: row.tolist() for spec, row in zip(bank, rows)}
+    mapping["query"] = query.tolist()
+    scores = {spec.name: cosine_similarity(vector(row), vector(query)) for spec, row in zip(bank, rows)}
+    top = max(scores.values())
+    expected = min(name for name, score in scores.items() if score == top)
+    assert sum(score == top for score in scores.values()) >= 3
+    membership = bank.names()[::-1] if reverse else bank.names()
+    pool = CandidatePool(bank=bank, membership=membership)
+    gateway = Gateway(embedding_backend=StaticEmbeddingBackend(mapping, dim=16), backoff_s=0.0)
+    for _ in range(2):  # the cold route gathers and keeps the pool, the warm one reads it
+        assert embedding_route(gateway, "query", (), pool, "q").chosen == expected
 
 
 def test_warm_embedding_route_builds_no_vector_and_calls_no_backend(monkeypatch):
@@ -300,9 +353,11 @@ def test_routes_over_agents_are_worded_for_agents(monkeypatch):
     history = (Observation(text="Plan the rollout."), Action(text="Delegating.", calls=(call,)))
     gateway = mock_gateway(0)
     requests, request_texts = [], []
-    chat, cosines = gateway.chat, gateway.cosines
+    chat, most_similar = gateway.chat, gateway.most_similar
     monkeypatch.setattr(gateway, "chat", lambda request: requests.append(request) or chat(request))
-    monkeypatch.setattr(gateway, "cosines", lambda text, texts: request_texts.append(text) or cosines(text, texts))
+    monkeypatch.setattr(
+        gateway, "most_similar", lambda text, texts: request_texts.append(text) or most_similar(text, texts)
+    )
     for variant in ("llm", "embedding_qh"):
         route(RouterConfig(variant=variant, kind="agent"), "roll it out", history, pool, gateway)
     ((system, user),) = [[message.content for message in request.messages] for request in requests]

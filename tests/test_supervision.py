@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (
+    RAW_LINE_BREAKS,
     candidate_calls,
     make_agent_bank,
     make_agent_doc,
@@ -321,6 +322,16 @@ def test_save_dataset(tmp_path):
     path = tmp_path / "saved.jsonl"
     assert save_dataset(records, path) == len(records)
     assert load_dataset(path) == records
+
+
+@pytest.mark.parametrize("char", RAW_LINE_BREAKS)
+def test_a_dataset_whose_query_holds_a_raw_line_break_reads_back(tmp_path, char):
+    trajectory = make_trajectory(f"a{char}b", [[NAMES[0]], [NAMES[1]]])
+    records = [render_sample(i) for i in extract_instances(trajectory, POOL)]
+    assert char in records[0].query
+    save_dataset(records, tmp_path / "saved.jsonl")
+    assert char in (tmp_path / "saved.jsonl").read_text(encoding="utf-8")  # written raw, not escaped
+    assert load_dataset(tmp_path / "saved.jsonl") == records
 
 
 @settings(max_examples=50, deadline=None)

@@ -1,10 +1,11 @@
 """Task proposal, trajectory simulation, structural validation, persistence."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
-from helpers import count_calls, make_tool_bank, mock_gateway
+from helpers import RAW_LINE_BREAKS, count_calls, make_tool_bank, mock_gateway
 from toolrouter import prompts
 from toolrouter.backends import MockChatBackend
 from toolrouter.errors import Discarded, RetriesExhaustedSynthesis
@@ -234,3 +235,15 @@ def test_trajectory_file_roundtrip(env, tmp_path):
     path = tmp_path / "trajectories.jsonl"
     save_trajectories(batch, path)
     assert load_trajectories(path) == batch
+
+
+@pytest.mark.parametrize("char", RAW_LINE_BREAKS)
+def test_a_trajectory_file_whose_turn_holds_a_raw_line_break_reads_back(env, tmp_path, char):
+    gateway, graph, _ = env
+    (trajectory,) = synthesize_batch(
+        graph, 1, SamplerConfig(target_range=(2, 4)), SynthesisConfig(rng_seed=2), gateway
+    )
+    turns = (Observation(text=f"{trajectory.turns[0].text}{char}now"), *trajectory.turns[1:])
+    batch = [replace(trajectory, turns=turns)]
+    save_trajectories(batch, tmp_path / "trajectories.jsonl")
+    assert load_trajectories(tmp_path / "trajectories.jsonl") == batch
