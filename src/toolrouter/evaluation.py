@@ -22,8 +22,8 @@ from .errors import BadConfig, MissingParameter, SpecError, ValidationError
 from .gateway import Gateway
 from .graph import CandidateGraph
 from .registry import CandidateBank, CandidatePool, validate_spec
-from .router import RouterConfig, route
-from .supervision import DatasetRecord
+from .router import REPEATABLE, RouterConfig, RouterDecision, route
+from .supervision import DatasetRecord, render_prompt
 
 
 class Setting(Enum):
@@ -194,6 +194,14 @@ def evaluate(
     lives, so reuse one setting across routers and calls (one calling
     thread, as the gateway). A stored pool costs one marshal of the record's
     pool per call; a new one is also checked for JSON, validated and built.
+
+    Once per call and record: the pool lookup; for ``llm``, the rendered
+    prompt; for a ``REPEATABLE`` variant, the decision, which later passes
+    reuse unless it abstained (an abstention, such as a gateway error, is
+    routed again in the next pass). Once per pass and record: the ``random``
+    variant's draw from that pass's rng, and the ``llm`` variant's sampled
+    chat call, sent in record order, so its k requests for a record are
+    equal and every reply is fresh. Nothing of this outlives the call.
     """
     if k < 1:
         raise BadConfig(f"k must be >= 1, got {k}")
@@ -220,6 +228,12 @@ def evaluate(
             raise ValidationError(record.label, "dataset record unusable: label not in its pool")
         pools.append(pool)
 
+    repeatable = router.variant in REPEATABLE
+    prompts = [
+        render_prompt(record.query, record.history, pool) if router.variant == "llm" else None
+        for record, pool in zip(dataset, pools)
+    ]
+    decisions: list[RouterDecision | None] = [None] * len(dataset)
     per_run: list[float] = []
     group_totals: dict[str, float] = {}
     for run in range(k):
@@ -227,16 +241,19 @@ def evaluate(
         correct = 0
         group_correct: dict[str, int] = {}
         group_count: dict[str, int] = {}
-        for record, pool in zip(dataset, pools):
-            decision = route(
-                router,
-                record.query,
-                record.history,
-                pool,
-                gateway,
-                oracle_label=record.label,
-                rng=rng,
-            )
+        for i, (record, pool) in enumerate(zip(dataset, pools)):
+            decision = decisions[i]
+            if decision is None or decision.abstained or not repeatable:
+                decision = decisions[i] = route(
+                    router,
+                    record.query,
+                    record.history,
+                    pool,
+                    gateway,
+                    oracle_label=record.label,
+                    rng=rng,
+                    prompt=prompts[i],
+                )
             hit = (not decision.abstained) and decision.chosen == record.label
             correct += int(hit)
             group_count[record.group] = group_count.get(record.group, 0) + 1

@@ -14,6 +14,7 @@ Concrete backends live in :mod:`toolrouter.backends`.
 from __future__ import annotations
 
 import json
+import math
 import re
 import time
 from dataclasses import dataclass
@@ -38,6 +39,13 @@ class ChatMessage:
     content: str
 
 
+def check_temperature(value: float, error: type[ValueError] = ValueError) -> None:
+    """Raise ``error`` unless ``value`` is a finite number >= 0: a NaN passes
+    a ``< 0`` check, and a live backend would send NaN or inf as no valid JSON."""
+    if not (math.isfinite(value) and value >= 0):
+        raise error(f"temperature must be finite and >= 0, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ChatRequest:
     messages: tuple[ChatMessage, ...]
@@ -49,8 +57,7 @@ class ChatRequest:
             raise ValueError("chat request needs at least one message")
         if self.messages[0].role not in ("system", "user"):
             raise ValueError("first message must be system or user")
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
+        check_temperature(self.temperature)
         if self.max_tokens <= 0:
             raise ValueError("max_tokens must be positive")
 

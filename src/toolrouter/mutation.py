@@ -27,7 +27,7 @@ from .errors import (
     TagMismatch,
     ValidationError,
 )
-from .gateway import ChatRequest, Gateway, parse_json_reply, user_request
+from .gateway import ChatRequest, Gateway, check_temperature, parse_json_reply, user_request
 from .graph import CandidateGraph, add_mutant
 from .registry import CandidateSpec, as_mutant, public_spec, validate_spec
 
@@ -184,8 +184,7 @@ class EvolveConfig:
     def __post_init__(self) -> None:
         if self.max_retries < 0:
             raise BadConfig("max_retries must be >= 0")
-        if self.temperature < 0:
-            raise BadConfig("temperature must be >= 0")
+        check_temperature(self.temperature, BadConfig)
 
 
 @dataclass

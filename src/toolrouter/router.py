@@ -15,12 +15,15 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import BadConfig, GatewayError
-from .gateway import Gateway, user_request
+from .gateway import Gateway, check_temperature, user_request
 from .registry import CandidatePool
 from .supervision import render_prompt
 from .synthesis import Turn, serialize_history
 
 VARIANTS = ("embedding_q", "embedding_qh", "llm", "oracle", "random")
+# The variants whose decision on a record and pool is the same on every call:
+# they draw no rng and sample no reply, and a stored embedding row never changes.
+REPEATABLE = frozenset({"embedding_q", "embedding_qh", "oracle"})
 MAX_HISTORY_CHARS = 8000  # of the request text the q_plus_h embedding router embeds
 
 
@@ -41,8 +44,7 @@ class RouterConfig:
     def __post_init__(self) -> None:
         if self.variant not in VARIANTS:
             raise BadConfig(f"unknown router variant: {self.variant!r}")
-        if self.temperature < 0:
-            raise BadConfig("temperature must be >= 0")
+        check_temperature(self.temperature, BadConfig)
 
 
 def _abstain(reason: str) -> RouterDecision:
@@ -113,9 +115,13 @@ def llm_route(
     history: Sequence[Turn],
     pool: CandidatePool,
     cfg: RouterConfig,
+    prompt: tuple[str, str] | None = None,
 ) -> RouterDecision:
-    """Prompt an LLM with the benchmark sample format and parse its reply; gateway errors raise."""
-    system, user = render_prompt(query, history, pool)
+    """Prompt an LLM with the benchmark sample format and parse its reply; gateway errors raise.
+
+    ``prompt`` is the (system, user) pair :func:`render_prompt` gives for the
+    query, history and pool, when the caller rendered it already."""
+    system, user = render_prompt(query, history, pool) if prompt is None else prompt
     request = user_request(user, system=system, temperature=cfg.temperature)
     reply = gateway.chat(request)
     chosen = parse_decision(reply, pool)
@@ -131,10 +137,12 @@ def route(
     *,
     oracle_label: str | None = None,
     rng: random.Random | None = None,
+    prompt: tuple[str, str] | None = None,
 ) -> RouterDecision:
     """Dispatch to the configured variant. A gateway error, such as an
     embedding row without a finite, nonzero norm, becomes an abstention. A
-    config of another kind than the pool's is a BadConfig."""
+    config of another kind than the pool's is a BadConfig. ``prompt`` is the
+    llm variant's rendered prompt, as :func:`llm_route` takes it."""
     if cfg.kind != pool.bank.kind:
         raise BadConfig(f"a {cfg.kind} router config cannot route over a pool of {pool.bank.kind}s")
     try:
@@ -148,7 +156,7 @@ def route(
         if gateway is None:
             return _abstain("no gateway configured")
         if cfg.variant == "llm":
-            return llm_route(gateway, query, history, pool, cfg)
+            return llm_route(gateway, query, history, pool, cfg, prompt)
         mode = "q" if cfg.variant == "embedding_q" else "q_plus_h"
         return embedding_route(gateway, query, history, pool, mode)
     except GatewayError as exc:

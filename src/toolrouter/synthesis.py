@@ -22,7 +22,7 @@ from .errors import (
     OutOfSubsetReference,
     RetriesExhaustedSynthesis,
 )
-from .gateway import Gateway, parse_json_reply, user_request
+from .gateway import Gateway, check_temperature, parse_json_reply, user_request
 from .graph import CandidateGraph
 from .registry import CandidateSpec, pool_json, public_spec
 from .sampler import CandidateSubset, SamplerConfig, sample_subset
@@ -120,8 +120,7 @@ class SynthesisConfig:
             raise BadConfig("max_turns must be >= 4: a one-step plan already takes 4 turns")
         if not 0 <= self.error_prob <= 1:
             raise BadConfig("error_prob must be in [0, 1]")
-        if self.temperature < 0:
-            raise BadConfig("temperature must be >= 0")
+        check_temperature(self.temperature, BadConfig)
 
 
 # --- helpers ----------------------------------------------------------------------

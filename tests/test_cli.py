@@ -308,6 +308,9 @@ def test_broken_snapshot_exits_1(workspace, case):
         "seed: 1\nmutation:\n  temperature: -1\n",  # chat requests need temperature >= 0
         "seed: 1\nsynthesis:\n  temperature: -0.5\n",
         "seed: 1\neval:\n  temperature: -1\n",
+        "seed: 1\nmutation:\n  temperature: .inf\n",  # NaN and inf are no valid JSON for a live backend
+        "seed: 1\nsynthesis:\n  temperature: .nan\n",
+        "seed: 1\neval:\n  temperature: .nan\n",
         "seed: 1\nsynthesis:\n  max_retries: -1\n",  # synthesize would make no attempt
         "seed: 1\nbackend:\n  max_retries: -1\n",  # the gateway would make no attempt
         "seed: 1\nbackend:\n  embed_dim: 0\n",  # no embedding row to score

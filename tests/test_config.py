@@ -4,11 +4,13 @@ import re
 from dataclasses import fields
 from pathlib import Path
 
+import pytest
 from click.testing import CliRunner
 
 from helpers import make_family_bank, shell_commands
 from toolrouter.cli import main
 from toolrouter.config import STAGE_KEYS, BackendConfig, PipelineConfig, load_config
+from toolrouter.errors import BadConfig
 from toolrouter.mutation import EvolveConfig
 from toolrouter.registry import save_bank
 from toolrouter.router import RouterConfig
@@ -81,3 +83,12 @@ def test_readme_config_table_lists_exactly_the_settable_keys():
         listed[section.strip("`")] = {m.group(1) for m in (re.match(r"\s*`(\w+)`", e) for e in entries) if m}
     assert listed == settable
     assert sum(map(len, settable.values())) == 22
+
+
+@pytest.mark.parametrize("section", [name for name, (_, keys) in STAGE_KEYS.items() if "temperature" in keys])
+@pytest.mark.parametrize("value", [".nan", ".inf", "-.inf"])
+def test_a_temperature_that_is_no_finite_number_is_bad_config(tmp_path, section, value):
+    path = tmp_path / "config.yaml"
+    path.write_text(f"seed: 1\n{section}:\n  temperature: {value}\n", encoding="utf-8")
+    with pytest.raises(BadConfig, match="temperature must be finite and >= 0"):
+        load_config(path)

@@ -20,6 +20,8 @@ from helpers import (
     mock_gateway,
 )
 from toolrouter import evaluation
+from toolrouter._util import derive_seed
+from toolrouter.backends import MockChatBackend, MockEmbeddingBackend
 from toolrouter.errors import BadConfig, MissingParameter, ValidationError
 from toolrouter.evaluation import (
     Metrics,
@@ -31,12 +33,13 @@ from toolrouter.evaluation import (
     report,
     save_results,
 )
-from toolrouter.gateway import EmbeddingVector
+from toolrouter.gateway import ChatRequest, EmbeddingVector, Gateway, TransientBackendError
 from toolrouter.graph import GraphConfig, build_graph
 from toolrouter.mutation import EvolveConfig, evolve
-from toolrouter.registry import CandidateBank, CandidatePool, pool_json, validate_spec
-from toolrouter.router import RouterConfig, route
+from toolrouter.registry import CandidateBank, CandidatePool, pool_json, serialize_phi, validate_spec
+from toolrouter.router import VARIANTS, RouterConfig, route
 from toolrouter.supervision import DatasetRecord
+from toolrouter.synthesis import Action, Observation
 
 
 def _prefixed_bank(prefix, size):
@@ -558,3 +561,99 @@ def test_pools_that_marshal_refuses_share_one_build_through_their_json_text(monk
     shared = [_scores(routed, cfg, records, setting) for _ in range(2)]
     assert counts == {"record_pool": 1}
     assert shared[0] == shared[1] == _scores(routed, cfg, records, PoolSetting())
+
+
+class RecordingChat(MockChatBackend):
+    """The mock chat backend, keeping every request it is sent."""
+
+    def __init__(self, seed: int) -> None:
+        super().__init__(seed=seed)
+        self.requests: list[ChatRequest] = []
+
+    def complete(self, request: ChatRequest) -> str:
+        self.requests.append(request)
+        return super().complete(request)
+
+
+class FailsFirstCall(MockEmbeddingBackend):
+    """The mock embedder, except that its first call fails."""
+
+    def __init__(self, seed: int) -> None:
+        super().__init__(seed=seed)
+        self.failed = False
+
+    def embed(self, texts):
+        if not self.failed:
+            self.failed = True
+            raise TransientBackendError("the first call fails")
+        return super().embed(texts)
+
+
+def reference_evaluate(cfg, dataset, setting, k, seed, gateway):
+    """avg@k as a loop that routes every record in every pass, each llm
+    decision rendering its own prompt: what evaluate() must score and spend."""
+    pools = []
+    for record in dataset:
+        bank = CandidateBank(kind=record.kind, entries=tuple(validate_spec(doc, record.kind) for doc in record.pool_specs))
+        pools.append(build_pool(CandidatePool.whole_bank(bank), setting))
+    per_run, group_totals = [], {}
+    for run in range(k):
+        rng = random.Random(derive_seed(seed, "run", run))
+        hits: dict[str, list[bool]] = {}
+        for record, pool in zip(dataset, pools):
+            decision = route(cfg, record.query, record.history, pool, gateway, oracle_label=record.label, rng=rng)
+            hits.setdefault(record.group, []).append(not decision.abstained and decision.chosen == record.label)
+        per_run.append(sum(map(sum, hits.values())) / len(dataset))
+        for group, group_hits in hits.items():
+            group_totals[group] = group_totals.get(group, 0.0) + sum(group_hits) / len(group_hits)
+    per_group = {group: total / k for group, total in sorted(group_totals.items())}
+    return Metrics(per_run=tuple(per_run), avg_at_k=sum(per_run) / k, per_group=per_group, n_instances=len(dataset))
+
+
+def _varied_records(kind):
+    """Records over three pools of ``kind``: every other query names its label, and two in three carry a history."""
+    history = (Observation("Earlier I asked about the archive."), Action("Noted, the archive comes next."))
+    records = distinct_pool_records(pools=3, per_pool=4, kind=kind)
+    return [
+        replace(record, query=f"{record.query} {record.label}" if i % 2 else record.query, history=history if i % 3 else ())
+        for i, record in enumerate(records)
+    ]
+
+
+def _scored_both_ways(cfg, records, embedder=MockEmbeddingBackend, k=3, **gateway_kwargs):
+    """For evaluate() and the reference loop: the Metrics, the gateway's usage and the chat requests sent."""
+    runs = []
+    for score in (evaluate, reference_evaluate):
+        chat = RecordingChat(seed=1)
+        gateway = Gateway(chat_backend=chat, embedding_backend=embedder(seed=1), backoff_s=0.0, **gateway_kwargs)
+        metrics = score(cfg, records, PoolSetting(), k=k, seed=5, gateway=gateway)
+        runs.append((metrics, gateway.usage, chat.requests))
+    return runs
+
+
+@pytest.mark.parametrize("kind", ["tool", "agent"])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_evaluate_scores_and_spends_as_a_loop_that_routes_every_pass(kind, variant):
+    shared, reference = _scored_both_ways(RouterConfig(variant=variant, kind=kind), _varied_records(kind))
+    assert shared == reference
+    assert shared[0].avg_at_k > 0.0  # some decisions hit, so equal Metrics compare real picks
+
+
+def test_each_record_sends_k_equal_llm_requests_in_the_loops_order():
+    records, k = _varied_records("tool"), 3
+    (metrics, usage, requests), reference = _scored_both_ways(RouterConfig(variant="llm"), records, k=k)
+    n = len(records)
+    assert requests == reference[2] and usage.chat_calls == k * n
+    assert all(requests[i::n] == [requests[i]] * k for i in range(n))
+    assert len(set(requests[:n])) == n
+
+
+@pytest.mark.parametrize("variant", ["embedding_q", "embedding_qh"])
+def test_a_decision_that_abstained_is_routed_again_in_the_next_pass(variant):
+    records = []
+    for record in distinct_pool_records(pools=3, per_pool=4):
+        label_doc = next(doc for doc in record.pool_specs if doc["name"] == record.label)
+        records.append(replace(record, query=serialize_phi(validate_spec(label_doc, "tool"))))  # the label's own row
+    shared, reference = _scored_both_ways(RouterConfig(variant=variant), records, FailsFirstCall, k=2, max_retries=0)
+    assert shared == reference
+    assert shared[0].per_run == ((len(records) - 1) / len(records), 1.0)  # only the first record's first route failed

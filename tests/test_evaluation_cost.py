@@ -7,8 +7,9 @@ import json
 import pytest
 
 from helpers import count_calls, make_tool_doc
-from toolrouter import evaluation
+from toolrouter import evaluation, router
 from toolrouter.evaluation import PoolSetting, Setting, evaluate
+from toolrouter.gateway import Gateway
 from toolrouter.registry import CandidateBank, validate_spec
 from toolrouter.router import RouterConfig
 from toolrouter.supervision import DatasetRecord
@@ -58,3 +59,72 @@ def test_a_second_evaluate_encodes_validates_and_builds_nothing(monkeypatch, n):
     counts.update(dict.fromkeys(counts, 0))
     assert evaluate(CFG, records, setting, k=1) == cold
     assert counts == dict.fromkeys(counts, 0)
+
+
+K = 5
+
+
+class OneDirection:
+    """Embeds every text to one row: the calls, not the mock's hashing, are counted."""
+
+    dim, model_id = 2, "one-direction"
+
+    def embed(self, texts):
+        return [[1.0, 0.0]] * len(texts)
+
+
+class FirstMember:
+    """Replies with the first member of pool 0; the mock's prompt decode is not what is counted."""
+
+    reply = json.dumps([make_tool_doc(0)["name"]])
+
+    def complete(self, request):
+        return self.reply
+
+
+# variant -> the calls one evaluate() of n records at k = K makes, by name: what
+# cannot change between passes happens once per record, a sampled reply or a
+# seeded draw once per pass and record.
+PER_CALL = {
+    "embedding_q": lambda n: {"route": n, "most_similar": n},
+    "embedding_qh": lambda n: {"route": n, "most_similar": n},
+    "llm": lambda n: {"route": K * n, "render_prompt": n, "chat": K * n},
+    "random": lambda n: {"route": K * n},
+}
+
+
+def records_sharing_pools(n: int) -> list[DatasetRecord]:
+    """``n`` records over POOLS pools whose documents they share, with 50
+    distinct queries: what grows with ``n`` is the routing alone."""
+    pools = [tuple(make_tool_doc(POOL_SIZE * p + i) for i in range(POOL_SIZE)) for p in range(POOLS)]
+    return [
+        DatasetRecord(
+            kind="tool",
+            system="sys",
+            user="user",
+            query=f"query {i % 50}",
+            history=(),
+            pool_specs=pools[i % POOLS],
+            label=pools[i % POOLS][i % POOL_SIZE]["name"],
+            group=f"pool{i % POOLS}",
+        )
+        for i in range(n)
+    ]
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_passes_share_what_cannot_change_between_them(monkeypatch, n):
+    records = records_sharing_pools(n)
+    setting, gateway = PoolSetting(), Gateway(chat_backend=FirstMember(), embedding_backend=OneDirection())
+    counts = count_calls(
+        monkeypatch,
+        route=(evaluation, "route"),
+        most_similar=(Gateway, "most_similar"),
+        render_prompt=(evaluation, "render_prompt"),
+        render_prompt_in_route=(router, "render_prompt"),
+        chat=(Gateway, "chat"),
+    )
+    for variant, calls in PER_CALL.items():
+        counts.update(dict.fromkeys(counts, 0))
+        evaluate(RouterConfig(variant=variant), records, setting, k=K, gateway=gateway)
+        assert counts == {**dict.fromkeys(counts, 0), **calls(n)}, variant

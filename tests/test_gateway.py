@@ -72,8 +72,9 @@ def test_chat_request_invariants():
         ChatRequest(messages=())
     with pytest.raises(ValueError):
         ChatRequest(messages=(ChatMessage("assistant", "hi"),))
-    with pytest.raises(ValueError):
-        user_request("hi", temperature=-1)
+    for temperature in (-1, math.nan, math.inf):  # NaN passes a "< 0" check, and no live backend takes NaN or inf
+        with pytest.raises(ValueError, match="temperature must be finite and >= 0"):
+            user_request("hi", temperature=temperature)
     with pytest.raises(ValueError):
         user_request("hi", max_tokens=0)
 
