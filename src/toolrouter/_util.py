@@ -89,28 +89,34 @@ def read_lines(path: Path, what: str) -> list[str]:
     return lines
 
 
-def parse_lines(path: Path, lines: list[str], parse: Callable[[dict], T], start: int = 1) -> list[T]:
-    """Parse each non-blank line, which must be a JSON object, with ``parse``.
+def json_object(line: str) -> dict:
+    """The JSON object a line holds; ValueError if it is no JSON, TypeError if it is another value."""
+    document = json.loads(line)
+    if not isinstance(document, dict):
+        raise TypeError(f"expected a JSON object, got {type(document).__name__}")
+    return document
 
-    ``lines`` are the lines of ``path`` from line ``start`` on. Invalid JSON,
-    a non-object line, or a record that ``parse`` rejects with one of
-    RECORD_ERRORS raises ParseError at ``file:line``.
+
+def parse_lines(path: Path, lines: list[str], parse: Callable[[str], T], start: int = 1) -> list[T]:
+    """Parse each non-blank line with ``parse``.
+
+    ``lines`` are the lines of ``path`` from line ``start`` on. A line that
+    ``parse`` rejects with one of RECORD_ERRORS (invalid JSON included)
+    raises ParseError at ``file:line``.
     """
     out = []
     lineno = start
     try:
         for lineno, line in enumerate(lines, start=start):
             if line.strip():
-                document = json.loads(line)
-                if not isinstance(document, dict):
-                    raise TypeError(f"expected a JSON object, got {type(document).__name__}")
-                out.append(parse(document))
+                out.append(parse(line))
     except RECORD_ERRORS as exc:
         raise record_error(f"{path}:{lineno}", exc) from exc
     return out
 
 
 def read_jsonl(path: str | Path, what: str, parse: Callable[[dict], T]) -> list[T]:
-    """Parse each non-blank line of a JSONL file with ``parse`` (see ``parse_lines``)."""
+    """Parse each non-blank line of a JSONL file, which must be a JSON object,
+    with ``parse`` (see ``parse_lines``)."""
     path = Path(path)
-    return parse_lines(path, read_lines(path, what), parse)
+    return parse_lines(path, read_lines(path, what), lambda line: parse(json_object(line)))

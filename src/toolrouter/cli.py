@@ -161,6 +161,14 @@ def extract_cmd(config_path, seed, backend, traj_path, graph_path, pool_scope, a
         click.echo(f"dataset: {count} samples -> {file_path}")
 
 
+def _once_each(ctx: click.Context, param: click.Parameter, values: tuple[str, ...]) -> tuple[str, ...]:
+    """The values of a repeatable option, each of which may be given once (a usage error otherwise)."""
+    repeated = sorted({value for value in values if values.count(value) > 1})
+    if repeated:
+        raise click.BadParameter(f"{', '.join(repeated)} given more than once")
+    return values
+
+
 @main.command("evaluate")
 @with_common
 @click.option("--dataset", "dataset_path", type=click.Path(exists=True), required=True)
@@ -170,6 +178,7 @@ def extract_cmd(config_path, seed, backend, traj_path, graph_path, pool_scope, a
     type=click.Choice(VARIANTS),
     multiple=True,
     required=True,
+    callback=_once_each,
 )
 @click.option("--k", type=click.IntRange(min=1), default=5)
 @click.option("--out", "out_path", type=click.Path(), default=None)

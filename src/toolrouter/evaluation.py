@@ -192,11 +192,14 @@ def evaluate(
     count as incorrect. Per-group accuracies average over runs. The setting
     keeps one expanded pool per distinct inline pool for as long as it
     lives, so reuse one setting across routers and calls (one calling
-    thread, as the gateway). A stored pool costs one marshal of the record's
-    pool per call; a new one is also checked for JSON, validated and built.
+    thread, as the gateway). A stored pool costs one marshal per distinct
+    pool object per call: records that share one ``pool_specs`` tuple, as
+    ``load_dataset`` gives records with equal pool text, share one lookup.
+    A new pool is also checked for JSON, validated and built.
 
-    Once per call and record: the pool lookup; for ``llm``, the rendered
-    prompt; for a ``REPEATABLE`` variant, the decision, which later passes
+    Once per call and distinct pool object: the pool lookup. Once per call
+    and record: the label's check; for ``llm``, the rendered prompt; for a
+    ``REPEATABLE`` variant, the decision, which later passes
     reuse unless it abstained (an abstention, such as a gateway error, is
     routed again in the next pass). Once per pass and record: the ``random``
     variant's draw from that pass's rng, and the ``llm`` variant's sampled
@@ -209,21 +212,26 @@ def evaluate(
         raise BadConfig("dataset is empty")
 
     pools: list[CandidatePool] = []
+    # (kind, id of a pool_specs tuple) -> its stored pool; the records hold the tuples for the call
+    looked_up: dict[tuple[str, int], tuple[CandidateBank, CandidatePool]] = {}
     for record in dataset:
-        try:
-            key = _pool_key(record)
-            if key not in setting._pools:
-                # A new pool: check it is JSON, once. Key it by that text unless every value is
-                # plain, so that only a plain pool, stored when it was JSON, matches these bytes.
-                text = _pool_json(record)
-                if not _plain((record.kind, record.pool_specs)):
-                    key = text
-            if key not in setting._pools:
-                inline = _record_pool(record)
-                setting._pools[key] = (inline.bank, build_pool(inline, setting))
-        except (SpecError, ValidationError) as exc:
-            raise ValidationError(record.label, f"dataset record unusable: {exc}") from exc
-        inline_bank, pool = setting._pools[key]
+        pool_object = (record.kind, id(record.pool_specs))
+        if pool_object not in looked_up:
+            try:
+                key = _pool_key(record)
+                if key not in setting._pools:
+                    # A new pool: check it is JSON, once. Key it by that text unless every value is
+                    # plain, so that only a plain pool, stored when it was JSON, matches these bytes.
+                    text = _pool_json(record)
+                    if not _plain((record.kind, record.pool_specs)):
+                        key = text
+                if key not in setting._pools:
+                    inline = _record_pool(record)
+                    setting._pools[key] = (inline.bank, build_pool(inline, setting))
+            except (SpecError, ValidationError) as exc:
+                raise ValidationError(record.label, f"dataset record unusable: {exc}") from exc
+            looked_up[pool_object] = setting._pools[key]
+        inline_bank, pool = looked_up[pool_object]
         if inline_bank.get(record.label) is None:
             raise ValidationError(record.label, "dataset record unusable: label not in its pool")
         pools.append(pool)

@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._util import JSON_LINE, parse_lines, read_lines, typed, write_lines
+from ._util import JSON_LINE, json_object, parse_lines, read_lines, typed, write_lines
 from .errors import (
     BadConfig,
     DimensionMismatch,
@@ -451,7 +451,9 @@ class _SnapshotReader:
         self.edges: tuple[list, list, list, list] = ([], [], [], [])
         self.edge_keys: set[tuple[str, str, str]] = set()
 
-    def record(self, record: dict) -> None:
+    def record(self, line: str) -> None:
+        """Check and collect the record a snapshot line holds."""
+        record = json_object(line)
         kind = next(iter(record), "")
         if kind != self.previous or kind == "meta":
             if kind not in _PREVIOUS_KINDS:

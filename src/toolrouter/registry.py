@@ -313,6 +313,11 @@ class CandidatePool:
         """The members as a set, for membership tests."""
         return frozenset(self.membership)
 
+    @cached_property
+    def sorted_members(self) -> tuple[str, ...]:
+        """The members in name order, sorted once per pool object."""
+        return tuple(sorted(self.membership))
+
     @staticmethod
     def whole_bank(bank: CandidateBank) -> "CandidatePool":
         return CandidatePool(bank=bank, membership=bank.names())

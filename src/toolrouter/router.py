@@ -152,7 +152,7 @@ def route(
             return RouterDecision(chosen=oracle_label)
         if cfg.variant == "random":
             chooser = rng if rng is not None else random.Random(cfg.rng_seed)
-            return RouterDecision(chosen=chooser.choice(sorted(pool.membership)))
+            return RouterDecision(chosen=chooser.choice(pool.sorted_members))
         if gateway is None:
             return _abstain("no gateway configured")
         if cfg.variant == "llm":

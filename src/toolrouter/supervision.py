@@ -9,12 +9,13 @@ strictly before that observation.
 
 from __future__ import annotations
 
+import json
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from . import prompts
-from ._util import JSON_LINE, read_jsonl, typed, write_lines
+from ._util import JSON_LINE, json_object, parse_lines, read_lines, typed, write_lines
 from .errors import PoolMissingLabel
 from .registry import CandidatePool, pool_json, public_spec
 from .synthesis import (
@@ -91,7 +92,11 @@ def strip_history(instance: RoutingInstance) -> RoutingInstance:
 def render_prompt(query: str, history: Sequence[Turn], pool: CandidatePool) -> tuple[str, str]:
     """The (system, user) router messages for a query, its history and a pool,
     worded for the kind of the pool's candidates."""
-    kind = pool.bank.kind
+    return _prompt(query, history, pool.bank.kind, pool_json(pool.specs()))
+
+
+def _prompt(query: str, history: Sequence[Turn], kind: str, block: str) -> tuple[str, str]:
+    """``render_prompt`` over a pool of ``kind`` whose prompt block is ``block``."""
     system = prompts.ROUTER_SYSTEM_AGENT if kind == "agent" else prompts.ROUTER_SYSTEM_TOOL
     history_text = serialize_history(history, kind)
     history_slot = f"\n{history_text}\n" if history_text else ""
@@ -100,7 +105,7 @@ def render_prompt(query: str, history: Sequence[Turn], pool: CandidatePool) -> t
         prompts.ROUTER_USER_TEMPLATE,
         HISTORY=history_slot,
         QUERY=query,
-        POOL_JSON=pool_json(pool.specs()),
+        POOL_JSON=block,
         PLURAL=plural,
         SINGULAR=kind,
     )
@@ -152,7 +157,7 @@ class DatasetRecord:
             user=typed(document["user"], str, "user"),
             query=typed(document["query"], str, "query"),
             history=tuple(turn_from_dict(t) for t in typed(document.get("history", []), list, "history")),
-            pool_specs=tuple(typed(entry, dict, "pool entry") for entry in typed(document["pool"], list, "pool")),
+            pool_specs=_pool_entries(document["pool"]),
             label=typed(document["label"], str, "label"),
             group=typed(document.get("group", "all"), str, "group"),
             origin=None if document.get("origin") is None else typed(document["origin"], dict, "origin"),
@@ -163,19 +168,30 @@ class DatasetRecord:
         return record
 
 
+def _pool_entries(value: object) -> tuple[dict, ...]:
+    """A dataset line's ``pool`` value as its tuple of entries; TypeError unless it is a list of dicts."""
+    return tuple(typed(entry, dict, "pool entry") for entry in typed(value, list, "pool"))
+
+
 def render_sample(instance: RoutingInstance) -> DatasetRecord:
     """Render one instance into a dataset record, in the kind of its pool's candidates."""
+    specs = instance.pool.specs()
+    return _sample(instance, tuple(map(public_spec, specs)), pool_json(specs))
+
+
+def _sample(instance: RoutingInstance, documents: tuple[dict, ...], block: str) -> DatasetRecord:
+    """``render_sample`` with the public documents and the prompt block of the instance's pool given."""
     if instance.label not in instance.pool.member_set:
         raise PoolMissingLabel(instance.label)
     kind = instance.pool.bank.kind
-    system, user = render_prompt(instance.query, instance.history, instance.pool)
+    system, user = _prompt(instance.query, instance.history, kind, block)
     return DatasetRecord(
         kind=kind,
         system=system,
         user=user,
         query=instance.query,
         history=instance.history,
-        pool_specs=tuple(map(public_spec, instance.pool.specs())),
+        pool_specs=documents,
         label=instance.label,
         origin=asdict(instance.origin),
     )
@@ -193,8 +209,8 @@ def build_dataset(
     With ablation=True a history-stripped twin set is written alongside, to
     ``<path>.nohistory``. Returns sample counts per emitted file. The lines
     have the bytes ``save_dataset`` writes for the rendered records, but each
-    distinct pool object's documents and prompt block are encoded once per
-    call, for both files, not once per record.
+    distinct pool object's documents and prompt block are built and encoded
+    once per call, for both files, not once per record.
     """
     path = Path(path)
     if len(pools) != len(trajectories):
@@ -211,7 +227,8 @@ def build_dataset(
         pool = instance.pool
         if id(pool) not in kept:
             kept[id(pool)] = (pool, _PoolText.of(pool))
-        return _line(render_sample(instance), kept[id(pool)][1])
+        text = kept[id(pool)][1]
+        return _line(_sample(instance, text.documents, text.block), text)
 
     counts = {str(path): write_lines(path, map(line, instances), "dataset")}
     if ablation:
@@ -225,9 +242,11 @@ _PROBE_CHARS = 64
 
 @dataclass(frozen=True)
 class _PoolText:
-    """A pool's texts in a dataset line: its encoded ``pool`` field, and its
+    """A pool's public documents, which the records rendered over it share,
+    and its texts in a dataset line: its encoded ``pool`` field, and its
     prompt block as rendered and JSON-escaped (without the quotes)."""
 
+    documents: tuple[dict, ...]
     field: str
     block: str
     escaped_block: str
@@ -235,8 +254,9 @@ class _PoolText:
     @staticmethod
     def of(pool: CandidatePool) -> "_PoolText":
         specs = pool.specs()
+        documents = tuple(map(public_spec, specs))
         block = pool_json(specs)
-        return _PoolText(JSON_LINE.encode(list(map(public_spec, specs))), block, JSON_LINE.encode(block)[1:-1])
+        return _PoolText(documents, JSON_LINE.encode(list(documents)), block, JSON_LINE.encode(block)[1:-1])
 
     def user(self, user: str) -> str:
         """``JSON_LINE.encode(user)``. The encoder escapes each character on
@@ -269,8 +289,92 @@ def _line(record: DatasetRecord, pool: _PoolText | None = None) -> str:
     return "{" + ", ".join(fields) + "}"
 
 
+_DECODE = json.JSONDecoder().raw_decode  # the decoder of json.loads, from a given index on
+# The keys of a dataset line in the order ``_line`` writes them (``DatasetRecord.to_dict``), for either kind.
+_LINE_KEYS = tuple(
+    ("system", "user", f"expected_{kind}", "kind", "query", "history", "pool", "label", "group", "origin")
+    for kind in ("tool", "agent")
+)
+_POOL_END = '], "label": '  # what follows a pool text in a written line
+
+
+class _DatasetReader:
+    """Reads dataset lines, decoding and checking each distinct ``pool`` text once.
+
+    A line in the form ``_line`` writes is read field by field, and its pool
+    text is first looked up among the texts read before: a JSON array ends
+    where its text does, so a known text at the field's start is the field.
+    A new text is decoded and checked once, and every line with that text
+    gets the same tuple of entries. Any other line is decoded whole.
+    """
+
+    def __init__(self) -> None:
+        self.pools: dict[str, tuple[dict, ...]] = {}  # pool text -> its checked entries
+        self.sizes: set[int] = set()  # the lengths of those texts
+
+    def record(self, line: str) -> DatasetRecord:
+        written = self._written(line)
+        if written is None:
+            return DatasetRecord.from_dict(json_object(line))
+        # The document is the line's, with an empty pool in place of the entries checked before.
+        document, pool_specs = written
+        return replace(DatasetRecord.from_dict(document), pool_specs=pool_specs)
+
+    def _written(self, line: str) -> tuple[dict, tuple[dict, ...]] | None:
+        """The line's document, its pool emptied, and its pool entries when the
+        line is in the form ``_line`` writes and its pool is a list of dicts; None otherwise."""
+        if not line.startswith("{"):
+            return None
+        document: dict = {}
+        pool_specs: tuple[dict, ...] = ()
+        at = 1
+        try:
+            while True:
+                key, at = _DECODE(line, at)
+                if type(key) is not str or not line.startswith(": ", at):
+                    return None
+                if key == "pool":
+                    pool_specs, at = self._pool(line, at + 2)
+                    document[key] = []
+                else:
+                    document[key], at = _DECODE(line, at + 2)
+                if not line.startswith(", ", at):
+                    break
+                at += 2
+        except (TypeError, ValueError):  # no JSON, or a pool that is no list of dicts
+            return None
+        if line[at:] != "}" or tuple(document) not in _LINE_KEYS:
+            return None
+        return document, pool_specs
+
+    def _pool(self, line: str, at: int) -> tuple[tuple[dict, ...], int]:
+        """The entries of the pool text at ``at`` and the index after it. A text
+        read before is found among the ends ``_POOL_END`` marks by its length."""
+        end = line.find(_POOL_END, at)
+        while end >= 0:
+            if end + 1 - at in self.sizes and (text := line[at : end + 1]) in self.pools:
+                return self.pools[text], end + 1
+            end = line.find(_POOL_END, end + 1)
+        value, end = _DECODE(line, at)
+        pool_specs = self.pools[line[at:end]] = _pool_entries(value)
+        self.sizes.add(end - at)
+        return pool_specs, end
+
+
 def load_dataset(path: str | Path) -> list[DatasetRecord]:
-    return read_jsonl(path, "dataset", DatasetRecord.from_dict)
+    """The records of a dataset file, one per non-blank line.
+
+    Each distinct ``pool`` text is decoded and checked once per call: records
+    whose lines hold equal pool text share one ``pool_specs`` tuple, and so
+    its dicts. An in-place edit of one record's pool documents therefore
+    shows in every record of the file read with the same text. A line in the
+    form ``_line`` writes (keys in ``to_dict`` order, the encoder's ``", "``
+    and ``": "`` separators) is read field by field; any other line is
+    decoded whole, so the records and each ``file:line`` error are those of
+    ``DatasetRecord.from_dict(json.loads(line))``.
+    """
+    path = Path(path)
+    return parse_lines(path, read_lines(path, "dataset"), _DatasetReader().record)
 
 
 def save_dataset(records: Iterable[DatasetRecord], path: str | Path) -> int:

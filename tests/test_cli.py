@@ -211,6 +211,7 @@ def test_usage_errors_exit_2(workspace):
         ["sample", "--graph", bank_path, "--count", "-1", "--out", out],
         ["synthesize", "--graph", bank_path, "--count", "-1", "--out", out],
         ["evaluate", "--dataset", bank_path, "--router", "oracle", "--k", "0"],
+        ["evaluate", "--dataset", bank_path, "--router", "oracle", "--router", "oracle", "--out", out],
         ["lra-run", "--bank", bank_path, "--task", "t", "--budget", "0"],
     ]
     for args in out_of_range:

@@ -1,18 +1,19 @@
-"""Clock-free cost checks of build_dataset(): what a call encodes, counted at
-growing pool sizes, so a pool's documents or prompt block encoded once per
-record, rather than once per distinct pool, fails at every size instead of
-only slowing the large ones."""
+"""Clock-free cost checks of dataset files: what build_dataset() builds and
+encodes, counted at growing pool sizes, and what load_dataset() decodes,
+counted at growing record counts, so a pool's documents or prompt block
+built, encoded or decoded once per record, rather than once per distinct
+pool, fails at every size instead of only slowing the large ones."""
 
 from functools import lru_cache
 
 import pytest
 
-from helpers import make_tool_doc
+from helpers import count_calls, make_tool_doc
 from toolrouter import supervision
 from toolrouter._util import JSON_LINE
 from toolrouter.registry import CandidateBank, CandidatePool, validate_spec
 from toolrouter.sampler import CandidateSubset
-from toolrouter.supervision import build_dataset
+from toolrouter.supervision import DatasetRecord, build_dataset, load_dataset, save_dataset
 from toolrouter.synthesis import Action, CandidateCall, Observation, TaskPlan, Trajectory
 
 SIZES = (250, 1000, 4000)
@@ -66,7 +67,54 @@ def test_build_dataset_encodes_each_distinct_pool_once_per_call(tmp_path, monkey
     trajectories = [trajectory(i, pool.membership) for i, pool in enumerate(pools)]
     encoder = RecordingEncoder()
     monkeypatch.setattr(supervision, "JSON_LINE", encoder)
+    calls = count_calls(monkeypatch, public_spec=(supervision, "public_spec"))
     counts = build_dataset(trajectories, pools, tmp_path / "data.jsonl", ablation=True)
     assert list(counts.values()) == [TRAJECTORIES * ACTIONS] * 2
+    distinct = {id(pool): pool for pool in pools}.values()
     # each distinct pool: its documents as the "pool" field, and its prompt block, once for both files
-    assert encoder.sentinels == 2 * len({id(pool) for pool in pools})
+    assert encoder.sentinels == 2 * len(distinct)
+    # each distinct pool's public documents are built once, for its _PoolText, and no record builds its own
+    assert calls == {"public_spec": sum(map(len, distinct))}
+
+
+POOLS = 4
+
+
+def records_over_pools(n: int) -> list[DatasetRecord]:
+    """``n`` records over POOLS pools of two tools, each pool holding the sentinel once."""
+    pools = [(make_tool_doc(2 * p), {**make_tool_doc(2 * p + 1), "description": SENTINEL}) for p in range(POOLS)]
+    return [
+        DatasetRecord(
+            kind="tool",
+            system="sys",
+            user="user",
+            query=f"query {i}",
+            history=(),
+            pool_specs=pools[i % POOLS],
+            label=pools[i % POOLS][0]["name"],
+        )
+        for i in range(n)
+    ]
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_load_dataset_decodes_each_distinct_pool_text_once(tmp_path, monkeypatch, n):
+    records = records_over_pools(n)
+    path = tmp_path / "data.jsonl"
+    save_dataset(records, path)
+    decoded = {"sentinels": 0}
+    part, whole = supervision._DECODE, supervision.json_object
+
+    def decode(line: str, at: int):
+        value, end = part(line, at)
+        decoded["sentinels"] += SENTINEL in line[at:end]
+        return value, end
+
+    def json_object(line: str) -> dict:
+        decoded["sentinels"] += SENTINEL in line
+        return whole(line)
+
+    monkeypatch.setattr(supervision, "_DECODE", decode)
+    monkeypatch.setattr(supervision, "json_object", json_object)
+    assert load_dataset(path) == records
+    assert decoded == {"sentinels": POOLS}

@@ -48,6 +48,7 @@ def test_a_second_evaluate_encodes_validates_and_builds_nothing(monkeypatch, n):
     setting = PoolSetting(variant=Setting.MULTI, group_banks=(GROUP_BANK,))
     counts = count_calls(
         monkeypatch,
+        pool_key=(evaluation, "_pool_key"),
         pool_json=(evaluation, "_pool_json"),
         record_pool=(evaluation, "_record_pool"),
         validate_spec=(evaluation, "validate_spec"),
@@ -55,10 +56,12 @@ def test_a_second_evaluate_encodes_validates_and_builds_nothing(monkeypatch, n):
     )
     cold = evaluate(CFG, records, setting, k=1)
     assert cold.avg_at_k == 1.0
-    assert counts == {"pool_json": POOLS, "record_pool": POOLS, "validate_spec": POOLS * POOL_SIZE, "build_pool": POOLS}
+    # each record holds a pool object of its own, so each is keyed
+    expected = {"pool_json": POOLS, "record_pool": POOLS, "validate_spec": POOLS * POOL_SIZE, "build_pool": POOLS}
+    assert counts == {"pool_key": n, **expected}
     counts.update(dict.fromkeys(counts, 0))
     assert evaluate(CFG, records, setting, k=1) == cold
-    assert counts == dict.fromkeys(counts, 0)
+    assert counts == {**dict.fromkeys(counts, 0), "pool_key": n}
 
 
 K = 5
@@ -118,6 +121,7 @@ def test_passes_share_what_cannot_change_between_them(monkeypatch, n):
     setting, gateway = PoolSetting(), Gateway(chat_backend=FirstMember(), embedding_backend=OneDirection())
     counts = count_calls(
         monkeypatch,
+        pool_key=(evaluation, "_pool_key"),
         route=(evaluation, "route"),
         most_similar=(Gateway, "most_similar"),
         render_prompt=(evaluation, "render_prompt"),
@@ -127,4 +131,5 @@ def test_passes_share_what_cannot_change_between_them(monkeypatch, n):
     for variant, calls in PER_CALL.items():
         counts.update(dict.fromkeys(counts, 0))
         evaluate(RouterConfig(variant=variant), records, setting, k=K, gateway=gateway)
-        assert counts == {**dict.fromkeys(counts, 0), **calls(n)}, variant
+        # records that share a pool object share its key, once per call
+        assert counts == {**dict.fromkeys(counts, 0), "pool_key": POOLS, **calls(n)}, variant

@@ -414,3 +414,72 @@ def test_a_dataset_line_whose_origin_is_no_object_is_a_parse_error(tmp_path, ori
         load_dataset(path)
     save_dataset([replace(record, origin=None)], path)
     assert load_dataset(path)[0].origin is None
+
+
+# Texts and call argument or origin keys that a dataset line's top level also
+# holds: a pool's start and end, and the key that follows the pool.
+_FIELD_TEXT = st.one_of(_SHORT_TEXT, st.sampled_from(['"pool": [', '"label": ', '], "label": ', '\\"', " "]))
+_FIELD_KEYS = st.sampled_from(["pool", "label", "target"])
+# Pools of documents no spec accepts, whose texts hold the text that follows a pool inside them.
+_ODD_POOLS = [({"x": ["y"], "label": "z"},), ({"x": ["y"], "label": "z"}, {"x": [], "label": []})]
+
+
+@st.composite
+def _written_datasets(draw):
+    """Trajectories over pools of one kind, two equal pool objects and an
+    unequal one, whose call arguments hold "pool" and "label" keys, some with
+    a pool's documents; and, for the same records, origins likewise and
+    maybe a pool of odd documents in place of the rendered one."""
+    kind = draw(st.sampled_from(["tool", "agent"]))
+    make_doc = make_agent_doc if kind == "agent" else make_tool_doc
+    docs = [{**make_doc(i), "description": "d" + draw(_JSON_TEXT)} for i in range(draw(st.integers(2, 4)))]
+    bank = CandidateBank(kind=kind, entries=tuple(validate_spec(doc, kind) for doc in docs))
+    whole = CandidatePool.whole_bank(bank)
+    pools = [whole, CandidatePool.whole_bank(bank), CandidatePool(bank=bank, membership=whole.membership[1:])]
+    values = st.one_of(_FIELD_TEXT, st.sampled_from([list(map(public_spec, pool.specs())) for pool in pools]))
+    nested = st.dictionaries(_FIELD_KEYS, values, max_size=3)
+
+    trajectories, chosen = [], []
+    for index in range(draw(st.integers(1, 4))):
+        pool = draw(st.sampled_from(pools))
+        turns = [Observation(draw(_FIELD_TEXT))]
+        for _ in range(draw(st.integers(1, 2))):
+            call = CandidateCall(draw(st.sampled_from(pool.membership)), draw(nested), draw(_FIELD_TEXT))
+            turns += [Action(draw(_FIELD_TEXT), (call,)), Observation(draw(_FIELD_TEXT))]
+        subset = CandidateSubset(members=pool.membership, seed_nodes=pool.membership[:1], walk_trace=())
+        trajectories.append(Trajectory(f"t{index}", tuple(turns), subset, TaskPlan(turns[0].text, ())))
+        chosen.append(pool)
+    edits = st.fixed_dictionaries(
+        {"origin": st.one_of(st.none(), nested)}, optional={"pool_specs": st.sampled_from(_ODD_POOLS)}
+    )
+    return trajectories, chosen, [draw(edits) for _ in range(sum(map(candidate_calls, trajectories)))]
+
+
+# How a line is rewritten: as written, with its keys in reverse order, or with other separators.
+_REWRITES = {
+    "written": lambda line: line,
+    "reordered": lambda line: JSON_LINE.encode(dict(reversed(json.loads(line).items()))),
+    "respaced": lambda line: json.dumps(json.loads(line), ensure_ascii=False, separators=(",", ":")),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(_written_datasets(), st.lists(st.sampled_from(sorted(_REWRITES)), min_size=1))
+def test_load_dataset_equals_decoding_each_line_whole(tmp_path_factory, inputs, rewrites):
+    trajectories, pools, edits = inputs
+    folder = tmp_path_factory.mktemp("dataset")
+    build_dataset(trajectories, pools, folder / "built.jsonl", ablation=True)
+    instances = [i for trajectory, pool in zip(trajectories, pools) for i in extract_instances(trajectory, pool)]
+    save_dataset([replace(render_sample(i), **edit) for i, edit in zip(instances, edits)], folder / "saved.jsonl")
+    for name in ("built.jsonl", "built.jsonl.nohistory", "saved.jsonl"):
+        lines = _lines(folder / name)
+        records = load_dataset(folder / name)
+        assert records == [DatasetRecord.from_dict(json.loads(line)) for line in lines]
+        shared: dict[tuple[str, str], tuple] = {}
+        for record, line in zip(records, lines):
+            text = JSON_LINE.encode(json.loads(line)["pool"])
+            assert shared.setdefault((record.kind, text), record.pool_specs) is record.pool_specs
+        rewritten = folder / f"rewritten-{name}"
+        rewrite = (_REWRITES[rewrites[i % len(rewrites)]] for i in range(len(lines)))
+        rewritten.write_text("".join(edit(line) + "\n" for edit, line in zip(rewrite, lines)), encoding="utf-8")
+        assert load_dataset(rewritten) == records
