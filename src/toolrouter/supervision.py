@@ -313,6 +313,7 @@ class _DatasetReader:
         self.sizes: set[int] = set()  # the lengths of those texts
 
     def record(self, line: str) -> DatasetRecord:
+        """The record a dataset line holds."""
         written = self._written(line)
         if written is None:
             return DatasetRecord.from_dict(json_object(line))
