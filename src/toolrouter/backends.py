@@ -91,7 +91,8 @@ def _slug(label: str) -> str:
 
 
 def _fill_arguments(schema: dict[str, Any]) -> dict[str, Any]:
-    """Minimal schema-conforming arguments: every required field, typed dummies."""
+    """Minimal schema-conforming arguments: every required field, typed dummies
+    (of the first type a property lists)."""
     fillers = {
         "string": "example",
         "integer": 1,
@@ -99,13 +100,20 @@ def _fill_arguments(schema: dict[str, Any]) -> dict[str, Any]:
         "boolean": True,
         "array": [],
         "object": {},
+        "null": None,
     }
     arguments: dict[str, Any] = {}
     properties = schema.get("properties", {})
     for prop in schema.get("required", []):
         prop_type = properties.get(prop, {}).get("type", "string")
+        if isinstance(prop_type, list):
+            prop_type = prop_type[0] if prop_type else "string"
         arguments[prop] = fillers.get(prop_type, "example")
     return arguments
+
+
+# The current query of a routing prompt and the header of the pool block after it.
+_ROUTING_QUERY = re.compile(r'<current query>"(.*?)"</current query>\n\nAvailable (tools|agents):\n<\2>', re.DOTALL)
 
 
 class MockChatBackend:
@@ -116,7 +124,14 @@ class MockChatBackend:
         self.model_id = model_id
 
     def complete(self, request: ChatRequest) -> str:
-        prompt = "\n".join(m.content for m in request.messages)
+        """The canned reply to the request's prompt; TransientBackendError for
+        a prompt it cannot match or read, as a live backend's failed call."""
+        try:
+            return self._reply("\n".join(m.content for m in request.messages))
+        except (LookupError, TypeError, ValueError, AttributeError) as exc:  # JSONDecodeError is a ValueError
+            raise TransientBackendError(f"mock chat backend cannot read this prompt: {exc!r}") from exc
+
+    def _reply(self, prompt: str) -> str:
         if prompts.TOOL_MUTATION_MARKER in prompt:
             return self._tool_mutant(prompt)
         if prompts.AGENT_MUTATION_MARKER in prompt:
@@ -250,11 +265,12 @@ class MockChatBackend:
     # -- routing ----------------------------------------------------------------
 
     def _routing_reply(self, prompt: str) -> str:
-        block = "<agents>" if "<agents>" in prompt else "<tools>"
-        specs = _json_after(prompt, block)
-        names = [spec["name"] for spec in specs]
-        query_match = re.search(r"<current query>\"(.*?)\"</current query>", prompt, re.DOTALL)
-        query = query_match.group(1) if query_match else ""
+        # the pool block after the current query: the query and history may hold "<tools>" too
+        match = _ROUTING_QUERY.search(prompt)
+        if match is None:
+            raise TransientBackendError("routing prompt without a query and pool block")
+        query = match.group(1)
+        names = [spec["name"] for spec in json.JSONDecoder().raw_decode(prompt, match.end())[0]]
         chosen = next((name for name in names if name in query), names[0] if names else "none")
         return f'<think>Matching the query against candidate capabilities.</think>\n["{chosen}"]'
 

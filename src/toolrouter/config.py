@@ -3,7 +3,7 @@ anything is checked. A loaded config is frozen; each dataclass checks itself."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Callable, Iterable, get_type_hints
 
@@ -63,13 +63,12 @@ class PipelineConfig:
         return self.seed if self.seed is not None else 0
 
 
-# The YAML-settable keys of each stage section. The pipeline sets the other
-# fields of a stage config (seeds, model ids, the router variant and kind).
+# The YAML-settable keys of each stage section: the fields of its config but
+# the ones the pipeline sets (the seed, the router variant and kind).
+_STAGES = {"mutation": EvolveConfig, "sampler": SamplerConfig, "synthesis": SynthesisConfig, "eval": RouterConfig}
 STAGE_KEYS: dict[str, tuple[type, tuple[str, ...]]] = {
-    "mutation": (EvolveConfig, ("max_retries", "temperature")),
-    "sampler": (SamplerConfig, ("num_seeds", "target_size", "target_range", "restart_prob")),
-    "synthesis": (SynthesisConfig, ("max_retries", "max_turns", "error_prob", "temperature")),
-    "eval": (RouterConfig, ("temperature",)),
+    name: (cls, tuple(f.name for f in fields(cls) if f.name not in ("rng_seed", "variant", "kind")))
+    for name, cls in _STAGES.items()
 }
 
 

@@ -11,12 +11,13 @@ A graph holds candidates of one kind, tools or agents. The snapshots of one
 chain of insertions share a store of arrays that only grows: the nodes'
 names and specs, a ``name -> row`` index, one float64 embedding matrix of
 one embedding model with its norms (grown by amortised doubling), and an
-edge table of endpoint names, kinds and weights, one list each. A snapshot
+edge table of endpoint rows, kinds and weights, one list each. A snapshot
 reads the first ``len(graph)`` rows and the first edges of the store, so a
 parent never sees a child's node or edges; inserting into a snapshot whose
 store a sibling insertion has already extended copies the snapshot's part of
-the store first. ``graph.specs`` reads the specs from the store, and
-``Edge`` objects are built only for a caller that reads ``edges``.
+the store first. Names are read only at the boundary: ``graph.specs``,
+``neighbors()``, snapshot lines and the ``Edge`` objects, which are built
+only for a caller that reads ``edges``.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import itertools
 import math
 import operator
 import re
-from collections.abc import Iterable, Iterator, Mapping, Sequence, Set
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence, Set
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -101,9 +102,9 @@ class _Store:
     Node row r is ``names[r]``, ``specs[r]`` and the embedding ``matrix[r]``
     of the model ``model_id``, with its finite, nonzero norm ``norms[r]`` and
     the float32 unit row ``unit[r]`` that the similarity screen reads (derived
-    on first use). The arrays have spare rows past ``len(self)``. Edge e is
-    ``(edge_a[e], edge_b[e], edge_kind[e], edge_weight[e])`` with
-    ``edge_a[e] < edge_b[e]``.
+    on first use). The arrays have spare rows past ``len(self)``. Edge e
+    joins rows ``edge_x[e] != edge_y[e]`` (in either order) and is of kind
+    ``edge_kind[e]`` with weight ``edge_weight[e]``.
     """
 
     def __init__(
@@ -119,7 +120,7 @@ class _Store:
         self.names, self.specs, self.model_id = names, specs, model_id
         self.index = dict(zip(names, range(len(names))))
         self.matrix, self.norms, self._unit = matrix, norms, unit
-        self.edge_a, self.edge_b, self.edge_kind, self.edge_weight = edges if edges is not None else ([], [], [], [])
+        self.edge_x, self.edge_y, self.edge_kind, self.edge_weight = edges if edges is not None else ([], [], [], [])
 
     def __len__(self) -> int:
         return len(self.names)
@@ -132,7 +133,7 @@ class _Store:
 
     def copy(self, n: int, m: int) -> "_Store":
         """A store of its own that holds the first n rows and first m edges."""
-        edges = (self.edge_a[:m], self.edge_b[:m], self.edge_kind[:m], self.edge_weight[:m])
+        edges = (self.edge_x[:m], self.edge_y[:m], self.edge_kind[:m], self.edge_weight[:m])
         rows = (self.matrix[:n].copy(), self.norms[:n].copy(), edges, self.unit[:n].copy())
         return _Store(self.names[:n], self.specs[:n], self.model_id, *rows)
 
@@ -149,10 +150,10 @@ class _Store:
         self.names.append(spec.name)
         self.specs.append(spec)
 
-    def append_edges(self, x: list[str], y: list[str], kind: str, weights: list) -> None:
-        """Edges between x[e] and y[e] != x[e], stored with the smaller name first."""
-        self.edge_a.extend(map(min, x, y))
-        self.edge_b.extend(map(max, x, y))
+    def append_edges(self, x: list[int], y: list[int], kind: str, weights: list) -> None:
+        """Edges between rows x[e] and y[e] != x[e]."""
+        self.edge_x.extend(x)
+        self.edge_y.extend(y)
         self.edge_kind.extend([kind] * len(x))
         self.edge_weight.extend(weights)
 
@@ -219,13 +220,13 @@ class CandidateGraph:
             store = checks.store()
         except ValueError as exc:
             raise GraphError(str(exc)) from exc
-        self._bind(config, store, len(store), len(store.edge_a))
+        self._bind(config, store, len(store), len(store.edge_x))
 
     @classmethod
     def _view(cls, config: GraphConfig, store: _Store, names: tuple[str, ...] | None = None) -> "CandidateGraph":
         """The snapshot of all of ``store``; ``names``, when given, are its node names sorted."""
         graph = cls.__new__(cls)
-        graph._bind(config, store, len(store), len(store.edge_a))
+        graph._bind(config, store, len(store), len(store.edge_x))
         if names is not None:
             graph._names = names
         return graph
@@ -255,47 +256,49 @@ class CandidateGraph:
         return list(self._names)
 
     @cached_property
-    def _edge_codes(self) -> tuple[list[str], list[str], dict[str, int], np.ndarray, np.ndarray, np.ndarray]:
-        """(the endpoint names in order, the edge kinds in order, name -> its
-        place among them, and each edge's a, b and kind as those places)."""
-        store, m = self._store, self._m
-        a, b, kind = store.edge_a[:m], store.edge_b[:m], store.edge_kind[:m]
-        names, kinds = sorted({*a, *b}), sorted(set(kind))
-        rank, kind_rank = dict(zip(names, range(len(names)))), dict(zip(kinds, range(len(kinds))))
-        codes = [np.fromiter(map(ranks.__getitem__, column), np.intp, m) for ranks, column in
-                 ((rank, a), (rank, b), (kind_rank, kind))]  # fmt: skip
-        return names, kinds, rank, *codes
+    def _edge_codes(self) -> tuple[np.ndarray, list[str], np.ndarray, np.ndarray, np.ndarray]:
+        """(row -> its name's place among the sorted names, the edge kinds in
+        order, and each edge's a and b, the smaller and larger place of its
+        rows, and its kind's place among the kinds)."""
+        store, n, m = self._store, self._n, self._m
+        place = np.empty(n, np.intp)
+        place[list(map(store.index.__getitem__, self._names))] = np.arange(n)
+        x, y = place[store.edge_x[:m]], place[store.edge_y[:m]]
+        kinds = sorted(set(store.edge_kind[:m]))
+        kind = np.fromiter(map(dict(zip(kinds, range(len(kinds)))).__getitem__, store.edge_kind[:m]), np.intp, m)
+        return place, kinds, np.minimum(x, y), np.maximum(x, y), kind
 
-    def _edge_columns(self) -> tuple[list, list, list, list]:
-        """The snapshot's edges as (a, b, kind, weight) columns in (a, b, kind) order."""
-        _, _, _, a, b, kind = self._edge_codes
-        order = np.lexsort((kind, b, a)).tolist()  # stable: ties keep their table order
-        store = self._store
-        columns = (store.edge_a, store.edge_b, store.edge_kind, store.edge_weight)
-        return tuple(list(map(column.__getitem__, order)) for column in columns)
+    def _edge_columns(self, text: Callable[[str], str] = str) -> tuple[list, list, list, list]:
+        """The snapshot's edges as (a, b, kind, weight) columns in (a, b, kind)
+        order, with ``text(name)`` for each name and ``text(kind)`` for each kind."""
+        _, kinds, a, b, kind = self._edge_codes
+        order = np.lexsort((kind, b, a))  # stable: ties keep their table order
+        names, kinds, weights = list(map(text, self._names)), list(map(text, kinds)), self._store.edge_weight
+        columns = ((names, a[order]), (names, b[order]), (kinds, kind[order]), (weights, order))
+        return tuple(list(map(values.__getitem__, codes.tolist())) for values, codes in columns)
 
     @cached_property
-    def _adjacency(self) -> tuple[dict[str, int], list[int], list[str], list[str]]:
-        """(endpoint -> its place p, and the (other, kind) pairs of endpoint p at
-        [bounds[p], bounds[p + 1]) of the two lists, sorted), derived once per snapshot."""
-        names, kinds, rank, a, b, kind = self._edge_codes
+    def _adjacency(self) -> tuple[list[int], list[int], list[str], list[str]]:
+        """(row -> its place p, and the (other, kind) pairs of the node at place p
+        at [bounds[p], bounds[p + 1]) of the two lists, sorted), derived once per snapshot."""
+        place, kinds, a, b, kind = self._edge_codes
         ends, others, pair_kinds = np.concatenate([a, b]), np.concatenate([b, a]), np.concatenate([kind, kind])
         order = np.lexsort((pair_kinds, others, ends))
-        bounds = np.searchsorted(ends[order], np.arange(len(names) + 1)).tolist()
+        bounds = np.searchsorted(ends[order], np.arange(self._n + 1)).tolist()
         return (
-            rank,
+            place.tolist(),
             bounds,
-            list(map(names.__getitem__, others[order].tolist())),
+            list(map(self._names.__getitem__, others[order].tolist())),
             list(map(kinds.__getitem__, pair_kinds[order].tolist())),
         )
 
     def neighbors(self, name: str) -> list[tuple[str, str]]:
         """(other name, edge kind) pairs, sorted for determinism."""
-        rank, bounds, others, kinds = self._adjacency
-        place = rank.get(name)
-        if place is None:
+        row = self._store.index.get(name, self._n)
+        if row >= self._n:
             return []
-        start, stop = bounds[place], bounds[place + 1]
+        place, bounds, others, kinds = self._adjacency
+        start, stop = bounds[place[row]], bounds[place[row] + 1]
         return list(zip(others[start:stop], kinds[start:stop]))
 
 
@@ -321,7 +324,7 @@ def _link_similar(store: _Store, tau: float, first: int) -> None:
     scalar cosine's operations, run in its order over all the pairs the
     screen keeps at once, decide each one and give the edge its weight.
     """
-    count, names = len(store), store.names
+    count = len(store)
     rows, norms, unit = store.matrix[:count], store.norms[:count], store.unit[:count]
     cut = tau - _screen_margin(rows.shape[1])  # keeps every pair whose scalar cosine is above tau
     for start in range(first, count, SCREEN_BLOCK_ROWS):
@@ -332,12 +335,7 @@ def _link_similar(store: _Store, tau: float, first: int) -> None:
         i, j = i[below], j[below]
         sims = _ordered_dots(rows[i], rows[j]) / (norms[i] * norms[j])
         above = sims > tau
-        store.append_edges(
-            list(map(names.__getitem__, i[above].tolist())),
-            list(map(names.__getitem__, j[above].tolist())),
-            "similarity",
-            sims[above].tolist(),
-        )
+        store.append_edges(i[above].tolist(), j[above].tolist(), "similarity", sims[above].tolist())
 
 
 def build_graph(bank: CandidateBank, cfg: GraphConfig, gateway: Gateway) -> CandidateGraph:
@@ -373,10 +371,10 @@ def add_mutant(
     (norm,) = _usable_norms(embedding.values[None, :], [mutant.name], ZeroVector)
     if embedding.model_id != store.model_id:
         raise GraphError(f"mutant embedded by {embedding.model_id!r}, the graph's nodes by {store.model_id!r}")
-    if len(store) != n or len(store.edge_a) != graph._m:
+    if len(store) != n or len(store.edge_x) != graph._m:
         store = store.copy(n, graph._m)  # a sibling insertion extended the store
     store.append_node(mutant, embedding.values, norm)
-    store.append_edges([parent], [mutant.name], "mutation", [None])
+    store.append_edges([store.index[parent]], [n], "mutation", [None])
     _link_similar(store, graph.config.tau, n)
     names = graph._names  # the parent's sorted names, with the mutant's name in its place
     at = bisect.bisect(names, mutant.name)
@@ -409,16 +407,12 @@ def _snapshot_lines(graph: CandidateGraph) -> Iterator[str]:
                 }
             }
         )
-    a, b, kind, weight = graph._edge_columns()
+    a, b, kind, weight = graph._edge_columns(encode)
     if not a:
         return
-    # Every string is encoded once, and all weights in one list, which splits
-    # back into one piece per edge: a JSON number or null holds no ", ".
-    weights = encode(weight)[1:-1].split(", ")
-    quoted = {text: encode(text) for text in {*a, *b, *kind}}
-    for a_text, b_text, kind_text, weight_text in zip(
-        map(quoted.__getitem__, a), map(quoted.__getitem__, b), map(quoted.__getitem__, kind), weights
-    ):
+    # Every name and kind is encoded once, and all weights in one list, which
+    # splits back into one piece per edge: a JSON number or null holds no ", ".
+    for a_text, b_text, kind_text, weight_text in zip(a, b, kind, encode(weight)[1:-1].split(", ")):
         yield f'{{"edge": {{"a": {a_text}, "b": {b_text}, "kind": {kind_text}, "weight": {weight_text}}}}}'
 
 
@@ -449,7 +443,7 @@ class _SnapshotReader:
         self.specs: list[CandidateSpec] = []
         self.embeddings: list[np.ndarray] = []
         self.edges: tuple[list, list, list, list] = ([], [], [], [])
-        self.edge_keys: set[tuple[str, str, str]] = set()
+        self.edge_keys: set[tuple[int, int, str]] = set()
 
     def record(self, line: str) -> None:
         """Check and collect the record a snapshot line holds."""
@@ -513,10 +507,11 @@ class _SnapshotReader:
         for end in (a, b):
             if end not in self.index:
                 raise ValueError(f"edge names a missing node {end!r}")
-        if (a, b, kind) in self.edge_keys:
+        key = (self.index[a], self.index[b], kind)
+        if key in self.edge_keys:
             raise ValueError(f"repeated {kind} edge {a!r} - {b!r}")
-        self.edge_keys.add((a, b, kind))
-        for column, value in zip(self.edges, (a, b, kind, weight)):
+        self.edge_keys.add(key)
+        for column, value in zip(self.edges, (*key, weight)):
             column.append(value)
 
     def edge_block(self, lines: list[str]) -> bool:
@@ -534,16 +529,16 @@ class _SnapshotReader:
         kind = ["mutation" if null else "similarity" for null in nulls]
         weight = [float(number) if number else None for number in numbers]
         weights = np.array(weight, dtype=np.float64)  # None -> nan
+        x, y = list(map(self.index.get, a)), list(map(self.index.get, b))
         if not (
             all(map(operator.lt, a, b))
             and all(map(operator.lt, zip(a, b, kind), itertools.islice(zip(a, b, kind), 1, None)))
-            and self.index.keys() >= {*a, *b}
+            and None not in x
+            and None not in y
             and (np.isnan(weights) | ((weights > self.config.tau) & np.isfinite(weights))).all()
         ):
             return False
-        # the node names' own string objects, so that the edge texts are freed
-        name = dict(zip(self.names, self.names)).__getitem__
-        self.edges = (list(map(name, a)), list(map(name, b)), kind, weight)
+        self.edges = (x, y, kind, weight)
         return True
 
     def store(self) -> _Store:

@@ -108,6 +108,9 @@ def _check_schema(schema: Any, *, require_property_descriptions: bool) -> dict[s
     for prop_name, prop in properties.items():
         if not isinstance(prop, dict):
             raise SchemaMalformed(f"$.properties.{prop_name}", "not an object")
+        types = prop.get("type", [])
+        if not all(isinstance(entry, str) for entry in (types if isinstance(types, list) else [types])):
+            raise SchemaMalformed(f"$.properties.{prop_name}.type", "must be a string or a list of strings")
         if require_property_descriptions and not prop.get("description"):
             raise SchemaMalformed(f"$.properties.{prop_name}.description", "missing description")
     required = schema.get("required", [])
@@ -135,6 +138,9 @@ def _parse_provenance(document: dict[str, Any]) -> Provenance:
         raise ValidationError(document.get("name", "?"), f"bad provenance origin {origin!r}")
     parent = raw.get("parent_name")
     operator = raw.get("operator")
+    for key, value in (("parent_name", parent), ("operator", operator)):
+        if value is not None and not isinstance(value, str):
+            raise ValidationError(document.get("name", "?"), f"provenance {key} must be a string")
     if origin == "mutant":
         if not parent or not operator:
             raise ValidationError(

@@ -133,11 +133,13 @@ _JSON_TYPE_CHECKS = {
     "boolean": lambda v: isinstance(v, bool),
     "array": lambda v: isinstance(v, list),
     "object": lambda v: isinstance(v, dict),
+    "null": lambda v: v is None,
 }
 
 
 def check_arguments(arguments: dict, schema: Mapping) -> list[str]:
-    """Required-field and basic type conformance; returns violation strings."""
+    """Required-field and basic type conformance; returns violation strings. A value
+    may have any type a property lists; a type this check does not know takes any value."""
     violations = []
     properties = schema.get("properties", {})
     for required in schema.get("required", []):
@@ -145,8 +147,8 @@ def check_arguments(arguments: dict, schema: Mapping) -> list[str]:
             violations.append(f"missing required argument {required!r}")
     for key, value in arguments.items():
         expected = properties.get(key, {}).get("type")
-        check = _JSON_TYPE_CHECKS.get(expected)
-        if check is not None and not check(value):
+        checks = [_JSON_TYPE_CHECKS.get(name) for name in (expected if isinstance(expected, list) else [expected])]
+        if checks and None not in checks and not any(check(value) for check in checks):
             violations.append(f"argument {key!r} is not of type {expected!r}")
     return violations
 

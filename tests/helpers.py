@@ -144,6 +144,9 @@ def corrupt_snapshot(lines: list[str], case: str, position: str = "first") -> li
     elif case == "mutant with a missing parent":
         provenance = {"origin": "mutant", "parent_name": "zzz_missing", "operator": "paraphrase"}
         nodes[0]["node"]["spec"]["provenance"] = provenance
+    elif case == "mutant with a parent_name that is no string":
+        provenance = {"origin": "mutant", "parent_name": [all_nodes[0]["node"]["name"]], "operator": "paraphrase"}
+        nodes[0]["node"]["spec"]["provenance"] = provenance
     elif case == "mixed embedding models":
         nodes[0]["node"]["embedding_model_id"] = "other-embed"
     elif case == "nested embedding":
@@ -206,6 +209,7 @@ BROKEN_SNAPSHOTS = {
     "edge with a >= b": (ParseError, "a < b"),
     "mixed embedding dims": (DimensionMismatch, "dims"),
     "mutant with a missing parent": (ParseError, "missing parent"),
+    "mutant with a parent_name that is no string": (ParseError, "parent_name must be a string"),
     "mixed embedding models": (ParseError, "more than one model"),
     "nested embedding": (ParseError, "flat sequence"),
     "edge of an unknown kind": (ParseError, "unknown edge kind"),
@@ -303,6 +307,16 @@ MALFORMED_SPEC_FIELDS = {
     ),
     "agent-tools-not-strings": ("agent", lambda doc: {**doc, "tools": [1, 2]}, "tools"),
     "agent-tools-int": ("agent", lambda doc: {**doc, "tools": 5}, "tools"),
+    "property-type-not-strings": (
+        "tool",
+        lambda doc: {**doc, "inputSchema": {**doc["inputSchema"], "properties": {"target": {"type": ["string", 1]}}}},
+        "type",
+    ),
+    "property-type-object": (
+        "tool",
+        lambda doc: {**doc, "inputSchema": {**doc["inputSchema"], "properties": {"target": {"type": {}}}}},
+        "type",
+    ),
 }
 
 

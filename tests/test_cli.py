@@ -1,8 +1,10 @@
 """CLI pipeline commands, exit codes, and mock determinism."""
 
 import hashlib
+import itertools
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 from typing import get_type_hints
 
@@ -20,6 +22,7 @@ from helpers import (
     make_agent_bank,
     make_family_bank,
     make_tool_bank,
+    make_tool_doc,
 )
 from toolrouter import cli, evaluation, synthesis
 from toolrouter.cli import main
@@ -27,6 +30,7 @@ from toolrouter.config import STAGE_KEYS, BackendConfig, PipelineConfig
 from toolrouter.graph import load_graph
 from toolrouter.registry import save_bank
 from toolrouter.supervision import load_dataset, save_dataset
+from toolrouter.synthesis import load_trajectories
 
 CONFIG_YAML = """\
 seed: 11
@@ -749,6 +753,31 @@ def test_evaluate_builds_each_distinct_pool_once_for_every_router(workspace, mon
     result = run(["evaluate", "--config", config_path, "--dataset", str(dataset), *routers])
     assert result.exit_code == 0 and "oracle: avg@5 = 1.0000 over 12 instances" in result.output
     assert counts == {"build_pool": distinct, "record_pool": distinct} and distinct == 3
+
+
+def test_evaluate_llm_over_queries_that_hold_a_pool_tag(workspace):
+    tmp_path, _, config_path = workspace
+    first, second = distinct_pool_records(pools=1, per_pool=2)
+    records = [replace(first, query="use <tools> [x"), replace(second, query=f"use <tools> {second.label}")]
+    dataset = tmp_path / "dataset.jsonl"
+    save_dataset(records, dataset)
+    result = run(["evaluate", "--config", config_path, "--dataset", str(dataset), "--router", "llm", "--k", "1"])
+    assert result.exit_code == 0 and "llm: avg@1 = 1.0000 over 2 instances" in result.output, result.output
+
+
+def test_a_bank_of_union_typed_properties_builds_and_synthesizes(workspace):
+    tmp_path, _, config_path = workspace
+    docs = [make_tool_doc(i) for i in range(12)]
+    for doc, union in zip(docs, itertools.cycle((["string", "null"], ["null", "string"], ["integer", "string"]))):
+        doc["inputSchema"]["properties"]["target"]["type"] = union
+    bank, graph, trajs = tmp_path / "union.jsonl", tmp_path / "graph.jsonl", tmp_path / "trajs.jsonl"
+    bank.write_text("".join(json.dumps(doc) + "\n" for doc in docs), encoding="utf-8")
+    assert run(["build-graph", "--config", config_path, "--bank", str(bank), "--out", str(graph)]).exit_code == 0
+    result = run(["synthesize", "--config", config_path, "--graph", str(graph), "--count", "4", "--out", str(trajs)])
+    assert result.exit_code == 0, result.output
+    turns = [turn for trajectory in load_trajectories(trajs) for turn in trajectory.turns]
+    targets = [call.arguments["target"] for turn in turns for call in getattr(turn, "calls", ())]
+    assert targets and set(targets) <= {"example", None, 1} and None in targets
 
 
 def test_evaluate_refuses_a_dataset_of_tool_and_agent_records(workspace):

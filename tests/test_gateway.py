@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import requests
 
-from helpers import StaticEmbeddingBackend, count_calls, make_tool_bank, mock_gateway
+from helpers import StaticEmbeddingBackend, count_calls, make_agent_bank, make_tool_bank, mock_gateway
 from toolrouter.backends import (
     HTTPChatBackend,
     HTTPEmbeddingBackend,
@@ -33,6 +33,7 @@ from toolrouter.gateway import (
 from toolrouter import prompts
 from toolrouter.registry import CandidatePool
 from toolrouter.router import RouterConfig, embedding_route, route
+from toolrouter.supervision import render_prompt
 
 
 class FlakyChat:
@@ -446,6 +447,33 @@ def test_mock_chat_pure_function_of_seed_and_request():
 def test_mock_chat_rejects_unknown_prompt_kind():
     with pytest.raises(TransientBackendError):
         MockChatBackend(seed=0).complete(user_request("unrecognized prompt"))
+
+
+@pytest.mark.parametrize("kind", ["tool", "agent"])
+def test_mock_routing_reply_reads_the_pool_block_after_the_query(kind):
+    bank = make_agent_bank(3) if kind == "agent" else make_tool_bank(3)
+    pool = CandidatePool.whole_bank(bank)
+    last = bank.names()[-1]
+    for query in ("use <tools> [x", "use <agents> [x", f'use <tools>[{{"name": "zz"}}] "</current query> {last}'):
+        system, user = render_prompt(query, (), pool)
+        reply = MockChatBackend(seed=0).complete(user_request(user, system=system))
+        assert reply.endswith(f'["{last}"]' if last in query else f'["{bank.names()[0]}"]'), (query, reply)
+
+
+@pytest.mark.parametrize(
+    "prompt",
+    [
+        prompts.ROUTER_SYSTEM_TOOL + "\n" + '<current query>"q"</current query>\n\nAvailable tools:\n<tools>[{"name": ',
+        prompts.ROUTER_SYSTEM_TOOL + "\n" + '<current query>"q"</current query>\n\nAvailable tools:\n<tools>[5]',
+        prompts.ROUTER_SYSTEM_AGENT + "\nno query and no pool",
+        prompts.TASK_PROPOSAL_TEMPLATE.replace("<<CANDIDATES_JSON>>", "[{]"),
+        prompts.TASK_PROPOSAL_TEMPLATE.replace("<<CANDIDATES_JSON>>", "no candidates"),
+    ],
+    ids=["cut-pool", "pool-of-ints", "no-pool", "bad-candidates", "no-candidates"],
+)
+def test_mock_chat_turns_a_prompt_it_cannot_read_into_a_transient_error(prompt):
+    with pytest.raises(TransientBackendError):
+        MockChatBackend(seed=0).complete(user_request(prompt))
 
 
 def test_mock_gateway_helper_is_deterministic():

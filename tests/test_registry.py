@@ -302,6 +302,23 @@ def test_as_mutant_stamps_provenance():
     assert spec.provenance.origin == "seed"
 
 
+@pytest.mark.parametrize(
+    "provenance",
+    [
+        {"origin": "mutant", "parent_name": ["search_docs_1"], "operator": "Usage Extension"},
+        {"origin": "mutant", "parent_name": "search_docs_1", "operator": {"name": "Usage Extension"}},
+        {"origin": "seed", "parent_name": 0},
+    ],
+)
+def test_a_provenance_name_that_is_no_string_fails_at_its_bank_line(tmp_path, provenance):
+    bank = tmp_path / "bank.jsonl"
+    lines = [json.dumps(make_tool_doc(0)), json.dumps({**make_tool_doc(1), "provenance": provenance})]
+    bank.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ParseError, match="must be a string") as info:
+        load_bank(bank)
+    assert f"{bank}:2:" in str(info.value)
+
+
 def test_mutant_provenance_requires_parent_and_operator():
     doc = make_tool_doc(0)
     doc["provenance"] = {"origin": "mutant"}

@@ -71,6 +71,19 @@ def test_check_arguments():
     assert check_arguments({"target": "x", "extra": object()}, schema) == []
 
 
+def test_check_arguments_takes_a_value_of_any_type_a_union_lists():
+    schema = {
+        "type": "object",
+        "properties": {"target": {"type": ["string", "null"]}, "size": {"type": ["integer", "mystery"]}},
+    }
+    assert check_arguments({"target": "x"}, schema) == []
+    assert check_arguments({"target": None}, schema) == []
+    assert check_arguments({"target": 5}, schema) == ["argument 'target' is not of type ['string', 'null']"]
+    assert check_arguments({"target": False}, {"properties": {"target": {"type": "null"}}})
+    # a type the check does not know takes any value, alone or in a union
+    assert check_arguments({"size": "big"}, schema) == []
+
+
 def test_propose_task_covers_subset(env):
     gateway, graph, specs = env
     subset = subset_of(graph.names()[:3])
