@@ -97,17 +97,16 @@ def json_object(line: str) -> dict:
     return document
 
 
-def parse_lines(path: Path, lines: list[str], parse: Callable[[str], T], start: int = 1) -> list[T]:
-    """Parse each non-blank line with ``parse``.
+def parse_lines(path: Path, lines: list[str], parse: Callable[[str], T]) -> list[T]:
+    """Parse each non-blank line of ``path`` with ``parse``.
 
-    ``lines`` are the lines of ``path`` from line ``start`` on. A line that
-    ``parse`` rejects with one of RECORD_ERRORS (invalid JSON included)
-    raises ParseError at ``file:line``.
+    A line that ``parse`` rejects with one of RECORD_ERRORS (invalid JSON
+    included) raises ParseError at ``file:line``.
     """
     out = []
-    lineno = start
+    lineno = 1
     try:
-        for lineno, line in enumerate(lines, start=start):
+        for lineno, line in enumerate(lines, start=1):
             if line.strip():
                 out.append(parse(line))
     except RECORD_ERRORS as exc:

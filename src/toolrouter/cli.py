@@ -12,7 +12,7 @@ from dataclasses import replace
 
 import click
 
-from ._util import derive_seed, write_jsonl
+from ._util import write_jsonl
 from .config import PipelineConfig, load_config, make_gateway
 from .errors import ParseError, ToolRouterError
 from .evaluation import Metrics, PoolSetting, Setting, evaluate, save_results
@@ -21,7 +21,7 @@ from .lra import ExecutorBinding, GatewayReasoner, run_episode, save_episode_log
 from .mutation import evolve, write_mutation_log
 from .registry import CandidateBank, CandidatePool, load_bank
 from .router import VARIANTS, RouterConfig
-from .sampler import sample_subset
+from .sampler import attempt_config, sample_subset
 from .supervision import build_dataset, load_dataset
 from .synthesis import load_trajectories, save_trajectories, synthesize_batch
 
@@ -106,10 +106,7 @@ def sample_cmd(config_path, seed, backend, graph_path, count, out_path) -> None:
     """Draw candidate subsets via DFS-with-restart walks: subset i is synthesize's attempt i."""
     cfg = load_config(config_path, seed=seed, backend=backend)
     graph = load_graph(graph_path)
-    subsets = (
-        sample_subset(graph, replace(cfg.sampler, rng_seed=derive_seed(cfg.rng_seed, "sample", index)))
-        for index in range(count)
-    )
+    subsets = (sample_subset(graph, attempt_config(cfg.sampler, cfg.rng_seed, index)) for index in range(count))
     write_jsonl(out_path, (subset.to_dict() for subset in subsets), "subset file")
     click.echo(f"sampled {count} subsets -> {out_path}")
 

@@ -379,6 +379,3 @@ class Gateway:
         if self._embed is None:
             raise GatewayError("no embedding backend configured")
         return self._embed.model_id
-
-    def embed_text(self, text: str) -> EmbeddingVector:
-        return self.embed_texts([text])[0]

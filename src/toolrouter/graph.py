@@ -17,15 +17,15 @@ parent never sees a child's node or edges; inserting into a snapshot whose
 store a sibling insertion has already extended copies the snapshot's part of
 the store first. Names are read only at the boundary: ``graph.specs``,
 ``neighbors()``, snapshot lines and the ``Edge`` objects, which are built
-only for a caller that reads ``edges``.
+only for a caller that reads ``edges``. ``load_graph`` reads each snapshot
+line once, and every edge, loaded or given to the constructor, passes the
+one check of ``_SnapshotReader.edge``.
 """
 
 from __future__ import annotations
 
 import bisect
-import itertools
 import math
-import operator
 import re
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence, Set
 from dataclasses import dataclass
@@ -417,13 +417,12 @@ def _snapshot_lines(graph: CandidateGraph) -> Iterator[str]:
 
 
 # An edge line exactly as save_graph writes it, when its names need no JSON
-# escape and its weight is a JSON float: a, b, "null" for a mutation edge, the
-# weight's text for a similarity edge. A match spans one whole line.
+# escape and its weight is a JSON float: a, b and, for a similarity edge, the
+# weight's text. A match spans one whole line; any other line is read as JSON.
 _NAME = r'"([^"\\\x00-\x1f]*)"'
 _EDGE_LINE = re.compile(
-    rf'^\{{"edge": \{{"a": {_NAME}, "b": {_NAME}, "kind": (?:"mutation", "weight": (null)|"similarity", '
-    r'"weight": (-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+)))\}\}$',
-    re.MULTILINE,
+    rf'\{{"edge": \{{"a": {_NAME}, "b": {_NAME}, "kind": (?:"mutation", "weight": null|"similarity", '
+    r'"weight": (-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+)))\}\}$'
 )
 
 # Each record kind and the kinds the record before it may have: the order save_graph writes.
@@ -442,19 +441,24 @@ class _SnapshotReader:
         self.index: dict[str, int] = {}
         self.specs: list[CandidateSpec] = []
         self.embeddings: list[np.ndarray] = []
-        self.edges: tuple[list, list, list, list] = ([], [], [], [])
+        self.edge_x, self.edge_y, self.edge_kind, self.edge_weight = [], [], [], []  # the store's edge columns
         self.edge_keys: set[tuple[int, int, str]] = set()
 
     def record(self, line: str) -> None:
         """Check and collect the record a snapshot line holds."""
-        record = json_object(line)
-        kind = next(iter(record), "")
+        match = _EDGE_LINE.match(line)
+        record = None if match else json_object(line)
+        kind = "edge" if match else next(iter(record), "")
         if kind != self.previous or kind == "meta":
             if kind not in _PREVIOUS_KINDS:
                 raise ValueError("unknown record type")
             if self.previous not in _PREVIOUS_KINDS[kind]:
                 raise ValueError(f"{kind} record out of order: a snapshot holds one meta record, nodes, then edges")
             self.previous = kind
+        if match:
+            a, b, weight = match.groups()  # no weight: a mutation edge
+            self.edge(a, b, "similarity" if weight else "mutation", float(weight) if weight else None)
+            return
         raw = record[kind]
         if kind == "edge":
             self.edge(raw["a"], raw["b"], raw["kind"], raw.get("weight"))
@@ -470,11 +474,7 @@ class _SnapshotReader:
         values = raw["embedding"]
         if not isinstance(values, list):
             raise TypeError("an embedding must be a flat sequence of JSON numbers")
-        json_numbers(values)
-        # a sum is finite when every value is, and overflows only for huge ones
-        if not math.isfinite(sum(values)) and not all(map(math.isfinite, values)):
-            raise ValueError("an embedding must be a flat sequence of finite floats")
-        self.node(raw["name"], spec, model_id, np.array(values, dtype=np.float64))
+        self.node(raw["name"], spec, model_id, np.array(json_numbers(values), dtype=np.float64))
 
     def node(self, name: str, spec: CandidateSpec, model_id: str, values: np.ndarray) -> None:
         if name in self.index:
@@ -491,55 +491,30 @@ class _SnapshotReader:
         self.embeddings.append(values)
 
     def edge(self, a: str, b: str, kind: str, weight: float | None) -> None:
-        if kind == "mutation":
-            if weight is not None:
-                raise ValueError(f"mutation edge carries a weight {weight!r}")
-        elif kind != "similarity":
+        if kind == "similarity":
+            if weight is None:
+                raise ValueError("similarity edge has no weight")
+            if isinstance(weight, bool) or not isinstance(weight, (int, float)) or not math.isfinite(weight):
+                raise ValueError(f"similarity weight {weight!r} is not a finite number")
+            if not weight > self.config.tau:
+                raise ValueError(f"similarity weight {weight!r} is not above tau {self.config.tau!r}")
+        elif kind != "mutation":
             raise ValueError(f"unknown edge kind {kind!r}")
-        elif weight is None:
-            raise ValueError("similarity edge has no weight")
-        elif isinstance(weight, bool) or not isinstance(weight, (int, float)) or not math.isfinite(weight):
-            raise ValueError(f"similarity weight {weight!r} is not a finite number")
-        elif not weight > self.config.tau:
-            raise ValueError(f"similarity weight {weight!r} is not above tau {self.config.tau!r}")
+        elif weight is not None:
+            raise ValueError(f"mutation edge carries a weight {weight!r}")
         if not a < b:
             raise ValueError("edges must be stored canonically with a < b")
-        for end in (a, b):
-            if end not in self.index:
-                raise ValueError(f"edge names a missing node {end!r}")
-        key = (self.index[a], self.index[b], kind)
+        x, y = self.index.get(a), self.index.get(b)
+        if x is None or y is None:
+            raise ValueError(f"edge names a missing node {(a if x is None else b)!r}")
+        key = (x, y, kind)
         if key in self.edge_keys:
             raise ValueError(f"repeated {kind} edge {a!r} - {b!r}")
         self.edge_keys.add(key)
-        for column, value in zip(self.edges, (*key, weight)):
-            column.append(value)
-
-    def edge_block(self, lines: list[str]) -> bool:
-        """Take every line of the edge block at once when each is an edge
-        line as save_graph writes it, the edges are in strict (a, b, kind)
-        order, and every check passes; False leaves them to :meth:`record`,
-        which finds the line at fault."""
-        if self.previous not in _PREVIOUS_KINDS["edge"]:
-            return False
-        found = _EDGE_LINE.findall("\n".join(lines))
-        if len(found) != len(lines):  # a line no match covers
-            return False
-        a, b, nulls, numbers = zip(*found)
-        del found
-        kind = ["mutation" if null else "similarity" for null in nulls]
-        weight = [float(number) if number else None for number in numbers]
-        weights = np.array(weight, dtype=np.float64)  # None -> nan
-        x, y = list(map(self.index.get, a)), list(map(self.index.get, b))
-        if not (
-            all(map(operator.lt, a, b))
-            and all(map(operator.lt, zip(a, b, kind), itertools.islice(zip(a, b, kind), 1, None)))
-            and None not in x
-            and None not in y
-            and (np.isnan(weights) | ((weights > self.config.tau) & np.isfinite(weights))).all()
-        ):
-            return False
-        self.edges = (x, y, kind, weight)
-        return True
+        self.edge_x.append(x)
+        self.edge_y.append(y)
+        self.edge_kind.append(kind)
+        self.edge_weight.append(weight)
 
     def store(self) -> _Store:
         """The store of the nodes and edges read, once every mutant's parent
@@ -549,7 +524,8 @@ class _SnapshotReader:
             if parent is not None and parent not in self.index:
                 raise ValueError(f"mutant {name!r} names a missing parent {parent!r}")
         matrix = _stack(self.embeddings)
-        return _Store(self.names, self.specs, self.model_id, matrix, _usable_norms(matrix, self.names), self.edges)
+        edges = (self.edge_x, self.edge_y, self.edge_kind, self.edge_weight)
+        return _Store(self.names, self.specs, self.model_id, matrix, _usable_norms(matrix, self.names), edges)
 
     def graph(self, path: Path) -> CandidateGraph:
         """The snapshot, once the invariants across records hold."""
@@ -567,15 +543,13 @@ class _SnapshotReader:
 def load_graph(path: str | Path) -> CandidateGraph:
     """Load a snapshot without re-embedding, checking its invariants.
 
-    Each record is checked at its own line against the records before it,
-    so they must come in the order ``save_graph`` writes them. The edge
-    block is read in one pass when it is as ``save_graph`` writes it.
+    Each line is read once, and its record is checked at its own line
+    against the records before it: one meta record, the nodes, then the
+    edges, each block in any order. An edge line as ``save_graph`` writes
+    it is read by a pattern and any other line as JSON; both take the same
+    checks.
     """
     path = Path(path)
-    lines = read_lines(path, "graph snapshot")
     reader = _SnapshotReader()
-    edges_from = next((at for at, line in enumerate(lines) if line.startswith('{"edge": ')), len(lines))
-    parse_lines(path, lines[:edges_from], reader.record)
-    if edges_from < len(lines) and not reader.edge_block(lines[edges_from:]):
-        parse_lines(path, lines[edges_from:], reader.record, start=edges_from + 1)
+    parse_lines(path, read_lines(path, "graph snapshot"), reader.record)
     return reader.graph(path)

@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
+from ._util import derive_seed
 from .errors import BadConfig, EmptyGraph
 from .graph import CandidateGraph
 
@@ -27,6 +28,11 @@ class SamplerConfig:
             raise BadConfig(f"bad target_range: {self.target_range}")
         if not 0 <= self.restart_prob < 1:
             raise BadConfig("restart_prob must be in [0, 1)")
+
+
+def attempt_config(cfg: SamplerConfig, seed: int, attempt: int) -> SamplerConfig:
+    """The config of the subset that synthesize's attempt ``attempt`` draws under the run seed ``seed``."""
+    return replace(cfg, rng_seed=derive_seed(seed, "sample", attempt))
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -25,7 +25,7 @@ from .errors import (
 from .gateway import Gateway, check_temperature, parse_json_reply, user_request
 from .graph import CandidateGraph
 from .registry import CandidateSpec, pool_json, public_spec
-from .sampler import CandidateSubset, SamplerConfig, sample_subset
+from .sampler import CandidateSubset, SamplerConfig, attempt_config, sample_subset
 
 # --- trajectory types ---------------------------------------------------------
 
@@ -316,9 +316,7 @@ def synthesize_batch(
     trajectories: list[Trajectory] = []
     attempts = 0
     while len(trajectories) < count and attempts < 3 * count:
-        subset = sample_subset(
-            graph, replace(sampler_cfg, rng_seed=derive_seed(synth_cfg.rng_seed, "sample", attempts))
-        )
+        subset = sample_subset(graph, attempt_config(sampler_cfg, synth_cfg.rng_seed, attempts))
         attempts += 1
         trajectory_id = f"traj-{len(trajectories):05d}"
         try:

@@ -199,6 +199,10 @@ def corrupt_snapshot(lines: list[str], case: str, position: str = "first") -> li
         nodes[0]["node"]["embedding"] = [0.0] * len(nodes[0]["node"]["embedding"])
     elif case == "overflowing node embedding norm":
         nodes[0]["node"]["embedding"][0] = 1e200
+    elif case == "NaN node embedding norm":  # json.dumps writes the NaN literal
+        nodes[0]["node"]["embedding"][0] = math.nan
+    elif case == "infinite node embedding norm":  # and the Infinity literal
+        nodes[0]["node"]["embedding"][0] = -math.inf
     return [json.dumps(r) for r in records]
 
 
@@ -236,6 +240,8 @@ BROKEN_SNAPSHOTS = {
     "first line an edge": (ParseError, "edge record out of order"),
     "zero node embedding": (ParseError, "has norm 0.0"),
     "overflowing node embedding norm": (ParseError, "has norm inf"),
+    "NaN node embedding norm": (ParseError, "has norm nan"),
+    "infinite node embedding norm": (ParseError, "has norm inf"),
 }
 
 

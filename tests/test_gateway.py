@@ -478,7 +478,7 @@ def test_mock_chat_turns_a_prompt_it_cannot_read_into_a_transient_error(prompt):
 
 def test_mock_gateway_helper_is_deterministic():
     text = "the same embedding text"
-    first, second = mock_gateway(3).embed_text(text), mock_gateway(3).embed_text(text)
+    first, second = mock_gateway(3).embed_texts([text])[0], mock_gateway(3).embed_texts([text])[0]
     assert first.values.tolist() == second.values.tolist() and first.model_id == second.model_id
 
 

@@ -24,6 +24,7 @@ from helpers import (
     planted_unit_vector,
     tool_bank_describing,
 )
+from toolrouter import graph as graph_module
 from toolrouter.errors import (
     BadConfig,
     DimensionMismatch,
@@ -110,7 +111,7 @@ def test_build_graph_matches_brute_force_oracle():
 
     # independent recomputation straight from the embeddings
     vectors = {
-        spec.name: gateway.embed_text(serialize_phi(spec)) for spec in bank
+        spec.name: gateway.embed_texts([serialize_phi(spec)])[0] for spec in bank
     }
     names = sorted(vectors)
     expected = set()
@@ -152,7 +153,7 @@ def test_add_mutant_edges_and_immutability():
         parent=parent,
         operator="Usage Extension",
     )
-    embedding = gateway.embed_text(serialize_phi(mutant))
+    embedding = gateway.embed_texts([serialize_phi(mutant)])[0]
     expanded = add_mutant(graph, parent, mutant, embedding)
     assert len(graph) == 5  # original untouched
     assert len(expanded) == 6
@@ -163,7 +164,7 @@ def test_add_mutant_edges_and_immutability():
     # similarity edges of the mutant all clear tau
     for other, kind in expanded.neighbors("brand_new_tool"):
         if kind == "similarity":
-            sim = cosine_similarity(embedding, gateway.embed_text(serialize_phi(expanded.specs[other])))
+            sim = cosine_similarity(embedding, gateway.embed_texts([serialize_phi(expanded.specs[other])])[0])
             assert sim > expanded.config.tau
 
     with pytest.raises(UnknownParent):
@@ -245,7 +246,7 @@ def test_neighbors_index_after_add_mutant_chain():
         words = graph.specs[parent].description.rstrip(".").split()
         mutant = mutant_of(parent, f"mutant_{step}", " ".join(words[:-1] + [f"step{step}"]) + ".")
         before = graph
-        graph = add_mutant(graph, parent, mutant, gateway.embed_text(serialize_phi(mutant)))
+        graph = add_mutant(graph, parent, mutant, gateway.embed_texts([serialize_phi(mutant)])[0])
         assert before.neighbors(parent) == scanned_neighbors(before, parent)  # old snapshot untouched
         for name in graph.names():
             assert graph.neighbors(name) == scanned_neighbors(graph, name)
@@ -272,11 +273,11 @@ def test_branching_inserts_from_one_snapshot(tmp_path):
         for name in ("mutant_one", "mutant_two")
     )
     before = graph_state(g0, tmp_path / "g0.jsonl")
-    g1 = add_mutant(g0, parent, m1, gateway.embed_text(serialize_phi(m1)))
+    g1 = add_mutant(g0, parent, m1, gateway.embed_texts([serialize_phi(m1)])[0])
     g1_state = graph_state(g1, tmp_path / "g1.jsonl")
     assert ("mutant_one", "mutation") in g1.neighbors(parent)
-    g2 = add_mutant(g0, parent, m2, gateway.embed_text(serialize_phi(m2)))
-    g3 = add_mutant(g1, parent, m2, gateway.embed_text(serialize_phi(m2)))  # extends g1's store in place
+    g2 = add_mutant(g0, parent, m2, gateway.embed_texts([serialize_phi(m2)])[0])
+    g3 = add_mutant(g1, parent, m2, gateway.embed_texts([serialize_phi(m2)])[0])  # extends g1's store in place
 
     assert graph_state(g0, tmp_path / "g0.jsonl") == before
     assert graph_state(g1, tmp_path / "g1.jsonl") == g1_state
@@ -286,7 +287,7 @@ def test_branching_inserts_from_one_snapshot(tmp_path):
     assert any(kind == "similarity" for _, kind in g2.neighbors("mutant_two"))
     assert g2.kind == "tool"
     assert g3.names() == sorted([*g1.names(), "mutant_two"])
-    embeddings = {spec.name: gateway.embed_text(spec.phi) for spec in (*bank, m1, m2)}
+    embeddings = {spec.name: gateway.embed_texts([spec.phi])[0] for spec in (*bank, m1, m2)}
     for graph in (g0, g1, g2, g3):
         assert similarity_weights(graph) == scalar_scan(graph, embeddings)
         for name in graph.names():
@@ -302,7 +303,7 @@ def test_sorted_names_on_sibling_branches(tmp_path):
 
     def insert(graph, name):
         mutant = as_mutant(validate_spec({**make_agent_doc(0), "name": name}, "agent"), parent, "Domain Transfer")
-        return add_mutant(graph, parent, mutant, gateway.embed_text(mutant.phi))
+        return add_mutant(graph, parent, mutant, gateway.embed_texts([mutant.phi])[0])
 
     g1 = insert(g0, "aaa_first_agent")
     g2 = insert(g1, "zzz_last_agent")
@@ -322,7 +323,7 @@ def test_a_graph_holds_one_kind(tmp_path):
     graph = build_graph(make_tool_bank(12), GraphConfig(tau=0.5), gateway)
     assert graph.kind == "tool" and CandidateGraph(GraphConfig()).kind is None
     agent = validate_spec(make_agent_doc(0), "agent")
-    embedding = gateway.embed_text(agent.phi)
+    embedding = gateway.embed_texts([agent.phi])[0]
     with pytest.raises(GraphError, match="agent mutant .* in a graph of tools"):
         add_mutant(graph, graph.names()[0], as_mutant(agent, graph.names()[0], "Domain Transfer"), embedding)
     nodes = {**{name: GraphNode(graph.specs[name], embedding) for name in graph.names()[:2]}, agent.name: GraphNode(agent, embedding)}
@@ -571,9 +572,84 @@ def test_save_graph_bytes_equal_per_record_json_dumps(tmp_path_factory, names, m
             edges[edge.a, edge.b, edge.kind] = edge
     edges = frozenset(edges.values())
     path = tmp_path_factory.mktemp("snapshot") / "graph.jsonl"
+    again = path.with_name("again.jsonl")
     for graph_edges in (edges, frozenset()):  # and edge-free
         save_graph(CandidateGraph(config=GraphConfig(tau=0.5), nodes=nodes, edges=graph_edges), path)
         assert path.read_bytes() == reference_snapshot(0.5, nodes, graph_edges)
+        # an edge line whose names need an escape, or whose weight is an int, is read
+        # as JSON and the others by the pattern, in one file
+        loaded = load_graph(path)
+        assert loaded.names() == sorted(names) and dict(loaded.specs) == {name: tool(name) for name in names}
+        assert set(loaded.edges) == graph_edges
+        save_graph(loaded, again)
+        assert again.read_bytes() == path.read_bytes()
+
+
+def graph_with_a_mutant():
+    """A 12-tool graph with similarity edges and one mutant's mutation edge."""
+    gateway = mock_gateway(0)
+    graph = build_graph(make_tool_bank(12), GraphConfig(tau=0.5), gateway)
+    mutant = mutant_of(graph.names()[0], "zz_mutant")
+    return add_mutant(graph, graph.names()[0], mutant, gateway.embed_texts([mutant.phi])[0])
+
+
+def split_snapshot(graph, path):
+    """Save ``graph`` to ``path``: (the meta and node lines, the edge lines)."""
+    save_graph(graph, path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    edges_from = next(at for at, line in enumerate(lines) if line.startswith('{"edge": '))
+    return lines[:edges_from], lines[edges_from:]
+
+
+def re_encoded(line):
+    """An edge line with other separators, which the edge pattern does not match."""
+    return json.dumps(json.loads(line), separators=(",", ":"))
+
+
+def test_an_edge_block_in_any_order_or_encoding_loads_to_the_same_graph(tmp_path):
+    graph, path = graph_with_a_mutant(), tmp_path / "graph.jsonl"
+    head, block = split_snapshot(graph, path)
+    saved = path.read_bytes()
+    assert {json.loads(line)["edge"]["kind"] for line in block} == {"similarity", "mutation"}
+    assert not graph_module._EDGE_LINE.match(re_encoded(block[0]))
+    compact = list(map(re_encoded, block))
+    mixed = [line if at % 2 else re_encoded(line) for at, line in enumerate(block)]
+    for edges in (block[::-1], compact, compact[::-1], mixed, mixed[::-1]):
+        path.write_text("\n".join(head + edges) + "\n", encoding="utf-8")
+        loaded = load_graph(path)
+        assert loaded.names() == graph.names() and set(loaded.edges) == set(graph.edges)
+        save_graph(loaded, tmp_path / "again.jsonl")
+        assert (tmp_path / "again.jsonl").read_bytes() == saved
+
+
+@pytest.mark.parametrize(
+    "fault, phrase",
+    [
+        ("weight not above tau", "not above tau"),
+        ("edge to a missing node", "missing node"),
+        ("edge with a >= b", "a < b"),
+        ("edge repeating the re-encoded one", "repeated similarity edge"),
+    ],
+)
+def test_a_broken_edge_line_the_pattern_matches_fails_at_its_own_line(tmp_path, fault, phrase):
+    """After a line read as JSON, a matched line is still checked, and reported, at its own line."""
+    path = tmp_path / "graph.jsonl"
+    head, block = split_snapshot(build_graph(make_tool_bank(12), GraphConfig(tau=0.5), mock_gateway(0)), path)
+    first, second = (json.loads(line)["edge"] for line in block[:2])
+    if fault == "weight not above tau":
+        second["weight"] = 0.1
+    elif fault == "edge to a missing node":
+        second["b"] = "zzz_missing"
+    elif fault == "edge with a >= b":
+        second["a"], second["b"] = second["b"], second["a"]
+    else:
+        second = {**first, "weight": 0.99}
+    broken = json.dumps({"edge": second})
+    assert graph_module._EDGE_LINE.match(broken)
+    path.write_text("\n".join([*head, re_encoded(block[0]), broken, *block[2:]]) + "\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=phrase) as info:
+        load_graph(path)
+    assert f"{path}:{len(head) + 2}:" in str(info.value)
 
 
 def test_constructor_refuses_a_weight_that_is_no_number():

@@ -59,14 +59,16 @@ def test_a_chain_of_inserts_copies_no_store_and_screens_each_mutant_with_one_mat
 
 
 class CountingPattern:
-    """A compiled pattern that counts its ``findall`` calls."""
+    """A compiled pattern that counts its ``match`` calls and the lines they match."""
 
     def __init__(self, pattern) -> None:
-        self.pattern, self.calls = pattern, 0
+        self.pattern, self.calls, self.matches = pattern, 0, 0
 
-    def findall(self, text: str) -> list:
+    def match(self, text: str):
         self.calls += 1
-        return self.pattern.findall(text)
+        found = self.pattern.match(text)
+        self.matches += found is not None
+        return found
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -78,5 +80,7 @@ def test_load_graph_decodes_the_meta_and_node_lines_alone_and_the_edges_in_one_p
     monkeypatch.setattr(graph_module, "_EDGE_LINE", edge_lines)
     counts = count_calls(monkeypatch, loads=(_util.json, "loads"))
     loaded = load_graph(path)
-    assert counts == {"loads": 1 + n} and edge_lines.calls == 1
+    edges = len(graph.edges)
+    # each line is tried once; every edge line matches, so none is decoded as JSON
+    assert counts == {"loads": 1 + n} and edge_lines.calls == 1 + n + edges and edge_lines.matches == edges
     assert len(loaded) == n and set(loaded.edges) == set(graph.edges)

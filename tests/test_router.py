@@ -72,9 +72,9 @@ def test_parse_decision_total_and_pool_closed(text):
 
 def scalar_reference(gateway, query, pool):
     """The smallest name among the maximal scalar cosines."""
-    query_vec = gateway.embed_text(query)
+    query_vec = gateway.embed_texts([query])[0]
     scores = {
-        spec.name: cosine_similarity(query_vec, gateway.embed_text(serialize_phi(spec))) for spec in pool.specs()
+        spec.name: cosine_similarity(query_vec, gateway.embed_texts([serialize_phi(spec)])[0]) for spec in pool.specs()
     }
     best = max(scores.values())
     return min(name for name, score in scores.items() if score == best)
