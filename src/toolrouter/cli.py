@@ -232,6 +232,3 @@ def lra_run_cmd(config_path, seed, backend, bank_path, task, variant, budget, ou
         save_episode_logs([log], out_path)
     click.echo(f"episode outcome: {log.outcome} in {len(log.steps)} steps")
 
-
-if __name__ == "__main__":
-    main()

@@ -147,9 +147,9 @@ def _screen_margin(dim: int) -> float:
     return SCREEN_MARGIN * (dim + 2)
 
 
-def _unit_rows(rows: np.ndarray, norms: np.ndarray | float) -> np.ndarray:
+def _unit_rows(rows: np.ndarray, norms: np.ndarray | np.float64) -> np.ndarray:
     """The rows (or one row) divided by their norms, rounded to float32: what a screen multiplies."""
-    return (rows / np.expand_dims(norms, -1)).astype(np.float32)
+    return (rows / norms[..., None]).astype(np.float32)
 
 
 def _usable_norms(rows: np.ndarray, names: Sequence[str], error: type[Exception] = ValueError) -> np.ndarray:

@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
-from typing import Iterable, Protocol, Sequence
+from typing import Iterable, Protocol
 
 from . import prompts
 from ._util import write_jsonl
@@ -138,6 +138,15 @@ class EpisodeLog:
 
 
 _WORD_RE = re.compile(r"\w+")
+_TOOL_NAMES = tuple(spec["name"] for spec in json.loads(REASONER_TOOLS_JSON))  # as every prompt shows them
+# The reasoner prompt's lines with the tool specs in and the task and transcript slots open.
+_PROMPT_LINES = prompts.fill(
+    prompts.LRA_REASONER_TEMPLATE, TOOLS_JSON=REASONER_TOOLS_JSON, TASK="<<TASK>>", TRANSCRIPT="<<TRANSCRIPT>>"
+).split("\n")
+(_TASK_LINE,) = [line for line in _PROMPT_LINES if "<<TASK>>" in line]
+assert "<<TRANSCRIPT>>" in _PROMPT_LINES, "the audit reads the transcript as whole lines"
+# The words of the lines every prompt shows, read once per process.
+_FIXED_WORDS = frozenset(_WORD_RE.findall("\n".join(set(_PROMPT_LINES) - {_TASK_LINE, "<<TRANSCRIPT>>"})))
 
 
 @lru_cache(maxsize=8)
@@ -146,19 +155,12 @@ def _non_identifiers(names: frozenset[str]) -> tuple[str, ...]:
     return tuple(name for name in names if not (name.isascii() and name.isidentifier()))
 
 
-def _names_in(text: str, names: frozenset[str]) -> set[str]:
+def _names_in(text: str, names: frozenset[str], words: Iterable[str] | None = None) -> set[str]:
     """The names that occur in ``text`` as whole words, so ``tool_1`` does not occur
-    in ``tool_15``. A name that is no ASCII identifier is looked up as a substring.
-    No word spans a newline, so the words are read from each distinct line once:
-    the prompts of an episode repeat their template and transcript."""
-    words = _WORD_RE.findall("\n".join(dict.fromkeys(text.split("\n"))))
-    return set(words) & names | {name for name in _non_identifiers(names) if name in text}
-
-
-def _reasoner_prompt(task: str, turns: Sequence[Turn]) -> str:
-    """The reasoner's prompt; ``turns`` are the episode's turns after the task."""
-    transcript = serialize_history(turns) or "(empty)"
-    return prompts.fill(prompts.LRA_REASONER_TEMPLATE, TOOLS_JSON=REASONER_TOOLS_JSON, TASK=task, TRANSCRIPT=transcript)
+    in ``tool_15``; ``words`` are the words of ``text`` where the caller has read
+    them. A name that is no ASCII identifier is looked up as a substring."""
+    found = names.intersection(_WORD_RE.findall(text) if words is None else words)
+    return found.union(name for name in _non_identifiers(names) if name in text)
 
 
 def run_episode(
@@ -179,7 +181,10 @@ def run_episode(
     the task as its transcript. Tool 2 executes the last routed candidate;
     calling it with no fresh decision is recorded as ExecuteBeforeRoute and
     surfaced to the reasoner. The context audit counts the pool names in any
-    prompt shown, less the two tool names and the names routed to. A reply
+    prompt shown, less the two tool names and the names routed to. No word
+    spans a line and the transcript only grows, so the audit reads the words
+    of the task's line once and of each transcript line as it is first shown;
+    the words of the template's other lines are read once per process. A reply
     that is no JSON object (code fence optional), whose ``need`` or
     ``answer`` is no string, or whose ``arguments`` is no object, is the
     final answer as it stands.
@@ -190,9 +195,14 @@ def run_episode(
     turns: list[Turn] = [Observation(text=task)]
     pending: RouterDecision | None = None
     prompts_shown: list[str] = []
+    transcript, added = "", "(empty)"  # the turns after the task; the text new to the next prompt
+    words = set(_WORD_RE.findall(prompts.fill(_TASK_LINE, TASK=task)))  # of the prompts shown, less _FIXED_WORDS
 
     for _step in range(budget):
-        prompt = _reasoner_prompt(task, turns[1:])
+        words.update(_WORD_RE.findall(added))
+        prompt = prompts.fill(
+            prompts.LRA_REASONER_TEMPLATE, TOOLS_JSON=REASONER_TOOLS_JSON, TASK=task, TRANSCRIPT=transcript or "(empty)"
+        )
         prompts_shown.append(prompt)
         raw = reasoner.decide(prompt)
         try:
@@ -231,20 +241,18 @@ def run_episode(
             log.final_answer = action.get("answer", "")
             log.outcome = "finished"
             break
+        added = serialize_history(turns[-1:])
+        transcript = f"{transcript}\n{added}" if transcript else added
     else:
         log.outcome = "budget_exhausted"
 
-    # the tool specs as shown in the first prompt, whose transcript is empty
-    tools_block = prompts_shown[0].split("Available tools:", 1)[1]
-    tool_specs = json.JSONDecoder().raw_decode(tools_block[tools_block.index("[") :])[0]
-    allowed = {spec["name"] for spec in tool_specs}
-    allowed.update(step.decision.chosen for step in log.steps if step.decision is not None)
-    catalog_hits = len(_names_in("\n".join(prompts_shown), pool.member_set) - allowed)
+    allowed = {*_TOOL_NAMES, *(step.decision.chosen for step in log.steps if step.decision is not None)}
+    found = _names_in("\n".join(prompts_shown), pool.member_set, words.union(_FIXED_WORDS))
     log.context_audit = {
         "max_prompt_chars": max(map(len, prompts_shown)),
-        "tool_spec_count": len(tool_specs),
+        "tool_spec_count": len(_TOOL_NAMES),
         "pool_size": len(pool),
-        "catalog_entries_in_prompt": catalog_hits,
+        "catalog_entries_in_prompt": len(found - allowed),
     }
     return log
 

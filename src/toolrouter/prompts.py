@@ -9,20 +9,32 @@ in sync.
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 
 _SLOT_RE = re.compile(r"<<([A-Z_]+)>>")
 
 
+@lru_cache(maxsize=16)
+def _pieces(template: str) -> tuple[tuple[str, ...], tuple[str, ...], frozenset[str]]:
+    """The template split at its slots (text, slot, text, ..., text), its slots in order, and their set."""
+    pieces = tuple(_SLOT_RE.split(template))
+    return pieces, pieces[1::2], frozenset(pieces[1::2])
+
+
 def fill(template: str, **values: str) -> str:
-    """Replace every ``<<NAME>>`` slot of ``template`` with ``values[NAME]`` in one pass.
+    """Replace every ``<<NAME>>`` slot of ``template`` with ``values[NAME]``.
 
     Only the template is scanned, so slot text inside an inserted value stays
-    as it is. The slots and the value names must be the same set (ValueError).
+    as it is. Each template is split at its slots once per process (a small
+    cache keyed by the template), and a fill joins the values in between its
+    pieces. The slots and the value names must be the same set (ValueError).
     """
-    slots = set(_SLOT_RE.findall(template))
-    if slots != values.keys():
-        raise ValueError(f"template slots {sorted(slots)} do not match the values {sorted(values)}")
-    return _SLOT_RE.sub(lambda match: values[match.group(1)], template)
+    pieces, slots, names = _pieces(template)
+    if names != values.keys():
+        raise ValueError(f"template slots {sorted(names)} do not match the values {sorted(values)}")
+    filled = list(pieces)
+    filled[1::2] = [values[slot] for slot in slots]
+    return "".join(filled)
 
 # --- mutation (tool) ---------------------------------------------------------
 

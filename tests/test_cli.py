@@ -4,6 +4,9 @@ import hashlib
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 from typing import get_type_hints
@@ -24,6 +27,7 @@ from helpers import (
     make_tool_bank,
     make_tool_doc,
 )
+import toolrouter
 from toolrouter import cli, evaluation, synthesis
 from toolrouter.cli import main
 from toolrouter.config import STAGE_KEYS, BackendConfig, PipelineConfig
@@ -249,6 +253,36 @@ def test_lra_run_command(workspace):
     assert "episode outcome: finished" in result.output
     log = json.loads(out.read_text().splitlines()[0])
     assert log["context_audit"]["tool_spec_count"] == 2
+
+
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+# Imports the console script's module and prints the BLAS thread variables as
+# they stood when numpy was first looked up, before it was in sys.modules.
+NUMPY_IMPORT_PROBE = f"""
+import json, os, sys
+seen = []
+
+class Probe:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not seen:
+            seen.append([os.environ.get(variable) for variable in {BLAS_THREAD_VARIABLES!r}])
+
+sys.meta_path.insert(0, Probe())
+import toolrouter.__main__
+print(json.dumps(seen))
+"""
+
+
+def test_console_script_sets_one_blas_thread_before_numpy_is_imported():
+    root = Path(__file__).resolve().parent.parent
+    assert 'toolrouter = "toolrouter.__main__:main"' in (root / "pyproject.toml").read_text(encoding="utf-8")
+    env = {name: value for name, value in os.environ.items() if name not in BLAS_THREAD_VARIABLES}
+    env["PYTHONPATH"] = str(Path(toolrouter.__file__).parent.parent)
+    env["OMP_NUM_THREADS"] = "3"  # the caller's own value is kept
+    probe = subprocess.run([sys.executable, "-c", NUMPY_IMPORT_PROBE], env=env, capture_output=True, text=True)
+    assert probe.returncode == 0, probe.stderr
+    assert json.loads(probe.stdout) == [["1", "3", "1"]]
 
 
 def test_lra_run_takes_the_eval_section_and_seed(workspace, monkeypatch):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import ScriptedReasoner, make_tool_bank, make_tool_doc, mock_gateway
-from toolrouter import lra
+from toolrouter import lra, prompts
 from toolrouter.errors import BadConfig
 from toolrouter.lra import (
     EXECUTE_CANDIDATE_TOOL,
@@ -144,6 +144,18 @@ def test_audit_counts_the_names_a_search_of_the_joined_prompts_finds(identifiers
     }
     assert {"route", "Task", "empty"} <= reference
     assert log.context_audit["catalog_entries_in_prompt"] == len(reference - {label})
+
+
+def test_audit_finds_every_word_of_the_template_lines():
+    template = prompts.fill(prompts.LRA_REASONER_TEMPLATE, TOOLS_JSON=lra.REASONER_TOOLS_JSON, TASK="", TRANSCRIPT="")
+    names = sorted(set(re.findall(r"\w+", template)))
+    docs = [{**make_tool_doc(i), "name": name} for i, name in enumerate(names)]
+    pool = CandidatePool.whole_bank(CandidateBank(kind="tool", entries=tuple(validate_spec(d, "tool") for d in docs)))
+    reasoner = scripted({"action": "route", "need": "something capable"}, {"action": "final", "answer": "done"})
+    log = run_episode("do the thing", pool, ORACLE, ExecutorBinding.mock_for(pool), reasoner, oracle_label=names[0])
+    # every prompt shows each name; the two tool names and the one routed to are no catalog entries
+    expected = set(names) - {names[0], ROUTER_INVOKE_TOOL["name"], EXECUTE_CANDIDATE_TOOL["name"]}
+    assert log.context_audit["catalog_entries_in_prompt"] == len(expected)
 
 
 class RecordingReasoner(ScriptedReasoner):

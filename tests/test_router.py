@@ -167,6 +167,19 @@ def last_bit_twins(row: np.ndarray, query: np.ndarray) -> list[np.ndarray]:
     return twins
 
 
+@pytest.mark.parametrize(
+    "shape, form", [((64,), np.float64), ((64,), np.asarray), ((5, 64), np.asarray)], ids=["0-d scalar", "0-d", "1-d"]
+)
+def test_unit_rows_equal_the_expand_dims_form_bit_for_bit(shape, form):
+    rng = np.random.default_rng(5)
+    rows = rng.standard_normal(shape) * 10.0 ** rng.integers(-150, 150, shape)
+    norms = form(np.linalg.norm(rows, axis=-1))
+    expected = (rows / np.expand_dims(norms, -1)).astype(np.float32)
+    unit = _unit_rows(rows, norms)
+    assert unit.dtype == expected.dtype and unit.shape == expected.shape
+    assert unit.tobytes() == expected.tobytes()
+
+
 @pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize("reverse", [False, True])
 @pytest.mark.parametrize("n", list(SCREENED_BANKS))

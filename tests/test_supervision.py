@@ -207,6 +207,38 @@ def test_fill_rejects_unknown_and_unused_slots():
         prompts.fill("<<A>>", A="a", C="c")
 
 
+def substituted(template, **values):
+    """``fill`` as one ``_SLOT_RE.sub`` pass over the template: the reference it must equal."""
+    slots = set(prompts._SLOT_RE.findall(template))
+    if slots != values.keys():
+        raise ValueError(f"template slots {sorted(slots)} do not match the values {sorted(values)}")
+    return prompts._SLOT_RE.sub(lambda match: values[match.group(1)], template)
+
+
+# Slot text, stray angle brackets and ordinary characters, in any order: adjacent
+# slots, slots split by one bracket too many, and templates without a slot.
+_SLOTTED_TEXT = st.lists(
+    st.one_of(st.sampled_from(["<<A>>", "<<B>>", "<<C_D>>", "<<a>>", "<", ">", "<<", ">>"]), st.text("<>AB_x \n")),
+    max_size=8,
+).map("".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(template=_SLOTTED_TEXT, data=st.data())
+def test_fill_equals_the_one_pass_substitution(template, data):
+    slots = set(prompts._SLOT_RE.findall(template))
+    names = data.draw(st.one_of(st.just(slots), st.sets(st.sampled_from(["A", "B", "C_D", "E"]))))
+    values = {name: data.draw(_SLOTTED_TEXT) for name in sorted(names)}  # values may hold slot text
+    try:
+        expected = substituted(template, **values)
+    except ValueError as error:
+        with pytest.raises(ValueError) as raised:
+            prompts.fill(template, **values)
+        assert str(raised.value) == str(error)
+    else:
+        assert prompts.fill(template, **values) == expected
+
+
 # Text that exercises JSON escaping: quotes, backslashes, newlines, control
 # characters, non-ASCII and a line separator.
 _JSON_TEXT = st.text(
