@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from pathlib import Path
 from typing import Any, Callable, Iterable, TypeVar
@@ -25,6 +26,14 @@ def typed(value: Any, kind: type, what: str) -> Any:
     if not isinstance(value, kind):
         raise TypeError(f"{what} must be {kind.__name__}, got {type(value).__name__}")
     return value
+
+
+def finite(value: float) -> bool:
+    """Whether ``value`` is finite as a float64: an int too large for one is not."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def strings(value: Any, what: str) -> tuple[str, ...]:
@@ -67,8 +76,9 @@ def write_jsonl(path: str | Path, documents: Iterable[dict], what: str) -> int:
 
 
 # What a record parser raises for a record it rejects; see ``record_error``. An
-# OverflowError is a JSON integer too large for a float; a ValueError includes a BadConfig, a bad tau.
-RECORD_ERRORS = (KeyError, OverflowError, TypeError, ValueError, SpecError, ValidationError)
+# OverflowError is a JSON integer too large for a float; a RecursionError is JSON
+# nested past the recursion limit; a ValueError includes a BadConfig, a bad tau.
+RECORD_ERRORS = (KeyError, OverflowError, RecursionError, TypeError, ValueError, SpecError, ValidationError)
 
 
 def record_error(location: str, exc: Exception) -> ParseError:

@@ -293,17 +293,18 @@ class MockChatBackend:
 # ---------------------------------------------------------------------------
 
 
+HTTP_TIMEOUT_S = 60.0  # of each request
+MAX_TOKENS = 2048  # of each chat reply
+
+
 class _HTTPBackend:
     """One ``requests.Session`` per backend, carrying the bearer header."""
 
-    def __init__(
-        self, base_url: str, model_id: str, api_key_env: str = "TOOLROUTER_API_KEY", timeout_s: float = 60.0
-    ) -> None:
+    def __init__(self, base_url: str, model_id: str, api_key_env: str = "TOOLROUTER_API_KEY") -> None:
         import requests
 
         self.base_url = base_url.rstrip("/")
         self.model_id = model_id
-        self.timeout_s = timeout_s
         self._session = requests.Session()
         self._session.headers["Authorization"] = f"Bearer {os.environ.get(api_key_env, '')}"
 
@@ -316,7 +317,7 @@ class _HTTPBackend:
         TransientBackendError.
         """
         try:
-            response = self._session.post(f"{self.base_url}/{path}", json=payload, timeout=self.timeout_s)
+            response = self._session.post(f"{self.base_url}/{path}", json=payload, timeout=HTTP_TIMEOUT_S)
             status = response.status_code
             if not 400 <= status < 500 or status in (408, 429):
                 response.raise_for_status()
@@ -332,7 +333,7 @@ class HTTPChatBackend(_HTTPBackend):
             "model": self.model_id,
             "messages": [{"role": m.role, "content": m.content} for m in request.messages],
             "temperature": request.temperature,
-            "max_tokens": request.max_tokens,
+            "max_tokens": MAX_TOKENS,
         }
         return self._post("chat/completions", payload, "chat", self._content)
 
@@ -342,15 +343,8 @@ class HTTPChatBackend(_HTTPBackend):
 
 
 class HTTPEmbeddingBackend(_HTTPBackend):
-    def __init__(
-        self,
-        base_url: str,
-        model_id: str,
-        dim: int,
-        api_key_env: str = "TOOLROUTER_API_KEY",
-        timeout_s: float = 60.0,
-    ) -> None:
-        super().__init__(base_url, model_id, api_key_env, timeout_s)
+    def __init__(self, base_url: str, model_id: str, dim: int, api_key_env: str = "TOOLROUTER_API_KEY") -> None:
+        super().__init__(base_url, model_id, api_key_env)
         self.dim = dim
 
     def embed(self, texts: Sequence[str]) -> list[list[float]]:

@@ -127,6 +127,8 @@ def load_config(
             raise IoError(f"cannot read config {path}: {exc}") from exc
         except yaml.YAMLError as exc:
             raise ParseError(str(path), "invalid YAML") from exc
+        except (RecursionError, ValueError) as exc:  # nested past the recursion limit, an int past the digit limit
+            raise ParseError(str(path), str(exc)) from exc
     where = "config" if path is None else f"config {path}"
     raw = _typed(PipelineConfig, raw, where, seed=seed, tau=tau)
     backend_raw = _typed(BackendConfig, raw.pop("backend", {}), f"{where} backend", mode=backend)
@@ -137,29 +139,14 @@ def load_config(
 
 
 def make_gateway(cfg: PipelineConfig) -> Gateway:
+    """One gateway over the mock or the HTTP backend pair; the mock one sleeps no backoff."""
     backend = cfg.backend
     if backend.mode == "mock":
-        return Gateway(
-            chat_backend=MockChatBackend(seed=cfg.rng_seed, model_id=backend.chat_model),
-            embedding_backend=MockEmbeddingBackend(
-                seed=cfg.rng_seed, dim=backend.embed_dim, model_id=backend.embed_model
-            ),
-            max_retries=backend.max_retries,
-            backoff_s=0.0,
-            max_chat_calls=backend.max_chat_calls,
-        )
-    return Gateway(
-        chat_backend=HTTPChatBackend(
-            base_url=backend.chat_base_url,
-            model_id=backend.chat_model,
-            api_key_env=backend.api_key_env,
-        ),
-        embedding_backend=HTTPEmbeddingBackend(
-            base_url=backend.embed_base_url,
-            model_id=backend.embed_model,
-            dim=backend.embed_dim,
-            api_key_env=backend.api_key_env,
-        ),
-        max_retries=backend.max_retries,
-        max_chat_calls=backend.max_chat_calls,
-    )
+        chat = MockChatBackend(seed=cfg.rng_seed, model_id=backend.chat_model)
+        embed = MockEmbeddingBackend(seed=cfg.rng_seed, dim=backend.embed_dim, model_id=backend.embed_model)
+        backoff = {"backoff_s": 0.0}
+    else:
+        chat = HTTPChatBackend(backend.chat_base_url, backend.chat_model, backend.api_key_env)
+        embed = HTTPEmbeddingBackend(backend.embed_base_url, backend.embed_model, backend.embed_dim, backend.api_key_env)
+        backoff = {}  # the gateway's default
+    return Gateway(chat, embed, max_retries=backend.max_retries, max_chat_calls=backend.max_chat_calls, **backoff)

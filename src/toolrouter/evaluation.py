@@ -228,7 +228,7 @@ def evaluate(
                 if key not in setting._pools:
                     inline = _record_pool(record)
                     setting._pools[key] = (inline.bank, build_pool(inline, setting))
-            except (SpecError, ValidationError) as exc:
+            except (RecursionError, SpecError, ValidationError) as exc:  # RecursionError: copying a deep pool
                 raise ValidationError(record.label, f"dataset record unusable: {exc}") from exc
             looked_up[pool_object] = setting._pools[key]
         inline_bank, pool = looked_up[pool_object]

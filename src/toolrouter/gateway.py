@@ -14,7 +14,6 @@ Concrete backends live in :mod:`toolrouter.backends`.
 from __future__ import annotations
 
 import json
-import math
 import re
 import time
 from dataclasses import dataclass
@@ -22,6 +21,7 @@ from typing import Callable, Protocol, Sequence, TypeVar
 
 import numpy as np
 
+from ._util import finite
 from .errors import BudgetExceeded, DimensionMismatch, GatewayError, MalformedEmbedding, NotParseable, RetriesExhausted
 
 T = TypeVar("T")
@@ -42,7 +42,7 @@ class ChatMessage:
 def check_temperature(value: float, error: type[ValueError] = ValueError) -> None:
     """Raise ``error`` unless ``value`` is a finite number >= 0: a NaN passes
     a ``< 0`` check, and a live backend would send NaN or inf as no valid JSON."""
-    if not (math.isfinite(value) and value >= 0):
+    if not (finite(value) and value >= 0):
         raise error(f"temperature must be finite and >= 0, got {value!r}")
 
 
@@ -50,7 +50,6 @@ def check_temperature(value: float, error: type[ValueError] = ValueError) -> Non
 class ChatRequest:
     messages: tuple[ChatMessage, ...]
     temperature: float = 0.0
-    max_tokens: int = 2048
 
     def __post_init__(self) -> None:
         if not self.messages:
@@ -58,16 +57,14 @@ class ChatRequest:
         if self.messages[0].role not in ("system", "user"):
             raise ValueError("first message must be system or user")
         check_temperature(self.temperature)
-        if self.max_tokens <= 0:
-            raise ValueError("max_tokens must be positive")
 
 
-def user_request(content: str, *, system: str | None = None, **kwargs) -> ChatRequest:
+def user_request(content: str, *, system: str | None = None, temperature: float = 0.0) -> ChatRequest:
     messages: list[ChatMessage] = []
     if system is not None:
         messages.append(ChatMessage("system", system))
     messages.append(ChatMessage("user", content))
-    return ChatRequest(messages=tuple(messages), **kwargs)
+    return ChatRequest(messages=tuple(messages), temperature=temperature)
 
 
 _FENCE_RE = re.compile(r"^```[a-zA-Z0-9]*\s*\n(.*)\n```\s*$", re.DOTALL)
@@ -85,6 +82,8 @@ def parse_json_reply(reply: str, what: str = "reply") -> dict:
         value = json.loads(body)
     except json.JSONDecodeError as exc:
         raise NotParseable(f"{what} is not valid JSON: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise NotParseable(f"{what} is nested too deeply") from exc
     if not isinstance(value, dict):
         raise NotParseable(f"{what} must be a JSON object")
     return value
@@ -305,7 +304,7 @@ class Gateway:
                 rows = np.array(raw, dtype=np.float64)
                 if not np.isfinite(rows).all():
                     raise ValueError("non-finite embedding value")
-            except (TypeError, ValueError) as exc:
+            except (OverflowError, TypeError, ValueError) as exc:  # OverflowError: an int no float64 holds
                 raise MalformedEmbedding("backend embedding rows must be flat lists of finite numbers") from exc
             self._store(missing, rows, _usable_norms(rows, missing, MalformedEmbedding))
             self.usage.embed_calls += 1

@@ -34,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._util import JSON_LINE, json_object, parse_lines, read_lines, typed, write_lines
+from ._util import JSON_LINE, finite, json_object, parse_lines, read_lines, typed, write_lines
 from .errors import (
     BadConfig,
     DimensionMismatch,
@@ -220,21 +220,21 @@ class CandidateGraph:
             store = checks.store()
         except ValueError as exc:
             raise GraphError(str(exc)) from exc
-        self._bind(config, store, len(store), len(store.edge_x))
+        self._bind(config, store)
 
     @classmethod
     def _view(cls, config: GraphConfig, store: _Store, names: tuple[str, ...] | None = None) -> "CandidateGraph":
         """The snapshot of all of ``store``; ``names``, when given, are its node names sorted."""
         graph = cls.__new__(cls)
-        graph._bind(config, store, len(store), len(store.edge_x))
+        graph._bind(config, store)
         if names is not None:
             graph._names = names
         return graph
 
-    def _bind(self, config: GraphConfig, store: _Store, n: int, m: int) -> None:
+    def _bind(self, config: GraphConfig, store: _Store) -> None:
         self.config = config
-        self._store, self._n, self._m = store, n, m
-        self.specs: Mapping[str, CandidateSpec] = _Specs(store, n)
+        self._store, self._n, self._m = store, len(store), len(store.edge_x)
+        self.specs: Mapping[str, CandidateSpec] = _Specs(store, self._n)
 
     @property
     def edges(self) -> Set[Edge]:
@@ -494,7 +494,7 @@ class _SnapshotReader:
         if kind == "similarity":
             if weight is None:
                 raise ValueError("similarity edge has no weight")
-            if isinstance(weight, bool) or not isinstance(weight, (int, float)) or not math.isfinite(weight):
+            if isinstance(weight, bool) or not isinstance(weight, (int, float)) or not finite(weight):
                 raise ValueError(f"similarity weight {weight!r} is not a finite number")
             if not weight > self.config.tau:
                 raise ValueError(f"similarity weight {weight!r} is not above tau {self.config.tau!r}")

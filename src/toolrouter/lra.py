@@ -155,12 +155,11 @@ def _non_identifiers(names: frozenset[str]) -> tuple[str, ...]:
     return tuple(name for name in names if not (name.isascii() and name.isidentifier()))
 
 
-def _names_in(text: str, names: frozenset[str], words: Iterable[str] | None = None) -> set[str]:
+def _names_in(text: str, names: frozenset[str], words: Iterable[str]) -> set[str]:
     """The names that occur in ``text`` as whole words, so ``tool_1`` does not occur
-    in ``tool_15``; ``words`` are the words of ``text`` where the caller has read
+    in ``tool_15``; ``words`` are the words of ``text``, as the caller has read
     them. A name that is no ASCII identifier is looked up as a substring."""
-    found = names.intersection(_WORD_RE.findall(text) if words is None else words)
-    return found.union(name for name in _non_identifiers(names) if name in text)
+    return names.intersection(words).union(name for name in _non_identifiers(names) if name in text)
 
 
 def run_episode(

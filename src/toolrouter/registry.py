@@ -353,6 +353,8 @@ def load_bank(path: str | Path) -> CandidateBank:
             array = json.loads(raw)
         except json.JSONDecodeError as exc:
             raise ParseError(f"{path}:{exc.lineno}", exc.msg) from exc
+        except RecursionError as exc:
+            raise record_error(str(path), exc) from exc
         entries = []
         try:
             for document in array:

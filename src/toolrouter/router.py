@@ -66,7 +66,7 @@ def parse_decision(text: str, pool: CandidatePool) -> str | None:
     for match in _ARRAY_RE.finditer(body):
         try:
             value = json.loads(match.group(0))
-        except ValueError:  # not JSON, or an integer past the interpreter's digit limit
+        except (RecursionError, ValueError):  # not JSON, nested too deeply, or an integer past the digit limit
             continue
         if isinstance(value, list) and all(isinstance(v, str) for v in value):
             chosen = value

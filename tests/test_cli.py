@@ -350,6 +350,12 @@ def test_broken_snapshot_exits_1(workspace, case):
         "seed: 1\nmutation:\n  temperature: .inf\n",  # NaN and inf are no valid JSON for a live backend
         "seed: 1\nsynthesis:\n  temperature: .nan\n",
         "seed: 1\neval:\n  temperature: .nan\n",
+        # an int no float holds; past the interpreter's int digit limit, YAML cannot read it
+        *(
+            pytest.param(f"seed: 1\n{section}:\n  temperature: {'9' * digits}\n", id=f"{section}-{digits}-digits")
+            for section in ("mutation", "synthesis", "eval")
+            for digits in (401, 5000)
+        ),
         "seed: 1\nsynthesis:\n  max_retries: -1\n",  # synthesize would make no attempt
         "seed: 1\nbackend:\n  max_retries: -1\n",  # the gateway would make no attempt
         "seed: 1\nbackend:\n  embed_dim: 0\n",  # no embedding row to score
@@ -503,6 +509,60 @@ def test_malformed_jsonl_line_exits_1(chain_files, target, edit, where):
     result = run(args)
     one_error_line(result)
     assert where.format(path=path) in result.output
+
+
+def _too_deep() -> str:
+    """A JSON (and YAML flow) value nested past the recursion limit."""
+    depth = sys.getrecursionlimit() + 10
+    return "[" * depth + "]" * depth
+
+
+@pytest.mark.parametrize("target", ["bank-array", "bank-jsonl", "trajectories", "snapshot", "dataset", "config"])
+def test_input_nested_too_deeply_is_a_parse_error_at_its_line(chain_files, target):
+    config, graph, trajs, dataset = chain_files
+    tmp_path = graph.parent
+    bank, config_path = tmp_path / "bank.jsonl", Path(config[1])
+    path, where = {
+        "bank-array": (tmp_path / "bank.json", "{path}"),
+        "bank-jsonl": (bank, "{path}:2"),
+        "trajectories": (trajs, "{path}:2"),
+        "snapshot": (graph, "{path}:2"),
+        "dataset": (dataset, "{path}:2"),
+        "config": (config_path, "{path}"),
+    }[target]
+    if target == "bank-array":
+        first = json.loads(bank.read_text(encoding="utf-8").splitlines()[0])
+        path.write_text(f"[{json.dumps(first)}, {_too_deep()}]", encoding="utf-8")
+    elif target == "config":
+        path.write_text(f"seed: {_too_deep()}\n", encoding="utf-8")
+    else:
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[1] = json.dumps({"deep": None}).replace("null", _too_deep())
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    args = {
+        "bank-array": ["build-graph", *config, "--bank", str(path), "--out", str(tmp_path / "g.jsonl")],
+        "bank-jsonl": ["build-graph", *config, "--bank", str(path), "--out", str(tmp_path / "g.jsonl")],
+        "trajectories": ["extract", *config, "--trajectories", str(trajs), "--graph", str(graph), "--out", str(dataset)],
+        "snapshot": ["synthesize", *config, "--graph", str(graph), "--out", str(tmp_path / "t.jsonl")],
+        "dataset": ["evaluate", *config, "--dataset", str(dataset), "--router", "embedding_q"],
+        "config": ["build-graph", *config, "--bank", str(bank), "--out", str(tmp_path / "g.jsonl")],
+    }[target]
+    result = run(args)
+    one_error_line(result)
+    assert f"parse error at {where.format(path=path)}: " in result.output
+
+
+def test_a_pool_too_deep_to_copy_exits_1(chain_files):
+    config, _, _, dataset = chain_files
+    depth = sys.getrecursionlimit() * 3 // 5  # JSON decodes it; a copy takes two frames per level
+    lines = dataset.read_text(encoding="utf-8").splitlines()
+    record = json.loads(lines[1])
+    record["pool"][0]["inputSchema"]["properties"]["deep"] = {"type": "string", "examples": "DEEP"}
+    lines[1] = json.dumps(record).replace('"DEEP"', "[" * depth + "]" * depth)
+    dataset.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    result = run(["evaluate", *config, "--dataset", str(dataset), "--router", "embedding_q"])
+    one_error_line(result)
+    assert "dataset record unusable: maximum recursion depth exceeded" in result.output
 
 
 # One-field edits of a dataset pool entry that no spec accepts: wrong types,

@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import requests
 
 from helpers import StaticEmbeddingBackend, count_calls, make_agent_bank, make_tool_bank, mock_gateway
 from toolrouter.backends import (
+    HTTP_TIMEOUT_S,
     HTTPChatBackend,
     HTTPEmbeddingBackend,
     MockChatBackend,
@@ -19,6 +21,7 @@ from toolrouter.errors import (
     BudgetExceeded,
     DimensionMismatch,
     MalformedEmbedding,
+    NotParseable,
     RetriesExhausted,
 )
 from toolrouter.gateway import (
@@ -28,6 +31,7 @@ from toolrouter.gateway import (
     EmbeddingVector,
     Gateway,
     TransientBackendError,
+    parse_json_reply,
     user_request,
 )
 from toolrouter import prompts
@@ -76,8 +80,6 @@ def test_chat_request_invariants():
     for temperature in (-1, math.nan, math.inf):  # NaN passes a "< 0" check, and no live backend takes NaN or inf
         with pytest.raises(ValueError, match="temperature must be finite and >= 0"):
             user_request("hi", temperature=temperature)
-    with pytest.raises(ValueError):
-        user_request("hi", max_tokens=0)
 
 
 def test_chat_retries_then_succeeds():
@@ -126,13 +128,13 @@ class FakeSession:
 
 HTTP_CALLS = {
     "chat": (
-        lambda: HTTPChatBackend("http://127.0.0.1:9/v1/", "chat-model", timeout_s=5.0),
+        lambda: HTTPChatBackend("http://127.0.0.1:9/v1/", "chat-model"),
         lambda gateway, text="hello": gateway.chat(user_request(text)),
         {"choices": [{"message": {"content": "hi there"}}]},
         "hi there",
     ),
     "embedding": (
-        lambda: HTTPEmbeddingBackend("http://127.0.0.1:9/v1/", "embed-model", dim=2, timeout_s=5.0),
+        lambda: HTTPEmbeddingBackend("http://127.0.0.1:9/v1/", "embed-model", dim=2),
         lambda gateway, text="hello": [tuple(vector.values.tolist()) for vector in gateway.embed_texts([text])],
         {"data": [{"embedding": [0.6, 0.8]}]},
         [(0.6, 0.8)],
@@ -169,7 +171,7 @@ def test_http_backend_posts_through_one_session(fake_session, monkeypatch, what)
     assert len(session.posts) == 2
     url, _, timeout = session.posts[0]
     assert url.startswith("http://127.0.0.1:9/v1/") and "//" not in url[len("http://"):]
-    assert timeout == 5.0
+    assert timeout == HTTP_TIMEOUT_S == 60.0
     # the backend names its own model in every payload
     model = {"chat": "chat-model", "embedding": "embed-model"}[what]
     assert [payload["model"] for _, payload, _ in session.posts] == [model, model]
@@ -355,6 +357,43 @@ def test_failed_fill_leaves_the_row_store_unchanged():
     rows, _ = gateway.embedding_rows(["a", "ccc", "bb", "dddd"])
     assert rows.tolist() == [[1.0, 1.0], [3.0, 1.0], [2.0, 1.0], [4.0, 1.0]]
     assert backend.batches == [["a", "bb"], ["ccc", "dddd"], ["ccc", "dddd"]]  # the retry sent the same texts
+
+
+class OverflowingEmbed(CountingEmbed):
+    """A CountingEmbed whose first row of each batch holds an int no float64 holds."""
+
+    def embed(self, texts):
+        return [[10**400, 1.0], *super().embed(texts)[1:]]
+
+
+def test_an_embedding_value_no_float_holds_is_an_abstention_and_stores_nothing():
+    gateway = Gateway(embedding_backend=OverflowingEmbed(), backoff_s=0.0)
+    with pytest.raises(MalformedEmbedding):
+        gateway.embed_texts(["a", "bb"])
+    pool = CandidatePool.whole_bank(make_tool_bank(4))
+    decision = route(RouterConfig(variant="embedding_q"), "a query", (), pool, gateway)
+    assert decision.abstained and decision.chosen is None
+    assert not gateway._rows and gateway.usage.embed_calls == 0
+
+
+class RepliesInTurn:
+    """A chat backend that gives its replies in turn."""
+
+    model_id = "replies-in-turn"
+
+    def __init__(self, *replies: str) -> None:
+        self.replies = list(replies)
+
+    def complete(self, request):
+        return self.replies.pop(0)
+
+
+def test_a_reply_nested_too_deeply_is_re_asked():
+    depth = sys.getrecursionlimit() + 10
+    gateway = Gateway(chat_backend=RepliesInTurn("[" * depth + "]" * depth, '{"ok": 1}'), backoff_s=0.0)
+    value, reply, rejection = gateway.ask(user_request("hi"), parse_json_reply, 1, (NotParseable,))
+    assert (value, reply, rejection) == ({"ok": 1}, '{"ok": 1}', None)
+    assert gateway.usage.chat_calls == 2
 
 
 def test_texts_first_seen_through_embed_texts_reach_the_backend_once():

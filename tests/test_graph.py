@@ -652,6 +652,12 @@ def test_a_broken_edge_line_the_pattern_matches_fails_at_its_own_line(tmp_path, 
     assert f"{path}:{len(head) + 2}:" in str(info.value)
 
 
+def test_constructor_refuses_a_weight_no_float_holds():
+    edges = frozenset({Edge.make("a", "b", "similarity", 10**400)})
+    with pytest.raises(GraphError, match="not a finite number"):
+        CandidateGraph(config=GraphConfig(), nodes=tool_nodes("abc"), edges=edges)
+
+
 def test_constructor_refuses_a_weight_that_is_no_number():
     edges = frozenset({Edge.make("a", "b", "similarity", "high, very"), Edge.make("a", "c", "similarity", 0.9)})
     with pytest.raises(GraphError, match="not a finite number"):

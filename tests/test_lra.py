@@ -71,7 +71,8 @@ def test_context_audit_reads_every_prompt_shown():
 
 def test_audit_names_are_whole_words():
     text = "ran tool_15 then web-search (web_fetch)"
-    assert lra._names_in(text, frozenset(["tool_1", "tool_15", "web-search", "web_fetch", "fetch"])) == {
+    names = frozenset(["tool_1", "tool_15", "web-search", "web_fetch", "fetch"])
+    assert lra._names_in(text, names, re.findall(r"\w+", text)) == {
         "tool_15",
         "web-search",
         "web_fetch",

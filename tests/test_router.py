@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from toolrouter.synthesis import Action, CandidateCall, Observation
 BANK = make_tool_bank(6)
 POOL = CandidatePool.whole_bank(BANK)
 NAMES = BANK.names()
+TOO_DEEP = sys.getrecursionlimit() + 10  # levels of JSON nesting that json.loads refuses
 
 
 def test_router_config_rejects_unknown_variant():
@@ -46,6 +48,8 @@ def test_parse_decision_appendix_format():
         '["not_in_pool"]',
         '<think>["%s"]</think>' % "NAME",  # array only inside think block
         pytest.param("[" + "1" * 5000 + "]", id="int-past-the-digit-limit"),  # json.loads raises a plain ValueError
+        # objects nested past the recursion limit, as a flat array holds no inner array
+        pytest.param("[" + '{"a": ' * TOO_DEEP + "1" + "}" * TOO_DEEP + "]", id="nested-too-deeply"),
     ],
 )
 def test_parse_decision_abstains(reply):
