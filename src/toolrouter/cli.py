@@ -205,11 +205,8 @@ def evaluate_cmd(config_path, seed, backend, dataset_path, variants, k, out_path
 @with_common
 @click.option("--bank", "bank_path", type=click.Path(exists=True), required=True)
 @click.option("--task", type=str, required=True)
-@click.option(
-    "--router",
-    "variant",
-    type=click.Choice(VARIANTS),
-    default="llm",
+@click.option(  # an episode plants no label, so the oracle could only abstain
+    "--router", "variant", type=click.Choice([v for v in VARIANTS if v != "oracle"]), default="llm"
 )
 @click.option("--budget", type=click.IntRange(min=1), default=8)
 @click.option("--out", "out_path", type=click.Path(), default=None)

@@ -21,9 +21,9 @@ from ._util import derive_seed, write_jsonl, write_lines
 from .errors import BadConfig, MissingParameter, SpecError, ValidationError
 from .gateway import Gateway
 from .graph import CandidateGraph
-from .registry import CandidateBank, CandidatePool, validate_spec
+from .registry import CandidateBank, CandidatePool, pool_json, validate_spec
 from .router import REPEATABLE, RouterConfig, RouterDecision, route
-from .supervision import DatasetRecord, render_prompt
+from .supervision import DatasetRecord, _prompt
 
 
 class Setting(Enum):
@@ -197,14 +197,15 @@ def evaluate(
     ``load_dataset`` gives records with equal pool text, share one lookup.
     A new pool is also checked for JSON, validated and built.
 
-    Once per call and distinct pool object: the pool lookup. Once per call
-    and record: the label's check; for ``llm``, the rendered prompt; for a
-    ``REPEATABLE`` variant, the decision, which later passes
-    reuse unless it abstained (an abstention, such as a gateway error, is
-    routed again in the next pass). Once per pass and record: the ``random``
-    variant's draw from that pass's rng, and the ``llm`` variant's sampled
-    chat call, sent in record order, so its k requests for a record are
-    equal and every reply is fresh. Nothing of this outlives the call.
+    Once per call and distinct pool object: the pool lookup and, for
+    ``llm``, the prompt block. Once per call and record: the label's check;
+    for ``llm``, the rendered prompt; for a ``REPEATABLE`` variant, the
+    decision, which later passes reuse unless it abstained (an abstention,
+    such as a gateway error, is routed again in the next pass). Once per
+    pass and record: the ``random`` variant's draw from that pass's rng,
+    and the ``llm`` variant's sampled chat call, sent in record order, so
+    its k requests for a record are equal and every reply is fresh. Nothing
+    of this outlives the call.
     """
     if k < 1:
         raise BadConfig(f"k must be >= 1, got {k}")
@@ -237,10 +238,13 @@ def evaluate(
         pools.append(pool)
 
     repeatable = router.variant in REPEATABLE
-    prompts = [
-        render_prompt(record.query, record.history, pool) if router.variant == "llm" else None
-        for record, pool in zip(dataset, pools)
-    ]
+    prompts: list[tuple[str, str] | None] = [None] * len(dataset)
+    if router.variant == "llm":
+        blocks: dict[int, str] = {}  # id of a pool -> its prompt block; the pools are held for the call
+        for i, (record, pool) in enumerate(zip(dataset, pools)):
+            if id(pool) not in blocks:
+                blocks[id(pool)] = pool_json(pool.specs())
+            prompts[i] = _prompt(record.query, record.history, pool.bank.kind, blocks[id(pool)])
     decisions: list[RouterDecision | None] = [None] * len(dataset)
     per_run: list[float] = []
     group_totals: dict[str, float] = {}

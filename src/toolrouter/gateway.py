@@ -41,9 +41,11 @@ class ChatMessage:
 
 def check_temperature(value: float, error: type[ValueError] = ValueError) -> None:
     """Raise ``error`` unless ``value`` is a finite number >= 0: a NaN passes
-    a ``< 0`` check, and a live backend would send NaN or inf as no valid JSON."""
+    a ``< 0`` check, and a live backend would send NaN or inf as no valid JSON.
+    An int no float holds is named without its digits, which could fill a screen."""
     if not (finite(value) and value >= 0):
-        raise error(f"temperature must be finite and >= 0, got {value!r}")
+        shown = "an integer no float holds" if isinstance(value, int) and not finite(value) else repr(value)
+        raise error(f"temperature must be finite and >= 0, got {shown}")
 
 
 @dataclass(frozen=True)
@@ -285,9 +287,9 @@ class Gateway:
         """Store the rows of the texts not embedded before.
 
         The distinct new texts go to the backend in one call; they are
-        stored only once every returned row is a flat, finite vector of the
-        backend's dim with a finite, nonzero norm. A reply that is not is a
-        MalformedEmbedding.
+        stored only once every returned row is a flat vector of the
+        backend's dim with a finite, nonzero norm (a NaN or inf value makes
+        the norm NaN or inf). A reply that is not is a MalformedEmbedding.
         """
         if self._embed is None:
             raise GatewayError("no embedding backend configured")
@@ -302,8 +304,6 @@ class Gateway:
                     if len(json_numbers(values)) != dim:
                         raise DimensionMismatch(f"backend returned a {len(values)}-d embedding, expected {dim}")
                 rows = np.array(raw, dtype=np.float64)
-                if not np.isfinite(rows).all():
-                    raise ValueError("non-finite embedding value")
             except (OverflowError, TypeError, ValueError) as exc:  # OverflowError: an int no float64 holds
                 raise MalformedEmbedding("backend embedding rows must be flat lists of finite numbers") from exc
             self._store(missing, rows, _usable_norms(rows, missing, MalformedEmbedding))

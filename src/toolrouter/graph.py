@@ -348,13 +348,9 @@ def build_graph(bank: CandidateBank, cfg: GraphConfig, gateway: Gateway) -> Cand
     return CandidateGraph._view(cfg, store)
 
 
-def add_mutant(
-    graph: CandidateGraph,
-    parent: str,
-    mutant: CandidateSpec,
-    embedding: EmbeddingVector,
-) -> CandidateGraph:
-    """Insert a mutant node with its mutation edge plus fresh similarity edges.
+def add_mutant(graph: CandidateGraph, parent: str, mutant: CandidateSpec, gateway: Gateway) -> CandidateGraph:
+    """Insert a mutant node, embedded through ``gateway`` as ``build_graph``
+    embeds a bank, with its mutation edge plus fresh similarity edges.
 
     The new graph appends to the parent's store; the parent's snapshot does
     not see what was appended.
@@ -366,14 +362,14 @@ def add_mutant(
     if mutant.kind != graph.kind:
         raise GraphError(f"{mutant.kind} mutant {mutant.name!r} in a graph of {graph.kind}s")
     store, n = graph._store, len(graph)
-    if embedding.values.shape != store.matrix.shape[1:]:
-        raise DimensionMismatch(f"dims differ: {sorted({store.matrix.shape[1], embedding.dim})}")
-    (norm,) = _usable_norms(embedding.values[None, :], [mutant.name], ZeroVector)
-    if embedding.model_id != store.model_id:
-        raise GraphError(f"mutant embedded by {embedding.model_id!r}, the graph's nodes by {store.model_id!r}")
+    if gateway.embed_model_id != store.model_id:
+        raise GraphError(f"mutant embedded by {gateway.embed_model_id!r}, the graph's nodes by {store.model_id!r}")
+    (row,), (norm,) = gateway.embedding_rows([mutant.phi])
+    if row.shape != store.matrix.shape[1:]:
+        raise DimensionMismatch(f"dims differ: {sorted({store.matrix.shape[1], len(row)})}")
     if len(store) != n or len(store.edge_x) != graph._m:
         store = store.copy(n, graph._m)  # a sibling insertion extended the store
-    store.append_node(mutant, embedding.values, norm)
+    store.append_node(mutant, row, norm)
     store.append_edges([store.index[parent]], [n], "mutation", [None])
     _link_similar(store, graph.config.tau, n)
     names = graph._names  # the parent's sorted names, with the mutant's name in its place
@@ -408,8 +404,6 @@ def _snapshot_lines(graph: CandidateGraph) -> Iterator[str]:
             }
         )
     a, b, kind, weight = graph._edge_columns(encode)
-    if not a:
-        return
     # Every name and kind is encoded once, and all weights in one list, which
     # splits back into one piece per edge: a JSON number or null holds no ", ".
     for a_text, b_text, kind_text, weight_text in zip(a, b, kind, encode(weight)[1:-1].split(", ")):

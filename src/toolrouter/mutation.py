@@ -224,7 +224,7 @@ def evolve(graph: CandidateGraph, rounds: int, cfg: EvolveConfig, gateway: Gatew
             nonlocal raw_response
             raw_response = reply
             mutant = parse_mutant(reply, parent_spec, op)
-            return add_mutant(result.graph, parent_name, mutant, gateway.embed_texts([mutant.phi])[0]), mutant.name
+            return add_mutant(result.graph, parent_name, mutant, gateway), mutant.name
 
         try:
             accepted, raw_response, rejection = gateway.ask(request, read, cfg.max_retries, rejects)

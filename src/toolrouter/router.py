@@ -24,7 +24,7 @@ VARIANTS = ("embedding_q", "embedding_qh", "llm", "oracle", "random")
 # The variants whose decision on a record and pool is the same on every call:
 # they draw no rng and sample no reply, and a stored embedding row never changes.
 REPEATABLE = frozenset({"embedding_q", "embedding_qh", "oracle"})
-MAX_HISTORY_CHARS = 8000  # of the request text the q_plus_h embedding router embeds
+MAX_HISTORY_CHARS = 8000  # of the request text the embedding_qh router embeds
 
 
 @dataclass(frozen=True)
@@ -79,26 +79,19 @@ def _truncate_oldest(text: str, limit: int) -> str:
     return text if len(text) <= limit else text[len(text) - limit :]
 
 
-def embedding_route(
-    gateway: Gateway,
-    query: str,
-    history: Sequence[Turn],
-    pool: CandidatePool,
-    mode: str = "q",
-) -> RouterDecision:
+def embedding_route(gateway: Gateway, query: str, history: Sequence[Turn], pool: CandidatePool) -> RouterDecision:
     """Cosine scoring of the request text against each candidate's phi text.
 
-    mode "q" embeds the query alone; "q_plus_h" prefixes the history in the
-    pool's kind, keeping its last ``MAX_HISTORY_CHARS`` characters less the
-    query and a newline; the cut need not fall on a turn boundary.
+    The request text is the query alone when the history is empty;
+    otherwise the history in the pool's kind prefixes it, keeping its last
+    ``MAX_HISTORY_CHARS`` characters less the query and a newline; the cut
+    need not fall on a turn boundary.
     The pick is the smallest name among the members whose scalar cosine,
     bit for bit, is maximal: :meth:`Gateway.most_similar` finds them, over a
     large pool by scoring exactly only the members its float32 screen cannot
     rule out. Gateway errors raise.
     """
-    if mode not in ("q", "q_plus_h"):
-        raise ValueError(f"unknown embedding mode: {mode!r}")
-    if mode == "q_plus_h" and history:
+    if history:
         history_text = _truncate_oldest(
             serialize_history(history, pool.bank.kind), max(0, MAX_HISTORY_CHARS - len(query) - 1)
         )
@@ -157,7 +150,6 @@ def route(
             return _abstain("no gateway configured")
         if cfg.variant == "llm":
             return llm_route(gateway, query, history, pool, cfg, prompt)
-        mode = "q" if cfg.variant == "embedding_q" else "q_plus_h"
-        return embedding_route(gateway, query, history, pool, mode)
+        return embedding_route(gateway, query, history if cfg.variant == "embedding_qh" else (), pool)
     except GatewayError as exc:
         return _abstain(f"gateway error: {exc}")

@@ -13,16 +13,13 @@ from .graph import CandidateGraph
 @dataclass(frozen=True)
 class SamplerConfig:
     num_seeds: int = 1
-    target_size: int | None = None  # None: drawn uniformly from target_range per sample
-    target_range: tuple[int, int] = (4, 8)
+    target_range: tuple[int, int] = (4, 8)  # a fixed size k is (k, k)
     restart_prob: float = 0.15
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
         if self.num_seeds < 1:
             raise BadConfig("num_seeds must be >= 1")
-        if self.target_size is not None and self.target_size < self.num_seeds:
-            raise BadConfig("target_size must be >= num_seeds")
         lo, hi = self.target_range
         if not 1 <= lo <= hi:
             raise BadConfig(f"bad target_range: {self.target_range}")
@@ -67,8 +64,9 @@ def sample_subset(graph: CandidateGraph, cfg: SamplerConfig) -> CandidateSubset:
     if len(graph) == 0:
         raise EmptyGraph("cannot sample from an empty graph")
     rng = random.Random(cfg.rng_seed)
-    target = cfg.target_size if cfg.target_size is not None else rng.randint(*cfg.target_range)
-    target = min(target, len(graph))
+    lo, hi = cfg.target_range
+    # A one-size range draws nothing from the rng: randint(k, k) would.
+    target = min(lo if lo == hi else rng.randint(lo, hi), len(graph))
 
     all_names = graph.names()
     if cfg.num_seeds > len(all_names):

@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from . import prompts
-from ._util import JSON_LINE, json_object, parse_lines, read_lines, typed, write_lines
+from ._util import JSON_LINE, json_object, parse_lines, read_lines, typed, write_jsonl, write_lines
 from .errors import PoolMissingLabel
 from .registry import CandidatePool, pool_json, public_spec
 from .synthesis import (
@@ -276,12 +276,12 @@ class _PoolText:
         return JSON_LINE.encode(user[:at])[:-1] + self.escaped_block + JSON_LINE.encode(user[at + len(self.block) :])[1:]
 
 
-def _line(record: DatasetRecord, pool: _PoolText | None = None) -> str:
+def _line(record: DatasetRecord, pool: _PoolText) -> str:
     """``JSON_LINE.encode(record.to_dict())``: each value encoded on its own and
     joined in ``to_dict`` order with the encoder's ", " and ": " separators.
     ``pool``, the texts of the pool the record was rendered over, gives the
     ``pool`` field and the block in ``user`` without encoding them again."""
-    encoded = {} if pool is None else {"user": pool.user(record.user), "pool": pool.field}
+    encoded = {"user": pool.user(record.user), "pool": pool.field}
     fields = (
         f"{JSON_LINE.encode(key)}: {encoded[key] if key in encoded else JSON_LINE.encode(value)}"
         for key, value in record.to_dict().items()
@@ -381,4 +381,4 @@ def load_dataset(path: str | Path) -> list[DatasetRecord]:
 def save_dataset(records: Iterable[DatasetRecord], path: str | Path) -> int:
     """Write one JSON line per record, ``JSON_LINE.encode(record.to_dict())``;
     returns the line count. Each record's own pool is encoded."""
-    return write_lines(path, map(_line, records), "dataset")
+    return write_jsonl(path, (record.to_dict() for record in records), "dataset")

@@ -6,7 +6,6 @@ accepted (seeds 135 and 146 work too; most seeds produce occasional
 duplicate-name rejections because the mock mutant namer is deterministic).
 """
 
-import json
 import random
 import time
 
@@ -21,7 +20,7 @@ from helpers import (
     mock_gateway,
     planted_unit_vector,
 )
-from toolrouter.evaluation import PoolSetting, SETTING_ORDER, Setting, evaluate
+from toolrouter.evaluation import PoolSetting, SETTING_ORDER, evaluate
 from toolrouter.gateway import Gateway
 from toolrouter.graph import GraphConfig, build_graph, save_graph
 from toolrouter.lra import ExecutorBinding, run_episode
@@ -32,7 +31,7 @@ from toolrouter.registry import (
     serialize_phi,
     validate_spec,
 )
-from toolrouter.router import RouterConfig, embedding_route, parse_decision, route
+from toolrouter.router import RouterConfig, embedding_route, parse_decision
 from toolrouter.sampler import CandidateSubset, SamplerConfig
 from toolrouter.supervision import (
     DatasetRecord,
@@ -438,11 +437,8 @@ def test_criterion_6_router_properties(pipeline):
         Action(text="Calibrating the zebra quantum flux sensor with the flux readings.", calls=()),
     )
     divergence_gateway = mock_gateway(0)
-    assert embedding_route(divergence_gateway, query, history, pool, "q").chosen == "report_builder"
-    assert (
-        embedding_route(divergence_gateway, query, history, pool, "q_plus_h").chosen
-        == "flux_analyzer"
-    )
+    assert embedding_route(divergence_gateway, query, (), pool).chosen == "report_builder"
+    assert embedding_route(divergence_gateway, query, history, pool).chosen == "flux_analyzer"
 
 
 # --- criterion 7: LRA context bound and execution legality ----------------------------

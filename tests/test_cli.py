@@ -255,6 +255,18 @@ def test_lra_run_command(workspace):
     assert log["context_audit"]["tool_spec_count"] == 2
 
 
+def test_lra_run_offers_only_the_routers_that_need_no_label(workspace):
+    """An episode plants no label, so the oracle could only abstain: it is a usage error."""
+    tmp_path, bank_path, config_path = workspace
+    out = tmp_path / "episode.jsonl"
+    args = ["lra-run", "--config", config_path, "--bank", bank_path, "--task", "t", "--out", str(out)]
+    oracle = CliRunner().invoke(main, [*args, "--router", "oracle"])
+    assert oracle.exit_code == 2 and "Invalid value for '--router'" in oracle.output
+    assert not out.exists()
+    for variant in ("embedding_q", "embedding_qh", "llm", "random"):
+        assert "episode outcome: " in run([*args, "--router", variant]).output, variant
+
+
 BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 # Imports the console script's module and prints the BLAS thread variables as
@@ -373,6 +385,7 @@ def test_bad_config_exits_1(workspace, config_text):
     config_path.write_text(config_text, encoding="utf-8")
     result = run(["build-graph", "--config", str(config_path), "--bank", bank_path, "--out", str(tmp_path / "g.jsonl")])
     one_error_line(result)
+    assert len(result.output.replace(str(config_path), "").rstrip("\n")) <= 200  # no value echoed digit by digit
 
 
 def test_a_share_of_tool_rounds_is_an_unknown_key(workspace):
@@ -915,8 +928,7 @@ mutation:
   temperature: 0.6
 sampler:
   num_seeds: 2
-  target_size: 5
-  target_range: [3, 6]
+  target_range: [5, 5]
   restart_prob: 0.6
 synthesis:
   max_retries: 3

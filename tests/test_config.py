@@ -39,10 +39,10 @@ def test_every_section_key_reaches_its_dataclass(tmp_path):
     path.write_text(ALL_SECTION_KEYS_YAML, encoding="utf-8")
     cfg = load_config(path)
     assert cfg.mutation == EvolveConfig(max_retries=1, temperature=0.6)
-    assert cfg.sampler == SamplerConfig(num_seeds=2, target_size=5, target_range=(3, 6), restart_prob=0.6)
+    assert cfg.sampler == SamplerConfig(num_seeds=2, target_range=(5, 5), restart_prob=0.6)
     assert cfg.synthesis == SynthesisConfig(max_retries=3, max_turns=13, error_prob=0.4, temperature=0.5)
     assert cfg.eval == RouterConfig(temperature=0.7)
-    assert sum(len(keys) for _cls, keys in STAGE_KEYS.values()) == 11
+    assert sum(len(keys) for _cls, keys in STAGE_KEYS.values()) == 10
 
 
 def test_readme_library_usage_runs(tmp_path, monkeypatch, capsys):
@@ -82,7 +82,7 @@ def test_readme_config_table_lists_exactly_the_settable_keys():
         entries = re.sub(r"\([^)]*\)", "", keys).split(",")
         listed[section.strip("`")] = {m.group(1) for m in (re.match(r"\s*`(\w+)`", e) for e in entries) if m}
     assert listed == settable
-    assert sum(map(len, settable.values())) == 22
+    assert sum(map(len, settable.values())) == 21
 
 
 @pytest.mark.parametrize("section", [name for name, (_, keys) in STAGE_KEYS.items() if "temperature" in keys])

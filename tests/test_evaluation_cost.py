@@ -86,12 +86,12 @@ class FirstMember:
 
 
 # variant -> the calls one evaluate() of n records at k = K makes, by name: what
-# cannot change between passes happens once per record, a sampled reply or a
-# seeded draw once per pass and record.
+# cannot change between passes happens once per record (the llm prompt block once
+# per pool), a sampled reply or a seeded draw once per pass and record.
 PER_CALL = {
     "embedding_q": lambda n: {"route": n, "most_similar": n},
     "embedding_qh": lambda n: {"route": n, "most_similar": n},
-    "llm": lambda n: {"route": K * n, "render_prompt": n, "chat": K * n},
+    "llm": lambda n: {"route": K * n, "pool_block": POOLS, "prompt": n, "chat": K * n},
     "random": lambda n: {"route": K * n},
 }
 
@@ -124,7 +124,8 @@ def test_passes_share_what_cannot_change_between_them(monkeypatch, n):
         pool_key=(evaluation, "_pool_key"),
         route=(evaluation, "route"),
         most_similar=(Gateway, "most_similar"),
-        render_prompt=(evaluation, "render_prompt"),
+        pool_block=(evaluation, "pool_json"),
+        prompt=(evaluation, "_prompt"),
         render_prompt_in_route=(router, "render_prompt"),
         chat=(Gateway, "chat"),
     )

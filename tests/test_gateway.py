@@ -401,9 +401,9 @@ def test_texts_first_seen_through_embed_texts_reach_the_backend_once():
     gateway = Gateway(embedding_backend=backend, backoff_s=0.0)
     pool = CandidatePool.whole_bank(make_tool_bank(6))
     gateway.embed_texts(["a query", *pool.phi_texts])
-    first = embedding_route(gateway, "a query", (), pool, "q")
+    first = embedding_route(gateway, "a query", (), pool)
     assert route(RouterConfig(variant="embedding_q"), "a query", (), pool, gateway) == first
-    embedding_route(gateway, "a query", (), pool, "q")
+    embedding_route(gateway, "a query", (), pool)
     assert backend.batches == [["a query", *pool.phi_texts]]
 
 

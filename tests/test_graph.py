@@ -154,7 +154,7 @@ def test_add_mutant_edges_and_immutability():
         operator="Usage Extension",
     )
     embedding = gateway.embed_texts([serialize_phi(mutant)])[0]
-    expanded = add_mutant(graph, parent, mutant, embedding)
+    expanded = add_mutant(graph, parent, mutant, gateway)
     assert len(graph) == 5  # original untouched
     assert len(expanded) == 6
     mutation = edges_of_kind(expanded, "mutation")
@@ -168,9 +168,9 @@ def test_add_mutant_edges_and_immutability():
             assert sim > expanded.config.tau
 
     with pytest.raises(UnknownParent):
-        add_mutant(graph, "nope", mutant, embedding)
+        add_mutant(graph, "nope", mutant, gateway)
     with pytest.raises(DuplicateName):
-        add_mutant(expanded, parent, mutant, embedding)
+        add_mutant(expanded, parent, mutant, gateway)
 
 
 def test_snapshot_roundtrip_and_byte_stability(tmp_path):
@@ -246,7 +246,7 @@ def test_neighbors_index_after_add_mutant_chain():
         words = graph.specs[parent].description.rstrip(".").split()
         mutant = mutant_of(parent, f"mutant_{step}", " ".join(words[:-1] + [f"step{step}"]) + ".")
         before = graph
-        graph = add_mutant(graph, parent, mutant, gateway.embed_texts([serialize_phi(mutant)])[0])
+        graph = add_mutant(graph, parent, mutant, gateway)
         assert before.neighbors(parent) == scanned_neighbors(before, parent)  # old snapshot untouched
         for name in graph.names():
             assert graph.neighbors(name) == scanned_neighbors(graph, name)
@@ -273,11 +273,11 @@ def test_branching_inserts_from_one_snapshot(tmp_path):
         for name in ("mutant_one", "mutant_two")
     )
     before = graph_state(g0, tmp_path / "g0.jsonl")
-    g1 = add_mutant(g0, parent, m1, gateway.embed_texts([serialize_phi(m1)])[0])
+    g1 = add_mutant(g0, parent, m1, gateway)
     g1_state = graph_state(g1, tmp_path / "g1.jsonl")
     assert ("mutant_one", "mutation") in g1.neighbors(parent)
-    g2 = add_mutant(g0, parent, m2, gateway.embed_texts([serialize_phi(m2)])[0])
-    g3 = add_mutant(g1, parent, m2, gateway.embed_texts([serialize_phi(m2)])[0])  # extends g1's store in place
+    g2 = add_mutant(g0, parent, m2, gateway)
+    g3 = add_mutant(g1, parent, m2, gateway)  # extends g1's store in place
 
     assert graph_state(g0, tmp_path / "g0.jsonl") == before
     assert graph_state(g1, tmp_path / "g1.jsonl") == g1_state
@@ -303,7 +303,7 @@ def test_sorted_names_on_sibling_branches(tmp_path):
 
     def insert(graph, name):
         mutant = as_mutant(validate_spec({**make_agent_doc(0), "name": name}, "agent"), parent, "Domain Transfer")
-        return add_mutant(graph, parent, mutant, gateway.embed_texts([mutant.phi])[0])
+        return add_mutant(graph, parent, mutant, gateway)
 
     g1 = insert(g0, "aaa_first_agent")
     g2 = insert(g1, "zzz_last_agent")
@@ -325,7 +325,7 @@ def test_a_graph_holds_one_kind(tmp_path):
     agent = validate_spec(make_agent_doc(0), "agent")
     embedding = gateway.embed_texts([agent.phi])[0]
     with pytest.raises(GraphError, match="agent mutant .* in a graph of tools"):
-        add_mutant(graph, graph.names()[0], as_mutant(agent, graph.names()[0], "Domain Transfer"), embedding)
+        add_mutant(graph, graph.names()[0], as_mutant(agent, graph.names()[0], "Domain Transfer"), gateway)
     nodes = {**{name: GraphNode(graph.specs[name], embedding) for name in graph.names()[:2]}, agent.name: GraphNode(agent, embedding)}
     with pytest.raises(GraphError, match="a graph holds one kind"):
         CandidateGraph(GraphConfig(), nodes=nodes)
@@ -342,18 +342,22 @@ def test_a_graph_holds_one_kind(tmp_path):
     assert f"{path}:7: agent node {agent.name!r} in a graph of tools" in str(info.value)
 
 
+def static_gateway(mapping, dim=2, model_id="static-embed"):
+    """A gateway that embeds each text of ``mapping`` to its row."""
+    return Gateway(embedding_backend=StaticEmbeddingBackend(mapping, dim, model_id), backoff_s=0.0)
+
+
 def planted_graph(tau=0.82):
     mapping = {serialize_phi(tool("anchor")): (1.0, 0.0), serialize_phi(tool("far")): (0.0, 1.0)}
-    gateway = Gateway(embedding_backend=StaticEmbeddingBackend(mapping, dim=2), backoff_s=0.0)
     bank = CandidateBank(kind="tool", entries=(tool("anchor"), tool("far")))
-    return build_graph(bank, GraphConfig(tau=tau), gateway)
+    return build_graph(bank, GraphConfig(tau=tau), static_gateway(mapping))
 
 
 def test_add_mutant_planted_tie_gives_no_edge():
     graph = planted_graph()
     for name, target in (("tie_82", 0.82), ("above_83", 0.83), ("below_81", 0.81)):
-        embedding = EmbeddingVector(values=planted_unit_vector(target), model_id="static-embed")
-        graph = add_mutant(graph, "far", mutant_of("far", name), embedding)
+        mutant = mutant_of("far", name)
+        graph = add_mutant(graph, "far", mutant, static_gateway({mutant.phi: planted_unit_vector(target)}))
     # 0.83 > tau, the tie at tau and 0.81 give no edge to the anchor
     assert graph.neighbors("anchor") == [("above_83", "similarity")]
     weights = similarity_weights(graph)
@@ -388,13 +392,13 @@ def test_zero_and_mismatched_embeddings_raise():
     with pytest.raises(DimensionMismatch):
         build_graph(CandidateBank(kind="tool", entries=(tool("anchor"), tool("wide"))), GraphConfig(), gateway)
 
-    graph = planted_graph()
-    with pytest.raises(ZeroVector):
-        add_mutant(graph, "far", mutant_of("far", "m"), vec(0, 0))
+    graph, mutant = planted_graph(), mutant_of("far", "m")
+    with pytest.raises(MalformedEmbedding, match="has norm 0.0"):
+        add_mutant(graph, "far", mutant, static_gateway({mutant.phi: (0.0, 0.0)}))
     with pytest.raises(DimensionMismatch):
-        add_mutant(graph, "far", mutant_of("far", "m"), vec(1, 0, 0))
+        add_mutant(graph, "far", mutant, static_gateway({mutant.phi: (1.0, 0.0, 0.0)}, dim=3))
     with pytest.raises(GraphError, match="'test'.*'static-embed'"):  # one embedding model per graph
-        add_mutant(graph, "far", mutant_of("far", "m"), vec(0, 1))
+        add_mutant(graph, "far", mutant, static_gateway({mutant.phi: (0.0, 1.0)}, model_id="test"))
     assert graph.names() == ["anchor", "far"]
     nodes = {"a": GraphNode(tool("a"), vec(1, 0)), "b": GraphNode(tool("b"), planted_vector((0.0, 1.0)))}
     with pytest.raises(GraphError, match="more than one model"):
@@ -480,16 +484,17 @@ def test_edges_and_weights_equal_scalar_scan_bit_for_bit(dim, seed, spread, tie)
     tau = sims[tied] if tied else 0.82
 
     names = [f"t{i:02d}" for i in range(12)]
+    mutants = {f"m{step:02d}": vector for step, vector in enumerate(vectors[12:])}
     mapping = {serialize_phi(tool(name)): vector for name, vector in zip(names, vectors)}
-    gateway = Gateway(embedding_backend=StaticEmbeddingBackend(mapping, dim=dim), backoff_s=0.0)
+    mapping.update((mutant_of(names[0], name).phi, vector) for name, vector in mutants.items())  # phi names no parent
+    gateway = static_gateway(mapping, dim=dim)
     graph = build_graph(CandidateBank(kind="tool", entries=tuple(map(tool, names))), GraphConfig(tau=tau), gateway)
     embeddings = {name: planted_vector(vector) for name, vector in zip(names, vectors)}
     assert similarity_weights(graph) == scalar_scan(graph, embeddings)
-    for step, vector in enumerate(vectors[12:]):
-        name = f"m{step:02d}"
+    for name, vector in mutants.items():
         parent = names[rng.integers(len(names))]
         embeddings[name] = planted_vector(vector)
-        graph = add_mutant(graph, parent, mutant_of(parent, name), embeddings[name])
+        graph = add_mutant(graph, parent, mutant_of(parent, name), gateway)
         names.append(name)
     expected = scalar_scan(graph, embeddings)
     assert similarity_weights(graph) == expected
@@ -590,7 +595,7 @@ def graph_with_a_mutant():
     gateway = mock_gateway(0)
     graph = build_graph(make_tool_bank(12), GraphConfig(tau=0.5), gateway)
     mutant = mutant_of(graph.names()[0], "zz_mutant")
-    return add_mutant(graph, graph.names()[0], mutant, gateway.embed_texts([mutant.phi])[0])
+    return add_mutant(graph, graph.names()[0], mutant, gateway)
 
 
 def split_snapshot(graph, path):

@@ -10,7 +10,7 @@ import pytest
 
 from helpers import count_calls
 from toolrouter import _util, graph as graph_module
-from toolrouter.gateway import EmbeddingVector
+from toolrouter.gateway import EmbeddingVector, Gateway
 from toolrouter.graph import CandidateGraph, Edge, GraphConfig, GraphNode, _Store, add_mutant, load_graph, save_graph
 from toolrouter.registry import validate_spec
 
@@ -27,6 +27,18 @@ def embedding(rng: random.Random) -> EmbeddingVector:
     return EmbeddingVector(values=[rng.uniform(-1, 1) for _ in range(DIM)], model_id="t")
 
 
+class RandomRows:
+    """An embedding backend of the random graphs' model: a random row per text."""
+
+    dim, model_id = DIM, "t"
+
+    def __init__(self, rng: random.Random) -> None:
+        self.rng = rng
+
+    def embed(self, texts):
+        return [[self.rng.uniform(-1, 1) for _ in range(DIM)] for _ in texts]
+
+
 def random_graph(n: int, seed: int = 0) -> CandidateGraph:
     """``n`` nodes with random embeddings, each linked to two random others
     (similarity or mutation); the weights need not be the rows' cosines."""
@@ -40,7 +52,7 @@ def random_graph(n: int, seed: int = 0) -> CandidateGraph:
 
 @pytest.mark.parametrize("n", SIZES)
 def test_a_chain_of_inserts_copies_no_store_and_screens_each_mutant_with_one_mat_vec(monkeypatch, n):
-    graph, rng = random_graph(n), random.Random(1)
+    graph, gateway = random_graph(n), Gateway(embedding_backend=RandomRows(random.Random(1)))
     products = []  # (rows, columns) of each screening product
 
     class RecordingRows(np.ndarray):
@@ -52,7 +64,7 @@ def test_a_chain_of_inserts_copies_no_store_and_screens_each_mutant_with_one_mat
     monkeypatch.setattr(_Store, "unit", property(lambda store: unit(store).view(RecordingRows)))
     counts = count_calls(monkeypatch, copy=(_Store, "copy"))
     for i in range(MUTANTS):
-        graph = add_mutant(graph, graph.names()[i], tool(f"tool_mutant_{i}"), embedding(rng))
+        graph = add_mutant(graph, graph.names()[i], tool(f"tool_mutant_{i}"), gateway)
     assert len(graph) == n + MUTANTS
     assert counts == {"copy": 0}
     assert products == [(1, n + i + 1) for i in range(MUTANTS)]

@@ -9,7 +9,7 @@ import pytest
 from helpers import make_agent_bank, make_agent_doc, make_tool_bank, make_tool_doc, mock_gateway
 from toolrouter.backends import MockChatBackend, MockEmbeddingBackend
 from toolrouter.errors import BadAgentName, BadConfig, EmptyGraph, NameEqualsParent, NotParseable, TagMismatch
-from toolrouter.gateway import Gateway, TransientBackendError, strip_code_fence, user_request
+from toolrouter.gateway import Gateway, TransientBackendError, strip_code_fence
 from toolrouter.graph import CandidateGraph, GraphConfig, GraphNode, build_graph
 from toolrouter.mutation import (
     AGENT_OPERATORS,

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from helpers import (
     MALFORMED_SPEC_FIELDS,
     RAW_LINE_BREAKS,
-    make_agent_bank,
     make_agent_doc,
     make_tool_bank,
     make_tool_doc,

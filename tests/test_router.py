@@ -89,7 +89,7 @@ def test_embedding_route_matches_scalar_reference():
     pools = [CandidatePool.whole_bank(bank), CandidatePool(bank=bank, membership=tuple(reversed(bank.names())))]
     for query in ["summarize the support tickets", "archive the email threads", "diff code"]:
         for pool in pools:
-            decision = embedding_route(mock_gateway(0), query, (), pool, "q")
+            decision = embedding_route(mock_gateway(0), query, (), pool)
             assert decision.chosen == scalar_reference(mock_gateway(0), query, pool)
 
 
@@ -102,7 +102,7 @@ def test_embedding_route_exact_tie_goes_to_smallest_name():
     bank = CandidateBank(kind="tool", entries=tuple(specs.values()))
     pool = CandidatePool(bank=bank, membership=("c_far", "b_tie", "a_tie"))  # the smaller name comes last
     gateway = Gateway(embedding_backend=StaticEmbeddingBackend(mapping, dim=2), backoff_s=0.0)
-    assert embedding_route(gateway, "query", (), pool, "q").chosen == "a_tie"
+    assert embedding_route(gateway, "query", (), pool).chosen == "a_tie"
 
 
 NEAR_TIE_BANK = make_tool_bank(12)
@@ -125,7 +125,7 @@ def test_embedding_route_matches_scalar_reference_on_near_ties(query, rows, plan
     order.shuffle(membership)
     pool = CandidatePool(bank=NEAR_TIE_BANK, membership=tuple(membership))
     gateway = Gateway(embedding_backend=StaticEmbeddingBackend(mapping, dim=3), backoff_s=0.0)
-    assert embedding_route(gateway, "query", (), pool, "q").chosen == scalar_reference(gateway, "query", pool)
+    assert embedding_route(gateway, "query", (), pool).chosen == scalar_reference(gateway, "query", pool)
 
 
 LOOP_BANK = make_tool_bank(ORDERED_LOOP_ROWS + 40)
@@ -147,7 +147,7 @@ def test_embedding_route_matches_scalar_reference_on_the_column_loop(seed):
     pool = CandidatePool(bank=LOOP_BANK, membership=tuple(membership))
     gateway = Gateway(embedding_backend=StaticEmbeddingBackend(mapping, dim=16), backoff_s=0.0)
     assert len(pool) >= ORDERED_LOOP_ROWS
-    assert embedding_route(gateway, "query", (), pool, "q").chosen == scalar_reference(gateway, "query", pool)
+    assert embedding_route(gateway, "query", (), pool).chosen == scalar_reference(gateway, "query", pool)
 
 
 SCREENED_BANKS = {n: make_tool_bank(n) for n in (ORDERED_LOOP_ROWS, 4000)}
@@ -211,7 +211,7 @@ def test_embedding_route_over_a_kept_pool_matches_scalar_reference(n, reverse, s
     pool = CandidatePool(bank=bank, membership=membership)
     gateway = Gateway(embedding_backend=StaticEmbeddingBackend(mapping, dim=16), backoff_s=0.0)
     for _ in range(2):  # the cold route gathers and keeps the pool, the warm one reads it
-        assert embedding_route(gateway, "query", (), pool, "q").chosen == expected
+        assert embedding_route(gateway, "query", (), pool).chosen == expected
 
 
 def test_warm_embedding_route_builds_no_vector_and_calls_no_backend(monkeypatch):
@@ -251,7 +251,7 @@ def test_embedding_route_renders_each_phi_text_once(monkeypatch):
     pool = CandidatePool.whole_bank(make_tool_bank(6))  # fresh specs, nothing rendered yet
     gateway = mock_gateway(0)
     for query in ["archive the email threads", "summarize the support tickets", "archive the email threads"]:
-        embedding_route(gateway, query, (), pool, "q")
+        embedding_route(gateway, query, (), pool)
     assert sorted(calls) == sorted(pool.membership)
 
 
@@ -276,8 +276,8 @@ def test_embedding_route_scale_invariance():
     # identical pool resolved through a doubled-score embedder is irrelevant here;
     # instead check the argmax is stable across repeated calls (pure function)
     gateway = mock_gateway(0)
-    first = embedding_route(gateway, "archive the email threads", (), POOL, "q")
-    second = embedding_route(mock_gateway(0), "archive the email threads", (), POOL, "q")
+    first = embedding_route(gateway, "archive the email threads", (), POOL)
+    second = embedding_route(mock_gateway(0), "archive the email threads", (), POOL)
     assert first == second
 
 
@@ -293,12 +293,12 @@ def test_embedding_route_embeds_each_pool_text_once():
 
     backend = CountingMock()
     gateway = Gateway(embedding_backend=backend, backoff_s=0.0)
-    first = embedding_route(gateway, "archive the email threads", (), POOL, "q")
-    second = embedding_route(gateway, "summarize the support tickets", (), POOL, "q")
+    first = embedding_route(gateway, "archive the email threads", (), POOL)
+    second = embedding_route(gateway, "summarize the support tickets", (), POOL)
     phi_texts = [serialize_phi(spec) for spec in POOL.specs()]
     assert sorted(backend.sent) == sorted(phi_texts + ["archive the email threads", "summarize the support tickets"])
-    assert first == embedding_route(mock_gateway(0), "archive the email threads", (), POOL, "q")
-    assert second == embedding_route(mock_gateway(0), "summarize the support tickets", (), POOL, "q")
+    assert first == embedding_route(mock_gateway(0), "archive the email threads", (), POOL)
+    assert second == embedding_route(mock_gateway(0), "summarize the support tickets", (), POOL)
 
 
 def divergence_fixture():
@@ -338,8 +338,8 @@ def divergence_fixture():
 def test_q_vs_q_plus_h_divergence():
     pool, query, history = divergence_fixture()
     gateway = mock_gateway(0)
-    q_decision = embedding_route(gateway, query, history, pool, "q")
-    qh_decision = embedding_route(gateway, query, history, pool, "q_plus_h")
+    q_decision = embedding_route(gateway, query, (), pool)
+    qh_decision = embedding_route(gateway, query, history, pool)
     assert q_decision.chosen == "report_builder"
     assert qh_decision.chosen == "flux_analyzer"
 
@@ -349,8 +349,8 @@ def test_q_plus_h_truncates_oldest_history(monkeypatch):
     gateway = mock_gateway(0)
     # limit so small only the query survives: behaves like the q variant
     monkeypatch.setattr(router, "MAX_HISTORY_CHARS", len(query) + 1)
-    tiny = embedding_route(gateway, query, history, pool, "q_plus_h")
-    plain = embedding_route(gateway, query, history, pool, "q")
+    tiny = embedding_route(gateway, query, history, pool)
+    plain = embedding_route(gateway, query, (), pool)
     assert tiny.chosen == plain.chosen
 
 
@@ -445,7 +445,12 @@ def test_route_abstains_on_malformed_embedding_row(row):
     gateway = Gateway(embedding_backend=StaticEmbeddingBackend(mapping, dim=2), backoff_s=0.0)
     decision = route(RouterConfig(variant="embedding_q"), "q", (), POOL, gateway)
     assert decision.abstained and decision.chosen is None
-    assert decision.rationale == "gateway error: backend embedding rows must be flat lists of finite numbers"
+    if isinstance(row[0], float):  # a NaN value gives the row a NaN norm, whose message names the text
+        assert decision.rationale == (
+            f"gateway error: embedding of {POOL.specs()[0].phi!r} has norm nan; a cosine needs a finite, nonzero norm"
+        )
+    else:
+        assert decision.rationale == "gateway error: backend embedding rows must be flat lists of finite numbers"
 
 
 @pytest.mark.parametrize("bad", ["query", "candidate", "overflow"])

@@ -9,7 +9,7 @@ from toolrouter.errors import BadConfig, EmptyGraph
 from toolrouter.gateway import EmbeddingVector
 from toolrouter.graph import CandidateGraph, Edge, GraphConfig, GraphNode
 from toolrouter.registry import validate_spec
-from toolrouter.sampler import CandidateSubset, SamplerConfig, sample_subset
+from toolrouter.sampler import SamplerConfig, sample_subset
 
 
 def tiny_graph(names, edges):
@@ -33,8 +33,6 @@ def test_config_validation():
     with pytest.raises(BadConfig):
         SamplerConfig(num_seeds=0)
     with pytest.raises(BadConfig):
-        SamplerConfig(target_size=1, num_seeds=2)
-    with pytest.raises(BadConfig):
         SamplerConfig(target_range=(5, 2))
     with pytest.raises(BadConfig):
         SamplerConfig(restart_prob=1.0)
@@ -48,7 +46,7 @@ def test_empty_graph_rejected():
 
 def test_isolated_node_graph():
     graph = tiny_graph(["solo"], [])
-    subset = sample_subset(graph, SamplerConfig(target_size=3, rng_seed=0))
+    subset = sample_subset(graph, SamplerConfig(target_range=(3, 3), rng_seed=0))
     assert subset.members == ("solo",)
     assert subset.seed_nodes == ("solo",)
     assert subset.walk_trace == ()
@@ -56,7 +54,7 @@ def test_isolated_node_graph():
 
 def test_path_graph_walk():
     graph = tiny_graph(["a", "b", "c"], [("a", "b", "similarity"), ("b", "c", "mutation")])
-    subset = sample_subset(graph, SamplerConfig(target_size=3, restart_prob=0.0, rng_seed=1))
+    subset = sample_subset(graph, SamplerConfig(target_range=(3, 3), restart_prob=0.0, rng_seed=1))
     assert set(subset.members) == {"a", "b", "c"}
     # every traced step walks a real edge
     pairs = {(e.a, e.b) for e in graph.edges}
@@ -68,14 +66,14 @@ def test_walk_uses_both_edge_kinds():
     graph = tiny_graph(["a", "b", "c"], [("a", "b", "similarity"), ("b", "c", "mutation")])
     kinds = set()
     for seed in range(50):
-        subset = sample_subset(graph, SamplerConfig(target_size=3, restart_prob=0.0, rng_seed=seed))
+        subset = sample_subset(graph, SamplerConfig(target_range=(3, 3), restart_prob=0.0, rng_seed=seed))
         kinds.update(kind for _, _, kind in subset.walk_trace)
     assert kinds == {"similarity", "mutation"}
 
 
 def test_component_exhaustion_draws_new_seed():
     graph = tiny_graph(["a", "b", "x", "y"], [("a", "b", "similarity"), ("x", "y", "similarity")])
-    subset = sample_subset(graph, SamplerConfig(target_size=4, rng_seed=0))
+    subset = sample_subset(graph, SamplerConfig(target_range=(4, 4), rng_seed=0))
     assert set(subset.members) == {"a", "b", "x", "y"}
     assert len(subset.seed_nodes) >= 2  # one per component
 
@@ -84,7 +82,7 @@ def test_requested_seeds_start_walks_before_random_ones():
     graph = tiny_graph(list("abcdef"), [("a", "b", "similarity"), ("c", "d", "similarity"), ("e", "f", "mutation")])
     pairs = {frozenset("ab"), frozenset("cd"), frozenset("ef")}
     for seed in range(20):
-        subset = sample_subset(graph, SamplerConfig(num_seeds=2, target_size=4, restart_prob=0.0, rng_seed=seed))
+        subset = sample_subset(graph, SamplerConfig(num_seeds=2, target_range=(4, 4), restart_prob=0.0, rng_seed=seed))
         requested = random.Random(seed).sample(graph.names(), 2)
         assert len(subset) == 4 and set(requested) <= set(subset.members)
         assert not set(subset.seed_nodes) & {step[1] for step in subset.walk_trace}  # a seed is never a walk step

@@ -38,7 +38,7 @@ def test_unused_import_check_flags_only_unreferenced_names():
     assert unused_imports(source) == ["line 2: os"]
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=[path.name for path in SOURCES])
+@pytest.mark.parametrize("path", PROJECT_FILES, ids=[path.name for path in PROJECT_FILES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
