@@ -82,7 +82,6 @@ _VALUE_CHECKS: dict[Any, tuple[str, Callable[[Any], bool]]] = {
     int | None: ("an integer or null", lambda v: v is None or _is_int(v)),
     float: ("a number", lambda v: _is_int(v) or isinstance(v, float)),
     str: ("a string", lambda v: isinstance(v, str)),
-    bool: ("a boolean", lambda v: isinstance(v, bool)),
     tuple[int, int]: (
         "a list of two integers",
         lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_int, v)),

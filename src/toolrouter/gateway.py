@@ -42,9 +42,15 @@ class ChatMessage:
 def check_temperature(value: float, error: type[ValueError] = ValueError) -> None:
     """Raise ``error`` unless ``value`` is a finite number >= 0: a NaN passes
     a ``< 0`` check, and a live backend would send NaN or inf as no valid JSON.
-    An int no float holds is named without its digits, which could fill a screen."""
+    An int past 20 digits is named by its sign and digit count, not by digits
+    that could fill a screen. The digits of one no float holds are not counted:
+    its text could pass the interpreter's int digit limit."""
     if not (finite(value) and value >= 0):
-        shown = "an integer no float holds" if isinstance(value, int) and not finite(value) else repr(value)
+        if isinstance(value, int) and abs(value) >= 10**20:
+            digits = len(str(abs(value))) if finite(value) else "309 or more"
+            shown = f"{'a negative' if value < 0 else 'an'} integer of {digits} digits"
+        else:
+            shown = repr(value)
         raise error(f"temperature must be finite and >= 0, got {shown}")
 
 

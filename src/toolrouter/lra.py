@@ -186,7 +186,8 @@ def run_episode(
     the words of the template's other lines are read once per process. A reply
     that is no JSON object (code fence optional), whose ``need`` or
     ``answer`` is no string, or whose ``arguments`` is no object, is the
-    final answer as it stands.
+    final answer as it stands. A final answer ends the episode ``finished``,
+    or ``error`` when it routed and every route abstained.
     """
     if budget < 1:
         raise BadConfig(f"budget must be >= 1, got {budget}")
@@ -238,7 +239,8 @@ def run_episode(
             turns.append(Action(text=f"execute() -> [execution result] {result}"))
         else:
             log.final_answer = action.get("answer", "")
-            log.outcome = "finished"
+            decisions = [step.decision for step in log.steps if step.decision is not None]
+            log.outcome = "error" if decisions and all(d.abstained for d in decisions) else "finished"
             break
         added = serialize_history(turns[-1:])
         transcript = f"{transcript}\n{added}" if transcript else added

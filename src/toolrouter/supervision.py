@@ -134,14 +134,15 @@ class DatasetRecord:
         return "expected_agent" if self.kind == "agent" else "expected_tool"
 
     def to_dict(self) -> dict:
+        """The record's JSON document, ``pool`` first: a reader finds it at a written line's start."""
         return {
+            "pool": list(self.pool_specs),
             "system": self.system,
             "user": self.user,
             self.expected_key: [self.label],
             "kind": self.kind,
             "query": self.query,
             "history": [turn_to_dict(t) for t in self.history],
-            "pool": list(self.pool_specs),
             "label": self.label,
             "group": self.group,
             "origin": self.origin,
@@ -278,9 +279,10 @@ class _PoolText:
 
 def _line(record: DatasetRecord, pool: _PoolText) -> str:
     """``JSON_LINE.encode(record.to_dict())``: each value encoded on its own and
-    joined in ``to_dict`` order with the encoder's ", " and ": " separators.
-    ``pool``, the texts of the pool the record was rendered over, gives the
-    ``pool`` field and the block in ``user`` without encoding them again."""
+    joined in ``to_dict`` order with the encoder's ", " and ": " separators, so
+    the line opens with its ``pool`` field. ``pool``, the texts of the pool the
+    record was rendered over, gives the ``pool`` field and the block in
+    ``user`` without encoding them again."""
     encoded = {"user": pool.user(record.user), "pool": pool.field}
     fields = (
         f"{JSON_LINE.encode(key)}: {encoded[key] if key in encoded else JSON_LINE.encode(value)}"
@@ -290,75 +292,50 @@ def _line(record: DatasetRecord, pool: _PoolText) -> str:
 
 
 _DECODE = json.JSONDecoder().raw_decode  # the decoder of json.loads, from a given index on
-# The keys of a dataset line in the order ``_line`` writes them (``DatasetRecord.to_dict``), for either kind.
-_LINE_KEYS = tuple(
-    ("system", "user", f"expected_{kind}", "kind", "query", "history", "pool", "label", "group", "origin")
-    for kind in ("tool", "agent")
-)
-_POOL_END = '], "label": '  # what follows a pool text in a written line
+_POOL_START = '{"pool": '  # how a written line opens: its pool text starts at len(_POOL_START)
+_POOL_END = '], "system": '  # what follows a pool text in a written line
 
 
 class _DatasetReader:
     """Reads dataset lines, decoding and checking each distinct ``pool`` text once.
 
-    A line in the form ``_line`` writes is read field by field, and its pool
-    text is first looked up among the texts read before: a JSON array ends
-    where its text does, so a known text at the field's start is the field.
-    A new text is decoded and checked once, and every line with that text
-    gets the same tuple of entries. Any other line is decoded whole.
+    A line that opens with ``_POOL_START`` has its pool text looked up among
+    the texts read before: a JSON array ends where its text does, so a known
+    text at the pool's start is the field. A new text is decoded and checked
+    once, and every line with that text gets the same tuple of entries. The
+    rest of the line is decoded as one object. Any other line is decoded whole,
+    as is a line whose pool is no list of dicts or whose rest is no JSON object
+    with keys and without a second ``pool``.
     """
 
     def __init__(self) -> None:
         self.pools: dict[str, tuple[dict, ...]] = {}  # pool text -> its checked entries
-        self.sizes: set[int] = set()  # the lengths of those texts
 
     def record(self, line: str) -> DatasetRecord:
         """The record a dataset line holds."""
-        written = self._written(line)
-        if written is None:
-            return DatasetRecord.from_dict(json_object(line))
-        # The document is the line's, with an empty pool in place of the entries checked before.
-        document, pool_specs = written
-        return replace(DatasetRecord.from_dict(document), pool_specs=pool_specs)
+        if line.startswith(_POOL_START):
+            try:
+                pool_specs, end = self._pool(line)
+                rest = json_object("{" + line[end + 2 :]) if line.startswith(", ", end) else None
+            except (RecursionError, TypeError, ValueError):  # no JSON, or a pool that is no list of dicts
+                rest = None
+            if rest and "pool" not in rest:  # an empty rest is a trailing ", " in the line
+                # The document is the line's, with an empty pool in place of the entries checked before.
+                rest["pool"] = []
+                return replace(DatasetRecord.from_dict(rest), pool_specs=pool_specs)
+        return DatasetRecord.from_dict(json_object(line))
 
-    def _written(self, line: str) -> tuple[dict, tuple[dict, ...]] | None:
-        """The line's document, its pool emptied, and its pool entries when the
-        line is in the form ``_line`` writes and its pool is a list of dicts; None otherwise."""
-        if not line.startswith("{"):
-            return None
-        document: dict = {}
-        pool_specs: tuple[dict, ...] = ()
-        at = 1
-        try:
-            while True:
-                key, at = _DECODE(line, at)
-                if type(key) is not str or not line.startswith(": ", at):
-                    return None
-                if key == "pool":
-                    pool_specs, at = self._pool(line, at + 2)
-                    document[key] = []
-                else:
-                    document[key], at = _DECODE(line, at + 2)
-                if not line.startswith(", ", at):
-                    break
-                at += 2
-        except (TypeError, ValueError):  # no JSON, or a pool that is no list of dicts
-            return None
-        if line[at:] != "}" or tuple(document) not in _LINE_KEYS:
-            return None
-        return document, pool_specs
-
-    def _pool(self, line: str, at: int) -> tuple[tuple[dict, ...], int]:
-        """The entries of the pool text at ``at`` and the index after it. A text
-        read before is found among the ends ``_POOL_END`` marks by its length."""
+    def _pool(self, line: str) -> tuple[tuple[dict, ...], int]:
+        """The entries of the pool text that opens the line and the index after
+        it. A text read before is found among the ends ``_POOL_END`` marks."""
+        at = len(_POOL_START)
         end = line.find(_POOL_END, at)
         while end >= 0:
-            if end + 1 - at in self.sizes and (text := line[at : end + 1]) in self.pools:
+            if (text := line[at : end + 1]) in self.pools:
                 return self.pools[text], end + 1
             end = line.find(_POOL_END, end + 1)
         value, end = _DECODE(line, at)
         pool_specs = self.pools[line[at:end]] = _pool_entries(value)
-        self.sizes.add(end - at)
         return pool_specs, end
 
 
@@ -368,11 +345,13 @@ def load_dataset(path: str | Path) -> list[DatasetRecord]:
     Each distinct ``pool`` text is decoded and checked once per call: records
     whose lines hold equal pool text share one ``pool_specs`` tuple, and so
     its dicts. An in-place edit of one record's pool documents therefore
-    shows in every record of the file read with the same text. A line in the
-    form ``_line`` writes (keys in ``to_dict`` order, the encoder's ``", "``
-    and ``": "`` separators) is read field by field; any other line is
-    decoded whole, so the records and each ``file:line`` error are those of
-    ``DatasetRecord.from_dict(json.loads(line))``.
+    shows in every record of the file read with the same text. A line that
+    opens with its pool, as ``_line`` writes it, is read as its pool text and
+    the rest of the line; any other line is decoded whole, so the records and
+    each ``file:line`` error are those of
+    ``DatasetRecord.from_dict(json.loads(line))``. A file whose lines hold
+    ``pool`` after other keys loads to the same records, but each of them has
+    a tuple of its own.
     """
     path = Path(path)
     return parse_lines(path, read_lines(path, "dataset"), _DatasetReader().record)

@@ -368,6 +368,11 @@ def test_broken_snapshot_exits_1(workspace, case):
             for section in ("mutation", "synthesis", "eval")
             for digits in (401, 5000)
         ),
+        # a negative int a float holds, of 300 digits
+        *(
+            pytest.param(f"seed: 1\n{section}:\n  temperature: -{'9' * 300}\n", id=f"{section}-negative-300-digits")
+            for section in ("mutation", "synthesis", "eval")
+        ),
         "seed: 1\nsynthesis:\n  max_retries: -1\n",  # synthesize would make no attempt
         "seed: 1\nbackend:\n  max_retries: -1\n",  # the gateway would make no attempt
         "seed: 1\nbackend:\n  embed_dim: 0\n",  # no embedding row to score
@@ -943,8 +948,8 @@ eval:
 # A change to them must be explained in CHANGES.md.
 PINNED_DOWNSTREAM = {
     "trajs.jsonl": "5cccf7da99efe87cfae0b1d954dc7f50e01c1e4db6d3ad5266007bf84048ac56",
-    "dataset.jsonl": "06499c0f8000208d7569eb9863076ded7f611652c0aa25b5e8a1790b1dbeb099",
-    "dataset.jsonl.nohistory": "e461ad9e2b727522b1120c57891b57bd54d7c53443f63c32db1cf2a9ad58a8bf",
+    "dataset.jsonl": "86041fda7a11c3beda964aa3ba80cdeb889b1f20e369acaf384149f3df2d437d",
+    "dataset.jsonl.nohistory": "aaf3fac748fc92c8ff963c77892a44fe336a4bfc524ea7f21b79ebf5d0a86e0d",
     "results.jsonl": "0b2894fd595990278be93fc013a6edf462de5503f271f42314760455aa785062",
 }
 
@@ -974,8 +979,8 @@ def test_downstream_artifacts_byte_identical_to_pinned(tmp_path):
 # sha256 of the extract --pool-scope graph --ablation files over the same chain as
 # PINNED_DOWNSTREAM: every record inlines the whole graph as its pool.
 PINNED_GRAPH_SCOPE = {
-    "dataset.jsonl": "41b6c24e1297e43ded31edf2d2ef17469017848ac13e27d1d119891b86deb348",
-    "dataset.jsonl.nohistory": "7c617036825d233ba4058828a7ba7f3a9c166ab56539f9628dbcc3462b68cb20",
+    "dataset.jsonl": "a4c500fb3f08f71ee63e36c9971ed949f628e548e37a7a0671432266e70a35e9",
+    "dataset.jsonl.nohistory": "5888d09222cdf86f09c23d5fc4ca25eb79e06dce59951000de9a2e24510fa589",
 }
 
 

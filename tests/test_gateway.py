@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -79,6 +80,17 @@ def test_chat_request_invariants():
         ChatRequest(messages=(ChatMessage("assistant", "hi"),))
     for temperature in (-1, math.nan, math.inf):  # NaN passes a "< 0" check, and no live backend takes NaN or inf
         with pytest.raises(ValueError, match="temperature must be finite and >= 0"):
+            user_request("hi", temperature=temperature)
+    named = {
+        -12345678901234567890: "-12345678901234567890",  # 20 digits: as written
+        -(10**20): "a negative integer of 21 digits",
+        -int("9" * 300): "a negative integer of 300 digits",
+        10**400: "an integer of 309 or more digits",  # no float holds it
+        -(10**5000): "a negative integer of 309 or more digits",  # past the interpreter's int digit limit
+        -0.5: "-0.5",
+    }
+    for temperature, shown in named.items():
+        with pytest.raises(ValueError, match=f"^temperature must be finite and >= 0, got {re.escape(shown)}$"):
             user_request("hi", temperature=temperature)
 
 

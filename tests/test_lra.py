@@ -18,7 +18,7 @@ from toolrouter.lra import (
     save_episode_logs,
 )
 from toolrouter.registry import CandidateBank, CandidatePool, validate_spec
-from toolrouter.router import RouterConfig
+from toolrouter.router import RouterConfig, RouterDecision
 from toolrouter.synthesis import Observation, serialize_history
 
 BANK = make_tool_bank(10)
@@ -231,6 +231,33 @@ def test_reply_the_loop_cannot_act_on_is_the_final_answer(reply):
     log = run_episode("task", POOL, router, ExecutorBinding.mock_for(POOL), FixedReasoner(reply), gateway=gateway)
     assert (log.outcome, log.final_answer) == ("finished", reply)
     assert len(log.steps) == 1 and log.steps[0].decision is None
+
+
+@pytest.mark.parametrize(
+    "abstained, outcome",
+    [([True, True], "error"), ([True, False], "finished"), ([False, True], "finished")],
+)
+def test_an_episode_whose_every_route_abstained_ends_in_error(monkeypatch, abstained, outcome):
+    """A final answer after routes that all abstained ends an episode that
+    executed no routed candidate: its outcome is error, not finished."""
+    decisions = iter([RouterDecision(chosen=None if a else LABEL, abstained=a) for a in abstained])
+    monkeypatch.setattr(lra, "route", lambda *args, **kwargs: next(decisions))
+    steps = [({"action": "route", "need": "n"}, {"action": "execute", "arguments": {}}) for _ in abstained]
+    reasoner = scripted(*[action for pair in steps for action in pair], {"action": "final", "answer": "done"})
+    log = run_episode("task", POOL, ORACLE, ExecutorBinding.mock_for(POOL), reasoner)
+    assert (log.outcome, log.final_answer) == (outcome, "done")
+
+
+def test_an_oracle_route_without_a_label_abstains_and_the_episode_ends_in_error():
+    reasoner = scripted(
+        {"action": "route", "need": "something capable"},
+        {"action": "execute", "arguments": {}},
+        {"action": "final", "answer": "done"},
+    )
+    log = run_episode("task", POOL, ORACLE, ExecutorBinding.mock_for(POOL), reasoner)
+    assert log.steps[0].decision.abstained
+    assert "ExecuteBeforeRoute" in log.steps[1].execution_result
+    assert (log.outcome, log.final_answer) == ("error", "done")
 
 
 class FencedReasoner(ScriptedReasoner):

@@ -449,11 +449,13 @@ def test_a_dataset_line_whose_origin_is_no_object_is_a_parse_error(tmp_path, ori
 
 
 # Texts and call argument or origin keys that a dataset line's top level also
-# holds: a pool's start and end, and the key that follows the pool.
-_FIELD_TEXT = st.one_of(_SHORT_TEXT, st.sampled_from(['"pool": [', '"label": ', '], "label": ', '\\"', " "]))
-_FIELD_KEYS = st.sampled_from(["pool", "label", "target"])
+# holds: a pool's start and end, and the keys that follow the pool.
+_FIELD_TEXT = st.one_of(
+    _SHORT_TEXT, st.sampled_from(['"pool": [', '"label": ', '], "label": ', '], "system": ', '\\"', " "])
+)
+_FIELD_KEYS = st.sampled_from(["pool", "label", "system", "target"])
 # Pools of documents no spec accepts, whose texts hold the text that follows a pool inside them.
-_ODD_POOLS = [({"x": ["y"], "label": "z"},), ({"x": ["y"], "label": "z"}, {"x": [], "label": []})]
+_ODD_POOLS = [({"x": ["y"], "system": "z"},), ({"x": ["y"], "system": "z"}, {"x": [], "system": []})]
 
 
 @st.composite
@@ -487,11 +489,21 @@ def _written_datasets(draw):
     return trajectories, chosen, [draw(edits) for _ in range(sum(map(candidate_calls, trajectories)))]
 
 
-# How a line is rewritten: as written, with its keys in reverse order, or with other separators.
+def _pool_after_history(line):
+    """The line in the key order of files written before ``pool`` came first: after ``history``."""
+    document = json.loads(line)
+    items = [item for item in document.items() if item[0] != "pool"]
+    at = [key for key, _ in items].index("history") + 1
+    return JSON_LINE.encode(dict([*items[:at], ("pool", document["pool"]), *items[at:]]))
+
+
+# How a line is rewritten: as written, with its keys in reverse order, with other
+# separators, or in the key order of files written before ``pool`` came first.
 _REWRITES = {
     "written": lambda line: line,
     "reordered": lambda line: JSON_LINE.encode(dict(reversed(json.loads(line).items()))),
     "respaced": lambda line: json.dumps(json.loads(line), ensure_ascii=False, separators=(",", ":")),
+    "previous": _pool_after_history,
 }
 
 
@@ -515,3 +527,34 @@ def test_load_dataset_equals_decoding_each_line_whole(tmp_path_factory, inputs, 
         rewrite = (_REWRITES[rewrites[i % len(rewrites)]] for i in range(len(lines)))
         rewritten.write_text("".join(edit(line) + "\n" for edit, line in zip(rewrite, lines)), encoding="utf-8")
         assert load_dataset(rewritten) == records
+
+
+# Lines that open with a known pool text, as a written line does, but whose rest
+# the pool-first read cannot take: a second pool key, no rest, an empty rest, a
+# rest that is no JSON; and a pool that is no list of dicts.
+_ODD_LINES = {
+    "second-pool": lambda pool, rest: f'{{"pool": {pool}, {rest[:-1]}, "pool": []}}',
+    "no-rest": lambda pool, rest: f'{{"pool": {pool}}}',
+    "empty-rest": lambda pool, rest: f'{{"pool": {pool}, }}',
+    "rest-no-json": lambda pool, rest: f'{{"pool": {pool}, {rest[:-1]}, "x": }}',
+    "pool-of-ints": lambda pool, rest: f'{{"pool": [1], {rest}',
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ODD_LINES))
+def test_an_odd_line_that_opens_with_its_pool_is_decoded_whole(tmp_path, name):
+    record = render_sample(extract_instances(make_trajectory("o0", [[NAMES[0]]]), POOL)[0])
+    line = JSON_LINE.encode(record.to_dict())
+    pool = JSON_LINE.encode(list(record.pool_specs))
+    assert line.startswith(f'{{"pool": {pool}, ')
+    odd = _ODD_LINES[name](pool, line[len(f'{{"pool": {pool}, ') :])
+    path = tmp_path / "data.jsonl"
+    path.write_text(f"{line}\n{odd}\n", encoding="utf-8")
+    try:
+        expected = [record, DatasetRecord.from_dict(json.loads(odd))]
+    except (KeyError, TypeError, ValueError) as exc:
+        message = f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
+        with pytest.raises(ParseError, match=re.escape(f"{path}:2: {message}")):
+            load_dataset(path)
+    else:
+        assert load_dataset(path) == expected

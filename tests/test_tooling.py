@@ -43,17 +43,24 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
-def unreferenced_private_functions(sources: dict[str, str]) -> list[str]:
-    """Module-level ``_name`` functions that no module references by name."""
+def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
+    """Module-level ``_name`` functions, classes and assigned names that no
+    module references by name; an assignment is no reference."""
     defined: dict[str, str] = {}
     referenced: set[str] = set()
     for module, source in sources.items():
         tree = ast.parse(source)
         for node in tree.body:
-            if isinstance(node, ast.FunctionDef) and node.name.startswith("_") and not node.name.startswith("__"):
-                defined[node.name] = module
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [name.id for target in targets for name in ast.walk(target) if isinstance(name, ast.Name)]
+            else:
+                names = []
+            defined.update((name, module) for name in names if name.startswith("_") and not name.startswith("__"))
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 referenced.add(node.id)
             elif isinstance(node, ast.Attribute):
                 referenced.add(node.attr)
@@ -62,15 +69,17 @@ def unreferenced_private_functions(sources: dict[str, str]) -> list[str]:
     return sorted(f"{module}: {name}" for name, module in defined.items() if name not in referenced)
 
 
-def test_private_function_check_flags_only_unreferenced_functions():
+def test_private_name_check_flags_only_unreferenced_names():
     sources = {"a.py": "def _used():\n    pass\ndef _dead():\n    _used()\n", "b.py": "from a import _imported\n"}
     sources["a.py"] += "def _imported():\n    pass\n"
-    assert unreferenced_private_functions(sources) == ["a.py: _dead"]
+    sources["a.py"] += "_USED, _DEAD = 1, 2\n_ALSO_DEAD: int = _USED\nclass _Dead:\n    pass\nclass _Used:\n    pass\n"
+    sources["b.py"] += "import a\nx = a._Used()\n"
+    assert unreferenced_private_names(sources) == ["a.py: _ALSO_DEAD", "a.py: _DEAD", "a.py: _Dead", "a.py: _dead"]
 
 
-def test_every_private_function_is_referenced():
+def test_every_private_name_is_referenced():
     sources = {path.name: path.read_text(encoding="utf-8") for path in SOURCES}
-    assert unreferenced_private_functions(sources) == []
+    assert unreferenced_private_names(sources) == []
 
 
 def _is_click_command(node: ast.FunctionDef | ast.ClassDef) -> bool:
