@@ -65,6 +65,8 @@ def write_lines(path: str | Path, lines: Iterable[str], what: str) -> int:
         os.replace(partial, path)
     except OSError as exc:
         raise IoError(f"cannot write {what} {path}: {exc}") from exc
+    except UnicodeEncodeError as exc:  # a lone surrogate
+        raise IoError(f"cannot write {what} {path}: U+{ord(exc.object[exc.start]):04X} is no UTF-8 text") from exc
     finally:
         partial.unlink(missing_ok=True)
     return count
@@ -86,14 +88,22 @@ def record_error(location: str, exc: Exception) -> ParseError:
     return ParseError(location, f"missing field {exc}" if isinstance(exc, KeyError) else str(exc))
 
 
-def read_lines(path: Path, what: str) -> list[str]:
-    """The lines of a UTF-8 text file, split at "\\n" alone: ``JSON_LINE`` writes
-    U+0085, U+2028 and U+2029 raw, and ``str.splitlines`` would split at them.
-    IoError names ``what`` when the file cannot be read."""
+def read_text(path: Path, what: str) -> str:
+    """The text of a UTF-8 file: IoError naming ``what`` when it cannot be
+    read, ParseError at the first byte that is no UTF-8."""
     try:
-        lines = path.read_text(encoding="utf-8").split("\n")
+        return path.read_text(encoding="utf-8")
     except OSError as exc:
         raise IoError(f"cannot read {what} {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(str(path), f"no UTF-8 text at byte {exc.start}") from exc
+
+
+def read_lines(path: Path, what: str) -> list[str]:
+    """The lines of a UTF-8 text file (see ``read_text``), split at "\\n" alone:
+    ``JSON_LINE`` writes U+0085, U+2028 and U+2029 raw, and ``str.splitlines``
+    would split at them."""
+    lines = read_text(path, what).split("\n")
     if not lines[-1]:  # what follows the last newline, or an empty file
         lines.pop()
     return lines

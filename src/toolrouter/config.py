@@ -9,8 +9,9 @@ from typing import Any, Callable, Iterable, get_type_hints
 
 import yaml
 
+from ._util import read_text
 from .backends import HTTPChatBackend, HTTPEmbeddingBackend, MockChatBackend, MockEmbeddingBackend
-from .errors import BadConfig, IoError, ParseError
+from .errors import BadConfig, ParseError
 from .gateway import Gateway
 from .graph import DEFAULT_TAU, GraphConfig
 from .mutation import EvolveConfig
@@ -121,9 +122,7 @@ def load_config(
     if path is not None:
         path = Path(path)
         try:
-            raw = yaml.safe_load(path.read_text(encoding="utf-8")) or {}
-        except OSError as exc:
-            raise IoError(f"cannot read config {path}: {exc}") from exc
+            raw = yaml.safe_load(read_text(path, "config")) or {}
         except yaml.YAMLError as exc:
             raise ParseError(str(path), "invalid YAML") from exc
         except (RecursionError, ValueError) as exc:  # nested past the recursion limit, an int past the digit limit

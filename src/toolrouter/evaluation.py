@@ -146,36 +146,15 @@ def _pool_key(record: DatasetRecord) -> bytes | str:
     Version 2 writes no interning or sharing marks, so the bytes depend only
     on the values, their exact types and the key order: two pools that differ
     in key order, in 1, 1.0 and True, or in a list and a tuple get two keys.
-    Marshal also writes any buffer (a numpy scalar, bytes) as bytes, so
-    ``evaluate()`` stores a pool under these bytes only when ``_plain`` holds.
-    A value marshal refuses (an OrderedDict, a str subclass) keys by JSON text.
+    ``evaluate()`` stores a new pool under these bytes only when marshal reads
+    them back equal to it: not a numpy scalar, which marshal writes as bytes,
+    nor a NaN. A value marshal refuses (an OrderedDict, a str subclass) keys
+    by JSON text.
     """
     try:
         return marshal.dumps((record.kind, record.pool_specs), 2)
     except ValueError:
         return _pool_json(record)
-
-
-_PLAIN_SCALARS = (str, int, float, bool, type(None))
-
-
-def _plain(value: object) -> bool:
-    """Whether ``value`` holds only exact dicts with str keys, lists, tuples,
-    str, int, float, bool and None. Iterative, so any depth JSON takes is fine;
-    ``value`` must have no cycle, as any JSON-encoded value."""
-    stack = [value]
-    while stack:
-        item = stack.pop()
-        kind = type(item)
-        if kind is dict:
-            if not all(type(key) is str for key in item):
-                return False
-            stack.extend(item.values())
-        elif kind is list or kind is tuple:
-            stack.extend(item)
-        elif kind not in _PLAIN_SCALARS:
-            return False
-    return True
 
 
 def evaluate(
@@ -221,10 +200,10 @@ def evaluate(
             try:
                 key = _pool_key(record)
                 if key not in setting._pools:
-                    # A new pool: check it is JSON, once. Key it by that text unless every value is
-                    # plain, so that only a plain pool, stored when it was JSON, matches these bytes.
+                    # A new pool: check it is JSON, once. Key it by that text when marshal reads its bytes
+                    # back as another value (a numpy scalar, a NaN), so that only the pool they hold owns them.
                     text = _pool_json(record)
-                    if not _plain((record.kind, record.pool_specs)):
+                    if isinstance(key, bytes) and marshal.loads(key) != (record.kind, record.pool_specs):
                         key = text
                 if key not in setting._pools:
                     inline = _record_pool(record)

@@ -31,6 +31,7 @@ from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence, Set
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -158,28 +159,6 @@ class _Store:
         self.edge_weight.extend(weights)
 
 
-class _Specs(Mapping):
-    """name -> CandidateSpec over the first n rows of a store."""
-
-    def __init__(self, store: _Store, n: int) -> None:
-        self._store, self._n = store, n
-
-    def __getitem__(self, name: str) -> CandidateSpec:
-        row = self._store.index.get(name, self._n)
-        if row >= self._n:
-            raise KeyError(name)
-        return self._store.specs[row]
-
-    def __contains__(self, name: object) -> bool:
-        return self._store.index.get(name, self._n) < self._n
-
-    def __len__(self) -> int:
-        return self._n
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._store.names[: self._n])
-
-
 class _Edges(Set):
     """A snapshot's edges as Edge objects in (a, b, kind) order, built as they are read."""
 
@@ -234,7 +213,6 @@ class CandidateGraph:
     def _bind(self, config: GraphConfig, store: _Store) -> None:
         self.config = config
         self._store, self._n, self._m = store, len(store), len(store.edge_x)
-        self.specs: Mapping[str, CandidateSpec] = _Specs(store, self._n)
 
     @property
     def edges(self) -> Set[Edge]:
@@ -242,6 +220,11 @@ class CandidateGraph:
 
     def __len__(self) -> int:
         return self._n
+
+    @cached_property
+    def specs(self) -> Mapping[str, CandidateSpec]:
+        """name -> spec of the snapshot's nodes in store order, read-only; built on first read."""
+        return MappingProxyType(dict(zip(self._store.names[: self._n], self._store.specs[: self._n])))
 
     @property
     def kind(self) -> str | None:

@@ -13,11 +13,10 @@ from functools import cached_property
 from pathlib import Path
 from typing import Any, Iterable, Iterator
 
-from ._util import RECORD_ERRORS, read_jsonl, record_error, write_jsonl
+from ._util import RECORD_ERRORS, json_object, parse_lines, read_text, record_error, write_jsonl
 from .errors import (
     BadAgentName,
     DuplicateToolEntry,
-    IoError,
     MissingField,
     ParseError,
     SchemaMalformed,
@@ -336,10 +335,7 @@ def load_bank(path: str | Path) -> CandidateBank:
     ParseError at its ``file[i]`` (array) or ``file:line`` (JSONL).
     """
     path = Path(path)
-    try:
-        raw = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise IoError(f"cannot read bank file {path}: {exc}") from exc
+    raw = read_text(path, "bank file")
     kind: str | None = None  # set from the first entry
 
     def parse(document: Any) -> CandidateSpec:
@@ -362,7 +358,7 @@ def load_bank(path: str | Path) -> CandidateBank:
         except RECORD_ERRORS as exc:
             raise record_error(f"{path}[{len(entries)}]", exc) from exc
     else:
-        entries = read_jsonl(path, "bank file", parse)
+        entries = parse_lines(path, raw.split("\n"), lambda line: parse(json_object(line)))
     if not entries:
         raise ParseError(str(path), "empty bank file")
     return CandidateBank(kind=kind, entries=tuple(entries))

@@ -382,6 +382,7 @@ def test_broken_snapshot_exits_1(workspace, case):
         "seed: 1\nsynthesis:\n  error_prob: -1\n",  # a probability
         "seed: 1\nsynthesis:\n  error_prob: 7\n",
         "seed: 1\nmutation:\n  tool_fraction: -2\n",  # unknown key, whatever its value
+        "seed: null\n",  # mock mode needs a seed
     ],
 )
 def test_bad_config_exits_1(workspace, config_text):
@@ -507,11 +508,13 @@ TOOL_FIELD_CASES = sorted(case for case, (kind, _, _) in MALFORMED_SPEC_FIELDS.i
          "{path}:2: expected_tool"),
         # a pool entry with a mistyped field fails in evaluate, which names the field
         *(("dataset", _edit_first_pool_entry(case), MALFORMED_SPEC_FIELDS[case][2]) for case in TOOL_FIELD_CASES),
+        ("dataset", lambda doc: {**doc, "kind": "robot"}, "{path}:2: unknown kind 'robot'"),
     ],
     ids=[
         "traj-not-object", "traj-members-int", "traj-alternation", "dataset-not-object", "dataset-pool-int",
         "dataset-query-int", "dataset-label-outside-pool", "dataset-expected-not-label",
         *(f"dataset-pool-{case}" for case in TOOL_FIELD_CASES),
+        "dataset-kind-unknown",
     ],
 )
 def test_malformed_jsonl_line_exits_1(chain_files, target, edit, where):
@@ -829,6 +832,8 @@ MALFORMED_BANK_ENTRIES = {
     **MALFORMED_SPEC_FIELDS,
     "entry-not-object": ("tool", lambda doc: [doc], None),
     "provenance-not-object": ("tool", lambda doc: {**doc, "provenance": 5}, None),
+    "provenance-origin-unknown": ("tool", lambda doc: {**doc, "provenance": {"origin": "copied"}}, None),
+    "agent-17-tools": ("agent", lambda doc: {**doc, "tools": [f"tool_{i}" for i in range(17)]}, None),
 }
 
 
@@ -900,6 +905,101 @@ def test_evaluate_refuses_a_dataset_of_tool_and_agent_records(workspace):
     result = run(["evaluate", "--config", config_path, "--dataset", str(dataset), "--router", "oracle"])
     one_error_line(result)
     assert f"{dataset}[2]: agent record in a dataset of tool records" in result.output
+
+
+# Each command and the input it reads, as (its arguments, the input's path):
+# the workspace bank, the chain's graph, trajectories and dataset, or the config.
+def _reading_commands(chain_files):
+    config, graph, trajs, dataset = chain_files
+    bank, out = graph.parent / "bank.jsonl", str(graph.parent / "out.jsonl")
+    return {
+        "build-graph": (["build-graph", *config, "--bank", str(bank), "--out", out], bank),
+        "mutate": (["mutate", *config, "--graph", str(graph), "--rounds", "1", "--out", out], graph),
+        "sample": (["sample", *config, "--graph", str(graph), "--out", out], graph),
+        "synthesize": (["synthesize", *config, "--graph", str(graph), "--out", out], graph),
+        "extract": (["extract", *config, "--trajectories", str(trajs), "--graph", str(graph), "--out", out], trajs),
+        "evaluate": (["evaluate", *config, "--dataset", str(dataset), "--router", "oracle", "--out", out], dataset),
+        "lra-run": (["lra-run", *config, "--bank", str(bank), "--task", "t", "--out", out], bank),
+        "config": (["build-graph", *config, "--bank", str(bank), "--out", out], Path(config[1])),
+    }
+
+
+@pytest.mark.parametrize(
+    "command", ["build-graph", "mutate", "sample", "synthesize", "extract", "evaluate", "lra-run", "config"]
+)
+def test_an_input_that_is_no_utf8_text_exits_1(chain_files, command):
+    args, path = _reading_commands(chain_files)[command]
+    path.write_bytes(b"\xff\xfe" + path.read_bytes())  # a UTF-16 byte order mark
+    result = run(args)
+    one_error_line(result)
+    assert f"parse error at {path}: no UTF-8 text at byte 0" in result.output
+    assert not (path.parent / "out.jsonl").exists()
+
+
+def test_a_trajectory_text_that_utf8_cannot_encode_exits_1_and_keeps_the_old_dataset(chain_files):
+    config, graph, trajs, dataset = chain_files
+    lines = trajs.read_text(encoding="utf-8").splitlines()
+    document = json.loads(lines[1])
+    document["turns"][0]["text"] += "\ud800"  # a lone surrogate, written as a JSON escape
+    lines[1] = json.dumps(document)
+    trajs.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    old = dataset.read_bytes()
+    result = run(["extract", *config, "--trajectories", str(trajs), "--graph", str(graph), "--out", str(dataset)])
+    one_error_line(result)
+    assert f"cannot write dataset {dataset}: U+D800 is no UTF-8 text" in result.output
+    assert dataset.read_bytes() == old
+
+
+def test_a_bank_description_that_utf8_cannot_encode_exits_1_and_keeps_the_old_graph(chain_files):
+    config, graph, _, _ = chain_files
+    docs = [make_tool_doc(i) for i in range(4)]
+    docs[0]["description"] += " \ud800"
+    bank = graph.parent / "bank.json"
+    bank.write_text(json.dumps(docs), encoding="utf-8")
+    old = graph.read_bytes()
+    result = run(["build-graph", *config, "--bank", str(bank), "--out", str(graph)])
+    one_error_line(result)
+    assert f"cannot write graph snapshot {graph}: U+D800 is no UTF-8 text" in result.output
+    assert graph.read_bytes() == old
+
+
+# Inputs each command checks before it writes: case -> (a function of the
+# chain's files that prepares the inputs and returns the arguments, a phrase of the error).
+COMMAND_INPUT_ERRORS = {
+    "graph-a-directory": (
+        lambda config, graph, trajs, dataset: ["sample", *config, "--graph", str(graph.parent), "--out", str(dataset)],
+        "cannot read graph snapshot",
+    ),
+    "out-in-a-missing-directory": (
+        lambda config, graph, trajs, dataset: ["sample", *config, "--graph", str(graph), "--out",
+                                               str(graph.parent / "missing" / "subsets.jsonl")],
+        "cannot write subset file",
+    ),
+    "bank-array-no-json": (
+        lambda config, graph, trajs, dataset: ["build-graph", *config, "--bank", _written(graph.parent / "bank.json",
+                                               "[\n{,}\n]\n"), "--out", str(graph)],
+        "bank.json:2: ",
+    ),
+    "num-seeds-above-graph-size": (
+        lambda config, graph, trajs, dataset: ["sample", "--config", _written(graph.parent / "seeds.yaml",
+                                               "seed: 1\nsampler:\n  num_seeds: 13\n"), "--graph", str(graph),
+                                               "--out", str(dataset)],
+        "num_seeds exceeds graph size",
+    ),
+}
+
+
+def _written(path: Path, text: str) -> str:
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("case", sorted(COMMAND_INPUT_ERRORS))
+def test_a_command_input_it_cannot_use_exits_1(chain_files, case):
+    args, phrase = COMMAND_INPUT_ERRORS[case]
+    result = run(args(*chain_files))
+    one_error_line(result)
+    assert phrase in result.output
 
 
 # sha256 of the mock build-graph and mutate snapshots, edge weights included.

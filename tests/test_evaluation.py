@@ -508,8 +508,10 @@ def test_equal_pools_made_three_ways_build_once_per_setting(monkeypatch, routed,
         [{"type": "string", "description": "d"}, {"description": "d", "type": "string"}],
         [{"type": "integer", "description": "d", "default": value} for value in (1, 1.0, True)],
         [{"type": "string", "description": "d", "examples": value} for value in (["a", "b"], ("a", "b"))],
+        [{"type": "string", "description": "d", "labels": {key: "a"}} for key in (1, "1")],
+        [{"type": "number", "description": "d", "default": value} for value in (float("nan"), float("inf"))],
     ],
-    ids=["key-order", "one-float-true", "list-tuple"],
+    ids=["key-order", "one-float-true", "list-tuple", "int-str-key", "nan-inf"],
 )
 def test_pools_that_differ_only_in_key_order_or_type_score_like_fresh_settings(monkeypatch, routed, targets):
     docs = [make_tool_doc(i) for i in range(4)]

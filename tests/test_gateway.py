@@ -21,6 +21,7 @@ from toolrouter.errors import (
     BackendUnavailable,
     BudgetExceeded,
     DimensionMismatch,
+    GatewayError,
     MalformedEmbedding,
     NotParseable,
     RetriesExhausted,
@@ -92,6 +93,16 @@ def test_chat_request_invariants():
     for temperature, shown in named.items():
         with pytest.raises(ValueError, match=f"^temperature must be finite and >= 0, got {re.escape(shown)}$"):
             user_request("hi", temperature=temperature)
+
+
+def test_a_gateway_without_a_backend_raises_a_gateway_error():
+    no_embedding = Gateway(chat_backend=FlakyChat(fail_times=0), backoff_s=0.0)
+    for call in (lambda: no_embedding.embed_texts(["x"]), lambda: no_embedding.embed_model_id):
+        with pytest.raises(GatewayError, match="no embedding backend configured"):
+            call()
+    no_chat = Gateway(embedding_backend=FlakyEmbed(fail_times=0), backoff_s=0.0)
+    with pytest.raises(GatewayError, match="no chat backend configured"):
+        no_chat.chat(user_request("hi"))
 
 
 def test_chat_retries_then_succeeds():

@@ -4,6 +4,7 @@ import json
 import math
 import random
 from dataclasses import replace
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -655,6 +656,23 @@ def test_a_broken_edge_line_the_pattern_matches_fails_at_its_own_line(tmp_path, 
     with pytest.raises(ParseError, match=phrase) as info:
         load_graph(path)
     assert f"{path}:{len(head) + 2}:" in str(info.value)
+
+
+def test_constructor_refuses_nodes_of_two_widths():
+    nodes = {"a": GraphNode(tool("a"), vec(1, 0)), "b": GraphNode(tool("b"), vec(1, 0, 0))}
+    with pytest.raises(DimensionMismatch, match=r"dims differ: \[2, 3\]"):
+        CandidateGraph(GraphConfig(), nodes=nodes)
+
+
+def test_specs_is_a_read_only_view_of_the_snapshot_nodes_in_insertion_order():
+    gateway = mock_gateway(0)
+    parent = build_graph(make_tool_bank(6), GraphConfig(), gateway)
+    child = add_mutant(parent, "search_files_0", mutant_of("search_files_0", "a_mutant"), gateway)
+    assert isinstance(child.specs, MappingProxyType)
+    assert list(parent.specs) == list(make_tool_bank(6).names())
+    assert list(child.specs) == [*parent.specs, "a_mutant"] and "a_mutant" not in parent.specs
+    with pytest.raises(TypeError):
+        child.specs["other"] = child.specs["a_mutant"]
 
 
 def test_constructor_refuses_a_weight_no_float_holds():

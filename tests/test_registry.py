@@ -1,6 +1,7 @@
 """Spec validation, canonical serialization, banks, pools, and bank files."""
 
 import json
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +17,7 @@ from helpers import (
 from toolrouter.errors import (
     BadAgentName,
     DuplicateToolEntry,
+    IoError,
     MissingField,
     ParseError,
     SchemaMalformed,
@@ -250,6 +252,21 @@ def test_bank_file_json_array_and_kind_detection(tmp_path):
     loaded = load_bank(path)
     assert loaded.kind == "agent"
     assert len(loaded) == 3
+
+
+@pytest.mark.parametrize("suffix", [".jsonl", ".json"])
+def test_a_bank_file_that_is_no_utf8_text_is_a_parse_error_at_its_byte(tmp_path, suffix):
+    path = tmp_path / f"bank{suffix}"
+    save_bank(make_tool_bank(3), path)
+    if suffix == ".json":
+        path.write_text(json.dumps([make_tool_doc(i) for i in range(3)]), encoding="utf-8")
+    text = path.read_bytes()
+    cut = text.index(b"Search")
+    path.write_bytes(text[:cut] + b"\xc3(" + text[cut:])  # a lead byte without its continuation
+    with pytest.raises(ParseError, match=f"^parse error at {re.escape(str(path))}: no UTF-8 text at byte {cut}$"):
+        load_bank(path)
+    with pytest.raises(IoError, match="cannot read bank file"):
+        load_bank(tmp_path / "missing.jsonl")
 
 
 def test_bank_file_errors(tmp_path):

@@ -18,7 +18,7 @@ from helpers import (
 )
 from toolrouter import prompts
 from toolrouter._util import JSON_LINE
-from toolrouter.errors import ParseError, PoolMissingLabel
+from toolrouter.errors import IoError, ParseError, PoolMissingLabel
 from toolrouter.registry import CandidateBank, CandidatePool, pool_json, public_spec, validate_spec
 from toolrouter.sampler import CandidateSubset
 from toolrouter.supervision import (
@@ -364,6 +364,21 @@ def test_a_dataset_whose_query_holds_a_raw_line_break_reads_back(tmp_path, char)
     save_dataset(records, tmp_path / "saved.jsonl")
     assert char in (tmp_path / "saved.jsonl").read_text(encoding="utf-8")  # written raw, not escaped
     assert load_dataset(tmp_path / "saved.jsonl") == records
+
+
+def test_a_dataset_that_is_no_utf8_text_is_a_parse_error_and_one_utf8_cannot_encode_is_not_written(tmp_path):
+    trajectory = make_trajectory("s0", [[NAMES[0]], [NAMES[1]]])
+    records = [render_sample(i) for i in extract_instances(trajectory, POOL)]
+    path = tmp_path / "saved.jsonl"
+    save_dataset(records, path)
+    text = path.read_bytes()
+    cut = len(text.split(b"\n")[0]) + 1  # the first byte of the second line
+    path.write_bytes(text[:cut] + b"\xff" + text[cut:])
+    with pytest.raises(ParseError, match=f"^parse error at {re.escape(str(path))}: no UTF-8 text at byte {cut}$"):
+        load_dataset(path)
+    with pytest.raises(IoError, match="U\\+DC80 is no UTF-8 text"):
+        save_dataset([replace(records[0], query="a\udc80b")], path)
+    assert path.read_bytes() == text[:cut] + b"\xff" + text[cut:]  # the old file is kept
 
 
 @settings(max_examples=50, deadline=None)

@@ -218,6 +218,37 @@ def test_assistant_call_that_breaks_its_schema_is_discarded(env):
     assert info.value.reason.startswith(f"schema-violating arguments for {plan.steps[0].candidate}")
 
 
+class EditedCallsChat(MockChatBackend):
+    """The mock chat backend, with the calls of every assistant reply replaced by ``edit(calls)``."""
+
+    def __init__(self, edit):
+        super().__init__(seed=0)
+        self.edit = edit
+
+    def _assistant_turn(self, prompt):
+        document = json.loads(super()._assistant_turn(prompt))
+        document["calls"] = self.edit(document["calls"])
+        return json.dumps(document)
+
+
+@pytest.mark.parametrize(
+    "edit, reason",
+    [
+        (lambda calls: calls[:1] * 3, "assistant action carries more than 2 calls"),
+        (lambda calls: [{**calls[0], "name": "outside"}], "out-of-subset call: 'outside'"),
+    ],
+    ids=["three-calls", "out-of-subset"],
+)
+def test_an_assistant_reply_an_action_turn_cannot_hold_is_discarded(env, edit, reason):
+    _, graph, specs = env
+    subset = subset_of(graph.names()[:2])
+    gateway = Gateway(chat_backend=EditedCallsChat(edit), backoff_s=0.0)
+    plan = propose_task(subset, specs, gateway)
+    with pytest.raises(Discarded) as info:
+        simulate_trajectory(plan, subset, specs, gateway, SynthesisConfig(rng_seed=1))
+    assert info.value.reason == reason
+
+
 def test_synthesize_batch_deterministic(env):
     gateway, graph, _ = env
     sampler = SamplerConfig(target_range=(2, 4))
