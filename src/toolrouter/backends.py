@@ -349,4 +349,14 @@ class HTTPEmbeddingBackend(_HTTPBackend):
 
     def embed(self, texts: Sequence[str]) -> list[list[float]]:
         payload = {"model": self.model_id, "input": list(texts)}
-        return self._post("embeddings", payload, "embedding", lambda body: [e["embedding"] for e in body["data"]])
+        return self._post("embeddings", payload, "embedding", self._rows)
+
+    @staticmethod
+    def _rows(body: Any) -> list:
+        """Each ``data`` item's embedding at its ``index``; an item without one
+        keeps its place. ValueError unless the indices are the ints 0..n-1."""
+        data = body["data"]
+        places = [item.get("index", place) for place, item in enumerate(data)]
+        if any(type(place) is not int for place in places) or sorted(places) != list(range(len(data))):
+            raise ValueError(f"embedding reply indices {places} are not 0..{len(data) - 1} once each")
+        return [item["embedding"] for _, item in sorted(zip(places, data), key=lambda pair: pair[0])]

@@ -200,9 +200,9 @@ def evaluate(
             try:
                 key = _pool_key(record)
                 if key not in setting._pools:
-                    # A new pool: check it is JSON, once. Key it by that text when marshal reads its bytes
-                    # back as another value (a numpy scalar, a NaN), so that only the pool they hold owns them.
-                    text = _pool_json(record)
+                    # A new pool: check it is JSON, once (a text key is that check). Key it by that text
+                    # when marshal reads its bytes back as another value (a numpy scalar, a NaN).
+                    text = key if isinstance(key, str) else _pool_json(record)
                     if isinstance(key, bytes) and marshal.loads(key) != (record.kind, record.pool_specs):
                         key = text
                 if key not in setting._pools:
@@ -223,7 +223,8 @@ def evaluate(
         for i, (record, pool) in enumerate(zip(dataset, pools)):
             if id(pool) not in blocks:
                 blocks[id(pool)] = pool_json(pool.specs())
-            prompts[i] = _prompt(record.query, record.history, pool.bank.kind, blocks[id(pool)])
+            system, user = _prompt(record.query, record.history, pool.bank.kind, blocks[id(pool)])
+            prompts[i] = system, "".join(user)
     decisions: list[RouterDecision | None] = [None] * len(dataset)
     per_run: list[float] = []
     group_totals: dict[str, float] = {}

@@ -24,7 +24,6 @@ one check of ``_SnapshotReader.edge``.
 
 from __future__ import annotations
 
-import bisect
 import math
 import re
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence, Set
@@ -202,12 +201,10 @@ class CandidateGraph:
         self._bind(config, store)
 
     @classmethod
-    def _view(cls, config: GraphConfig, store: _Store, names: tuple[str, ...] | None = None) -> "CandidateGraph":
-        """The snapshot of all of ``store``; ``names``, when given, are its node names sorted."""
+    def _view(cls, config: GraphConfig, store: _Store) -> "CandidateGraph":
+        """The snapshot of all of ``store``."""
         graph = cls.__new__(cls)
         graph._bind(config, store)
-        if names is not None:
-            graph._names = names
         return graph
 
     def _bind(self, config: GraphConfig, store: _Store) -> None:
@@ -355,9 +352,7 @@ def add_mutant(graph: CandidateGraph, parent: str, mutant: CandidateSpec, gatewa
     store.append_node(mutant, row, norm)
     store.append_edges([store.index[parent]], [n], "mutation", [None])
     _link_similar(store, graph.config.tau, n)
-    names = graph._names  # the parent's sorted names, with the mutant's name in its place
-    at = bisect.bisect(names, mutant.name)
-    return CandidateGraph._view(graph.config, store, names[:at] + (mutant.name,) + names[at:])
+    return CandidateGraph._view(graph.config, store)
 
 
 def save_graph(graph: CandidateGraph, path: str | Path) -> None:

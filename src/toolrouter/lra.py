@@ -139,14 +139,11 @@ class EpisodeLog:
 
 _WORD_RE = re.compile(r"\w+")
 _TOOL_NAMES = tuple(spec["name"] for spec in json.loads(REASONER_TOOLS_JSON))  # as every prompt shows them
-# The reasoner prompt's lines with the tool specs in and the task and transcript slots open.
-_PROMPT_LINES = prompts.fill(
-    prompts.LRA_REASONER_TEMPLATE, TOOLS_JSON=REASONER_TOOLS_JSON, TASK="<<TASK>>", TRANSCRIPT="<<TRANSCRIPT>>"
-).split("\n")
-(_TASK_LINE,) = [line for line in _PROMPT_LINES if "<<TASK>>" in line]
-assert "<<TRANSCRIPT>>" in _PROMPT_LINES, "the audit reads the transcript as whole lines"
-# The words of the lines every prompt shows, read once per process.
-_FIXED_WORDS = frozenset(_WORD_RE.findall("\n".join(set(_PROMPT_LINES) - {_TASK_LINE, "<<TRANSCRIPT>>"})))
+# The words every reasoner prompt shows, from one fill with the task and the transcript empty: no
+# word character touches either slot, so a prompt's words are these, the task's and the transcript's.
+_BARE_PROMPT = prompts.fill(prompts.LRA_REASONER_TEMPLATE, TOOLS_JSON=REASONER_TOOLS_JSON, TASK="", TRANSCRIPT="")
+_FIXED_WORDS = frozenset(_WORD_RE.findall(_BARE_PROMPT))
+assert not re.search(r"\w<<(TASK|TRANSCRIPT)>>|<<(TASK|TRANSCRIPT)>>\w", prompts.LRA_REASONER_TEMPLATE)
 
 
 @lru_cache(maxsize=8)
@@ -181,13 +178,13 @@ def run_episode(
     calling it with no fresh decision is recorded as ExecuteBeforeRoute and
     surfaced to the reasoner. The context audit counts the pool names in any
     prompt shown, less the two tool names and the names routed to. No word
-    spans a line and the transcript only grows, so the audit reads the words
-    of the task's line once and of each transcript line as it is first shown;
-    the words of the template's other lines are read once per process. A reply
-    that is no JSON object (code fence optional), whose ``need`` or
-    ``answer`` is no string, or whose ``arguments`` is no object, is the
-    final answer as it stands. A final answer ends the episode ``finished``,
-    or ``error`` when it routed and every route abstained.
+    runs from a slot into the template's text or spans a transcript line, and
+    the transcript only grows, so the audit reads the words of the task once
+    and of each transcript line as it is first shown, the template's once per
+    process. A reply that is no JSON object (code fence optional), whose
+    ``need`` or ``answer`` is no string, or whose ``arguments`` is no object,
+    is the final answer as it stands. A final answer ends the episode
+    ``finished``, or ``error`` when it routed and every route abstained.
     """
     if budget < 1:
         raise BadConfig(f"budget must be >= 1, got {budget}")
@@ -196,7 +193,7 @@ def run_episode(
     pending: RouterDecision | None = None
     prompts_shown: list[str] = []
     transcript, added = "", "(empty)"  # the turns after the task; the text new to the next prompt
-    words = set(_WORD_RE.findall(prompts.fill(_TASK_LINE, TASK=task)))  # of the prompts shown, less _FIXED_WORDS
+    words = set(_WORD_RE.findall(task))  # of the prompts shown, less _FIXED_WORDS
 
     for _step in range(budget):
         words.update(_WORD_RE.findall(added))

@@ -1,9 +1,9 @@
 """Prompt templates for every LLM-facing stage.
 
-Templates use ``<<SLOT>>`` placeholders (filled by :func:`fill`) because
-several templates contain literal JSON braces. The offline mock backend
-dispatches on the marker lines defined here, so renderers and the mock stay
-in sync.
+Templates use ``<<SLOT>>`` placeholders (filled by :func:`fill`, or given
+as their texts and values by :func:`pieces`) because several templates
+contain literal JSON braces. The offline mock backend dispatches on the
+marker lines defined here, so renderers and the mock stay in sync.
 """
 
 from __future__ import annotations
@@ -17,24 +17,29 @@ _SLOT_RE = re.compile(r"<<([A-Z_]+)>>")
 @lru_cache(maxsize=16)
 def _pieces(template: str) -> tuple[tuple[str, ...], tuple[str, ...], frozenset[str]]:
     """The template split at its slots (text, slot, text, ..., text), its slots in order, and their set."""
-    pieces = tuple(_SLOT_RE.split(template))
-    return pieces, pieces[1::2], frozenset(pieces[1::2])
+    parts = tuple(_SLOT_RE.split(template))
+    return parts, parts[1::2], frozenset(parts[1::2])
+
+
+def pieces(template: str, **values: str) -> list[str]:
+    """``template`` split at its ``<<NAME>>`` slots, with the object ``values[NAME]``
+    in each: text, value, text, ..., text.
+
+    Only the template is scanned, so slot text inside an inserted value stays
+    as it is. Each template is split once per process (a small cache keyed by
+    the template). The slots and the value names must be the same set (ValueError).
+    """
+    texts, slots, names = _pieces(template)
+    if names != values.keys():
+        raise ValueError(f"template slots {sorted(names)} do not match the values {sorted(values)}")
+    filled = list(texts)
+    filled[1::2] = [values[slot] for slot in slots]
+    return filled
 
 
 def fill(template: str, **values: str) -> str:
-    """Replace every ``<<NAME>>`` slot of ``template`` with ``values[NAME]``.
-
-    Only the template is scanned, so slot text inside an inserted value stays
-    as it is. Each template is split at its slots once per process (a small
-    cache keyed by the template), and a fill joins the values in between its
-    pieces. The slots and the value names must be the same set (ValueError).
-    """
-    pieces, slots, names = _pieces(template)
-    if names != values.keys():
-        raise ValueError(f"template slots {sorted(names)} do not match the values {sorted(values)}")
-    filled = list(pieces)
-    filled[1::2] = [values[slot] for slot in slots]
-    return "".join(filled)
+    """``template`` with ``values[NAME]`` at every ``<<NAME>>`` slot: the join of :func:`pieces`."""
+    return "".join(pieces(template, **values))
 
 # --- mutation (tool) ---------------------------------------------------------
 

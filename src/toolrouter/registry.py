@@ -13,7 +13,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Any, Iterable, Iterator
 
-from ._util import RECORD_ERRORS, json_object, parse_lines, read_text, record_error, write_jsonl
+from ._util import RECORD_ERRORS, json_object, parse_lines, read_text, record_error, strings, write_jsonl
 from .errors import (
     BadAgentName,
     DuplicateToolEntry,
@@ -153,17 +153,19 @@ def _parse_provenance(document: dict[str, Any]) -> Provenance:
 
 
 def _string_list(document: dict[str, Any], key: str) -> tuple[str, ...]:
-    value = document.get(key) or []
-    if not isinstance(value, list) or not all(isinstance(item, str) for item in value):
-        raise SpecError(f"candidate {document['name']!r}: {key} must be a list of strings")
-    return tuple(value)
+    """``document[key]`` as a tuple of strings, empty when the key is absent or null; SpecError otherwise."""
+    try:
+        return strings([] if document.get(key) is None else document[key], key)
+    except TypeError as exc:
+        raise SpecError(f"candidate {document['name']!r}: {exc}") from exc
 
 
 def validate_spec(document: dict[str, Any], kind: str) -> CandidateSpec:
     """Validate a parsed exchange-format document into a spec.
 
-    Normalizes absent tags to an empty tuple (tools only; agents must carry
-    at least one tag). A tool document has no ``tools`` field.
+    Normalizes absent or null tags to an empty tuple (tools only; agents must
+    carry at least one tag); any other value of ``tags`` or ``tools`` must be
+    a list of strings. A tool document has no ``tools`` field.
     """
     if kind not in ("tool", "agent"):
         raise ValueError(f"unknown candidate kind: {kind!r}")

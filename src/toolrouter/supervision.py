@@ -92,16 +92,19 @@ def strip_history(instance: RoutingInstance) -> RoutingInstance:
 def render_prompt(query: str, history: Sequence[Turn], pool: CandidatePool) -> tuple[str, str]:
     """The (system, user) router messages for a query, its history and a pool,
     worded for the kind of the pool's candidates."""
-    return _prompt(query, history, pool.bank.kind, pool_json(pool.specs()))
+    system, user = _prompt(query, history, pool.bank.kind, pool_json(pool.specs()))
+    return system, "".join(user)
 
 
-def _prompt(query: str, history: Sequence[Turn], kind: str, block: str) -> tuple[str, str]:
-    """``render_prompt`` over a pool of ``kind`` whose prompt block is ``block``."""
+def _prompt(query: str, history: Sequence[Turn], kind: str, block: str) -> tuple[str, list[str]]:
+    """``render_prompt`` over a pool of ``kind`` whose prompt block is ``block``,
+    with the user message as its :func:`prompts.pieces`: ``block`` itself is
+    the piece that holds the block."""
     system = prompts.ROUTER_SYSTEM_AGENT if kind == "agent" else prompts.ROUTER_SYSTEM_TOOL
     history_text = serialize_history(history, kind)
     history_slot = f"\n{history_text}\n" if history_text else ""
     plural = "agents" if kind == "agent" else "tools"
-    user = prompts.fill(
+    user = prompts.pieces(
         prompts.ROUTER_USER_TEMPLATE,
         HISTORY=history_slot,
         QUERY=query,
@@ -177,25 +180,27 @@ def _pool_entries(value: object) -> tuple[dict, ...]:
 def render_sample(instance: RoutingInstance) -> DatasetRecord:
     """Render one instance into a dataset record, in the kind of its pool's candidates."""
     specs = instance.pool.specs()
-    return _sample(instance, tuple(map(public_spec, specs)), pool_json(specs))
+    return _sample(instance, tuple(map(public_spec, specs)), pool_json(specs))[0]
 
 
-def _sample(instance: RoutingInstance, documents: tuple[dict, ...], block: str) -> DatasetRecord:
-    """``render_sample`` with the public documents and the prompt block of the instance's pool given."""
+def _sample(instance: RoutingInstance, documents: tuple[dict, ...], block: str) -> tuple[DatasetRecord, list[str]]:
+    """``render_sample`` with the public documents and the prompt block of the
+    instance's pool given, and the record's ``user`` text as its pieces."""
     if instance.label not in instance.pool.member_set:
         raise PoolMissingLabel(instance.label)
     kind = instance.pool.bank.kind
     system, user = _prompt(instance.query, instance.history, kind, block)
-    return DatasetRecord(
+    record = DatasetRecord(
         kind=kind,
         system=system,
-        user=user,
+        user="".join(user),
         query=instance.query,
         history=instance.history,
         pool_specs=documents,
         label=instance.label,
         origin=asdict(instance.origin),
     )
+    return record, user
 
 
 def build_dataset(
@@ -229,16 +234,13 @@ def build_dataset(
         if id(pool) not in kept:
             kept[id(pool)] = (pool, _PoolText.of(pool))
         text = kept[id(pool)][1]
-        return _line(_sample(instance, text.documents, text.block), text)
+        return _line(*_sample(instance, text.documents, text.block), text)
 
     counts = {str(path): write_lines(path, map(line, instances), "dataset")}
     if ablation:
         twin_path = path.with_name(path.name + ".nohistory")
         counts[str(twin_path)] = write_lines(twin_path, (line(strip_history(i)) for i in instances), "dataset")
     return counts
-
-
-_PROBE_CHARS = 64
 
 
 @dataclass(frozen=True)
@@ -259,31 +261,17 @@ class _PoolText:
         block = pool_json(specs)
         return _PoolText(documents, JSON_LINE.encode(list(documents)), block, JSON_LINE.encode(block)[1:-1])
 
-    def user(self, user: str) -> str:
-        """``JSON_LINE.encode(user)``. The encoder escapes each character on
-        its own, so the text around any occurrence of the block is encoded
-        apart and joined with the block's escaped text.
 
-        The first occurrence is found from a short probe, each hit checked
-        with ``startswith``: ``str.find`` of the whole block prepares the
-        block again on every call, ≈0.12 ms for a 70 kB block against ≈3 µs.
-        """
-        probe = self.block[:_PROBE_CHARS]
-        at = user.find(probe)
-        while at >= 0 and not user.startswith(self.block, at):
-            at = user.find(probe, at + 1)
-        if at < 0:
-            return JSON_LINE.encode(user)
-        return JSON_LINE.encode(user[:at])[:-1] + self.escaped_block + JSON_LINE.encode(user[at + len(self.block) :])[1:]
-
-
-def _line(record: DatasetRecord, pool: _PoolText) -> str:
+def _line(record: DatasetRecord, user: list[str], pool: _PoolText) -> str:
     """``JSON_LINE.encode(record.to_dict())``: each value encoded on its own and
     joined in ``to_dict`` order with the encoder's ", " and ": " separators, so
-    the line opens with its ``pool`` field. ``pool``, the texts of the pool the
-    record was rendered over, gives the ``pool`` field and the block in
-    ``user`` without encoding them again."""
-    encoded = {"user": pool.user(record.user), "pool": pool.field}
+    the line opens with its ``pool`` field. ``user`` is the record's ``user``
+    text as its pieces, and ``pool`` the texts of the pool the record was
+    rendered over: they give the ``pool`` field and the block in ``user``
+    without encoding them again. The encoder escapes each character on its
+    own, so ``user`` is encoded piece by piece."""
+    escaped = (pool.escaped_block if piece is pool.block else JSON_LINE.encode(piece)[1:-1] for piece in user)
+    encoded = {"user": '"' + "".join(escaped) + '"', "pool": pool.field}
     fields = (
         f"{JSON_LINE.encode(key)}: {encoded[key] if key in encoded else JSON_LINE.encode(value)}"
         for key, value in record.to_dict().items()

@@ -565,6 +565,21 @@ def test_pools_that_marshal_refuses_share_one_build_through_their_json_text(monk
     assert shared[0] == shared[1] == _scores(routed, cfg, records, PoolSetting())
 
 
+@pytest.mark.parametrize(
+    "document",
+    [OrderedDict, lambda doc: {**doc, "description": _Text(doc["description"])}],
+    ids=["ordered-dict", "str-subclass"],
+)
+def test_a_pool_that_marshal_refuses_is_json_encoded_once_per_lookup(monkeypatch, document):
+    records = _records_over([document(make_tool_doc(i)) for i in range(4)], n=1)
+    setting, cfg = PoolSetting(), RouterConfig(variant="oracle")
+    counts = count_calls(monkeypatch, pool_json=(evaluation, "_pool_json"))
+    for _ in range(2):  # a new pool, then a stored one: its key is the one JSON text either way
+        assert evaluate(cfg, records, setting).avg_at_k == 1.0
+        assert counts == {"pool_json": 1}
+        counts["pool_json"] = 0
+
+
 class RecordingChat(MockChatBackend):
     """The mock chat backend, keeping every request it is sent."""
 

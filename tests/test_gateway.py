@@ -223,6 +223,28 @@ def test_http_chat_reply_without_string_content_is_retried(fake_session, monkeyp
     assert len(session.posts) == 3
 
 
+def test_http_embedding_rows_follow_the_reply_indices(fake_session, monkeypatch):
+    data = [{"index": 1, "embedding": [0.0, 1.0]}, {"index": 0, "embedding": [1.0, 0.0]}]
+    monkeypatch.setattr(fake_session, "body", {"data": data})
+    gateway = _http_gateway("embedding")
+    rows = [tuple(vector.values.tolist()) for vector in gateway.embed_texts(["first", "second"])]
+    assert rows == [(1.0, 0.0), (0.0, 1.0)]
+
+
+@pytest.mark.parametrize(
+    "indices", [(0, 0), (0, 2), (1, None), (0, True)], ids=["repeated", "missing", "one-given", "bool"]
+)
+def test_an_http_embedding_reply_whose_indices_are_not_its_places_is_retried(fake_session, monkeypatch, indices):
+    # None: an item without an index, which keeps its place
+    data = [{"embedding": [0.6, 0.8], **({} if index is None else {"index": index})} for index in indices]
+    monkeypatch.setattr(fake_session, "body", {"data": data})
+    gateway = _http_gateway("embedding", max_retries=2)
+    with pytest.raises(RetriesExhausted, match="embedding reply indices"):
+        gateway.embed_texts(["first", "second"])
+    (session,) = fake_session.instances
+    assert len(session.posts) == 3
+
+
 def test_chat_budget_enforced():
     gateway = Gateway(chat_backend=FlakyChat(fail_times=0), max_chat_calls=1, backoff_s=0.0)
     gateway.chat(user_request("one"))

@@ -122,6 +122,27 @@ def test_mistyped_fields_are_spec_errors(case):
         validate_spec(doc, kind)
 
 
+@pytest.mark.parametrize("value", [False, 0, "", {}], ids=["false", "zero", "empty-string", "empty-object"])
+@pytest.mark.parametrize("kind, key", [("tool", "tags"), ("agent", "tools")])
+def test_a_falsy_list_field_that_is_no_list_is_a_spec_error_at_its_bank_line(tmp_path, kind, key, value):
+    make_doc = make_agent_doc if kind == "agent" else make_tool_doc
+    doc = {**make_doc(1), key: value}
+    with pytest.raises(SpecError, match=re.escape(f"candidate {doc['name']!r}: {key} must be a list of strings")):
+        validate_spec(doc, kind)
+    bank = tmp_path / "bank.jsonl"
+    bank.write_text(json.dumps(make_doc(0)) + "\n" + json.dumps(doc) + "\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=re.escape(f"{bank}:2:")):
+        load_bank(bank)
+
+
+def test_absent_or_null_tags_are_empty():
+    doc = make_tool_doc(0)
+    doc.pop("tags", None)
+    assert validate_spec(doc, "tool").tags == () == validate_spec({**doc, "tags": None}, "tool").tags
+    with pytest.raises(MissingField, match="tools"):
+        validate_spec({**make_agent_doc(0), "tools": None}, "agent")
+
+
 def test_serialize_phi_shape_and_determinism():
     spec = validate_spec(make_tool_doc(1), "tool")
     text = serialize_phi(spec)

@@ -207,6 +207,14 @@ def test_fill_rejects_unknown_and_unused_slots():
         prompts.fill("<<A>>", A="a", C="c")
 
 
+def test_pieces_hold_each_value_object_between_the_template_texts():
+    value = "".join(["<<B>>", "!"])  # a str object of its own
+    parts = prompts.pieces("a<<A>>b<<B>><<A>>", A=value, B="x")
+    assert parts == ["a", "<<B>>!", "b", "x", "", "<<B>>!", ""]
+    assert parts[1] is value and parts[5] is value
+    assert "".join(parts) == prompts.fill("a<<A>>b<<B>><<A>>", A=value, B="x")
+
+
 def substituted(template, **values):
     """``fill`` as one ``_SLOT_RE.sub`` pass over the template: the reference it must equal."""
     slots = set(prompts._SLOT_RE.findall(template))
